@@ -5,7 +5,8 @@ Usage:  python3 scripts/catalog_report.py [--order N]
 
 For each geometry: the mirror exponent, the flat-coordinate exponent, the
 potential weights, the period comparison (when one-point data exists), the
-scaling identities, and the potential roundtrip.
+scaling identities, and the potential roundtrip.  One pipeline run per
+geometry feeds all of it, at the truncation order `verify` would use.
 """
 
 import argparse
@@ -17,10 +18,9 @@ from mirrorpair import (
     builtin_geometry,
     compare_periods,
     euler_scaling_check,
-    normalize_i,
-    proper_potential,
-    relative_i_function,
+    require_quantum_source,
     roundtrip_for_geometry,
+    shared_potential,
 )
 
 CATALOG = ("p2_cubic", "p3_quartic", "blp3_k3")
@@ -38,36 +38,37 @@ def _fmt_series(series, names):
 
 def report(name: str, order: int | None) -> None:
     geom = builtin_geometry(name)
-    print(f"\n=== {name} ===")
-    print(f"m-vector {geom.m_vector}, Novikov variables {geom.novikov_names}, "
-          f"truncation order {geom.policy.max_total}")
+    t_order = order or (3 * max(abs(m) for m in geom.m_vector))
+    try:
+        require_quantum_source(geom)
+        skipped = None
+    except MissingDataError as exc:
+        skipped = exc
 
     t0 = time.perf_counter()
-    norm = normalize_i(relative_i_function(geom))
-    print(f"mirror exponent g:   {_fmt_series(norm.exponent.g, geom.novikov_names)}")
-    if not norm.exponent.contact_one.is_zero():
-        print(f"[1]_(-1) report:     {_fmt_series(norm.exponent.contact_one, geom.novikov_names)}")
-
-    pot = proper_potential(geom)
+    pot = shared_potential(geom, None if skipped else t_order)
+    print(f"\n=== {name} ===")
+    print(f"m-vector {geom.m_vector}, Novikov variables {geom.novikov_names}, "
+          f"truncation order {pot.geometry.policy.max_total}")
+    print(f"mirror exponent g:   {_fmt_series(pot.exponent, geom.novikov_names)}")
     print(f"flat exponent G:     {_fmt_series(pot.composed, geom.novikov_names)}")
     print("potential weights:   "
           + ", ".join(f"w{list(b)}={c}" for b, c in pot.terms))
 
-    t_order = order or (3 * max(abs(m) for m in geom.m_vector))
-    try:
-        cmp = compare_periods(geom, t_order)
+    if skipped:
+        print(f"period comparison:   skipped ({skipped})")
+    else:
+        cmp = compare_periods(pot, t_order)
         print(f"period comparison through t^{t_order}:")
         for d, cl, reg, ok in cmp.rows:
             if cl or reg:
                 flag = "ok" if ok else "MISMATCH"
                 print(f"    t^{d:<3} classical {str(cl):>12}  regularized {str(reg):>12}  {flag}")
         print(f"period theorem:      {'pass' if cmp.passed else 'FAIL'}")
-    except MissingDataError as exc:
-        print(f"period comparison:   skipped ({exc})")
 
-    scaling = euler_scaling_check(geom)
+    scaling = euler_scaling_check(pot)
     print(f"scaling identities:  {'pass' if scaling.all_ok else 'FAIL: ' + scaling.details}")
-    rt = roundtrip_for_geometry(geom)
+    rt = roundtrip_for_geometry(pot)
     print(f"potential roundtrip: {'pass' if rt.ok else f'FAIL {rt.mismatches}'}")
     print(f"({time.perf_counter() - t0:.2f}s)")
 

@@ -28,6 +28,7 @@ from .geometry import (
     format_invariants,
     ingest_invariants,
     load_geometry,
+    require_quantum_source,
     tabulate_one_point_invariants,
 )
 from .ifunctions import (
@@ -42,7 +43,6 @@ from .ifunctions import (
     composed_exponent,
     divisor_map_from_normal_bundle,
     divisor_mirror_map,
-    extended_i_function,
     extract_mirror_exponent,
     hypergeometric_factor,
     inverse_coordinates,
@@ -75,6 +75,7 @@ from .periods import (
     quantum_period,
     regularize,
     roundtrip_for_geometry,
+    shared_potential,
     theta_coefficient,
 )
 from .series import (

@@ -140,9 +140,6 @@ class GradedAlgebra:
             raise AlgebraError(f"{self.name}: wrong coefficient count")
         return Element(self, c)
 
-    def span_index(self, name: str) -> int:
-        return self.basis.index(name)
-
 
 @dataclass(frozen=True)
 class Element:

@@ -31,6 +31,7 @@ from .geometry import (
     ingest_invariants,
     load_geometry,
     PairGeometry,
+    require_quantum_source,
 )
 from .ifunctions import (
     PRODUCT_RULE_TEXT,
@@ -57,6 +58,7 @@ from .periods import (
     quantum_period,
     regularize,
     roundtrip_for_geometry,
+    shared_potential,
 )
 from .series import TruncationError, TruncationPolicy, WindowError
 
@@ -304,23 +306,20 @@ def _state_records(geom: PairGeometry, series: str, state: StateSeries) -> list[
 def _relative_records(geom: PairGeometry, series: str, rel: RelativeSeries) -> list[dict]:
     records = []
     pol = geom.policy
-    for (beta, aux, contact, z, logpow) in sorted(
-        rel.terms, key=lambda k: (pol.weight(k[0]), k[0], -k[3], k[2], k[1], k[4])
+    for (beta, contact, z, logpow) in sorted(
+        rel.terms, key=lambda k: (pol.weight(k[0]), k[0], -k[2], k[1], k[3])
     ):
-        el = rel.terms[(beta, aux, contact, z, logpow)]
+        el = rel.terms[(beta, contact, z, logpow)]
         for i, c in enumerate(el.coeffs):
             if not c:
                 continue
-            selector = (
-                f"beta={_beta_str(beta)} contact={contact} z={z} "
-                f"log={_beta_str(logpow)} class=[{_class_label(el.algebra, i)}]"
-            )
-            if aux:
-                selector += f" aux={aux}"
             records.append(
                 {
                     "series": series,
-                    "selector": selector,
+                    "selector": (
+                        f"beta={_beta_str(beta)} contact={contact} z={z} "
+                        f"log={_beta_str(logpow)} class=[{_class_label(el.algebra, i)}]"
+                    ),
                     "value": str(c),
                     "beta": list(beta),
                     "contact": contact,
@@ -420,7 +419,7 @@ def cmd_mirror_map(cfg: RunConfig, stream) -> int:
                 "beta": list(beta),
             }
         )
-    for name, series in zip(geom.novikov_names, inverse_coordinates(change)):
+    for name, series in zip(geom.novikov_names, inverse_coordinates(change, G)):
         for beta, c in sorted(series.terms.items()):
             records.append(
                 {
@@ -521,15 +520,30 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
 
 
 def cmd_verify(cfg: RunConfig, stream) -> int:
+    """Run the three checks on one shared potential and report the order it ran at."""
     _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
+    try:
+        require_quantum_source(geom)
+        period_skip = None
+    except MissingDataError as exc:
+        if cfg.negative_control:
+            raise
+        period_skip = f"skipped: {exc}"
+    pot = shared_potential(geom, None if period_skip else t_order)
+    order = pot.geometry.policy.max_total
     records: list[dict] = []
     failures: list[str] = []
 
+    def check(selector: str, verdict: str) -> None:
+        records.append({"series": "check", "selector": selector, "value": verdict, "order": order})
+
     # 1. the period identity (regularized quantum == classical)
-    try:
-        cmp = compare_periods(geom, t_order, negative_control=cfg.negative_control)
+    if period_skip:
+        check("period_theorem", period_skip)
+    else:
+        cmp = compare_periods(pot, t_order, negative_control=cfg.negative_control)
         for d, c, r, ok in cmp.rows:
             if c == 0 and r == 0:
                 continue
@@ -551,18 +565,12 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
             )
         else:
             verdict = "pass" if cmp.passed else f"fail (first mismatch at t^{cmp.first_mismatch})"
-        records.append({"series": "check", "selector": "period_theorem", "value": verdict})
+        check("period_theorem", verdict)
         if not cmp.passed:
             failures.append("period_theorem")
-    except MissingDataError as exc:
-        if cfg.negative_control:
-            raise
-        records.append(
-            {"series": "check", "selector": "period_theorem", "value": f"skipped: {exc}"}
-        )
 
     # 2. the Euler-scaling identity of the change of variables
-    rep = euler_scaling_check(geom)
+    rep = euler_scaling_check(pot)
     for label, ok in (
         ("coefficient_identity", rep.coefficient_identity_ok),
         ("scaling_operator", rep.scaling_ok),
@@ -573,32 +581,21 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
         records.append(
             {"series": "euler_scaling", "selector": label, "value": "pass" if ok else "fail"}
         )
-    records.append(
-        {
-            "series": "check",
-            "selector": "euler_scaling",
-            "value": "pass" if rep.all_ok else f"fail ({rep.details})",
-        }
-    )
+    check("euler_scaling", "pass" if rep.all_ok else f"fail ({rep.details})")
     if not rep.all_ok:
         failures.append("euler_scaling")
 
     # 3. the potential roundtrip
-    rt = roundtrip_for_geometry(geom)
-    records.append(
-        {
-            "series": "check",
-            "selector": "potential_roundtrip",
-            "value": "pass"
-            if rt.ok
-            else "fail at t-degrees " + ",".join(str(k) for k, _, _ in rt.mismatches),
-        }
+    rt = roundtrip_for_geometry(pot)
+    check(
+        "potential_roundtrip",
+        "pass" if rt.ok else "fail at t-degrees " + ",".join(str(k) for k, _, _ in rt.mismatches),
     )
     if not rt.ok:
         failures.append("potential_roundtrip")
 
     md = _metadata(
-        geom,
+        pot.geometry,
         series="verify",
         t_order=t_order,
         negative_control=str(cfg.negative_control).lower(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -160,21 +160,10 @@ class PairGeometry:
         return sum(m * b for m, b in zip(self.m_vector, beta))
 
     def with_policy(self, policy: TruncationPolicy) -> "PairGeometry":
-        return PairGeometry(
-            self.name, self.ambient, self.divisor, self.restriction,
-            self.divisor_class, self.picard, self.novikov_names, self.m_vector,
-            policy, self.j_source, self.tau_d_source, self.tau_d_reason,
-            self.hyperplane, self.projective_dim, self.toric, self.table,
-        )
+        return replace(self, policy=policy)
 
     def with_table(self, table: InvariantTable | None, j_source: str | None = None) -> "PairGeometry":
-        return PairGeometry(
-            self.name, self.ambient, self.divisor, self.restriction,
-            self.divisor_class, self.picard, self.novikov_names, self.m_vector,
-            self.policy, j_source or self.j_source, self.tau_d_source,
-            self.tau_d_reason, self.hyperplane, self.projective_dim, self.toric,
-            table,
-        )
+        return replace(self, table=table, j_source=j_source or self.j_source)
 
 
 def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
@@ -200,6 +189,21 @@ def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
 # config parsing
 
 
+def _number(kind, section: str, text: str):
+    """kind(text) for kind = int or rat; a malformed value names its section."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "an integer" if kind is int else "an exact rational p/q"
+        raise ConfigError(f"[{section}] {text!r} is not {what}") from exc
+
+
+def _named(alg: GradedAlgebra, section: str, name: str) -> Element:
+    if name not in alg.basis:
+        raise ConfigError(f"[{section}] unknown class {name!r} in {alg.name}")
+    return alg.named(name)
+
+
 def _parse_rows(value: str) -> list[list[str]]:
     rows = []
     for raw in value.strip().splitlines():
@@ -212,7 +216,7 @@ def _parse_rows(value: str) -> list[list[str]]:
 def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> GradedAlgebra:
     try:
         basis = section["basis"].split()
-        degrees = [int(d) for d in section["degrees"].split()]
+        degrees = [_number(int, section.name, d) for d in section["degrees"].split()]
         unit = section["unit"]
     except KeyError as exc:
         raise ConfigError(f"[{section.name}] missing key: {exc}") from exc
@@ -224,14 +228,14 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
                 f"[{section.name}] product rows are 'left right target coeff', got {row}"
             )
         a, b, k, c = row
-        products.setdefault((a, b), {})[k] = rat(c)
+        products.setdefault((a, b), {})[k] = _number(rat, section.name, c)
     integration = None
     if section.get("integration"):
         integration = {}
         for row in _parse_rows(section["integration"]):
             if len(row) != 2:
                 raise ConfigError(f"[{section.name}] integration rows are 'basis coeff'")
-            integration[row[0]] = rat(row[1])
+            integration[row[0]] = _number(rat, section.name, row[1])
     try:
         alg = GradedAlgebra.from_products(
             section.get("name", fallback_name), basis, degrees, products,
@@ -245,7 +249,7 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
     return alg
 
 
-def _parse_class(alg: GradedAlgebra, expr: str) -> Element:
+def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
     """Parse linear combinations like '4*H + h - H2'."""
     out = alg.zero()
     expr = expr.replace("-", "+-").replace(" ", "")
@@ -257,12 +261,10 @@ def _parse_class(alg: GradedAlgebra, expr: str) -> Element:
             sign, term = -1, term[1:]
         if "*" in term:
             c, name = term.split("*", 1)
-            coeff = rat(c)
+            coeff = _number(rat, section, c)
         else:
             coeff, name = Fraction(1), term
-        if name not in alg.basis:
-            raise ConfigError(f"unknown class {name!r} in {alg.name}")
-        out = out + alg.named(name).scale(coeff * sign)
+        out = out + _named(alg, section, name).scale(coeff * sign)
     return out
 
 
@@ -286,11 +288,13 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         if len(row) < 2 or len(row) % 2 != 1:
             raise ConfigError("restriction rows are 'source (target coeff)+'")
         src = row[0]
+        if src not in ambient.basis:
+            raise ConfigError(f"[restriction] unknown class {src!r} in {ambient.name}")
         img = divisor.zero()
         for tname, c in zip(row[1::2], row[2::2]):
-            img = img + divisor.named(tname).scale(rat(c))
-        if src not in ambient.basis:
-            raise ConfigError(f"restriction of unknown class {src!r}")
+            img = img + _named(divisor, "restriction", tname).scale(
+                _number(rat, "restriction", c)
+            )
         images[src] = img
     images.setdefault(ambient.basis[ambient.unit_index], divisor.unit())
     restriction = RestrictionMap.from_images(ambient, divisor, images)
@@ -301,16 +305,16 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     pair = cp["pair"]
     name = pair.get("name", default_name)
     try:
-        divisor_class = _parse_class(ambient, pair["divisor_class"])
+        divisor_class = _parse_class(ambient, pair["divisor_class"], "pair")
         picard_names = pair["picard"].split()
-        m_vector = tuple(int(x) for x in pair["m_vector"].split())
+        m_vector = tuple(_number(int, "pair", x) for x in pair["m_vector"].split())
         novikov = tuple(pair["novikov"].split())
         j_source = pair["j_source"]
         tau_d_source = pair["tau_d_source"]
     except KeyError as exc:
         raise ConfigError(f"[pair] missing key: {exc}") from exc
 
-    picard = tuple(ambient.named(nm) for nm in picard_names)
+    picard = tuple(_named(ambient, "pair", nm) for nm in picard_names)
     for p, nm in zip(picard, picard_names):
         if ambient.degrees[ambient.basis.index(nm)] != 1:
             raise ConfigError(f"picard class {nm} is not degree 1")
@@ -330,13 +334,16 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
             raise ConfigError("zero-justification only applies to curve/surface divisors")
 
     trunc = cp["truncation"]
-    order = int(trunc.get("order", "8"))
+    order = _number(int, "truncation", trunc.get("order", "8"))
     weights_text = trunc.get("weights", "").split()
-    weights = tuple(int(x) for x in weights_text) if weights_text else (1,) * len(novikov)
+    weights = (
+        tuple(_number(int, "truncation", x) for x in weights_text)
+        if weights_text else (1,) * len(novikov)
+    )
     z_window = None
     if trunc.get("z_min") or trunc.get("z_max"):
-        z_min = int(trunc.get("z_min", str(-(order + 3))))
-        z_max = int(trunc.get("z_max", "1"))
+        z_min = _number(int, "truncation", trunc.get("z_min", str(-(order + 3))))
+        z_max = _number(int, "truncation", trunc.get("z_max", "1"))
         z_window = (z_min, z_max)
     try:
         policy = TruncationPolicy.make(len(novikov), order, weights, z_window)
@@ -346,20 +353,20 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     hyperplane = None
     projective_dim = None
     if pair.get("hyperplane"):
-        hyperplane = _parse_class(ambient, pair["hyperplane"])
+        hyperplane = _parse_class(ambient, pair["hyperplane"], "pair")
     if pair.get("projective_dim"):
-        projective_dim = int(pair["projective_dim"])
+        projective_dim = _number(int, "pair", pair["projective_dim"])
 
     toric = None
     if "toric" in cp:
         tsec = cp["toric"]
         dens = tuple(
-            _parse_class(ambient, expr.strip())
+            _parse_class(ambient, expr.strip(), "toric")
             for expr in tsec.get("denominators", "").split(";")
             if expr.strip()
         )
         bundles = tuple(
-            _parse_class(ambient, expr.strip())
+            _parse_class(ambient, expr.strip(), "toric")
             for expr in tsec.get("bundles", "").split(";")
             if expr.strip()
         )
@@ -597,6 +604,7 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
     d' (t-degree d = m d'); a table-backed geometry re-emits its rows.  Used by
     the period comparison's table round trip and the negative control.
     """
+    require_quantum_source(geom)
     if geom.j_source == "invariant_table":
         assert geom.table is not None
         rows = [
@@ -604,11 +612,6 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
             for (beta, a, v) in geom.table.rows_for("x_point")
         ]
         return InvariantTable(tuple(rows))
-    if geom.j_source != "closed_form_projective":
-        raise MissingDataError(
-            f"{geom.name}: no invariant source for the quantum side "
-            "(supply an x_point table)"
-        )
     m = geom.m_vector[0]
     n = geom.projective_dim
     rows = []
@@ -619,3 +622,12 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
             rows.append((("x_point", (d1,), d - 2), Fraction(1, math.factorial(d1) ** (n + 1))))
         d1 += 1
     return InvariantTable(tuple(rows))
+
+
+def require_quantum_source(geom: PairGeometry) -> None:
+    """Raise MissingDataError when nothing supplies the one-point invariants."""
+    if geom.j_source not in ("invariant_table", "closed_form_projective"):
+        raise MissingDataError(
+            f"{geom.name}: no invariant source for the quantum side "
+            "(supply an x_point table)"
+        )

@@ -267,8 +267,7 @@ PRODUCT_RULE_TEXT = (
 class RelativeSeries:
     """Contact-order-indexed z-Laurent series over a pair geometry.
 
-    Keys are (beta, aux, contact, zexp, logpow) where aux is the extension
-    variable power (0 unless extended); values follow the StateSeries
+    Keys are (beta, contact, zexp, logpow); values follow the StateSeries
     convention (ambient at contact 0, divisor otherwise).  The window claims:
     z-coefficients above window[1] vanish, [window[0], window[1]] are stored
     exactly, below is not computed.
@@ -281,7 +280,7 @@ class RelativeSeries:
         self.window = window
         lo, hi = window
         clean: dict = {}
-        for (beta, aux, contact, zexp, logpow), el in terms.items():
+        for (beta, contact, zexp, logpow), el in terms.items():
             if el.is_zero():
                 continue
             if zexp > hi:
@@ -291,7 +290,7 @@ class RelativeSeries:
             expected = geometry.ambient if contact == 0 else geometry.divisor
             if el.algebra is not expected:
                 raise AlgebraError("mis-homed state value")
-            clean[(tuple(beta), aux, contact, zexp, tuple(logpow))] = el
+            clean[(tuple(beta), contact, zexp, tuple(logpow))] = el
         self.terms = clean
 
     def z_slice(self, zexp: int) -> StateSeries:
@@ -302,18 +301,16 @@ class RelativeSeries:
                 f"widen the z-window to at least {zexp}"
             )
         out: dict = {}
-        for (beta, aux, contact, z, logpow), el in self.terms.items():
+        for (beta, contact, z, logpow), el in self.terms.items():
             if z != zexp:
                 continue
-            if aux != 0:
-                raise ValueError("z_slice is only defined for non-extended series")
             _merge_add(out, (beta, contact, logpow), el)
         return StateSeries(self.geometry, out)
 
     def top_z(self) -> int | None:
-        return max((z for (_, _, _, z, _) in self.terms), default=None)
+        return max((z for (_, _, z, _) in self.terms), default=None)
 
-    def coefficient(self, beta, contact: int, zexp: int, logpow=None, aux: int = 0) -> Element:
+    def coefficient(self, beta, contact: int, zexp: int, logpow=None) -> Element:
         lo, hi = self.window
         if zexp > hi:
             alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
@@ -330,7 +327,7 @@ class RelativeSeries:
         if logpow is None:
             logpow = (0,) * self.geometry.nvars
         alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
-        return self.terms.get((beta, aux, contact, zexp, tuple(logpow)), alg.zero())
+        return self.terms.get((beta, contact, zexp, tuple(logpow)), alg.zero())
 
     def mul_state(self, state: StateSeries, z_floor: int | None = None) -> "RelativeSeries":
         """Multiply by a z-free state series (window is preserved).
@@ -344,7 +341,7 @@ class RelativeSeries:
         if z_floor is not None:
             lo = max(lo, z_floor)
         out: dict = {}
-        for (b1, aux, c1, z, l1), e1 in self.terms.items():
+        for (b1, c1, z, l1), e1 in self.terms.items():
             if z < lo:
                 continue
             w1 = pol.weight(b1)
@@ -356,7 +353,7 @@ class RelativeSeries:
                     continue
                 beta = tuple(a + b for a, b in zip(b1, b2))
                 logpow = tuple(a + b for a, b in zip(l1, l2))
-                _merge_add(out, (beta, aux, contact, z, logpow), el)
+                _merge_add(out, (beta, contact, z, logpow), el)
         return RelativeSeries(geom, out, (lo, hi))
 
     def __add__(self, other: "RelativeSeries") -> "RelativeSeries":
@@ -691,7 +688,7 @@ def _assemble(
                 stored = val if contact == 0 else r(val)
                 if stored.is_zero():
                     continue
-                key = (beta, 0, contact, zf, alpha)
+                key = (beta, contact, zf, alpha)
                 cur = terms.get(key)
                 terms[key] = stored if cur is None else cur + stored
                 if terms[key].is_zero():
@@ -785,78 +782,6 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
             term = term * nilpotent_reciprocal(dcls, c)
         pieces.append((beta, -c, term))
     return _assemble(geom, pieces)
-
-
-def extended_i_function(geom: PairGeometry, divisor_map: DivisorMirrorMap | None = None) -> RelativeSeries:
-    """The extension of the relative I-function by the large-contact column.
-
-    Adds, for every k ≥ 0, the column with the extension monomial x1^k/(z^k k!)
-    at contact −D·β + k; the relative pole factor survives exactly when
-    D·β − k > 0.  The k = 0 column is the relative I-function itself.  The
-    result is endpoint data only — nothing here inverts in x1.
-    """
-    if divisor_map is None:
-        divisor_map = divisor_mirror_map(geom)
-    if not divisor_map.is_zero():
-        raise MissingDataError(
-            f"{geom.name}: extended I-function at nonzero divisor mirror map: "
-            "external data required"
-        )
-    if geom.j_source == "toric_hypergeometric":
-        raise MissingDataError(
-            f"{geom.name}: extended column for the toric template is not wired up"
-        )
-    dcls = geom.divisor_class
-    lo, hi = geom.policy.z_window
-    pref = _prefactor_terms(geom)
-    r = geom.restriction
-    terms: dict = {}
-    pol = geom.policy
-    for beta in _effective_classes(pol):
-        c = geom.contact_weight(beta)
-        base = absolute_core(geom, beta)
-        if not base.terms:
-            continue
-        wb = pol.weight(beta)
-        if c > 0:
-            base = base * _rising_product(dcls, c)
-        elif c < 0:
-            divided: dict[int, Element] = {}
-            for z, el in base.terms.items():
-                try:
-                    divided[z] = divide_by_class(dcls, el)
-                except AlgebraError as exc:
-                    raise CancellationError(
-                        f"{geom.name}: no divisor-class factorization at {beta}, z^{z}"
-                    ) from exc
-            base = ZLaurentElement.exact(geom.ambient, divided)
-            for a in range(c + 1, 0):
-                base = base * nilpotent_reciprocal(dcls, a)
-        for k in range(0, pol.max_total - wb + 1):
-            term = base
-            if c - k > 0:
-                term = term * nilpotent_reciprocal(dcls, c - k)
-            contact = -c + k
-            scale = Fraction(1, math.factorial(k))
-            for z, el in term.terms.items():
-                for alpha, shift, pcls in pref:
-                    zf = z + 1 + shift - k
-                    if zf < lo:
-                        continue
-                    if zf > hi:
-                        raise WindowError(f"extended term at z^{zf} above window top {hi}")
-                    val = (el * pcls).scale(scale)
-                    if val.is_zero():
-                        continue
-                    stored = val if contact == 0 else r(val)
-                    if stored.is_zero():
-                        continue
-                    key = (beta, k, contact, zf, alpha)
-                    cur = terms.get(key)
-                    terms[key] = stored if cur is None else cur + stored
-                    if terms[key].is_zero():
-                        del terms[key]
-    return RelativeSeries(geom, terms, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -974,10 +899,12 @@ def composed_exponent(change: MirrorChange) -> NovikovSeries:
     return G
 
 
-def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
-    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q))."""
+def inverse_coordinates(change: MirrorChange, G: NovikovSeries) -> tuple[NovikovSeries, ...]:
+    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)).
+
+    G is composed_exponent(change).
+    """
     pol = change.policy
-    G = composed_exponent(change)
     out = []
     for i, m in enumerate(change.m_vector):
         e = (G * Fraction(-m)).exp()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    InvariantTable,
     MissingDataError,
     PairGeometry,
     tabulate_one_point_invariants,
@@ -70,15 +69,15 @@ def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
             f"{geom.name}: quantum period at nonzero divisor mirror map needs "
             "deformed invariants: external data required"
         )
-    table = tabulate_one_point_invariants(geom, t_order)
-    return _quantum_from_rows(geom, table, t_order)
+    rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
+    return _quantum_from_rows(geom, rows, t_order)
 
 
 def _quantum_from_rows(
-    geom: PairGeometry, table: InvariantTable, t_order: int
+    geom: PairGeometry, rows: list[tuple[tuple[int, ...], int, Fraction]], t_order: int
 ) -> PeriodSeries:
     coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    for beta, a, v in table.rows_for("x_point"):
+    for beta, a, v in rows:
         d = geom.contact_weight(beta)
         if d >= 2 and a == d - 2 and d <= t_order:
             coeffs[d] = coeffs.get(d, Fraction(0)) + v
@@ -98,17 +97,21 @@ def regularize(period: PeriodSeries) -> PeriodSeries:
 
 @dataclass(frozen=True)
 class ProperPotential:
-    """W = x + Σ_{β≠0} w_β t^{D·β} x^{1-D·β}, with the per-class terms kept."""
+    """W = x + Σ_{β≠0} w_β t^{D·β} x^{1-D·β}, with the per-class terms kept.
 
-    geometry_name: str
-    m_vector: tuple[int, ...]
-    policy: TruncationPolicy
+    The one value a pipeline run produces: the geometry it ran on (whose
+    policy is the truncation actually used), the exponent g, the composed
+    exponent G and the weights w_β.  The period, Euler-scaling and roundtrip
+    checks all read it instead of rerunning the pipeline.
+    """
+
+    geometry: PairGeometry
     exponent: NovikovSeries          # g, in the curve variables y
     composed: NovikovSeries          # G = g(y(q)), in the flat variables q
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]  # β ≠ 0 -> w_β
 
     def contact_weight(self, beta) -> int:
-        return sum(m * b for m, b in zip(self.m_vector, beta))
+        return self.geometry.contact_weight(beta)
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -130,39 +133,41 @@ class ProperPotential:
         return w
 
 
-def _working_geometry(geom: PairGeometry, t_order: int | None) -> PairGeometry:
-    if t_order is None:
-        return geom
+def covering_order(geom: PairGeometry, t_order: int) -> int:
+    """The truncation order at which every class with D·β ≤ t_order is computed."""
     if all(m > 0 for m in geom.m_vector):
-        need = max(t_order // min(geom.m_vector), 1)
-    else:
-        need = t_order
-    pol = geom.policy
-    fresh = TruncationPolicy.make(pol.nvars, max_total=need, weights=pol.weights)
-    return geom.with_policy(fresh)
+        return max(t_order // min(geom.m_vector), 1)
+    return t_order
 
 
 def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPotential:
     """Run the mirror pipeline and exponentiate the change of variables.
 
-    With t_order given, the truncation order is chosen so every class with
-    D·β ≤ t_order is covered; otherwise the geometry's own policy is used.
+    With t_order given, the truncation order is covering_order(geom, t_order);
+    otherwise the geometry's own policy is used.
     """
-    work = _working_geometry(geom, t_order)
-    norm = normalize_i(relative_i_function(work), z_floor=0)
-    g = norm.exponent.g
-    change = MirrorChange(work.m_vector, g)
-    G = composed_exponent(change)
-    S = G.exp()
-    terms = {b: c for b, c in S.terms.items() if any(b)}
-    return ProperPotential(
-        geom.name,
-        work.m_vector,
-        work.policy,
-        g,
-        G,
-        tuple(sorted(terms.items())),
-    )
+    work = geom
+    if t_order is not None:
+        pol = geom.policy
+        fresh = TruncationPolicy.make(
+            pol.nvars, max_total=covering_order(geom, t_order), weights=pol.weights
+        )
+        work = geom.with_policy(fresh)
+    g = normalize_i(relative_i_function(work), z_floor=0).exponent.g
+    G = composed_exponent(MirrorChange(work.m_vector, g))
+    terms = {b: c for b, c in G.exp().terms.items() if any(b)}
+    return ProperPotential(work, g, G, tuple(sorted(terms.items())))
+
+
+def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential:
+    """The one potential `verify` hands to all three checks.
+
+    It is computed at the geometry's own truncation order, raised to
+    covering_order(geom, t_order) when t_order is given and needs more.
+    """
+    if t_order is not None and covering_order(geom, t_order) > geom.policy.max_total:
+        return proper_potential(geom, t_order)
+    return proper_potential(geom)
 
 
 def theta_coefficient(w: XLaurentSeries, n: int) -> Fraction:
@@ -174,30 +179,12 @@ def theta_coefficient(w: XLaurentSeries, n: int) -> Fraction:
         raise TruncationError(
             f"potential truncated at t^{w.t_order}; rerun with order >= {n}"
         )
-    x0 = w.power(n).x_coefficient(0)
-    stray = {t: c for t, c in x0.items() if t != n and c != 0}
-    if stray:
-        raise ValueError(
-            f"constant term of W^{n} has support at t-degrees {sorted(stray)} != {n}"
-        )
-    return x0.get(n, Fraction(0))
+    return w.power_constant_terms(n)[n]
 
 
 def classical_period(w: XLaurentSeries, t_order: int) -> PeriodSeries:
     """π(t) = Σ_{n≥0} [W^n]_{x^0} t-degree by t-degree."""
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    running = XLaurentSeries.monomial(w.t_order, 0, 0, 1)
-    for n in range(1, t_order + 1):
-        running = running * w
-        x0 = running.x_coefficient(0)
-        stray = {t: c for t, c in x0.items() if t != n and c != 0}
-        if stray:
-            raise ValueError(
-                f"constant term of W^{n} has support at t-degrees {sorted(stray)} != {n}"
-            )
-        v = x0.get(n, Fraction(0))
-        if v:
-            coeffs[n] = v
+    coeffs = dict(enumerate(w.power_constant_terms(t_order)))
     return PeriodSeries.make("classical", t_order, coeffs)
 
 
@@ -223,17 +210,23 @@ class PeriodComparison:
 
 
 def compare_periods(
-    geom: PairGeometry, t_order: int, negative_control: bool = False
+    pot: ProperPotential, t_order: int, negative_control: bool = False
 ) -> PeriodComparison:
     """Regularized quantum period versus classical period of the potential.
 
-    The classical side always runs on the geometry's own data.  Under
-    negative_control the quantum-side table alone gets its lowest-degree
-    entry bumped by 1, and passing means the mismatch is flagged exactly at
-    that degree.
+    The potential must cover every class with D·β ≤ t_order.  The classical
+    side always runs on the geometry's own data.  Under negative_control the
+    quantum-side table alone gets its lowest-degree entry bumped by 1, and
+    passing means the mismatch is flagged exactly at that degree.
     """
-    table = tabulate_one_point_invariants(geom, t_order)
-    rows = list(table.rows_for("x_point"))
+    geom = pot.geometry
+    need = covering_order(geom, t_order)
+    if geom.policy.max_total < need:
+        raise TruncationError(
+            f"potential computed at order {geom.policy.max_total}; the period "
+            f"check through t^{t_order} needs order >= {need}"
+        )
+    rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
     expected_deg: int | None = None
     if negative_control:
         graded = sorted(
@@ -248,13 +241,7 @@ def compare_periods(
         expected_deg, idx = graded[0]
         b, a, v = rows[idx]
         rows[idx] = (b, a, v + 1)
-    perturbed = InvariantTable(
-        tuple((("x_point", tuple(b), a), v) for b, a, v in rows)
-    )
-    quantum = _quantum_from_rows(geom, perturbed, t_order)
-    reg = regularize(quantum)
-
-    pot = proper_potential(geom, t_order)
+    reg = regularize(_quantum_from_rows(geom, rows, t_order))
     classical = classical_period(pot.collapse(t_order), t_order)
 
     out_rows = []
@@ -313,7 +300,7 @@ def _first_difference(a: NovikovSeries, b: NovikovSeries) -> str:
     return ""
 
 
-def euler_scaling_check(geom: PairGeometry) -> EulerScalingReport:
+def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     """Exact checks of the scaling identity tying the potential to the exponent.
 
     With n_β = D·β − 1 and u_β = w_β / n_β:
@@ -325,20 +312,17 @@ def euler_scaling_check(geom: PairGeometry) -> EulerScalingReport:
       * the display form G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G with
         G = Σ m_i y_i ∂_i g rebuilt through the derivation operator.
     """
+    geom = pot.geometry
     pol = geom.policy
-    norm = normalize_i(relative_i_function(geom), z_floor=0)
-    g = norm.exponent.g
+    g = pot.exponent
     m = geom.m_vector
     change = MirrorChange(m, g)
-    Gq = composed_exponent(change)
-    S = Gq.exp()
+    Gq = pot.composed
 
     one = NovikovSeries.one(pol)
     u_q = NovikovSeries.zero(pol)
     nu_q = NovikovSeries.zero(pol)
-    for beta, w in S.terms.items():
-        if not any(beta):
-            continue
+    for beta, w in pot.terms:
         d = change.contact_weight(beta)
         if d < 2:
             raise ValueError(
@@ -384,8 +368,8 @@ def euler_scaling_check(geom: PairGeometry) -> EulerScalingReport:
     )
 
 
-def roundtrip_for_geometry(geom: PairGeometry):
-    """Exercise the potential roundtrip on the geometry's own mirror exponent.
+def roundtrip_for_geometry(pot: ProperPotential):
+    """Exercise the potential roundtrip on the potential's own mirror exponent.
 
     Single-variable geometries pass (g, m) straight through; multi-variable
     exponents are collapsed along D·β first, after which the change of
@@ -393,7 +377,7 @@ def roundtrip_for_geometry(geom: PairGeometry):
     """
     from .inversion import potential_roundtrip
 
-    pot = proper_potential(geom)
+    geom = pot.geometry
     g = pot.exponent
     if len(geom.m_vector) == 1 and geom.m_vector[0] >= 1:
         coeffs = {b[0]: c for b, c in g.terms.items()}

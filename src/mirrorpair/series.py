@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .algebra import AlgebraError, Element, GradedAlgebra, nilpotency_index, rat
 
@@ -205,9 +205,6 @@ class NovikovSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def map_coefficients(self, f: Callable[[Fraction], Fraction]) -> "NovikovSeries":
-        return NovikovSeries(self.policy, {k: f(v) for k, v in self.terms.items()})
 
     # -- transcendental operations ----------------------------------------
 
@@ -534,6 +531,26 @@ class XLaurentSeries:
             n >>= 1
             if n:
                 base = base * base
+        return out
+
+    def power_constant_terms(self, top: int) -> list[Fraction]:
+        """[W^n]_{x^0} for n = 0..top (list index n), W being this series.
+
+        By (x,t)-homogeneity of a potential the constant term of W^n sits at
+        t^n alone; support at any other t-degree means W is malformed and
+        raises.
+        """
+        out = [Fraction(1)]
+        running = XLaurentSeries.monomial(self.t_order, 0, 0, 1)
+        for n in range(1, top + 1):
+            running = running * self
+            x0 = running.terms.get(0, {})
+            stray = sorted(t for t, c in x0.items() if t != n)
+            if stray:
+                raise ValueError(
+                    f"constant term of W^{n} has support at t-degrees {stray} != {n}"
+                )
+            out.append(x0.get(n, Fraction(0)))
         return out
 
     def x_coefficient(self, x_exp: int) -> dict[int, Fraction]:

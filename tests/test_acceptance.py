@@ -38,7 +38,7 @@ def _line(n, text):
 
 def test_criterion_01_space_periods_agree_through_t12():
     t0 = time.perf_counter()
-    cmp = compare_periods(builtin_geometry("p3_quartic"), 12)
+    cmp = compare_periods(proper_potential(builtin_geometry("p3_quartic"), 12), 12)
     elapsed = time.perf_counter() - t0
     assert cmp.all_match and cmp.passed
     row = {d: (cl, reg) for d, cl, reg, _ in cmp.rows}
@@ -51,7 +51,7 @@ def test_criterion_01_space_periods_agree_through_t12():
 
 def test_criterion_02_plane_periods_agree_through_t9():
     p2 = builtin_geometry("p2_cubic")
-    cmp = compare_periods(p2, 9)
+    cmp = compare_periods(proper_potential(p2, 9), 9)
     assert cmp.all_match and cmp.passed
     # multinomial cross-check of the t^6 entry: 15·2² + 6·5 = 90
     w = proper_potential(p2, 9).collapse(9)
@@ -117,7 +117,7 @@ def test_criterion_07_random_bell_identities():
 
 def test_criterion_08_potential_roundtrips():
     for name in ("p2_cubic", "p3_quartic"):
-        report = roundtrip_for_geometry(builtin_geometry(name))
+        report = roundtrip_for_geometry(proper_potential(builtin_geometry(name)))
         assert report.ok, (name, report.mismatches)
         assert report.curve_order == 8
     rng = Random(80_808)
@@ -135,7 +135,7 @@ def test_criterion_09_scaling_identity_rederived():
 
     for name in ("p2_cubic", "p3_quartic"):
         geom = builtin_geometry(name)
-        assert euler_scaling_check(geom).all_ok
+        assert euler_scaling_check(proper_potential(geom)).all_ok
 
         g = normalize_i(relative_i_function(geom)).exponent.g
         m = geom.m_vector[0]
@@ -176,8 +176,8 @@ def test_criterion_09_scaling_identity_rederived():
 
 
 def test_criterion_10_negative_control():
-    c2 = compare_periods(builtin_geometry("p2_cubic"), 9, negative_control=True)
+    c2 = compare_periods(proper_potential(builtin_geometry("p2_cubic"), 9), 9, negative_control=True)
     assert c2.passed and c2.first_mismatch == 3
-    c3 = compare_periods(builtin_geometry("p3_quartic"), 12, negative_control=True)
+    c3 = compare_periods(proper_potential(builtin_geometry("p3_quartic"), 12), 12, negative_control=True)
     assert c3.passed and c3.first_mismatch == 4
     _line(10, "negative control caught at t^3 (plane) and t^4 (space), first affected degree")

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mirrorpair import BUILTIN_CONFIGS
 from mirrorpair.cli import COMMANDS, build_parser, run
 
 
@@ -188,6 +189,62 @@ def test_verify_skips_period_check_without_data():
     assert "euler_scaling" in text
 
 
+@pytest.mark.parametrize(
+    "argv, order, skipped",
+    [
+        (("--geometry", "p2_cubic", "--order", "27"), 9, False),
+        (("--geometry", "blp3_k3", "--order", "18"), 5, True),
+    ],
+)
+def test_verify_reports_the_order_it_ran_at(argv, order, skipped):
+    code, text = _run("verify", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["metadata"]["truncation_order"] == order
+    checks = {r["selector"]: r for r in doc["records"] if r["series"] == "check"}
+    assert sorted(checks) == ["euler_scaling", "period_theorem", "potential_roundtrip"]
+    assert all(r["order"] == order for r in checks.values())
+    assert checks["period_theorem"]["value"].startswith("skipped") == skipped
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of an ifunctions function through every mirrorpair name bound to it."""
+    from mirrorpair import ifunctions
+
+    original = getattr(ifunctions, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "mirrorpair" or key.startswith("mirrorpair.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("verify", "--geometry", "p2_cubic", "--order", "9", "--negative-control"),
+         {"relative_i_function": 1}),
+        (("verify", "--geometry", "blp3_k3", "--order", "4"), {"relative_i_function": 1}),
+        (("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
+         {"relative_i_function": 1, "composed_exponent": 1}),
+        (("classical-period", "--geometry", "p2_cubic", "--order", "9"),
+         {"relative_i_function": 1, "composed_exponent": 1}),
+    ],
+)
+def test_one_pipeline_run_per_command(monkeypatch, argv, want):
+    calls = {name: _count_calls(monkeypatch, name) for name in want}
+    code, _ = _run(*argv)
+    assert code == 0
+    assert {name: len(c) for name, c in calls.items()} == want
+
+
 def test_verify_negative_control_needs_period_data(capsys):
     code = run(["verify", "--geometry", "blp3_k3", "--order", "4",
                 "--negative-control"], stream=io.StringIO())
@@ -265,6 +322,31 @@ def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
     code, text = _run("tau-d", "--geometry", str(cfg))
     assert code == 0
     assert "2" in text
+
+
+P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
+
+
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        ("    H H H2 1\n", "    H H H2 1/0\n", "algebra.ambient"),
+        ("point = H2\n", "point = H2\nintegration = H2 1/0\n", "algebra.ambient"),
+        ("    H p 3\n", "    H p 1/0\n", "restriction"),
+        ("    H p 3\n", "    H q 3\n", "restriction"),
+        ("divisor_class = 3*H\n", "divisor_class = 1/0*H\n", "pair"),
+        ("picard = H\n", "picard = Q\n", "pair"),
+        ("order = 8\n", "order = eight\n", "truncation"),
+    ],
+)
+def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):
+    assert P2_CUBIC.count(old) == 1
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(P2_CUBIC.replace(old, new))
+    code = run(["mirror-map", "--geometry", str(cfg)], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"[{section}]" in err
 
 
 def test_module_entry_point():

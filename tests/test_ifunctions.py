@@ -25,7 +25,6 @@ from mirrorpair import (
     composed_exponent,
     divisor_mirror_map,
     divisor_map_from_normal_bundle,
-    extended_i_function,
     extract_mirror_exponent,
     hypergeometric_factor,
     inverse_coordinates,
@@ -286,7 +285,7 @@ def test_normalize_rejects_high_z_content(p2):
     zero = (0,)
     bad = RelativeSeries(
         p2,
-        {((zero), 0, 0, 2, (0,)): p2.ambient.unit()},
+        {((zero), 0, 2, (0,)): p2.ambient.unit()},
         window=(-5, 2),
     )
     with pytest.raises(ValueError, match="shape"):
@@ -304,24 +303,24 @@ def _pol(order):
 def test_single_term_inversion_weight_three():
     # q = y e^{3g}, g = 2y  =>  y(q) = q - 6q^2 + 54q^3 (hand inversion)
     ch = MirrorChange((3,), NovikovSeries(_pol(3), {(1,): 2}))
-    assert dict(inverse_coordinates(ch)[0].terms) == {
+    assert dict(inverse_coordinates(ch, composed_exponent(ch))[0].terms) == {
         (1,): Fraction(1), (2,): Fraction(-6), (3,): Fraction(54)}
 
 
 def test_single_term_inversion_weight_four():
     ch = MirrorChange((4,), NovikovSeries(_pol(2), {(1,): 6}))
-    assert dict(inverse_coordinates(ch)[0].terms) == {
+    assert dict(inverse_coordinates(ch, composed_exponent(ch))[0].terms) == {
         (1,): Fraction(1), (2,): Fraction(-24)}
 
 
 def test_plane_inverse_coordinates(p2):
     g = normalize_i(relative_i_function(p2)).exponent.g
     ch = MirrorChange(p2.m_vector, g)
-    yq = inverse_coordinates(ch)[0]
+    G = composed_exponent(ch)
+    yq = inverse_coordinates(ch, G)[0]
     assert yq.coefficient((1,)) == 1
     assert yq.coefficient((2,)) == -6
     assert yq.coefficient((3,)) == 9
-    G = composed_exponent(ch)
     assert G.coefficient((1,)) == 2
     assert G.coefficient((2,)) == 3
     assert G.coefficient((3,)) == Fraction(74, 3)
@@ -337,8 +336,8 @@ def test_composed_exponent_is_fixed_point(p2):
 def test_inverse_coordinates_invert_the_forward_map(p2):
     g = normalize_i(relative_i_function(p2)).exponent.g
     ch = MirrorChange(p2.m_vector, g)
-    y = inverse_coordinates(ch)[0]
     G = composed_exponent(ch)
+    y = inverse_coordinates(ch, G)[0]
     q_of_y_of_q = y * (G * ch.m_vector[0]).exp()
     assert q_of_y_of_q == NovikovSeries.variable(g.policy, 0)
 
@@ -385,30 +384,6 @@ def test_negative_contact_cancellation_guard():
     geom = load_geometry(SYNTHETIC_NEGATIVE_ZERO_TAU)
     with pytest.raises(CancellationError, match="factor through"):
         relative_i_function(geom)
-
-
-# ---------------------------------------------------------------------------
-# extended series
-
-
-def test_extended_k_zero_column_is_the_relative_series(p2):
-    E = extended_i_function(p2)
-    I = relative_i_function(p2)
-    col0 = {k: v for k, v in E.terms.items() if k[1] == 0}
-    assert col0 == I.terms
-
-
-def test_extended_first_column_spots(p2):
-    E = extended_i_function(p2)
-    # the x_1 seed: [1]_1 at beta = 0, z^0
-    assert E.coefficient((0,), 1, 0, logpow=(0,), aux=1) == p2.divisor.unit()
-    # degree (1,) picks up contact -3+1 = -2 with a factor 3 at z^-1
-    assert E.coefficient((1,), -2, -1, logpow=(0,), aux=1) == p2.divisor.unit().scale(3)
-
-
-def test_extended_toric_is_not_wired_up(blp3):
-    with pytest.raises(MissingDataError, match="not wired"):
-        extended_i_function(blp3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ no shared code with the package), and the theta constant terms against
 explicit multinomial sums.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -152,10 +153,7 @@ def test_collapse_of_the_plane_potential(p2):
 
 def test_collapse_rejects_low_contact_weight(p2):
     pot = proper_potential(p2, 9)
-    bad = type(pot)(
-        pot.geometry_name, pot.m_vector, pot.policy, pot.exponent, pot.composed,
-        (((0,), Fraction(1)),) + pot.terms,
-    )
+    bad = dataclasses.replace(pot, terms=(((0,), Fraction(1)),) + pot.terms)
     with pytest.raises(ValueError, match="contact weight"):
         bad.collapse(9)
 
@@ -235,25 +233,31 @@ def test_classical_equals_regularized_plane(p2):
 
 def test_comparison_passes(p2, p3):
     for geom, order in ((p2, 9), (p3, 12)):
-        cmp = compare_periods(geom, order)
+        cmp = compare_periods(proper_potential(geom, order), order)
         assert cmp.all_match and cmp.passed
         assert cmp.first_mismatch is None
         assert not cmp.negative_control
 
 
+def test_comparison_refuses_an_uncovered_potential(p2):
+    # order 8 covers the plane's classes through t^24 only
+    with pytest.raises(TruncationError, match="order >= 10"):
+        compare_periods(proper_potential(p2), 30)
+
+
 def test_negative_control_flags_first_degree(p2, p3):
-    c2 = compare_periods(p2, 9, negative_control=True)
+    c2 = compare_periods(proper_potential(p2, 9), 9, negative_control=True)
     assert c2.negative_control
     assert not c2.all_match
     assert c2.first_mismatch == 3 == c2.expected_mismatch_degree
     assert c2.passed
-    c3 = compare_periods(p3, 12, negative_control=True)
+    c3 = compare_periods(proper_potential(p3, 12), 12, negative_control=True)
     assert c3.first_mismatch == 4 and c3.passed
 
 
 def test_negative_control_perturbs_only_one_side(p2):
-    honest = compare_periods(p2, 9)
-    control = compare_periods(p2, 9, negative_control=True)
+    honest = compare_periods(proper_potential(p2, 9), 9)
+    control = compare_periods(proper_potential(p2, 9), 9, negative_control=True)
     classical_honest = {d: c for d, c, _, _ in honest.rows}
     classical_control = {d: c for d, c, _, _ in control.rows}
     assert classical_honest == classical_control  # classical side untouched
@@ -265,7 +269,7 @@ def test_negative_control_perturbs_only_one_side(p2):
 
 def test_euler_scaling_reports(p2, p3, blp3):
     for geom in (p2, p3, blp3):
-        report = euler_scaling_check(geom)
+        report = euler_scaling_check(proper_potential(geom))
         assert report.all_ok, report.details
 
 
@@ -280,5 +284,5 @@ def test_space_scaling_right_side_by_hand(p3):
 
 def test_roundtrip_driver(p2, p3, blp3):
     for geom in (p2, p3, blp3):
-        report = roundtrip_for_geometry(geom)
+        report = roundtrip_for_geometry(proper_potential(geom))
         assert report.ok, report.mismatches
