@@ -50,7 +50,6 @@ from .ifunctions import (
     normalize_i,
     relative_i_function,
     substitute_forward,
-    substitute_inverse,
     toric_i_function,
 )
 from .inversion import (

@@ -465,20 +465,21 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
     _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     pot = proper_potential(geom, cfg.order)
-    w = pot.collapse(cfg.order)
+    refusal = pot.collapse_refusal()
     records = []
-    for x in sorted(w.terms, reverse=True):
-        for t in sorted(w.terms[x]):
-            c = w.terms[x][t]
-            records.append(
-                {
-                    "series": "proper_potential",
-                    "selector": f"t^{t} x^{x}",
-                    "value": str(c),
-                    "x_exp": x,
-                    "t_deg": t,
-                }
-            )
+    if refusal is None:
+        w = pot.collapse(cfg.order)
+        for x in sorted(w.terms, reverse=True):
+            for t in sorted(w.terms[x]):
+                records.append(
+                    {
+                        "series": "proper_potential",
+                        "selector": f"t^{t} x^{x}",
+                        "value": str(w.terms[x][t]),
+                        "x_exp": x,
+                        "t_deg": t,
+                    }
+                )
     if cfg.per_beta or len(geom.m_vector) > 1:
         for beta, c in pot.terms:
             d = pot.contact_weight(beta)
@@ -500,6 +501,8 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
         )
         or "0",
     )
+    if refusal is not None:
+        md["collapsed_view"] = f"refused: {refusal}"
     _emit(cfg.fmt, md, records, stream)
     return 0
 

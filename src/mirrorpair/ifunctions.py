@@ -21,6 +21,10 @@ Relative I-functions are stored per curve class β as exact z-Laurent data
 prefactor exp(Σ p_i log y_i / z) expanded into formal log-monomial slots.
 The z-validity window of the ambient truncation policy is what the stored
 object declares.
+
+The mirror change of variables q = y·e^{m·g} is inverted in closed form:
+`composed_exponent` reads G(q) = g(y(q)) off Good's multivariate Lagrange
+inversion formula rather than iterating the substitution.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import sub
 
 from .algebra import (
     AlgebraError,
@@ -883,20 +888,38 @@ class MirrorChange:
 
 
 def composed_exponent(change: MirrorChange) -> NovikovSeries:
-    """G(q) = g(y(q)) by fixed-point iteration (max_total rounds pin every term)."""
+    """G(q) = g(y(q)) in closed form, by Good's multivariate Lagrange inversion.
+
+    For q_i = y_i·e^{m_i g} the Jacobian det(δ_ij + m_i y_j ∂_j g) is
+    1 + E_m g with E_m = Σ m_i y_i ∂_i (matrix determinant lemma), so
+
+        [q^β] e^G = [y^β] e^{(1 − m·β)·g(y)}·(1 + E_m g).
+
+    Classes are grouped by d = m·β.  Each group reads its coefficients, as
+    short dot products with 1 + E_m g, off one e^{(1−d)g} truncated at the
+    group's heaviest class; then G = log e^G.
+    """
+    g = change.g
+    if g.constant_term() != 0:
+        raise ValueError("composed_exponent needs an exponent g with zero constant term")
     pol = change.policy
-    G = NovikovSeries.zero(pol)
-    for _ in range(pol.max_total + 1):
-        nxt = NovikovSeries.zero(pol)
-        for beta, c in change.g.terms.items():
-            d = change.contact_weight(beta)
-            factor = (G * Fraction(-d)).exp()
-            mono = NovikovSeries(pol, {beta: c})
-            nxt = nxt + mono * factor
-        if nxt == G:
-            break
-        G = nxt
-    return G
+    jacobian = [((0,) * pol.nvars, Fraction(1))] + [
+        (beta, c * change.contact_weight(beta))
+        for beta, c in g.terms.items()
+        if change.contact_weight(beta)
+    ]
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for beta in _effective_classes(pol):
+        groups.setdefault(change.contact_weight(beta), []).append(beta)
+    exp_G: dict[tuple[int, ...], Fraction] = {}
+    for d, betas in groups.items():
+        top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
+        power = NovikovSeries(top, (g * (1 - d)).terms).exp().terms
+        for beta in betas:
+            exp_G[beta] = sum(
+                c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in jacobian
+            )
+    return NovikovSeries(pol, exp_G).log()
 
 
 def inverse_coordinates(change: MirrorChange, G: NovikovSeries) -> tuple[NovikovSeries, ...]:
@@ -910,20 +933,6 @@ def inverse_coordinates(change: MirrorChange, G: NovikovSeries) -> tuple[Novikov
         e = (G * Fraction(-m)).exp()
         out.append(NovikovSeries.variable(pol, i) * e)
     return tuple(out)
-
-
-def substitute_inverse(series_y: NovikovSeries, change: MirrorChange) -> NovikovSeries:
-    """f(y) ↦ f(y(q)): monomial-wise y^β ↦ q^β · exp(−(D·β)·G(q))."""
-    pol = series_y.policy
-    G = composed_exponent(change)
-    out = NovikovSeries.zero(pol)
-    cache: dict[int, NovikovSeries] = {}
-    for beta, c in series_y.terms.items():
-        d = change.contact_weight(beta)
-        if d not in cache:
-            cache[d] = (G * Fraction(-d)).exp()
-        out = out + NovikovSeries(pol, {beta: c}) * cache[d]
-    return out
 
 
 def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> NovikovSeries:

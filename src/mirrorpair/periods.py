@@ -5,7 +5,9 @@ graded by the divisor pairing d = D·β; its degreewise d!-rescaling is the
 regularized quantum period.  On the mirror side, the proper potential is
 W = x · exp(G(q)) collapsed along D·β (each class β contributes its mirror
 coefficient at t^{D·β} x^{1-D·β}), and the classical period is the constant
-term Σ_n [W^n]_{x^0}.  `compare_periods` checks the two sides coefficient by
+term Σ_n [W^n]_{x^0}; when m has entries of both signs infinitely many
+classes share each t-degree, so the collapse is refused rather than summed
+from a truncated slice.  `compare_periods` checks the two sides coefficient by
 coefficient in exact arithmetic, with an optional deliberately-perturbed run
 (`negative_control`) that must be caught at the first affected degree.
 """
@@ -116,8 +118,26 @@ class ProperPotential:
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
 
+    def collapse_refusal(self) -> str | None:
+        """Why the collapsed view would depend on the truncation, or None."""
+        m = self.geometry.m_vector
+        if any(x > 0 for x in m) and any(x < 0 for x in m):
+            return (
+                f"{self.geometry.name}: m_vector {','.join(map(str, m))} has entries "
+                "of both signs, so infinitely many classes share each t-degree D.beta "
+                "and any truncated collapse (the collapsed potential and its classical "
+                "period) changes with the order; only the per-class terms are exact"
+            )
+        return None
+
     def collapse(self, t_order: int | None = None) -> XLaurentSeries:
-        """The single-variable view: every class lands at t^{D·β} x^{1-D·β}."""
+        """The single-variable view: every class lands at t^{D·β} x^{1-D·β}.
+
+        Refused with TruncationError when collapse_refusal() gives a reason.
+        """
+        reason = self.collapse_refusal()
+        if reason:
+            raise TruncationError(reason)
         degrees = [self.contact_weight(b) for b, _ in self.terms]
         if t_order is None:
             t_order = max(degrees, default=0)

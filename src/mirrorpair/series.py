@@ -5,7 +5,10 @@ Three series shapes drive the computations:
 * `NovikovSeries` — polynomial truncations of power series in finitely many
   Novikov variables with `Fraction` coefficients, truncated by a weighted total
   degree.  Carries ring operations plus exp/log/reciprocal and the per-variable
-  Euler operator.
+  Euler operator.  exp and reciprocal solve their defining recurrence (the
+  weighted Euler identity E(e^f) = e^f·E(f), resp. f·(1/f) = 1) monomial by
+  monomial in order of weight, at the cost of one product, O(N²) in the
+  number N of stored terms; log is E(f)·(1/f) divided back by the weight.
 
 * `ZLaurentElement` — finite z-Laurent data with coefficients in a graded
   algebra, used for the hypergeometric factors.  Validity is tracked through a
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .algebra import AlgebraError, Element, GradedAlgebra, nilpotency_index, rat
@@ -197,68 +201,39 @@ class NovikovSeries:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.policy.nvars, Fraction(0))
 
-    def order(self) -> int | None:
-        """Minimal weight of the support (None for the zero series)."""
-        if not self.terms:
-            return None
-        return min(self.policy.weight(k) for k in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     # -- transcendental operations ----------------------------------------
 
     def exp(self) -> "NovikovSeries":
-        """exp(f) for f with zero constant term."""
+        """exp(f) for f with zero constant term.
+
+        With E = Σ w_i y_i ∂_i over the policy's weights, E(e^f) = e^f·E(f)
+        reads wt(β)·h_β = Σ_δ wt(δ) f_δ h_{β−δ} for h = e^f.
+        """
         if self.constant_term() != 0:
             raise ValueError("exp needs a series with zero constant term")
-        out = NovikovSeries.one(self.policy)
-        term = NovikovSeries.one(self.policy)
-        o = self.order()
-        if o is None:
-            return out
-        kmax = self.policy.max_total // max(o, 1)
-        for k in range(1, kmax + 1):
-            term = term * self * Fraction(1, k)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        pol = self.policy
+        steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in self.terms.items()]
+        return _solve_by_weight(pol, Fraction(1), steps, divide_by_weight=True)
 
     def log(self) -> "NovikovSeries":
-        """log(f) for f with constant term 1."""
+        """log(f) for f with constant term 1, from E(log f) = E(f)·(1/f)."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        u = self - NovikovSeries.one(self.policy)
-        o = u.order()
-        out = NovikovSeries.zero(self.policy)
-        if o is None:
-            return out
-        power = NovikovSeries.one(self.policy)
-        kmax = self.policy.max_total // max(o, 1)
-        for k in range(1, kmax + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power * Fraction((-1) ** (k + 1), k)
-        return out
+        pol = self.policy
+        d = self.weighted_scaling(pol.weights) * self.reciprocal()
+        return NovikovSeries(pol, {k: v / pol.weight(k) for k, v in d.terms.items()})
 
     def reciprocal(self) -> "NovikovSeries":
-        """1/f for f with invertible (nonzero) constant term, via geometric series."""
+        """1/f for f with invertible (nonzero) constant term: c·r_β = −Σ_{γ≠0} f_γ r_{β−γ}."""
         c = self.constant_term()
         if c == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        u = NovikovSeries.one(self.policy) - self * (Fraction(1) / c)
-        out = NovikovSeries.one(self.policy)
-        power = NovikovSeries.one(self.policy)
-        o = u.order()
-        if o is not None:
-            for _ in range(self.policy.max_total // max(o, 1)):
-                power = power * u
-                if power.is_zero():
-                    break
-                out = out + power
-        return out * (Fraction(1) / c)
+        pol = self.policy
+        steps = [(k, pol.weight(k), -v / c) for k, v in self.terms.items() if any(k)]
+        return _solve_by_weight(pol, 1 / c, steps, divide_by_weight=False)
 
     def euler_derive(self, i: int) -> "NovikovSeries":
         """The Euler operator y_i d/dy_i: scales each monomial by its i-th exponent."""
@@ -277,6 +252,39 @@ class NovikovSeries:
             if mi:
                 out = out + self.euler_derive(i) * Fraction(mi)
         return out
+
+
+def _solve_by_weight(
+    pol: TruncationPolicy,
+    lead: Fraction,
+    steps: list[tuple[tuple[int, ...], int, Fraction]],
+    divide_by_weight: bool,
+) -> NovikovSeries:
+    """The series h with h_0 = lead and s_β·h_β = Σ_{(δ, wt δ, c)} c·h_{β−δ}.
+
+    s_β is wt(β) or 1.  Every step has positive weight, so h_β depends only
+    on lighter monomials: they are finalized level by level in order of
+    weight, each pushing c·h_β forward to β + δ.  The cost is one product.
+    """
+    top = pol.max_total
+    steps = sorted(steps, key=lambda s: s[1])
+    levels: list[dict] = [{} for _ in range(top + 1)]
+    levels[0][(0,) * pol.nvars] = lead
+    out: dict[tuple[int, ...], Fraction] = {}
+    for w in range(top + 1):
+        for k, acc in levels[w].items():
+            if not acc:
+                continue
+            h = acc / w if divide_by_weight and w else acc
+            out[k] = h
+            for d, wd, c in steps:
+                if w + wd > top:
+                    break
+                key = tuple(map(add, k, d))
+                level = levels[w + wd]
+                level[key] = level.get(key, 0) + c * h
+        levels[w] = {}
+    return NovikovSeries(pol, out)
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +528,6 @@ class XLaurentSeries:
                         row[d] = row.get(d, Fraction(0)) + ca * cb
         return XLaurentSeries(self.t_order, out)
 
-    def power(self, n: int) -> "XLaurentSeries":
-        if n < 0:
-            raise ValueError("negative power")
-        out = XLaurentSeries.monomial(self.t_order, 0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def power_constant_terms(self, top: int) -> list[Fraction]:
         """[W^n]_{x^0} for n = 0..top (list index n), W being this series.
 
@@ -552,10 +547,6 @@ class XLaurentSeries:
                 )
             out.append(x0.get(n, Fraction(0)))
         return out
-
-    def x_coefficient(self, x_exp: int) -> dict[int, Fraction]:
-        """The coefficient of x^x_exp as a t-polynomial {degree: value}."""
-        return dict(self.terms.get(x_exp, {}))
 
     def coefficient(self, x_exp: int, t_deg: int) -> Fraction:
         if t_deg > self.t_order:

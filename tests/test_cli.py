@@ -141,6 +141,26 @@ def test_proper_potential_per_beta_rows():
     assert "proper_potential_term" in kinds  # multi-variable: per-class rows
 
 
+def test_mixed_sign_potential_prints_only_order_stable_records(capsys):
+    """With m = (-1, 1) only the per-class terms are exact; the collapsed view is refused."""
+
+    def records(order):
+        code, text = _run("proper-potential", "--geometry", "blp3_k3", "--order", str(order),
+                          "--format", "json")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["metadata"]["collapsed_view"].startswith("refused: ")
+        assert {r["series"] for r in doc["records"]} == {"proper_potential_term"}
+        return {(r["selector"], r["value"]) for r in doc["records"]}
+
+    low = records(4)
+    assert ("q^0:2 t^2 x^-1", "1/2") in low
+    assert low <= records(6)
+    code = run(["classical-period", "--geometry", "blp3_k3", "--order", "4"], stream=io.StringIO())
+    assert code == 2
+    assert "both signs" in capsys.readouterr().err
+
+
 def test_regularized_matches_quantum_times_factorial():
     import math
     from fractions import Fraction

@@ -10,6 +10,8 @@ paper, and the blown-up series from the closed multinomial expression
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SYNTHETIC_NEGATIVE_ZERO_TAU
 from mirrorpair import (
@@ -33,7 +35,6 @@ from mirrorpair import (
     normalize_i,
     relative_i_function,
     substitute_forward,
-    substitute_inverse,
 )
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
@@ -326,11 +327,28 @@ def test_plane_inverse_coordinates(p2):
     assert G.coefficient((3,)) == Fraction(74, 3)
 
 
-def test_composed_exponent_is_fixed_point(p2):
-    """G must satisfy G(q) = g(y(q)) exactly, term by term."""
-    g = normalize_i(relative_i_function(p2)).exponent.g
-    ch = MirrorChange(p2.m_vector, g)
-    assert composed_exponent(ch) == substitute_inverse(g, ch)
+def _compose(f, ys):
+    """f(y(q)) by products alone: Σ f_β Π y_i(q)^β_i."""
+    pol = f.policy
+    out = NovikovSeries.zero(pol)
+    for beta, c in f.terms.items():
+        mono = NovikovSeries.constant(pol, c)
+        for y, e in zip(ys, beta):
+            for _ in range(e):
+                mono = mono * y
+        out = out + mono
+    return out
+
+
+@pytest.mark.parametrize("name", ["p2", "p3", "blp3"])
+def test_composed_exponent_inverts_the_change(request, name):
+    """G(q(y)) = g(y), and g composed with y(q) = q·exp(−m·G) by products is G."""
+    geom = request.getfixturevalue(name)
+    g = normalize_i(relative_i_function(geom)).exponent.g
+    ch = MirrorChange(geom.m_vector, g)
+    G = composed_exponent(ch)
+    assert substitute_forward(G, ch) == g
+    assert _compose(g, inverse_coordinates(ch, G)) == G
 
 
 def test_inverse_coordinates_invert_the_forward_map(p2):
@@ -345,9 +363,43 @@ def test_inverse_coordinates_invert_the_forward_map(p2):
 def test_substitution_round_trips(blp3):
     g = normalize_i(relative_i_function(blp3)).exponent.g
     ch = MirrorChange(blp3.m_vector, g)
+    ys = inverse_coordinates(ch, composed_exponent(ch))
     f = NovikovSeries(g.policy, {(1, 0): 3, (0, 2): Fraction(-5, 2), (2, 1): 1})
-    assert substitute_forward(substitute_inverse(f, ch), ch) == f
-    assert substitute_inverse(substitute_forward(f, ch), ch) == f
+    assert _compose(substitute_forward(f, ch), ys) == f
+    assert substitute_forward(_compose(f, ys), ch) == f
+
+
+@st.composite
+def _changes(draw):
+    """A random change q = y·exp(m·g): 1-3 variables, m of any sign, weights 1-2."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
+    m = tuple(draw(st.integers(min_value=-3, max_value=5)) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=0, max_value=8 - 2 * nvars)), weights)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars).filter(any)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return MirrorChange(m, NovikovSeries(pol, draw(st.dictionaries(exps, coeffs, max_size=4))))
+
+
+def _named_change(m, weights, terms):
+    return MirrorChange(m, NovikovSeries(TruncationPolicy.make(len(m), 6, weights), terms))
+
+
+@given(ch=_changes())
+@example(ch=_named_change((2, -1), (1, 2), {(1, 0): 2, (0, 1): -1}))
+@example(ch=_named_change((-3, 1, 2), (1, 1, 1), {(1, 0, 0): 1, (0, 1, 1): Fraction(-1, 2), (0, 0, 2): 3}))
+@example(ch=_named_change((5,), (2,), {(1,): Fraction(1, 3)}))
+@settings(max_examples=30, deadline=None)
+def test_composed_exponent_solves_the_change(ch):
+    assert substitute_forward(composed_exponent(ch), ch) == ch.g
+
+
+@given(ch=_changes(), c=st.fractions(min_value=-3, max_value=3).filter(bool))
+@settings(max_examples=10, deadline=None)
+def test_composed_exponent_rejects_a_constant_term(ch, c):
+    g = ch.g + NovikovSeries.constant(ch.policy, c)
+    with pytest.raises(ValueError, match="zero constant term"):
+        composed_exponent(MirrorChange(ch.m_vector, g))
 
 
 # ---------------------------------------------------------------------------

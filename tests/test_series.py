@@ -4,6 +4,7 @@ Every assertion is exact rational equality; there is no float tolerance
 anywhere in this suite.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,39 @@ def test_log_inverts_exp(f):
     assert f.exp().log() == f
 
 
+@st.composite
+def _weighted_series(draw):
+    """A random series over a 1-3 variable policy with weights 1-3."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=0, max_value=9 - nvars)), weights)
+    return draw(_series(pol))
+
+
+def _naive(f, coefficient):
+    """Σ_{k≥0} coefficient(k)·f^k through the truncation, by products alone."""
+    pol = f.policy
+    out = NovikovSeries.zero(pol)
+    power = NovikovSeries.one(pol)
+    for k in range(pol.max_total + 1):
+        out = out + power * coefficient(k)
+        power = power * f
+    return out
+
+
+@given(f=_weighted_series())
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_naive_series(f):
+    pol = f.policy
+    one = NovikovSeries.one(pol)
+    u = f - NovikovSeries.constant(pol, f.constant_term())
+    assert u.exp() == _naive(u, lambda k: Fraction(1, math.factorial(k)))
+    assert (one + u).log() == _naive(u, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    c = Fraction(-3, 2)
+    inv = _naive(u * (-1 / c), lambda k: 1) * (1 / c)
+    assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
+
+
 # ---------------------------------------------------------------------------
 # z-Laurent data over a finite graded algebra
 
@@ -316,23 +350,8 @@ def test_xlaurent_monomial_and_product():
     assert sq.coefficient(-4, 6) == 4
 
 
-def test_xlaurent_power_matches_repeated_product():
-    w = XLaurentSeries.monomial(9, 1, 0, 1) + XLaurentSeries.monomial(9, -2, 3, 2)
-    by_power = w.power(5)
-    by_mult = w
-    for _ in range(4):
-        by_mult = by_mult * w
-    assert by_power == by_mult
-
-
 def test_xlaurent_truncates_in_t():
     w = XLaurentSeries.monomial(4, 0, 3, 1)
     assert (w * w).coefficient(0, 4) == 0  # t^6 fell off the order-4 grid
     with pytest.raises(TruncationError, match="rerun with order >= 9"):
         w.coefficient(0, 9)
-
-
-def test_xlaurent_coefficient_lookup():
-    w = XLaurentSeries.monomial(5, -3, 2, Fraction(7, 2))
-    assert w.x_coefficient(-3) == {2: Fraction(7, 2)}
-    assert w.x_coefficient(0) == {}
