@@ -44,7 +44,6 @@ from .ifunctions import (
     divisor_map_from_normal_bundle,
     divisor_mirror_map,
     extract_mirror_exponent,
-    hypergeometric_factor,
     inverse_coordinates,
     normal_bundle_i_function,
     normalize_i,

@@ -36,8 +36,6 @@ from .geometry import (
 from .ifunctions import (
     PRODUCT_RULE_TEXT,
     MirrorChange,
-    RelativeSeries,
-    StateSeries,
     composed_exponent,
     divisor_mirror_map,
     inverse_coordinates,
@@ -60,7 +58,7 @@ from .periods import (
     roundtrip_for_geometry,
     shared_potential,
 )
-from .series import TruncationError, TruncationPolicy, WindowError
+from .series import NovikovSeries, TruncationError, TruncationPolicy, WindowError
 
 COMMANDS = (
     "i-function",
@@ -276,59 +274,54 @@ def _class_label(alg, index: int) -> str:
     return "1" if index == alg.unit_index else alg.basis[index]
 
 
-def _state_records(geom: PairGeometry, series: str, state: StateSeries) -> list[dict]:
-    records = []
+def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[dict]:
+    """One record per nonzero class coefficient of a StateSeries (keys
+    (beta, contact, logpow)) or a RelativeSeries (keys (beta, contact, z, logpow)).
+
+    Records go by weight and class, then falling z, contact and log; only
+    relative series carry the z field.
+    """
     pol = geom.policy
-    for (beta, contact, logpow) in sorted(
-        state.terms, key=lambda k: (pol.weight(k[0]), k[0], k[1], k[2])
-    ):
-        el = state.terms[(beta, contact, logpow)]
+
+    def order(key):
+        beta, contact, *z, logpow = key
+        return (pol.weight(beta), beta, [-x for x in z], contact, logpow)
+
+    records = []
+    for key in sorted(terms, key=order):
+        beta, contact, *z, logpow = key
+        el = terms[key]
+        z_field = {"z": z[0]} if z else {}
+        z_selector = f" z={z[0]}" if z else ""
         for i, c in enumerate(el.coeffs):
             if not c:
                 continue
+            label = _class_label(el.algebra, i)
             records.append(
                 {
                     "series": series,
                     "selector": (
-                        f"beta={_beta_str(beta)} contact={contact} "
-                        f"log={_beta_str(logpow)} class=[{_class_label(el.algebra, i)}]"
+                        f"beta={_beta_str(beta)} contact={contact}{z_selector} "
+                        f"log={_beta_str(logpow)} class=[{label}]"
                     ),
                     "value": str(c),
                     "beta": list(beta),
                     "contact": contact,
+                    **z_field,
                     "log": list(logpow),
-                    "class": _class_label(el.algebra, i),
+                    "class": label,
                 }
             )
     return records
 
 
-def _relative_records(geom: PairGeometry, series: str, rel: RelativeSeries) -> list[dict]:
-    records = []
-    pol = geom.policy
-    for (beta, contact, z, logpow) in sorted(
-        rel.terms, key=lambda k: (pol.weight(k[0]), k[0], -k[2], k[1], k[3])
-    ):
-        el = rel.terms[(beta, contact, z, logpow)]
-        for i, c in enumerate(el.coeffs):
-            if not c:
-                continue
-            records.append(
-                {
-                    "series": series,
-                    "selector": (
-                        f"beta={_beta_str(beta)} contact={contact} z={z} "
-                        f"log={_beta_str(logpow)} class=[{_class_label(el.algebra, i)}]"
-                    ),
-                    "value": str(c),
-                    "beta": list(beta),
-                    "contact": contact,
-                    "z": z,
-                    "log": list(logpow),
-                    "class": _class_label(el.algebra, i),
-                }
-            )
-    return records
+def _novikov_records(series: str, prefix: str, ns: NovikovSeries) -> list[dict]:
+    """One record per term of a Novikov series, selector `<prefix><beta>`."""
+    return [
+        {"series": series, "selector": f"{prefix}{_beta_str(beta)}", "value": str(c),
+         "beta": list(beta)}
+        for beta, c in sorted(ns.terms.items())
+    ]
 
 
 def _period_records(name: str, period) -> list[dict]:
@@ -346,7 +339,7 @@ def cmd_i_function(cfg: RunConfig, stream) -> int:
     _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
     rel = relative_i_function(geom)
-    records = _relative_records(geom, "i_function", rel)
+    records = _class_records(geom, "i_function", rel.terms)
     _emit(cfg.fmt, _metadata(geom, series="i_function"), records, stream)
     return 0
 
@@ -388,47 +381,15 @@ def cmd_mirror_map(cfg: RunConfig, stream) -> int:
     _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
     norm = normalize_i(relative_i_function(geom), z_floor=0)
-    records = _state_records(geom, "mirror_map", norm.mirror_map)
+    records = _class_records(geom, "mirror_map", norm.mirror_map.terms)
     exponent = norm.exponent
-    for beta, c in sorted(exponent.g.terms.items()):
-        records.append(
-            {
-                "series": "mirror_exponent",
-                "selector": f"y^{_beta_str(beta)}",
-                "value": str(c),
-                "beta": list(beta),
-            }
-        )
-    for beta, c in sorted(exponent.contact_one.terms.items()):
-        records.append(
-            {
-                "series": "contact_one_report",
-                "selector": f"y^{_beta_str(beta)}",
-                "value": str(c),
-                "beta": list(beta),
-            }
-        )
+    records += _novikov_records("mirror_exponent", "y^", exponent.g)
+    records += _novikov_records("contact_one_report", "y^", exponent.contact_one)
     change = MirrorChange(geom.m_vector, exponent.g)
     G = composed_exponent(change)
-    for beta, c in sorted(G.terms.items()):
-        records.append(
-            {
-                "series": "composed_exponent",
-                "selector": f"q^{_beta_str(beta)}",
-                "value": str(c),
-                "beta": list(beta),
-            }
-        )
+    records += _novikov_records("composed_exponent", "q^", G)
     for name, series in zip(geom.novikov_names, inverse_coordinates(change, G)):
-        for beta, c in sorted(series.terms.items()):
-            records.append(
-                {
-                    "series": "inverse_coordinate",
-                    "selector": f"{name}: q^{_beta_str(beta)}",
-                    "value": str(c),
-                    "beta": list(beta),
-                }
-            )
+        records += _novikov_records("inverse_coordinate", f"{name}: q^", series)
     _emit(cfg.fmt, _metadata(geom, series="mirror_map"), records, stream)
     return 0
 
@@ -494,7 +455,7 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
                 }
             )
     md = _metadata(
-        geom,
+        pot.geometry,
         series="proper_potential",
         exponent=" + ".join(
             f"({c})*y^{_beta_str(b)}" for b, c in sorted(pot.exponent.terms.items())
@@ -515,7 +476,7 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
     period = classical_period(pot.collapse(t_order), t_order)
     _emit(
         cfg.fmt,
-        _metadata(geom, series="classical_period", t_order=t_order),
+        _metadata(pot.geometry, series="classical_period", t_order=t_order),
         _period_records("classical_period", period),
         stream,
     )

@@ -30,7 +30,7 @@ inversion formula rather than iterating the substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import sub
@@ -39,7 +39,6 @@ from .algebra import (
     AlgebraError,
     Element,
     GradedAlgebra,
-    RestrictionMap,
     divide_by_class,
     pairing_pushforward,
     rat,
@@ -67,30 +66,27 @@ class MalformedMirrorMapError(ValueError):
 # hypergeometric building blocks
 
 
-def hypergeometric_factor(u: Element, c: int) -> ZLaurentElement:
-    """The ratio Π_{a≤0}(u + a z) / Π_{a≤c}(u + a z) as an exact z-Laurent element.
+class PochhammerChains:
+    """The chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e of one I-function build.
 
-    For c < 0 this is the literal product Π_{c<a≤0}(u + a z) — note it keeps the
-    bare a = 0 factor u.  For c > 0 it is the exact reciprocal product
-    Π_{0<a≤c} 1/(u + a z) (u nilpotent).  c = 0 gives 1.
+    u is a nilpotent class, s = ±1 the sign of the z-slope and e = ±1 the
+    exponent.  Each chain keeps its partial products and grows one factor
+    (u + s·a·z) or 1/(u + s·a·z) at a time, so a prefix is built once however
+    many classes β ask for it.  Make one table per build; it is not a cache.
     """
-    alg = u.algebra
-    out = ZLaurentElement.one(alg)
-    if c < 0:
-        for a in range(c + 1, 1):
-            out = out * ZLaurentElement.linear(u, a)
-    elif c > 0:
-        for a in range(1, c + 1):
-            out = out * nilpotent_reciprocal(u, a)
-    return out
 
+    def __init__(self) -> None:
+        self._table: dict[tuple[Element, int, int], list[ZLaurentElement]] = {}
 
-def _rising_product(u: Element, c: int) -> ZLaurentElement:
-    """Π_{0<a≤c}(u + a z) for c > 0 (exact polynomial)."""
-    out = ZLaurentElement.one(u.algebra)
-    for a in range(1, c + 1):
-        out = out * ZLaurentElement.linear(u, a)
-    return out
+    def __call__(self, u: Element, n: int, s: int, e: int) -> ZLaurentElement:
+        if n < 0 or s not in (1, -1) or e not in (1, -1):
+            raise ValueError(f"no chain of length {n}, slope sign {s}, exponent {e}")
+        chain = self._table.setdefault((u, s, e), [ZLaurentElement.one(u.algebra)])
+        while len(chain) <= n:
+            a = s * len(chain)
+            factor = ZLaurentElement.linear(u, a) if e == 1 else nilpotent_reciprocal(u, a)
+            chain.append(chain[-1] * factor)
+        return chain[n]
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +381,23 @@ class RelativeSeries:
 # the exponential prefactor
 
 
-def _prefactor_terms(geom: PairGeometry) -> list[tuple[tuple[int, ...], int, Element]]:
-    """Expansion of exp(Σ p_i ℓ_i / z): list of (log multi-index α, z-shift −|α|, class).
+def _prefactor_terms(classes: list[Element]) -> list[tuple[tuple[int, ...], int, Element]]:
+    """Expansion of exp(Σ p_i ℓ_i / z) over the classes p_i: list of
+    (log multi-index α, z-shift −|α|, class).
 
-    The class is (Π p_i^{α_i}) / Π α_i!; nilpotency bounds |α| by the ambient
-    top degree, so the list is finite.
+    The class is (Π p_i^{α_i}) / Π α_i!; nilpotency bounds |α| by the
+    algebra's top degree, so the list is finite.
     """
-    top = geom.ambient.top_degree
+    alg = classes[0].algebra
+    top = alg.top_degree
     out: list[tuple[tuple[int, ...], int, Element]] = []
-    for alpha in iproduct(*(range(top + 1) for _ in range(geom.nvars))):
+    for alpha in iproduct(*(range(top + 1) for _ in classes)):
         total = sum(alpha)
         if total > top:
             continue
-        cls = geom.ambient.unit()
+        cls = alg.unit()
         denom = Fraction(1)
-        for p, a in zip(geom.picard, alpha):
+        for p, a in zip(classes, alpha):
             if a:
                 cls = cls * p.power(a)
                 denom *= math.factorial(a)
@@ -413,20 +411,25 @@ def _prefactor_terms(geom: PairGeometry) -> list[tuple[tuple[int, ...], int, Ele
 # absolute inputs (the unit-direction data of the absolute theory)
 
 
-def absolute_core(geom: PairGeometry, beta: tuple[int, ...]) -> ZLaurentElement:
+def absolute_core(
+    geom: PairGeometry, beta: tuple[int, ...], chains: PochhammerChains | None = None
+) -> ZLaurentElement:
     """Per-class core of the absolute series: the β-part with the overall z and
-    the exponential prefactor stripped (core_0 = 1)."""
+    the exponential prefactor stripped (core_0 = 1).
+
+    For projective space it is P(H, d, +1, −1)^{n+1}; a caller that builds
+    many classes passes its own chain table.
+    """
     amb = geom.ambient
     if all(b == 0 for b in beta):
         return ZLaurentElement.one(amb)
     if geom.j_source == "closed_form_projective":
-        d = beta[0]
-        p = geom.hyperplane
-        out = ZLaurentElement.one(amb)
-        for k in range(1, d + 1):
-            rec = nilpotent_reciprocal(p, k)
-            for _ in range(geom.projective_dim + 1):
-                out = out * rec
+        if chains is None:
+            chains = PochhammerChains()
+        chain = chains(geom.hyperplane, beta[0], 1, -1)
+        out = chain
+        for _ in range(geom.projective_dim):
+            out = out * chain
         return out
     if geom.j_source == "invariant_table":
         table = geom.table
@@ -578,6 +581,9 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
 
     terms: dict = {}
     lo, hi = pol.z_window
+    chains = PochhammerChains()
+    pole_base = h0 - c1n_y
+    pref = _prefactor_terms([h0])  # exp(h0 · log y0 / z)
     for beta in betas:
         if all(b == 0 for b in beta):
             base = ZLaurentElement.exact(alg, {1: alg.unit()})
@@ -593,24 +599,16 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
         dbeta = geom.contact_weight(beta)
         wb = pol.weight(beta)
         for j in range(0, max_aux - wb + 1):
+            # Π_{a≤0}(h0 + a z) / Π_{a≤k}(h0 + a z); for k < 0 it keeps the bare a = 0 factor
             k = dbeta + j
-            factor = hypergeometric_factor(h0, k)
-            term = base * factor
+            if k >= 0:
+                term = base * chains(h0, k, 1, -1)
+            else:
+                term = base * ZLaurentElement.from_element(h0) * chains(h0, -k - 1, -1, 1)
             if j > 0:
-                pole_base = h0 - c1n_y
                 term = term * nilpotent_reciprocal(pole_base, j)
-            # prefactor exp(h0 · log y0 / z): log slot bounded by h0-nilpotency
-            pref: list[tuple[int, int, Element]] = [(0, 0, alg.unit())]
-            power = alg.unit()
-            lev = 0
-            while True:
-                lev += 1
-                power = power * h0
-                if power.is_zero() or lev > alg.top_degree:
-                    break
-                pref.append((lev, -lev, power.scale(Fraction(1, math.factorial(lev)))))
             for z, el in term.terms.items():
-                for a0, shift, pcls in pref:
+                for alpha, shift, pcls in pref:
                     zf = z + shift
                     if zf < lo:
                         continue
@@ -618,14 +616,7 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
                         raise WindowError(
                             f"normal-bundle term at z^{zf} above window top {hi}"
                         )
-                    val = el * pcls
-                    if val.is_zero():
-                        continue
-                    key = (beta, j, zf, (a0,))
-                    cur = terms.get(key)
-                    terms[key] = val if cur is None else cur + val
-                    if terms[key].is_zero():
-                        del terms[key]
+                    _merge_add(terms, (beta, j, zf, alpha), el * pcls)
     return NormalBundleModel(alg, h0_idx, terms)
 
 
@@ -673,7 +664,7 @@ def _assemble(
 ) -> RelativeSeries:
     """Shared final stage: overall z, prefactor expansion, contact attachment."""
     lo, hi = geom.policy.z_window
-    pref = _prefactor_terms(geom)
+    pref = _prefactor_terms(list(geom.picard))
     r = geom.restriction
     terms: dict = {}
     for beta, contact, zl in pieces:
@@ -690,14 +681,7 @@ def _assemble(
                         f"I-function term at z^{zf} exceeds the declared window top {hi}; "
                         "raise z_max"
                     )
-                stored = val if contact == 0 else r(val)
-                if stored.is_zero():
-                    continue
-                key = (beta, contact, zf, alpha)
-                cur = terms.get(key)
-                terms[key] = stored if cur is None else cur + stored
-                if terms[key].is_zero():
-                    del terms[key]
+                _merge_add(terms, (beta, contact, zf, alpha), val if contact == 0 else r(val))
     return RelativeSeries(geom, terms, (lo, hi))
 
 
@@ -730,15 +714,16 @@ def relative_i_function(
         return toric_i_function(geom)
 
     dcls = geom.divisor_class
+    chains = PochhammerChains()
     pieces: list[tuple[tuple[int, ...], int, ZLaurentElement]] = []
     for beta in _effective_classes(geom.policy):
         c = geom.contact_weight(beta)
-        base = absolute_core(geom, beta)
+        base = absolute_core(geom, beta, chains)
         if not base.terms:
             continue
         if c > 0:
-            term = base * _rising_product(dcls, c)
-            term = term * nilpotent_reciprocal(dcls, c)
+            # Π_{0<a≤c}(D + az) over the pole (D + cz)
+            term = base * chains(dcls, c - 1, 1, 1)
         elif c == 0:
             term = base
         else:
@@ -752,9 +737,7 @@ def relative_i_function(
                         f"{geom.name}: coefficient at {beta}, z^{z} does not factor "
                         f"through the divisor class"
                     ) from exc
-            term = ZLaurentElement.exact(geom.ambient, divided)
-            for a in range(c + 1, 0):
-                term = term * nilpotent_reciprocal(dcls, a)
+            term = ZLaurentElement.exact(geom.ambient, divided) * chains(dcls, -c - 1, -1, -1)
         pieces.append((beta, -c, term))
     return _assemble(geom, pieces)
 
@@ -770,19 +753,17 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
     if geom.toric is None:
         raise MissingDataError(f"{geom.name}: no toric data")
     dcls = geom.divisor_class
-    dens = [(cls, geom.pairing(cls)) for cls in geom.toric.denominators]
-    buns = [(cls, geom.pairing(cls)) for cls in geom.toric.bundles]
+    factors = [(cls, geom.pairing(cls), 1) for cls in geom.toric.bundles]
+    factors += [(cls, geom.pairing(cls), -1) for cls in geom.toric.denominators]
+    chains = PochhammerChains()
     pieces = []
     for beta in _effective_classes(geom.policy):
         c = geom.contact_weight(beta)
         term = ZLaurentElement.one(geom.ambient)
-        for cls, pv in buns:
+        for cls, pv, e in factors:
             top = sum(p * b for p, b in zip(pv, beta))
-            term = term * _rising_product(cls, top) if top > 0 else term
-        for cls, pv in dens:
-            top = sum(p * b for p, b in zip(pv, beta))
-            for k in range(1, top + 1):
-                term = term * nilpotent_reciprocal(cls, k)
+            if top > 0:
+                term = term * chains(cls, top, 1, e)
         if c > 0:
             term = term * nilpotent_reciprocal(dcls, c)
         pieces.append((beta, -c, term))

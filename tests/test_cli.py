@@ -227,6 +227,48 @@ def test_verify_reports_the_order_it_ran_at(argv, order, skipped):
     assert checks["period_theorem"]["value"].startswith("skipped") == skipped
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (("classical-period", "--geometry", "p2_cubic", "--order", "48"), 16),
+        (("proper-potential", "--geometry", "p2_cubic", "--order", "12"), 4),
+        (("proper-potential", "--geometry", "blp3_k3", "--order", "4"), 4),
+    ],
+)
+def test_potential_commands_report_the_order_they_ran_at(argv, order):
+    code, text = _run(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(text)["metadata"]["truncation_order"] == order
+
+
+STABLE_COMMANDS = ("i-function", "tau-d", "mirror-map", "quantum-period",
+                   "regularized-period", "proper-potential", "classical-period")
+
+
+@pytest.mark.parametrize("geometry", sorted(BUILTIN_CONFIGS))
+def test_records_are_stable_under_a_higher_order(geometry):
+    """A record printed at --order 4 prints unchanged at --order 6, or both runs refuse."""
+    outcomes = {}
+    for command in STABLE_COMMANDS:
+        runs = []
+        for order in ("4", "6"):
+            out = io.StringIO()
+            code = run([command, "--geometry", geometry, "--order", order, "--format", "json"],
+                       stream=out)
+            records = json.loads(out.getvalue())["records"] if code == 0 else []
+            runs.append((code, {(r["series"], r["selector"]): r["value"] for r in records}))
+        (low_code, low), (high_code, high) = runs
+        outcomes[command] = low_code
+        if low_code == 2:
+            assert high_code == 2, command
+            continue
+        assert (low_code, high_code) == (0, 0), command
+        assert low and low.items() <= high.items(), command
+    refused = sorted(c for c, code in outcomes.items() if code == 2)
+    expect = ["classical-period", "quantum-period", "regularized-period"]
+    assert refused == (expect if geometry == "blp3_k3" else [])
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of an ifunctions function through every mirrorpair name bound to it."""
     from mirrorpair import ifunctions

@@ -28,9 +28,9 @@ from mirrorpair import (
     divisor_mirror_map,
     divisor_map_from_normal_bundle,
     extract_mirror_exponent,
-    hypergeometric_factor,
     inverse_coordinates,
     load_geometry,
+    nilpotent_reciprocal,
     normal_bundle_i_function,
     normalize_i,
     relative_i_function,
@@ -38,6 +38,7 @@ from mirrorpair import (
 )
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
+    PochhammerChains,
     _state_product,
     absolute_core,
     one_point_invariant,
@@ -45,30 +46,72 @@ from mirrorpair.ifunctions import (
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric factors
+# Pochhammer chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e
+#
+# The hypergeometric factor Π_{a≤0}(u + az) / Π_{a≤c}(u + az) at contact c is
+# P(u, c, +1, −1) for c ≥ 0 and u·P(u, −c−1, −1, +1) for c < 0.
 
 
 def test_factor_at_zero_contact_is_one(p2):
     u = p2.ambient.named("H")
-    assert hypergeometric_factor(u, 0) == ZLaurentElement.one(p2.ambient)
+    chains = PochhammerChains()
+    for s in (1, -1):
+        for e in (1, -1):
+            assert chains(u, 0, s, e) == ZLaurentElement.one(p2.ambient)
 
 
 def test_factor_at_negative_contact_is_literal_product(p2):
     u = p2.ambient.named("H")
+    bare = ZLaurentElement.from_element(u)
+    chains = PochhammerChains()
     # c = -1: the single a = 0 factor, i.e. the bare class
-    assert hypergeometric_factor(u, -1) == ZLaurentElement.from_element(u)
+    assert bare * chains(u, 0, -1, 1) == bare
     # c = -2: (u - z) * u
-    expect = ZLaurentElement.linear(u, -1) * ZLaurentElement.from_element(u)
-    assert hypergeometric_factor(u, -2) == expect
+    assert bare * chains(u, 1, -1, 1) == ZLaurentElement.linear(u, -1) * bare
+    # c = -3 without u: (u - z)(u - 2z) = u² - 3uz + 2z²
+    expect = ZLaurentElement.exact(p2.ambient, {
+        0: p2.ambient.named("H2"), 1: u.scale(-3), 2: p2.ambient.unit().scale(2)})
+    assert chains(u, 2, -1, 1) == expect
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_factor_at_positive_contact_multiplies_back(p2, c):
     u = p2.ambient.named("H")
-    back = hypergeometric_factor(u, c)
+    back = PochhammerChains()(u, c, 1, -1)
     for a in range(1, c + 1):
         back = back * ZLaurentElement.linear(u, a)
     assert back == ZLaurentElement.one(p2.ambient)
+
+
+@pytest.mark.parametrize("which", ["p2_H", "blp3_4H+h"])
+def test_chains_match_literal_products(p2, blp3, which):
+    if which == "p2_H":
+        u = p2.ambient.named("H")
+    else:
+        u = blp3.ambient.named("H").scale(4) + blp3.ambient.named("h")
+    one = ZLaurentElement.one(u.algebra)
+    shared = PochhammerChains()
+    for s in (1, -1):
+        for e in (1, -1):
+            # the shared table is asked longest first, so shorter chains are read back
+            for n in range(6, -1, -1):
+                literal = one
+                for a in range(1, n + 1):
+                    factor = (ZLaurentElement.linear(u, s * a) if e == 1
+                              else nilpotent_reciprocal(u, s * a))
+                    literal = literal * factor
+                assert shared(u, n, s, e) == literal
+                assert PochhammerChains()(u, n, s, e) == literal
+            for n in range(7):
+                assert shared(u, n, s, 1) * shared(u, n, s, -1) == one
+
+
+def test_chain_rejects_bad_arguments(p2):
+    u = p2.ambient.named("H")
+    chains = PochhammerChains()
+    for args in ((-1, 1, 1), (2, 0, 1), (2, 2, 1), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            chains(u, *args)
 
 
 # ---------------------------------------------------------------------------
