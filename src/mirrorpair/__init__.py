@@ -17,6 +17,7 @@ from .algebra import (
     pairing_matrix,
     pairing_pushforward,
     solve_exact,
+    sum_of_products,
 )
 from .geometry import (
     BUILTIN_CONFIGS,
@@ -78,6 +79,7 @@ from .periods import (
 )
 from .series import (
     NovikovSeries,
+    PipelineInvariantError,
     TruncationError,
     TruncationPolicy,
     WindowError,

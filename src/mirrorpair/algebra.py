@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -41,6 +45,8 @@ class GradedAlgebra:
     ``table[i][j]`` is the coefficient vector of ``e_i * e_j`` in the basis.
     ``integration`` is the linear functional used for intersection pairings;
     by default it reads off the coefficient of the point class.
+    ``constants[i][j]`` holds the nonzero entries of ``table[i][j]`` as
+    (k, numerator, denominator) triples, for `sum_of_products`.
     """
 
     name: str
@@ -50,6 +56,14 @@ class GradedAlgebra:
     unit_index: int
     point_index: int | None
     integration: tuple[Fraction, ...]
+    constants: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constants", tuple(
+            tuple(_sparse(vec) for vec in row) for row in self.table
+        ))
 
     # -- construction ------------------------------------------------------
 
@@ -159,22 +173,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check(other)
-            n = self.algebra.dim
-            out = [Fraction(0)] * n
-            tab = self.algebra.table
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    ab = a * b
-                    row = tab[i][j]
-                    for k in range(n):
-                        if row[k]:
-                            out[k] += ab * row[k]
-            return Element(self.algebra, tuple(out))
+            return sum_of_products(self.algebra, ((self, other),))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -198,6 +197,11 @@ class Element:
 
     def __hash__(self) -> int:
         return hash((id(self.algebra), self.coeffs))
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero coordinates as (index, numerator, denominator) triples."""
+        return _sparse(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -242,6 +246,60 @@ class Element:
             if c
         ]
         return " + ".join(parts) if parts else "0"
+
+
+def _sparse(coeffs: Iterable[Fraction]) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero coordinates as (index, numerator, denominator) triples."""
+    return tuple((k, c.numerator, c.denominator) for k, c in enumerate(coeffs) if c)
+
+
+def _combine(
+    terms: Iterable[tuple[tuple[tuple[int, int, int], ...], int, int]], dim: int
+) -> tuple[Fraction, ...]:
+    """Σ (n/d)·row over (row, n, d) terms, rows sparse as in `_sparse`.
+
+    Each output coordinate accumulates an integer numerator over an integer
+    denominator, joined by their lcm, and becomes one normalized Fraction at
+    the end.
+    """
+    num = [0] * dim
+    den = [1] * dim
+    for row, rn, rd in terms:
+        for k, n, d in row:
+            n *= rn
+            d *= rd
+            dk = den[k]
+            if d == dk:
+                num[k] += n
+            else:
+                m = lcm(dk, d)
+                num[k] = num[k] * (m // dk) + n * (m // d)
+                den[k] = m
+    return tuple(Fraction(n, d) if n else _ZERO for n, d in zip(num, den))
+
+
+def sum_of_products(
+    alg: GradedAlgebra, pairs: Iterable[tuple[Element, Element]]
+) -> Element:
+    """Σ a·b over the pairs (a, b) of elements of ``alg``, exactly.
+
+    Only nonzero coordinates of the operands and nonzero structure constants
+    are visited, and the sum is accumulated in integers by `_combine`.
+    """
+    pairs = list(pairs)
+    for a, b in pairs:
+        if a.algebra is not alg or b.algebra is not alg:
+            raise AlgebraError(
+                f"mixing elements of {a.algebra.name} and {b.algebra.name} in {alg.name}"
+            )
+    constants = alg.constants
+    terms = (
+        (constants[i][j], an * bn, ad * bd)
+        for a, b in pairs
+        for i, an, ad in a.support
+        for j, bn, bd in b.support
+    )
+    return Element(alg, _combine(terms, alg.dim))
 
 
 def nilpotency_index(x: Element) -> int:
@@ -299,11 +357,32 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
 
 @dataclass(frozen=True)
 class RestrictionMap:
-    """Ring homomorphism between two graded algebras, stored as basis images."""
+    """Ring homomorphism between two graded algebras, stored as basis images.
+
+    Built once with the map: ``rows``, the images as sparse rows; ``gram``, the
+    source pairing matrix; and ``cross``, the sparse rows k of
+    ∫_target e_k ∪ r(e_j) over j, which `pairing_pushforward` reads.
+    """
 
     source: GradedAlgebra
     target: GradedAlgebra
     images: tuple[Element, ...]
+    rows: tuple[tuple[tuple[int, int, int], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+    gram: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
+    cross: tuple[tuple[tuple[int, int, int], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        tgt = self.target
+        object.__setattr__(self, "rows", tuple(img.support for img in self.images))
+        object.__setattr__(self, "gram", tuple(map(tuple, pairing_matrix(self.source))))
+        object.__setattr__(self, "cross", tuple(
+            _sparse((tgt.basis_element(k) * img).integrate() for img in self.images)
+            for k in range(tgt.dim)
+        ))
 
     @staticmethod
     def from_images(
@@ -320,11 +399,9 @@ class RestrictionMap:
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.source:
             raise AlgebraError("restricting an element of the wrong algebra")
-        out = self.target.zero()
-        for c, img in zip(x.coeffs, self.images):
-            if c:
-                out = out + img.scale(c)
-        return out
+        rows = self.rows
+        terms = ((rows[i], n, d) for i, n, d in x.support)
+        return Element(self.target, _combine(terms, self.target.dim))
 
 
 def check_restriction(rm: RestrictionMap) -> list[str]:
@@ -409,10 +486,8 @@ def pairing_pushforward(rm: RestrictionMap, v: Element) -> Element:
     if v.algebra is not rm.target:
         raise AlgebraError("pushforward argument lives in the wrong algebra")
     src = rm.source
-    gram = pairing_matrix(src)
-    rhs = [(v * rm(src.basis_element(j))).integrate() for j in range(src.dim)]
-    sol = solve_exact(gram, rhs)
-    return src.element(sol)
+    rhs = _combine(((rm.cross[k], n, d) for k, n, d in v.support), src.dim)
+    return src.element(solve_exact(rm.gram, rhs))
 
 
 def divide_by_class(factor: Element, product: Element) -> Element:

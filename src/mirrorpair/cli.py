@@ -8,7 +8,8 @@ the exact verification suites (verify, identities).  Output formats: json
 exact rationals rendered as p/q strings.
 
 Exit codes: 0 all requested checks pass, 1 a verification check failed,
-2 usage, configuration, or missing-data errors.
+2 usage, configuration, or missing-data errors, 3 a broken pipeline
+invariant (a program fault, not a usage error).
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ from .periods import (
     roundtrip_for_geometry,
     shared_potential,
 )
-from .series import NovikovSeries, TruncationError, TruncationPolicy, WindowError
+from .series import (
+    NovikovSeries,
+    PipelineInvariantError,
+    TruncationError,
+    TruncationPolicy,
+    WindowError,
+)
 
 COMMANDS = (
     "i-function",
@@ -636,6 +643,9 @@ def run(argv: list[str], stream=None) -> int:
         stream = sys.stdout
     try:
         return DISPATCH[cfg.command](cfg, stream)
+    except PipelineInvariantError as exc:
+        print(f"error: pipeline invariant broken: {exc}", file=sys.stderr)
+        return 3
     except (
         ConfigError,
         MissingDataError,

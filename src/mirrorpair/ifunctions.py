@@ -30,6 +30,7 @@ inversion formula rather than iterating the substitution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -46,6 +47,7 @@ from .algebra import (
 from .geometry import MissingDataError, PairGeometry
 from .series import (
     NovikovSeries,
+    PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
     WindowError,
@@ -69,23 +71,26 @@ class MalformedMirrorMapError(ValueError):
 class PochhammerChains:
     """The chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e of one I-function build.
 
-    u is a nilpotent class, s = ±1 the sign of the z-slope and e = ±1 the
-    exponent.  Each chain keeps its partial products and grows one factor
-    (u + s·a·z) or 1/(u + s·a·z) at a time, so a prefix is built once however
-    many classes β ask for it.  Make one table per build; it is not a cache.
+    u is a nilpotent class, s = ±1 the sign of the z-slope and e a nonzero
+    integer exponent.  Each chain keeps its partial products and grows one
+    link (u + s·a·z)^e at a time, so a prefix is built once however many
+    classes β ask for it.  Make one table per build; it is not a cache.
     """
 
     def __init__(self) -> None:
         self._table: dict[tuple[Element, int, int], list[ZLaurentElement]] = {}
 
     def __call__(self, u: Element, n: int, s: int, e: int) -> ZLaurentElement:
-        if n < 0 or s not in (1, -1) or e not in (1, -1):
+        if n < 0 or s not in (1, -1) or not isinstance(e, int) or e == 0:
             raise ValueError(f"no chain of length {n}, slope sign {s}, exponent {e}")
         chain = self._table.setdefault((u, s, e), [ZLaurentElement.one(u.algebra)])
         while len(chain) <= n:
             a = s * len(chain)
-            factor = ZLaurentElement.linear(u, a) if e == 1 else nilpotent_reciprocal(u, a)
-            chain.append(chain[-1] * factor)
+            factor = ZLaurentElement.linear(u, a) if e > 0 else nilpotent_reciprocal(u, a)
+            link = factor
+            for _ in range(abs(e) - 1):
+                link = link * factor
+            chain.append(chain[-1] * link)
         return chain[n]
 
 
@@ -204,7 +209,9 @@ class StateSeries:
             sign = -sign
             out = out + power.scale(sign)
         else:
-            raise ValueError("state reciprocal did not terminate (series not nilpotent)")
+            raise PipelineInvariantError(
+                "state reciprocal did not terminate (series not nilpotent)"
+            )
         return out.scale(Fraction(1) / c)
 
     # -- queries ---------------------------------------------------------
@@ -417,7 +424,7 @@ def absolute_core(
     """Per-class core of the absolute series: the β-part with the overall z and
     the exponential prefactor stripped (core_0 = 1).
 
-    For projective space it is P(H, d, +1, −1)^{n+1}; a caller that builds
+    For projective space it is P(H, d, +1, −(n+1)); a caller that builds
     many classes passes its own chain table.
     """
     amb = geom.ambient
@@ -426,11 +433,7 @@ def absolute_core(
     if geom.j_source == "closed_form_projective":
         if chains is None:
             chains = PochhammerChains()
-        chain = chains(geom.hyperplane, beta[0], 1, -1)
-        out = chain
-        for _ in range(geom.projective_dim):
-            out = out * chain
-        return out
+        return chains(geom.hyperplane, beta[0], 1, -(geom.projective_dim + 1))
     if geom.j_source == "invariant_table":
         table = geom.table
         if table is None:
@@ -749,12 +752,15 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
     a simple pole factor 1/(D + (D·β)z) with a [1]_{−D·β} state when D·β > 0,
     the overall z, and the exponential prefactor.  Factors of the relative ray
     are structurally cancelled against the hypergeometric modification.
+    Equal classes are merged into one chain with their net multiplicity
+    (+1 per bundle, −1 per denominator); a net 0 drops the class.
     """
     if geom.toric is None:
         raise MissingDataError(f"{geom.name}: no toric data")
     dcls = geom.divisor_class
-    factors = [(cls, geom.pairing(cls), 1) for cls in geom.toric.bundles]
-    factors += [(cls, geom.pairing(cls), -1) for cls in geom.toric.denominators]
+    multiplicity = Counter(geom.toric.bundles)
+    multiplicity.subtract(geom.toric.denominators)
+    factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
     chains = PochhammerChains()
     pieces = []
     for beta in _effective_classes(geom.policy):
@@ -795,14 +801,17 @@ def normalize_i(I: RelativeSeries, z_floor: int | None = None) -> NormalizedI:
     """Split off I1 and I0 and normalize to the J-shaped series.
 
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
-    and the z^1 slice exactly the unit state.  Raises on violation.
+    and the z^1 slice exactly the unit state.  Raises PipelineInvariantError
+    on violation.
     """
     geom = I.geometry
     i1 = I.z_slice(1)
     i0 = I.z_slice(0)
     top = I.top_z()
     if top is not None and top > 1:
-        raise ValueError(f"I-function has content at z^{top} > z^1; shape check failed")
+        raise PipelineInvariantError(
+            f"I-function has content at z^{top} > z^1; shape check failed"
+        )
     if i1 == StateSeries.unit(geom):
         J = I
     else:
@@ -810,7 +819,7 @@ def normalize_i(I: RelativeSeries, z_floor: int | None = None) -> NormalizedI:
         J = I.mul_state(recip, z_floor=z_floor)
     j1 = J.z_slice(1)
     if j1 != StateSeries.unit(geom):
-        raise ValueError("normalized series does not have unit z^1 slice")
+        raise PipelineInvariantError("normalized series does not have unit z^1 slice")
     tau = J.z_slice(0)
     return NormalizedI(i1, i0, J, tau, extract_mirror_exponent(tau))
 

@@ -20,12 +20,16 @@ from .series import NovikovSeries, TruncationPolicy, XLaurentSeries
 # Laurent polynomials as plain dicts {exponent: Fraction}
 
 
-def _poly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+def _poly_mul(
+    a: dict[int, Fraction], b: dict[int, Fraction], cap: int
+) -> dict[int, Fraction]:
+    """a·b with only the exponents ≤ cap kept."""
     out: dict[int, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            if e <= cap:
+                out[e] = out.get(e, Fraction(0)) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
@@ -59,6 +63,8 @@ def lagrange_inverse(f: SimplePoleLaurent, order: int) -> dict[int, Fraction]:
     """Coefficients g_k of the compositional inverse g(ω) = Σ_{k≥1} g_k ω^{-k}.
 
     g_k = (1/k)·[f^k]_{x^{-1}}; the result satisfies f(g(ω)) = ω order by order.
+    Every exponent of f is ≥ −1, so only exponents ≤ order − k − 1 of f^k
+    reach a later [f^j]_{x^{-1}} and the running power keeps no others.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -66,7 +72,7 @@ def lagrange_inverse(f: SimplePoleLaurent, order: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     power = {0: Fraction(1)}
     for k in range(1, order + 1):
-        power = _poly_mul(power, fd)
+        power = _poly_mul(power, fd, order - k - 1)
         c = power.get(-1, Fraction(0))
         if c:
             out[k] = c / k
@@ -140,6 +146,9 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
     """For f = 1 + Σ_{k≥1} f_k x^k check, through y^{order-1},
 
         exp( Σ_{k≥1} (1/k) [f^k]_{x^k} y^k )  ==  Σ_{k≥1} (1/k) [f^k]_{x^{k-1}} y^{k-1}.
+
+    Only x-degrees ≤ order are read and f has no negative exponents, so the
+    running power keeps no higher ones.
     """
     fd = {0: Fraction(1)}
     for j, c in enumerate(tail, start=1):
@@ -150,7 +159,7 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
     rhs = {}
     power = {0: Fraction(1)}
     for k in range(1, order + 1):
-        power = _poly_mul(power, fd)
+        power = _poly_mul(power, fd, order)
         ck = power.get(k, Fraction(0))
         if ck:
             arg[(k,)] = ck / k

@@ -36,7 +36,14 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .algebra import AlgebraError, Element, GradedAlgebra, nilpotency_index, rat
+from .algebra import (
+    AlgebraError,
+    Element,
+    GradedAlgebra,
+    nilpotency_index,
+    rat,
+    sum_of_products,
+)
 
 
 class WindowError(ValueError):
@@ -45,6 +52,13 @@ class WindowError(ValueError):
 
 class TruncationError(ValueError):
     """A computation needs a higher truncation order than configured."""
+
+
+class PipelineInvariantError(ValueError):
+    """An intermediate result broke a shape the pipeline guarantees.
+
+    Raised for a program fault, not for bad input: the CLI exits 3 on it.
+    """
 
 
 @dataclass(frozen=True)
@@ -416,16 +430,14 @@ class ZLaurentElement:
             if lb is not None:
                 cands.append(lb + ha)
             window = (max(cands), ha + hb)
-        out: dict[int, Element] = {}
+        floor = None if window is None else window[0]
+        pairs: dict[int, list[tuple[Element, Element]]] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 k = ka + kb
-                if window is not None and k < window[0]:
-                    continue
-                prod = va * vb
-                if prod.is_zero():
-                    continue
-                out[k] = out.get(k, self.algebra.zero()) + prod
+                if floor is None or k >= floor:
+                    pairs.setdefault(k, []).append((va, vb))
+        out = {k: sum_of_products(self.algebra, ps) for k, ps in pairs.items()}
         return ZLaurentElement(self.algebra, out, window)
 
     def __eq__(self, other) -> bool:
@@ -542,7 +554,7 @@ class XLaurentSeries:
             x0 = running.terms.get(0, {})
             stray = sorted(t for t, c in x0.items() if t != n)
             if stray:
-                raise ValueError(
+                raise PipelineInvariantError(
                     f"constant term of W^{n} has support at t-degrees {stray} != {n}"
                 )
             out.append(x0.get(n, Fraction(0)))

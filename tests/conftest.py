@@ -6,6 +6,8 @@ divisor-exponent machinery (both extraction routes must report 2H·y) while
 keeping everything small enough to compute in milliseconds.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from mirrorpair import load_geometry
@@ -81,3 +83,15 @@ def blp3():
     from mirrorpair import builtin_geometry
 
     return builtin_geometry("blp3_k3")
+
+
+def dense_product(a, b):
+    """The coefficients of a·b by a literal triple loop over the dense table."""
+    alg = a.algebra
+    n = alg.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += a.coeffs[i] * b.coeffs[j] * alg.table[i][j][k]
+    return tuple(out)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_product
 from mirrorpair import (
     AlgebraError,
     Element,
@@ -18,7 +19,9 @@ from mirrorpair import (
     pairing_matrix,
     pairing_pushforward,
     solve_exact,
+    sum_of_products,
 )
+from mirrorpair.ifunctions import build_normal_bundle_algebra
 
 P2 = builtin_geometry("p2_cubic")
 P3 = builtin_geometry("p3_quartic")
@@ -217,3 +220,66 @@ def test_degree_parts_reassemble(a):
         assert part.is_homogeneous()
         total = total + part
     assert total == x
+
+
+# ---------------------------------------------------------------------------
+# the product kernel, restriction and pushforward against literal sums
+
+ALGEBRAS = [P2.ambient, P2.divisor, P3.ambient, P3.divisor, BL.ambient, BL.divisor,
+            build_normal_bundle_algebra(BL)[0]]
+
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=7)),
+)
+
+
+def elements(alg):
+    return st.lists(sparse_rationals, min_size=alg.dim, max_size=alg.dim).map(alg.element)
+
+
+def _integral(alg, coeffs):
+    return sum((c * w for c, w in zip(coeffs, alg.integration)), Fraction(0))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_kernel_matches_the_dense_table(alg, data):
+    a, b = data.draw(elements(alg)), data.draw(elements(alg))
+    prod = a * b
+    assert prod.coeffs == dense_product(a, b)
+    assert all(type(c) is Fraction for c in prod.coeffs)
+    pairs = data.draw(st.lists(st.tuples(elements(alg), elements(alg)), max_size=4))
+    expect = [Fraction(0)] * alg.dim
+    for x, y in pairs:
+        expect = [e + c for e, c in zip(expect, dense_product(x, y))]
+    assert sum_of_products(alg, pairs).coeffs == tuple(expect)
+
+
+def test_product_kernel_rejects_mixed_algebras():
+    with pytest.raises(AlgebraError):
+        sum_of_products(P2.ambient, [(P2.ambient.unit(), P2.divisor.unit())])
+    with pytest.raises(AlgebraError):
+        P2.ambient.unit() * P3.ambient.unit()
+
+
+@pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_restriction_and_pushforward_match_their_definitions(geom, data):
+    rm = geom.restriction
+    x = data.draw(elements(rm.source))
+    expect = rm.target.zero()
+    for c, img in zip(x.coeffs, rm.images):
+        expect = expect + img.scale(c)
+    assert rm(x) == expect
+    # ∫_src P(v) ∪ e_j == ∫_tgt v ∪ r(e_j) for every basis class e_j
+    v = data.draw(elements(rm.target))
+    push = pairing_pushforward(rm, v)
+    assert push.algebra is rm.source
+    for j, img in enumerate(rm.images):
+        ej = rm.source.basis_element(j)
+        assert (_integral(rm.source, dense_product(push, ej))
+                == _integral(rm.target, dense_product(v, img)))

@@ -411,6 +411,60 @@ def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):
     assert err.startswith("error: ") and f"[{section}]" in err
 
 
+def _plant_high_z(monkeypatch):
+    from mirrorpair.ifunctions import RelativeSeries
+
+    monkeypatch.setattr(RelativeSeries, "top_z", lambda self: 2)
+
+
+def _plant_bad_reciprocal(monkeypatch):
+    from mirrorpair.ifunctions import StateSeries
+
+    original = StateSeries.reciprocal
+    monkeypatch.setattr(StateSeries, "reciprocal", lambda self: original(self).scale(2))
+
+
+def _plant_endless_reciprocal(monkeypatch):
+    from mirrorpair.ifunctions import StateSeries
+
+    monkeypatch.setattr(StateSeries, "is_zero", lambda self: False)
+
+
+def _plant_stray_support(monkeypatch):
+    from mirrorpair import XLaurentSeries
+    from mirrorpair.periods import ProperPotential
+
+    original = ProperPotential.collapse
+
+    def collapse(self, t_order=None):
+        w = original(self, t_order)
+        return w + XLaurentSeries.monomial(w.t_order, 0, 2, 1)  # x^0 off the t^1 line
+
+    monkeypatch.setattr(ProperPotential, "collapse", collapse)
+
+
+@pytest.mark.parametrize(
+    "plant, argv, message",
+    [
+        (_plant_high_z, ("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
+         "content at z^2"),
+        (_plant_bad_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
+         "unit z^1 slice"),
+        (_plant_endless_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
+         "did not terminate"),
+        (_plant_stray_support, ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
+         "support at t-degrees [2]"),
+    ],
+    ids=["high-z", "non-unit-z1", "endless-reciprocal", "stray-support"],
+)
+def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
+    plant(monkeypatch)
+    code = run(list(argv), stream=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("error: pipeline invariant broken: ") and message in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mirrorpair.cli", "tau-d", "--geometry", "p2_cubic"],

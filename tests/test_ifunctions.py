@@ -92,18 +92,20 @@ def test_chains_match_literal_products(p2, blp3, which):
     one = ZLaurentElement.one(u.algebra)
     shared = PochhammerChains()
     for s in (1, -1):
-        for e in (1, -1):
+        for e in (1, -1, 2, -2, 4, -4):
             # the shared table is asked longest first, so shorter chains are read back
             for n in range(6, -1, -1):
                 literal = one
                 for a in range(1, n + 1):
-                    factor = (ZLaurentElement.linear(u, s * a) if e == 1
+                    factor = (ZLaurentElement.linear(u, s * a) if e > 0
                               else nilpotent_reciprocal(u, s * a))
-                    literal = literal * factor
+                    for _ in range(abs(e)):
+                        literal = literal * factor
                 assert shared(u, n, s, e) == literal
                 assert PochhammerChains()(u, n, s, e) == literal
+        for e in (1, 2, 4):
             for n in range(7):
-                assert shared(u, n, s, 1) * shared(u, n, s, -1) == one
+                assert shared(u, n, s, e) * shared(u, n, s, -e) == one
 
 
 def test_chain_rejects_bad_arguments(p2):
@@ -241,6 +243,23 @@ def test_blowup_contact_one_report(blp3):
         (0, 1): Fraction(1),
         (1, 2): Fraction(228),
         (2, 3): Fraction(254412),
+    }
+
+
+def test_toric_class_in_both_lists_cancels(blp3):
+    from mirrorpair import BUILTIN_CONFIGS
+
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("denominators = H; H; H; H; h\n") == 1
+    assert text.count("bundles = 4*H + h\n") == 1
+    padded = load_geometry(
+        text.replace("denominators = H; H; H; H; h\n", "denominators = h; H; H; H; H; h\n")
+        .replace("bundles = 4*H + h\n", "bundles = h; 4*H + h\n")
+    )
+    want = relative_i_function(blp3)
+    got = relative_i_function(padded)
+    assert {k: v.coeffs for k, v in got.terms.items()} == {
+        k: v.coeffs for k, v in want.terms.items()
     }
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mirrorpair import (
     SimplePoleLaurent,
+    inversion,
     bell_identity_check,
     compose,
     inversion_roundtrip,
@@ -206,6 +207,56 @@ def test_bell_identity_random_tails(seed):
 @settings(max_examples=40, deadline=None)
 def test_bell_identity_property(tail):
     assert bell_identity_check(tuple(tail), 8).ok
+
+
+# ---------------------------------------------------------------------------
+# the truncated running powers against untruncated expansions
+
+
+def _full_powers(fd, top):
+    """f^1 .. f^top as dicts, multiplied out with no truncation."""
+    out, power = [], {0: Fraction(1)}
+    for _ in range(top):
+        power = _umul(power, fd, math.inf)
+        out.append(power)
+    return out
+
+
+small_rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                            st.integers(min_value=1, max_value=4))
+
+
+@given(tail=st.lists(small_rationals, max_size=6), order=st.integers(min_value=1, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_truncated_lagrange_inverse_matches_untruncated_powers(tail, order):
+    f = SimplePoleLaurent(tuple(tail))
+    expect = {}
+    for k, power in enumerate(_full_powers(f.as_dict(), order), start=1):
+        if power.get(-1):
+            expect[k] = power[-1] / k
+    assert lagrange_inverse(f, order) == expect
+
+
+@given(tail=st.lists(small_rationals, max_size=6), order=st.integers(min_value=1, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_bell_sums_read_untruncated_coefficients(tail, order):
+    fd = {0: Fraction(1)}
+    fd.update({j: c for j, c in enumerate(tail, start=1) if c})
+    seen = []
+    original = inversion._poly_mul
+
+    def spy(a, b, cap):
+        seen.append(original(a, b, cap))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_poly_mul", spy)
+        assert bell_identity_check(tuple(tail), order).ok
+    full = _full_powers(fd, order)
+    assert len(seen) == order
+    for k, (power, exact) in enumerate(zip(seen, full), start=1):
+        for e in (k, k - 1):  # [f^k]_{x^k} and [f^k]_{x^{k-1}} feed the two sums
+            assert power.get(e, 0) == exact.get(e, 0)
 
 
 # ---------------------------------------------------------------------------

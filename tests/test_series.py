@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_product
 from mirrorpair import (
     NovikovSeries,
     TruncationError,
@@ -335,6 +336,35 @@ def test_windowed_product_agrees_with_exact_product(a, b, lo):
 def test_exact_laurent_commutes_and_distributes(a, b):
     assert a * b == b * a
     assert a * (b + b) == a * b + a * b
+
+
+BL_AMB = builtin_geometry("blp3_k3").ambient
+elem8 = st.lists(
+    st.one_of(st.just(Fraction(0)),
+              st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=1, max_value=7))),
+    min_size=8, max_size=8,
+).map(BL_AMB.element)
+laurent8 = st.dictionaries(st.integers(min_value=-4, max_value=2), elem8, max_size=4)
+
+
+@given(a=laurent8, b=laurent8, lo=st.one_of(st.none(), st.integers(min_value=-6, max_value=-1)))
+@settings(max_examples=40, deadline=None)
+def test_laurent_product_is_the_literal_double_sum(a, b, lo):
+    x = ZLaurentElement(BL_AMB, a, None if lo is None else (lo, 2))
+    y = ZLaurentElement.exact(BL_AMB, b)
+    prod = x * y
+    floor = None if prod.window is None else prod.window[0]
+    expect: dict[int, list[Fraction]] = {}
+    for ka, va in x.terms.items():
+        for kb, vb in y.terms.items():
+            if floor is None or ka + kb >= floor:
+                acc = expect.setdefault(ka + kb, [Fraction(0)] * BL_AMB.dim)
+                for k, c in enumerate(dense_product(va, vb)):
+                    acc[k] += c
+    assert {k: v.coeffs for k, v in prod.terms.items()} == {
+        k: tuple(v) for k, v in expect.items() if any(v)
+    }
 
 
 # ---------------------------------------------------------------------------
