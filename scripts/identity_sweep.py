@@ -16,7 +16,7 @@ import argparse
 import sys
 from random import Random
 
-from mirrorpair import bell_identity_check, inversion_roundtrip, potential_roundtrip
+from mirrorpair import MirrorChange, bell_identity_check, inversion_roundtrip, potential_roundtrip
 from mirrorpair.inversion import random_exponent, random_simple_pole, random_unit_tail
 
 
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     for case in range(args.cases):
         m = rng.choice((1, 2, 3, 4))
         g = random_exponent(rng, 5)
-        report = potential_roundtrip(g, m, 5)
+        report = potential_roundtrip(MirrorChange((m,), g))
         if not report.ok:
             print(f"roundtrip case {case}: FAIL  m={m}  g={g}  {report.mismatches}")
             failures += 1

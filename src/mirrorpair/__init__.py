@@ -63,6 +63,7 @@ from .inversion import (
     potential_roundtrip,
 )
 from .periods import (
+    ClassicalPeriod,
     EulerScalingReport,
     PeriodComparison,
     PeriodSeries,
@@ -75,7 +76,6 @@ from .periods import (
     regularize,
     roundtrip_for_geometry,
     shared_potential,
-    theta_coefficient,
 )
 from .series import (
     NovikovSeries,

@@ -94,6 +94,8 @@ class GradedAlgebra:
         ui = index[unit]
         if degrees[ui] != 0:
             raise AlgebraError(f"{name}: unit must have degree 0")
+        if point is not None and point not in index:
+            raise AlgebraError(f"{name}: unknown point class {point!r}")
         pi = index[point] if point is not None else None
         n = len(basis)
         tab = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -116,6 +118,8 @@ class GradedAlgebra:
         integ = [Fraction(0)] * n
         if integration is not None:
             for k_name, c in integration.items():
+                if k_name not in index:
+                    raise AlgebraError(f"{name}: unknown integration class {k_name!r}")
                 integ[index[k_name]] = rat(c)
         elif pi is not None:
             integ[pi] = Fraction(1)

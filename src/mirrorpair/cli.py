@@ -480,13 +480,18 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
     pot = proper_potential(geom, t_order)
-    period = classical_period(pot.collapse(t_order), t_order)
-    _emit(
-        cfg.fmt,
-        _metadata(pot.geometry, series="classical_period", t_order=t_order),
-        _period_records("classical_period", period),
-        stream,
-    )
+    period = classical_period(pot, t_order)
+    records = [] if period.refusal else _period_records("classical_period", period.series())
+    if len(geom.m_vector) > 1:
+        records += [
+            {"series": "classical_period_term", "selector": f"q^{_beta_str(beta)} t^{d}",
+             "value": str(v), "beta": list(beta), "t_deg": d}
+            for beta, d, v in period.terms
+        ]
+    md = _metadata(pot.geometry, series="classical_period", t_order=t_order)
+    if period.refusal:
+        md["collapsed_view"] = f"refused: {period.refusal}"
+    _emit(cfg.fmt, md, records, stream)
     return 0
 
 
@@ -560,7 +565,7 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
     rt = roundtrip_for_geometry(pot)
     check(
         "potential_roundtrip",
-        "pass" if rt.ok else "fail at t-degrees " + ",".join(str(k) for k, _, _ in rt.mismatches),
+        "pass" if rt.ok else "fail at classes " + ",".join(_beta_str(b) for b, _, _ in rt.mismatches),
     )
     if not rt.ok:
         failures.append("potential_roundtrip")

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import sub
+from operator import mul, sub
 
 from .algebra import (
     AlgebraError,
@@ -862,6 +864,31 @@ def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
 # the change of variables
 
 
+def _grouped_exp(
+    f: NovikovSeries, m_vector: tuple[int, ...], scale: Callable[[int], int],
+    classes: Iterable[tuple[int, ...]], kernel: list[tuple[tuple[int, ...], Fraction]],
+) -> dict[tuple[int, ...], Fraction]:
+    """Σ_γ c_γ·[e^{scale(d)·f}]_{β−γ} over the kernel's (γ, c_γ), at each class β.
+
+    Classes are grouped by d = m·β, and each group reads one exp truncated at
+    its heaviest class.
+    """
+    pol = f.policy
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for beta in classes:
+        groups.setdefault(sum(map(mul, m_vector, beta)), []).append(beta)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for d, betas in groups.items():
+        top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
+        s = scale(d)
+        power = NovikovSeries(top, {k: s * v for k, v in f.terms.items()}).exp().terms
+        for beta in betas:
+            out[beta] = sum(
+                c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in kernel
+            )
+    return out
+
+
 @dataclass(frozen=True)
 class MirrorChange:
     """q_i = y_i · exp(m_i · g(y)): the mirror change of variables."""
@@ -876,40 +903,47 @@ class MirrorChange:
     def contact_weight(self, beta: tuple[int, ...]) -> int:
         return sum(m * b for m, b in zip(self.m_vector, beta))
 
+    @cached_property
+    def exp_composed(self) -> NovikovSeries:
+        """e^{G(q)}, G = g(y(q)), by Good's multivariate Lagrange inversion.
+
+        For q_i = y_i·e^{m_i g} the Jacobian det(δ_ij + m_i y_j ∂_j g) is
+        1 + E_m g with E_m = Σ m_i y_i ∂_i (matrix determinant lemma), so
+
+            [q^β] e^G = [y^β] e^{(1 − m·β)·g(y)}·(1 + E_m g),
+
+        read as short dot products with 1 + E_m g.  Built once per change.
+        """
+        g = self.g
+        if g.constant_term() != 0:
+            raise ValueError("composed_exponent needs an exponent g with zero constant term")
+        pol = self.policy
+        jacobian = [((0,) * pol.nvars, Fraction(1))] + [
+            (beta, c * self.contact_weight(beta))
+            for beta, c in g.terms.items()
+            if self.contact_weight(beta)
+        ]
+        classes = _effective_classes(pol)
+        return NovikovSeries(pol, _grouped_exp(g, self.m_vector, lambda d: 1 - d, classes, jacobian))
+
 
 def composed_exponent(change: MirrorChange) -> NovikovSeries:
-    """G(q) = g(y(q)) in closed form, by Good's multivariate Lagrange inversion.
+    """G(q) = g(y(q)) in closed form: the log of change.exp_composed."""
+    return change.exp_composed.log()
 
-    For q_i = y_i·e^{m_i g} the Jacobian det(δ_ij + m_i y_j ∂_j g) is
-    1 + E_m g with E_m = Σ m_i y_i ∂_i (matrix determinant lemma), so
 
-        [q^β] e^G = [y^β] e^{(1 − m·β)·g(y)}·(1 + E_m g).
+def class_constant_terms(
+    G: NovikovSeries, m_vector: tuple[int, ...], t_order: float = math.inf
+) -> dict[tuple[int, ...], Fraction]:
+    """θ_β = [q^β] e^{(m·β)·G} on each class of G's truncation with 1 ≤ m·β ≤ t_order.
 
-    Classes are grouped by d = m·β.  Each group reads its coefficients, as
-    short dot products with 1 + E_m g, off one e^{(1−d)g} truncated at the
-    group's heaviest class; then G = log e^G.
+    For W = x·e^{G(q·(t/x)^m)} the x^0 part of W^n is Σ_{m·β = n} θ_β q^β t^n,
+    so θ_β is the constant term of W^{m·β} on the class β.  Zeros are dropped.
     """
-    g = change.g
-    if g.constant_term() != 0:
-        raise ValueError("composed_exponent needs an exponent g with zero constant term")
-    pol = change.policy
-    jacobian = [((0,) * pol.nvars, Fraction(1))] + [
-        (beta, c * change.contact_weight(beta))
-        for beta, c in g.terms.items()
-        if change.contact_weight(beta)
-    ]
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for beta in _effective_classes(pol):
-        groups.setdefault(change.contact_weight(beta), []).append(beta)
-    exp_G: dict[tuple[int, ...], Fraction] = {}
-    for d, betas in groups.items():
-        top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
-        power = NovikovSeries(top, (g * (1 - d)).terms).exp().terms
-        for beta in betas:
-            exp_G[beta] = sum(
-                c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in jacobian
-            )
-    return NovikovSeries(pol, exp_G).log()
+    pol = G.policy
+    classes = [b for b in _effective_classes(pol) if 1 <= sum(map(mul, m_vector, b)) <= t_order]
+    theta = _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
+    return {beta: v for beta, v in theta.items() if v}
 
 
 def inverse_coordinates(change: MirrorChange, G: NovikovSeries) -> tuple[NovikovSeries, ...]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .ifunctions import MirrorChange, composed_exponent
-from .series import NovikovSeries, TruncationPolicy, XLaurentSeries
+from .ifunctions import MirrorChange, class_constant_terms, composed_exponent
+from .series import NovikovSeries, TruncationPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -183,60 +183,36 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    m: int
     curve_order: int
     ok: bool
-    computed: tuple[tuple[int, Fraction], ...]   # t-degree -> recovered value
-    expected: tuple[tuple[int, Fraction], ...]
-    mismatches: tuple[tuple[int, Fraction, Fraction], ...]
+    computed: tuple[tuple[tuple[int, ...], Fraction], ...]   # class -> recovered value
+    expected: tuple[tuple[tuple[int, ...], Fraction], ...]
+    mismatches: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
 
 
-def potential_roundtrip(g_coeffs: dict[int, Fraction], m: int, order: int) -> RoundtripReport:
-    """Build W from the exponent g and recover g from W's constant terms.
+def potential_roundtrip(change: MirrorChange) -> RoundtripReport:
+    """Recover the exponent g from the constant terms of the potential's powers.
 
-    g_coeffs are the coefficients g_k of g = Σ_{k≥1} g_k y^k; the change of
-    variables is q = y·exp(m·g).  The potential W = x + Σ w_k t^{mk} x^{1-mk}
-    (w from exp(g(y(q)))) must satisfy, for every K ≥ 1,
-
-        (1/K) [W^K]_{x^0, t^K}  ==  g_{K/m}   (0 when m does not divide K),
-
-    checked through curve order `order` (t-degree m·order).
+    With q = y·exp(m·g), G = g(y(q)) and W = x·e^{G(q·(t/x)^m)}, the constant
+    term θ_β of W^{m·β} on the class β must equal (m·β)·g_β for every class
+    with m·β ≥ 1 through the change's truncation order.  θ_β is read off
+    e^{(m·β)·G}, never off g, so the check runs through the whole mirror change.
     """
-    if m < 1:
+    m = change.m_vector
+    if not any(x > 0 for x in m):
         raise ValueError("the potential roundtrip needs a positive contact multiplier")
-    if any(k < 1 for k in g_coeffs):
-        raise ValueError("exponent coefficients are indexed by curve degree k >= 1")
-    pol = TruncationPolicy.make(1, max_total=order)
-    g = NovikovSeries(pol, {(k,): Fraction(v) for k, v in g_coeffs.items()})
-    change = MirrorChange((m,), g)
-    S = composed_exponent(change).exp()
-
-    t_top = m * order
-    w = XLaurentSeries.monomial(t_top, 1, 0, 1)
-    for (k,), c in S.terms.items():
-        if k == 0:
-            continue
-        d = m * k
-        if d <= t_top:
-            w = w + XLaurentSeries.monomial(t_top, 1 - d, d, c)
-
-    computed = {
-        K: v / K for K, v in enumerate(w.power_constant_terms(t_top)) if K and v
-    }
-
-    expected: dict[int, Fraction] = {}
-    for k, v in g_coeffs.items():
-        if v and k <= order:
-            expected[m * k] = Fraction(v)
-    mismatches = []
-    for K in range(1, t_top + 1):
-        a = computed.get(K, Fraction(0))
-        b = expected.get(K, Fraction(0))
-        if a != b:
-            mismatches.append((K, a, b))
+    if change.g.constant_term():
+        raise ValueError("exponent coefficients are indexed by classes of degree k >= 1")
+    theta = class_constant_terms(composed_exponent(change), m)
+    computed = {b: v / change.contact_weight(b) for b, v in theta.items()}
+    expected = {b: v for b, v in change.g.terms.items() if change.contact_weight(b) >= 1}
+    mismatches = [
+        (b, computed.get(b, Fraction(0)), expected.get(b, Fraction(0)))
+        for b in sorted(set(computed) | set(expected))
+        if computed.get(b) != expected.get(b)
+    ]
     return RoundtripReport(
-        m,
-        order,
+        change.policy.max_total,
         not mismatches,
         tuple(sorted(computed.items())),
         tuple(sorted(expected.items())),
@@ -257,11 +233,12 @@ def random_unit_tail(rng: Random, length: int = 6, bound: int = 9) -> tuple[Frac
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(length))
 
 
-def random_exponent(rng: Random, curve_order: int, bound: int = 6) -> dict[int, Fraction]:
+def random_exponent(rng: Random, curve_order: int, bound: int = 6) -> NovikovSeries:
+    """A random one-variable exponent g = Σ_{1≤k≤curve_order} g_k y^k."""
     out = {}
     for k in range(1, curve_order + 1):
         num = rng.randint(-bound, bound)
         den = rng.randint(1, 3)
         if num:
-            out[k] = Fraction(num, den)
-    return out
+            out[(k,)] = Fraction(num, den)
+    return NovikovSeries(TruncationPolicy.make(1, max_total=curve_order), out)

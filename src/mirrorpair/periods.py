@@ -4,12 +4,14 @@ The quantum period collects one-point descendant invariants ⟨[pt] ψ^{d-2}⟩
 graded by the divisor pairing d = D·β; its degreewise d!-rescaling is the
 regularized quantum period.  On the mirror side, the proper potential is
 W = x · exp(G(q)) collapsed along D·β (each class β contributes its mirror
-coefficient at t^{D·β} x^{1-D·β}), and the classical period is the constant
-term Σ_n [W^n]_{x^0}; when m has entries of both signs infinitely many
-classes share each t-degree, so the collapse is refused rather than summed
-from a truncated slice.  `compare_periods` checks the two sides coefficient by
-coefficient in exact arithmetic, with an optional deliberately-perturbed run
-(`negative_control`) that must be caught at the first affected degree.
+coefficient at t^{D·β} x^{1-D·β}).  The classical period is kept per class:
+θ_β = [q^β] e^{(D·β)·G} is the constant term of W^{D·β} on β, and the
+t-series Σ_n [W^n]_{x^0} t^n sums it over the classes.  When m has entries of
+both signs infinitely many classes share each t-degree, so the collapsed
+views are refused rather than summed from a truncated slice.
+`compare_periods` checks the two sides coefficient by coefficient in exact
+arithmetic, with an optional deliberately-perturbed run (`negative_control`)
+that must be caught at the first affected degree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .geometry import (
 )
 from .ifunctions import (
     MirrorChange,
+    class_constant_terms,
     composed_exponent,
     divisor_mirror_map,
     normalize_i,
@@ -33,6 +36,7 @@ from .ifunctions import (
 )
 from .series import (
     NovikovSeries,
+    PipelineInvariantError,
     TruncationError,
     TruncationPolicy,
     XLaurentSeries,
@@ -156,7 +160,7 @@ class ProperPotential:
 def covering_order(geom: PairGeometry, t_order: int) -> int:
     """The truncation order at which every class with D·β ≤ t_order is computed."""
     if all(m > 0 for m in geom.m_vector):
-        return max(t_order // min(geom.m_vector), 1)
+        return max(1, *(t_order * w // m for w, m in zip(geom.policy.weights, geom.m_vector)))
     return t_order
 
 
@@ -174,9 +178,10 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
         )
         work = geom.with_policy(fresh)
     g = normalize_i(relative_i_function(work), z_floor=0).exponent.g
-    G = composed_exponent(MirrorChange(work.m_vector, g))
-    terms = {b: c for b, c in G.exp().terms.items() if any(b)}
-    return ProperPotential(work, g, G, tuple(sorted(terms.items())))
+    change = MirrorChange(work.m_vector, g)
+    G = composed_exponent(change)  # builds change.exp_composed, whose terms are the w_β
+    terms = tuple(sorted((b, c) for b, c in change.exp_composed.terms.items() if any(b)))
+    return ProperPotential(work, g, G, terms)
 
 
 def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential:
@@ -190,22 +195,47 @@ def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential
     return proper_potential(geom)
 
 
-def theta_coefficient(w: XLaurentSeries, n: int) -> Fraction:
-    """[W^n]_{x^0}: by (x,t)-homogeneity this is supported exactly at t^n.
+@dataclass(frozen=True)
+class ClassicalPeriod:
+    """θ_β = [W^{D·β}]_{x^0} on each class β with 1 ≤ D·β ≤ t_order.
 
-    The support claim is asserted; a potential that violates it is malformed.
+    series() is the view π(t) = 1 + Σ_n (Σ_{D·β = n} θ_β) t^n, refused with
+    the potential's collapse refusal when m has entries of both signs.
     """
-    if w.t_order < n:
+
+    t_order: int
+    terms: tuple[tuple[tuple[int, ...], int, Fraction], ...]  # (β, D·β, θ_β)
+    refusal: str | None
+
+    def series(self) -> PeriodSeries:
+        if self.refusal:
+            raise TruncationError(self.refusal)
+        coeffs = {0: Fraction(1)}
+        for _, d, v in self.terms:
+            coeffs[d] = coeffs.get(d, Fraction(0)) + v
+        return PeriodSeries.make("classical", self.t_order, coeffs)
+
+
+def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
+    """The classical period of the potential, class by class, through t^{t_order}.
+
+    The potential must cover every class with D·β ≤ t_order.
+    """
+    geom = pot.geometry
+    need = covering_order(geom, t_order)
+    if geom.policy.max_total < need:
         raise TruncationError(
-            f"potential truncated at t^{w.t_order}; rerun with order >= {n}"
+            f"potential computed at order {geom.policy.max_total}; the period "
+            f"through t^{t_order} needs order >= {need}"
         )
-    return w.power_constant_terms(n)[n]
-
-
-def classical_period(w: XLaurentSeries, t_order: int) -> PeriodSeries:
-    """π(t) = Σ_{n≥0} [W^n]_{x^0} t-degree by t-degree."""
-    coeffs = dict(enumerate(w.power_constant_terms(t_order)))
-    return PeriodSeries.make("classical", t_order, coeffs)
+    if not pot.composed.policy.same_shape(geom.policy):
+        raise PipelineInvariantError(
+            f"{geom.name}: composed exponent truncated at order "
+            f"{pot.composed.policy.max_total}, its potential at {geom.policy.max_total}"
+        )
+    theta = sorted(class_constant_terms(pot.composed, geom.m_vector, t_order).items())
+    terms = tuple((b, pot.contact_weight(b), v) for b, v in theta)
+    return ClassicalPeriod(t_order, terms, pot.collapse_refusal())
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +270,7 @@ def compare_periods(
     passing means the mismatch is flagged exactly at that degree.
     """
     geom = pot.geometry
-    need = covering_order(geom, t_order)
-    if geom.policy.max_total < need:
-        raise TruncationError(
-            f"potential computed at order {geom.policy.max_total}; the period "
-            f"check through t^{t_order} needs order >= {need}"
-        )
+    classical = classical_period(pot, t_order).series()
     rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
     expected_deg: int | None = None
     if negative_control:
@@ -262,7 +287,6 @@ def compare_periods(
         b, a, v = rows[idx]
         rows[idx] = (b, a, v + 1)
     reg = regularize(_quantum_from_rows(geom, rows, t_order))
-    classical = classical_period(pot.collapse(t_order), t_order)
 
     out_rows = []
     first = None
@@ -391,23 +415,8 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
 def roundtrip_for_geometry(pot: ProperPotential):
     """Exercise the potential roundtrip on the potential's own mirror exponent.
 
-    Single-variable geometries pass (g, m) straight through; multi-variable
-    exponents are collapsed along D·β first, after which the change of
-    variables has multiplier 1.  Returns the inversion module's report.
+    Returns the inversion module's report.
     """
     from .inversion import potential_roundtrip
 
-    geom = pot.geometry
-    g = pot.exponent
-    if len(geom.m_vector) == 1 and geom.m_vector[0] >= 1:
-        coeffs = {b[0]: c for b, c in g.terms.items()}
-        return potential_roundtrip(coeffs, geom.m_vector[0], geom.policy.max_total)
-    coeffs: dict[int, Fraction] = {}
-    for beta, c in g.terms.items():
-        d = pot.contact_weight(beta)
-        if d < 2:
-            raise ValueError(
-                f"{geom.name}: exponent term at {beta} has contact weight {d} < 2"
-            )
-        coeffs[d] = coeffs.get(d, Fraction(0)) + c
-    return potential_roundtrip(coeffs, 1, geom.policy.max_total)
+    return potential_roundtrip(MirrorChange(pot.geometry.m_vector, pot.exponent))

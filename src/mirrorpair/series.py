@@ -540,26 +540,6 @@ class XLaurentSeries:
                         row[d] = row.get(d, Fraction(0)) + ca * cb
         return XLaurentSeries(self.t_order, out)
 
-    def power_constant_terms(self, top: int) -> list[Fraction]:
-        """[W^n]_{x^0} for n = 0..top (list index n), W being this series.
-
-        By (x,t)-homogeneity of a potential the constant term of W^n sits at
-        t^n alone; support at any other t-degree means W is malformed and
-        raises.
-        """
-        out = [Fraction(1)]
-        running = XLaurentSeries.monomial(self.t_order, 0, 0, 1)
-        for n in range(1, top + 1):
-            running = running * self
-            x0 = running.terms.get(0, {})
-            stray = sorted(t for t, c in x0.items() if t != n)
-            if stray:
-                raise PipelineInvariantError(
-                    f"constant term of W^{n} has support at t-degrees {stray} != {n}"
-                )
-            out.append(x0.get(n, Fraction(0)))
-        return out
-
     def coefficient(self, x_exp: int, t_deg: int) -> Fraction:
         if t_deg > self.t_order:
             raise TruncationError(
@@ -567,20 +547,3 @@ class XLaurentSeries:
                 f"rerun with order >= {t_deg}"
             )
         return self.terms.get(x_exp, {}).get(t_deg, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, XLaurentSeries)
-            and self.t_order == other.t_order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("XLaurentSeries is not hashable")
-
-    def __repr__(self) -> str:
-        bits = []
-        for x in sorted(self.terms, reverse=True):
-            for d in sorted(self.terms[x]):
-                bits.append(f"{self.terms[x][d]}*t^{d}*x^{x}")
-        return " + ".join(bits) if bits else "0"

@@ -1,16 +1,22 @@
-"""Shared fixtures: a small synthetic pair with truly negative contact orders.
+"""Shared fixtures and oracles.
 
-The divisor class is -2H, so every effective curve meets the boundary
-negatively.  One curve-degree of invariant data is enough to light up the
-divisor-exponent machinery (both extraction routes must report 2H·y) while
-keeping everything small enough to compute in milliseconds.
+A small synthetic pair with truly negative contact orders: the divisor class
+is -2H, so every effective curve meets the boundary negatively.  One
+curve-degree of invariant data is enough to light up the divisor-exponent
+machinery (both extraction routes must report 2H·y) while keeping everything
+small enough to compute in milliseconds.
+
+The literal-W^n oracle: the constant terms of the powers of a collapsed
+potential, multiplied out as whole x-Laurent series.  The package reads the
+classical period off one truncated exp per t-degree instead, so the two
+routes share no code past the collapse.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from mirrorpair import load_geometry
+from mirrorpair import TruncationError, XLaurentSeries, load_geometry
 
 SYNTHETIC_NEGATIVE = """
 [algebra.ambient]
@@ -95,3 +101,28 @@ def dense_product(a, b):
             for k in range(n):
                 out[k] += a.coeffs[i] * b.coeffs[j] * alg.table[i][j][k]
     return tuple(out)
+
+
+def power_constant_terms(w, top):
+    """[W^n]_{x^0} for n = 0..top (list index n), by multiplying out W^n.
+
+    By (x,t)-homogeneity of a potential the constant term of W^n sits at t^n
+    alone; support at any other t-degree means W is malformed and raises.
+    """
+    out = [Fraction(1)]
+    running = XLaurentSeries.monomial(w.t_order, 0, 0, 1)
+    for n in range(1, top + 1):
+        running = running * w
+        x0 = running.terms.get(0, {})
+        stray = sorted(t for t, c in x0.items() if t != n)
+        if stray:
+            raise ValueError(f"constant term of W^{n} has support at t-degrees {stray} != {n}")
+        out.append(x0.get(n, Fraction(0)))
+    return out
+
+
+def theta_coefficient(w, n):
+    """[W^n]_{x^0}, read at t^n."""
+    if w.t_order < n:
+        raise TruncationError(f"potential truncated at t^{w.t_order}; rerun with order >= {n}")
+    return power_constant_terms(w, n)[n]

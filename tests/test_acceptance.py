@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from random import Random
 
+from conftest import theta_coefficient
+
 from mirrorpair import (
     MirrorChange,
     bell_identity_check,
@@ -27,7 +29,6 @@ from mirrorpair import (
     regularize,
     relative_i_function,
     roundtrip_for_geometry,
-    theta_coefficient,
 )
 from mirrorpair.inversion import potential_roundtrip, random_exponent, random_simple_pole, random_unit_tail
 
@@ -123,7 +124,7 @@ def test_criterion_08_potential_roundtrips():
     rng = Random(80_808)
     for case in range(25):
         m = rng.choice((1, 2, 3, 4))
-        report = potential_roundtrip(random_exponent(rng, 5), m, 5)
+        report = potential_roundtrip(MirrorChange((m,), random_exponent(rng, 5)))
         assert report.ok, (case, report.mismatches)
     _line(8, "potential roundtrips: both catalog exponents at order 8 plus 25 random")
 

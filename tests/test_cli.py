@@ -141,24 +141,26 @@ def test_proper_potential_per_beta_rows():
     assert "proper_potential_term" in kinds  # multi-variable: per-class rows
 
 
-def test_mixed_sign_potential_prints_only_order_stable_records(capsys):
+def test_mixed_sign_potential_prints_only_order_stable_records():
     """With m = (-1, 1) only the per-class terms are exact; the collapsed view is refused."""
 
-    def records(order):
-        code, text = _run("proper-potential", "--geometry", "blp3_k3", "--order", str(order),
+    def records(command, series, order):
+        code, text = _run(command, "--geometry", "blp3_k3", "--order", str(order),
                           "--format", "json")
         assert code == 0
         doc = json.loads(text)
         assert doc["metadata"]["collapsed_view"].startswith("refused: ")
-        assert {r["series"] for r in doc["records"]} == {"proper_potential_term"}
+        assert "both signs" in doc["metadata"]["collapsed_view"]
+        assert {r["series"] for r in doc["records"]} == {series}
         return {(r["selector"], r["value"]) for r in doc["records"]}
 
-    low = records(4)
-    assert ("q^0:2 t^2 x^-1", "1/2") in low
-    assert low <= records(6)
-    code = run(["classical-period", "--geometry", "blp3_k3", "--order", "4"], stream=io.StringIO())
-    assert code == 2
-    assert "both signs" in capsys.readouterr().err
+    for command, series, known in (
+        ("proper-potential", "proper_potential_term", ("q^0:2 t^2 x^-1", "1/2")),
+        ("classical-period", "classical_period_term", ("q^1:3 t^2", "704")),
+    ):
+        low = records(command, series, 4)
+        assert known in low
+        assert low <= records(command, series, 6) <= records(command, series, 8)
 
 
 def test_regularized_matches_quantum_times_factorial():
@@ -265,7 +267,7 @@ def test_records_are_stable_under_a_higher_order(geometry):
         assert (low_code, high_code) == (0, 0), command
         assert low and low.items() <= high.items(), command
     refused = sorted(c for c, code in outcomes.items() if code == 2)
-    expect = ["classical-period", "quantum-period", "regularized-period"]
+    expect = ["quantum-period", "regularized-period"]
     assert refused == (expect if geometry == "blp3_k3" else [])
 
 
@@ -394,6 +396,8 @@ P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
     [
         ("    H H H2 1\n", "    H H H2 1/0\n", "algebra.ambient"),
         ("point = H2\n", "point = H2\nintegration = H2 1/0\n", "algebra.ambient"),
+        ("point = H2\n", "point = H2junk\n", "algebra.ambient"),
+        ("point = H2\n", "point = H2\nintegration = H2junk 1\n", "algebra.ambient"),
         ("    H p 3\n", "    H p 1/0\n", "restriction"),
         ("    H p 3\n", "    H q 3\n", "restriction"),
         ("divisor_class = 3*H\n", "divisor_class = 1/0*H\n", "pair"),
@@ -409,6 +413,21 @@ def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"[{section}]" in err
+
+
+def test_classical_period_covers_weighted_classes(tmp_path):
+    """A truncation weight of 2 raises the covering order instead of dropping classes."""
+    assert P2_CUBIC.count("weights = 1\n") == 1
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(P2_CUBIC.replace("weights = 1\n", "weights = 2\n"))
+
+    def records(geometry):
+        code, text = _run("classical-period", "--geometry", geometry, "--order", "9",
+                          "--format", "json")
+        assert code == 0
+        return json.loads(text)["records"]
+
+    assert records(str(cfg)) == records("p2_cubic")
 
 
 def _plant_high_z(monkeypatch):
@@ -430,17 +449,20 @@ def _plant_endless_reciprocal(monkeypatch):
     monkeypatch.setattr(StateSeries, "is_zero", lambda self: False)
 
 
-def _plant_stray_support(monkeypatch):
-    from mirrorpair import XLaurentSeries
-    from mirrorpair.periods import ProperPotential
+def _plant_short_composed_exponent(monkeypatch):
+    import dataclasses
 
-    original = ProperPotential.collapse
+    from mirrorpair import NovikovSeries, TruncationPolicy, cli
 
-    def collapse(self, t_order=None):
-        w = original(self, t_order)
-        return w + XLaurentSeries.monomial(w.t_order, 0, 2, 1)  # x^0 off the t^1 line
+    original = cli.proper_potential
 
-    monkeypatch.setattr(ProperPotential, "collapse", collapse)
+    def proper_potential(geom, t_order=None):
+        pot = original(geom, t_order)
+        pol = pot.geometry.policy
+        short = TruncationPolicy.make(pol.nvars, pol.max_total - 1, pol.weights)
+        return dataclasses.replace(pot, composed=NovikovSeries(short, pot.composed.terms))
+
+    monkeypatch.setattr(cli, "proper_potential", proper_potential)
 
 
 @pytest.mark.parametrize(
@@ -452,10 +474,11 @@ def _plant_stray_support(monkeypatch):
          "unit z^1 slice"),
         (_plant_endless_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
          "did not terminate"),
-        (_plant_stray_support, ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
-         "support at t-degrees [2]"),
+        (_plant_short_composed_exponent,
+         ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
+         "composed exponent truncated at order 1, its potential at 2"),
     ],
-    ids=["high-z", "non-unit-z1", "endless-reciprocal", "stray-support"],
+    ids=["high-z", "non-unit-z1", "endless-reciprocal", "short-composed-exponent"],
 )
 def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
     plant(monkeypatch)

@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorpair import (
+    MirrorChange,
+    NovikovSeries,
     SimplePoleLaurent,
+    TruncationPolicy,
     inversion,
     bell_identity_check,
     compose,
@@ -263,26 +266,32 @@ def test_bell_sums_read_untruncated_coefficients(tail, order):
 # potential roundtrips
 
 
+def _change(g_coeffs, m, order):
+    """The one-variable change q = y·exp(m·g) for g = Σ g_k y^k, truncated at y^order."""
+    pol = TruncationPolicy.make(1, max_total=order)
+    return MirrorChange((m,), NovikovSeries(pol, {(k,): v for k, v in g_coeffs.items()}))
+
+
 def test_plane_catalog_roundtrip():
     report = potential_roundtrip(
-        {1: Fraction(2), 2: Fraction(15), 3: Fraction(560, 3)}, 3, 3)
+        _change({1: Fraction(2), 2: Fraction(15), 3: Fraction(560, 3)}, 3, 3))
     assert report.ok
-    assert dict(report.computed) == {3: 2, 6: 15, 9: Fraction(560, 3)}
+    assert dict(report.computed) == {(1,): 2, (2,): 15, (3,): Fraction(560, 3)}
     assert report.computed == report.expected
 
 
 def test_space_catalog_roundtrip():
     report = potential_roundtrip(
-        {1: Fraction(6), 2: Fraction(315), 3: Fraction(30800)}, 4, 3)
+        _change({1: Fraction(6), 2: Fraction(315), 3: Fraction(30800)}, 4, 3))
     assert report.ok
-    assert dict(report.computed) == {4: 6, 8: 315, 12: 30800}
+    assert dict(report.computed) == {(1,): 6, (2,): 315, (3,): 30800}
 
 
 def test_roundtrip_validation():
     with pytest.raises(ValueError, match="positive contact multiplier"):
-        potential_roundtrip({1: Fraction(1)}, 0, 3)
+        potential_roundtrip(_change({1: Fraction(1)}, 0, 3))
     with pytest.raises(ValueError, match="k >= 1"):
-        potential_roundtrip({0: Fraction(1)}, 2, 3)
+        potential_roundtrip(_change({0: Fraction(1)}, 2, 3))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -290,7 +299,7 @@ def test_random_exponent_roundtrips(seed):
     rng = Random(45_000 + seed)
     m = rng.choice((1, 2, 3, 4))
     g = random_exponent(rng, 5)
-    report = potential_roundtrip(g, m, 5)
+    report = potential_roundtrip(MirrorChange((m,), g))
     assert report.ok, report.mismatches
 
 
@@ -304,8 +313,9 @@ def test_flip_connects_potential_to_laurent_picture():
     fd = {-1: Fraction(1)}
     fd.update({d - 1: w for d, w in weights.items()})
     power = {0: Fraction(1)}
-    report = potential_roundtrip({1: Fraction(2), 2: Fraction(15), 3: Fraction(560, 3)}, 3, 3)
-    recovered = dict(report.computed)
+    report = potential_roundtrip(
+        _change({1: Fraction(2), 2: Fraction(15), 3: Fraction(560, 3)}, 3, 3))
+    recovered = {3 * k: v for (k,), v in report.computed}
     for K in range(1, 10):
         out = {}
         for e, c in power.items():

@@ -11,9 +11,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import power_constant_terms, theta_coefficient
 
 from mirrorpair import (
     MissingDataError,
+    NovikovSeries,
+    PipelineInvariantError,
     TruncationError,
     XLaurentSeries,
     classical_period,
@@ -23,7 +26,6 @@ from mirrorpair import (
     quantum_period,
     regularize,
     roundtrip_for_geometry,
-    theta_coefficient,
 )
 
 
@@ -221,12 +223,65 @@ def test_theta_gating():
 
 
 # ---------------------------------------------------------------------------
+# the per-class classical period against the literal W^n oracle
+
+
+@pytest.mark.parametrize("t_order", [6, 12, 18, 24, 30, 36, 42, 48])
+def test_plane_classical_period_matches_literal_powers(p2, t_order):
+    pot = proper_potential(p2, t_order)
+    period = classical_period(pot, t_order)
+    assert all(d == 3 * beta[0] for beta, d, _ in period.terms)
+    want = power_constant_terms(pot.collapse(t_order), t_order)
+    assert period.series().as_dict() == {n: v for n, v in enumerate(want) if v}
+
+
+@pytest.mark.parametrize("t_order", [8, 16, 24])
+def test_space_classical_period_matches_literal_powers(p3, t_order):
+    pot = proper_potential(p3, t_order)
+    want = power_constant_terms(pot.collapse(t_order), t_order)
+    got = classical_period(pot, t_order).series().as_dict()
+    assert got == {n: v for n, v in enumerate(want) if v}
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
+def test_mixed_sign_classical_period_per_class(blp3, order):
+    """θ_β = [q^β] S^{m·β}, with S = 1 + Σ w_β q^β raised by repeated products."""
+    pot = proper_potential(blp3, order)
+    period = classical_period(pot, order)
+    assert period.refusal is not None
+    with pytest.raises(TruncationError, match="both signs"):
+        period.series()
+    pol = pot.geometry.policy
+    S = NovikovSeries(pol, {(0, 0): Fraction(1), **dict(pot.terms)})
+    got = {beta: (d, v) for beta, d, v in period.terms}
+    power, n = NovikovSeries.one(pol), 0
+    want = {}
+    classes = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
+    for beta in sorted(classes, key=pot.contact_weight):
+        d = pot.contact_weight(beta)
+        if d < 1:
+            continue
+        while n < d:
+            power, n = power * S, n + 1
+        if power.coefficient(beta):
+            want[beta] = (d, power.coefficient(beta))
+    assert got == want
+    assert got  # the mixed-sign pair has classes with D·β ≥ 1
+
+
+def test_classical_period_refuses_a_short_composed_exponent(p2):
+    pot = proper_potential(p2, 12)
+    low = NovikovSeries(proper_potential(p2, 9).geometry.policy, pot.composed.terms)
+    with pytest.raises(PipelineInvariantError, match="composed exponent truncated at order 3"):
+        classical_period(dataclasses.replace(pot, composed=low), 12)
+
+
+# ---------------------------------------------------------------------------
 # period comparison
 
 
 def test_classical_equals_regularized_plane(p2):
-    w = proper_potential(p2, 9).collapse(9)
-    cl = classical_period(w, 9)
+    cl = classical_period(proper_potential(p2, 9), 9).series()
     reg = regularize(quantum_period(p2, 9))
     assert cl.as_dict() == reg.as_dict()
 
