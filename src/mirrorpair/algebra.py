@@ -222,19 +222,6 @@ class Element:
             start=Fraction(0),
         )
 
-    def degree_part(self, d: int) -> "Element":
-        return Element(
-            self.algebra,
-            tuple(
-                c if self.algebra.degrees[i] == d else Fraction(0)
-                for i, c in enumerate(self.coeffs)
-            ),
-        )
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.degrees[i] for i, c in enumerate(self.coeffs) if c}
-        return len(degs) <= 1
-
     def power(self, k: int) -> "Element":
         if k < 0:
             raise AlgebraError("negative power of an algebra element")

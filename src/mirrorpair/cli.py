@@ -387,7 +387,7 @@ def cmd_tau_d(cfg: RunConfig, stream) -> int:
 def cmd_mirror_map(cfg: RunConfig, stream) -> int:
     _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
-    norm = normalize_i(relative_i_function(geom), z_floor=0)
+    norm = normalize_i(relative_i_function(geom))
     records = _class_records(geom, "mirror_map", norm.mirror_map.terms)
     exponent = norm.exponent
     records += _novikov_records("mirror_exponent", "y^", exponent.g)
@@ -582,6 +582,7 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
 
 
 def cmd_identities(cfg: RunConfig, stream) -> int:
+    _check_order(cfg)
     if cfg.cases < 1:
         raise ConfigError("--cases must be at least 1")
     lagrange_order = cfg.order or 10

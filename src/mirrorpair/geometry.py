@@ -58,9 +58,6 @@ class InvariantTable:
     def rows_for(self, kind: str) -> list[tuple[tuple[int, ...], int, Fraction]]:
         return [(b, a, v) for (k, b, a), v in self.entries if k == kind]
 
-    def lookup(self, kind: str, beta: tuple[int, ...], psi: int) -> Fraction | None:
-        return self.as_dict().get((kind, tuple(beta), psi))
-
     def is_empty_for(self, kind: str) -> bool:
         return not self.rows_for(kind)
 

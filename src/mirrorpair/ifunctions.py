@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .algebra import (
     AlgebraError,
@@ -45,6 +45,7 @@ from .algebra import (
     divide_by_class,
     pairing_pushforward,
     rat,
+    sum_of_products,
 )
 from .geometry import MissingDataError, PairGeometry
 from .series import (
@@ -175,20 +176,44 @@ class StateSeries:
         return not self.terms
 
     def __mul__(self, other: "StateSeries") -> "StateSeries":
+        """The contact-order product rule (see module docstring).
+
+        Term pairs within the truncation are grouped by output key and rule,
+        and each group is one `sum_of_products`; the pushforward and the cup
+        with r(D) are linear, so each is applied once per group.
+        """
         geom = self.geometry
         pol = geom.policy
-        out: dict = {}
+        r = geom.restriction
+        right = [(k, e, r(e) if k[1] == 0 else e) for k, e in other.terms.items()]
+        groups: dict = {}
         for (b1, c1, l1), e1 in self.terms.items():
+            d1 = r(e1) if c1 == 0 else e1
             w1 = pol.weight(b1)
-            for (b2, c2, l2), e2 in other.terms.items():
+            for (b2, c2, l2), e2, d2 in right:
                 if w1 + pol.weight(b2) > pol.max_total:
                     continue
-                contact, el = _state_product(geom, c1, e1, c2, e2)
-                if el.is_zero():
-                    continue
-                beta = tuple(a + b for a, b in zip(b1, b2))
-                logpow = tuple(a + b for a, b in zip(l1, l2))
-                _merge_add(out, (beta, contact, logpow), el)
+                c = c1 + c2
+                if c1 == 0 and c2 == 0:
+                    rule = "cup"
+                elif (c1 < 0) == (c2 < 0) or c < 0:
+                    rule = "divisor"
+                elif c == 0:
+                    rule = "pushforward"
+                else:
+                    rule = "divisor_class"
+                key = (tuple(map(add, b1, b2)), c, tuple(map(add, l1, l2)))
+                pair = (e1, e2) if rule == "cup" else (d1, d2)
+                groups.setdefault((key, rule), []).append(pair)
+        rd = r(geom.divisor_class)
+        out: dict = {}
+        for (key, rule), pairs in groups.items():
+            el = sum_of_products(geom.ambient if rule == "cup" else geom.divisor, pairs)
+            if rule == "pushforward":
+                el = pairing_pushforward(r, el)
+            elif rule == "divisor_class":
+                el = el * rd
+            _merge_add(out, key, el)
         return StateSeries(geom, out)
 
     def reciprocal(self) -> "StateSeries":
@@ -229,38 +254,11 @@ class StateSeries:
         alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
         return self.terms.get((beta, contact, tuple(logpow)), alg.zero())
 
-    def contacts(self) -> set[int]:
-        return {c for (_, c, _) in self.terms}
-
     def __repr__(self) -> str:
         bits = []
         for (b, c, l) in sorted(self.terms):
             bits.append(f"[{self.terms[(b, c, l)]!r}]_{c} q^{b} log^{l}")
         return " + ".join(bits) if bits else "0"
-
-
-def _state_product(
-    geom: PairGeometry, c1: int, e1: Element, c2: int, e2: Element
-) -> tuple[int, Element]:
-    """The contact-order product rule (see module docstring)."""
-    c = c1 + c2
-    r = geom.restriction
-    if c1 == 0 and c2 == 0:
-        return 0, e1 * e2
-    if c1 >= 0 and c2 >= 0:
-        d1 = r(e1) if c1 == 0 else e1
-        d2 = r(e2) if c2 == 0 else e2
-        return c, d1 * d2
-    if c1 < 0 and c2 < 0:
-        return c, e1 * e2
-    d1 = r(e1) if c1 == 0 else e1
-    d2 = r(e2) if c2 == 0 else e2
-    prod = d1 * d2
-    if c < 0:
-        return c, prod
-    if c == 0:
-        return 0, pairing_pushforward(r, prod)
-    return c, prod * r(geom.divisor_class)
 
 
 PRODUCT_RULE_TEXT = (
@@ -339,41 +337,6 @@ class RelativeSeries:
         alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
         return self.terms.get((beta, contact, zexp, tuple(logpow)), alg.zero())
 
-    def mul_state(self, state: StateSeries, z_floor: int | None = None) -> "RelativeSeries":
-        """Multiply by a z-free state series (window is preserved).
-
-        z_floor, when given, skips computing output z-levels below it and
-        narrows the declared window accordingly.
-        """
-        geom = self.geometry
-        pol = geom.policy
-        lo, hi = self.window
-        if z_floor is not None:
-            lo = max(lo, z_floor)
-        out: dict = {}
-        for (b1, c1, z, l1), e1 in self.terms.items():
-            if z < lo:
-                continue
-            w1 = pol.weight(b1)
-            for (b2, c2, l2), e2 in state.terms.items():
-                if w1 + pol.weight(b2) > pol.max_total:
-                    continue
-                contact, el = _state_product(geom, c1, e1, c2, e2)
-                if el.is_zero():
-                    continue
-                beta = tuple(a + b for a, b in zip(b1, b2))
-                logpow = tuple(a + b for a, b in zip(l1, l2))
-                _merge_add(out, (beta, contact, z, logpow), el)
-        return RelativeSeries(geom, out, (lo, hi))
-
-    def __add__(self, other: "RelativeSeries") -> "RelativeSeries":
-        lo = max(self.window[0], other.window[0])
-        hi = max(self.window[1], other.window[1])
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _merge_add(out, k, v)
-        return RelativeSeries(self.geometry, out, (lo, hi))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RelativeSeries)
@@ -450,16 +413,6 @@ def absolute_core(
     raise MissingDataError(
         f"{geom.name}: j_source {geom.j_source} has no per-class absolute core"
     )
-
-
-def one_point_invariant(geom: PairGeometry, beta: tuple[int, ...]) -> Fraction:
-    """⟨[pt] ψ^{d-2}⟩ at curve class β (d = D·β ≥ 2): the z^{-d} unit component
-    of the absolute core."""
-    d = geom.contact_weight(beta)
-    if d < 2:
-        raise ValueError("one-point descendants need D·β ≥ 2")
-    core = absolute_core(geom, beta)
-    return core.coefficient(-d).unit_component()
 
 
 # ---------------------------------------------------------------------------
@@ -792,19 +745,25 @@ class MirrorExponent:
 
 @dataclass(frozen=True)
 class NormalizedI:
+    """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
+
+    J = I·I₁⁻¹ is kept only on the two slices that have readers: J₁ = [1]₀
+    and J₀, the mirror map.  `j_function` declares the window (0, z_max).
+    """
+
     unit_part: StateSeries        # I1 = z^1 slice
     constant_part: StateSeries    # I0 = z^0 slice of I
-    j_function: RelativeSeries    # I · reciprocal(I1)
+    j_function: RelativeSeries    # the z^1 and z^0 slices of I · reciprocal(I1)
     mirror_map: StateSeries       # z^0 slice of J
     exponent: MirrorExponent
 
 
-def normalize_i(I: RelativeSeries, z_floor: int | None = None) -> NormalizedI:
+def normalize_i(I: RelativeSeries) -> NormalizedI:
     """Split off I1 and I0 and normalize to the J-shaped series.
 
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
-    and the z^1 slice exactly the unit state.  Raises PipelineInvariantError
-    on violation.
+    and the z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
+    computed.  Raises PipelineInvariantError on violation.
     """
     geom = I.geometry
     i1 = I.z_slice(1)
@@ -815,15 +774,19 @@ def normalize_i(I: RelativeSeries, z_floor: int | None = None) -> NormalizedI:
             f"I-function has content at z^{top} > z^1; shape check failed"
         )
     if i1 == StateSeries.unit(geom):
-        J = I
+        j1, j0 = i1, i0
     else:
         recip = i1.reciprocal()
-        J = I.mul_state(recip, z_floor=z_floor)
-    j1 = J.z_slice(1)
+        j1, j0 = i1 * recip, i0 * recip
     if j1 != StateSeries.unit(geom):
         raise PipelineInvariantError("normalized series does not have unit z^1 slice")
-    tau = J.z_slice(0)
-    return NormalizedI(i1, i0, J, tau, extract_mirror_exponent(tau))
+    slices = {
+        (b, c, z, l): el
+        for z, part in ((1, j1), (0, j0))
+        for (b, c, l), el in part.terms.items()
+    }
+    J = RelativeSeries(geom, slices, (0, I.window[1]))
+    return NormalizedI(i1, i0, J, j0, extract_mirror_exponent(j0))
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:

@@ -42,15 +42,6 @@ class SimplePoleLaurent:
     def __post_init__(self):
         object.__setattr__(self, "tail", tuple(Fraction(v) for v in self.tail))
 
-    @staticmethod
-    def from_dict(d: dict[int, Fraction]) -> "SimplePoleLaurent":
-        if d.get(-1) != 1:
-            raise ValueError("simple-pole Laurent input must have x^{-1} coefficient 1")
-        if any(e < -1 for e in d):
-            raise ValueError("higher-order pole terms are not allowed")
-        top = max((e for e in d if e >= 0), default=-1)
-        return SimplePoleLaurent(tuple(d.get(e, Fraction(0)) for e in range(0, top + 1)))
-
     def as_dict(self) -> dict[int, Fraction]:
         out = {-1: Fraction(1)}
         for j, c in enumerate(self.tail):

@@ -177,7 +177,7 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
             pol.nvars, max_total=covering_order(geom, t_order), weights=pol.weights
         )
         work = geom.with_policy(fresh)
-    g = normalize_i(relative_i_function(work), z_floor=0).exponent.g
+    g = normalize_i(relative_i_function(work)).exponent.g
     change = MirrorChange(work.m_vector, g)
     G = composed_exponent(change)  # builds change.exp_composed, whose terms are the w_β
     terms = tuple(sorted((b, c) for b, c in change.exp_composed.terms.items() if any(b)))

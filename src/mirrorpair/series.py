@@ -357,9 +357,6 @@ class ZLaurentElement:
 
     # -- window bookkeeping ----------------------------------------------
 
-    def is_exact(self) -> bool:
-        return self.window is None
-
     def support(self) -> tuple[int, int] | None:
         if not self.terms:
             return None
@@ -372,20 +369,6 @@ class ZLaurentElement:
         sup = self.support()
         hi = sup[1] if sup else 0
         return (None, hi)
-
-    def restrict_window(self, window: tuple[int, int]) -> "ZLaurentElement":
-        """Re-declare the validity window (narrowing is always sound; widening
-        down is refused; lowering the top requires the dropped range to be
-        actually zero, since a window top claims everything above it vanishes)."""
-        lo, hi = window
-        mylo, myhi = self._bounds()
-        if mylo is not None and lo < mylo:
-            raise WindowError(f"cannot widen window below {mylo}")
-        if hi < myhi and any(hi < k <= myhi and not v.is_zero() for k, v in self.terms.items()):
-            raise WindowError(f"nonzero terms above requested window top {hi}")
-        return ZLaurentElement(
-            self.algebra, {k: v for k, v in self.terms.items() if lo <= k <= hi}, window
-        )
 
     # -- arithmetic --------------------------------------------------------
 

@@ -6,6 +6,10 @@ curve-degree of invariant data is enough to light up the divisor-exponent
 machinery (both extraction routes must report 2H·y) while keeping everything
 small enough to compute in milliseconds.
 
+The per-pair state product: the contact-order rule applied to one term
+pair at a time, with dense products, merged pair by pair.  The package
+groups the pairs by output key and rule and makes one kernel call per group.
+
 The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the
 classical period off one truncated exp per t-degree instead, so the two
@@ -16,7 +20,13 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorpair import TruncationError, XLaurentSeries, load_geometry
+from mirrorpair import (
+    StateSeries,
+    TruncationError,
+    XLaurentSeries,
+    load_geometry,
+    pairing_pushforward,
+)
 
 SYNTHETIC_NEGATIVE = """
 [algebra.ambient]
@@ -101,6 +111,40 @@ def dense_product(a, b):
             for k in range(n):
                 out[k] += a.coeffs[i] * b.coeffs[j] * alg.table[i][j][k]
     return tuple(out)
+
+
+def contact_product(geom, c1, e1, c2, e2):
+    """(contact, value) of [e1]_c1 · [e2]_c2 by the contact-order rule."""
+    c = c1 + c2
+    r = geom.restriction
+
+    def times(x, y):
+        return x.algebra.element(dense_product(x, y))
+
+    if c1 == 0 and c2 == 0:
+        return 0, times(e1, e2)
+    d1 = r(e1) if c1 == 0 else e1
+    d2 = r(e2) if c2 == 0 else e2
+    if (c1 >= 0 and c2 >= 0) or (c1 < 0 and c2 < 0) or c < 0:
+        return c, times(d1, d2)
+    if c == 0:
+        return 0, pairing_pushforward(r, times(d1, d2))
+    return c, times(times(d1, d2), r(geom.divisor_class))
+
+
+def state_product(a, b):
+    """a·b for StateSeries, one term pair at a time within the weight cut."""
+    geom = a.geometry
+    pol = geom.policy
+    out = {}
+    for (b1, c1, l1), e1 in a.terms.items():
+        for (b2, c2, l2), e2 in b.terms.items():
+            if pol.weight(b1) + pol.weight(b2) > pol.max_total:
+                continue
+            c, el = contact_product(geom, c1, e1, c2, e2)
+            key = (tuple(x + y for x, y in zip(b1, b2)), c, tuple(x + y for x, y in zip(l1, l2)))
+            out[key] = out[key] + el if key in out else el
+    return StateSeries(geom, out)
 
 
 def power_constant_terms(w, top):

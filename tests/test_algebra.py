@@ -209,19 +209,6 @@ def test_element_ring_axioms(a, b, c):
     assert (x - x).is_zero()
 
 
-@given(a=coeffs)
-@settings(max_examples=30, deadline=None)
-def test_degree_parts_reassemble(a):
-    amb = BL.ambient
-    x = amb.element(a)
-    total = amb.zero()
-    for d in range(amb.top_degree + 1):
-        part = x.degree_part(d)
-        assert part.is_homogeneous()
-        total = total + part
-    assert total == x
-
-
 # ---------------------------------------------------------------------------
 # the product kernel, restriction and pushforward against literal sums
 

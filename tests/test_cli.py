@@ -331,6 +331,19 @@ def test_order_must_be_at_least_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["0", "1", "-1"])
+def test_identities_order_must_be_at_least_two(capsys, order):
+    code = run(["identities", "--cases", "1", "--order", order], stream=io.StringIO())
+    assert code == 2
+    assert "--order must be at least 2" in capsys.readouterr().err
+
+
+def test_identities_runs_at_order_two():
+    code, text = _run("identities", "--cases", "1", "--order", "2")
+    assert code == 0
+    assert "lagrange_order: 2" in text
+
+
 def test_quantum_period_without_data(capsys):
     code = run(["quantum-period", "--geometry", "blp3_k3", "--order", "4"],
                stream=io.StringIO())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SYNTHETIC_NEGATIVE_ZERO_TAU
+from conftest import SYNTHETIC_NEGATIVE_ZERO_TAU, state_product
 from mirrorpair import (
     CancellationError,
     MalformedMirrorMapError,
@@ -39,9 +39,7 @@ from mirrorpair import (
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     PochhammerChains,
-    _state_product,
     absolute_core,
-    one_point_invariant,
 )
 
 
@@ -133,13 +131,23 @@ def test_absolute_core_of_the_plane(p2):
 
 
 def test_one_point_invariants_match_closed_form(p2, p3):
-    assert [one_point_invariant(p2, (d,)) for d in (1, 2, 3)] == [
-        Fraction(1), Fraction(1, 8), Fraction(1, 216)]
-    assert one_point_invariant(p3, (2,)) == Fraction(1, 16)
+    # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core at z^{−D·β}
+    assert [absolute_core(p2, (d,)).coefficient(-3 * d).unit_component()
+            for d in (1, 2, 3)] == [Fraction(1), Fraction(1, 8), Fraction(1, 216)]
+    assert absolute_core(p3, (2,)).coefficient(-8).unit_component() == Fraction(1, 16)
 
 
 # ---------------------------------------------------------------------------
 # the contact-order product rule, case by case
+
+
+def _state_product(geom, c1, e1, c2, e2):
+    """(contact, value) of the product of the single-term series [e1]_c1, [e2]_c2."""
+    zero = (0,) * geom.nvars
+    prod = StateSeries(geom, {(zero, c1, zero): e1}) * StateSeries(geom, {(zero, c2, zero): e2})
+    c = c1 + c2
+    assert set(prod.terms) <= {(zero, c, zero)}
+    return c, prod.coefficient(zero, c)
 
 
 def test_product_rule_ambient_cup(p2):
@@ -178,6 +186,62 @@ def test_product_rule_positive_sum_vanishes_on_blowup(blp3):
     one_d = blp3.divisor.unit()
     c, v = _state_product(blp3, -1, one_d, 2, one_d)
     assert c == 1 and v.is_zero()
+
+
+def _random_state_series(geom, raw):
+    """A StateSeries from raw (beta, contact, log, coefficient) draws.
+
+    Class entries are capped at the truncation order (so some pairs land
+    exactly on the weight cut and some beyond it); coefficient lists are cut
+    to the dimension of the algebra the contact selects.
+    """
+    pol = geom.policy
+    terms = {}
+    for beta, contact, log, coeffs in raw:
+        beta = tuple(min(b, pol.max_total) for b in beta[: pol.nvars])
+        if not pol.admits(beta):
+            continue
+        alg = geom.ambient if contact == 0 else geom.divisor
+        key = (beta, contact, (log,) * pol.nvars)
+        terms[key] = alg.element(coeffs[: alg.dim])
+    return StateSeries(geom, terms)
+
+
+_state_terms = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 8), min_size=2, max_size=2),
+        st.integers(-3, 3),
+        st.integers(0, 1),
+        st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    ),
+    max_size=6,
+)
+
+# every branch of the rule at once, with nonzero and zero products: contacts
+# −3…3, classes of weight 0 up to the truncation order, unit, mixed and
+# top-degree values
+_ALL_BRANCHES = [
+    ([0, 0], 0, 0, [1, 1, 0, 0, 0, 0, 0, 0]),
+    ([8, 0], 0, 1, [0, 1, 1, 1, 0, 0, 0, 0]),
+    ([1, 1], 1, 0, [1, 0, 1, 0, 0, 0, 0, 0]),
+    ([0, 0], 2, 0, [1, 0, 0, 0, 0, 0, 0, 0]),
+    ([0, 1], -1, 1, [1, 1, 0, 0, 0, 0, 0, 0]),
+    ([1, 0], -2, 1, [2, 0, -1, 0, 0, 0, 0, 0]),
+    ([0, 0], -1, 0, [1, -1, 1, 0, 0, 0, 0, 0]),
+    ([2, 0], 3, 1, [0, 0, 1, 0, 0, 0, 0, 0]),
+    ([2, 0], -3, 0, [0, 1, 0, 0, 0, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
+@given(left=_state_terms, right=_state_terms)
+@example(left=_ALL_BRANCHES, right=_ALL_BRANCHES)
+@settings(max_examples=40, deadline=None)
+def test_state_product_matches_per_pair_oracle(request, name, left, right):
+    geom = request.getfixturevalue(name)
+    a = _random_state_series(geom, left)
+    b = _random_state_series(geom, right)
+    assert a * b == state_product(a, b)
 
 
 def test_product_rule_text_is_published():

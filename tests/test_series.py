@@ -267,7 +267,7 @@ def test_projective_space_factor_chain():
 def test_exact_constructor_drops_zero_terms():
     z = ZLaurentElement.exact(AMB, {0: AMB.zero(), 1: H})
     assert list(z.terms) == [1]
-    assert z.is_exact()
+    assert z.window is None
 
 
 def test_window_storage_discipline():
@@ -285,16 +285,6 @@ def test_window_coefficient_reads():
     assert z.coefficient(-2).is_zero()       # inside the window: known value
     with pytest.raises(WindowError, match="widen the z-window"):
         z.coefficient(-3)                    # below the bottom: unknown
-
-
-def test_restrict_window_rules():
-    z = ZLaurentElement.exact(AMB, {0: ONE, 1: H})
-    narrowed = z.restrict_window((-2, 1))
-    assert narrowed.window == (-2, 1)
-    with pytest.raises(WindowError):
-        narrowed.restrict_window((-5, 1))    # widening downwards is unsound
-    with pytest.raises(WindowError):
-        z.restrict_window((-2, 0))           # would hide a nonzero z^1 term
 
 
 def test_window_of_product():
