@@ -33,6 +33,7 @@ from .geometry import (
     load_geometry,
     PairGeometry,
     require_quantum_source,
+    tabulate_one_point_invariants,
 )
 from .ifunctions import (
     PRODUCT_RULE_TEXT,
@@ -65,18 +66,6 @@ from .series import (
     TruncationError,
     TruncationPolicy,
     WindowError,
-)
-
-COMMANDS = (
-    "i-function",
-    "tau-d",
-    "mirror-map",
-    "quantum-period",
-    "regularized-period",
-    "proper-potential",
-    "classical-period",
-    "verify",
-    "identities",
 )
 
 DEFAULT_T_ORDER = 12
@@ -257,6 +246,8 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
                     f"table entry {key} conflicts with the geometry's own value"
                 )
             merged[key] = value
+        if geom.j_source == "closed_form_projective":
+            _check_closed_form(geom, extra)
         j_source = None
         if geom.j_source not in ("invariant_table", "closed_form_projective") and not extra.is_empty_for("x_point"):
             j_source = "invariant_table"
@@ -264,9 +255,18 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
     return geom
 
 
-def _check_order(cfg: RunConfig) -> None:
-    if cfg.order is not None and cfg.order < 2:
-        raise ConfigError("--order must be at least 2")
+def _check_closed_form(geom: PairGeometry, table: InvariantTable) -> None:
+    """Refuse x_point rows that contradict the closed form a projective pair computes with."""
+    rows = table.rows_for("x_point")
+    top = max((geom.contact_weight(beta) for beta, _, _ in rows), default=0)
+    closed = tabulate_one_point_invariants(geom, top).as_dict()
+    for beta, a, v in rows:
+        want = closed.get(("x_point", beta, a), 0)
+        if v != want:
+            raise ConfigError(
+                f"table row x_point class {_beta_str(beta)} psi^{a} = {v} contradicts "
+                f"the closed form of {geom.name}, which gives {want}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,6 @@ def _period_records(name: str, period) -> list[dict]:
 
 
 def cmd_i_function(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
     rel = relative_i_function(geom)
     records = _class_records(geom, "i_function", rel.terms)
@@ -352,7 +351,6 @@ def cmd_i_function(cfg: RunConfig, stream) -> int:
 
 
 def cmd_tau_d(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
     dm = divisor_mirror_map(geom)
     records = []
@@ -385,7 +383,6 @@ def cmd_tau_d(cfg: RunConfig, stream) -> int:
 
 
 def cmd_mirror_map(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=True)
     norm = normalize_i(relative_i_function(geom))
     records = _class_records(geom, "mirror_map", norm.mirror_map.terms)
@@ -402,7 +399,6 @@ def cmd_mirror_map(cfg: RunConfig, stream) -> int:
 
 
 def cmd_quantum_period(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
     period = quantum_period(geom, t_order)
@@ -416,7 +412,6 @@ def cmd_quantum_period(cfg: RunConfig, stream) -> int:
 
 
 def cmd_regularized_period(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
     period = regularize(quantum_period(geom, t_order))
@@ -430,7 +425,6 @@ def cmd_regularized_period(cfg: RunConfig, stream) -> int:
 
 
 def cmd_proper_potential(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     pot = proper_potential(geom, cfg.order)
     refusal = pot.collapse_refusal()
@@ -476,7 +470,6 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
 
 
 def cmd_classical_period(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
     pot = proper_potential(geom, t_order)
@@ -497,7 +490,6 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
 
 def cmd_verify(cfg: RunConfig, stream) -> int:
     """Run the three checks on one shared potential and report the order it ran at."""
-    _check_order(cfg)
     geom = _load_geometry(cfg, order_is_truncation=False)
     t_order = cfg.order or DEFAULT_T_ORDER
     try:
@@ -582,7 +574,6 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
 
 
 def cmd_identities(cfg: RunConfig, stream) -> int:
-    _check_order(cfg)
     if cfg.cases < 1:
         raise ConfigError("--cases must be at least 1")
     lagrange_order = cfg.order or 10
@@ -636,6 +627,7 @@ DISPATCH = {
     "verify": cmd_verify,
     "identities": cmd_identities,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run(argv: list[str], stream=None) -> int:
@@ -648,6 +640,8 @@ def run(argv: list[str], stream=None) -> int:
     if stream is None:
         stream = sys.stdout
     try:
+        if cfg.order is not None and cfg.order < 2:
+            raise ConfigError("--order must be at least 2")
         return DISPATCH[cfg.command](cfg, stream)
     except PipelineInvariantError as exc:
         print(f"error: pipeline invariant broken: {exc}", file=sys.stderr)

@@ -384,20 +384,18 @@ def _prefactor_terms(classes: list[Element]) -> list[tuple[tuple[int, ...], int,
 
 
 def absolute_core(
-    geom: PairGeometry, beta: tuple[int, ...], chains: PochhammerChains | None = None
+    geom: PairGeometry, beta: tuple[int, ...], chains: PochhammerChains
 ) -> ZLaurentElement:
     """Per-class core of the absolute series: the β-part with the overall z and
     the exponential prefactor stripped (core_0 = 1).
 
-    For projective space it is P(H, d, +1, −(n+1)); a caller that builds
-    many classes passes its own chain table.
+    For projective space it is P(H, d, +1, −(n+1)), read from the build's
+    chain table.
     """
     amb = geom.ambient
     if all(b == 0 for b in beta):
         return ZLaurentElement.one(amb)
     if geom.j_source == "closed_form_projective":
-        if chains is None:
-            chains = PochhammerChains()
         return chains(geom.hyperplane, beta[0], 1, -(geom.projective_dim + 1))
     if geom.j_source == "invariant_table":
         table = geom.table
@@ -409,7 +407,7 @@ def absolute_core(
                 z = -a - 2
                 cur = terms.get(z, amb.zero())
                 terms[z] = cur + amb.unit().scale(v)
-        return ZLaurentElement.exact(amb, terms)
+        return ZLaurentElement(amb, terms)
     raise MissingDataError(
         f"{geom.name}: j_source {geom.j_source} has no per-class absolute core"
     )
@@ -452,10 +450,7 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
                 continue  # only the normal-direction rows feed the mirror map
             coeff = v * Fraction((-1) ** (d - 1) * math.factorial(d - 1))
             cls = push_unit.scale(coeff)
-            key = (tuple(beta), 0)
-            cur = terms.get(key, geom.ambient.zero())
-            terms[key] = cur + cls
-        terms = {k: v for k, v in terms.items() if not v.is_zero()}
+            _merge_add(terms, (tuple(beta), 0), cls)
         return DivisorMirrorMap(geom.name, geom.tau_d_source, None, tuple(sorted(terms.items())))
     raise MissingDataError(f"{geom.name}: unknown tau_d_source {geom.tau_d_source}")
 
@@ -515,7 +510,7 @@ def build_normal_bundle_algebra(geom: PairGeometry) -> tuple[GradedAlgebra, tupl
     return alg, tuple(range(n, 2 * n))
 
 
-def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> NormalBundleModel:
+def normal_bundle_i_function(geom: PairGeometry) -> NormalBundleModel:
     """Relative I-function of (compactified normal bundle, zero section).
 
     Terms are indexed by the divisor curve class β together with the fiber
@@ -531,8 +526,6 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
         tuple(geom.restriction(geom.divisor_class).coeffs) + (Fraction(0),) * n
     )
     pol = geom.policy
-    if max_aux is None:
-        max_aux = pol.max_total
     rows = geom.table.rows_for("d_point") if geom.table is not None else []
     betas: list[tuple[int, ...]] = [tuple([0] * pol.nvars)]
     betas += sorted({tuple(b) for (b, _, _) in rows if pol.admits(tuple(b))})
@@ -544,7 +537,7 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
     pref = _prefactor_terms([h0])  # exp(h0 · log y0 / z)
     for beta in betas:
         if all(b == 0 for b in beta):
-            base = ZLaurentElement.exact(alg, {1: alg.unit()})
+            base = ZLaurentElement(alg, {1: alg.unit()})
         else:
             zterms: dict[int, Element] = {}
             for b, a, v in rows:
@@ -553,10 +546,10 @@ def normal_bundle_i_function(geom: PairGeometry, max_aux: int | None = None) -> 
                     zterms[z] = zterms.get(z, alg.zero()) + alg.unit().scale(v)
             if not zterms:
                 continue
-            base = ZLaurentElement.exact(alg, zterms)
+            base = ZLaurentElement(alg, zterms)
         dbeta = geom.contact_weight(beta)
         wb = pol.weight(beta)
-        for j in range(0, max_aux - wb + 1):
+        for j in range(0, pol.max_total - wb + 1):
             # Π_{a≤0}(h0 + a z) / Π_{a≤k}(h0 + a z); for k < 0 it keeps the bare a = 0 factor
             k = dbeta + j
             if k >= 0:
@@ -604,11 +597,7 @@ def divisor_map_from_normal_bundle(geom: PairGeometry, model: NormalBundleModel)
         v = div.element(fiber)
         if v.is_zero():
             continue
-        push = pairing_pushforward(geom.restriction, v)
-        key = (tuple(beta), z)
-        cur = out.get(key, geom.ambient.zero())
-        out[key] = cur + push
-    out = {k: v for k, v in out.items() if not v.is_zero()}
+        _merge_add(out, (tuple(beta), z), pairing_pushforward(geom.restriction, v))
     return DivisorMirrorMap(geom.name, "normal_bundle_route", None, tuple(sorted(out.items())))
 
 
@@ -651,9 +640,7 @@ def _effective_classes(pol: TruncationPolicy):
             yield beta
 
 
-def relative_i_function(
-    geom: PairGeometry, divisor_map: DivisorMirrorMap | None = None
-) -> RelativeSeries:
+def relative_i_function(geom: PairGeometry) -> RelativeSeries:
     """The relative I-function of the pair, at divisor mirror map τ_D.
 
     Dispatches on the geometry's absolute-input source.  A nonzero divisor
@@ -661,9 +648,7 @@ def relative_i_function(
     multi-insertion invariant data this table format does not carry — that
     case raises MissingDataError naming the gap.
     """
-    if divisor_map is None:
-        divisor_map = divisor_mirror_map(geom)
-    if not divisor_map.is_zero():
+    if not divisor_mirror_map(geom).is_zero():
         raise MissingDataError(
             f"{geom.name}: relative I-function at nonzero divisor mirror map "
             "needs deformed absolute invariants: external data required"
@@ -695,7 +680,7 @@ def relative_i_function(
                         f"{geom.name}: coefficient at {beta}, z^{z} does not factor "
                         f"through the divisor class"
                     ) from exc
-            term = ZLaurentElement.exact(geom.ambient, divided) * chains(dcls, -c - 1, -1, -1)
+            term = ZLaurentElement(geom.ambient, divided) * chains(dcls, -c - 1, -1, -1)
         pieces.append((beta, -c, term))
     return _assemble(geom, pieces)
 
@@ -752,7 +737,6 @@ class NormalizedI:
     """
 
     unit_part: StateSeries        # I1 = z^1 slice
-    constant_part: StateSeries    # I0 = z^0 slice of I
     j_function: RelativeSeries    # the z^1 and z^0 slices of I · reciprocal(I1)
     mirror_map: StateSeries       # z^0 slice of J
     exponent: MirrorExponent
@@ -786,7 +770,7 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
         for (b, c, l), el in part.terms.items()
     }
     J = RelativeSeries(geom, slices, (0, I.window[1]))
-    return NormalizedI(i1, i0, J, j0, extract_mirror_exponent(j0))
+    return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:

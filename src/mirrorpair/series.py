@@ -1,4 +1,4 @@
-"""Truncated exact formal series: Novikov variables, z-Laurent windows, x-Laurent tails.
+"""Truncated exact formal series: Novikov variables, z-Laurent polynomials, x-Laurent tails.
 
 Three series shapes drive the computations:
 
@@ -10,23 +10,15 @@ Three series shapes drive the computations:
   monomial in order of weight, at the cost of one product, O(N²) in the
   number N of stored terms; log is E(f)·(1/f) divided back by the weight.
 
-* `ZLaurentElement` — finite z-Laurent data with coefficients in a graded
-  algebra, used for the hypergeometric factors.  Validity is tracked through a
-  *window*: a pair (lo, hi) meaning "coefficients above hi are mathematically
-  zero, those in [lo, hi] are stored exactly, and nothing is claimed below lo".
-  A window of ``None`` marks a finite Laurent *polynomial*, exact everywhere
-  (all the factors in the geometric templates are of that kind, so windows
-  mostly matter as a safety net — but the net is load-bearing: extracting a
-  coefficient outside a window raises instead of returning 0).
+* `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
+  graded algebra, used for the hypergeometric factors.  Every factor of the
+  I-function templates is a finite Laurent polynomial, so nothing is truncated
+  here; the one z-window is the truncation policy's, applied when the
+  assembled relative series is stored.
 
 * `XLaurentSeries` — Laurent series in the potential variable x whose
   coefficients are single-variable polynomials in t; exponents in x are exact
   integers of either sign, t is truncated at a stated order.
-
-The window arithmetic: if f is valid on [lo_f, hi_f] and g on [lo_g, hi_g],
-their product is valid on [max(lo_f + hi_g, lo_g + hi_f), hi_f + hi_g].  (The
-coefficient at k needs f_j for j down to k - hi_g, etc.)  An exact factor with
-top support s shifts a window [lo, hi] to [lo + s, hi + s].
 """
 
 from __future__ import annotations
@@ -306,148 +298,62 @@ def _solve_by_weight(
 
 
 class ZLaurentElement:
-    """Finite z-Laurent data with algebra coefficients and a validity window."""
+    """An exact z-Laurent polynomial with coefficients in a graded algebra."""
 
-    __slots__ = ("algebra", "terms", "window")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(
-        self,
-        algebra: GradedAlgebra,
-        terms: Mapping[int, Element],
-        window: tuple[int, int] | None,
-    ):
+    def __init__(self, algebra: GradedAlgebra, terms: Mapping[int, Element]):
         self.algebra = algebra
         clean: dict[int, Element] = {}
         for k, v in terms.items():
             if v.algebra is not algebra:
                 raise AlgebraError("coefficient from the wrong algebra")
             if not v.is_zero():
-                if window is not None:
-                    lo, hi = window
-                    if k > hi:
-                        raise WindowError(
-                            f"stored z^{k} term above declared window top {hi}"
-                        )
-                    if k < lo:
-                        continue  # silently out of validity range: drop
                 clean[int(k)] = v
         self.terms = clean
-        self.window = window
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def exact(algebra: GradedAlgebra, terms: Mapping[int, Element]) -> "ZLaurentElement":
-        return ZLaurentElement(algebra, terms, None)
-
-    @staticmethod
     def from_element(x: Element) -> "ZLaurentElement":
-        return ZLaurentElement.exact(x.algebra, {0: x})
+        return ZLaurentElement(x.algebra, {0: x})
 
     @staticmethod
     def linear(x: Element, a: int) -> "ZLaurentElement":
-        """The exact polynomial x + a*z."""
-        return ZLaurentElement.exact(
-            x.algebra, {0: x, 1: x.algebra.unit().scale(a)}
-        )
+        """The polynomial x + a*z."""
+        return ZLaurentElement(x.algebra, {0: x, 1: x.algebra.unit().scale(a)})
 
     @staticmethod
     def one(algebra: GradedAlgebra) -> "ZLaurentElement":
         return ZLaurentElement.from_element(algebra.unit())
 
-    # -- window bookkeeping ----------------------------------------------
-
-    def support(self) -> tuple[int, int] | None:
-        if not self.terms:
-            return None
-        return (min(self.terms), max(self.terms))
-
-    def _bounds(self) -> tuple[int | None, int]:
-        """(lo, hi) with lo=None meaning 'known everywhere below'."""
-        if self.window is not None:
-            return self.window
-        sup = self.support()
-        hi = sup[1] if sup else 0
-        return (None, hi)
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "ZLaurentElement") -> "ZLaurentElement":
-        if self.algebra is not other.algebra:
-            raise AlgebraError("adding z-Laurent data over different algebras")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, self.algebra.zero()) + v
-        la, ha = self._bounds()
-        lb, hb = other._bounds()
-        if la is None and lb is None:
-            window = None
-        else:
-            lo = max(x for x in (la, lb) if x is not None)
-            window = (lo, max(ha, hb))
-            out = {k: v for k, v in out.items() if k >= lo}
-        return ZLaurentElement(self.algebra, out, window)
-
-    def __neg__(self) -> "ZLaurentElement":
-        return ZLaurentElement(self.algebra, {k: -v for k, v in self.terms.items()}, self.window)
-
-    def __sub__(self, other: "ZLaurentElement") -> "ZLaurentElement":
-        return self + (-other)
-
-    def scale(self, c) -> "ZLaurentElement":
-        return ZLaurentElement(
-            self.algebra, {k: v.scale(c) for k, v in self.terms.items()}, self.window
-        )
 
     def __mul__(self, other: "ZLaurentElement") -> "ZLaurentElement":
         if self.algebra is not other.algebra:
             raise AlgebraError("multiplying z-Laurent data over different algebras")
-        la, ha = self._bounds()
-        lb, hb = other._bounds()
-        if la is None and lb is None:
-            window = None
-        else:
-            cands = []
-            if la is not None:
-                cands.append(la + hb)
-            if lb is not None:
-                cands.append(lb + ha)
-            window = (max(cands), ha + hb)
-        floor = None if window is None else window[0]
         pairs: dict[int, list[tuple[Element, Element]]] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                k = ka + kb
-                if floor is None or k >= floor:
-                    pairs.setdefault(k, []).append((va, vb))
+                pairs.setdefault(ka + kb, []).append((va, vb))
         out = {k: sum_of_products(self.algebra, ps) for k, ps in pairs.items()}
-        return ZLaurentElement(self.algebra, out, window)
+        return ZLaurentElement(self.algebra, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZLaurentElement) or self.algebra is not other.algebra:
             return False
-        return self.terms == other.terms and self.window == other.window
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("ZLaurentElement is not hashable")
 
     def coefficient(self, k: int) -> Element:
-        """The z^k coefficient; raises WindowError outside the validity window."""
-        lo, hi = self._bounds()
-        if k > hi:
-            return self.algebra.zero()  # known-zero above the top
-        if lo is not None and k < lo:
-            raise WindowError(
-                f"z^{k} lies below the validity window bottom {lo}; "
-                f"widen the z-window to at least {k}"
-            )
+        """The z^k coefficient (zero outside the support)."""
         return self.terms.get(k, self.algebra.zero())
 
     def __repr__(self) -> str:
         bits = [f"({self.terms[k]!r})*z^{k}" for k in sorted(self.terms)]
-        body = " + ".join(bits) if bits else "0"
-        w = "exact" if self.window is None else f"window={self.window}"
-        return f"<{body} | {w}>"
+        return " + ".join(bits) if bits else "0"
 
 
 def nilpotent_reciprocal(c: Element, a: int) -> ZLaurentElement:
@@ -468,7 +374,7 @@ def nilpotent_reciprocal(c: Element, a: int) -> ZLaurentElement:
         if not coeff.is_zero():
             terms[-(k + 1)] = coeff
         power = power * c
-    return ZLaurentElement.exact(alg, terms)
+    return ZLaurentElement(alg, terms)
 
 
 # ---------------------------------------------------------------------------

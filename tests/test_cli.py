@@ -31,6 +31,8 @@ def test_command_roster():
     )
     parser = build_parser()
     assert parser.prog == "mirrorpair"
+    for name in COMMANDS:
+        assert parser.parse_args([name]).command == name
 
 
 @pytest.mark.parametrize(
@@ -326,9 +328,10 @@ def test_unknown_geometry(capsys):
 
 
 def test_order_must_be_at_least_two(capsys):
-    code = run(["quantum-period", "--geometry", "p2_cubic", "--order", "1"],
-               stream=io.StringIO())
-    assert code == 2
+    for command in COMMANDS:
+        code = run([command, "--order", "1"], stream=io.StringIO())
+        assert code == 2, command
+        assert "--order must be at least 2" in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("order", ["0", "1", "-1"])
@@ -367,6 +370,20 @@ def test_table_flag_reads_a_file(tmp_path):
     doc = json.loads(text)
     values = {r["t_deg"]: r["value"] for r in doc["records"]}
     assert values[9] == "1/216"
+
+
+@pytest.mark.parametrize("row", ["x_point 1 1 pt 5", "x_point 1 0 pt 5"])
+@pytest.mark.parametrize("command", ["quantum-period", "verify"])
+def test_table_flag_refuses_rows_against_the_closed_form(tmp_path, capsys, row, command):
+    # p2_cubic computes ⟨[pt] ψ^{D·β−2}⟩ = 1/(d!)^3 in closed form and 0 at any
+    # other ψ power; a table row saying otherwise must not be silently ignored.
+    table = tmp_path / "points.tsv"
+    table.write_text(row + "\n")
+    code = run([command, "--geometry", "p2_cubic", "--order", "6",
+                "--table", str(table)], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "class 1 psi^" + row.split()[2] in err and "closed form" in err
 
 
 def test_table_flag_enables_quantum_side(tmp_path):

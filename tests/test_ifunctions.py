@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import SYNTHETIC_NEGATIVE_ZERO_TAU, state_product
 from mirrorpair import (
+    BUILTIN_CONFIGS,
     CancellationError,
     MalformedMirrorMapError,
     MirrorChange,
@@ -24,6 +25,7 @@ from mirrorpair import (
     TruncationPolicy,
     WindowError,
     ZLaurentElement,
+    builtin_geometry,
     composed_exponent,
     divisor_mirror_map,
     divisor_map_from_normal_bundle,
@@ -67,7 +69,7 @@ def test_factor_at_negative_contact_is_literal_product(p2):
     # c = -2: (u - z) * u
     assert bare * chains(u, 1, -1, 1) == ZLaurentElement.linear(u, -1) * bare
     # c = -3 without u: (u - z)(u - 2z) = u² - 3uz + 2z²
-    expect = ZLaurentElement.exact(p2.ambient, {
+    expect = ZLaurentElement(p2.ambient, {
         0: p2.ambient.named("H2"), 1: u.scale(-3), 2: p2.ambient.unit().scale(2)})
     assert chains(u, 2, -1, 1) == expect
 
@@ -119,7 +121,7 @@ def test_chain_rejects_bad_arguments(p2):
 
 
 def test_absolute_core_of_the_plane(p2):
-    core = absolute_core(p2, (1,))
+    core = absolute_core(p2, (1,), PochhammerChains())
     H, H2 = p2.ambient.named("H"), p2.ambient.named("H2")
     assert core.coefficient(-3) == p2.ambient.unit()
     assert core.coefficient(-4) == -H.scale(3)
@@ -132,9 +134,9 @@ def test_absolute_core_of_the_plane(p2):
 
 def test_one_point_invariants_match_closed_form(p2, p3):
     # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core at z^{−D·β}
-    assert [absolute_core(p2, (d,)).coefficient(-3 * d).unit_component()
+    assert [absolute_core(p2, (d,), PochhammerChains()).coefficient(-3 * d).unit_component()
             for d in (1, 2, 3)] == [Fraction(1), Fraction(1, 8), Fraction(1, 216)]
-    assert absolute_core(p3, (2,)).coefficient(-8).unit_component() == Fraction(1, 16)
+    assert absolute_core(p3, (2,), PochhammerChains()).coefficient(-8).unit_component() == Fraction(1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +578,24 @@ def test_relative_series_window_reads(p2):
         I.z_slice(lo - 1)
     # above the top is known-zero, not an error
     assert I.z_slice(hi + 1).terms == {}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONFIGS))
+@pytest.mark.parametrize("lo", [-1, -2])
+def test_z_window_is_a_pure_restriction(name, lo):
+    """The policy's z-window is the only truncation: a narrower window keeps
+    exactly the terms of a wider run at z ≥ lo and refuses to read below."""
+    geom = builtin_geometry(name)
+    pol = geom.policy
+
+    def run(window):
+        return relative_i_function(
+            geom.with_policy(TruncationPolicy.make(pol.nvars, 4, pol.weights, window)))
+
+    narrow, wide = run((lo, 1)), run((lo - 3, 1))
+    assert narrow.terms == {k: v for k, v in wide.terms.items() if k[2] >= lo}
+    with pytest.raises(WindowError):
+        narrow.z_slice(lo - 1)
 
 
 def test_z_slice_collects_a_full_state(p2):
