@@ -314,34 +314,39 @@ def nilpotency_index(x: Element) -> int:
 def check_algebra(alg: GradedAlgebra) -> list[str]:
     """Exhaustive associativity / commutativity / degree-additivity check.
 
-    Returns a list of human-readable violations (empty = sound).  Sizes here are
-    tiny (dim <= 8 in the catalog), so the cubic loop is nothing.
+    Returns a list of human-readable violations (empty = sound).  Everything
+    is read off the sparse structure constants C[i][j] of e_i·e_j: the two
+    sides of associativity are `_combine` of the rows C[l][k] weighted by
+    c_ij^l and of the rows C[i][l] weighted by c_jk^l.
     """
     problems: list[str] = []
     n = alg.dim
-    els = [alg.basis_element(i) for i in range(n)]
+    consts = alg.constants
+    degrees = alg.degrees
     for i in range(n):
         for j in range(n):
-            if (els[i] * els[j]) != (els[j] * els[i]):
+            row = consts[i][j]
+            if row != consts[j][i]:
                 problems.append(f"{alg.name}: e{i}*e{j} != e{j}*e{i}")
-            prod = els[i] * els[j]
-            target = alg.degrees[i] + alg.degrees[j]
-            for k, c in enumerate(prod.coeffs):
-                if c and alg.degrees[k] != target:
+            target = degrees[i] + degrees[j]
+            for k, _, _ in row:
+                if degrees[k] != target:
                     problems.append(
                         f"{alg.name}: degree of e{i}*e{j} component {alg.basis[k]} "
-                        f"is {alg.degrees[k]}, expected {target}"
+                        f"is {degrees[k]}, expected {target}"
                     )
-            if target > alg.top_degree and not prod.is_zero():
+            if target > alg.top_degree and row:
                 problems.append(f"{alg.name}: e{i}*e{j} should vanish above top degree")
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if (els[i] * els[j]) * els[k] != els[i] * (els[j] * els[k]):
+                left = _combine(((consts[l][k], c, d) for l, c, d in consts[i][j]), n)
+                right = _combine(((consts[i][l], c, d) for l, c, d in consts[j][k]), n)
+                if left != right:
                     problems.append(f"{alg.name}: associativity fails at ({i},{j},{k})")
-    u = alg.unit()
+    u = alg.unit_index
     for i in range(n):
-        if u * els[i] != els[i]:
+        if consts[u][i] != ((i, 1, 1),):
             problems.append(f"{alg.name}: unit fails on e{i}")
     return problems
 

@@ -28,6 +28,7 @@ from .geometry import (
     ConfigError,
     InvariantTable,
     MissingDataError,
+    _validate_geometry,
     builtin_geometry,
     ingest_invariants,
     load_geometry,
@@ -252,6 +253,7 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
         if geom.j_source not in ("invariant_table", "closed_form_projective") and not extra.is_empty_for("x_point"):
             j_source = "invariant_table"
         geom = geom.with_table(InvariantTable(tuple(sorted(merged.items()))), j_source)
+        _validate_geometry(geom)
     return geom
 
 

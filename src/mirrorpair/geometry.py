@@ -432,11 +432,18 @@ def _validate_geometry(geom: PairGeometry) -> None:
             raise MissingDataError(
                 f"{geom.name}: j_source=invariant_table but no x_point rows supplied"
             )
-    if geom.tau_d_source == "table":
-        if geom.table is None or geom.table.is_empty_for("d_point"):
-            raise MissingDataError(
-                f"{geom.name}: tau_d_source=table but no d_point rows supplied"
-            )
+    d_rows = geom.table.rows_for("d_point") if geom.table is not None else []
+    if geom.tau_d_source == "table" and not d_rows:
+        raise MissingDataError(
+            f"{geom.name}: tau_d_source=table but no d_point rows supplied"
+        )
+    if geom.tau_d_source == "zero" and d_rows:
+        beta, a, _ = d_rows[0]
+        raise ConfigError(
+            f"table row d_point class {','.join(map(str, beta))} psi^{a} contradicts "
+            f"{geom.name}'s zero divisor mirror map (tau_d_reason = {geom.tau_d_reason}), "
+            "which reads no d_point rows"
+        )
 
 
 # ---------------------------------------------------------------------------

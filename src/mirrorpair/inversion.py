@@ -13,7 +13,7 @@ from fractions import Fraction
 from random import Random
 
 from .ifunctions import MirrorChange, class_constant_terms, composed_exponent
-from .series import NovikovSeries, TruncationPolicy
+from .series import NovikovSeries, TruncationPolicy, _accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -23,14 +23,16 @@ from .series import NovikovSeries, TruncationPolicy
 def _poly_mul(
     a: dict[int, Fraction], b: dict[int, Fraction], cap: int
 ) -> dict[int, Fraction]:
-    """a·b with only the exponents ≤ cap kept."""
-    out: dict[int, Fraction] = {}
+    """a·b with only the exponents ≤ cap kept, accumulated in integers."""
+    right = sorted((e, c.numerator, c.denominator) for e, c in b.items())
+    acc: dict = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e <= cap:
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
+        na, da = ca.numerator, ca.denominator
+        for eb, nb, db in right:
+            if ea + eb > cap:
+                break
+            _accumulate(acc, ea + eb, na * nb, da * db)
+    return {e: Fraction(n, d) for e, (n, d) in acc.items() if n}
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ Three series shapes drive the computations:
   weighted Euler identity E(e^f) = e^f·E(f), resp. f·(1/f) = 1) monomial by
   monomial in order of weight, at the cost of one product, O(N²) in the
   number N of stored terms; log is E(f)·(1/f) divided back by the weight.
+  Products and recurrences accumulate the way `algebra.sum_of_products`
+  does: each output monomial sums integer numerators over lcm-joined integer
+  denominators (`_accumulate`) and becomes one Fraction at the end.
 
 * `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
   graded algebra, used for the hypergeometric factors.  Every factor of the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -161,16 +165,21 @@ class NovikovSeries:
             c = rat(other)
             return NovikovSeries(self.policy, {k: c * v for k, v in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
         pol = self.policy
+        top = pol.max_total
+        right = sorted(
+            ((k, pol.weight(k), v.numerator, v.denominator) for k, v in other.terms.items()),
+            key=lambda t: t[1],
+        )
+        acc: dict = {}
         for ka, va in self.terms.items():
-            wa = pol.weight(ka)
-            for kb, vb in other.terms.items():
-                if wa + pol.weight(kb) > pol.max_total:
-                    continue
-                k = tuple(a + b for a, b in zip(ka, kb))
-                out[k] = out.get(k, Fraction(0)) + va * vb
-        return NovikovSeries(self.policy, out)
+            room = top - pol.weight(ka)
+            na, da = va.numerator, va.denominator
+            for kb, wb, nb, db in right:
+                if wb > room:
+                    break
+                _accumulate(acc, tuple(map(add, ka, kb)), na * nb, da * db)
+        return NovikovSeries(pol, {k: Fraction(n, d) for k, (n, d) in acc.items()})
 
     __rmul__ = __mul__
 
@@ -260,6 +269,23 @@ class NovikovSeries:
         return out
 
 
+def _accumulate(acc: dict, key, n: int, d: int) -> None:
+    """Add n/d to the running sum at ``key``, kept as an integer [num, den] pair.
+
+    Denominators are joined by their lcm, the rule of `algebra._combine`, so
+    no gcd is taken until the caller turns each pair into one Fraction.
+    """
+    slot = acc.get(key)
+    if slot is None:
+        acc[key] = [n, d]
+    elif slot[1] == d:
+        slot[0] += n
+    else:
+        m = lcm(slot[1], d)
+        slot[0] = slot[0] * (m // slot[1]) + n * (m // d)
+        slot[1] = m
+
+
 def _solve_by_weight(
     pol: TruncationPolicy,
     lead: Fraction,
@@ -270,25 +296,28 @@ def _solve_by_weight(
 
     s_β is wt(β) or 1.  Every step has positive weight, so h_β depends only
     on lighter monomials: they are finalized level by level in order of
-    weight, each pushing c·h_β forward to β + δ.  The cost is one product.
+    weight, each made once as a Fraction and pushed forward to β + δ as
+    integers by `_accumulate`.  The cost is one product.
     """
     top = pol.max_total
-    steps = sorted(steps, key=lambda s: s[1])
+    steps = sorted(
+        ((k, w, c.numerator, c.denominator) for k, w, c in steps), key=lambda s: s[1]
+    )
     levels: list[dict] = [{} for _ in range(top + 1)]
-    levels[0][(0,) * pol.nvars] = lead
+    levels[0][(0,) * pol.nvars] = [lead.numerator, lead.denominator]
     out: dict[tuple[int, ...], Fraction] = {}
     for w in range(top + 1):
-        for k, acc in levels[w].items():
-            if not acc:
+        for k, (n, d) in levels[w].items():
+            if not n:
                 continue
-            h = acc / w if divide_by_weight and w else acc
+            h = Fraction(n, d * w if divide_by_weight and w else d)
             out[k] = h
-            for d, wd, c in steps:
-                if w + wd > top:
+            hn, hd = h.numerator, h.denominator
+            room = top - w
+            for dk, wd, cn, cd in steps:
+                if wd > room:
                     break
-                key = tuple(map(add, k, d))
-                level = levels[w + wd]
-                level[key] = level.get(key, 0) + c * h
+                _accumulate(levels[w + wd], tuple(map(add, k, dk)), cn * hn, cd * hd)
         levels[w] = {}
     return NovikovSeries(pol, out)
 

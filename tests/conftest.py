@@ -10,6 +10,10 @@ The per-pair state product: the contact-order rule applied to one term
 pair at a time, with dense products, merged pair by pair.  The package
 groups the pairs by output key and rule and makes one kernel call per group.
 
+The series-product oracle: a literal double loop of Fraction products over
+two Novikov series, cut at the truncation weight.  The package accumulates
+integers over lcm-joined denominators instead.
+
 The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the
 classical period off one truncated exp per t-degree instead, so the two
@@ -21,6 +25,7 @@ from fractions import Fraction
 import pytest
 
 from mirrorpair import (
+    NovikovSeries,
     StateSeries,
     TruncationError,
     XLaurentSeries,
@@ -145,6 +150,19 @@ def state_product(a, b):
             key = (tuple(x + y for x, y in zip(b1, b2)), c, tuple(x + y for x, y in zip(l1, l2)))
             out[key] = out[key] + el if key in out else el
     return StateSeries(geom, out)
+
+
+def series_product(f, g):
+    """f·g for NovikovSeries, one Fraction product per term pair within the weight cut."""
+    pol = f.policy
+    out = {}
+    for ka, va in f.terms.items():
+        for kb, vb in g.terms.items():
+            if pol.weight(ka) + pol.weight(kb) > pol.max_total:
+                continue
+            k = tuple(a + b for a, b in zip(ka, kb))
+            out[k] = out.get(k, Fraction(0)) + va * vb
+    return NovikovSeries(pol, out)
 
 
 def power_constant_terms(w, top):

@@ -38,6 +38,38 @@ def test_builtin_algebras_pass_all_checks(geom):
     assert check_algebra(geom.divisor) == []
 
 
+def test_planted_non_associative_table_is_reported():
+    # (x·x)·w = p·w = 2t but x·(x·w) = x·p = t
+    alg = GradedAlgebra.from_products(
+        "nonassoc", ["one", "x", "w", "p", "t"], [0, 1, 1, 2, 3],
+        {("x", "x"): {"p": 1}, ("x", "w"): {"p": 1}, ("x", "p"): {"t": 1},
+         ("w", "p"): {"t": 2}},
+        "one", "t",
+    )
+    assert check_algebra(alg) == [
+        "nonassoc: associativity fails at (1,1,2)",
+        "nonassoc: associativity fails at (1,2,2)",
+        "nonassoc: associativity fails at (2,1,1)",
+        "nonassoc: associativity fails at (2,2,1)",
+    ]
+
+
+def test_planted_non_commutative_table_is_reported():
+    # x·y = p but y·x = 2p; from_products cannot express this, so the table is literal
+    names = ("one", "x", "y", "p")
+
+    def vec(**coeffs):
+        return tuple(Fraction(coeffs.get(b, 0)) for b in names)
+
+    table = [[vec() for _ in names] for _ in names]
+    for i, b in enumerate(names):
+        table[0][i] = table[i][0] = vec(**{b: 1})
+    table[1][2] = vec(p=1)
+    table[2][1] = vec(p=2)
+    alg = GradedAlgebra("noncomm", names, (0, 1, 1, 2), tuple(map(tuple, table)), 0, 3, vec(p=1))
+    assert check_algebra(alg) == ["noncomm: e1*e2 != e2*e1", "noncomm: e2*e1 != e1*e2"]
+
+
 @pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
 def test_builtin_restrictions_are_ring_maps(geom):
     assert check_restriction(geom.restriction) == []

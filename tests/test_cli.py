@@ -386,6 +386,19 @@ def test_table_flag_refuses_rows_against_the_closed_form(tmp_path, capsys, row, 
     assert "class 1 psi^" + row.split()[2] in err and "closed form" in err
 
 
+@pytest.mark.parametrize("command", ["tau-d", "verify"])
+def test_table_flag_refuses_d_point_rows_on_a_zero_divisor_map(tmp_path, capsys, command):
+    # p2_cubic declares tau_D = 0 (tau_d_reason = elliptic_curve) and never reads
+    # d_point rows; a table carrying one must not be silently ignored.
+    table = tmp_path / "points.tsv"
+    table.write_text("d_point 1 1 pt 3\n")
+    code = run([command, "--geometry", "p2_cubic", "--order", "6",
+                "--table", str(table)], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d_point class 1 psi^1" in err and "tau_d_reason = elliptic_curve" in err
+
+
 def test_table_flag_enables_quantum_side(tmp_path):
     # blp3_k3 has no builtin x_point source; attaching one must light it up,
     # exactly as the MissingDataError message promises.

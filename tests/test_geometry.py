@@ -121,6 +121,15 @@ def test_table_source_needs_d_point_rows():
         load_geometry(bad)
 
 
+def test_zero_tau_refuses_d_point_rows():
+    assert load_geometry(SYNTHETIC_NEGATIVE).tau_d_source == "table"
+    bad = SYNTHETIC_NEGATIVE.replace(
+        "tau_d_source = table", "tau_d_source = zero\ntau_d_reason = elliptic_curve"
+    )
+    with pytest.raises(ConfigError, match=r"d_point class 1 psi\^0 .*tau_d_reason = elliptic_curve"):
+        load_geometry(bad)
+
+
 def test_invariant_table_source_needs_x_point_rows():
     bad = SYNTHETIC_NEGATIVE.replace("    x_point 1 0 pt 1\n", "")
     with pytest.raises(MissingDataError, match="x_point"):

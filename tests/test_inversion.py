@@ -222,6 +222,18 @@ small_rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
                             st.integers(min_value=1, max_value=4))
 
 
+mixed_rationals = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                            st.integers(min_value=1, max_value=12))
+laurent_polys = st.dictionaries(st.integers(min_value=-2, max_value=8), mixed_rationals,
+                                max_size=6)
+
+
+@given(a=laurent_polys, b=laurent_polys, cap=st.integers(min_value=-4, max_value=14))
+@settings(max_examples=60, deadline=None)
+def test_poly_mul_is_the_literal_capped_double_sum(a, b, cap):
+    assert inversion._poly_mul(a, b, cap) == _umul(a, b, cap)
+
+
 @given(tail=st.lists(small_rationals, max_size=6), order=st.integers(min_value=1, max_value=12))
 @settings(max_examples=40, deadline=None)
 def test_truncated_lagrange_inverse_matches_untruncated_powers(tail, order):

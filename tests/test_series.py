@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_product
+from conftest import dense_product, series_product
 from mirrorpair import (
     NovikovSeries,
     TruncationError,
@@ -204,13 +204,14 @@ def _weighted_series(draw):
 
 
 def _naive(f, coefficient):
-    """Σ_{k≥0} coefficient(k)·f^k through the truncation, by products alone."""
+    """Σ_{k≥0} coefficient(k)·f^k through the truncation, by literal products alone."""
     pol = f.policy
     out = NovikovSeries.zero(pol)
     power = NovikovSeries.one(pol)
     for k in range(pol.max_total + 1):
-        out = out + power * coefficient(k)
-        power = power * f
+        c = coefficient(k)
+        out = out + NovikovSeries(pol, {e: v * c for e, v in power.terms.items()})
+        power = series_product(power, f)
     return out
 
 
@@ -223,6 +224,35 @@ def test_kernels_match_naive_series(f):
     assert u.exp() == _naive(u, lambda k: Fraction(1, math.factorial(k)))
     assert (one + u).log() == _naive(u, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
     c = Fraction(-3, 2)
+    inv = _naive(u * (-1 / c), lambda k: 1) * (1 / c)
+    assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
+
+
+@st.composite
+def _mixed_denominator_pair(draw):
+    """Two series over a 1-3 variable policy with weights 1-3 and rational
+    coefficients of mixed denominators, so products join unequal denominators."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=0, max_value=9 - nvars)), weights)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    coeffs = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                       st.integers(min_value=1, max_value=12))
+    series = st.dictionaries(exps, coeffs, max_size=5).map(lambda d: NovikovSeries(pol, d))
+    return draw(series), draw(series)
+
+
+@given(pair=_mixed_denominator_pair())
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_fraction_oracles_on_mixed_denominators(pair):
+    f, g = pair
+    pol = f.policy
+    assert f * g == series_product(f, g)
+    u = f - NovikovSeries.constant(pol, f.constant_term())
+    assert u.exp() == _naive(u, lambda k: Fraction(1, math.factorial(k)))
+    one = NovikovSeries.one(pol)
+    assert (one + u).log() == _naive(u, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    c = g.constant_term() or Fraction(-7, 5)
     inv = _naive(u * (-1 / c), lambda k: 1) * (1 / c)
     assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
 
