@@ -208,7 +208,7 @@ class Element:
         return _sparse(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def coefficient(self, name: str) -> Fraction:
         return self.coeffs[self.algebra.basis.index(name)]

@@ -283,6 +283,11 @@ def _class_label(alg, index: int) -> str:
     return "1" if index == alg.unit_index else alg.basis[index]
 
 
+def _record(series: str, selector: str, value, **fields) -> dict:
+    """One output record; the fields follow series, selector and value in order."""
+    return {"series": series, "selector": selector, "value": str(value), **fields}
+
+
 def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[dict]:
     """One record per nonzero class coefficient of a StateSeries (keys
     (beta, contact, logpow)) or a RelativeSeries (keys (beta, contact, z, logpow)).
@@ -306,37 +311,86 @@ def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[dict]:
             if not c:
                 continue
             label = _class_label(el.algebra, i)
-            records.append(
-                {
-                    "series": series,
-                    "selector": (
-                        f"beta={_beta_str(beta)} contact={contact}{z_selector} "
-                        f"log={_beta_str(logpow)} class=[{label}]"
-                    ),
-                    "value": str(c),
-                    "beta": list(beta),
-                    "contact": contact,
-                    **z_field,
-                    "log": list(logpow),
-                    "class": label,
-                }
-            )
+            records.append(_record(
+                series,
+                f"beta={_beta_str(beta)} contact={contact}{z_selector} "
+                f"log={_beta_str(logpow)} class=[{label}]",
+                c, beta=list(beta), contact=contact, **z_field, log=list(logpow),
+                **{"class": label},
+            ))
     return records
 
 
 def _novikov_records(series: str, prefix: str, ns: NovikovSeries) -> list[dict]:
     """One record per term of a Novikov series, selector `<prefix><beta>`."""
     return [
-        {"series": series, "selector": f"{prefix}{_beta_str(beta)}", "value": str(c),
-         "beta": list(beta)}
+        _record(series, f"{prefix}{_beta_str(beta)}", c, beta=list(beta))
         for beta, c in sorted(ns.terms.items())
     ]
 
 
 def _period_records(name: str, period) -> list[dict]:
+    return [_record(name, f"t^{d}", v, t_deg=d) for d, v in period.coefficients]
+
+
+def _divisor_map_records(dm) -> list[dict]:
+    """One record per nonzero class coefficient of a divisor mirror map, or `all 0`."""
+    if dm.is_zero():
+        return [_record("divisor_mirror_map", "all", 0)]
     return [
-        {"series": name, "selector": f"t^{d}", "value": str(v), "t_deg": d}
-        for d, v in period.coefficients
+        _record(
+            "divisor_mirror_map",
+            f"beta={_beta_str(beta)} z={z} class=[{_class_label(el.algebra, i)}]",
+            c, beta=list(beta), z=z,
+        )
+        for (beta, z), el in dm.terms
+        for i, c in enumerate(el.coeffs)
+        if c
+    ]
+
+
+def _potential_records(w) -> list[dict]:
+    """The collapsed potential W, by falling x-exponent, then t-degree."""
+    return [
+        _record("proper_potential", f"t^{t} x^{x}", w.terms[x][t], x_exp=x, t_deg=t)
+        for x in sorted(w.terms, reverse=True)
+        for t in sorted(w.terms[x])
+    ]
+
+
+def _potential_term_records(pot) -> list[dict]:
+    """The per-class terms q^β t^d x^{1−d} of W, d = D·β."""
+    records = []
+    for beta, c in pot.terms:
+        d = pot.contact_weight(beta)
+        records.append(_record(
+            "proper_potential_term", f"q^{_beta_str(beta)} t^{d} x^{1 - d}", c,
+            beta=list(beta), x_exp=1 - d, t_deg=d,
+        ))
+    return records
+
+
+def _period_check_records(cmp) -> list[dict]:
+    """Classical against regularized period per t-degree, rows where both vanish left out."""
+    return [
+        _record("period_check", f"t^{d}", "match" if ok else "MISMATCH",
+                classical=str(c), regularized=str(r), t_deg=d)
+        for d, c, r, ok in cmp.rows
+        if c != 0 or r != 0
+    ]
+
+
+def _euler_records(rep) -> list[dict]:
+    """The five parts of the Euler-scaling check."""
+    return [
+        _record("euler_scaling", label, "pass" if ok else "fail")
+        for label, ok in (
+            ("coefficient_identity", rep.coefficient_identity_ok),
+            ("scaling_operator", rep.scaling_ok),
+            ("display_form", rep.display_ok),
+            ("endpoint_y", rep.endpoint_y_ok),
+            ("endpoint_q", rep.endpoint_q_ok),
+        )
     ]
 
 
@@ -355,32 +409,10 @@ def cmd_i_function(cfg: RunConfig, stream) -> int:
 def cmd_tau_d(cfg: RunConfig, stream) -> int:
     geom = _load_geometry(cfg, order_is_truncation=True)
     dm = divisor_mirror_map(geom)
-    records = []
-    if dm.is_zero():
-        records.append(
-            {"series": "divisor_mirror_map", "selector": "all", "value": "0"}
-        )
-    else:
-        for (beta, z), el in dm.terms:
-            for i, c in enumerate(el.coeffs):
-                if not c:
-                    continue
-                records.append(
-                    {
-                        "series": "divisor_mirror_map",
-                        "selector": (
-                            f"beta={_beta_str(beta)} z={z} "
-                            f"class=[{_class_label(el.algebra, i)}]"
-                        ),
-                        "value": str(c),
-                        "beta": list(beta),
-                        "z": z,
-                    }
-                )
     md = _metadata(geom, series="divisor_mirror_map", tau_d_source=dm.source)
     if dm.reason:
         md["tau_d_reason"] = dm.reason
-    _emit(cfg.fmt, md, records, stream)
+    _emit(cfg.fmt, md, _divisor_map_records(dm), stream)
     return 0
 
 
@@ -430,33 +462,9 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
     geom = _load_geometry(cfg, order_is_truncation=False)
     pot = proper_potential(geom, cfg.order)
     refusal = pot.collapse_refusal()
-    records = []
-    if refusal is None:
-        w = pot.collapse(cfg.order)
-        for x in sorted(w.terms, reverse=True):
-            for t in sorted(w.terms[x]):
-                records.append(
-                    {
-                        "series": "proper_potential",
-                        "selector": f"t^{t} x^{x}",
-                        "value": str(w.terms[x][t]),
-                        "x_exp": x,
-                        "t_deg": t,
-                    }
-                )
+    records = _potential_records(pot.collapse(cfg.order)) if refusal is None else []
     if cfg.per_beta or len(geom.m_vector) > 1:
-        for beta, c in pot.terms:
-            d = pot.contact_weight(beta)
-            records.append(
-                {
-                    "series": "proper_potential_term",
-                    "selector": f"q^{_beta_str(beta)} t^{d} x^{1 - d}",
-                    "value": str(c),
-                    "beta": list(beta),
-                    "x_exp": 1 - d,
-                    "t_deg": d,
-                }
-            )
+        records += _potential_term_records(pot)
     md = _metadata(
         pot.geometry,
         series="proper_potential",
@@ -479,8 +487,8 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
     records = [] if period.refusal else _period_records("classical_period", period.series())
     if len(geom.m_vector) > 1:
         records += [
-            {"series": "classical_period_term", "selector": f"q^{_beta_str(beta)} t^{d}",
-             "value": str(v), "beta": list(beta), "t_deg": d}
+            _record("classical_period_term", f"q^{_beta_str(beta)} t^{d}", v,
+                    beta=list(beta), t_deg=d)
             for beta, d, v in period.terms
         ]
     md = _metadata(pot.geometry, series="classical_period", t_order=t_order)
@@ -507,26 +515,14 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
     failures: list[str] = []
 
     def check(selector: str, verdict: str) -> None:
-        records.append({"series": "check", "selector": selector, "value": verdict, "order": order})
+        records.append(_record("check", selector, verdict, order=order))
 
     # 1. the period identity (regularized quantum == classical)
     if period_skip:
         check("period_theorem", period_skip)
     else:
         cmp = compare_periods(pot, t_order, negative_control=cfg.negative_control)
-        for d, c, r, ok in cmp.rows:
-            if c == 0 and r == 0:
-                continue
-            records.append(
-                {
-                    "series": "period_check",
-                    "selector": f"t^{d}",
-                    "value": "match" if ok else "MISMATCH",
-                    "classical": str(c),
-                    "regularized": str(r),
-                    "t_deg": d,
-                }
-            )
+        records += _period_check_records(cmp)
         if cmp.negative_control:
             verdict = (
                 f"pass (mismatch caught at t^{cmp.first_mismatch})"
@@ -541,16 +537,7 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
 
     # 2. the Euler-scaling identity of the change of variables
     rep = euler_scaling_check(pot)
-    for label, ok in (
-        ("coefficient_identity", rep.coefficient_identity_ok),
-        ("scaling_operator", rep.scaling_ok),
-        ("display_form", rep.display_ok),
-        ("endpoint_y", rep.endpoint_y_ok),
-        ("endpoint_q", rep.endpoint_q_ok),
-    ):
-        records.append(
-            {"series": "euler_scaling", "selector": label, "value": "pass" if ok else "fail"}
-        )
+    records += _euler_records(rep)
     check("euler_scaling", "pass" if rep.all_ok else f"fail ({rep.details})")
     if not rep.all_ok:
         failures.append("euler_scaling")
@@ -586,24 +573,12 @@ def cmd_identities(cfg: RunConfig, stream) -> int:
     for i in range(cfg.cases):
         f = random_simple_pole(rng)
         ok, _ = inversion_roundtrip(f, lagrange_order)
-        records.append(
-            {
-                "series": "lagrange_roundtrip",
-                "selector": f"case {i}",
-                "value": "pass" if ok else "fail",
-            }
-        )
+        records.append(_record("lagrange_roundtrip", f"case {i}", "pass" if ok else "fail"))
         failures += not ok
     for i in range(cfg.cases):
         tail = random_unit_tail(rng)
         rep = bell_identity_check(tail, bell_order)
-        records.append(
-            {
-                "series": "bell_identity",
-                "selector": f"case {i}",
-                "value": "pass" if rep.ok else "fail",
-            }
-        )
+        records.append(_record("bell_identity", f"case {i}", "pass" if rep.ok else "fail"))
         failures += not rep.ok
     md = _metadata(
         None,

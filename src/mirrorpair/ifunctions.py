@@ -42,7 +42,9 @@ from .algebra import (
     AlgebraError,
     Element,
     GradedAlgebra,
+    _combine,
     divide_by_class,
+    nilpotency_index,
     pairing_pushforward,
     rat,
     sum_of_products,
@@ -77,24 +79,45 @@ class PochhammerChains:
     u is a nilpotent class, s = ±1 the sign of the z-slope and e a nonzero
     integer exponent.  Each chain keeps its partial products and grows one
     link (u + s·a·z)^e at a time, so a prefix is built once however many
-    classes β ask for it.  Make one table per build; it is not a cache.
+    classes β ask for it.  Each link is the finite binomial sum of `link`,
+    over powers of u built once per class.  Make one table per build; it is
+    not a cache.
     """
 
     def __init__(self) -> None:
         self._table: dict[tuple[Element, int, int], list[ZLaurentElement]] = {}
+        self._powers: dict[Element, list[Element]] = {}
 
     def __call__(self, u: Element, n: int, s: int, e: int) -> ZLaurentElement:
         if n < 0 or s not in (1, -1) or not isinstance(e, int) or e == 0:
             raise ValueError(f"no chain of length {n}, slope sign {s}, exponent {e}")
         chain = self._table.setdefault((u, s, e), [ZLaurentElement.one(u.algebra)])
         while len(chain) <= n:
-            a = s * len(chain)
-            factor = ZLaurentElement.linear(u, a) if e > 0 else nilpotent_reciprocal(u, a)
-            link = factor
-            for _ in range(abs(e) - 1):
-                link = link * factor
-            chain.append(chain[-1] * link)
+            chain.append(chain[-1] * self.link(u, s * len(chain), e))
         return chain[n]
+
+    def link(self, u: Element, a: int, e: int) -> ZLaurentElement:
+        """(u + a·z)^e = Σ_k C(e, k)·a^{e−k}·u^k·z^{e−k}, for a ≠ 0.
+
+        For e > 0 the sum stops at k = e; for e < 0 it stops at the last
+        nonzero power of u, and a class that is not nilpotent raises
+        AlgebraError.
+        """
+        powers = self._powers.setdefault(u, [u.algebra.unit()])
+        if e > 0:
+            top = e
+        elif powers[-1].is_zero():
+            top = len(powers) - 1
+        else:
+            top = nilpotency_index(u)  # raises if u is not nilpotent
+        while len(powers) <= top and not powers[-1].is_zero():
+            powers.append(powers[-1] * u)
+        a = Fraction(a)
+        terms, c = {}, a ** e
+        for k, power in enumerate(powers[: top + 1]):
+            terms[e - k] = power.scale(c)
+            c *= Fraction(e - k, k + 1) / a  # C(e, k+1)·a^{e−k−1} from C(e, k)·a^{e−k}
+        return ZLaurentElement(u.algebra, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -609,26 +632,41 @@ def _assemble(
     geom: PairGeometry,
     pieces: list[tuple[tuple[int, ...], int, ZLaurentElement]],
 ) -> RelativeSeries:
-    """Shared final stage: overall z, prefactor expansion, contact attachment."""
+    """Shared final stage: overall z, prefactor expansion, contact attachment.
+
+    Each prefactor class p_α becomes, once per call, two tables of sparse
+    rows: e_i·p_α in the ambient algebra and r(e_i·p_α) on the divisor.
+    Each output term is then one `_combine` of a coefficient's support
+    against the rows its contact selects.  Pieces carry distinct (β, contact).
+    """
     lo, hi = geom.policy.z_window
-    pref = _prefactor_terms(list(geom.picard))
-    r = geom.restriction
+    amb, div, r = geom.ambient, geom.divisor, geom.restriction
+    basis = [amb.basis_element(i) for i in range(amb.dim)]
+    table = []
+    for alpha, shift, pcls in _prefactor_terms(list(geom.picard)):
+        products = [e * pcls for e in basis]
+        rows = [p.support for p in products]
+        restricted = [r(p).support for p in products]
+        table.append((alpha, shift + 1, rows, restricted))  # +1: the overall z of the template
     terms: dict = {}
     for beta, contact, zl in pieces:
+        alg = amb if contact == 0 else div
         for z, el in zl.terms.items():
-            for alpha, shift, pcls in pref:
-                zf = z + 1 + shift  # +1: the overall z of the template
+            for alpha, shift, rows, restricted in table:
+                zf = z + shift
                 if zf < lo:
                     continue
-                val = el * pcls
-                if val.is_zero():
-                    continue
                 if zf > hi:
-                    raise WindowError(
-                        f"I-function term at z^{zf} exceeds the declared window top {hi}; "
-                        "raise z_max"
-                    )
-                _merge_add(terms, (beta, contact, zf, alpha), val if contact == 0 else r(val))
+                    if any(_combine(((rows[i], n, d) for i, n, d in el.support), amb.dim)):
+                        raise WindowError(
+                            f"I-function term at z^{zf} exceeds the declared window top {hi}; "
+                            "raise z_max"
+                        )
+                    continue
+                use = rows if contact == 0 else restricted
+                coeffs = _combine(((use[i], n, d) for i, n, d in el.support), alg.dim)
+                if any(coeffs):
+                    terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
     return RelativeSeries(geom, terms, (lo, hi))
 
 
@@ -711,7 +749,7 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
             if top > 0:
                 term = term * chains(cls, top, 1, e)
         if c > 0:
-            term = term * nilpotent_reciprocal(dcls, c)
+            term = term * chains.link(dcls, c, -1)
         pieces.append((beta, -c, term))
     return _assemble(geom, pieces)
 

@@ -10,6 +10,12 @@ The per-pair state product: the contact-order rule applied to one term
 pair at a time, with dense products, merged pair by pair.  The package
 groups the pairs by output key and rule and makes one kernel call per group.
 
+The literal assembly: every (β, contact, z-Laurent) piece of a relative
+I-function times every term of exp(Σ p_i ℓ_i / z), each class product by the
+dense triple loop and each restriction by the dense image matrix.  The
+package builds sparse prefactor rows once per call and combines them
+instead.
+
 The series-product oracle: a literal double loop of Fraction products over
 two Novikov series, cut at the truncation weight.  The package accumulates
 integers over lcm-joined denominators instead.
@@ -20,7 +26,9 @@ classical period off one truncated exp per t-degree instead, so the two
 routes share no code past the collapse.
 """
 
+import math
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -28,6 +36,7 @@ from mirrorpair import (
     NovikovSeries,
     StateSeries,
     TruncationError,
+    WindowError,
     XLaurentSeries,
     load_geometry,
     pairing_pushforward,
@@ -107,15 +116,61 @@ def blp3():
 
 
 def dense_product(a, b):
-    """The coefficients of a·b by a literal triple loop over the dense table."""
+    """The coefficients of a·b by a literal triple loop over the dense table.
+
+    Zero coordinates of a and b contribute nothing and are passed over.
+    """
     alg = a.algebra
     n = alg.dim
     out = [Fraction(0)] * n
     for i in range(n):
         for j in range(n):
+            if not (a.coeffs[i] and b.coeffs[j]):
+                continue
             for k in range(n):
                 out[k] += a.coeffs[i] * b.coeffs[j] * alg.table[i][j][k]
     return tuple(out)
+
+
+def assemble_literal(geom, pieces):
+    """The terms {(β, contact, z, α): class} of the relative series built from the pieces.
+
+    A piece (β, contact, L) contributes z·L·Π_i p_i^{α_i}/(α_i! z^{α_i}) over
+    the Picard classes p_i and every α with |α| ≤ the top degree, restricted
+    to the divisor when contact ≠ 0.  Terms below the z-window are dropped,
+    zeros are dropped, and a nonzero ambient product above the window raises.
+    """
+    amb, div = geom.ambient, geom.divisor
+    lo, hi = geom.policy.z_window
+    picard = list(geom.picard)
+    image = [img.coeffs for img in geom.restriction.images]
+    prefactor = []
+    for alpha in iproduct(range(amb.top_degree + 1), repeat=len(picard)):
+        if sum(alpha) > amb.top_degree:
+            continue
+        cls = amb.unit().coeffs
+        for p, a in zip(picard, alpha):
+            for _ in range(a):
+                cls = dense_product(amb.element(cls), p)
+        scale = Fraction(1, math.prod(math.factorial(a) for a in alpha))
+        prefactor.append((alpha, 1 - sum(alpha), [c * scale for c in cls]))
+    out = {}
+    for beta, contact, zl in pieces:
+        for z, el in zl.terms.items():
+            for alpha, shift, cls in prefactor:
+                zf = z + shift
+                value = dense_product(el, amb.element(cls))
+                if zf < lo or not any(value):
+                    continue
+                if zf > hi:
+                    raise WindowError(f"literal assembly: nonzero term at z^{zf}")
+                if contact != 0:
+                    value = tuple(
+                        sum(value[i] * image[i][k] for i in range(amb.dim)) for k in range(div.dim)
+                    )
+                if any(value):
+                    out[(beta, contact, zf, alpha)] = (amb if contact == 0 else div).element(value)
+    return out
 
 
 def contact_product(geom, c1, e1, c2, e2):

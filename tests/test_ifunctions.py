@@ -13,9 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SYNTHETIC_NEGATIVE_ZERO_TAU, state_product
+from conftest import (
+    SYNTHETIC_NEGATIVE,
+    SYNTHETIC_NEGATIVE_ZERO_TAU,
+    assemble_literal,
+    state_product,
+)
 from mirrorpair import (
     BUILTIN_CONFIGS,
+    AlgebraError,
     CancellationError,
     MalformedMirrorMapError,
     MirrorChange,
@@ -38,6 +44,7 @@ from mirrorpair import (
     relative_i_function,
     substitute_forward,
 )
+from mirrorpair import ifunctions
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     PochhammerChains,
@@ -83,29 +90,58 @@ def test_factor_at_positive_contact_multiplies_back(p2, c):
     assert back == ZLaurentElement.one(p2.ambient)
 
 
-@pytest.mark.parametrize("which", ["p2_H", "blp3_4H+h"])
+# exponents asked of each class, and the longest chain
+CHAIN_CASES = {
+    "p2_H": ((1, -1, 2, -2, 4, -4), 6),
+    "blp3_4H+h": ((1, -1, 2, -2, 4, -4), 6),
+    "blp3_h-H": ((-1,), 8),  # the divisor class: the toric pole 1/(D + (D·β)z)
+    "blp3_H+h": ((3, -3, 5, -5), 6),  # nilpotency index 5
+}
+
+
+def _literal_link(u, a, e):
+    factor = ZLaurentElement.linear(u, a) if e > 0 else nilpotent_reciprocal(u, a)
+    link = ZLaurentElement.one(u.algebra)
+    for _ in range(abs(e)):
+        link = link * factor
+    return link
+
+
+@pytest.mark.parametrize("which", list(CHAIN_CASES))
 def test_chains_match_literal_products(p2, blp3, which):
     if which == "p2_H":
         u = p2.ambient.named("H")
     else:
-        u = blp3.ambient.named("H").scale(4) + blp3.ambient.named("h")
+        H, h = blp3.ambient.named("H"), blp3.ambient.named("h")
+        u = {"blp3_4H+h": H.scale(4) + h, "blp3_h-H": h - H, "blp3_H+h": H + h}[which]
+    exponents, length = CHAIN_CASES[which]
     one = ZLaurentElement.one(u.algebra)
     shared = PochhammerChains()
     for s in (1, -1):
-        for e in (1, -1, 2, -2, 4, -4):
+        for e in exponents:
+            for a in range(1, length + 1):
+                assert PochhammerChains().link(u, s * a, e) == _literal_link(u, s * a, e)
             # the shared table is asked longest first, so shorter chains are read back
-            for n in range(6, -1, -1):
+            for n in range(length, -1, -1):
                 literal = one
                 for a in range(1, n + 1):
-                    factor = (ZLaurentElement.linear(u, s * a) if e > 0
-                              else nilpotent_reciprocal(u, s * a))
-                    for _ in range(abs(e)):
-                        literal = literal * factor
+                    literal = literal * _literal_link(u, s * a, e)
                 assert shared(u, n, s, e) == literal
                 assert PochhammerChains()(u, n, s, e) == literal
-        for e in (1, 2, 4):
-            for n in range(7):
-                assert shared(u, n, s, e) * shared(u, n, s, -e) == one
+        for e in exponents:
+            if e > 0:
+                for n in range(length + 1):
+                    assert shared(u, n, s, e) * shared(u, n, s, -e) == one
+
+
+def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
+    unit = p2.ambient.unit()
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        PochhammerChains()(unit, 2, 1, -1)
+    z = ZLaurentElement.linear(unit, 1)
+    twice = ZLaurentElement.linear(unit, 2)
+    square = z * twice * z * twice  # ((1 + z)(1 + 2z))²
+    assert PochhammerChains()(unit, 2, 1, 2) == square
 
 
 def test_chain_rejects_bad_arguments(p2):
@@ -114,6 +150,64 @@ def test_chain_rejects_bad_arguments(p2):
     for args in ((-1, 1, 1), (2, 0, 1), (2, 2, 1), (2, 1, 0)):
         with pytest.raises(ValueError):
             chains(u, *args)
+
+
+# ---------------------------------------------------------------------------
+# assembly: pieces times the exponential prefactor, against the literal loop
+
+
+def _at_order(geom, order):
+    pol = geom.policy
+    return geom.with_policy(TruncationPolicy.make(pol.nvars, order, pol.weights))
+
+
+def _pieces(monkeypatch, name):
+    """The (β, contact, z-Laurent) pieces one I-function build hands to `_assemble`."""
+    if name == "synthetic_negative":
+        # the relative I-function refuses this pair (nonzero divisor map), so its
+        # pieces are the absolute cores times the negative-contact chains
+        geom = load_geometry(SYNTHETIC_NEGATIVE)
+        chains = PochhammerChains()
+        pieces = []
+        for b in range(geom.policy.max_total + 1):
+            c = geom.contact_weight((b,))
+            term = absolute_core(geom, (b,), chains)
+            if c < 0:
+                term = term * chains(geom.divisor_class, -c - 1, -1, -1)
+            pieces.append(((b,), -c, term))
+        return geom, pieces
+    geom = _at_order(builtin_geometry(name), 6)
+    seen = []
+    real = ifunctions._assemble
+    monkeypatch.setattr(ifunctions, "_assemble", lambda g, p: seen.append(p) or real(g, p))
+    relative_i_function(geom)
+    monkeypatch.undo()
+    return geom, seen[0]
+
+
+@pytest.mark.parametrize("name", ["blp3_k3", "p2_cubic", "p3_quartic", "synthetic_negative"])
+def test_assemble_matches_the_literal_assembly(monkeypatch, name):
+    geom, pieces = _pieces(monkeypatch, name)
+    assert any(contact for _, contact, _ in pieces) and any(len(zl.terms) > 1 for *_, zl in pieces)
+    # the term dict handed to RelativeSeries, before the series cleans it
+    handed = []
+    real = ifunctions.RelativeSeries
+    monkeypatch.setattr(ifunctions, "RelativeSeries",
+                        lambda g, terms, window: handed.append(dict(terms)) or real(g, terms, window))
+    series = ifunctions._assemble(geom, pieces)
+    monkeypatch.undo()
+    expected = assemble_literal(geom, pieces)
+    assert handed == [expected]
+    assert series.terms == expected
+
+
+def test_assemble_refuses_content_above_the_window(p2):
+    amb = p2.ambient
+    pieces = [((0,), 0, ZLaurentElement(amb, {1: amb.named("H2")}))]
+    with pytest.raises(WindowError):
+        assemble_literal(p2, pieces)
+    with pytest.raises(WindowError, match="z\\^2 exceeds the declared window top 1"):
+        ifunctions._assemble(p2, pieces)
 
 
 # ---------------------------------------------------------------------------
