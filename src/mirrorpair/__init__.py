@@ -82,7 +82,6 @@ from .series import (
     PipelineInvariantError,
     TruncationError,
     TruncationPolicy,
-    WindowError,
     XLaurentSeries,
     ZLaurentElement,
     nilpotent_reciprocal,

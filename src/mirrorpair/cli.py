@@ -66,7 +66,6 @@ from .series import (
     PipelineInvariantError,
     TruncationError,
     TruncationPolicy,
-    WindowError,
 )
 
 DEFAULT_T_ORDER = 12
@@ -77,8 +76,6 @@ class RunConfig:
     command: str
     geometry: str = "p2_cubic"
     order: int | None = None
-    z_min: int | None = None
-    z_max: int | None = None
     fmt: str = "pretty"
     per_beta: bool = False
     negative_control: bool = False
@@ -121,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = common(sub.add_parser("i-function", help="relative I-function terms"))
-    p.add_argument("--z-min", type=int, default=None)
-    p.add_argument("--z-max", type=int, default=None)
+    common(sub.add_parser("i-function", help="relative I-function terms"))
 
     common(sub.add_parser("tau-d", help="divisor mirror map"))
     common(sub.add_parser("mirror-map", help="mirror map, exponent, and change of variables"))
@@ -155,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=ns.command)
-    for name in ("geometry", "order", "z_min", "z_max", "fmt", "per_beta",
+    for name in ("geometry", "order", "fmt", "per_beta",
                  "negative_control", "seed", "cases", "table"):
         if hasattr(ns, name) and getattr(ns, name) is not None:
             setattr(cfg, name, getattr(ns, name))
@@ -201,7 +196,6 @@ def _metadata(geom: PairGeometry | None, **extra) -> dict:
             m_vector_convention="integer entries of any sign; t-degree is D.beta",
             truncation_order=pol.max_total,
             truncation_weights=",".join(str(w) for w in pol.weights),
-            z_window=f"[{pol.z_window[0]}, {pol.z_window[1]}]",
             product_rule=PRODUCT_RULE_TEXT,
             contact_one_convention=(
                 "[1]_{-1} components are reported separately and never "
@@ -222,16 +216,13 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
         geom = builtin_geometry(cfg.geometry)
     else:
         path = Path(cfg.geometry)
-        geom = load_geometry(path.read_text(), path.stem)
-    pol = geom.policy
-    wants_policy_override = order_is_truncation and cfg.order is not None
-    if wants_policy_override or cfg.z_min is not None or cfg.z_max is not None:
-        order = cfg.order if wants_policy_override else pol.max_total
-        z_lo = cfg.z_min if cfg.z_min is not None else -(order + 3)
-        z_hi = cfg.z_max if cfg.z_max is not None else 1
-        geom = geom.with_policy(
-            TruncationPolicy.make(pol.nvars, order, pol.weights, (z_lo, z_hi))
-        )
+        try:
+            geom = load_geometry(path.read_text(), path.stem)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if order_is_truncation and cfg.order is not None:
+        pol = geom.policy
+        geom = geom.with_policy(TruncationPolicy.make(pol.nvars, cfg.order, pol.weights))
     if cfg.table is not None:
         extra = ingest_invariants(Path(cfg.table).read_text())
         merged = dict(geom.table.entries) if geom.table is not None else {}
@@ -249,10 +240,7 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
             merged[key] = value
         if geom.j_source == "closed_form_projective":
             _check_closed_form(geom, extra)
-        j_source = None
-        if geom.j_source not in ("invariant_table", "closed_form_projective") and not extra.is_empty_for("x_point"):
-            j_source = "invariant_table"
-        geom = geom.with_table(InvariantTable(tuple(sorted(merged.items()))), j_source)
+        geom = geom.with_table(InvariantTable(tuple(sorted(merged.items()))))
         _validate_geometry(geom)
     return geom
 
@@ -627,7 +615,6 @@ def run(argv: list[str], stream=None) -> int:
         ConfigError,
         MissingDataError,
         AlgebraError,
-        WindowError,
         TruncationError,
         OSError,
         ValueError,

@@ -159,8 +159,8 @@ class PairGeometry:
     def with_policy(self, policy: TruncationPolicy) -> "PairGeometry":
         return replace(self, policy=policy)
 
-    def with_table(self, table: InvariantTable | None, j_source: str | None = None) -> "PairGeometry":
-        return replace(self, table=table, j_source=j_source or self.j_source)
+    def with_table(self, table: InvariantTable | None) -> "PairGeometry":
+        return replace(self, table=table)
 
 
 def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
@@ -271,7 +271,16 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        # configparser's own message spans lines and names the source '<string>'
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        if isinstance(exc, (configparser.DuplicateSectionError, configparser.DuplicateOptionError)):
+            what = "repeats a section or key"
+        elif isinstance(exc, configparser.MissingSectionHeaderError):
+            what = "comes before any [section]"
+        else:
+            what = "is not a [section], key = value or continuation"
+        raise ConfigError(f"config parse error at line {lineno}: {line!r} {what}") from exc
 
     for needed in ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation"):
         if needed not in cp:
@@ -331,19 +340,17 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
             raise ConfigError("zero-justification only applies to curve/surface divisors")
 
     trunc = cp["truncation"]
+    for key in trunc:
+        if key not in ("order", "weights"):
+            raise ConfigError(f"[truncation] unknown key {key!r}: it takes order and weights")
     order = _number(int, "truncation", trunc.get("order", "8"))
     weights_text = trunc.get("weights", "").split()
     weights = (
         tuple(_number(int, "truncation", x) for x in weights_text)
         if weights_text else (1,) * len(novikov)
     )
-    z_window = None
-    if trunc.get("z_min") or trunc.get("z_max"):
-        z_min = _number(int, "truncation", trunc.get("z_min", str(-(order + 3))))
-        z_max = _number(int, "truncation", trunc.get("z_max", "1"))
-        z_window = (z_min, z_max)
     try:
-        policy = TruncationPolicy.make(len(novikov), order, weights, z_window)
+        policy = TruncationPolicy.make(len(novikov), order, weights)
     except ValueError as exc:
         raise ConfigError(f"[truncation]: {exc}") from exc
 
@@ -405,6 +412,11 @@ def _validate_geometry(geom: PairGeometry) -> None:
         m = geom.m_vector[0]
         if geom.divisor_class != geom.hyperplane.scale(m):
             raise ConfigError("divisor_class must be m * hyperplane for the closed form")
+        if m != geom.projective_dim + 1:
+            raise ConfigError(
+                f"[pair] divisor_class {m}*hyperplane is not anticanonical: the closed "
+                f"form needs m_vector = projective_dim + 1 = {geom.projective_dim + 1}"
+            )
     if geom.j_source == "toric_hypergeometric":
         if geom.toric is None:
             raise ConfigError("toric_hypergeometric needs a [toric] section")
@@ -605,12 +617,11 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
     """Materialize the ⟨[pt] ψ^{d-2}⟩ one-point invariants through t-degree t_order.
 
     For the closed-form projective route these are 1/(d'!)^{n+1} at curve degree
-    d' (t-degree d = m d'); a table-backed geometry re-emits its rows.  Used by
-    the period comparison's table round trip and the negative control.
+    d' (t-degree d = m d'); any other geometry re-emits its x_point rows.  Used
+    by the period comparison's table round trip and the negative control.
     """
     require_quantum_source(geom)
-    if geom.j_source == "invariant_table":
-        assert geom.table is not None
+    if geom.j_source != "closed_form_projective":
         rows = [
             (("x_point", beta, a), v)
             for (beta, a, v) in geom.table.rows_for("x_point")
@@ -630,7 +641,9 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
 
 def require_quantum_source(geom: PairGeometry) -> None:
     """Raise MissingDataError when nothing supplies the one-point invariants."""
-    if geom.j_source not in ("invariant_table", "closed_form_projective"):
+    if geom.j_source != "closed_form_projective" and (
+        geom.table is None or geom.table.is_empty_for("x_point")
+    ):
         raise MissingDataError(
             f"{geom.name}: no invariant source for the quantum side "
             "(supply an x_point table)"

@@ -19,8 +19,8 @@ the divisor.  Products follow the convention (reported by the CLI metadata):
 Relative I-functions are stored per curve class β as exact z-Laurent data
 (every template factor is a finite Laurent polynomial), with the exponential
 prefactor exp(Σ p_i log y_i / z) expanded into formal log-monomial slots.
-The z-validity window of the ambient truncation policy is what the stored
-object declares.
+Each class's Laurent data is stored whole: the weighted Novikov order is the
+only truncation, and nothing may sit above z¹.
 
 The mirror change of variables q = y·e^{m·g} is inverted in closed form:
 `composed_exponent` reads G(q) = g(y(q)) off Good's multivariate Lagrange
@@ -49,13 +49,12 @@ from .algebra import (
     rat,
     sum_of_products,
 )
-from .geometry import MissingDataError, PairGeometry
+from .geometry import ConfigError, MissingDataError, PairGeometry
 from .series import (
     NovikovSeries,
     PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
-    WindowError,
     ZLaurentElement,
     nilpotent_reciprocal,
 )
@@ -299,24 +298,17 @@ class RelativeSeries:
     """Contact-order-indexed z-Laurent series over a pair geometry.
 
     Keys are (beta, contact, zexp, logpow); values follow the StateSeries
-    convention (ambient at contact 0, divisor otherwise).  The window claims:
-    z-coefficients above window[1] vanish, [window[0], window[1]] are stored
-    exactly, below is not computed.
+    convention (ambient at contact 0, divisor otherwise).  Every z power of
+    every stored class is exact; a key that is absent is zero.
     """
 
-    __slots__ = ("geometry", "terms", "window")
+    __slots__ = ("geometry", "terms")
 
-    def __init__(self, geometry: PairGeometry, terms: dict, window: tuple[int, int]):
+    def __init__(self, geometry: PairGeometry, terms: dict):
         self.geometry = geometry
-        self.window = window
-        lo, hi = window
         clean: dict = {}
         for (beta, contact, zexp, logpow), el in terms.items():
             if el.is_zero():
-                continue
-            if zexp > hi:
-                raise WindowError(f"term at z^{zexp} above declared window top {hi}")
-            if zexp < lo:
                 continue
             expected = geometry.ambient if contact == 0 else geometry.divisor
             if el.algebra is not expected:
@@ -325,12 +317,6 @@ class RelativeSeries:
         self.terms = clean
 
     def z_slice(self, zexp: int) -> StateSeries:
-        lo, hi = self.window
-        if zexp < lo:
-            raise WindowError(
-                f"z^{zexp} below the validity window {self.window}; "
-                f"widen the z-window to at least {zexp}"
-            )
         out: dict = {}
         for (beta, contact, z, logpow), el in self.terms.items():
             if z != zexp:
@@ -342,14 +328,6 @@ class RelativeSeries:
         return max((z for (_, _, z, _) in self.terms), default=None)
 
     def coefficient(self, beta, contact: int, zexp: int, logpow=None) -> Element:
-        lo, hi = self.window
-        if zexp > hi:
-            alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
-            return alg.zero()
-        if zexp < lo:
-            raise WindowError(
-                f"z^{zexp} below the validity window {self.window}"
-            )
         beta = tuple(beta)
         if not self.geometry.policy.admits(beta):
             raise TruncationError(
@@ -364,7 +342,6 @@ class RelativeSeries:
         return (
             isinstance(other, RelativeSeries)
             and self.geometry is other.geometry
-            and self.window == other.window
             and self.terms == other.terms
         )
 
@@ -554,7 +531,6 @@ def normal_bundle_i_function(geom: PairGeometry) -> NormalBundleModel:
     betas += sorted({tuple(b) for (b, _, _) in rows if pol.admits(tuple(b))})
 
     terms: dict = {}
-    lo, hi = pol.z_window
     chains = PochhammerChains()
     pole_base = h0 - c1n_y
     pref = _prefactor_terms([h0])  # exp(h0 · log y0 / z)
@@ -583,14 +559,7 @@ def normal_bundle_i_function(geom: PairGeometry) -> NormalBundleModel:
                 term = term * nilpotent_reciprocal(pole_base, j)
             for z, el in term.terms.items():
                 for alpha, shift, pcls in pref:
-                    zf = z + shift
-                    if zf < lo:
-                        continue
-                    if zf > hi:
-                        raise WindowError(
-                            f"normal-bundle term at z^{zf} above window top {hi}"
-                        )
-                    _merge_add(terms, (beta, j, zf, alpha), el * pcls)
+                    _merge_add(terms, (beta, j, z + shift, alpha), el * pcls)
     return NormalBundleModel(alg, h0_idx, terms)
 
 
@@ -638,8 +607,10 @@ def _assemble(
     rows: e_i·p_α in the ambient algebra and r(e_i·p_α) on the divisor.
     Each output term is then one `_combine` of a coefficient's support
     against the rows its contact selects.  Pieces carry distinct (β, contact).
+    A nonzero ambient term above z¹ is a ConfigError naming the class: the
+    pair or its invariant rows break the shape z·[1] + O(z⁰) of a log
+    Calabi–Yau I-function.
     """
-    lo, hi = geom.policy.z_window
     amb, div, r = geom.ambient, geom.divisor, geom.restriction
     basis = [amb.basis_element(i) for i in range(amb.dim)]
     table = []
@@ -654,20 +625,18 @@ def _assemble(
         for z, el in zl.terms.items():
             for alpha, shift, rows, restricted in table:
                 zf = z + shift
-                if zf < lo:
-                    continue
-                if zf > hi:
+                if zf > 1:
                     if any(_combine(((rows[i], n, d) for i, n, d in el.support), amb.dim)):
-                        raise WindowError(
-                            f"I-function term at z^{zf} exceeds the declared window top {hi}; "
-                            "raise z_max"
+                        raise ConfigError(
+                            f"{geom.name}: the I-function of class {beta} has content "
+                            f"at z^{zf}, above z^1"
                         )
                     continue
                 use = rows if contact == 0 else restricted
                 coeffs = _combine(((use[i], n, d) for i, n, d in el.support), alg.dim)
                 if any(coeffs):
                     terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
-    return RelativeSeries(geom, terms, (lo, hi))
+    return RelativeSeries(geom, terms)
 
 
 def _effective_classes(pol: TruncationPolicy):
@@ -771,7 +740,7 @@ class NormalizedI:
     """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
 
     J = I·I₁⁻¹ is kept only on the two slices that have readers: J₁ = [1]₀
-    and J₀, the mirror map.  `j_function` declares the window (0, z_max).
+    and J₀, the mirror map.
     """
 
     unit_part: StateSeries        # I1 = z^1 slice
@@ -807,7 +776,7 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
         for z, part in ((1, j1), (0, j0))
         for (b, c, l), el in part.terms.items()
     }
-    J = RelativeSeries(geom, slices, (0, I.window[1]))
+    J = RelativeSeries(geom, slices)
     return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
 
 

@@ -228,7 +228,7 @@ def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
             f"potential computed at order {geom.policy.max_total}; the period "
             f"through t^{t_order} needs order >= {need}"
         )
-    if not pot.composed.policy.same_shape(geom.policy):
+    if pot.composed.policy != geom.policy:
         raise PipelineInvariantError(
             f"{geom.name}: composed exponent truncated at order "
             f"{pot.composed.policy.max_total}, its potential at {geom.policy.max_total}"
@@ -413,10 +413,10 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
 
 
 def roundtrip_for_geometry(pot: ProperPotential):
-    """Exercise the potential roundtrip on the potential's own mirror exponent.
+    """Exercise the potential roundtrip on the potential's own g and G.
 
     Returns the inversion module's report.
     """
-    from .inversion import potential_roundtrip
+    from .inversion import _roundtrip_report
 
-    return potential_roundtrip(MirrorChange(pot.geometry.m_vector, pot.exponent))
+    return _roundtrip_report(MirrorChange(pot.geometry.m_vector, pot.exponent), pot.composed)

@@ -16,8 +16,7 @@ Three series shapes drive the computations:
 * `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
   graded algebra, used for the hypergeometric factors.  Every factor of the
   I-function templates is a finite Laurent polynomial, so nothing is truncated
-  here; the one z-window is the truncation policy's, applied when the
-  assembled relative series is stored.
+  in z anywhere: the weighted Novikov order is the one truncation.
 
 * `XLaurentSeries` — Laurent series in the potential variable x whose
   coefficients are single-variable polynomials in t; exponents in x are exact
@@ -42,10 +41,6 @@ from .algebra import (
 )
 
 
-class WindowError(ValueError):
-    """A coefficient was requested outside a series' validity window."""
-
-
 class TruncationError(ValueError):
     """A computation needs a higher truncation order than configured."""
 
@@ -59,18 +54,16 @@ class PipelineInvariantError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Weighted total-degree truncation for Novikov exponents plus a z-window."""
+    """Weighted total-degree truncation for Novikov exponents."""
 
     weights: tuple[int, ...]
     max_total: int
-    z_window: tuple[int, int]
 
     @staticmethod
     def make(
         nvars: int,
         max_total: int = 8,
         weights: tuple[int, ...] | None = None,
-        z_window: tuple[int, int] | None = None,
     ) -> "TruncationPolicy":
         if weights is None:
             weights = (1,) * nvars
@@ -80,12 +73,7 @@ class TruncationPolicy:
             raise ValueError("truncation weights must be positive")
         if max_total < 0:
             raise ValueError("truncation order must be nonnegative")
-        if z_window is None:
-            z_window = (-(max_total + 3), 1)
-        lo, hi = z_window
-        if not (lo <= -1 and 1 <= hi):
-            raise ValueError("z-window must contain [-1, 1]")
-        return TruncationPolicy(tuple(weights), max_total, (lo, hi))
+        return TruncationPolicy(tuple(weights), max_total)
 
     @property
     def nvars(self) -> int:
@@ -100,9 +88,6 @@ class TruncationPolicy:
         if any(e < 0 for e in exps):
             raise ValueError("Novikov exponents must be nonnegative")
         return self.weight(exps) <= self.max_total
-
-    def same_shape(self, other: "TruncationPolicy") -> bool:
-        return self.weights == other.weights and self.max_total == other.max_total
 
 
 class NovikovSeries:
@@ -144,7 +129,7 @@ class NovikovSeries:
     # -- ring structure --------------------------------------------------
 
     def _check(self, other: "NovikovSeries") -> None:
-        if not self.policy.same_shape(other.policy):
+        if self.policy != other.policy:
             raise ValueError("incompatible truncation policies")
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
@@ -186,7 +171,7 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NovikovSeries)
-            and self.policy.same_shape(other.policy)
+            and self.policy == other.policy
             and self.terms == other.terms
         )
 

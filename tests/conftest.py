@@ -36,7 +36,6 @@ from mirrorpair import (
     NovikovSeries,
     StateSeries,
     TruncationError,
-    WindowError,
     XLaurentSeries,
     load_geometry,
     pairing_pushforward,
@@ -137,11 +136,10 @@ def assemble_literal(geom, pieces):
 
     A piece (β, contact, L) contributes z·L·Π_i p_i^{α_i}/(α_i! z^{α_i}) over
     the Picard classes p_i and every α with |α| ≤ the top degree, restricted
-    to the divisor when contact ≠ 0.  Terms below the z-window are dropped,
-    zeros are dropped, and a nonzero ambient product above the window raises.
+    to the divisor when contact ≠ 0.  Zeros are dropped, and a nonzero
+    ambient product above z¹ raises ValueError.
     """
     amb, div = geom.ambient, geom.divisor
-    lo, hi = geom.policy.z_window
     picard = list(geom.picard)
     image = [img.coeffs for img in geom.restriction.images]
     prefactor = []
@@ -160,10 +158,10 @@ def assemble_literal(geom, pieces):
             for alpha, shift, cls in prefactor:
                 zf = z + shift
                 value = dense_product(el, amb.element(cls))
-                if zf < lo or not any(value):
+                if not any(value):
                     continue
-                if zf > hi:
-                    raise WindowError(f"literal assembly: nonzero term at z^{zf}")
+                if zf > 1:
+                    raise ValueError(f"literal assembly: nonzero term at z^{zf}")
                 if contact != 0:
                     value = tuple(
                         sum(value[i] * image[i][k] for i in range(amb.dim)) for k in range(div.dim)

@@ -105,19 +105,12 @@ def test_csv_format():
 def test_pretty_format_has_metadata_preamble():
     _, text = _run("quantum-period", "--geometry", "p2_cubic", "--order", "6")
     assert text.startswith("geometry: p2_cubic")
-    assert "z_window:" in text
+    assert "truncation_weights:" in text
     assert "t^3" in text
 
 
 # ---------------------------------------------------------------------------
 # command content spot checks
-
-
-def test_i_function_z_window_flag():
-    code, text = _run("i-function", "--geometry", "p2_cubic", "--order", "2",
-                      "--z-min", "-4", "--z-max", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(text)["metadata"]["z_window"] == "[-4, 1]"
 
 
 def test_tau_d_reports_zero_for_projective_pairs():
@@ -296,8 +289,9 @@ def _count_calls(monkeypatch, name):
     "argv, want",
     [
         (("verify", "--geometry", "p2_cubic", "--order", "9", "--negative-control"),
-         {"relative_i_function": 1}),
-        (("verify", "--geometry", "blp3_k3", "--order", "4"), {"relative_i_function": 1}),
+         {"relative_i_function": 1, "composed_exponent": 1}),
+        (("verify", "--geometry", "blp3_k3", "--order", "4"),
+         {"relative_i_function": 1, "composed_exponent": 1}),
         (("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
          {"relative_i_function": 1, "composed_exponent": 1}),
         (("classical-period", "--geometry", "p2_cubic", "--order", "9"),
@@ -412,6 +406,18 @@ def test_table_flag_enables_quantum_side(tmp_path):
     assert values == {0: "1", 2: "5", 3: "7"}
 
 
+@pytest.mark.parametrize("command", ["i-function", "mirror-map", "proper-potential"])
+def test_table_flag_never_changes_the_i_function(tmp_path, command):
+    # the table feeds the quantum side only; blp3_k3's I-function stays toric
+    table = tmp_path / "points.tsv"
+    table.write_text("x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7\n")
+    argv = (command, "--geometry", "blp3_k3", "--order", "4", "--format", "json")
+    plain = _run(*argv)
+    with_table = _run(*argv, "--table", str(table))
+    assert plain[0] == with_table[0] == 0
+    assert json.loads(with_table[1])["records"] == json.loads(plain[1])["records"]
+
+
 def test_table_flag_rejects_wrong_class_shape(tmp_path, capsys):
     table = tmp_path / "points.tsv"
     table.write_text("x_point 1 0 pt 5\n")
@@ -456,6 +462,57 @@ def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"[{section}]" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, bad",
+    [
+        ("[algebra.ambient]\n", "stray\n[algebra.ambient]\n", "stray"),
+        ("picard = H\n", "picard = H\nno value here\n", "no value here"),
+        ("picard = H\n", "picard = H\npicard = H\n", "picard = H"),
+        ("[truncation]\n", "[truncation]\n[truncation]\n", "[truncation]"),
+    ],
+)
+def test_config_parse_errors_name_the_file_and_line(tmp_path, capsys, old, new, bad):
+    assert P2_CUBIC.count(old) == 1
+    lines = P2_CUBIC.replace(old, new).splitlines()
+    lineno = len(lines) - lines[::-1].index(bad)  # the last occurrence is the fault
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text("\n".join(lines) + "\n")
+    code = run(["mirror-map", "--geometry", str(cfg)], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert f"line {lineno}:" in err and "<string>" not in err
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"identities"}))
+def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command):
+    # D = 4H on P^2 is not anticanonical: the closed form does not apply to it
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(P2_CUBIC.replace("divisor_class = 3*H", "divisor_class = 4*H")
+                   .replace("m_vector = 3", "m_vector = 4"))
+    code = run([command, "--geometry", str(cfg), "--order", "4"], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[pair]" in err and "anticanonical" in err
+
+
+def test_table_geometry_records_do_not_depend_on_the_order(tmp_path):
+    # a high psi power puts class 1 far below z^0; every term of it prints at any order
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(P2_CUBIC.replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 12 pt 1",
+    ))
+
+    def class_one(order):
+        code, text = _run("i-function", "--geometry", str(cfg), "--order", order,
+                          "--format", "json")
+        assert code == 0
+        return [r for r in json.loads(text)["records"] if r["beta"] == [1]]
+
+    assert class_one("4") == class_one("8") != []
 
 
 def test_classical_period_covers_weighted_classes(tmp_path):

@@ -33,7 +33,6 @@ def test_builtin_shapes():
     assert p2.m_vector == (3,)
     assert p2.novikov_names == ("y",)
     assert p2.policy.max_total == 8
-    assert p2.policy.z_window == (-11, 1)
 
     bl = builtin_geometry("blp3_k3")
     assert bl.m_vector == (-1, 1)
@@ -142,6 +141,14 @@ def test_bad_truncation_is_wrapped():
         load_geometry(bad)
 
 
+@pytest.mark.parametrize("line", ["z_min = -4", "z_max = 1", "ordr = 8"])
+def test_truncation_takes_only_order_and_weights(line):
+    bad = SYNTHETIC_NEGATIVE + line + "\n"
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"\[truncation\] unknown key '{key}'"):
+        load_geometry(bad)
+
+
 # ---------------------------------------------------------------------------
 # invariant-table ingestion
 
@@ -218,6 +225,13 @@ def test_tabulate_reemits_supplied_table(synthetic_negative):
 def test_tabulate_needs_a_source():
     with pytest.raises(MissingDataError, match="x_point"):
         tabulate_one_point_invariants(builtin_geometry("blp3_k3"), 4)
+
+
+def test_tabulate_reads_x_point_rows_of_a_toric_geometry():
+    rows = ((("x_point", (0, 2), 0), Fraction(5)),)
+    blp3 = builtin_geometry("blp3_k3").with_table(InvariantTable(rows))
+    assert blp3.j_source == "toric_hypergeometric"
+    assert tabulate_one_point_invariants(blp3, 4).entries == rows
 
 
 def test_invariant_table_is_hash_stable():

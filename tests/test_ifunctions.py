@@ -23,13 +23,13 @@ from mirrorpair import (
     BUILTIN_CONFIGS,
     AlgebraError,
     CancellationError,
+    ConfigError,
     MalformedMirrorMapError,
     MirrorChange,
     MissingDataError,
     NovikovSeries,
     StateSeries,
     TruncationPolicy,
-    WindowError,
     ZLaurentElement,
     builtin_geometry,
     composed_exponent,
@@ -193,7 +193,7 @@ def test_assemble_matches_the_literal_assembly(monkeypatch, name):
     handed = []
     real = ifunctions.RelativeSeries
     monkeypatch.setattr(ifunctions, "RelativeSeries",
-                        lambda g, terms, window: handed.append(dict(terms)) or real(g, terms, window))
+                        lambda g, terms: handed.append(dict(terms)) or real(g, terms))
     series = ifunctions._assemble(geom, pieces)
     monkeypatch.undo()
     expected = assemble_literal(geom, pieces)
@@ -204,9 +204,9 @@ def test_assemble_matches_the_literal_assembly(monkeypatch, name):
 def test_assemble_refuses_content_above_the_window(p2):
     amb = p2.ambient
     pieces = [((0,), 0, ZLaurentElement(amb, {1: amb.named("H2")}))]
-    with pytest.raises(WindowError):
+    with pytest.raises(ValueError, match="z\\^2"):
         assemble_literal(p2, pieces)
-    with pytest.raises(WindowError, match="z\\^2 exceeds the declared window top 1"):
+    with pytest.raises(ConfigError, match="p2_cubic: .* class \\(0,\\) .* z\\^2, above z\\^1"):
         ifunctions._assemble(p2, pieces)
 
 
@@ -506,11 +506,7 @@ def test_normalize_rejects_high_z_content(p2):
     from mirrorpair import RelativeSeries
 
     zero = (0,)
-    bad = RelativeSeries(
-        p2,
-        {((zero), 0, 2, (0,)): p2.ambient.unit()},
-        window=(-5, 2),
-    )
+    bad = RelativeSeries(p2, {((zero), 0, 2, (0,)): p2.ambient.unit()})
     with pytest.raises(ValueError, match="shape"):
         normalize_i(bad)
 
@@ -661,35 +657,14 @@ def test_negative_contact_cancellation_guard():
 
 
 # ---------------------------------------------------------------------------
-# window discipline on the relative series
+# reads of the relative series
 
 
 def test_relative_series_window_reads(p2):
     I = relative_i_function(p2)
-    lo, hi = I.window
-    assert hi == 1
-    with pytest.raises(WindowError):
-        I.z_slice(lo - 1)
+    assert I.top_z() == 1
     # above the top is known-zero, not an error
-    assert I.z_slice(hi + 1).terms == {}
-
-
-@pytest.mark.parametrize("name", sorted(BUILTIN_CONFIGS))
-@pytest.mark.parametrize("lo", [-1, -2])
-def test_z_window_is_a_pure_restriction(name, lo):
-    """The policy's z-window is the only truncation: a narrower window keeps
-    exactly the terms of a wider run at z ≥ lo and refuses to read below."""
-    geom = builtin_geometry(name)
-    pol = geom.policy
-
-    def run(window):
-        return relative_i_function(
-            geom.with_policy(TruncationPolicy.make(pol.nvars, 4, pol.weights, window)))
-
-    narrow, wide = run((lo, 1)), run((lo - 3, 1))
-    assert narrow.terms == {k: v for k, v in wide.terms.items() if k[2] >= lo}
-    with pytest.raises(WindowError):
-        narrow.z_slice(lo - 1)
+    assert I.z_slice(2).terms == {}
 
 
 def test_z_slice_collects_a_full_state(p2):

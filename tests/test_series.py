@@ -38,7 +38,6 @@ def test_policy_defaults():
     p = TruncationPolicy.make(2)
     assert p.max_total == 8
     assert p.weights == (1, 1)
-    assert p.z_window == (-11, 1)
 
 
 def test_policy_validation():
@@ -46,10 +45,6 @@ def test_policy_validation():
         TruncationPolicy.make(1, 4, weights=(0,))
     with pytest.raises(ValueError, match="mismatch"):
         TruncationPolicy.make(2, 4, weights=(1,))
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        TruncationPolicy.make(1, 4, z_window=(0, 1))
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        TruncationPolicy.make(1, 4, z_window=(-5, 0))
 
 
 def test_policy_weighted_admission():
