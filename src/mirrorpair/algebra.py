@@ -467,8 +467,10 @@ def solve_exact(
 
 
 def pairing_matrix(alg: GradedAlgebra) -> list[list[Fraction]]:
-    els = [alg.basis_element(i) for i in range(alg.dim)]
-    return [[(els[i] * els[j]).integrate() for j in range(alg.dim)] for i in range(alg.dim)]
+    """The Gram matrix ∫ e_i·e_j, read off the structure constants and the integration."""
+    w = alg.integration
+    return [[sum((Fraction(n, d) * w[k] for k, n, d in c), _ZERO) for c in row]
+            for row in alg.constants]
 
 
 def pairing_pushforward(rm: RestrictionMap, v: Element) -> Element:

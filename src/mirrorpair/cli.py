@@ -224,7 +224,11 @@ def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
         pol = geom.policy
         geom = geom.with_policy(TruncationPolicy.make(pol.nvars, cfg.order, pol.weights))
     if cfg.table is not None:
-        extra = ingest_invariants(Path(cfg.table).read_text())
+        path = Path(cfg.table)
+        try:
+            extra = ingest_invariants(path.read_text())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         merged = dict(geom.table.entries) if geom.table is not None else {}
         for key, value in extra.entries:
             beta = key[1]

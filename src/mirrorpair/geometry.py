@@ -266,7 +266,8 @@ def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
 
 
 def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
-    cp = configparser.ConfigParser(interpolation=None)
+    # No default section: a [DEFAULT] header parses as a section, refused below.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keep case of option values' keys
     try:
         cp.read_string(text)
@@ -282,6 +283,8 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
             what = "is not a [section], key = value or continuation"
         raise ConfigError(f"config parse error at line {lineno}: {line!r} {what}") from exc
 
+    if "DEFAULT" in cp:
+        raise ConfigError("[DEFAULT] is not allowed: its keys would apply to every section")
     for needed in ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation"):
         if needed not in cp:
             raise ConfigError(f"missing [{needed}] section")

@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import product as iproduct, takewhile
 from operator import add, mul, sub
 
 from .algebra import (
@@ -163,10 +163,6 @@ class StateSeries:
         z = (0,) * geometry.nvars
         return StateSeries(geometry, {(z, 0, z): geometry.ambient.unit()})
 
-    @staticmethod
-    def zero(geometry: PairGeometry) -> "StateSeries":
-        return StateSeries(geometry, {})
-
     # -- basic ring ops ----------------------------------------------------
 
     def __add__(self, other: "StateSeries") -> "StateSeries":
@@ -200,68 +196,53 @@ class StateSeries:
     def __mul__(self, other: "StateSeries") -> "StateSeries":
         """The contact-order product rule (see module docstring).
 
-        Term pairs within the truncation are grouped by output key and rule,
-        and each group is one `sum_of_products`; the pushforward and the cup
-        with r(D) are linear, so each is applied once per group.
+        The right operand is sorted by weight once, so each left term stops at
+        the weight cut; term pairs are grouped by output key and rule.
         """
         geom = self.geometry
-        pol = geom.policy
-        r = geom.restriction
-        right = [(k, e, r(e) if k[1] == 0 else e) for k, e in other.terms.items()]
+        right = sorted(_states(geom, other.terms), key=lambda t: t[0])
         groups: dict = {}
-        for (b1, c1, l1), e1 in self.terms.items():
-            d1 = r(e1) if c1 == 0 else e1
-            w1 = pol.weight(b1)
-            for (b2, c2, l2), e2, d2 in right:
-                if w1 + pol.weight(b2) > pol.max_total:
-                    continue
-                c = c1 + c2
-                if c1 == 0 and c2 == 0:
-                    rule = "cup"
-                elif (c1 < 0) == (c2 < 0) or c < 0:
-                    rule = "divisor"
-                elif c == 0:
-                    rule = "pushforward"
-                else:
-                    rule = "divisor_class"
-                key = (tuple(map(add, b1, b2)), c, tuple(map(add, l1, l2)))
-                pair = (e1, e2) if rule == "cup" else (d1, d2)
-                groups.setdefault((key, rule), []).append(pair)
-        rd = r(geom.divisor_class)
-        out: dict = {}
-        for (key, rule), pairs in groups.items():
-            el = sum_of_products(geom.ambient if rule == "cup" else geom.divisor, pairs)
-            if rule == "pushforward":
-                el = pairing_pushforward(r, el)
-            elif rule == "divisor_class":
-                el = el * rd
-            _merge_add(out, key, el)
-        return StateSeries(geom, out)
+        for w1, k1, e1, d1 in _states(geom, self.terms):
+            _group_pairs(groups, k1, e1, d1, right, geom.policy.max_total - w1)
+        return StateSeries(geom, _reduce_groups(geom, groups))
 
     def reciprocal(self) -> "StateSeries":
-        """Geometric-series inverse; the leading state must be c·[1]_0, c ≠ 0."""
+        """The right inverse r of f = c·([1]_0 − n), c ≠ 0, level by level in weight.
+
+        (1 − n_0)⁻¹ for the β = 0 part n_0 is the nilpotent sum Σ n_0^k, and
+        r_β = (1 − n_0)⁻¹·Σ_{γ≠0} n_γ·r_{β−γ} reads lighter levels only: one
+        product's worth of term pairs.  The product is commutative but not
+        associative; for n_0 = 0 (every I-function) or of contact 0 this r is
+        the unique right inverse, which is then the geometric series Σ n^k.
+        """
         geom = self.geometry
-        zkey = ((0,) * geom.nvars, 0, (0,) * geom.nvars)
-        lead = self.terms.get(zkey)
+        zero = (0,) * geom.nvars
+        lead = self.terms.get((zero, 0, zero))
         c = lead.unit_component() if lead is not None else Fraction(0)
         if c == 0:
             raise ValueError("state reciprocal needs a nonzero unit leading term")
-        n = self.scale(Fraction(1) / c) - StateSeries.unit(geom)
-        out = StateSeries.unit(geom)
-        power = StateSeries.unit(geom)
-        sign = 1
-        cap = geom.policy.max_total + geom.ambient.top_degree + 3
-        for _ in range(cap):
-            power = power * n
+        unit = StateSeries.unit(geom)
+        n = unit - self.scale(Fraction(1) / c)
+        n0 = StateSeries(geom, {k: e for k, e in n.terms.items() if k[0] == zero})
+        inverse0 = power = unit
+        for _ in range(geom.policy.max_total + geom.ambient.top_degree + 3):
+            power = power * n0
             if power.is_zero():
                 break
-            sign = -sign
-            out = out + power.scale(sign)
+            inverse0 = inverse0 + power
         else:
-            raise PipelineInvariantError(
-                "state reciprocal did not terminate (series not nilpotent)"
-            )
-        return out.scale(Fraction(1) / c)
+            raise PipelineInvariantError("state reciprocal did not terminate (series not nilpotent)")
+        steps = sorted((t for t in _states(geom, n.terms) if t[0]), key=lambda t: t[0])
+        levels = [_states(geom, inverse0.terms)]
+        for w in range(1, geom.policy.max_total + 1):
+            groups: dict = {}
+            for w1, k1, e1, d1 in takewhile(lambda t: t[0] <= w, steps):
+                _group_pairs(groups, k1, e1, d1, levels[w - w1], w - w1)
+            level = StateSeries(geom, _reduce_groups(geom, groups))
+            if inverse0 != unit:
+                level = inverse0 * level
+            levels.append(_states(geom, level.terms))
+        return StateSeries(geom, {k: e for lv in levels for _, k, e, _ in lv}).scale(1 / c)
 
     # -- queries ---------------------------------------------------------
 
@@ -281,6 +262,48 @@ class StateSeries:
         for (b, c, l) in sorted(self.terms):
             bits.append(f"[{self.terms[(b, c, l)]!r}]_{c} q^{b} log^{l}")
         return " + ".join(bits) if bits else "0"
+
+
+def _states(geom: PairGeometry, terms: dict) -> list:
+    """(weight, key, value, value on the divisor) for each state term."""
+    r, weight = geom.restriction, geom.policy.weight
+    return [(weight(k[0]), k, e, r(e) if k[1] == 0 else e) for k, e in terms.items()]
+
+
+def _group_pairs(groups: dict, k1, e1: Element, d1: Element, right: list, room: int) -> None:
+    """File [e1]_k1 times each `_states` entry of ``right`` (sorted by weight) up to
+    weight ``room`` under its output key and product rule."""
+    b1, c1, l1 = k1
+    for w2, (b2, c2, l2), e2, d2 in right:
+        if w2 > room:
+            break
+        c = c1 + c2
+        if c1 == 0 and c2 == 0:
+            rule = "cup"
+        elif (c1 < 0) == (c2 < 0) or c < 0:
+            rule = "divisor"
+        elif c == 0:
+            rule = "pushforward"
+        else:
+            rule = "divisor_class"
+        key = (tuple(map(add, b1, b2)), c, tuple(map(add, l1, l2)))
+        groups.setdefault((key, rule), []).append((e1, e2) if rule == "cup" else (d1, d2))
+
+
+def _reduce_groups(geom: PairGeometry, groups: dict) -> dict:
+    """The terms of `_group_pairs` groups: one `sum_of_products` per group, then
+    the pushforward or the cup with r(D), both linear."""
+    r = geom.restriction
+    rd = r(geom.divisor_class)
+    out: dict = {}
+    for (key, rule), pairs in groups.items():
+        el = sum_of_products(geom.ambient if rule == "cup" else geom.divisor, pairs)
+        if rule == "pushforward":
+            el = pairing_pushforward(r, el)
+        elif rule == "divisor_class":
+            el = el * rd
+        _merge_add(out, key, el)
+    return out
 
 
 PRODUCT_RULE_TEXT = (
@@ -633,6 +656,8 @@ def _assemble(
                         )
                     continue
                 use = rows if contact == 0 else restricted
+                if not any(use[i] for i, _, _ in el.support):
+                    continue
                 coeffs = _combine(((use[i], n, d) for i, n, d in el.support), alg.dim)
                 if any(coeffs):
                     terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
@@ -818,20 +843,44 @@ def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
 # the change of variables
 
 
+def mixed_signs(m_vector: tuple[int, ...]) -> bool:
+    """Whether m has entries of both signs: then infinitely many classes share each m·β."""
+    return any(x > 0 for x in m_vector) and any(x < 0 for x in m_vector)
+
+
 def _grouped_exp(
     f: NovikovSeries, m_vector: tuple[int, ...], scale: Callable[[int], int],
     classes: Iterable[tuple[int, ...]], kernel: list[tuple[tuple[int, ...], Fraction]],
 ) -> dict[tuple[int, ...], Fraction]:
     """Σ_γ c_γ·[e^{scale(d)·f}]_{β−γ} over the kernel's (γ, c_γ), at each class β.
 
-    Classes are grouped by d = m·β, and each group reads one exp truncated at
-    its heaviest class.
+    Classes are grouped by d = m·β.  For m of one sign each group reads one
+    exp truncated at its heaviest class, and most groups are light.  For m of
+    both signs every group reaches about the full order, so all of them read
+    one power walk instead: Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0,
+    each class β gaining (s^k/k!)·[Q_k]_β with s = scale(d).  One Q_k is
+    kept at a time.
     """
     pol = f.policy
     groups: dict[int, list[tuple[int, ...]]] = {}
     for beta in classes:
         groups.setdefault(sum(map(mul, m_vector, beta)), []).append(beta)
-    out: dict[tuple[int, ...], Fraction] = {}
+    if mixed_signs(m_vector):
+        if f.constant_term() != 0:
+            raise ValueError("exp needs a series with zero constant term")
+        out = {b: Fraction(0) for betas in groups.values() for b in betas}
+        q = NovikovSeries(pol, dict(kernel))
+        factor = dict.fromkeys(groups, Fraction(1))  # s^k/k! per group
+        k = 0
+        while not q.is_zero():
+            for d, betas in groups.items():
+                for beta in betas:
+                    if beta in q.terms:
+                        out[beta] += factor[d] * q.terms[beta]
+                factor[d] *= Fraction(scale(d), k + 1)
+            q, k = f * q, k + 1
+        return out
+    out = {}
     for d, betas in groups.items():
         top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
         s = scale(d)
@@ -866,7 +915,8 @@ class MirrorChange:
 
             [q^β] e^G = [y^β] e^{(1 − m·β)·g(y)}·(1 + E_m g),
 
-        read as short dot products with 1 + E_m g.  Built once per change.
+        read off `_grouped_exp` with the kernel 1 + E_m g: one exp per value of
+        m·β, or for m of both signs one walk over g^k·(1 + E_m g).  Built once.
         """
         g = self.g
         if g.constant_term() != 0:

@@ -30,6 +30,7 @@ from .ifunctions import (
     class_constant_terms,
     composed_exponent,
     divisor_mirror_map,
+    mixed_signs,
     normalize_i,
     relative_i_function,
     substitute_forward,
@@ -125,7 +126,7 @@ class ProperPotential:
     def collapse_refusal(self) -> str | None:
         """Why the collapsed view would depend on the truncation, or None."""
         m = self.geometry.m_vector
-        if any(x > 0 for x in m) and any(x < 0 for x in m):
+        if mixed_signs(m):
             return (
                 f"{self.geometry.name}: m_vector {','.join(map(str, m))} has entries "
                 "of both signs, so infinitely many classes share each t-degree D.beta "

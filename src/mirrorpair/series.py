@@ -11,7 +11,8 @@ Three series shapes drive the computations:
   number N of stored terms; log is E(f)·(1/f) divided back by the weight.
   Products and recurrences accumulate the way `algebra.sum_of_products`
   does: each output monomial sums integer numerators over lcm-joined integer
-  denominators (`_accumulate`) and becomes one Fraction at the end.
+  denominators (`_accumulate`) and becomes one Fraction at the end.  Their
+  results skip the public constructor's key checks (`_kernel_output`).
 
 * `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
   graded algebra, used for the hypergeometric factors.  Every factor of the
@@ -105,6 +106,13 @@ class NovikovSeries:
                 clean[k] = v
         self.terms = clean
 
+    @classmethod
+    def _kernel_output(cls, policy: TruncationPolicy, terms: dict) -> "NovikovSeries":
+        """A kernel's result: its keys are admissible by construction, so only zeros go."""
+        out = object.__new__(cls)
+        out.policy, out.terms = policy, {k: v for k, v in terms.items() if v}
+        return out
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -148,7 +156,8 @@ class NovikovSeries:
     def __mul__(self, other):
         if not isinstance(other, NovikovSeries):
             c = rat(other)
-            return NovikovSeries(self.policy, {k: c * v for k, v in self.terms.items()})
+            terms = {k: c * v for k, v in self.terms.items()}
+            return NovikovSeries._kernel_output(self.policy, terms)
         self._check(other)
         pol = self.policy
         top = pol.max_total
@@ -164,7 +173,7 @@ class NovikovSeries:
                 if wb > room:
                     break
                 _accumulate(acc, tuple(map(add, ka, kb)), na * nb, da * db)
-        return NovikovSeries(pol, {k: Fraction(n, d) for k, (n, d) in acc.items()})
+        return NovikovSeries._kernel_output(pol, {k: Fraction(n, d) for k, (n, d) in acc.items()})
 
     __rmul__ = __mul__
 
@@ -304,7 +313,7 @@ def _solve_by_weight(
                     break
                 _accumulate(levels[w + wd], tuple(map(add, k, dk)), cn * hn, cd * hd)
         levels[w] = {}
-    return NovikovSeries(pol, out)
+    return NovikovSeries._kernel_output(pol, out)
 
 
 # ---------------------------------------------------------------------------

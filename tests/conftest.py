@@ -18,7 +18,12 @@ instead.
 
 The series-product oracle: a literal double loop of Fraction products over
 two Novikov series, cut at the truncation weight.  The package accumulates
-integers over lcm-joined denominators instead.
+integers over lcm-joined denominators instead.  The per-class θ_β oracle
+sums e^{dG} from its literal powers; the package reads every class off one
+power walk (m of both signs) or one exp per value of m·β.
+
+The geometric state reciprocal: Σ (−n)^k with each power a `state_product`.
+The package solves the right inverse level by level in weight instead.
 
 The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the
@@ -205,6 +210,26 @@ def state_product(a, b):
     return StateSeries(geom, out)
 
 
+def geometric_reciprocal(f):
+    """1/f = (1/c)·Σ_k (−n)^k for f = c·([1]_0 + n), each power n^k = n^{k−1}·n by `state_product`.
+
+    The sum stops at the first power that vanishes; powers that have not
+    vanished after 64 steps raise ValueError.
+    """
+    geom = f.geometry
+    unit = StateSeries.unit(geom)
+    zero = (0,) * geom.nvars
+    c = f.terms[(zero, 0, zero)].unit_component()
+    n = f.scale(1 / c) - unit
+    out = power = unit
+    for k in range(1, 64):
+        power = state_product(power, n)
+        if not power.terms:
+            return out.scale(1 / c)
+        out = out + power.scale((-1) ** k)
+    raise ValueError("geometric series of a state series did not end")
+
+
 def series_product(f, g):
     """f·g for NovikovSeries, one Fraction product per term pair within the weight cut."""
     pol = f.policy
@@ -216,6 +241,30 @@ def series_product(f, g):
             k = tuple(a + b for a, b in zip(ka, kb))
             out[k] = out.get(k, Fraction(0)) + va * vb
     return NovikovSeries(pol, out)
+
+
+def class_thetas(G, m_vector, t_order):
+    """θ_β = [q^β] e^{(m·β)·G} on each class of G's truncation with 1 ≤ m·β ≤ t_order.
+
+    e^{dG} = Σ_k d^k·G^k/k!, each power G^k = G^{k−1}·G by `series_product`;
+    G has no constant term, so G^k vanishes past the truncation order.  Zeros
+    are dropped.
+    """
+    pol = G.policy
+    powers = [NovikovSeries.one(pol)]
+    for _ in range(pol.max_total):
+        powers.append(series_product(powers[-1], G))
+    out = {}
+    for beta in iproduct(*(range(pol.max_total // w + 1) for w in pol.weights)):
+        d = sum(m * b for m, b in zip(m_vector, beta))
+        if pol.weight(beta) > pol.max_total or not 1 <= d <= t_order:
+            continue
+        theta = sum(
+            Fraction(d**k, math.factorial(k)) * p.terms.get(beta, 0) for k, p in enumerate(powers)
+        )
+        if theta:
+            out[beta] = theta
+    return out
 
 
 def power_constant_terms(w, top):

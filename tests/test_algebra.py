@@ -176,6 +176,18 @@ def test_pairing_matrix_nondegenerate_for_p2():
     ]
 
 
+@pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
+def test_pairing_matrix_integrates_the_dense_table(geom):
+    for alg in (geom.ambient, geom.divisor):
+        n = alg.dim
+        want = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    want[i][j] += alg.table[i][j][k] * alg.integration[k]
+        assert pairing_matrix(alg) == want
+
+
 # ---------------------------------------------------------------------------
 # division, nilpotency, exact solving
 

@@ -427,6 +427,16 @@ def test_table_flag_rejects_wrong_class_shape(tmp_path, capsys):
     assert "components" in capsys.readouterr().err
 
 
+def test_table_errors_name_the_file(tmp_path, capsys):
+    table = tmp_path / "bad.tsv"
+    table.write_text("x_point 1 1 pt\n")
+    code = run(["quantum-period", "--geometry", "p2_cubic", "--table", str(table)],
+               stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {table}: invariant table line 1: need 5 columns, got 4\n"
+
+
 def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
     from conftest import SYNTHETIC_NEGATIVE
 
@@ -452,6 +462,8 @@ P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
         ("divisor_class = 3*H\n", "divisor_class = 1/0*H\n", "pair"),
         ("picard = H\n", "picard = Q\n", "pair"),
         ("order = 8\n", "order = eight\n", "truncation"),
+        ("[algebra.ambient]\n", "[DEFAULT]\nname = sneaky\n[algebra.ambient]\n", "DEFAULT"),
+        ("[algebra.ambient]\n", "[DEFAULT]\n[algebra.ambient]\n", "DEFAULT"),
     ],
 )
 def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):

@@ -7,6 +7,7 @@ paper, and the blown-up series from the closed multinomial expression
 (4a+b)!/((a!)^4 b!).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from conftest import (
     SYNTHETIC_NEGATIVE,
     SYNTHETIC_NEGATIVE_ZERO_TAU,
     assemble_literal,
+    class_thetas,
+    geometric_reciprocal,
     state_product,
 )
 from mirrorpair import (
@@ -49,6 +52,7 @@ from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     PochhammerChains,
     absolute_core,
+    class_constant_terms,
 )
 
 
@@ -355,6 +359,30 @@ def test_state_reciprocal_multiplies_back(blp3):
     assert i1 * i1.reciprocal() == StateSeries.unit(blp3)
 
 
+@pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
+@given(
+    raw=_state_terms,
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    nil=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    log=st.integers(0, 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_state_reciprocal_is_the_geometric_series(request, name, raw, c, nil, log):
+    # β = 0 part c·[1]_0 plus a contact-0 nilpotent class (zero in some draws)
+    geom = request.getfixturevalue(name)
+    amb = geom.ambient
+    zero = (0,) * geom.nvars
+    terms = {k: e for k, e in _random_state_series(geom, raw).terms.items() if any(k[0])}
+    nil = [0 if i == amb.unit_index else x for i, x in enumerate(nil[: amb.dim])]
+    terms[(zero, 0, zero)] = amb.unit().scale(c)
+    n0_key = (zero, 0, (log,) * geom.nvars)
+    terms[n0_key] = terms.get(n0_key, amb.zero()) + amb.element(nil)
+    f = StateSeries(geom, terms)
+    r = f.reciprocal()
+    assert r == geometric_reciprocal(f)
+    assert state_product(f, r) == StateSeries.unit(geom)
+
+
 # ---------------------------------------------------------------------------
 # the blown-up geometry: frozen hypergeometric slice
 
@@ -610,6 +638,27 @@ def _named_change(m, weights, terms):
 @settings(max_examples=30, deadline=None)
 def test_composed_exponent_solves_the_change(ch):
     assert substitute_forward(composed_exponent(ch), ch) == ch.g
+
+
+@st.composite
+def _mixed_sign_exponents(draw):
+    """A random G with zero constant term over 2-3 variables, weights 1-2, and m with both signs."""
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    weights = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
+    m = (draw(st.integers(-3, -1)), draw(st.integers(1, 4))) + tuple(
+        draw(st.integers(-3, 4)) for _ in range(nvars - 2)
+    )
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=1, max_value=9 - nvars)), weights)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars).filter(any)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return m, NovikovSeries(pol, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@given(mg=_mixed_sign_exponents(), t_order=st.integers(1, 8) | st.just(math.inf))
+@settings(max_examples=40, deadline=None)
+def test_class_constant_terms_match_literal_powers(mg, t_order):
+    m, G = mg
+    assert class_constant_terms(G, m, t_order) == class_thetas(G, m, t_order)
 
 
 @given(ch=_changes(), c=st.fractions(min_value=-3, max_value=3).filter(bool))

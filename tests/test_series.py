@@ -252,6 +252,18 @@ def test_kernels_match_fraction_oracles_on_mixed_denominators(pair):
     assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
 
 
+@given(pair=_mixed_denominator_pair(), c=st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@settings(max_examples=40, deadline=None)
+def test_kernel_outputs_are_valid_series(pair, c):
+    f, g = pair
+    pol = f.policy
+    u = f - NovikovSeries.constant(pol, f.constant_term())
+    one = NovikovSeries.one(pol)
+    for out in (f * g, f * c, c * f, u.exp(), (one + u).reciprocal()):
+        assert out == NovikovSeries(pol, out.terms)
+        assert all(type(v) is Fraction for v in out.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # z-Laurent data over a finite graded algebra
 
