@@ -25,6 +25,7 @@ from .geometry import (
     InvariantTable,
     MissingDataError,
     PairGeometry,
+    attach_invariants,
     builtin_geometry,
     format_invariants,
     ingest_invariants,

@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -26,15 +25,13 @@ from .algebra import AlgebraError
 from .geometry import (
     BUILTIN_CONFIGS,
     ConfigError,
-    InvariantTable,
     MissingDataError,
-    _validate_geometry,
+    attach_invariants,
     builtin_geometry,
     ingest_invariants,
     load_geometry,
     PairGeometry,
     require_quantum_source,
-    tabulate_one_point_invariants,
 )
 from .ifunctions import (
     PRODUCT_RULE_TEXT,
@@ -69,19 +66,6 @@ from .series import (
 )
 
 DEFAULT_T_ORDER = 12
-
-
-@dataclass
-class RunConfig:
-    command: str
-    geometry: str = "p2_cubic"
-    order: int | None = None
-    fmt: str = "pretty"
-    per_beta: bool = False
-    negative_control: bool = False
-    seed: int = 0
-    cases: int = 25
-    table: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in ("geometry", "order", "fmt", "per_beta",
-                 "negative_control", "seed", "cases", "table"):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -211,56 +186,26 @@ def _metadata(geom: PairGeometry | None, **extra) -> dict:
 # shared loading
 
 
-def _load_geometry(cfg: RunConfig, order_is_truncation: bool) -> PairGeometry:
-    if cfg.geometry in BUILTIN_CONFIGS:
-        geom = builtin_geometry(cfg.geometry)
+def _load_geometry(ns: argparse.Namespace, order_is_truncation: bool) -> PairGeometry:
+    if ns.geometry in BUILTIN_CONFIGS:
+        geom = builtin_geometry(ns.geometry)
     else:
-        path = Path(cfg.geometry)
+        path = Path(ns.geometry)
         try:
             geom = load_geometry(path.read_text(), path.stem)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    if order_is_truncation and cfg.order is not None:
+    if order_is_truncation and ns.order is not None:
         pol = geom.policy
-        geom = geom.with_policy(TruncationPolicy.make(pol.nvars, cfg.order, pol.weights))
-    if cfg.table is not None:
-        path = Path(cfg.table)
+        geom = geom.with_policy(TruncationPolicy.make(pol.nvars, ns.order, pol.weights))
+    if ns.table is not None:
+        path = Path(ns.table)
         try:
             extra = ingest_invariants(path.read_text())
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        merged = dict(geom.table.entries) if geom.table is not None else {}
-        for key, value in extra.entries:
-            beta = key[1]
-            if len(beta) != len(geom.m_vector):
-                raise ConfigError(
-                    f"table class {beta} has {len(beta)} components; "
-                    f"{geom.name} curve classes have {len(geom.m_vector)}"
-                )
-            if key in merged and merged[key] != value:
-                raise ConfigError(
-                    f"table entry {key} conflicts with the geometry's own value"
-                )
-            merged[key] = value
-        if geom.j_source == "closed_form_projective":
-            _check_closed_form(geom, extra)
-        geom = geom.with_table(InvariantTable(tuple(sorted(merged.items()))))
-        _validate_geometry(geom)
+        geom = attach_invariants(geom, extra)
     return geom
-
-
-def _check_closed_form(geom: PairGeometry, table: InvariantTable) -> None:
-    """Refuse x_point rows that contradict the closed form a projective pair computes with."""
-    rows = table.rows_for("x_point")
-    top = max((geom.contact_weight(beta) for beta, _, _ in rows), default=0)
-    closed = tabulate_one_point_invariants(geom, top).as_dict()
-    for beta, a, v in rows:
-        want = closed.get(("x_point", beta, a), 0)
-        if v != want:
-            raise ConfigError(
-                f"table row x_point class {_beta_str(beta)} psi^{a} = {v} contradicts "
-                f"the closed form of {geom.name}, which gives {want}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +335,26 @@ def _euler_records(rep) -> list[dict]:
 # subcommands
 
 
-def cmd_i_function(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=True)
+def cmd_i_function(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=True)
     rel = relative_i_function(geom)
     records = _class_records(geom, "i_function", rel.terms)
-    _emit(cfg.fmt, _metadata(geom, series="i_function"), records, stream)
+    _emit(ns.fmt, _metadata(geom, series="i_function"), records, stream)
     return 0
 
 
-def cmd_tau_d(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=True)
+def cmd_tau_d(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=True)
     dm = divisor_mirror_map(geom)
     md = _metadata(geom, series="divisor_mirror_map", tau_d_source=dm.source)
     if dm.reason:
         md["tau_d_reason"] = dm.reason
-    _emit(cfg.fmt, md, _divisor_map_records(dm), stream)
+    _emit(ns.fmt, md, _divisor_map_records(dm), stream)
     return 0
 
 
-def cmd_mirror_map(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=True)
+def cmd_mirror_map(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=True)
     norm = normalize_i(relative_i_function(geom))
     records = _class_records(geom, "mirror_map", norm.mirror_map.terms)
     exponent = norm.exponent
@@ -420,16 +365,16 @@ def cmd_mirror_map(cfg: RunConfig, stream) -> int:
     records += _novikov_records("composed_exponent", "q^", G)
     for name, series in zip(geom.novikov_names, inverse_coordinates(change, G)):
         records += _novikov_records("inverse_coordinate", f"{name}: q^", series)
-    _emit(cfg.fmt, _metadata(geom, series="mirror_map"), records, stream)
+    _emit(ns.fmt, _metadata(geom, series="mirror_map"), records, stream)
     return 0
 
 
-def cmd_quantum_period(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=False)
-    t_order = cfg.order or DEFAULT_T_ORDER
+def cmd_quantum_period(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=False)
+    t_order = ns.order or DEFAULT_T_ORDER
     period = quantum_period(geom, t_order)
     _emit(
-        cfg.fmt,
+        ns.fmt,
         _metadata(geom, series="quantum_period", t_order=t_order),
         _period_records("quantum_period", period),
         stream,
@@ -437,12 +382,12 @@ def cmd_quantum_period(cfg: RunConfig, stream) -> int:
     return 0
 
 
-def cmd_regularized_period(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=False)
-    t_order = cfg.order or DEFAULT_T_ORDER
+def cmd_regularized_period(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=False)
+    t_order = ns.order or DEFAULT_T_ORDER
     period = regularize(quantum_period(geom, t_order))
     _emit(
-        cfg.fmt,
+        ns.fmt,
         _metadata(geom, series="regularized_period", t_order=t_order),
         _period_records("regularized_period", period),
         stream,
@@ -450,12 +395,12 @@ def cmd_regularized_period(cfg: RunConfig, stream) -> int:
     return 0
 
 
-def cmd_proper_potential(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=False)
-    pot = proper_potential(geom, cfg.order)
+def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=False)
+    pot = proper_potential(geom, ns.order)
     refusal = pot.collapse_refusal()
-    records = _potential_records(pot.collapse(cfg.order)) if refusal is None else []
-    if cfg.per_beta or len(geom.m_vector) > 1:
+    records = _potential_records(pot.collapse(ns.order)) if refusal is None else []
+    if ns.per_beta or len(geom.m_vector) > 1:
         records += _potential_term_records(pot)
     md = _metadata(
         pot.geometry,
@@ -467,13 +412,13 @@ def cmd_proper_potential(cfg: RunConfig, stream) -> int:
     )
     if refusal is not None:
         md["collapsed_view"] = f"refused: {refusal}"
-    _emit(cfg.fmt, md, records, stream)
+    _emit(ns.fmt, md, records, stream)
     return 0
 
 
-def cmd_classical_period(cfg: RunConfig, stream) -> int:
-    geom = _load_geometry(cfg, order_is_truncation=False)
-    t_order = cfg.order or DEFAULT_T_ORDER
+def cmd_classical_period(ns: argparse.Namespace, stream) -> int:
+    geom = _load_geometry(ns, order_is_truncation=False)
+    t_order = ns.order or DEFAULT_T_ORDER
     pot = proper_potential(geom, t_order)
     period = classical_period(pot, t_order)
     records = [] if period.refusal else _period_records("classical_period", period.series())
@@ -486,19 +431,19 @@ def cmd_classical_period(cfg: RunConfig, stream) -> int:
     md = _metadata(pot.geometry, series="classical_period", t_order=t_order)
     if period.refusal:
         md["collapsed_view"] = f"refused: {period.refusal}"
-    _emit(cfg.fmt, md, records, stream)
+    _emit(ns.fmt, md, records, stream)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, stream) -> int:
+def cmd_verify(ns: argparse.Namespace, stream) -> int:
     """Run the three checks on one shared potential and report the order it ran at."""
-    geom = _load_geometry(cfg, order_is_truncation=False)
-    t_order = cfg.order or DEFAULT_T_ORDER
+    geom = _load_geometry(ns, order_is_truncation=False)
+    t_order = ns.order or DEFAULT_T_ORDER
     try:
         require_quantum_source(geom)
         period_skip = None
     except MissingDataError as exc:
-        if cfg.negative_control:
+        if ns.negative_control:
             raise
         period_skip = f"skipped: {exc}"
     pot = shared_potential(geom, None if period_skip else t_order)
@@ -513,7 +458,7 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
     if period_skip:
         check("period_theorem", period_skip)
     else:
-        cmp = compare_periods(pot, t_order, negative_control=cfg.negative_control)
+        cmp = compare_periods(pot, t_order, negative_control=ns.negative_control)
         records += _period_check_records(cmp)
         if cmp.negative_control:
             verdict = (
@@ -547,27 +492,27 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
         pot.geometry,
         series="verify",
         t_order=t_order,
-        negative_control=str(cfg.negative_control).lower(),
+        negative_control=str(ns.negative_control).lower(),
         result="pass" if not failures else "fail: " + ",".join(failures),
     )
-    _emit(cfg.fmt, md, records, stream)
+    _emit(ns.fmt, md, records, stream)
     return 0 if not failures else 1
 
 
-def cmd_identities(cfg: RunConfig, stream) -> int:
-    if cfg.cases < 1:
+def cmd_identities(ns: argparse.Namespace, stream) -> int:
+    if ns.cases < 1:
         raise ConfigError("--cases must be at least 1")
-    lagrange_order = cfg.order or 10
-    bell_order = cfg.order or 12
-    rng = Random(cfg.seed)
+    lagrange_order = ns.order or 10
+    bell_order = ns.order or 12
+    rng = Random(ns.seed)
     records: list[dict] = []
     failures = 0
-    for i in range(cfg.cases):
+    for i in range(ns.cases):
         f = random_simple_pole(rng)
         ok, _ = inversion_roundtrip(f, lagrange_order)
         records.append(_record("lagrange_roundtrip", f"case {i}", "pass" if ok else "fail"))
         failures += not ok
-    for i in range(cfg.cases):
+    for i in range(ns.cases):
         tail = random_unit_tail(rng)
         rep = bell_identity_check(tail, bell_order)
         records.append(_record("bell_identity", f"case {i}", "pass" if rep.ok else "fail"))
@@ -575,13 +520,13 @@ def cmd_identities(cfg: RunConfig, stream) -> int:
     md = _metadata(
         None,
         series="identities",
-        seed=cfg.seed,
-        cases=cfg.cases,
+        seed=ns.seed,
+        cases=ns.cases,
         lagrange_order=lagrange_order,
         bell_order=bell_order,
         result="pass" if not failures else f"fail ({failures} cases)",
     )
-    _emit(cfg.fmt, md, records, stream)
+    _emit(ns.fmt, md, records, stream)
     return 0 if not failures else 1
 
 
@@ -605,13 +550,12 @@ def run(argv: list[str], stream=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_namespace(ns)
     if stream is None:
         stream = sys.stdout
     try:
-        if cfg.order is not None and cfg.order < 2:
+        if ns.order is not None and ns.order < 2:
             raise ConfigError("--order must be at least 2")
-        return DISPATCH[cfg.command](cfg, stream)
+        return DISPATCH[ns.command](ns, stream)
     except PipelineInvariantError as exc:
         print(f"error: pipeline invariant broken: {exc}", file=sys.stderr)
         return 3

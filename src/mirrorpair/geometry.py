@@ -39,7 +39,7 @@ class MissingDataError(ValueError):
 
 
 J_SOURCES = ("closed_form_projective", "toric_hypergeometric", "invariant_table")
-TAU_D_SOURCES = ("zero", "closed_form_from_one_point_invariants", "table")
+TAU_D_SOURCES = ("zero", "table")
 TABLE_KINDS = ("x_point", "d_point")
 
 
@@ -98,9 +98,11 @@ def ingest_invariants(text: str) -> InvariantTable:
         if a < 0 or any(b < 0 for b in beta):
             raise ConfigError(f"invariant table line {lineno}: negative class/psi data")
         key = (kind, beta, a)
-        if key in entries:
-            raise ConfigError(f"invariant table line {lineno}: duplicate key {key}")
-        entries[key] = val
+        if entries.setdefault(key, val) != val:
+            raise ConfigError(
+                f"invariant table line {lineno}: duplicate key {key} gives {val}, "
+                f"an earlier line gives {entries[key]}"
+            )
     return InvariantTable(tuple(entries.items()))
 
 
@@ -383,7 +385,8 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
 
     table = None
     if pair.get("invariants"):
-        table = ingest_invariants(pair["invariants"])
+        # rows are numbered from the key's first row, as in a --table file
+        table = ingest_invariants(pair["invariants"].lstrip("\n"))
 
     geom = PairGeometry(
         name=name, ambient=ambient, divisor=divisor, restriction=restriction,
@@ -442,12 +445,41 @@ def _validate_geometry(geom: PairGeometry) -> None:
                 "toric data violates the log Calabi-Yau condition: "
                 "sum(denominators) != sum(bundles)"
             )
-    if geom.j_source == "invariant_table":
-        if geom.table is None or geom.table.is_empty_for("x_point"):
-            raise MissingDataError(
-                f"{geom.name}: j_source=invariant_table but no x_point rows supplied"
+    # invariant rows: one gate, whether they come from the invariants key or
+    # are attached later (attach_invariants)
+    table = geom.table or InvariantTable(())
+    for (_, beta, _), _ in table.entries:
+        if len(beta) != geom.nvars:
+            raise ConfigError(
+                f"table class {beta} has {len(beta)} components; "
+                f"{geom.name} curve classes have {geom.nvars}"
             )
-    d_rows = geom.table.rows_for("d_point") if geom.table is not None else []
+    x_rows, d_rows = table.rows_for("x_point"), table.rows_for("d_point")
+    if geom.j_source == "closed_form_projective" and x_rows:
+        # the closed form gives 1/(d!)^{n+1} at psi^{D.beta-2} and 0 elsewhere
+        top = max(geom.contact_weight(beta) for beta, _, _ in x_rows)
+        closed = tabulate_one_point_invariants(geom, top).as_dict()
+        for beta, a, v in x_rows:
+            want = closed.get(("x_point", beta, a), 0)
+            if v != want:
+                raise ConfigError(
+                    f"table row x_point class {_class_str(beta)} psi^{a} = {v} contradicts "
+                    f"the closed form of {geom.name}, which gives {want}"
+                )
+    if geom.j_source == "toric_hypergeometric":
+        # the quantum period reads psi^{D.beta-2} at D.beta >= 2 only (dimension count)
+        for beta, a, v in x_rows:
+            d = geom.contact_weight(beta)
+            if v and (d < 2 or a != d - 2):
+                raise ConfigError(
+                    f"table row x_point class {_class_str(beta)} psi^{a} = {v} is never "
+                    f"read: {geom.name} reads x_point rows only at psi^(D.beta - 2) "
+                    f"with D.beta >= 2, and this class has D.beta = {d}"
+                )
+    if geom.j_source == "invariant_table" and not x_rows:
+        raise MissingDataError(
+            f"{geom.name}: j_source=invariant_table but no x_point rows supplied"
+        )
     if geom.tau_d_source == "table" and not d_rows:
         raise MissingDataError(
             f"{geom.name}: tau_d_source=table but no d_point rows supplied"
@@ -455,10 +487,28 @@ def _validate_geometry(geom: PairGeometry) -> None:
     if geom.tau_d_source == "zero" and d_rows:
         beta, a, _ = d_rows[0]
         raise ConfigError(
-            f"table row d_point class {','.join(map(str, beta))} psi^{a} contradicts "
+            f"table row d_point class {_class_str(beta)} psi^{a} contradicts "
             f"{geom.name}'s zero divisor mirror map (tau_d_reason = {geom.tau_d_reason}), "
             "which reads no d_point rows"
         )
+
+
+def _class_str(beta: tuple[int, ...]) -> str:
+    return ",".join(map(str, beta))
+
+
+def attach_invariants(geom: PairGeometry, extra: InvariantTable) -> PairGeometry:
+    """The geometry with extra rows merged into its table, every row re-validated.
+
+    A row whose key the table already holds with another value is refused.
+    """
+    merged = geom.table.as_dict() if geom.table is not None else {}
+    for key, value in extra.entries:
+        if merged.setdefault(key, value) != value:
+            raise ConfigError(f"table entry {key} conflicts with the geometry's own value")
+    geom = geom.with_table(InvariantTable(tuple(merged.items())))
+    _validate_geometry(geom)
+    return geom
 
 
 # ---------------------------------------------------------------------------

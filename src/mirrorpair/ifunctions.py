@@ -459,23 +459,22 @@ class DivisorMirrorMap:
 def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
     if geom.tau_d_source == "zero":
         return DivisorMirrorMap(geom.name, "zero", geom.tau_d_reason, ())
-    if geom.tau_d_source in ("table", "closed_form_from_one_point_invariants"):
-        if geom.table is None or geom.table.is_empty_for("d_point"):
-            raise MissingDataError(
-                f"{geom.name}: divisor mirror map needs d_point invariants: "
-                "external data required"
-            )
-        terms: dict[tuple[tuple[int, ...], int], Element] = {}
-        push_unit = pairing_pushforward(geom.restriction, geom.divisor.unit())
-        for beta, a, v in geom.table.rows_for("d_point"):
-            d = -geom.contact_weight(beta)
-            if d < 2 or a != d - 2:
-                continue  # only the normal-direction rows feed the mirror map
-            coeff = v * Fraction((-1) ** (d - 1) * math.factorial(d - 1))
-            cls = push_unit.scale(coeff)
-            _merge_add(terms, (tuple(beta), 0), cls)
-        return DivisorMirrorMap(geom.name, geom.tau_d_source, None, tuple(sorted(terms.items())))
-    raise MissingDataError(f"{geom.name}: unknown tau_d_source {geom.tau_d_source}")
+    # tau_d_source = table, the only other value the loader accepts
+    if geom.table is None or geom.table.is_empty_for("d_point"):
+        raise MissingDataError(
+            f"{geom.name}: divisor mirror map needs d_point invariants: "
+            "external data required"
+        )
+    terms: dict[tuple[tuple[int, ...], int], Element] = {}
+    push_unit = pairing_pushforward(geom.restriction, geom.divisor.unit())
+    for beta, a, v in geom.table.rows_for("d_point"):
+        d = -geom.contact_weight(beta)
+        if d < 2 or a != d - 2:
+            continue  # only the normal-direction rows feed the mirror map
+        coeff = v * Fraction((-1) ** (d - 1) * math.factorial(d - 1))
+        cls = push_unit.scale(coeff)
+        _merge_add(terms, (tuple(beta), 0), cls)
+    return DivisorMirrorMap(geom.name, geom.tau_d_source, None, tuple(sorted(terms.items())))
 
 
 # -- the normal-bundle compactification route (machinery check for the above) --

@@ -437,6 +437,59 @@ def test_table_errors_name_the_file(tmp_path, capsys):
     assert err == f"error: {table}: invariant table line 1: need 5 columns, got 4\n"
 
 
+def _two_routes(tmp_path, capsys, name, rows):
+    """Run quantum-period with the rows once in a copy of the builtin config's
+    invariants key and once through --table on the builtin; return, per route,
+    the exit code, stdout and stderr with the file's path prefix taken off."""
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(BUILTIN_CONFIGS[name].replace(
+        "tau_d_source = zero\n",
+        "tau_d_source = zero\ninvariants =\n" + "".join(f"    {r}\n" for r in rows)))
+    table = tmp_path / "rows.tsv"
+    table.write_text("".join(f"{r}\n" for r in rows))
+    results = []
+    for path, argv in ((cfg, ["--geometry", str(cfg)]),
+                       (table, ["--geometry", name, "--table", str(table)])):
+        code, out = _run("quantum-period", "--order", "3", *argv)
+        err = capsys.readouterr().err.replace(f"error: {path}: ", "error: ")
+        results.append((code, out, err))
+    return results
+
+
+@pytest.mark.parametrize(
+    "name, rows, fragment",
+    [
+        ("p2_cubic", ["x_point 1 1 pt 5"], "x_point class 1 psi^1 = 5 contradicts the closed form"),
+        ("p2_cubic", ["x_point 1,1 0 pt 1"], "table class (1, 1) has 2 components"),
+        ("p2_cubic", ["d_point 1 1 pt 3"], "d_point class 1 psi^1 contradicts"),
+        ("blp3_k3", ["x_point 1,0 0 pt 7"], "x_point class 1,0 psi^0 = 7 is never read"),
+        ("blp3_k3", ["x_point 0,2 0 pt 5", "x_point 0,2 3 pt 7"],
+         "x_point class 0,2 psi^3 = 7 is never read"),
+        ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 2"], "line 2: duplicate key"),
+    ],
+)
+def test_a_refused_row_is_refused_the_same_from_both_routes(tmp_path, capsys, name, rows,
+                                                             fragment):
+    from_key, from_table = _two_routes(tmp_path, capsys, name, rows)
+    assert from_key == from_table
+    code, out, err = from_key
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 1"]),   # a matching duplicate
+        ("blp3_k3", ["x_point 0,2 0 pt 5", "x_point 1,0 0 pt 0"]),  # a zero row never read
+    ],
+)
+def test_an_accepted_row_is_accepted_the_same_from_both_routes(tmp_path, capsys, name, rows):
+    from_key, from_table = _two_routes(tmp_path, capsys, name, rows)
+    assert from_key == from_table
+    assert from_key[0] == 0 and from_key[2] == ""
+
+
 def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
     from conftest import SYNTHETIC_NEGATIVE
 

@@ -10,6 +10,7 @@ from mirrorpair import (
     ConfigError,
     InvariantTable,
     MissingDataError,
+    attach_invariants,
     builtin_geometry,
     format_invariants,
     ingest_invariants,
@@ -133,6 +134,29 @@ def test_invariant_table_source_needs_x_point_rows():
     bad = SYNTHETIC_NEGATIVE.replace("    x_point 1 0 pt 1\n", "")
     with pytest.raises(MissingDataError, match="x_point"):
         load_geometry(bad)
+
+
+def test_tau_d_source_takes_zero_or_table():
+    bad = SYNTHETIC_NEGATIVE.replace(
+        "tau_d_source = table", "tau_d_source = closed_form_from_one_point_invariants"
+    )
+    with pytest.raises(ConfigError, match=r"tau_d_source must be one of \('zero', 'table'\)"):
+        load_geometry(bad)
+
+
+def test_attach_invariants_merges_and_revalidates(synthetic_negative):
+    def rows(*keys_values):
+        return InvariantTable(tuple(keys_values))
+
+    same = attach_invariants(synthetic_negative, rows((("x_point", (1,), 0), Fraction(1))))
+    assert same.table.entries == synthetic_negative.table.entries
+    # an invariant_table pair reads rows at every psi power, so any of them is kept
+    more = attach_invariants(synthetic_negative, rows((("x_point", (1,), 3), Fraction(2))))
+    assert more.table.as_dict()[("x_point", (1,), 3)] == 2
+    with pytest.raises(ConfigError, match="conflicts with the geometry's own value"):
+        attach_invariants(synthetic_negative, rows((("x_point", (1,), 0), Fraction(2))))
+    with pytest.raises(ConfigError, match=r"table class \(1, 0\) has 2 components"):
+        attach_invariants(synthetic_negative, rows((("x_point", (1, 0), 0), Fraction(2))))
 
 
 def test_bad_truncation_is_wrapped():
