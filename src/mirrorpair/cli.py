@@ -193,8 +193,8 @@ def _load_geometry(ns: argparse.Namespace, order_is_truncation: bool) -> PairGeo
         path = Path(ns.geometry)
         try:
             geom = load_geometry(path.read_text(), path.stem)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        except (ConfigError, MissingDataError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     if order_is_truncation and ns.order is not None:
         pol = geom.policy
         geom = geom.with_policy(TruncationPolicy.make(pol.nvars, ns.order, pol.weights))

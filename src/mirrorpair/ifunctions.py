@@ -44,7 +44,6 @@ from .algebra import (
     GradedAlgebra,
     _combine,
     divide_by_class,
-    nilpotency_index,
     pairing_pushforward,
     rat,
     sum_of_products,
@@ -56,6 +55,7 @@ from .series import (
     TruncationPolicy,
     TruncationError,
     ZLaurentElement,
+    _solve_by_weight,
     nilpotent_reciprocal,
 )
 
@@ -75,48 +75,91 @@ class MalformedMirrorMapError(ValueError):
 class PochhammerChains:
     """The chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e of one I-function build.
 
-    u is a nilpotent class, s = ±1 the sign of the z-slope and e a nonzero
-    integer exponent.  Each chain keeps its partial products and grows one
-    link (u + s·a·z)^e at a time, so a prefix is built once however many
-    classes β ask for it.  Each link is the finite binomial sum of `link`,
-    over powers of u built once per class.  Make one table per build; it is
-    not a cache.
+    u is a class, s = ±1 the sign of the z-slope and e a nonzero integer
+    exponent.  With x = u/z, P = (s^n·n!)^e·z^{ne}·Π_a (1 + x/(s·a))^e, so a
+    chain is held as the scalar row of its coefficients c_j in
+    P = Σ_j c_j·u^j·z^{ne−j}, integer numerators over one denominator.  The
+    row is cut after u's last nonzero power, so e < 0 needs a nilpotent u;
+    for e > 0 on a class that is not nilpotent it is not cut and is the
+    literal product.  Each chain keeps the rows of all its lengths and grows
+    one link at a time, by a truncated scalar product with the link's
+    binomial row (`_link_row`), so a prefix is built once however many
+    classes β ask for it.  `__call__` scales u's powers, built once per
+    class, by a row.  Make one table per build; it is not a cache.
     """
 
     def __init__(self) -> None:
-        self._table: dict[tuple[Element, int, int], list[ZLaurentElement]] = {}
+        self._rows: dict[tuple[Element, int, int], list[tuple[list[int], int]]] = {}
         self._powers: dict[Element, list[Element]] = {}
 
     def __call__(self, u: Element, n: int, s: int, e: int) -> ZLaurentElement:
+        nums, den = self.rows(u, n, s, e)[n]
+        powers = self._power_list(u, len(nums) - 1)
+        return ZLaurentElement(u.algebra, {
+            n * e - j: powers[j].scale(Fraction(c, den)) for j, c in enumerate(nums) if c
+        })
+
+    def rows(self, u: Element, n: int, s: int, e: int) -> list[tuple[list[int], int]]:
+        """The rows (c_j numerators, denominator > 0) of P(u, m, s, e) for every m ≤ n."""
         if n < 0 or s not in (1, -1) or not isinstance(e, int) or e == 0:
             raise ValueError(f"no chain of length {n}, slope sign {s}, exponent {e}")
-        chain = self._table.setdefault((u, s, e), [ZLaurentElement.one(u.algebra)])
-        while len(chain) <= n:
-            chain.append(chain[-1] * self.link(u, s * len(chain), e))
-        return chain[n]
+        rows = self._rows.get((u, s, e))
+        if rows is None:
+            rows = self._rows[(u, s, e)] = [([1], 1)]
+        if len(rows) > n:
+            return rows
+        top = self._top(u, e)
+        while len(rows) <= n:
+            nums, den = rows[-1]
+            link, link_den = _link_row(s * len(rows), e, top)
+            size = len(nums) + len(link) - 1
+            out = [0] * (size if top is None else min(size, top + 1))
+            for i, x in enumerate(nums):
+                for j, y in enumerate(link[: len(out) - i]):
+                    out[i + j] += x * y
+            den *= link_den
+            g = math.gcd(den, *out)
+            rows.append(([x // g for x in out], den // g))
+        return rows
 
-    def link(self, u: Element, a: int, e: int) -> ZLaurentElement:
-        """(u + a·z)^e = Σ_k C(e, k)·a^{e−k}·u^k·z^{e−k}, for a ≠ 0.
+    def link_row(self, u: Element, a: int, e: int) -> tuple[list[int], int]:
+        """The row of the one link (u + a·z)^e, cut as u's chains are."""
+        return _link_row(a, e, self._top(u, e))
 
-        For e > 0 the sum stops at k = e; for e < 0 it stops at the last
-        nonzero power of u, and a class that is not nilpotent raises
-        AlgebraError.
-        """
-        powers = self._powers.setdefault(u, [u.algebra.unit()])
-        if e > 0:
-            top = e
-        elif powers[-1].is_zero():
-            top = len(powers) - 1
-        else:
-            top = nilpotency_index(u)  # raises if u is not nilpotent
+    def _top(self, u: Element, e: int) -> int | None:
+        """u's last nonzero power, or None for e > 0 on a class that is not nilpotent."""
+        powers = self._power_list(u, u.algebra.top_degree + 2)
+        if powers[-1].is_zero():
+            return len(powers) - 2
+        if e < 0:
+            raise AlgebraError(f"{u!r} is not nilpotent in {u.algebra.name}")
+        return None
+
+    def _power_list(self, u: Element, top: int) -> list[Element]:
+        """u^0, u^1, … through u^top or through u's first zero power, whichever is first."""
+        powers = self._powers.get(u)
+        if powers is None:
+            powers = self._powers[u] = [u.algebra.unit()]
         while len(powers) <= top and not powers[-1].is_zero():
             powers.append(powers[-1] * u)
-        a = Fraction(a)
-        terms, c = {}, a ** e
-        for k, power in enumerate(powers[: top + 1]):
-            terms[e - k] = power.scale(c)
-            c *= Fraction(e - k, k + 1) / a  # C(e, k+1)·a^{e−k−1} from C(e, k)·a^{e−k}
-        return ZLaurentElement(u.algebra, terms)
+        return powers
+
+
+def _link_row(a: int, e: int, top: int | None) -> tuple[list[int], int]:
+    """(u + a·z)^e = a^e·z^e·(1 + x/a)^e at x = u/z, for a ≠ 0, as the binomial row
+    C(e, k)·a^{e−k} of u^k·z^{e−k}: integer numerators over one positive
+    denominator, through k = top (None: uncut), and for e > 0 through k = e at most.
+    """
+    top = e if top is None or top > e > 0 else top
+    shift = max(top - e, 0)  # a^{e−k} = a^{e−k+shift} / a^{shift}
+    nums = [_binomial(e, k) * a ** (e - k + shift) for k in range(top + 1)]
+    den = a ** shift
+    return (nums, den) if den > 0 else ([-x for x in nums], -den)
+
+
+def _binomial(e: int, k: int) -> int:
+    """C(e, k) = e(e − 1)…(e − k + 1)/k! for any integer e and k ≥ 0."""
+    return math.comb(e, k) if e >= 0 else (-1) ** k * math.comb(k - e - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -724,26 +767,62 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
     the overall z, and the exponential prefactor.  Factors of the relative ray
     are structurally cancelled against the hypergeometric modification.
     Equal classes are merged into one chain with their net multiplicity
-    (+1 per bundle, −1 per denominator); a net 0 drops the class.
+    (+1 per bundle, −1 per denominator); a net 0 drops the class, and a class
+    that pairs to ≤ 0 with β contributes 1.
+
+    Every factor is a scalar row over the powers of its class: the chain rows
+    of `PochhammerChains`, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j
+    the e = −1 link row.  So the nonzero monomials Π_f u_f^{j_f}·D^{j_D} are
+    tabulated once per build as sparse rows, and each z-slice of a class is
+    one `_combine` of them, weighted by integer products of its rows.
     """
     if geom.toric is None:
         raise MissingDataError(f"{geom.name}: no toric data")
-    dcls = geom.divisor_class
+    amb, dcls = geom.ambient, geom.divisor_class
     multiplicity = Counter(geom.toric.bundles)
     multiplicity.subtract(geom.toric.denominators)
     factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
+    classes = list(_effective_classes(geom.policy))
+    pairings = [[max(sum(map(mul, pv, beta)), 0) for beta in classes] for _, pv, _ in factors]
     chains = PochhammerChains()
+    tables = [chains.rows(cls, max(tops), 1, e) for (cls, _, e), tops in zip(factors, pairings)]
+    contacts = [geom.contact_weight(beta) for beta in classes]
+    poles = {c: chains.link_row(dcls, c, -1) for c in set(contacts) if c > 0}
+    poles[0] = ([1], 1)
+    # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
+    reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
+    reach.append(max(len(nums) for nums, _ in poles.values()))
+    monomials = [((), 0, amb.unit())]
+    for u, n in zip([cls for cls, _, _ in factors] + [dcls], reach):
+        grown = []
+        for js, t, m in monomials:
+            for j in range(n):
+                if m.is_zero():
+                    break
+                grown.append((js + (j,), t + j, m))
+                m = m * u
+        monomials = grown
+    monomials = [(js, t, m.support) for js, t, m in monomials]
     pieces = []
-    for beta in _effective_classes(geom.policy):
-        c = geom.contact_weight(beta)
-        term = ZLaurentElement.one(geom.ambient)
-        for cls, pv, e in factors:
-            top = sum(p * b for p, b in zip(pv, beta))
-            if top > 0:
-                term = term * chains(cls, top, 1, e)
-        if c > 0:
-            term = term * chains.link(dcls, c, -1)
-        pieces.append((beta, -c, term))
+    for i, (beta, c) in enumerate(zip(classes, contacts)):
+        rows = [table[tops[i]] for table, tops in zip(tables, pairings)]
+        rows.append(poles[max(c, 0)])
+        zbase = sum(e * tops[i] for (_, _, e), tops in zip(factors, pairings))
+        zbase -= c > 0  # the pole's (cz)^{−1}
+        den = math.prod(d for _, d in rows)
+        slices: dict[int, list] = {}
+        for js, t, support in monomials:
+            n = 1
+            for j, (nums, _) in zip(js, rows):
+                if j >= len(nums):
+                    break
+                n *= nums[j]
+            else:
+                if n:
+                    slices.setdefault(zbase - t, []).append((support, n, den))
+        pieces.append((beta, -c, ZLaurentElement(amb, {
+            z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items()
+        })))
     return _assemble(geom, pieces)
 
 
@@ -853,20 +932,22 @@ def _grouped_exp(
 ) -> dict[tuple[int, ...], Fraction]:
     """Σ_γ c_γ·[e^{scale(d)·f}]_{β−γ} over the kernel's (γ, c_γ), at each class β.
 
-    Classes are grouped by d = m·β.  For m of one sign each group reads one
-    exp truncated at its heaviest class, and most groups are light.  For m of
+    Classes are grouped by d = m·β.  For m of one sign each group reads
+    e^{scale(d)·f} straight off the exp recurrence (`_solve_by_weight`, the
+    one list of steps of f scaled as integers) truncated at its heaviest
+    class, and most groups are light.  For m of
     both signs every group reaches about the full order, so all of them read
     one power walk instead: Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0,
     each class β gaining (s^k/k!)·[Q_k]_β with s = scale(d).  One Q_k is
     kept at a time.
     """
     pol = f.policy
+    if f.constant_term() != 0:
+        raise ValueError("exp needs a series with zero constant term")
     groups: dict[int, list[tuple[int, ...]]] = {}
     for beta in classes:
         groups.setdefault(sum(map(mul, m_vector, beta)), []).append(beta)
     if mixed_signs(m_vector):
-        if f.constant_term() != 0:
-            raise ValueError("exp needs a series with zero constant term")
         out = {b: Fraction(0) for betas in groups.values() for b in betas}
         q = NovikovSeries(pol, dict(kernel))
         factor = dict.fromkeys(groups, Fraction(1))  # s^k/k! per group
@@ -880,10 +961,10 @@ def _grouped_exp(
             q, k = f * q, k + 1
         return out
     out = {}
+    steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in f.terms.items()]
     for d, betas in groups.items():
         top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
-        s = scale(d)
-        power = NovikovSeries(top, {k: s * v for k, v in f.terms.items()}).exp().terms
+        power = _solve_by_weight(top, Fraction(1), steps, divide_by_weight=True, scale=scale(d)).terms
         for beta in betas:
             out[beta] = sum(
                 c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in kernel

@@ -285,17 +285,20 @@ def _solve_by_weight(
     lead: Fraction,
     steps: list[tuple[tuple[int, ...], int, Fraction]],
     divide_by_weight: bool,
+    scale: int = 1,
 ) -> NovikovSeries:
-    """The series h with h_0 = lead and s_β·h_β = Σ_{(δ, wt δ, c)} c·h_{β−δ}.
+    """The series h with h_0 = lead and s_β·h_β = Σ_{(δ, wt δ, c)} scale·c·h_{β−δ}.
 
     s_β is wt(β) or 1.  Every step has positive weight, so h_β depends only
     on lighter monomials: they are finalized level by level in order of
     weight, each made once as a Fraction and pushed forward to β + δ as
-    integers by `_accumulate`.  The cost is one product.
+    integers by `_accumulate`.  The cost is one product.  Steps heavier than
+    the policy's order are never read, so one list of steps serves any
+    truncation; an integer ``scale`` multiplies their numerators.
     """
     top = pol.max_total
     steps = sorted(
-        ((k, w, c.numerator, c.denominator) for k, w, c in steps), key=lambda s: s[1]
+        ((k, w, scale * c.numerator, c.denominator) for k, w, c in steps), key=lambda s: s[1]
     )
     levels: list[dict] = [{} for _ in range(top + 1)]
     levels[0][(0,) * pol.nvars] = [lead.numerator, lead.denominator]

@@ -500,6 +500,19 @@ def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
     assert "2" in text
 
 
+def test_missing_data_in_a_config_file_names_the_file(tmp_path, capsys):
+    from conftest import SYNTHETIC_NEGATIVE
+
+    cfg = tmp_path / "syn.cfg"
+    cfg.write_text(SYNTHETIC_NEGATIVE.replace("    x_point 1 0 pt 1\n", ""))
+    code = run(["tau-d", "--geometry", str(cfg)], stream=io.StringIO())
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: synthetic_negative: j_source=invariant_table "
+        "but no x_point rows supplied\n"
+    )
+
+
 P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
 
 

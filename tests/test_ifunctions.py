@@ -7,6 +7,7 @@ paper, and the blown-up series from the closed multinomial expression
 (4a+b)!/((a!)^4 b!).
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from mirrorpair import (
     substitute_forward,
 )
 from mirrorpair import ifunctions
+from mirrorpair.geometry import ToricData
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     PochhammerChains,
@@ -111,6 +113,12 @@ def _literal_link(u, a, e):
     return link
 
 
+def _row_link(u, e, nums, den):
+    """Σ_k (nums[k]/den)·u^k·z^{e−k}, the link a scalar row stands for."""
+    return ZLaurentElement(u.algebra, {
+        e - k: u.power(k).scale(Fraction(n, den)) for k, n in enumerate(nums)})
+
+
 @pytest.mark.parametrize("which", list(CHAIN_CASES))
 def test_chains_match_literal_products(p2, blp3, which):
     if which == "p2_H":
@@ -124,7 +132,8 @@ def test_chains_match_literal_products(p2, blp3, which):
     for s in (1, -1):
         for e in exponents:
             for a in range(1, length + 1):
-                assert PochhammerChains().link(u, s * a, e) == _literal_link(u, s * a, e)
+                assert _row_link(u, e, *PochhammerChains().link_row(u, s * a, e)) == \
+                    _literal_link(u, s * a, e)
             # the shared table is asked longest first, so shorter chains are read back
             for n in range(length, -1, -1):
                 literal = one
@@ -136,6 +145,43 @@ def test_chains_match_literal_products(p2, blp3, which):
             if e > 0:
                 for n in range(length + 1):
                     assert shared(u, n, s, e) * shared(u, n, s, -e) == one
+
+
+def _literal_chain(u, n, s, e):
+    literal = ZLaurentElement.one(u.algebra)
+    for a in range(1, n + 1):
+        literal = literal * _literal_link(u, s * a, e)
+    return literal
+
+
+@given(
+    coords=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)),
+    n=st.integers(0, 7),
+    s=st.sampled_from((1, -1)),
+    e=st.integers(-4, 4).filter(bool),
+)
+@example(coords=(4, 1, 0), n=7, s=1, e=1)
+@example(coords=(-1, 1, 0), n=7, s=1, e=-1)
+@example(coords=(0, 0, 1), n=3, s=-1, e=2)
+@settings(max_examples=60, deadline=None)
+def test_chain_rows_match_literal_products(blp3, coords, n, s, e):
+    # u = x·H + y·h + w·1: nilpotent exactly when w = 0; a link with e < 0
+    # needs a nilpotent class, the empty chain does not
+    amb = blp3.ambient
+    x, y, w = coords
+    u = amb.named("H").scale(x) + amb.named("h").scale(y) + amb.unit().scale(w)
+    chains = PochhammerChains()
+    if w and e < 0 and n:
+        with pytest.raises(AlgebraError, match="not nilpotent"):
+            chains.rows(u, n, s, e)
+        return
+    literal = _literal_chain(u, n, s, e)
+    nums, den = chains.rows(u, n, s, e)[n]
+    assert den > 0 and all(isinstance(c, int) for c in nums)
+    assert ZLaurentElement(amb, {
+        n * e - j: u.power(j).scale(Fraction(c, den)) for j, c in enumerate(nums)
+    }) == literal
+    assert chains(u, n, s, e) == literal
 
 
 def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
@@ -154,6 +200,69 @@ def test_chain_rejects_bad_arguments(p2):
     for args in ((-1, 1, 1), (2, 0, 1), (2, 2, 1), (2, 1, 0)):
         with pytest.raises(ValueError):
             chains(u, *args)
+
+
+# ---------------------------------------------------------------------------
+# the toric template against literal link products
+
+
+def _toric_pieces(monkeypatch, geom):
+    """The (β, contact, z-Laurent) pieces `toric_i_function` hands to `_assemble`."""
+    seen = []
+    monkeypatch.setattr(ifunctions, "_assemble", lambda g, p: seen.append(p))
+    ifunctions.toric_i_function(geom)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _literal_toric_piece(geom, beta):
+    """Π_{k=1}^{b·β}(b + kz) over bundles times Π_{k=1}^{t·β} 1/(t + kz) over
+    denominators, one link at a time with no classes merged, times the pole
+    1/(D + (D·β)z) when D·β > 0."""
+    term = ZLaurentElement.one(geom.ambient)
+    for classes, link in ((geom.toric.bundles, ZLaurentElement.linear),
+                          (geom.toric.denominators, nilpotent_reciprocal)):
+        for cls in classes:
+            for k in range(1, sum(p * b for p, b in zip(geom.pairing(cls), beta)) + 1):
+                term = term * link(cls, k)
+    c = geom.contact_weight(beta)
+    if c > 0:
+        term = term * nilpotent_reciprocal(geom.divisor_class, c)
+    return term
+
+
+def _check_toric_pieces(monkeypatch, geom, orders):
+    literal = {}
+    for order in orders:
+        at_order = _at_order(geom, order)
+        pieces = _toric_pieces(monkeypatch, at_order)
+        assert [beta for beta, _, _ in pieces] == list(
+            ifunctions._effective_classes(at_order.policy))
+        for beta, contact, zl in pieces:
+            if beta not in literal:
+                literal[beta] = _literal_toric_piece(geom, beta)
+            assert contact == -geom.contact_weight(beta)
+            assert zl == literal[beta], beta
+
+
+def test_toric_pieces_of_the_blowup_are_literal_link_products(monkeypatch, blp3):
+    _check_toric_pieces(monkeypatch, blp3, range(2, 13))
+
+
+def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
+    # bundles 3H and H + h: 3H pairs to 0 with every class (0, k).  Then the
+    # bundle h − H = D, pairing to −k with (k, 0), set past the loader, which
+    # refuses a negative pairing.
+    cfg = BUILTIN_CONFIGS["blp3_k3"].replace("bundles = 4*H + h", "bundles = 3*H; H + h")
+    geom = load_geometry(cfg)
+    amb = geom.ambient
+    H, h = amb.named("H"), amb.named("h")
+    assert any(x == 0 for x in geom.pairing(H.scale(3)))
+    _check_toric_pieces(monkeypatch, geom, (6,))
+    negative = dataclasses.replace(geom, toric=ToricData(
+        geom.toric.denominators, (H.scale(5), h - H)))
+    assert min(negative.pairing(h - H)) < 0
+    _check_toric_pieces(monkeypatch, negative, (6,))
 
 
 # ---------------------------------------------------------------------------
