@@ -12,7 +12,6 @@ from .algebra import (
     RestrictionMap,
     check_algebra,
     check_restriction,
-    divide_by_class,
     nilpotency_index,
     pairing_matrix,
     pairing_pushforward,

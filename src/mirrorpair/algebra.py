@@ -486,23 +486,3 @@ def pairing_pushforward(rm: RestrictionMap, v: Element) -> Element:
     src = rm.source
     rhs = _combine(((rm.cross[k], n, d) for k, n, d in v.support), src.dim)
     return src.element(solve_exact(rm.gram, rhs))
-
-
-def divide_by_class(factor: Element, product: Element) -> Element:
-    """Find q with factor * q = product (exact cofactor division).
-
-    Used where a series coefficient must factor through the divisor class.  The
-    solution may be ambiguous modulo the annihilator of ``factor``; the returned
-    representative sets the free coordinates to zero.  Raises AlgebraError when
-    no exact cofactor exists.
-    """
-    alg = factor.algebra
-    cols = [(factor * alg.basis_element(j)).coeffs for j in range(alg.dim)]
-    matrix = [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-    try:
-        sol = solve_exact(matrix, list(product.coeffs))
-    except AlgebraError as exc:
-        raise AlgebraError(
-            f"{product!r} does not factor through {factor!r} in {alg.name}"
-        ) from exc
-    return alg.element(sol)

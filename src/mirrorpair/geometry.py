@@ -41,6 +41,11 @@ class MissingDataError(ValueError):
 J_SOURCES = ("closed_form_projective", "toric_hypergeometric", "invariant_table")
 TAU_D_SOURCES = ("zero", "table")
 TABLE_KINDS = ("x_point", "d_point")
+SECTIONS = ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation", "toric")
+PAIR_KEYS = (
+    "name", "divisor_class", "picard", "m_vector", "novikov", "j_source", "tau_d_source",
+    "tau_d_reason", "hyperplane", "projective_dim", "invariants",
+)
 
 
 @dataclass(frozen=True)
@@ -166,8 +171,8 @@ class PairGeometry:
 
 
 def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
-    # The picard classes are basis elements in our catalog, which keeps the
-    # expansion a plain coefficient read-off; fall back to a solve otherwise.
+    # The picard classes must be basis elements, which keeps the expansion a
+    # plain coefficient read-off; any other picard class is refused.
     residual = cls
     coords = []
     for p in geom.picard:
@@ -197,6 +202,16 @@ def _number(kind, section: str, text: str):
         raise ConfigError(f"[{section}] {text!r} is not {what}") from exc
 
 
+def _and(names: tuple[str, ...]) -> str:
+    return ", ".join(names[:-1]) + " and " + names[-1] if len(names) > 1 else names[0]
+
+
+def _known_keys(section: configparser.SectionProxy, keys: tuple[str, ...]) -> None:
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"[{section.name}] unknown key {key!r}: it takes {_and(keys)}")
+
+
 def _named(alg: GradedAlgebra, section: str, name: str) -> Element:
     if name not in alg.basis:
         raise ConfigError(f"[{section}] unknown class {name!r} in {alg.name}")
@@ -213,6 +228,7 @@ def _parse_rows(value: str) -> list[list[str]]:
 
 
 def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> GradedAlgebra:
+    _known_keys(section, ("name", "basis", "degrees", "unit", "point", "products", "integration"))
     try:
         basis = section["basis"].split()
         degrees = [_number(int, section.name, d) for d in section["degrees"].split()]
@@ -287,13 +303,17 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
 
     if "DEFAULT" in cp:
         raise ConfigError("[DEFAULT] is not allowed: its keys would apply to every section")
-    for needed in ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation"):
+    for needed in SECTIONS[:-1]:  # all but the optional [toric]
         if needed not in cp:
             raise ConfigError(f"missing [{needed}] section")
+    for section in cp.sections():
+        if section not in SECTIONS:
+            raise ConfigError(f"[{section}] is not a section: a config takes {_and(SECTIONS)}")
 
     ambient = _parse_algebra(cp["algebra.ambient"], "ambient")
     divisor = _parse_algebra(cp["algebra.divisor"], "divisor")
 
+    _known_keys(cp["restriction"], ("map",))
     images: dict[str, Element] = {}
     for row in _parse_rows(cp["restriction"].get("map", "")):
         if len(row) < 2 or len(row) % 2 != 1:
@@ -314,6 +334,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         raise ConfigError("restriction is not a ring map: " + "; ".join(problems[:3]))
 
     pair = cp["pair"]
+    _known_keys(pair, PAIR_KEYS)
     name = pair.get("name", default_name)
     try:
         divisor_class = _parse_class(ambient, pair["divisor_class"], "pair")
@@ -336,6 +357,13 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if tau_d_source not in TAU_D_SOURCES:
         raise ConfigError(f"tau_d_source must be one of {TAU_D_SOURCES}")
     tau_d_reason = pair.get("tau_d_reason")
+    if tau_d_source == "table" and tau_d_reason is not None:
+        raise ConfigError("[pair] tau_d_reason is read only with tau_d_source = zero")
+    for key in ("hyperplane", "projective_dim"):
+        if j_source == "toric_hypergeometric" and key in pair:
+            raise ConfigError(f"[pair] {key} is read only with j_source = closed_form_projective")
+    if "toric" in cp and j_source != "toric_hypergeometric":
+        raise ConfigError("[toric] is read only with j_source = toric_hypergeometric")
     if tau_d_source == "zero":
         if tau_d_reason not in ("k3", "elliptic_curve"):
             raise ConfigError(
@@ -345,9 +373,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
             raise ConfigError("zero-justification only applies to curve/surface divisors")
 
     trunc = cp["truncation"]
-    for key in trunc:
-        if key not in ("order", "weights"):
-            raise ConfigError(f"[truncation] unknown key {key!r}: it takes order and weights")
+    _known_keys(trunc, ("order", "weights"))
     order = _number(int, "truncation", trunc.get("order", "8"))
     weights_text = trunc.get("weights", "").split()
     weights = (
@@ -369,6 +395,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     toric = None
     if "toric" in cp:
         tsec = cp["toric"]
+        _known_keys(tsec, ("denominators", "bundles"))
         dens = tuple(
             _parse_class(ambient, expr.strip(), "toric")
             for expr in tsec.get("denominators", "").split(";")
@@ -480,10 +507,20 @@ def _validate_geometry(geom: PairGeometry) -> None:
         raise MissingDataError(
             f"{geom.name}: j_source=invariant_table but no x_point rows supplied"
         )
-    if geom.tau_d_source == "table" and not d_rows:
-        raise MissingDataError(
-            f"{geom.name}: tau_d_source=table but no d_point rows supplied"
-        )
+    if geom.tau_d_source == "table":
+        if not d_rows:
+            raise MissingDataError(
+                f"{geom.name}: tau_d_source=table but no d_point rows supplied"
+            )
+        # the divisor mirror map reads psi^{-D.beta-2} at -D.beta >= 2 only
+        for beta, a, v in d_rows:
+            d = -geom.contact_weight(beta)
+            if v and (d < 2 or a != d - 2):
+                raise ConfigError(
+                    f"table row d_point class {_class_str(beta)} psi^{a} = {v} is never "
+                    f"read: {geom.name} reads d_point rows only at psi^(-D.beta - 2) "
+                    f"with -D.beta >= 2, and this class has D.beta = {-d}"
+                )
     if geom.tau_d_source == "zero" and d_rows:
         beta, a, _ = d_rows[0]
         raise ConfigError(

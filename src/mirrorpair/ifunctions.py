@@ -43,7 +43,6 @@ from .algebra import (
     Element,
     GradedAlgebra,
     _combine,
-    divide_by_class,
     pairing_pushforward,
     rat,
     sum_of_products,
@@ -449,34 +448,15 @@ def _prefactor_terms(classes: list[Element]) -> list[tuple[tuple[int, ...], int,
 # absolute inputs (the unit-direction data of the absolute theory)
 
 
-def absolute_core(
-    geom: PairGeometry, beta: tuple[int, ...], chains: PochhammerChains
-) -> ZLaurentElement:
-    """Per-class core of the absolute series: the β-part with the overall z and
-    the exponential prefactor stripped (core_0 = 1).
-
-    For projective space it is P(H, d, +1, −(n+1)), read from the build's
-    chain table.
+def absolute_core(geom: PairGeometry, beta: tuple[int, ...]) -> dict[int, Fraction]:
+    """The scalar base row {z power: value} of class β of an `invariant_table`
+    pair: Σ_a ⟨[pt] ψ^a⟩_β·z^{−a−2} over its nonzero x_point rows, and 1 at β = 0.
     """
-    amb = geom.ambient
-    if all(b == 0 for b in beta):
-        return ZLaurentElement.one(amb)
-    if geom.j_source == "closed_form_projective":
-        return chains(geom.hyperplane, beta[0], 1, -(geom.projective_dim + 1))
-    if geom.j_source == "invariant_table":
-        table = geom.table
-        if table is None:
-            raise MissingDataError(f"{geom.name}: no invariant table attached")
-        terms: dict[int, Element] = {}
-        for b, a, v in table.rows_for("x_point"):
-            if tuple(b) == tuple(beta):
-                z = -a - 2
-                cur = terms.get(z, amb.zero())
-                terms[z] = cur + amb.unit().scale(v)
-        return ZLaurentElement(amb, terms)
-    raise MissingDataError(
-        f"{geom.name}: j_source {geom.j_source} has no per-class absolute core"
-    )
+    if not any(beta):
+        return {0: Fraction(1)}
+    if geom.table is None:
+        raise MissingDataError(f"{geom.name}: no invariant table attached")
+    return {-a - 2: v for b, a, v in geom.table.rows_for("x_point") if b == beta and v}
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +491,8 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
     terms: dict[tuple[tuple[int, ...], int], Element] = {}
     push_unit = pairing_pushforward(geom.restriction, geom.divisor.unit())
     for beta, a, v in geom.table.rows_for("d_point"):
-        d = -geom.contact_weight(beta)
-        if d < 2 or a != d - 2:
-            continue  # only the normal-direction rows feed the mirror map
-        coeff = v * Fraction((-1) ** (d - 1) * math.factorial(d - 1))
+        # the gate admits a nonzero row only at psi^a with a = -D.beta - 2
+        coeff = v * Fraction((-1) ** (a + 1) * math.factorial(a + 1))
         cls = push_unit.scale(coeff)
         _merge_add(terms, (tuple(beta), 0), cls)
     return DivisorMirrorMap(geom.name, geom.tau_d_source, None, tuple(sorted(terms.items())))
@@ -717,10 +695,15 @@ def _effective_classes(pol: TruncationPolicy):
 def relative_i_function(geom: PairGeometry) -> RelativeSeries:
     """The relative I-function of the pair, at divisor mirror map τ_D.
 
-    Dispatches on the geometry's absolute-input source.  A nonzero divisor
-    mirror map would deform the absolute series input, which needs
-    multi-insertion invariant data this table format does not carry — that
-    case raises MissingDataError naming the gap.
+    Every source goes through one template (`_hypergeometric`): the absolute
+    factors times Π_{0<a<D·β}(D + az), which is the chain of D over the pole
+    1/(D + (D·β)z).  A `closed_form_projective` pair has the factors
+    1/Π_{k≤d}(H + kz)^{n+1}; an `invariant_table` pair has a scalar base row per
+    class (`absolute_core`) instead, and a class with D·β < 0 and a nonzero row
+    cannot factor through the divisor class.  A nonzero divisor mirror map
+    would deform the absolute series input, which needs multi-insertion
+    invariant data this table format does not carry — that case raises
+    MissingDataError naming the gap.
     """
     if not divisor_mirror_map(geom).is_zero():
         raise MissingDataError(
@@ -729,60 +712,64 @@ def relative_i_function(geom: PairGeometry) -> RelativeSeries:
         )
     if geom.j_source == "toric_hypergeometric":
         return toric_i_function(geom)
-
     dcls = geom.divisor_class
-    chains = PochhammerChains()
-    pieces: list[tuple[tuple[int, ...], int, ZLaurentElement]] = []
-    for beta in _effective_classes(geom.policy):
-        c = geom.contact_weight(beta)
-        base = absolute_core(geom, beta, chains)
-        if not base.terms:
+    classes = _effective_classes(geom.policy)
+    if geom.j_source == "closed_form_projective":
+        multiplicity = Counter({geom.hyperplane: -(geom.projective_dim + 1)})
+        multiplicity[dcls] += 1  # merged when D = H, as for n = 0
+        return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}))
+    bases = {}
+    for beta in classes:
+        row = absolute_core(geom, beta)
+        if not row:
             continue
-        if c > 0:
-            # Π_{0<a≤c}(D + az) over the pole (D + cz)
-            term = base * chains(dcls, c - 1, 1, 1)
-        elif c == 0:
-            term = base
-        else:
-            # divide by the bare divisor class (a = 0), then the invertible part
-            divided: dict[int, Element] = {}
-            for z, el in base.terms.items():
-                try:
-                    divided[z] = divide_by_class(dcls, el)
-                except AlgebraError as exc:
-                    raise CancellationError(
-                        f"{geom.name}: coefficient at {beta}, z^{z} does not factor "
-                        f"through the divisor class"
-                    ) from exc
-            term = ZLaurentElement(geom.ambient, divided) * chains(dcls, -c - 1, -1, -1)
-        pieces.append((beta, -c, term))
-    return _assemble(geom, pieces)
+        if geom.contact_weight(beta) < 0:
+            raise CancellationError(
+                f"{geom.name}: coefficient at {beta}, z^{next(iter(row))} does not "
+                "factor through the divisor class"
+            )
+        bases[beta] = row
+    return _hypergeometric(geom, {dcls: 1}, bases)
 
 
 def toric_i_function(geom: PairGeometry) -> RelativeSeries:
     """The toric hypergeometric template for bundle-type pairs.
 
     Per class β: Π_bundles Π_{k=1}^{b·β}(b + kz) over Π_dens Π_{k=1}^{t·β}(t + kz),
-    a simple pole factor 1/(D + (D·β)z) with a [1]_{−D·β} state when D·β > 0,
-    the overall z, and the exponential prefactor.  Factors of the relative ray
-    are structurally cancelled against the hypergeometric modification.
-    Equal classes are merged into one chain with their net multiplicity
-    (+1 per bundle, −1 per denominator); a net 0 drops the class, and a class
-    that pairs to ≤ 0 with β contributes 1.
+    with the pole of `_hypergeometric`.  Factors of the relative ray are
+    structurally cancelled against the hypergeometric modification.  Equal
+    classes are merged into one chain with their net multiplicity (+1 per
+    bundle, −1 per denominator).
+    """
+    if geom.toric is None:
+        raise MissingDataError(f"{geom.name}: no toric data")
+    multiplicity = Counter(geom.toric.bundles)
+    multiplicity.subtract(geom.toric.denominators)
+    classes = _effective_classes(geom.policy)
+    return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}))
+
+
+def _hypergeometric(
+    geom: PairGeometry,
+    multiplicity: dict[Element, int],
+    bases: dict[tuple[int, ...], dict[int, Fraction]],
+) -> RelativeSeries:
+    """The one template of every relative I-function: per class β of ``bases``,
+    its scalar base row Σ v·z^k times Π_u Π_{k=1}^{u·β}(u + kz)^{e_u} over the
+    net factors u with multiplicity e_u, times the simple pole 1/(D + (D·β)z)
+    with a [1]_{−D·β} state when D·β > 0, then the overall z and the
+    exponential prefactor (`_assemble`).  A net multiplicity 0 drops the
+    class, and a class that pairs to ≤ 0 with β contributes 1.
 
     Every factor is a scalar row over the powers of its class: the chain rows
     of `PochhammerChains`, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j
     the e = −1 link row.  So the nonzero monomials Π_f u_f^{j_f}·D^{j_D} are
     tabulated once per build as sparse rows, and each z-slice of a class is
-    one `_combine` of them, weighted by integer products of its rows.
+    one `_combine` of them, weighted by integer products of its rows and base.
     """
-    if geom.toric is None:
-        raise MissingDataError(f"{geom.name}: no toric data")
     amb, dcls = geom.ambient, geom.divisor_class
-    multiplicity = Counter(geom.toric.bundles)
-    multiplicity.subtract(geom.toric.denominators)
     factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
-    classes = list(_effective_classes(geom.policy))
+    classes = list(bases)
     pairings = [[max(sum(map(mul, pv, beta)), 0) for beta in classes] for _, pv, _ in factors]
     chains = PochhammerChains()
     tables = [chains.rows(cls, max(tops), 1, e) for (cls, _, e), tops in zip(factors, pairings)]
@@ -810,6 +797,7 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
         zbase = sum(e * tops[i] for (_, _, e), tops in zip(factors, pairings))
         zbase -= c > 0  # the pole's (cz)^{−1}
         den = math.prod(d for _, d in rows)
+        base = [(zbase + k, v.numerator, den * v.denominator) for k, v in bases[beta].items()]
         slices: dict[int, list] = {}
         for js, t, support in monomials:
             n = 1
@@ -819,7 +807,8 @@ def toric_i_function(geom: PairGeometry) -> RelativeSeries:
                 n *= nums[j]
             else:
                 if n:
-                    slices.setdefault(zbase - t, []).append((support, n, den))
+                    for z, vn, vd in base:
+                        slices.setdefault(z - t, []).append((support, n * vn, vd))
         pieces.append((beta, -c, ZLaurentElement(amb, {
             z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items()
         })))

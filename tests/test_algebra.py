@@ -14,7 +14,6 @@ from mirrorpair import (
     builtin_geometry,
     check_algebra,
     check_restriction,
-    divide_by_class,
     nilpotency_index,
     pairing_matrix,
     pairing_pushforward,
@@ -189,20 +188,7 @@ def test_pairing_matrix_integrates_the_dense_table(geom):
 
 
 # ---------------------------------------------------------------------------
-# division, nilpotency, exact solving
-
-
-def test_divide_by_class():
-    H = P2.ambient.named("H")
-    H2 = P2.ambient.named("H2")
-    assert divide_by_class(H, H2) == H
-    assert divide_by_class(H.scale(3), H2.scale(6)) == H.scale(2)
-
-
-def test_divide_by_class_failure():
-    H = P2.ambient.named("H")
-    with pytest.raises(AlgebraError, match="factor"):
-        divide_by_class(H, P2.ambient.unit())
+# nilpotency, exact solving
 
 
 def test_nilpotency_index():

@@ -438,19 +438,30 @@ def test_table_errors_name_the_file(tmp_path, capsys):
 
 
 def _two_routes(tmp_path, capsys, name, rows):
-    """Run quantum-period with the rows once in a copy of the builtin config's
-    invariants key and once through --table on the builtin; return, per route,
-    the exit code, stdout and stderr with the file's path prefix taken off."""
+    """Run quantum-period (tau-d on synthetic_negative, whose quantum side is
+    refused) with the rows once in a copy of the config's invariants key and
+    once through --table on the config itself; return, per route, the exit
+    code, stdout and stderr with the file's path prefix taken off."""
+    from conftest import SYNTHETIC_NEGATIVE
+
+    listed = "".join(f"    {r}\n" for r in rows)
+    if name == "synthetic_negative":
+        text, command = SYNTHETIC_NEGATIVE, "tau-d"
+        geometry = tmp_path / "plain.ini"
+        geometry.write_text(text)
+        with_rows = text.replace("invariants =\n", "invariants =\n" + listed)
+    else:
+        text, command, geometry = BUILTIN_CONFIGS[name], "quantum-period", name
+        with_rows = text.replace("tau_d_source = zero\n",
+                                 "tau_d_source = zero\ninvariants =\n" + listed)
     cfg = tmp_path / "pair.ini"
-    cfg.write_text(BUILTIN_CONFIGS[name].replace(
-        "tau_d_source = zero\n",
-        "tau_d_source = zero\ninvariants =\n" + "".join(f"    {r}\n" for r in rows)))
+    cfg.write_text(with_rows)
     table = tmp_path / "rows.tsv"
     table.write_text("".join(f"{r}\n" for r in rows))
     results = []
     for path, argv in ((cfg, ["--geometry", str(cfg)]),
-                       (table, ["--geometry", name, "--table", str(table)])):
-        code, out = _run("quantum-period", "--order", "3", *argv)
+                       (table, ["--geometry", str(geometry), "--table", str(table)])):
+        code, out = _run(command, "--order", "3", *argv)
         err = capsys.readouterr().err.replace(f"error: {path}: ", "error: ")
         results.append((code, out, err))
     return results
@@ -466,6 +477,8 @@ def _two_routes(tmp_path, capsys, name, rows):
         ("blp3_k3", ["x_point 0,2 0 pt 5", "x_point 0,2 3 pt 7"],
          "x_point class 0,2 psi^3 = 7 is never read"),
         ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 2"], "line 2: duplicate key"),
+        ("synthetic_negative", ["d_point 1 3 pt 9"], "d_point class 1 psi^3 = 9 is never read"),
+        ("synthetic_negative", ["d_point 2 0 pt 4"], "d_point class 2 psi^0 = 4 is never read"),
     ],
 )
 def test_a_refused_row_is_refused_the_same_from_both_routes(tmp_path, capsys, name, rows,
@@ -482,6 +495,7 @@ def test_a_refused_row_is_refused_the_same_from_both_routes(tmp_path, capsys, na
     [
         ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 1"]),   # a matching duplicate
         ("blp3_k3", ["x_point 0,2 0 pt 5", "x_point 1,0 0 pt 0"]),  # a zero row never read
+        ("synthetic_negative", ["d_point 2 0 pt 0", "d_point 2 2 pt 3"]),  # likewise for d_point
     ],
 )
 def test_an_accepted_row_is_accepted_the_same_from_both_routes(tmp_path, capsys, name, rows):
@@ -530,6 +544,15 @@ P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
         ("order = 8\n", "order = eight\n", "truncation"),
         ("[algebra.ambient]\n", "[DEFAULT]\nname = sneaky\n[algebra.ambient]\n", "DEFAULT"),
         ("[algebra.ambient]\n", "[DEFAULT]\n[algebra.ambient]\n", "DEFAULT"),
+        # keys and sections that nothing reads
+        ("[truncation]\n", "[toric]\ndenominators = H; H\nbundles = 2*H\n[truncation]\n", "toric"),
+        ("picard = H\n", "picard = H\nbogus = 1\n", "pair"),
+        ("j_source = closed_form_projective\n", "j_source = toric_hypergeometric\n", "pair"),
+        ("tau_d_source = zero\n", "tau_d_source = table\n", "pair"),
+        ("tau_d_reason = elliptic_curve\n", "tau_d_reason = elliptic_curve\n[extra]\n", "extra"),
+        ("point = H2\n", "point = H2\nsize = 3\n", "algebra.ambient"),
+        ("point = p\n", "point = p\nsize = 2\n", "algebra.divisor"),
+        ("map =\n", "maps = one one 1\nmap =\n", "restriction"),
     ],
 )
 def test_config_faults_name_their_section(tmp_path, capsys, old, new, section):

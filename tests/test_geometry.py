@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SYNTHETIC_NEGATIVE
 from mirrorpair import (
+    BUILTIN_CONFIGS,
     ConfigError,
     InvariantTable,
     MissingDataError,
@@ -163,6 +164,31 @@ def test_bad_truncation_is_wrapped():
     bad = SYNTHETIC_NEGATIVE + "\nweights = 0\n"
     with pytest.raises(ConfigError, match=r"\[truncation\]"):
         load_geometry(bad)
+
+
+CONFIGS = {**BUILTIN_CONFIGS, "synthetic_negative": SYNTHETIC_NEGATIVE}
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("blp3_k3", "tau_d_reason = k3\n", "tau_d_reason = k3\nhyperplane = H\n",
+         r"\[pair\] hyperplane is read only with j_source = closed_form_projective"),
+        ("blp3_k3", "tau_d_reason = k3\n", "tau_d_reason = k3\nprojective_dim = 3\n",
+         r"\[pair\] projective_dim is read only"),
+        ("blp3_k3", "bundles = 4*H + h\n", "bundles = 4*H + h\nweights = 1\n",
+         r"\[toric\] unknown key 'weights': it takes denominators and bundles"),
+        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\ntau_d_reason = k3\n",
+         r"\[pair\] tau_d_reason is read only with tau_d_source = zero"),
+    ],
+)
+def test_keys_nothing_reads_are_refused(name, old, new, message):
+    # the p2_cubic cases are inputs of test_cli's test_config_faults_name_their_section
+    text = CONFIGS[name]
+    assert text.count(old) == 1
+    load_geometry(text)
+    with pytest.raises(ConfigError, match=message):
+        load_geometry(text.replace(old, new))
 
 
 @pytest.mark.parametrize("line", ["z_min = -4", "z_max = 1", "ordr = 8"])

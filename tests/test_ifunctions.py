@@ -203,14 +203,24 @@ def test_chain_rejects_bad_arguments(p2):
 
 
 # ---------------------------------------------------------------------------
-# the toric template against literal link products
+# the one hypergeometric template against literal link products
+
+P2_TABLE_ROWS = (((1,), 12, Fraction(1)), ((1,), 1, Fraction(1)), ((2,), 4, Fraction(1, 8)))
 
 
-def _toric_pieces(monkeypatch, geom):
-    """The (β, contact, z-Laurent) pieces `toric_i_function` hands to `_assemble`."""
+def _p2_from_table():
+    """p2_cubic with its absolute input read from x_point rows instead of the closed form."""
+    rows = "".join(f"    x_point {b[0]} {a} pt {v}\n" for b, a, v in P2_TABLE_ROWS)
+    return load_geometry(BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n")))
+
+
+def _relative_pieces(monkeypatch, geom):
+    """The (β, contact, z-Laurent) pieces `relative_i_function` hands to `_assemble`."""
     seen = []
     monkeypatch.setattr(ifunctions, "_assemble", lambda g, p: seen.append(p))
-    ifunctions.toric_i_function(geom)
+    relative_i_function(geom)
     monkeypatch.undo()
     return seen[0]
 
@@ -231,22 +241,45 @@ def _literal_toric_piece(geom, beta):
     return term
 
 
-def _check_toric_pieces(monkeypatch, geom, orders):
+def _literal_relative_piece(geom, beta):
+    """The absolute part, Π_{k≤d} 1/(H + kz)^{n+1} one link at a time for the
+    closed form or Σ v·z^{−a−2} over the test's own rows for the table copy,
+    times Π_{0<a<D·β}(D + az); None for a class with no rows."""
+    amb = geom.ambient
+    if geom.j_source == "closed_form_projective":
+        term = ZLaurentElement.one(amb)
+        for k in range(1, beta[0] + 1):
+            for _ in range(geom.projective_dim + 1):
+                term = term * nilpotent_reciprocal(geom.hyperplane, k)
+    elif not any(beta):
+        term = ZLaurentElement.one(amb)
+    else:
+        term = ZLaurentElement(amb, {-a - 2: amb.unit().scale(v)
+                                     for b, a, v in P2_TABLE_ROWS if b == beta})
+        if not term.terms:
+            return None
+    for a in range(1, geom.contact_weight(beta)):
+        term = term * ZLaurentElement.linear(geom.divisor_class, a)
+    return term
+
+
+def _check_pieces(monkeypatch, geom, orders, literal_piece=_literal_toric_piece):
     literal = {}
     for order in orders:
         at_order = _at_order(geom, order)
-        pieces = _toric_pieces(monkeypatch, at_order)
-        assert [beta for beta, _, _ in pieces] == list(
-            ifunctions._effective_classes(at_order.policy))
-        for beta, contact, zl in pieces:
+        pieces = _relative_pieces(monkeypatch, at_order)
+        for beta in ifunctions._effective_classes(at_order.policy):
             if beta not in literal:
-                literal[beta] = _literal_toric_piece(geom, beta)
+                literal[beta] = literal_piece(geom, beta)
+        assert [beta for beta, _, _ in pieces] == [
+            b for b in ifunctions._effective_classes(at_order.policy) if literal[b] is not None]
+        for beta, contact, zl in pieces:
             assert contact == -geom.contact_weight(beta)
             assert zl == literal[beta], beta
 
 
 def test_toric_pieces_of_the_blowup_are_literal_link_products(monkeypatch, blp3):
-    _check_toric_pieces(monkeypatch, blp3, range(2, 13))
+    _check_pieces(monkeypatch, blp3, range(2, 13))
 
 
 def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
@@ -258,11 +291,54 @@ def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
     amb = geom.ambient
     H, h = amb.named("H"), amb.named("h")
     assert any(x == 0 for x in geom.pairing(H.scale(3)))
-    _check_toric_pieces(monkeypatch, geom, (6,))
+    _check_pieces(monkeypatch, geom, (6,))
     negative = dataclasses.replace(geom, toric=ToricData(
         geom.toric.denominators, (H.scale(5), h - H)))
     assert min(negative.pairing(h - H)) < 0
-    _check_toric_pieces(monkeypatch, negative, (6,))
+    _check_pieces(monkeypatch, negative, (6,))
+
+
+@pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "hyperplane_divisor"])
+def test_closed_form_pieces_are_literal_link_products(monkeypatch, name):
+    if name == "hyperplane_divisor":
+        # n = 0 makes D = H: the template merges the two into one class
+        geom = load_geometry(BUILTIN_CONFIGS["p2_cubic"]
+                             .replace("divisor_class = 3*H", "divisor_class = H")
+                             .replace("m_vector = 3", "m_vector = 1")
+                             .replace("projective_dim = 2", "projective_dim = 0")
+                             .replace("H p 3", "H p 1"))
+    else:
+        geom = builtin_geometry(name)
+    _check_pieces(monkeypatch, geom, range(2, 13), _literal_relative_piece)
+
+
+def test_table_pieces_are_literal_link_products(monkeypatch):
+    geom = _p2_from_table()
+    assert geom.j_source == "invariant_table"
+    _check_pieces(monkeypatch, geom, (2, 4, 8), _literal_relative_piece)
+
+
+@pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "blp3_k3", "p2_from_table"])
+def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
+    # the template forms every piece from scalar rows: no z-Laurent product,
+    # chain element or reciprocal is made on the way
+    geom = _p2_from_table() if name == "p2_from_table" else builtin_geometry(name)
+    calls = []
+
+    def counted(original, label):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ZLaurentElement, "__mul__", counted(ZLaurentElement.__mul__, "mul"))
+    monkeypatch.setattr(PochhammerChains, "__call__", counted(PochhammerChains.__call__, "chain"))
+    reciprocal = counted(nilpotent_reciprocal, "reciprocal")
+    for mod in ("mirrorpair.ifunctions", "mirrorpair.series"):
+        monkeypatch.setattr(f"{mod}.nilpotent_reciprocal", reciprocal)
+    built = relative_i_function(geom)
+    monkeypatch.undo()
+    assert built.terms and calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +360,8 @@ def _pieces(monkeypatch, name):
         pieces = []
         for b in range(geom.policy.max_total + 1):
             c = geom.contact_weight((b,))
-            term = absolute_core(geom, (b,), chains)
+            term = ZLaurentElement(geom.ambient, {
+                z: geom.ambient.unit().scale(v) for z, v in absolute_core(geom, (b,)).items()})
             if c < 0:
                 term = term * chains(geom.divisor_class, -c - 1, -1, -1)
             pieces.append(((b,), -c, term))
@@ -328,22 +405,26 @@ def test_assemble_refuses_content_above_the_window(p2):
 
 
 def test_absolute_core_of_the_plane(p2):
-    core = absolute_core(p2, (1,), PochhammerChains())
+    # the plane's closed-form core at degree 1 is 1/(H + z)^3, one factor per
+    # coordinate hyperplane
     H, H2 = p2.ambient.named("H"), p2.ambient.named("H2")
+    core = PochhammerChains()(H, 1, 1, -3)
     assert core.coefficient(-3) == p2.ambient.unit()
     assert core.coefficient(-4) == -H.scale(3)
     assert core.coefficient(-5) == H2.scale(6)
-    # multiply back by (H+z)^3 (3+1 factors minus the one kept aside... no:
-    # the cubic's core is 1/((H+z)^3), one factor per coordinate hyperplane)
     lin = ZLaurentElement.linear(H, 1)
     assert core * lin * lin * lin == ZLaurentElement.one(p2.ambient)
 
 
 def test_one_point_invariants_match_closed_form(p2, p3):
-    # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core at z^{−D·β}
-    assert [absolute_core(p2, (d,), PochhammerChains()).coefficient(-3 * d).unit_component()
+    # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core
+    # P(H, d, +1, −(n+1)) = Π_{k≤d} 1/(H + kz)^{n+1} at z^{−D·β}
+    def core(geom, d):
+        return PochhammerChains()(geom.hyperplane, d, 1, -(geom.projective_dim + 1))
+
+    assert [core(p2, d).coefficient(-3 * d).unit_component()
             for d in (1, 2, 3)] == [Fraction(1), Fraction(1, 8), Fraction(1, 216)]
-    assert absolute_core(p3, (2,), PochhammerChains()).coefficient(-8).unit_component() == Fraction(1, 16)
+    assert core(p3, 2).coefficient(-8).unit_component() == Fraction(1, 16)
 
 
 # ---------------------------------------------------------------------------
