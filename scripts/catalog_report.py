@@ -50,8 +50,8 @@ def report(name: str, order: int | None) -> None:
     print(f"\n=== {name} ===")
     print(f"m-vector {geom.m_vector}, Novikov variables {geom.novikov_names}, "
           f"truncation order {pot.geometry.policy.max_total}")
-    print(f"mirror exponent g:   {_fmt_series(pot.exponent, geom.novikov_names)}")
-    print(f"flat exponent G:     {_fmt_series(pot.composed, geom.novikov_names)}")
+    print(f"mirror exponent g:   {_fmt_series(pot.change.g, geom.novikov_names)}")
+    print(f"flat exponent G:     {_fmt_series(pot.change.composed, geom.novikov_names)}")
     print("potential weights:   "
           + ", ".join(f"w{list(b)}={c}" for b, c in pot.terms))
 

@@ -186,25 +186,35 @@ def _metadata(geom: PairGeometry | None, **extra) -> dict:
 # shared loading
 
 
+def _read_input(flag: str, value: str) -> str:
+    """The text of the file a --geometry or --table value names."""
+    if not value:
+        raise ConfigError(f"{flag} '' names no file")
+    try:
+        return Path(value).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"{flag} {value}: cannot read it: {reason}") from exc
+
+
 def _load_geometry(ns: argparse.Namespace, order_is_truncation: bool) -> PairGeometry:
     if ns.geometry in BUILTIN_CONFIGS:
         geom = builtin_geometry(ns.geometry)
     else:
-        path = Path(ns.geometry)
+        text = _read_input("--geometry", ns.geometry)
         try:
-            geom = load_geometry(path.read_text(), path.stem)
+            geom = load_geometry(text, Path(ns.geometry).stem)
         except (ConfigError, MissingDataError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+            raise type(exc)(f"{ns.geometry}: {exc}") from exc
     if order_is_truncation and ns.order is not None:
         pol = geom.policy
         geom = geom.with_policy(TruncationPolicy.make(pol.nvars, ns.order, pol.weights))
     if ns.table is not None:
-        path = Path(ns.table)
+        text = _read_input("--table", ns.table)
         try:
-            extra = ingest_invariants(path.read_text())
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        geom = attach_invariants(geom, extra)
+            geom = attach_invariants(geom, ingest_invariants(text))
+        except (ConfigError, MissingDataError) as exc:
+            raise type(exc)(f"{ns.table}: {exc}") from exc
     return geom
 
 
@@ -361,37 +371,23 @@ def cmd_mirror_map(ns: argparse.Namespace, stream) -> int:
     records += _novikov_records("mirror_exponent", "y^", exponent.g)
     records += _novikov_records("contact_one_report", "y^", exponent.contact_one)
     change = MirrorChange(geom.m_vector, exponent.g)
-    G = composed_exponent(change)
-    records += _novikov_records("composed_exponent", "q^", G)
-    for name, series in zip(geom.novikov_names, inverse_coordinates(change, G)):
+    records += _novikov_records("composed_exponent", "q^", composed_exponent(change))
+    for name, series in zip(geom.novikov_names, inverse_coordinates(change)):
         records += _novikov_records("inverse_coordinate", f"{name}: q^", series)
     _emit(ns.fmt, _metadata(geom, series="mirror_map"), records, stream)
     return 0
 
 
 def cmd_quantum_period(ns: argparse.Namespace, stream) -> int:
+    """quantum-period, or regularized-period: the same series d!-rescaled."""
     geom = _load_geometry(ns, order_is_truncation=False)
     t_order = ns.order or DEFAULT_T_ORDER
     period = quantum_period(geom, t_order)
-    _emit(
-        ns.fmt,
-        _metadata(geom, series="quantum_period", t_order=t_order),
-        _period_records("quantum_period", period),
-        stream,
-    )
-    return 0
-
-
-def cmd_regularized_period(ns: argparse.Namespace, stream) -> int:
-    geom = _load_geometry(ns, order_is_truncation=False)
-    t_order = ns.order or DEFAULT_T_ORDER
-    period = regularize(quantum_period(geom, t_order))
-    _emit(
-        ns.fmt,
-        _metadata(geom, series="regularized_period", t_order=t_order),
-        _period_records("regularized_period", period),
-        stream,
-    )
+    if ns.command == "regularized-period":
+        period = regularize(period)
+    series = f"{period.kind}_period"
+    _emit(ns.fmt, _metadata(geom, series=series, t_order=t_order),
+          _period_records(series, period), stream)
     return 0
 
 
@@ -406,7 +402,7 @@ def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
         pot.geometry,
         series="proper_potential",
         exponent=" + ".join(
-            f"({c})*y^{_beta_str(b)}" for b, c in sorted(pot.exponent.terms.items())
+            f"({c})*y^{_beta_str(b)}" for b, c in sorted(pot.change.g.terms.items())
         )
         or "0",
     )
@@ -535,7 +531,7 @@ DISPATCH = {
     "tau-d": cmd_tau_d,
     "mirror-map": cmd_mirror_map,
     "quantum-period": cmd_quantum_period,
-    "regularized-period": cmd_regularized_period,
+    "regularized-period": cmd_quantum_period,
     "proper-potential": cmd_proper_potential,
     "classical-period": cmd_classical_period,
     "verify": cmd_verify,

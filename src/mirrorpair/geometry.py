@@ -94,12 +94,10 @@ def ingest_invariants(text: str) -> InvariantTable:
             raise ConfigError(
                 f"invariant table line {lineno}: insertion must be 'pt', got {insertion!r}"
             )
-        try:
-            beta = tuple(int(x) for x in cls.split(","))
-            a = int(psi)
-            val = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"invariant table line {lineno}: {exc}") from exc
+        where = f"invariant table line {lineno}, column"
+        beta = tuple(_number(int, f"{where} 2:", x) for x in cls.split(","))
+        a = _number(int, f"{where} 3:", psi)
+        val = _number(rat, f"{where} 5:", value)
         if a < 0 or any(b < 0 for b in beta):
             raise ConfigError(f"invariant table line {lineno}: negative class/psi data")
         key = (kind, beta, a)
@@ -193,13 +191,13 @@ def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
 # config parsing
 
 
-def _number(kind, section: str, text: str):
-    """kind(text) for kind = int or rat; a malformed value names its section."""
+def _number(kind, where: str, text: str):
+    """kind(text) for kind = int or rat; a malformed value names where it stands."""
     try:
         return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
         what = "an integer" if kind is int else "an exact rational p/q"
-        raise ConfigError(f"[{section}] {text!r} is not {what}") from exc
+        raise ConfigError(f"{where} {text!r} is not {what}") from exc
 
 
 def _and(names: tuple[str, ...]) -> str:
@@ -231,7 +229,7 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
     _known_keys(section, ("name", "basis", "degrees", "unit", "point", "products", "integration"))
     try:
         basis = section["basis"].split()
-        degrees = [_number(int, section.name, d) for d in section["degrees"].split()]
+        degrees = [_number(int, f"[{section.name}]", d) for d in section["degrees"].split()]
         unit = section["unit"]
     except KeyError as exc:
         raise ConfigError(f"[{section.name}] missing key: {exc}") from exc
@@ -243,14 +241,14 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
                 f"[{section.name}] product rows are 'left right target coeff', got {row}"
             )
         a, b, k, c = row
-        products.setdefault((a, b), {})[k] = _number(rat, section.name, c)
+        products.setdefault((a, b), {})[k] = _number(rat, f"[{section.name}]", c)
     integration = None
     if section.get("integration"):
         integration = {}
         for row in _parse_rows(section["integration"]):
             if len(row) != 2:
                 raise ConfigError(f"[{section.name}] integration rows are 'basis coeff'")
-            integration[row[0]] = _number(rat, section.name, row[1])
+            integration[row[0]] = _number(rat, f"[{section.name}]", row[1])
     try:
         alg = GradedAlgebra.from_products(
             section.get("name", fallback_name), basis, degrees, products,
@@ -276,7 +274,7 @@ def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
             sign, term = -1, term[1:]
         if "*" in term:
             c, name = term.split("*", 1)
-            coeff = _number(rat, section, c)
+            coeff = _number(rat, f"[{section}]", c)
         else:
             coeff, name = Fraction(1), term
         out = out + _named(alg, section, name).scale(coeff * sign)
@@ -324,7 +322,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         img = divisor.zero()
         for tname, c in zip(row[1::2], row[2::2]):
             img = img + _named(divisor, "restriction", tname).scale(
-                _number(rat, "restriction", c)
+                _number(rat, "[restriction]", c)
             )
         images[src] = img
     images.setdefault(ambient.basis[ambient.unit_index], divisor.unit())
@@ -339,7 +337,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     try:
         divisor_class = _parse_class(ambient, pair["divisor_class"], "pair")
         picard_names = pair["picard"].split()
-        m_vector = tuple(_number(int, "pair", x) for x in pair["m_vector"].split())
+        m_vector = tuple(_number(int, "[pair]", x) for x in pair["m_vector"].split())
         novikov = tuple(pair["novikov"].split())
         j_source = pair["j_source"]
         tau_d_source = pair["tau_d_source"]
@@ -360,7 +358,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if tau_d_source == "table" and tau_d_reason is not None:
         raise ConfigError("[pair] tau_d_reason is read only with tau_d_source = zero")
     for key in ("hyperplane", "projective_dim"):
-        if j_source == "toric_hypergeometric" and key in pair:
+        if j_source != "closed_form_projective" and key in pair:
             raise ConfigError(f"[pair] {key} is read only with j_source = closed_form_projective")
     if "toric" in cp and j_source != "toric_hypergeometric":
         raise ConfigError("[toric] is read only with j_source = toric_hypergeometric")
@@ -374,10 +372,10 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
 
     trunc = cp["truncation"]
     _known_keys(trunc, ("order", "weights"))
-    order = _number(int, "truncation", trunc.get("order", "8"))
+    order = _number(int, "[truncation]", trunc.get("order", "8"))
     weights_text = trunc.get("weights", "").split()
     weights = (
-        tuple(_number(int, "truncation", x) for x in weights_text)
+        tuple(_number(int, "[truncation]", x) for x in weights_text)
         if weights_text else (1,) * len(novikov)
     )
     try:
@@ -390,7 +388,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if pair.get("hyperplane"):
         hyperplane = _parse_class(ambient, pair["hyperplane"], "pair")
     if pair.get("projective_dim"):
-        projective_dim = _number(int, "pair", pair["projective_dim"])
+        projective_dim = _number(int, "[pair]", pair["projective_dim"])
 
     toric = None
     if "toric" in cp:

@@ -999,32 +999,35 @@ class MirrorChange:
         classes = _effective_classes(pol)
         return NovikovSeries(pol, _grouped_exp(g, self.m_vector, lambda d: 1 - d, classes, jacobian))
 
+    @cached_property
+    def composed(self) -> NovikovSeries:
+        """G(q) = g(y(q)) in closed form: the log of exp_composed.  Built once."""
+        return self.exp_composed.log()
+
 
 def composed_exponent(change: MirrorChange) -> NovikovSeries:
-    """G(q) = g(y(q)) in closed form: the log of change.exp_composed."""
-    return change.exp_composed.log()
+    """G(q) = g(y(q)): the change's one cached G, shared by all its readers."""
+    return change.composed
 
 
 def class_constant_terms(
-    G: NovikovSeries, m_vector: tuple[int, ...], t_order: float = math.inf
+    G: NovikovSeries, m_vector: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
-    """θ_β = [q^β] e^{(m·β)·G} on each class of G's truncation with 1 ≤ m·β ≤ t_order.
+    """θ_β = [q^β] e^{(m·β)·G} on each class of G's truncation with m·β ≥ 1.
 
     For W = x·e^{G(q·(t/x)^m)} the x^0 part of W^n is Σ_{m·β = n} θ_β q^β t^n,
     so θ_β is the constant term of W^{m·β} on the class β.  Zeros are dropped.
     """
     pol = G.policy
-    classes = [b for b in _effective_classes(pol) if 1 <= sum(map(mul, m_vector, b)) <= t_order]
+    classes = [b for b in _effective_classes(pol) if sum(map(mul, m_vector, b)) >= 1]
     theta = _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
     return {beta: v for beta, v in theta.items() if v}
 
 
-def inverse_coordinates(change: MirrorChange, G: NovikovSeries) -> tuple[NovikovSeries, ...]:
-    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)).
-
-    G is composed_exponent(change).
-    """
+def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
+    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)), on the change's G."""
     pol = change.policy
+    G = composed_exponent(change)
     out = []
     for i, m in enumerate(change.m_vector):
         e = (G * Fraction(-m)).exp()

@@ -189,19 +189,16 @@ def potential_roundtrip(change: MirrorChange) -> RoundtripReport:
     With q = y·exp(m·g), G = g(y(q)) and W = x·e^{G(q·(t/x)^m)}, the constant
     term θ_β of W^{m·β} on the class β must equal (m·β)·g_β for every class
     with m·β ≥ 1 through the change's truncation order.  θ_β is read off
-    e^{(m·β)·G}, never off g, so the check runs through the whole mirror change.
+    e^{(m·β)·G}, never off g, so the check runs through the whole mirror change:
+    this is the one place that forms the constant term of W^n, and it checks
+    the identity `periods.classical_period` reads θ_β by.
     """
     if change.g.constant_term():
         raise ValueError("exponent coefficients are indexed by classes of degree k >= 1")
-    return _roundtrip_report(change, composed_exponent(change))
-
-
-def _roundtrip_report(change: MirrorChange, G: NovikovSeries) -> RoundtripReport:
-    """The roundtrip of `potential_roundtrip` on G = composed_exponent(change)."""
     m = change.m_vector
     if not any(x > 0 for x in m):
         raise ValueError("the potential roundtrip needs a positive contact multiplier")
-    theta = class_constant_terms(G, m)
+    theta = class_constant_terms(composed_exponent(change), m)
     computed = {b: v / change.contact_weight(b) for b, v in theta.items()}
     expected = {b: v for b, v in change.g.terms.items() if change.contact_weight(b) >= 1}
     mismatches = [

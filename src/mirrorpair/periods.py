@@ -5,7 +5,8 @@ graded by the divisor pairing d = D·β; its degreewise d!-rescaling is the
 regularized quantum period.  On the mirror side, the proper potential is
 W = x · exp(G(q)) collapsed along D·β (each class β contributes its mirror
 coefficient at t^{D·β} x^{1-D·β}).  The classical period is kept per class:
-θ_β = [q^β] e^{(D·β)·G} is the constant term of W^{D·β} on β, and the
+θ_β = [q^β] e^{(D·β)·G}, the constant term of W^{D·β} on β, is (D·β)·g_β by
+Good's formula (checked from G by `inversion.potential_roundtrip`), and the
 t-series Σ_n [W^n]_{x^0} t^n sums it over the classes.  When m has entries of
 both signs infinitely many classes share each t-degree, so the collapsed
 views are refused rather than summed from a truncated slice.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import (
     MissingDataError,
@@ -27,7 +29,6 @@ from .geometry import (
 )
 from .ifunctions import (
     MirrorChange,
-    class_constant_terms,
     composed_exponent,
     divisor_mirror_map,
     mixed_signs,
@@ -35,6 +36,7 @@ from .ifunctions import (
     relative_i_function,
     substitute_forward,
 )
+from .inversion import RoundtripReport, potential_roundtrip
 from .series import (
     NovikovSeries,
     PipelineInvariantError,
@@ -107,18 +109,20 @@ class ProperPotential:
     """W = x + Σ_{β≠0} w_β t^{D·β} x^{1-D·β}, with the per-class terms kept.
 
     The one value a pipeline run produces: the geometry it ran on (whose
-    policy is the truncation actually used), the exponent g, the composed
-    exponent G and the weights w_β.  The period, Euler-scaling and roundtrip
-    checks all read it instead of rerunning the pipeline.
+    policy is the truncation actually used) and the mirror change built from
+    its exponent g.  The weights w_β = [q^β] e^G are read off the change's e^G
+    on first use; the period, Euler-scaling and roundtrip checks share them.
     """
 
     geometry: PairGeometry
-    exponent: NovikovSeries          # g, in the curve variables y
-    composed: NovikovSeries          # G = g(y(q)), in the flat variables q
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]  # β ≠ 0 -> w_β
+    change: MirrorChange
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:  # β ≠ 0 -> w_β
+        return tuple(sorted((b, c) for b, c in self.change.exp_composed.terms.items() if any(b)))
 
     def contact_weight(self, beta) -> int:
-        return self.geometry.contact_weight(beta)
+        return self.change.contact_weight(beta)
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -179,10 +183,7 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
         )
         work = geom.with_policy(fresh)
     g = normalize_i(relative_i_function(work)).exponent.g
-    change = MirrorChange(work.m_vector, g)
-    G = composed_exponent(change)  # builds change.exp_composed, whose terms are the w_β
-    terms = tuple(sorted((b, c) for b, c in change.exp_composed.terms.items() if any(b)))
-    return ProperPotential(work, g, G, terms)
+    return ProperPotential(work, MirrorChange(work.m_vector, g))
 
 
 def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential:
@@ -198,7 +199,7 @@ def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential
 
 @dataclass(frozen=True)
 class ClassicalPeriod:
-    """θ_β = [W^{D·β}]_{x^0} on each class β with 1 ≤ D·β ≤ t_order.
+    """θ_β = [W^{D·β}]_{x^0} = (D·β)·g_β on each class β with 1 ≤ D·β ≤ t_order.
 
     series() is the view π(t) = 1 + Σ_n (Σ_{D·β = n} θ_β) t^n, refused with
     the potential's collapse refusal when m has entries of both signs.
@@ -220,7 +221,9 @@ class ClassicalPeriod:
 def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
     """The classical period of the potential, class by class, through t^{t_order}.
 
-    The potential must cover every class with D·β ≤ t_order.
+    Good's formula [q^β] e^{k·G} = [y^β] e^{(k − m·β)·g}·(1 + E_m g) at k = m·β
+    gives θ_β = (m·β)·g_β, read off g with no G built.  The potential must cover
+    every class with D·β ≤ t_order.
     """
     geom = pot.geometry
     need = covering_order(geom, t_order)
@@ -229,13 +232,14 @@ def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
             f"potential computed at order {geom.policy.max_total}; the period "
             f"through t^{t_order} needs order >= {need}"
         )
-    if pot.composed.policy != geom.policy:
+    g = pot.change.g
+    if g.policy != geom.policy:
         raise PipelineInvariantError(
-            f"{geom.name}: composed exponent truncated at order "
-            f"{pot.composed.policy.max_total}, its potential at {geom.policy.max_total}"
+            f"{geom.name}: mirror exponent g truncated at order "
+            f"{g.policy.max_total}, its potential at {geom.policy.max_total}"
         )
-    theta = sorted(class_constant_terms(pot.composed, geom.m_vector, t_order).items())
-    terms = tuple((b, pot.contact_weight(b), v) for b, v in theta)
+    kept = ((b, pot.contact_weight(b), c) for b, c in sorted(g.terms.items()))
+    terms = tuple((b, d, d * c) for b, d, c in kept if 1 <= d <= t_order)
     return ClassicalPeriod(t_order, terms, pot.collapse_refusal())
 
 
@@ -359,10 +363,10 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     """
     geom = pot.geometry
     pol = geom.policy
-    g = pot.exponent
-    m = geom.m_vector
-    change = MirrorChange(m, g)
-    Gq = pot.composed
+    change = pot.change
+    g = change.g
+    m = change.m_vector
+    Gq = composed_exponent(change)
 
     one = NovikovSeries.one(pol)
     u_q = NovikovSeries.zero(pol)
@@ -413,11 +417,6 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     )
 
 
-def roundtrip_for_geometry(pot: ProperPotential):
-    """Exercise the potential roundtrip on the potential's own g and G.
-
-    Returns the inversion module's report.
-    """
-    from .inversion import _roundtrip_report
-
-    return _roundtrip_report(MirrorChange(pot.geometry.m_vector, pot.exponent), pot.composed)
+def roundtrip_for_geometry(pot: ProperPotential) -> RoundtripReport:
+    """The potential roundtrip on the potential's own mirror change and its G."""
+    return potential_roundtrip(pot.change)

@@ -27,8 +27,8 @@ The package solves the right inverse level by level in weight instead.
 
 The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the
-classical period off one truncated exp per t-degree instead, so the two
-routes share no code past the collapse.
+classical period off the mirror exponent as θ_β = (m·β)·g_β instead, so the
+two routes share no code past the collapse.
 """
 
 import math

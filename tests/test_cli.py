@@ -285,24 +285,43 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_builds(monkeypatch, attr):
+    """Count builds of a cached MirrorChange property: e^G (`exp_composed`) or G (`composed`)."""
+    from functools import cached_property
+
+    from mirrorpair import MirrorChange
+
+    build = MirrorChange.__dict__[attr].func
+    builds = []
+
+    def counted(change):
+        builds.append(attr)
+        return build(change)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MirrorChange, attr)
+    monkeypatch.setattr(MirrorChange, attr, prop)
+    return builds
+
+
 @pytest.mark.parametrize(
-    "argv, want",
+    "argv, want",  # want: I-function runs, e^G builds, G builds
     [
-        (("verify", "--geometry", "p2_cubic", "--order", "9", "--negative-control"),
-         {"relative_i_function": 1, "composed_exponent": 1}),
-        (("verify", "--geometry", "blp3_k3", "--order", "4"),
-         {"relative_i_function": 1, "composed_exponent": 1}),
-        (("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
-         {"relative_i_function": 1, "composed_exponent": 1}),
-        (("classical-period", "--geometry", "p2_cubic", "--order", "9"),
-         {"relative_i_function": 1, "composed_exponent": 1}),
+        (("verify", "--geometry", "p2_cubic", "--order", "9", "--negative-control"), (1, 1, 1)),
+        (("verify", "--geometry", "blp3_k3", "--order", "4"), (1, 1, 1)),
+        (("mirror-map", "--geometry", "p2_cubic", "--order", "4"), (1, 1, 1)),
+        (("classical-period", "--geometry", "p2_cubic", "--order", "9"), (1, 0, 0)),
+        (("proper-potential", "--geometry", "p2_cubic", "--order", "9"), (1, 1, 0)),
     ],
 )
 def test_one_pipeline_run_per_command(monkeypatch, argv, want):
-    calls = {name: _count_calls(monkeypatch, name) for name in want}
+    """One I-function per command; e^G and G are built at most once, and only where read."""
+    runs = _count_calls(monkeypatch, "relative_i_function")
+    exp_builds = _count_builds(monkeypatch, "exp_composed")
+    log_builds = _count_builds(monkeypatch, "composed")
     code, _ = _run(*argv)
     assert code == 0
-    assert {name: len(c) for name, c in calls.items()} == want
+    assert (len(runs), len(exp_builds), len(log_builds)) == want
 
 
 def test_verify_negative_control_needs_period_data(capsys):
@@ -441,7 +460,8 @@ def _two_routes(tmp_path, capsys, name, rows):
     """Run quantum-period (tau-d on synthetic_negative, whose quantum side is
     refused) with the rows once in a copy of the config's invariants key and
     once through --table on the config itself; return, per route, the exit
-    code, stdout and stderr with the file's path prefix taken off."""
+    code, stdout and stderr with the file's path prefix taken off.  An error
+    must name the file it comes from."""
     from conftest import SYNTHETIC_NEGATIVE
 
     listed = "".join(f"    {r}\n" for r in rows)
@@ -462,7 +482,9 @@ def _two_routes(tmp_path, capsys, name, rows):
     for path, argv in ((cfg, ["--geometry", str(cfg)]),
                        (table, ["--geometry", str(geometry), "--table", str(table)])):
         code, out = _run(command, "--order", "3", *argv)
-        err = capsys.readouterr().err.replace(f"error: {path}: ", "error: ")
+        err = capsys.readouterr().err
+        assert not err or err.startswith(f"error: {path}: "), err
+        err = err.replace(f"error: {path}: ", "error: ")
         results.append((code, out, err))
     return results
 
@@ -479,6 +501,8 @@ def _two_routes(tmp_path, capsys, name, rows):
         ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 2"], "line 2: duplicate key"),
         ("synthetic_negative", ["d_point 1 3 pt 9"], "d_point class 1 psi^3 = 9 is never read"),
         ("synthetic_negative", ["d_point 2 0 pt 4"], "d_point class 2 psi^0 = 4 is never read"),
+        ("p2_cubic", ["x_point 1 1 pt 1/0"], "line 1, column 5: '1/0' is not an exact rational"),
+        ("p2_cubic", ["x_point 1,a 1 pt 1"], "line 1, column 2: 'a' is not an integer"),
     ],
 )
 def test_a_refused_row_is_refused_the_same_from_both_routes(tmp_path, capsys, name, rows,
@@ -502,6 +526,25 @@ def test_an_accepted_row_is_accepted_the_same_from_both_routes(tmp_path, capsys,
     from_key, from_table = _two_routes(tmp_path, capsys, name, rows)
     assert from_key == from_table
     assert from_key[0] == 0 and from_key[2] == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--geometry", "", "--geometry '' names no file"),
+        ("--table", "", "--table '' names no file"),
+        ("--geometry", "{tmp}", "--geometry {tmp}: cannot read it: Is a directory"),
+        ("--table", "{tmp}/absent.tsv", "--table {tmp}/absent.tsv: cannot read it: No such file"),
+        ("--table", "{tmp}/binary.tsv", "--table {tmp}/binary.tsv: cannot read it: not UTF-8 text"),
+    ],
+)
+def test_unreadable_input_names_its_flag(tmp_path, capsys, flag, value, message):
+    (tmp_path / "binary.tsv").write_bytes(b"\xff\xfe\n")
+    value, message = value.format(tmp=tmp_path), message.format(tmp=tmp_path)
+    code = run(["quantum-period", flag, value], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
@@ -605,7 +648,7 @@ def test_table_geometry_records_do_not_depend_on_the_order(tmp_path):
     cfg.write_text(P2_CUBIC.replace(
         "j_source = closed_form_projective",
         "j_source = invariant_table\ninvariants =\n    x_point 1 12 pt 1",
-    ))
+    ).replace("hyperplane = H\nprojective_dim = 2\n", ""))
 
     def class_one(order):
         code, text = _run("i-function", "--geometry", str(cfg), "--order", order,
@@ -650,10 +693,10 @@ def _plant_endless_reciprocal(monkeypatch):
     monkeypatch.setattr(StateSeries, "is_zero", lambda self: False)
 
 
-def _plant_short_composed_exponent(monkeypatch):
+def _plant_short_mirror_exponent(monkeypatch):
     import dataclasses
 
-    from mirrorpair import NovikovSeries, TruncationPolicy, cli
+    from mirrorpair import MirrorChange, NovikovSeries, TruncationPolicy, cli
 
     original = cli.proper_potential
 
@@ -661,7 +704,8 @@ def _plant_short_composed_exponent(monkeypatch):
         pot = original(geom, t_order)
         pol = pot.geometry.policy
         short = TruncationPolicy.make(pol.nvars, pol.max_total - 1, pol.weights)
-        return dataclasses.replace(pot, composed=NovikovSeries(short, pot.composed.terms))
+        g = NovikovSeries(short, pot.change.g.terms)
+        return dataclasses.replace(pot, change=MirrorChange(pot.change.m_vector, g))
 
     monkeypatch.setattr(cli, "proper_potential", proper_potential)
 
@@ -675,11 +719,11 @@ def _plant_short_composed_exponent(monkeypatch):
          "unit z^1 slice"),
         (_plant_endless_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
          "did not terminate"),
-        (_plant_short_composed_exponent,
+        (_plant_short_mirror_exponent,
          ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
-         "composed exponent truncated at order 1, its potential at 2"),
+         "mirror exponent g truncated at order 1, its potential at 2"),
     ],
-    ids=["high-z", "non-unit-z1", "endless-reciprocal", "short-composed-exponent"],
+    ids=["high-z", "non-unit-z1", "endless-reciprocal", "short-mirror-exponent"],
 )
 def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
     plant(monkeypatch)

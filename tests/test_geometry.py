@@ -180,6 +180,10 @@ CONFIGS = {**BUILTIN_CONFIGS, "synthetic_negative": SYNTHETIC_NEGATIVE}
          r"\[toric\] unknown key 'weights': it takes denominators and bundles"),
         ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\ntau_d_reason = k3\n",
          r"\[pair\] tau_d_reason is read only with tau_d_source = zero"),
+        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\nhyperplane = H\n",
+         r"\[pair\] hyperplane is read only with j_source = closed_form_projective"),
+        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\nprojective_dim = 1\n",
+         r"\[pair\] projective_dim is read only with j_source = closed_form_projective"),
     ],
 )
 def test_keys_nothing_reads_are_refused(name, old, new, message):

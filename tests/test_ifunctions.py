@@ -213,7 +213,8 @@ def _p2_from_table():
     rows = "".join(f"    x_point {b[0]} {a} pt {v}\n" for b, a, v in P2_TABLE_ROWS)
     return load_geometry(BUILTIN_CONFIGS["p2_cubic"].replace(
         "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n")))
+        "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n"),
+    ).replace("hyperplane = H\nprojective_dim = 2\n", ""))
 
 
 def _relative_pieces(monkeypatch, geom):
@@ -740,13 +741,13 @@ def _pol(order):
 def test_single_term_inversion_weight_three():
     # q = y e^{3g}, g = 2y  =>  y(q) = q - 6q^2 + 54q^3 (hand inversion)
     ch = MirrorChange((3,), NovikovSeries(_pol(3), {(1,): 2}))
-    assert dict(inverse_coordinates(ch, composed_exponent(ch))[0].terms) == {
+    assert dict(inverse_coordinates(ch)[0].terms) == {
         (1,): Fraction(1), (2,): Fraction(-6), (3,): Fraction(54)}
 
 
 def test_single_term_inversion_weight_four():
     ch = MirrorChange((4,), NovikovSeries(_pol(2), {(1,): 6}))
-    assert dict(inverse_coordinates(ch, composed_exponent(ch))[0].terms) == {
+    assert dict(inverse_coordinates(ch)[0].terms) == {
         (1,): Fraction(1), (2,): Fraction(-24)}
 
 
@@ -754,7 +755,7 @@ def test_plane_inverse_coordinates(p2):
     g = normalize_i(relative_i_function(p2)).exponent.g
     ch = MirrorChange(p2.m_vector, g)
     G = composed_exponent(ch)
-    yq = inverse_coordinates(ch, G)[0]
+    yq = inverse_coordinates(ch)[0]
     assert yq.coefficient((1,)) == 1
     assert yq.coefficient((2,)) == -6
     assert yq.coefficient((3,)) == 9
@@ -784,14 +785,14 @@ def test_composed_exponent_inverts_the_change(request, name):
     ch = MirrorChange(geom.m_vector, g)
     G = composed_exponent(ch)
     assert substitute_forward(G, ch) == g
-    assert _compose(g, inverse_coordinates(ch, G)) == G
+    assert _compose(g, inverse_coordinates(ch)) == G
 
 
 def test_inverse_coordinates_invert_the_forward_map(p2):
     g = normalize_i(relative_i_function(p2)).exponent.g
     ch = MirrorChange(p2.m_vector, g)
     G = composed_exponent(ch)
-    y = inverse_coordinates(ch, G)[0]
+    y = inverse_coordinates(ch)[0]
     q_of_y_of_q = y * (G * ch.m_vector[0]).exp()
     assert q_of_y_of_q == NovikovSeries.variable(g.policy, 0)
 
@@ -799,7 +800,7 @@ def test_inverse_coordinates_invert_the_forward_map(p2):
 def test_substitution_round_trips(blp3):
     g = normalize_i(relative_i_function(blp3)).exponent.g
     ch = MirrorChange(blp3.m_vector, g)
-    ys = inverse_coordinates(ch, composed_exponent(ch))
+    ys = inverse_coordinates(ch)
     f = NovikovSeries(g.policy, {(1, 0): 3, (0, 2): Fraction(-5, 2), (2, 1): 1})
     assert _compose(substitute_forward(f, ch), ys) == f
     assert substitute_forward(_compose(f, ys), ch) == f
@@ -844,11 +845,22 @@ def _mixed_sign_exponents(draw):
     return m, NovikovSeries(pol, draw(st.dictionaries(exps, coeffs, max_size=5)))
 
 
-@given(mg=_mixed_sign_exponents(), t_order=st.integers(1, 8) | st.just(math.inf))
+@given(mg=_mixed_sign_exponents())
 @settings(max_examples=40, deadline=None)
-def test_class_constant_terms_match_literal_powers(mg, t_order):
+def test_class_constant_terms_match_literal_powers(mg):
     m, G = mg
-    assert class_constant_terms(G, m, t_order) == class_thetas(G, m, t_order)
+    assert class_constant_terms(G, m) == class_thetas(G, m, math.inf)
+
+
+@given(ch=_changes())
+@example(ch=_named_change((2, -1), (1, 2), {(1, 0): 2, (0, 1): -1}))
+@example(ch=_named_change((-3, 1, 2), (1, 1, 1), {(1, 0, 0): 1, (0, 1, 1): Fraction(-1, 2), (0, 0, 2): 3}))
+@example(ch=_named_change((5,), (2,), {(1,): Fraction(1, 3)}))
+@settings(max_examples=30, deadline=None)
+def test_classical_constant_terms_are_the_scaled_exponent(ch):
+    """Good's formula at k = m·β: [q^β] e^{(m·β)·G} = (m·β)·g_β, the θ_β of classical_period."""
+    want = {b: ch.contact_weight(b) * c for b, c in ch.g.terms.items() if ch.contact_weight(b) >= 1}
+    assert class_thetas(composed_exponent(ch), ch.m_vector, math.inf) == want
 
 
 @given(ch=_changes(), c=st.fractions(min_value=-3, max_value=3).filter(bool))

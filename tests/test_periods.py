@@ -14,6 +14,7 @@ import pytest
 from conftest import power_constant_terms, theta_coefficient
 
 from mirrorpair import (
+    MirrorChange,
     MissingDataError,
     NovikovSeries,
     PipelineInvariantError,
@@ -127,9 +128,9 @@ def _oracle_weights(g_coeffs, m, n):
 
 def test_potential_matches_independent_expansion(p2):
     pot = proper_potential(p2, 9)
-    g = {k[0]: v for k, v in pot.exponent.terms.items()}
+    g = {k[0]: v for k, v in pot.change.g.terms.items()}
     G, expG = _oracle_weights(g, 3, 3)
-    for beta, c in pot.composed.terms.items():
+    for beta, c in pot.change.composed.terms.items():
         assert G[beta[0]] == c
     for beta, w in pot.terms:
         assert expG[beta[0]] == w
@@ -140,7 +141,7 @@ def test_potential_matches_independent_expansion(p2):
 def test_space_potential_frozen_and_cross_checked(p3):
     pot = proper_potential(p3, 12)
     assert pot.as_dict() == {(1,): 6, (2,): 189, (3,): 14366}
-    g = {k[0]: v for k, v in pot.exponent.terms.items()}
+    g = {k[0]: v for k, v in pot.change.g.terms.items()}
     _, expG = _oracle_weights(g, 4, 3)
     assert [expG[1], expG[2], expG[3]] == [6, 189, 14366]
 
@@ -154,9 +155,11 @@ def test_collapse_of_the_plane_potential(p2):
 
 
 def test_collapse_rejects_low_contact_weight(p2):
+    # a change with m = 1 puts a weight at the class 1, of contact weight 1
     pot = proper_potential(p2, 9)
-    bad = dataclasses.replace(pot, terms=(((0,), Fraction(1)),) + pot.terms)
-    with pytest.raises(ValueError, match="contact weight"):
+    bad = dataclasses.replace(pot, change=MirrorChange((1,), pot.change.g))
+    assert bad.terms[0][0] == (1,) and bad.contact_weight((1,)) == 1
+    with pytest.raises(ValueError, match="contact weight 1 < 2"):
         bad.collapse(9)
 
 
@@ -269,11 +272,12 @@ def test_mixed_sign_classical_period_per_class(blp3, order):
     assert got  # the mixed-sign pair has classes with D·β ≥ 1
 
 
-def test_classical_period_refuses_a_short_composed_exponent(p2):
+def test_classical_period_refuses_a_short_mirror_exponent(p2):
     pot = proper_potential(p2, 12)
-    low = NovikovSeries(proper_potential(p2, 9).geometry.policy, pot.composed.terms)
-    with pytest.raises(PipelineInvariantError, match="composed exponent truncated at order 3"):
-        classical_period(dataclasses.replace(pot, composed=low), 12)
+    low = NovikovSeries(proper_potential(p2, 9).geometry.policy, pot.change.g.terms)
+    short = dataclasses.replace(pot, change=MirrorChange(pot.change.m_vector, low))
+    with pytest.raises(PipelineInvariantError, match="mirror exponent g truncated at order 3"):
+        classical_period(short, 12)
 
 
 # ---------------------------------------------------------------------------
