@@ -357,7 +357,9 @@ class RestrictionMap:
 
     Built once with the map: ``rows``, the images as sparse rows; ``gram``, the
     source pairing matrix; and ``cross``, the sparse rows k of
-    ∫_target e_k ∪ r(e_j) over j, which `pairing_pushforward` reads.
+    ∫_target e_k ∪ r(e_j) over j, which `pairing_pushforward` reads.  The
+    pushforwards of the target basis (``pushforward_rows``) are solved once,
+    on first use.
     """
 
     source: GradedAlgebra
@@ -391,6 +393,16 @@ class RestrictionMap:
             rows.append(images.get(b, target.zero()))
         rm = RestrictionMap(source, target, tuple(rows))
         return rm
+
+    @cached_property
+    def pushforward_rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The sparse source rows of `pairing_pushforward` of each target basis
+        class, solved on first use.  The pushforward is linear, so these rows
+        weighted by v's coordinates give it at any v."""
+        tgt = self.target
+        return tuple(
+            pairing_pushforward(self, tgt.basis_element(k)).support for k in range(tgt.dim)
+        )
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.source:

@@ -365,7 +365,7 @@ def cmd_tau_d(ns: argparse.Namespace, stream) -> int:
 
 def cmd_mirror_map(ns: argparse.Namespace, stream) -> int:
     geom = _load_geometry(ns, order_is_truncation=True)
-    norm = normalize_i(relative_i_function(geom))
+    norm = normalize_i(relative_i_function(geom, lowest_z=0))
     records = _class_records(geom, "mirror_map", norm.mirror_map.terms)
     exponent = norm.exponent
     records += _novikov_records("mirror_exponent", "y^", exponent.g)

@@ -30,12 +30,13 @@ inversion formula rather than iterating the substitution.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product as iproduct, takewhile
+from itertools import islice, product as iproduct, takewhile
 from operator import add, mul, sub
 
 from .algebra import (
@@ -43,9 +44,9 @@ from .algebra import (
     Element,
     GradedAlgebra,
     _combine,
+    _sparse,
     pairing_pushforward,
     rat,
-    sum_of_products,
 )
 from .geometry import ConfigError, MissingDataError, PairGeometry
 from .series import (
@@ -198,6 +199,13 @@ class StateSeries:
                 clean[(beta, contact, logpow)] = el
         self.terms = clean
 
+    @classmethod
+    def _kernel_output(cls, geometry: PairGeometry, terms: dict) -> "StateSeries":
+        """A product's result: admissible, nonzero and well homed by construction."""
+        out = object.__new__(cls)
+        out.geometry, out.terms = geometry, terms
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -236,26 +244,24 @@ class StateSeries:
         return not self.terms
 
     def __mul__(self, other: "StateSeries") -> "StateSeries":
-        """The contact-order product rule (see module docstring).
-
-        The right operand is sorted by weight once, so each left term stops at
-        the weight cut; term pairs are grouped by output key and rule.
-        """
+        """The contact-order product rule (see module docstring), on `_StateProduct` rows."""
         geom = self.geometry
-        right = sorted(_states(geom, other.terms), key=lambda t: t[0])
-        groups: dict = {}
-        for w1, k1, e1, d1 in _states(geom, self.terms):
-            _group_pairs(groups, k1, e1, d1, right, geom.policy.max_total - w1)
-        return StateSeries(geom, _reduce_groups(geom, groups))
+        if not self.terms or not other.terms:
+            return StateSeries._kernel_output(geom, {})
+        prod = _StateProduct(geom)
+        return StateSeries._kernel_output(
+            geom, prod.multiply(prod.rows(self.terms), prod.rows(other.terms))
+        )
 
     def reciprocal(self) -> "StateSeries":
         """The right inverse r of f = c·([1]_0 − n), c ≠ 0, level by level in weight.
 
         (1 − n_0)⁻¹ for the β = 0 part n_0 is the nilpotent sum Σ n_0^k, and
         r_β = (1 − n_0)⁻¹·Σ_{γ≠0} n_γ·r_{β−γ} reads lighter levels only: one
-        product's worth of term pairs.  The product is commutative but not
-        associative; for n_0 = 0 (every I-function) or of contact 0 this r is
-        the unique right inverse, which is then the geometric series Σ n^k.
+        product's worth of term pairs, on one `_StateProduct`'s tables.  The
+        product is commutative but not associative; for n_0 = 0 (every
+        I-function) or of contact 0 this r is the unique right inverse, which
+        is then the geometric series Σ n^k.
         """
         geom = self.geometry
         zero = (0,) * geom.nvars
@@ -264,8 +270,9 @@ class StateSeries:
         if c == 0:
             raise ValueError("state reciprocal needs a nonzero unit leading term")
         unit = StateSeries.unit(geom)
-        n = unit - self.scale(Fraction(1) / c)
-        n0 = StateSeries(geom, {k: e for k, e in n.terms.items() if k[0] == zero})
+        n = {k: e.scale(-1 / c) for k, e in self.terms.items()}
+        n[(zero, 0, zero)] += geom.ambient.unit()
+        n0 = StateSeries(geom, {k: e for k, e in n.items() if k[0] == zero})
         inverse0 = power = unit
         for _ in range(geom.policy.max_total + geom.ambient.top_degree + 3):
             power = power * n0
@@ -274,17 +281,24 @@ class StateSeries:
             inverse0 = inverse0 + power
         else:
             raise PipelineInvariantError("state reciprocal did not terminate (series not nilpotent)")
-        steps = sorted((t for t in _states(geom, n.terms) if t[0]), key=lambda t: t[0])
-        levels = [_states(geom, inverse0.terms)]
+        prod = _StateProduct(geom)
+        steps = prod.rows({k: e for k, e in n.items() if k[0] != zero})
+        levels = [prod.rows(inverse0.terms)]
+        lead_rows = None if inverse0 == unit else levels[0]
+        out = dict(inverse0.terms)
         for w in range(1, geom.policy.max_total + 1):
-            groups: dict = {}
-            for w1, k1, e1, d1 in takewhile(lambda t: t[0] <= w, steps):
-                _group_pairs(groups, k1, e1, d1, levels[w - w1], w - w1)
-            level = StateSeries(geom, _reduce_groups(geom, groups))
-            if inverse0 != unit:
-                level = inverse0 * level
-            levels.append(_states(geom, level.terms))
-        return StateSeries(geom, {k: e for lv in levels for _, k, e, _ in lv}).scale(1 / c)
+            acc: dict = {}
+            for sector1, rows1 in steps.items():
+                for row in takewhile(lambda t: t[0] <= w, rows1):
+                    for sector2, rows2 in levels[w - row[0]].items():
+                        prod.file(acc, sector1, [row], sector2, rows2, w)
+            level = prod.finish(acc)
+            if lead_rows is not None:
+                level = prod.multiply(lead_rows, prod.rows(level))
+            out.update(level)
+            levels.append(prod.rows(level))
+        r = StateSeries._kernel_output(geom, out)
+        return r if c == 1 else r.scale(1 / c)
 
     # -- queries ---------------------------------------------------------
 
@@ -306,46 +320,110 @@ class StateSeries:
         return " + ".join(bits) if bits else "0"
 
 
-def _states(geom: PairGeometry, terms: dict) -> list:
-    """(weight, key, value, value on the divisor) for each state term."""
-    r, weight = geom.restriction, geom.policy.weight
-    return [(weight(k[0]), k, e, r(e) if k[1] == 0 else e) for k, e in terms.items()]
+class _StateProduct:
+    """The tables of the contact-order product on one geometry, and its kernel.
 
+    Terms are taken once as rows, grouped by sector (contact, logpow) and
+    sorted by weight: (weight, packed β, supports).  β is packed as the
+    integer Σ β_i·B^i with B = order + 1, so the class of a product within
+    the order is a sum of two integers.  The supports are the value's sparse
+    (i, n, d) coordinates and those on the divisor, r(e)'s at contact 0.
+    The contacts of two sectors fix the product rule, and each rule reads one
+    table T[i][j] of sparse rows over basis pairs: the ambient structure
+    constants (cup), the divisor's (restricted product), and the divisor's
+    composed with the rule's linear last step, the pushforward of each
+    divisor basis class (`RestrictionMap.pushforward_rows`) or the cup with
+    r(D).  Every pair that lands on an output key reads rows of one algebra
+    (the ambient one iff the contact is 0), so each key is one `_combine`.
+    Build one per product or reciprocal; it is not a cache.
+    """
 
-def _group_pairs(groups: dict, k1, e1: Element, d1: Element, right: list, room: int) -> None:
-    """File [e1]_k1 times each `_states` entry of ``right`` (sorted by weight) up to
-    weight ``room`` under its output key and product rule."""
-    b1, c1, l1 = k1
-    for w2, (b2, c2, l2), e2, d2 in right:
-        if w2 > room:
-            break
+    def __init__(self, geom: PairGeometry) -> None:
+        amb, div, r = geom.ambient, geom.divisor, geom.restriction
+        self.geometry = geom
+        self.base = geom.policy.max_total + 1
+        rd = r(geom.divisor_class)
+        cup_d = [(div.basis_element(k) * rd).support for k in range(div.dim)]
+
+        def then(last, dim):
+            return [[_sparse(_combine(((last[k], n, d) for k, n, d in c), dim)) for c in row]
+                    for row in div.constants]
+
+        self.cup, self.restricted = amb.constants, div.constants
+        self.pushforward = then(r.pushforward_rows, amb.dim)
+        self.divisor_class = then(cup_d, div.dim)
+
+    def rows(self, terms: dict) -> dict:
+        """{(contact, logpow): [(weight, packed β, (support, support on the divisor))]}
+        by rising weight, for state terms {(β, contact, logpow): Element}."""
+        geom = self.geometry
+        weight, images, dim = geom.policy.weight, geom.restriction.rows, geom.divisor.dim
+        powers = [self.base ** i for i in range(geom.nvars)]
+        out: dict = {}
+        for (beta, c, logpow), value in terms.items():
+            supp = value.support
+            on_div = supp if c else _sparse(
+                _combine(((images[i], n, d) for i, n, d in supp), dim)
+            )
+            packed = sum(map(mul, beta, powers))
+            out.setdefault((c, logpow), []).append((weight(beta), packed, (supp, on_div)))
+        for rows in out.values():
+            rows.sort(key=lambda t: t[0])
+        return out
+
+    def file(self, acc: dict, sector1, rows1: list, sector2, rows2: list, top: int) -> None:
+        """File each pair of ``rows1`` × ``rows2`` of total weight ≤ ``top`` under its
+        output key, with the table its product rule reads."""
+        (c1, l1), (c2, l2) = sector1, sector2
         c = c1 + c2
         if c1 == 0 and c2 == 0:
-            rule = "cup"
+            table, side = self.cup, 0
         elif (c1 < 0) == (c2 < 0) or c < 0:
-            rule = "divisor"
+            table, side = self.restricted, 1
         elif c == 0:
-            rule = "pushforward"
+            table, side = self.pushforward, 1
         else:
-            rule = "divisor_class"
-        key = (tuple(map(add, b1, b2)), c, tuple(map(add, l1, l2)))
-        groups.setdefault((key, rule), []).append((e1, e2) if rule == "cup" else (d1, d2))
+            table, side = self.divisor_class, 1
+        out = acc.setdefault((c, tuple(map(add, l1, l2))), {})
+        for w1, p1, sup1 in rows1:
+            room, a = top - w1, sup1[side]
+            for w2, p2, sup2 in rows2:
+                if w2 > room:
+                    break
+                parts = out.get(p1 + p2)
+                if parts is None:
+                    parts = out[p1 + p2] = []
+                parts.append((table, a, sup2[side]))
 
+    def finish(self, acc: dict) -> dict:
+        """The state terms of the filed keys, one `_combine` each, zeros dropped."""
+        geom = self.geometry
+        algebras = (geom.ambient, geom.divisor)
+        base, nvars = self.base, geom.nvars
+        out = {}
+        for (c, logpow), keys in acc.items():
+            for packed, parts in keys.items():
+                alg = algebras[c != 0]
+                coeffs = _combine((
+                    (table[i][j], n1 * n2, e1 * e2)
+                    for table, s1, s2 in parts
+                    for i, n1, e1 in s1
+                    for j, n2, e2 in s2
+                ), alg.dim)
+                if any(coeffs):
+                    beta = tuple(packed // base ** i % base for i in range(nvars))
+                    out[(beta, c, logpow)] = Element(alg, coeffs)
+        return out
 
-def _reduce_groups(geom: PairGeometry, groups: dict) -> dict:
-    """The terms of `_group_pairs` groups: one `sum_of_products` per group, then
-    the pushforward or the cup with r(D), both linear."""
-    r = geom.restriction
-    rd = r(geom.divisor_class)
-    out: dict = {}
-    for (key, rule), pairs in groups.items():
-        el = sum_of_products(geom.ambient if rule == "cup" else geom.divisor, pairs)
-        if rule == "pushforward":
-            el = pairing_pushforward(r, el)
-        elif rule == "divisor_class":
-            el = el * rd
-        _merge_add(out, key, el)
-    return out
+    def multiply(self, left: dict, right: dict) -> dict:
+        """The product of two sector tables, cut at the truncation order."""
+        top = self.geometry.policy.max_total
+        acc: dict = {}
+        for sector1, rows1 in left.items():
+            for sector2, rows2 in right.items():
+                self.file(acc, sector1, rows1, sector2, rows2, top)
+        return self.finish(acc)
+
 
 
 PRODUCT_RULE_TEXT = (
@@ -364,24 +442,39 @@ class RelativeSeries:
 
     Keys are (beta, contact, zexp, logpow); values follow the StateSeries
     convention (ambient at contact 0, divisor otherwise).  Every z power of
-    every stored class is exact; a key that is absent is zero.
+    every stored class at or above ``lowest_z`` is exact; a key that is absent
+    there is zero.  A series built with a floor (``lowest_z`` not None) holds
+    nothing below it, and reading below it raises TruncationError.
     """
 
-    __slots__ = ("geometry", "terms")
+    __slots__ = ("geometry", "terms", "lowest_z")
 
-    def __init__(self, geometry: PairGeometry, terms: dict):
+    def __init__(self, geometry: PairGeometry, terms: dict, lowest_z: int | None = None):
         self.geometry = geometry
+        self.lowest_z = lowest_z
         clean: dict = {}
         for (beta, contact, zexp, logpow), el in terms.items():
             if el.is_zero():
                 continue
+            if lowest_z is not None and zexp < lowest_z:
+                raise PipelineInvariantError(
+                    f"term at z^{zexp} in a series cut below z^{lowest_z}"
+                )
             expected = geometry.ambient if contact == 0 else geometry.divisor
             if el.algebra is not expected:
                 raise AlgebraError("mis-homed state value")
             clean[(tuple(beta), contact, zexp, tuple(logpow))] = el
         self.terms = clean
 
+    def _check_floor(self, zexp: int) -> None:
+        if self.lowest_z is not None and zexp < self.lowest_z:
+            raise TruncationError(
+                f"z^{zexp} lies below this series' lowest computed power "
+                f"z^{self.lowest_z}; build the whole series to read it"
+            )
+
     def z_slice(self, zexp: int) -> StateSeries:
+        self._check_floor(zexp)
         out: dict = {}
         for (beta, contact, z, logpow), el in self.terms.items():
             if z != zexp:
@@ -398,6 +491,7 @@ class RelativeSeries:
             raise TruncationError(
                 f"class {beta} beyond truncation order {self.geometry.policy.max_total}"
             )
+        self._check_floor(zexp)
         if logpow is None:
             logpow = (0,) * self.geometry.nvars
         alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
@@ -407,6 +501,7 @@ class RelativeSeries:
         return (
             isinstance(other, RelativeSeries)
             and self.geometry is other.geometry
+            and self.lowest_z == other.lowest_z
             and self.terms == other.terms
         )
 
@@ -640,9 +735,13 @@ def divisor_map_from_normal_bundle(geom: PairGeometry, model: NormalBundleModel)
 # relative I-function assembly
 
 
+_OVERALL_Z = 1  # the template's overall factor z
+
+
 def _assemble(
     geom: PairGeometry,
     pieces: list[tuple[tuple[int, ...], int, ZLaurentElement]],
+    lowest_z: int | None = None,
 ) -> RelativeSeries:
     """Shared final stage: overall z, prefactor expansion, contact attachment.
 
@@ -652,21 +751,25 @@ def _assemble(
     against the rows its contact selects.  Pieces carry distinct (β, contact).
     A nonzero ambient term above z¹ is a ConfigError naming the class: the
     pair or its invariant rows break the shape z·[1] + O(z⁰) of a log
-    Calabi–Yau I-function.
+    Calabi–Yau I-function.  Terms below ``lowest_z`` are not formed, and the
+    series records that floor; content above z¹ is checked either way.
     """
     amb, div, r = geom.ambient, geom.divisor, geom.restriction
+    low = -math.inf if lowest_z is None else lowest_z
     basis = [amb.basis_element(i) for i in range(amb.dim)]
     table = []
     for alpha, shift, pcls in _prefactor_terms(list(geom.picard)):
         products = [e * pcls for e in basis]
         rows = [p.support for p in products]
         restricted = [r(p).support for p in products]
-        table.append((alpha, shift + 1, rows, restricted))  # +1: the overall z of the template
+        table.append((alpha, shift + _OVERALL_Z, rows, restricted))
+    table.sort(key=lambda t: -t[1])  # by falling shift, so those that reach `low` lead
+    drops = [-shift for _, shift, _, _ in table]
     terms: dict = {}
     for beta, contact, zl in pieces:
         alg = amb if contact == 0 else div
         for z, el in zl.terms.items():
-            for alpha, shift, rows, restricted in table:
+            for alpha, shift, rows, restricted in table[: bisect_right(drops, z - low)]:
                 zf = z + shift
                 if zf > 1:
                     if any(_combine(((rows[i], n, d) for i, n, d in el.support), amb.dim)):
@@ -681,7 +784,7 @@ def _assemble(
                 coeffs = _combine(((use[i], n, d) for i, n, d in el.support), alg.dim)
                 if any(coeffs):
                     terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
-    return RelativeSeries(geom, terms)
+    return RelativeSeries(geom, terms, lowest_z)
 
 
 def _effective_classes(pol: TruncationPolicy):
@@ -692,8 +795,12 @@ def _effective_classes(pol: TruncationPolicy):
             yield beta
 
 
-def relative_i_function(geom: PairGeometry) -> RelativeSeries:
+def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> RelativeSeries:
     """The relative I-function of the pair, at divisor mirror map τ_D.
+
+    With ``lowest_z`` given only the slices z^k, k ≥ lowest_z, are built (the
+    mirror map and the potential read z¹ and z⁰ alone); the series records
+    the floor, and content above z¹ is refused as for the whole series.
 
     Every source goes through one template (`_hypergeometric`): the absolute
     factors times Π_{0<a<D·β}(D + az), which is the chain of D over the pole
@@ -711,13 +818,15 @@ def relative_i_function(geom: PairGeometry) -> RelativeSeries:
             "needs deformed absolute invariants: external data required"
         )
     if geom.j_source == "toric_hypergeometric":
-        return toric_i_function(geom)
+        return toric_i_function(geom, lowest_z)
     dcls = geom.divisor_class
     classes = _effective_classes(geom.policy)
     if geom.j_source == "closed_form_projective":
         multiplicity = Counter({geom.hyperplane: -(geom.projective_dim + 1)})
         multiplicity[dcls] += 1  # merged when D = H, as for n = 0
-        return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}))
+        return _hypergeometric(
+            geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z
+        )
     bases = {}
     for beta in classes:
         row = absolute_core(geom, beta)
@@ -729,30 +838,31 @@ def relative_i_function(geom: PairGeometry) -> RelativeSeries:
                 "factor through the divisor class"
             )
         bases[beta] = row
-    return _hypergeometric(geom, {dcls: 1}, bases)
+    return _hypergeometric(geom, {dcls: 1}, bases, lowest_z)
 
 
-def toric_i_function(geom: PairGeometry) -> RelativeSeries:
+def toric_i_function(geom: PairGeometry, lowest_z: int | None = None) -> RelativeSeries:
     """The toric hypergeometric template for bundle-type pairs.
 
     Per class β: Π_bundles Π_{k=1}^{b·β}(b + kz) over Π_dens Π_{k=1}^{t·β}(t + kz),
     with the pole of `_hypergeometric`.  Factors of the relative ray are
     structurally cancelled against the hypergeometric modification.  Equal
     classes are merged into one chain with their net multiplicity (+1 per
-    bundle, −1 per denominator).
+    bundle, −1 per denominator).  ``lowest_z`` is `relative_i_function`'s.
     """
     if geom.toric is None:
         raise MissingDataError(f"{geom.name}: no toric data")
     multiplicity = Counter(geom.toric.bundles)
     multiplicity.subtract(geom.toric.denominators)
     classes = _effective_classes(geom.policy)
-    return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}))
+    return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
 
 
 def _hypergeometric(
     geom: PairGeometry,
     multiplicity: dict[Element, int],
     bases: dict[tuple[int, ...], dict[int, Fraction]],
+    lowest_z: int | None = None,
 ) -> RelativeSeries:
     """The one template of every relative I-function: per class β of ``bases``,
     its scalar base row Σ v·z^k times Π_u Π_{k=1}^{u·β}(u + kz)^{e_u} over the
@@ -766,6 +876,9 @@ def _hypergeometric(
     the e = −1 link row.  So the nonzero monomials Π_f u_f^{j_f}·D^{j_D} are
     tabulated once per build as sparse rows, and each z-slice of a class is
     one `_combine` of them, weighted by integer products of its rows and base.
+    With ``lowest_z`` given, a slice that cannot reach it after assembly is
+    not formed: monomials go by rising Σ j, so a class stops at the first one
+    whose slices all lie below the template floor.
     """
     amb, dcls = geom.ambient, geom.divisor_class
     factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
@@ -789,7 +902,11 @@ def _hypergeometric(
                 grown.append((js + (j,), t + j, m))
                 m = m * u
         monomials = grown
-    monomials = [(js, t, m.support) for js, t, m in monomials]
+    monomials = sorted(((js, t, m.support) for js, t, m in monomials), key=lambda m: m[1])
+    degrees = [t for _, t, _ in monomials]
+    # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
+    # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
+    floor = -math.inf if lowest_z is None else lowest_z - _OVERALL_Z
     pieces = []
     for i, (beta, c) in enumerate(zip(classes, contacts)):
         rows = [table[tops[i]] for table, tops in zip(tables, pairings)]
@@ -798,8 +915,11 @@ def _hypergeometric(
         zbase -= c > 0  # the pole's (cz)^{−1}
         den = math.prod(d for _, d in rows)
         base = [(zbase + k, v.numerator, den * v.denominator) for k, v in bases[beta].items()]
+        # a monomial of degree t lowers z by t: past the top z − floor none reaches the floor
+        cut = bisect_right(degrees, max(z for z, _, _ in base) - floor)
+        base = [b for b in base if b[0] >= floor]
         slices: dict[int, list] = {}
-        for js, t, support in monomials:
+        for js, t, support in islice(monomials, cut):
             n = 1
             for j, (nums, _) in zip(js, rows):
                 if j >= len(nums):
@@ -810,9 +930,9 @@ def _hypergeometric(
                     for z, vn, vd in base:
                         slices.setdefault(z - t, []).append((support, n * vn, vd))
         pieces.append((beta, -c, ZLaurentElement(amb, {
-            z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items()
+            z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items() if z >= floor
         })))
-    return _assemble(geom, pieces)
+    return _assemble(geom, pieces, lowest_z)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +952,7 @@ class NormalizedI:
     """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
 
     J = I·I₁⁻¹ is kept only on the two slices that have readers: J₁ = [1]₀
-    and J₀, the mirror map.
+    and J₀, the mirror map; so `j_function` has floor z⁰.
     """
 
     unit_part: StateSeries        # I1 = z^1 slice
@@ -846,7 +966,8 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
 
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
     and the z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
-    computed.  Raises PipelineInvariantError on violation.
+    computed, so I may be built from z^0 up (`relative_i_function(geom, 0)`).
+    Raises PipelineInvariantError on violation.
     """
     geom = I.geometry
     i1 = I.z_slice(1)
@@ -868,7 +989,7 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
         for z, part in ((1, j1), (0, j0))
         for (b, c, l), el in part.terms.items()
     }
-    J = RelativeSeries(geom, slices)
+    J = RelativeSeries(geom, slices, lowest_z=0)
     return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
 
 
@@ -1036,13 +1157,30 @@ def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
 
 
 def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> NovikovSeries:
-    """f(q) ↦ f(q(y)): monomial-wise q^β ↦ y^β · exp((D·β)·g(y))."""
-    pol = series_q.policy
-    out = NovikovSeries.zero(pol)
-    cache: dict[int, NovikovSeries] = {}
+    """f(q) ↦ f(q(y)): monomial-wise q^β ↦ y^β · exp((D·β)·g(y)).
+
+    The classes of f are grouped by d = D·β, and each group is one product of
+    its terms with e^{d·g}, read off the exp recurrence (`_solve_by_weight`)
+    only through the weight its lightest class leaves room for.
+    """
+    pol, g = series_q.policy, change.g
+    if g.policy != pol:
+        raise ValueError("incompatible truncation policies")
+    if g.constant_term() != 0:
+        raise ValueError("exp needs a series with zero constant term")
+    groups: dict[int, dict] = {}
     for beta, c in series_q.terms.items():
-        d = change.contact_weight(beta)
-        if d not in cache:
-            cache[d] = (change.g * Fraction(d)).exp()
-        out = out + NovikovSeries(pol, {beta: c}) * cache[d]
-    return out
+        groups.setdefault(change.contact_weight(beta), {})[beta] = c
+    steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in g.terms.items()]
+    out: dict = {}
+    for d, terms in groups.items():
+        room = pol.max_total - min(map(pol.weight, terms))
+        power = _solve_by_weight(
+            TruncationPolicy.make(pol.nvars, room, pol.weights), Fraction(1), steps,
+            divide_by_weight=True, scale=d,
+        )
+        # the product reads e^{d·g} only through weight `room`, so it may sit under pol
+        part = NovikovSeries._kernel_output(pol, terms) * NovikovSeries._kernel_output(pol, power.terms)
+        for k, v in part.terms.items():
+            out[k] = out.get(k, 0) + v
+    return NovikovSeries(pol, out)

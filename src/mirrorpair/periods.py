@@ -182,7 +182,7 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
             pol.nvars, max_total=covering_order(geom, t_order), weights=pol.weights
         )
         work = geom.with_policy(fresh)
-    g = normalize_i(relative_i_function(work)).exponent.g
+    g = normalize_i(relative_i_function(work, lowest_z=0)).exponent.g
     return ProperPotential(work, MirrorChange(work.m_vector, g))
 
 
@@ -325,7 +325,7 @@ class EulerScalingReport:
     scaling_ok: bool               # Δ_D L == Δ_D R
     display_ok: bool               # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
     endpoint_y_ok: bool            # 1 + Σ n_β u_β q^β(y) == exp(g)
-    endpoint_q_ok: bool            # 1 + Σ n_β u_β q^β == exp(G)
+    endpoint_q_ok: bool            # G(q(y)) == g(y)
     details: str
 
     @property
@@ -353,7 +353,8 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     """Exact checks of the scaling identity tying the potential to the exponent.
 
     With n_β = D·β − 1 and u_β = w_β / n_β:
-      * endpoint: 1 + Σ n_β u_β q^β(y) == exp(g(y)), and its q-variable twin;
+      * endpoint: 1 + Σ n_β u_β q^β(y) == exp(g(y)), and its q-side twin
+        G(q(y)) == g(y) for the change's G = g(y(q));
       * coefficient identity: exp(-g)·Σ u_β q^β(y) − exp(-g) + 1
         == Σ g_β · (D·β)/(D·β−1) · y^β;
       * the Euler-scaling operator Δ_D f = Σ m_i y_i ∂_i f − f applied to both
@@ -366,37 +367,38 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     change = pot.change
     g = change.g
     m = change.m_vector
-    Gq = composed_exponent(change)
 
     one = NovikovSeries.one(pol)
-    u_q = NovikovSeries.zero(pol)
-    nu_q = NovikovSeries.zero(pol)
+    u_terms: dict[tuple[int, ...], Fraction] = {}
+    nu_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, w in pot.terms:
         d = change.contact_weight(beta)
         if d < 2:
             raise ValueError(
                 f"{geom.name}: potential term at {beta} has contact weight {d} < 2"
             )
-        mono = NovikovSeries(pol, {beta: Fraction(1)})
-        u_q = u_q + mono * (w / (d - 1))
-        nu_q = nu_q + mono * w
+        u_terms[beta] = w / (d - 1)
+        nu_terms[beta] = w
 
-    u_y = substitute_forward(u_q, change)
-    nu_y = substitute_forward(nu_q, change)
+    u_y = substitute_forward(NovikovSeries(pol, u_terms), change)
+    nu_y = substitute_forward(NovikovSeries(pol, nu_terms), change)
+    exp_g = g.exp()
+    g_back = substitute_forward(composed_exponent(change), change)
 
-    endpoint_y = (one + nu_y) == g.exp()
-    endpoint_q = (one + nu_q) == Gq.exp()
+    endpoint_y = (one + nu_y) == exp_g
+    endpoint_q = g_back == g
 
     E = (g * Fraction(-1)).exp()
     L = E * u_y - E + one
-    R = NovikovSeries.zero(pol)
+    r_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, c in g.terms.items():
         d = change.contact_weight(beta)
         if d < 2:
             raise ValueError(
                 f"{geom.name}: exponent term at {beta} has contact weight {d} < 2"
             )
-        R = R + NovikovSeries(pol, {beta: c * Fraction(d, d - 1)})
+        r_terms[beta] = c * Fraction(d, d - 1)
+    R = NovikovSeries(pol, r_terms)
     ident = L == R
 
     dL = L.weighted_scaling(m) - L
@@ -410,7 +412,9 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     if not ident:
         details = _first_difference(L, R)
     elif not endpoint_y:
-        details = _first_difference(one + nu_y, g.exp())
+        details = _first_difference(one + nu_y, exp_g)
+    elif not endpoint_q:
+        details = _first_difference(g_back, g)
 
     return EulerScalingReport(
         geom.name, pol.max_total, ident, scaling, display, endpoint_y, endpoint_q, details

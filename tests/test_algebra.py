@@ -300,3 +300,17 @@ def test_restriction_and_pushforward_match_their_definitions(geom, data):
         ej = rm.source.basis_element(j)
         assert (_integral(rm.source, dense_product(push, ej))
                 == _integral(rm.target, dense_product(v, img)))
+
+
+@pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_pushforward_rows_weighted_by_coordinates_give_the_pushforward(geom, data):
+    rm = geom.restriction
+    v = data.draw(elements(rm.target))
+    expect = rm.source.zero()
+    for c, row in zip(v.coeffs, rm.pushforward_rows):
+        image = {i: Fraction(n, d) for i, n, d in row}
+        expect = expect + rm.source.element(
+            [image.get(i, 0) for i in range(rm.source.dim)]).scale(c)
+    assert expect == pairing_pushforward(rm, v)

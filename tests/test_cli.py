@@ -324,6 +324,39 @@ def test_one_pipeline_run_per_command(monkeypatch, argv, want):
     assert (len(runs), len(exp_builds), len(log_builds)) == want
 
 
+@pytest.mark.parametrize("argv", [
+    ("mirror-map", "--geometry", "blp3_k3", "--order", "6"),
+    ("proper-potential", "--geometry", "blp3_k3", "--order", "6"),
+    ("classical-period", "--geometry", "p2_cubic", "--order", "9"),
+    ("verify", "--geometry", "p3_quartic", "--order", "8"),
+])
+def test_pipeline_builds_no_slice_below_z0(monkeypatch, argv):
+    """The mirror map and the potential read z¹ and z⁰ only: the I-function they
+    normalize is built from z⁰ up and says so."""
+    from mirrorpair import cli, ifunctions, periods
+
+    seen = []
+
+    def spy(series):
+        seen.append(series)
+        return ifunctions.normalize_i(series)
+
+    monkeypatch.setattr(cli, "normalize_i", spy)
+    monkeypatch.setattr(periods, "normalize_i", spy)
+    code, _ = _run(*argv)
+    assert code == 0 and len(seen) == 1
+    (series,) = seen
+    assert series.lowest_z == 0 and series.terms
+    assert min(z for _, _, z, _ in series.terms) >= 0
+
+
+def test_i_function_prints_the_whole_series():
+    code, text = _run("i-function", "--geometry", "blp3_k3", "--order", "8", "--format", "json")
+    records = json.loads(text)["records"]
+    assert code == 0 and len(records) == 574
+    assert sum(r["z"] < 0 for r in records) == 451 and min(r["z"] for r in records) == -3
+
+
 def test_verify_negative_control_needs_period_data(capsys):
     code = run(["verify", "--geometry", "blp3_k3", "--order", "4",
                 "--negative-control"], stream=io.StringIO())
@@ -642,6 +675,22 @@ def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command)
     assert err.startswith("error: ") and "[pair]" in err and "anticanonical" in err
 
 
+@pytest.mark.parametrize("command", ["mirror-map", "proper-potential", "classical-period",
+                                     "i-function"])
+def test_content_above_z1_is_refused_on_every_route(tmp_path, capsys, command):
+    """A row at psi^0 for a class of D.beta = 6 puts its template at z^4: the floored
+    pipeline refuses it as the whole series does, naming the class."""
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(P2_CUBIC.replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
+    ).replace("hyperplane = H\nprojective_dim = 2\n", ""))
+    code = run([command, "--geometry", str(cfg), "--order", "6"], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "class (2,) has content at z^4, above z^1" in err
+
+
 def test_table_geometry_records_do_not_depend_on_the_order(tmp_path):
     # a high psi power puts class 1 far below z^0; every term of it prints at any order
     cfg = tmp_path / "pair.ini"
@@ -715,7 +764,11 @@ def _plant_short_mirror_exponent(monkeypatch):
     [
         (_plant_high_z, ("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
          "content at z^2"),
+        (_plant_high_z, ("proper-potential", "--geometry", "blp3_k3", "--order", "4"),
+         "content at z^2"),
         (_plant_bad_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
+         "unit z^1 slice"),
+        (_plant_bad_reciprocal, ("proper-potential", "--geometry", "blp3_k3", "--order", "4"),
          "unit z^1 slice"),
         (_plant_endless_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
          "did not terminate"),
@@ -723,7 +776,8 @@ def _plant_short_mirror_exponent(monkeypatch):
          ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
          "mirror exponent g truncated at order 1, its potential at 2"),
     ],
-    ids=["high-z", "non-unit-z1", "endless-reciprocal", "short-mirror-exponent"],
+    ids=["high-z", "high-z-potential", "non-unit-z1", "non-unit-z1-potential",
+         "endless-reciprocal", "short-mirror-exponent"],
 )
 def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
     plant(monkeypatch)

@@ -32,7 +32,9 @@ from mirrorpair import (
     MirrorChange,
     MissingDataError,
     NovikovSeries,
+    PipelineInvariantError,
     StateSeries,
+    TruncationError,
     TruncationPolicy,
     ZLaurentElement,
     builtin_geometry,
@@ -220,7 +222,7 @@ def _p2_from_table():
 def _relative_pieces(monkeypatch, geom):
     """The (β, contact, z-Laurent) pieces `relative_i_function` hands to `_assemble`."""
     seen = []
-    monkeypatch.setattr(ifunctions, "_assemble", lambda g, p: seen.append(p))
+    monkeypatch.setattr(ifunctions, "_assemble", lambda g, p, lowest_z=None: seen.append(p))
     relative_i_function(geom)
     monkeypatch.undo()
     return seen[0]
@@ -370,7 +372,8 @@ def _pieces(monkeypatch, name):
     geom = _at_order(builtin_geometry(name), 6)
     seen = []
     real = ifunctions._assemble
-    monkeypatch.setattr(ifunctions, "_assemble", lambda g, p: seen.append(p) or real(g, p))
+    monkeypatch.setattr(ifunctions, "_assemble",
+                        lambda g, p, lowest_z=None: seen.append(p) or real(g, p, lowest_z))
     relative_i_function(geom)
     monkeypatch.undo()
     return geom, seen[0]
@@ -384,7 +387,8 @@ def test_assemble_matches_the_literal_assembly(monkeypatch, name):
     handed = []
     real = ifunctions.RelativeSeries
     monkeypatch.setattr(ifunctions, "RelativeSeries",
-                        lambda g, terms: handed.append(dict(terms)) or real(g, terms))
+                        lambda g, terms, lowest_z=None:
+                        handed.append(dict(terms)) or real(g, terms, lowest_z))
     series = ifunctions._assemble(geom, pieces)
     monkeypatch.undo()
     expected = assemble_literal(geom, pieces)
@@ -397,8 +401,46 @@ def test_assemble_refuses_content_above_the_window(p2):
     pieces = [((0,), 0, ZLaurentElement(amb, {1: amb.named("H2")}))]
     with pytest.raises(ValueError, match="z\\^2"):
         assemble_literal(p2, pieces)
-    with pytest.raises(ConfigError, match="p2_cubic: .* class \\(0,\\) .* z\\^2, above z\\^1"):
-        ifunctions._assemble(p2, pieces)
+    for lowest_z in (None, 0):
+        with pytest.raises(ConfigError, match="p2_cubic: .* class \\(0,\\) .* z\\^2, above z\\^1"):
+            ifunctions._assemble(p2, pieces, lowest_z)
+
+
+# ---------------------------------------------------------------------------
+# the floor: only the slices from z^lowest_z up
+
+
+@pytest.mark.parametrize("order", [4, 9])
+@pytest.mark.parametrize("name", [*sorted(BUILTIN_CONFIGS), "p2_from_table"])
+def test_floored_series_is_the_whole_series_from_z0_up(name, order):
+    geom = _at_order(_p2_from_table() if name == "p2_from_table" else builtin_geometry(name), order)
+    whole = relative_i_function(geom)
+    floored = relative_i_function(geom, lowest_z=0)
+    assert whole.lowest_z is None and floored.lowest_z == 0
+    assert any(z < 0 for _, _, z, _ in whole.terms)
+    assert floored.terms == {k: e for k, e in whole.terms.items() if k[2] >= 0}
+    assert list(floored.terms) == [k for k in whole.terms if k[2] >= 0]
+
+
+def test_reading_below_the_floor_raises(blp3):
+    floored = relative_i_function(blp3, lowest_z=0)
+    whole = relative_i_function(blp3)
+    assert floored.z_slice(0) == whole.z_slice(0) and floored.z_slice(1) == whole.z_slice(1)
+    assert floored.coefficient((1, 0), 0, 0) == whole.coefficient((1, 0), 0, 0)
+    with pytest.raises(TruncationError, match="below .* z\\^0"):
+        floored.z_slice(-1)
+    with pytest.raises(TruncationError, match="below .* z\\^0"):
+        floored.coefficient((1, 0), 0, -1)
+    assert floored != whole  # a partial series never passes for the whole one
+    assert normalize_i(floored).j_function.lowest_z == 0
+    with pytest.raises(TruncationError):
+        normalize_i(floored).j_function.z_slice(-1)
+
+
+def test_a_floored_series_refuses_terms_below_its_floor(p2):
+    zero = (0,)
+    with pytest.raises(PipelineInvariantError, match="below z\\^0"):
+        ifunctions.RelativeSeries(p2, {(zero, 0, -1, zero): p2.ambient.unit()}, lowest_z=0)
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +871,30 @@ def _named_change(m, weights, terms):
 @settings(max_examples=30, deadline=None)
 def test_composed_exponent_solves_the_change(ch):
     assert substitute_forward(composed_exponent(ch), ch) == ch.g
+
+
+@st.composite
+def _change_and_terms(draw):
+    ch = draw(_changes())
+    return ch, draw(st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * ch.policy.nvars),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5))
+
+
+@given(case=_change_and_terms())
+# one value of m·β on classes of weights 1 and 2
+@example(case=(_named_change((1, 1), (1, 2), {(1, 0): 2, (0, 1): -1}),
+               {(0, 0): 1, (1, 0): 3, (0, 1): Fraction(1, 2)}))
+@settings(max_examples=30, deadline=None)
+def test_substitute_forward_is_the_monomial_substitution(case):
+    """Σ c_β q^β ↦ Σ c_β y^β·exp((m·β)·g), one monomial at a time, constant term included."""
+    ch, terms = case
+    pol = ch.policy
+    f = NovikovSeries(pol, terms)
+    want = NovikovSeries.zero(pol)
+    for beta, c in f.terms.items():
+        want = want + NovikovSeries(pol, {beta: c}) * (ch.g * ch.contact_weight(beta)).exp()
+    assert substitute_forward(f, ch) == want
 
 
 @st.composite

@@ -332,6 +332,22 @@ def test_euler_scaling_reports(p2, p3, blp3):
         assert report.all_ok, report.details
 
 
+@pytest.mark.parametrize("name", ["p2", "blp3"])
+def test_endpoint_q_catches_a_planted_error_in_G(request, name):
+    """endpoint_q checks G(q(y)) = g(y) on the change's own G: an error planted
+    in one coefficient of G fails it, and only it."""
+    pot = proper_potential(request.getfixturevalue(name))
+    G = pot.change.composed
+    beta = min(G.terms, key=lambda b: (sum(b), b))
+    planted = NovikovSeries(G.policy, {**G.terms, beta: G.terms[beta] + 1})
+    pot.change.__dict__["composed"] = planted  # the change's cached G
+    report = euler_scaling_check(pot)
+    assert not report.endpoint_q_ok and not report.all_ok
+    assert report.coefficient_identity_ok and report.scaling_ok
+    assert report.display_ok and report.endpoint_y_ok
+    assert f"y^{beta}" in report.details
+
+
 def test_space_scaling_right_side_by_hand(p3):
     # R = Σ g_β · d/(d-1) · y^β must start 8y + 360y²
     from mirrorpair import normalize_i, relative_i_function
