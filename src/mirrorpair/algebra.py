@@ -312,17 +312,32 @@ def nilpotency_index(x: Element) -> int:
 
 
 def check_algebra(alg: GradedAlgebra) -> list[str]:
-    """Exhaustive associativity / commutativity / degree-additivity check.
+    """Commutativity / degree-additivity / unit check, then associativity.
 
     Returns a list of human-readable violations (empty = sound).  Everything
-    is read off the sparse structure constants C[i][j] of e_i·e_j: the two
-    sides of associativity are `_combine` of the rows C[l][k] weighted by
-    c_ij^l and of the rows C[i][l] weighted by c_jk^l.
+    is read off the sparse structure constants C[i][j] of e_i·e_j.
+
+    The O(n²) checks run first, and a ring that fails one is refused on their
+    problems alone.  Once they pass, these triples (i,j,k) are associative or
+    settled by another, so the sweep skips them:
+
+    * a triple holding the unit, which acts as the identity on both sides;
+    * a triple whose degree sum is above the top degree: e_i·e_j is
+      homogeneous of degree d_i + d_j, so every e_l·e_k it leads to lies above
+      the top degree and is 0, and the same holds on the right;
+    * a triple with i > k: by commutativity (e_i·e_j)·e_k = e_k·(e_j·e_i) and
+      e_i·(e_j·e_k) = (e_k·e_j)·e_i, so it fails exactly when its mirror
+      (k,j,i) does, and is reported with it;
+    * a triple (i,j,i), whose two sides the same identities show equal.
+
+    The two sides of a swept triple are `_combine` of the rows C[l][k]
+    weighted by c_ij^l and of the rows C[i][l] weighted by c_jk^l.
     """
     problems: list[str] = []
     n = alg.dim
     consts = alg.constants
     degrees = alg.degrees
+    top = alg.top_degree
     for i in range(n):
         for j in range(n):
             row = consts[i][j]
@@ -335,20 +350,26 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
                         f"{alg.name}: degree of e{i}*e{j} component {alg.basis[k]} "
                         f"is {degrees[k]}, expected {target}"
                     )
-            if target > alg.top_degree and row:
+            if target > top and row:
                 problems.append(f"{alg.name}: e{i}*e{j} should vanish above top degree")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = _combine(((consts[l][k], c, d) for l, c, d in consts[i][j]), n)
-                right = _combine(((consts[i][l], c, d) for l, c, d in consts[j][k]), n)
-                if left != right:
-                    problems.append(f"{alg.name}: associativity fails at ({i},{j},{k})")
     u = alg.unit_index
     for i in range(n):
         if consts[u][i] != ((i, 1, 1),):
             problems.append(f"{alg.name}: unit fails on e{i}")
-    return problems
+    if problems:
+        return problems
+    failing: set[tuple[int, int, int]] = set()
+    rest = [i for i in range(n) if i != u]
+    for i in rest:
+        for j in rest:
+            for k in rest:
+                if k <= i or degrees[i] + degrees[j] + degrees[k] > top:
+                    continue
+                left = _combine(((consts[l][k], c, d) for l, c, d in consts[i][j]), n)
+                right = _combine(((consts[i][l], c, d) for l, c, d in consts[j][k]), n)
+                if left != right:
+                    failing |= {(i, j, k), (k, j, i)}
+    return [f"{alg.name}: associativity fails at ({i},{j},{k})" for i, j, k in sorted(failing)]
 
 
 @dataclass(frozen=True)
@@ -374,12 +395,13 @@ class RestrictionMap:
     )
 
     def __post_init__(self) -> None:
-        tgt = self.target
-        object.__setattr__(self, "rows", tuple(img.support for img in self.images))
+        rows = tuple(img.support for img in self.images)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "gram", tuple(map(tuple, pairing_matrix(self.source))))
+        # ∫ e_k ∪ r(e_j) = Σ_b r(e_j)_b ∫ e_k·e_b, the target's pairing row k
         object.__setattr__(self, "cross", tuple(
-            _sparse((tgt.basis_element(k) * img).integrate() for img in self.images)
-            for k in range(tgt.dim)
+            _sparse(sum((Fraction(n, d) * pair[b] for b, n, d in row), _ZERO) for row in rows)
+            for pair in pairing_matrix(self.target)
         ))
 
     @staticmethod
@@ -413,25 +435,34 @@ class RestrictionMap:
 
 
 def check_restriction(rm: RestrictionMap) -> list[str]:
-    """Verify multiplicativity on every basis pair, plus unit and degrees."""
+    """Verify multiplicativity on every basis pair, plus unit and degrees.
+
+    Both sides of r(e_i·e_j) = r(e_i)·r(e_j) are one `_combine` each: the
+    image rows weighted by the source constants C[i][j], and the target
+    constants weighted by the products of the image rows of e_i and e_j.
+    """
     problems: list[str] = []
-    src = rm.source
-    if rm(src.unit()) != rm.target.unit():
-        problems.append(f"{src.name}->{rm.target.name}: unit not preserved")
+    src, tgt = rm.source, rm.target
+    rows, consts, dim = rm.rows, tgt.constants, tgt.dim
+    if rows[src.unit_index] != ((tgt.unit_index, 1, 1),):
+        problems.append(f"{src.name}->{tgt.name}: unit not preserved")
     for i in range(src.dim):
-        ei = src.basis_element(i)
-        img = rm(ei)
-        for k, c in enumerate(img.coeffs):
-            if c and rm.target.degrees[k] != src.degrees[i]:
+        for k, _, _ in rows[i]:
+            if tgt.degrees[k] != src.degrees[i]:
                 problems.append(
-                    f"{src.name}->{rm.target.name}: image of {src.basis[i]} "
+                    f"{src.name}->{tgt.name}: image of {src.basis[i]} "
                     f"not homogeneous of degree {src.degrees[i]}"
                 )
         for j in range(src.dim):
-            ej = src.basis_element(j)
-            if rm(ei * ej) != rm(ei) * rm(ej):
+            left = _combine(((rows[l], n, d) for l, n, d in src.constants[i][j]), dim)
+            right = _combine(
+                ((consts[a][b], an * bn, ad * bd)
+                 for a, an, ad in rows[i] for b, bn, bd in rows[j]),
+                dim,
+            )
+            if left != right:
                 problems.append(
-                    f"{src.name}->{rm.target.name}: not multiplicative on "
+                    f"{src.name}->{tgt.name}: not multiplicative on "
                     f"{src.basis[i]}*{src.basis[j]}"
                 )
     return problems
@@ -481,7 +512,7 @@ def solve_exact(
 def pairing_matrix(alg: GradedAlgebra) -> list[list[Fraction]]:
     """The Gram matrix ∫ e_i·e_j, read off the structure constants and the integration."""
     w = alg.integration
-    return [[sum((Fraction(n, d) * w[k] for k, n, d in c), _ZERO) for c in row]
+    return [[sum((Fraction(n, d) * w[k] for k, n, d in c if w[k]), _ZERO) for c in row]
             for row in alg.constants]
 
 

@@ -138,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(fmt: str, metadata: dict, records: list[dict], stream) -> None:
     if fmt == "json":
-        json.dump({"metadata": metadata, "records": records}, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps({"metadata": metadata, "records": records}, indent=2) + "\n")
         return
     if fmt == "csv":
         for k, v in metadata.items():

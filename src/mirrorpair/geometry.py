@@ -170,19 +170,24 @@ class PairGeometry:
 
 def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
     # The picard classes must be basis elements, which keeps the expansion a
-    # plain coefficient read-off; any other picard class is refused.
-    residual = cls
+    # plain coefficient read-off; any other picard class is refused, and so is
+    # a repeated one.  The class is in their span when it has no coordinate
+    # off them.
     coords = []
+    on = set()
     for p in geom.picard:
-        nz = [i for i, c in enumerate(p.coeffs) if c]
-        if len(nz) != 1 or p.coeffs[nz[0]] != 1:
+        support = p.support
+        if len(support) != 1 or support[0][1:] != (1, 1):
             raise ConfigError("picard classes must be single basis elements")
-        c = cls.coeffs[nz[0]]
+        k = support[0][0]
+        if k in on:
+            raise ConfigError(f"picard class {p!r} is repeated")
+        c = cls.coeffs[k]
         if c.denominator != 1:
             raise ConfigError(f"non-integer intersection pairing for {cls!r}")
         coords.append(int(c))
-        residual = residual - p.scale(c)
-    if not residual.is_zero():
+        on.add(k)
+    if any(k not in on for k, _, _ in cls.support):
         raise ConfigError(f"{cls!r} is not in the span of the picard classes")
     return tuple(coords)
 
@@ -210,10 +215,10 @@ def _known_keys(section: configparser.SectionProxy, keys: tuple[str, ...]) -> No
             raise ConfigError(f"[{section.name}] unknown key {key!r}: it takes {_and(keys)}")
 
 
-def _named(alg: GradedAlgebra, section: str, name: str) -> Element:
+def _index(alg: GradedAlgebra, section: str, name: str) -> int:
     if name not in alg.basis:
         raise ConfigError(f"[{section}] unknown class {name!r} in {alg.name}")
-    return alg.named(name)
+    return alg.basis.index(name)
 
 
 def _parse_rows(value: str) -> list[list[str]]:
@@ -264,7 +269,7 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
 
 def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
     """Parse linear combinations like '4*H + h - H2'."""
-    out = alg.zero()
+    coeffs = [Fraction(0)] * alg.dim
     expr = expr.replace("-", "+-").replace(" ", "")
     for term in expr.split("+"):
         if not term:
@@ -277,8 +282,8 @@ def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
             coeff = _number(rat, f"[{section}]", c)
         else:
             coeff, name = Fraction(1), term
-        out = out + _named(alg, section, name).scale(coeff * sign)
-    return out
+        coeffs[_index(alg, section, name)] += coeff * sign
+    return Element(alg, tuple(coeffs))
 
 
 def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
@@ -319,12 +324,10 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         src = row[0]
         if src not in ambient.basis:
             raise ConfigError(f"[restriction] unknown class {src!r} in {ambient.name}")
-        img = divisor.zero()
+        img = [Fraction(0)] * divisor.dim
         for tname, c in zip(row[1::2], row[2::2]):
-            img = img + _named(divisor, "restriction", tname).scale(
-                _number(rat, "[restriction]", c)
-            )
-        images[src] = img
+            img[_index(divisor, "restriction", tname)] += _number(rat, "[restriction]", c)
+        images[src] = Element(divisor, tuple(img))
     images.setdefault(ambient.basis[ambient.unit_index], divisor.unit())
     restriction = RestrictionMap.from_images(ambient, divisor, images)
     problems = check_restriction(restriction)
@@ -343,8 +346,12 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         tau_d_source = pair["tau_d_source"]
     except KeyError as exc:
         raise ConfigError(f"[pair] missing key: {exc}") from exc
+    for key, names in (("picard", picard_names), ("novikov", novikov)):
+        repeated = next((nm for k, nm in enumerate(names) if nm in names[:k]), None)
+        if repeated is not None:
+            raise ConfigError(f"[pair] {key} names {repeated!r} more than once")
 
-    picard = tuple(_named(ambient, "pair", nm) for nm in picard_names)
+    picard = tuple(ambient.basis_element(_index(ambient, "pair", nm)) for nm in picard_names)
     for p, nm in zip(picard, picard_names):
         if ambient.degrees[ambient.basis.index(nm)] != 1:
             raise ConfigError(f"picard class {nm} is not degree 1")

@@ -29,6 +29,11 @@ The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the
 classical period off the mirror exponent as θ_β = (m·β)·g_β instead, so the
 two routes share no code past the collapse.
+
+The brute-force structure checks: every associativity triple of a ring and
+every basis pair of a restriction map, each product by the dense table.  The
+package sweeps only the triples that its O(n²) checks leave open, and
+compares the sides of multiplicativity as sparse row combinations.
 """
 
 import math
@@ -290,3 +295,81 @@ def theta_coefficient(w, n):
     if w.t_order < n:
         raise TruncationError(f"potential truncated at t^{w.t_order}; rerun with order >= {n}")
     return power_constant_terms(w, n)[n]
+
+
+def check_algebra_brute_force(alg):
+    """check_algebra's problems over every pair and every triple, from the dense table.
+
+    The order is the package's: pair problems (commutativity, degree, top
+    degree), then every failing triple (i, j, k) in lexicographic order, then
+    the unit.
+    """
+    n, table, degrees = alg.dim, alg.table, alg.degrees
+    top = max(degrees)
+    problems = []
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                problems.append(f"{alg.name}: e{i}*e{j} != e{j}*e{i}")
+            target = degrees[i] + degrees[j]
+            for k in range(n):
+                if table[i][j][k] and degrees[k] != target:
+                    problems.append(
+                        f"{alg.name}: degree of e{i}*e{j} component {alg.basis[k]} "
+                        f"is {degrees[k]}, expected {target}"
+                    )
+            if target > top and any(table[i][j]):
+                problems.append(f"{alg.name}: e{i}*e{j} should vanish above top degree")
+
+    def combine(x, rows):  # Σ_l x_l·rows[l], zero x_l passed over
+        out = [Fraction(0)] * n
+        for c, row in zip(x, rows):
+            if c:
+                out = [o + c * t for o, t in zip(out, row)]
+        return out
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # (e_i·e_j)·e_k = Σ_l c_ij^l e_l·e_k and e_i·(e_j·e_k) = Σ_l c_jk^l e_i·e_l
+                left = combine(table[i][j], [table[l][k] for l in range(n)])
+                right = combine(table[j][k], table[i])
+                if left != right:
+                    problems.append(f"{alg.name}: associativity fails at ({i},{j},{k})")
+    u = alg.unit_index
+    for i in range(n):
+        if any(table[u][i][k] != (k == i) for k in range(n)):
+            problems.append(f"{alg.name}: unit fails on e{i}")
+    return problems
+
+
+def check_restriction_brute_force(rm):
+    """check_restriction's problems, r(e_i·e_j) against r(e_i)·r(e_j) by dense products."""
+    src, tgt = rm.source, rm.target
+
+    def restrict(coeffs):
+        out = [Fraction(0)] * tgt.dim
+        for c, img in zip(coeffs, rm.images):
+            if c:
+                out = [o + c * x for o, x in zip(out, img.coeffs)]
+        return tgt.element(out)
+
+    basis = [src.basis_element(i) for i in range(src.dim)]
+    images = [restrict(e.coeffs) for e in basis]
+    problems = []
+    if restrict(src.unit().coeffs) != tgt.unit():
+        problems.append(f"{src.name}->{tgt.name}: unit not preserved")
+    for i, (ei, img) in enumerate(zip(basis, images)):
+        for k, c in enumerate(img.coeffs):
+            if c and tgt.degrees[k] != src.degrees[i]:
+                problems.append(
+                    f"{src.name}->{tgt.name}: image of {src.basis[i]} "
+                    f"not homogeneous of degree {src.degrees[i]}"
+                )
+        for j, (ej, imj) in enumerate(zip(basis, images)):
+            if restrict(dense_product(ei, ej)).coeffs != dense_product(img, imj):
+                problems.append(
+                    f"{src.name}->{tgt.name}: not multiplicative on "
+                    f"{src.basis[i]}*{src.basis[j]}"
+                )
+    return problems

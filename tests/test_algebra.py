@@ -1,16 +1,18 @@
-"""Structure-constant algebra layer: exhaustive checks plus independent oracles."""
+"""Structure-constant algebra layer: structure checks plus independent oracles."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_product
+from conftest import check_algebra_brute_force, check_restriction_brute_force, dense_product
 from mirrorpair import (
     AlgebraError,
     Element,
     GradedAlgebra,
+    RestrictionMap,
     builtin_geometry,
     check_algebra,
     check_restriction,
@@ -28,7 +30,7 @@ BL = builtin_geometry("blp3_k3")
 
 
 # ---------------------------------------------------------------------------
-# exhaustive structure checks
+# structure checks
 
 
 @pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
@@ -72,6 +74,121 @@ def test_planted_non_commutative_table_is_reported():
 @pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
 def test_builtin_restrictions_are_ring_maps(geom):
     assert check_restriction(geom.restriction) == []
+
+
+# Random commutative graded tables.  A table starts from the truncated
+# monomials x^a in one or two variables of degree |a| <= top, with each basis
+# class rescaled (so the constants are not all 1) and the basis shuffled (so
+# the unit need not come first); that table is associative.  Its non-unit
+# products may then be replaced by random vectors in the right degree, which
+# keeps the O(n²) checks passing and mostly breaks associativity, and one
+# fault may be planted on top.
+
+_nonzero = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3)).flatmap(
+    lambda f: st.sampled_from([f, -f]))
+_FAULTS = ("none",) * 3 + ("entry",) * 3 + ("asymmetric", "degree", "unit")
+
+
+@st.composite
+def monomial_tables(draw, nvars=None):
+    """(algebra, monomial of each basis index, scale of each basis index)."""
+    nvars = nvars or draw(st.integers(1, 2))
+    top = draw(st.integers(2, 5) if nvars == 1 else st.just(3))
+    monos = [a for a in iproduct(range(top + 1), repeat=nvars) if sum(a) <= top]
+    monos = draw(st.permutations(monos))
+    n = len(monos)
+    index = {a: i for i, a in enumerate(monos)}
+    unit = index[(0,) * nvars]
+    scales = [Fraction(1) if i == unit else draw(_nonzero) for i in range(n)]
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, a in enumerate(monos):
+        for j, b in enumerate(monos):
+            k = index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                table[i][j][k] = scales[i] * scales[j] / scales[k]
+    degrees = [sum(a) for a in monos]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i, n):
+                if unit in (i, j):
+                    continue
+                vec = [draw(st.sampled_from([0, 0, 1, -1, 2])) if degrees[k] == degrees[i] + degrees[j]
+                       else 0 for k in range(n)]
+                table[i][j] = table[j][i] = [Fraction(c) for c in vec]
+    fault = draw(st.sampled_from(_FAULTS))
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    same_degree = [m for m in range(n) if degrees[m] == degrees[i] + degrees[j]]
+    if fault == "entry" and unit not in (i, j) and same_degree:
+        k = draw(st.sampled_from(same_degree))
+        table[i][j] = table[j][i] = list(table[i][j])
+        table[i][j][k] += 1
+    elif fault == "asymmetric" and i != j:
+        table[i][j] = list(table[i][j])
+        table[i][j][k] += 1
+    elif fault == "degree" and degrees[k] != degrees[i] + degrees[j]:
+        table[i][j] = table[j][i] = list(table[i][j])
+        table[i][j][k] += 1
+    elif fault == "unit":
+        table[unit][i] = list(table[unit][i])
+        table[unit][i][k] += 1
+    point = degrees.index(top)
+    integration = tuple(Fraction(int(d == top)) for d in degrees)
+    alg = GradedAlgebra(f"t{n}", tuple(f"e{i}" for i in range(n)), tuple(degrees),
+                        tuple(tuple(map(tuple, row)) for row in table), unit, point, integration)
+    return alg, monos, scales
+
+
+@given(drawn=monomial_tables())
+@settings(max_examples=100, deadline=None)
+def test_structure_check_agrees_with_the_brute_force_sweep(drawn):
+    alg = drawn[0]
+    want = check_algebra_brute_force(alg)
+    got = check_algebra(alg)
+    assert bool(got) == bool(want)
+    if all("associativity" in p for p in want):
+        assert got == want
+
+
+@st.composite
+def restriction_maps(draw):
+    """A map between two monomial tables in the same variables.
+
+    Its images are those of x_v -> c_v·x_v when the target is no taller than
+    the source (a ring map on untouched tables), the identity, or random
+    vectors; one image coordinate may then be perturbed.
+    """
+    nvars = draw(st.integers(1, 2))
+    src, smonos, sscales = draw(monomial_tables(nvars))
+    kind = draw(st.sampled_from(["monomial", "random", "identity", "monomial", "random"]))
+    if kind == "identity":
+        tgt, images = src, [src.basis_element(i).coeffs for i in range(src.dim)]
+    else:
+        tgt, tmonos, tscales = draw(monomial_tables(nvars))
+        tindex = {a: i for i, a in enumerate(tmonos)}
+        c = [draw(_nonzero) for _ in range(nvars)]
+        images = []
+        for a, s in zip(smonos, sscales):
+            vec = [Fraction(0)] * tgt.dim
+            if kind == "random":
+                vec = [Fraction(draw(st.sampled_from([0, 0, 0, 1, -2]))) for _ in range(tgt.dim)]
+            elif a in tindex:
+                k = tindex[a]
+                vec[k] = s / tscales[k]
+                for cv, av in zip(c, a):
+                    vec[k] *= cv**av
+            images.append(tuple(vec))
+    if draw(st.booleans()):
+        # the unit's image is perturbed about half the time
+        i = draw(st.one_of(st.just(src.unit_index), st.integers(0, src.dim - 1)))
+        k = draw(st.one_of(st.just(tgt.unit_index), st.integers(0, tgt.dim - 1)))
+        images[i] = tuple(x + (m == k) for m, x in enumerate(images[i]))
+    return RestrictionMap(src, tgt, tuple(Element(tgt, img) for img in images))
+
+
+@given(rm=restriction_maps())
+@settings(max_examples=60, deadline=None)
+def test_restriction_check_agrees_with_the_brute_force_sweep(rm):
+    assert check_restriction(rm) == check_restriction_brute_force(rm)
 
 
 # ---------------------------------------------------------------------------

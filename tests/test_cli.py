@@ -663,6 +663,20 @@ def test_config_parse_errors_name_the_file_and_line(tmp_path, capsys, old, new, 
     assert f"line {lineno}:" in err and "<string>" not in err
 
 
+def test_non_associative_product_is_refused(tmp_path, capsys):
+    # h·h = 2·Hh makes (h·h)·H = 2·H2h but h·(h·H) = H2h, while every
+    # product stays commutative and in the right degree
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("    h h Hh 1\n") == 1
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text.replace("    h h Hh 1\n", "    h h Hh 2\n"))
+    code = run(["mirror-map", "--geometry", str(cfg)], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: [algebra.ambient] invalid ring: ")
+    assert "associativity fails" in err
+
+
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"identities"}))
 def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command):
     # D = 4H on P^2 is not anticanonical: the closed form does not apply to it

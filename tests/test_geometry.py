@@ -1,11 +1,16 @@
 """Geometry configs: parsing, validation, invariant tables, builtins."""
 
+import io
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import SYNTHETIC_NEGATIVE
+from mirrorpair import algebra
+from mirrorpair.cli import run
 from mirrorpair import (
     BUILTIN_CONFIGS,
     ConfigError,
@@ -193,6 +198,51 @@ def test_keys_nothing_reads_are_refused(name, old, new, message):
     load_geometry(text)
     with pytest.raises(ConfigError, match=message):
         load_geometry(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # two selectors would both read q1:, so the output could not be told apart
+        ("novikov = q1 q0\n", "novikov = q1 q1\n", r"\[pair\] novikov names 'q1' more than once"),
+        # H H spans one class, not two
+        ("picard = H h\n", "picard = H H\n", r"\[pair\] picard names 'H' more than once"),
+    ],
+)
+def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count(old) == 1
+    with pytest.raises(ConfigError, match=message):
+        load_geometry(text.replace(old, new))
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text.replace(old, new))
+    assert run(["mirror-map", "--geometry", str(cfg)], stream=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and re.search(message, err)
+
+
+def test_pairing_refuses_a_repeated_picard_class_and_a_class_off_the_span(blp3):
+    H = blp3.ambient.named("H")
+    with pytest.raises(ConfigError, match="picard class H is repeated"):
+        replace(blp3, picard=(H, H)).pairing(H)
+    with pytest.raises(ConfigError, match="H2 is not in the span of the picard classes"):
+        blp3.pairing(blp3.ambient.named("H2"))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_loading_a_builtin_multiplies_no_elements(monkeypatch, name):
+    # the structure checks and the restriction tables read the sparse
+    # constants directly; no Element product is formed at load
+    calls = []
+    original = algebra.sum_of_products
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "sum_of_products", counted)
+    builtin_geometry(name)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("line", ["z_min = -4", "z_max = 1", "ordr = 8"])
