@@ -3,9 +3,10 @@
 A *pair geometry* bundles everything the pipeline needs about a log Calabi-Yau
 pair (X, D): the ambient cohomology ring, the divisor's ring, the restriction
 homomorphism between them, the divisor's class, the Novikov variables with
-their intersection numbers against D (the m-vector), truncation policy, and
-where the absolute-invariant input comes from (a closed form, a toric
-hypergeometric template, or an ingested table of one-point invariants).
+their intersection numbers against D (the m-vector, read off the divisor
+class), truncation policy, and where the absolute-invariant input comes from
+(a closed form, a toric hypergeometric template, or an ingested table of
+one-point invariants).
 
 Geometries are described by INI-style config text (see BUILTIN_CONFIGS for the
 three shipped pairs) so that external geometries can be supplied as files.
@@ -42,10 +43,9 @@ J_SOURCES = ("closed_form_projective", "toric_hypergeometric", "invariant_table"
 TAU_D_SOURCES = ("zero", "table")
 TABLE_KINDS = ("x_point", "d_point")
 SECTIONS = ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation", "toric")
-PAIR_KEYS = (
-    "name", "divisor_class", "picard", "m_vector", "novikov", "j_source", "tau_d_source",
-    "tau_d_reason", "hyperplane", "projective_dim", "invariants",
-)
+PAIR_KEYS = ("name", "divisor_class", "picard", "novikov", "j_source", "tau_d_source", "invariants")
+# why τ_D = 0, by the divisor's dimension: a Calabi-Yau curve or surface
+ZERO_TAU_REASONS = {1: "elliptic_curve", 2: "k3"}
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,21 @@ class PairGeometry:
     divisor_class: Element
     picard: tuple[Element, ...]        # degree-1 classes dual to the Novikov basis
     novikov_names: tuple[str, ...]
-    m_vector: tuple[int, ...]
+    m_vector: tuple[int, ...]          # the divisor class on the picard classes: D·β per curve
     policy: TruncationPolicy
     j_source: str
     tau_d_source: str
-    tau_d_reason: str | None
-    hyperplane: Element | None
-    projective_dim: int | None
     toric: ToricData | None
     table: InvariantTable | None
 
     @property
     def nvars(self) -> int:
         return len(self.novikov_names)
+
+    @property
+    def tau_d_reason(self) -> str | None:
+        """Why a zero divisor mirror map is zero: D is an elliptic curve or a K3 surface."""
+        return ZERO_TAU_REASONS[self.divisor.top_degree] if self.tau_d_source == "zero" else None
 
     def pairing(self, cls: Element) -> tuple[int, ...]:
         """Intersection numbers of a degree-1 class against the Novikov curve basis.
@@ -154,8 +156,7 @@ class PairGeometry:
         the curve basis by construction); raises when the class is not in their
         span or the coordinates are not integers.
         """
-        coords = _expand_in_picard(self, cls)
-        return coords
+        return _expand_in_picard(self.picard, cls)
 
     def contact_weight(self, beta: tuple[int, ...]) -> int:
         """D·β for a curve class."""
@@ -168,14 +169,14 @@ class PairGeometry:
         return replace(self, table=table)
 
 
-def _expand_in_picard(geom: PairGeometry, cls: Element) -> tuple[int, ...]:
+def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, ...]:
     # The picard classes must be basis elements, which keeps the expansion a
     # plain coefficient read-off; any other picard class is refused, and so is
     # a repeated one.  The class is in their span when it has no coordinate
     # off them.
     coords = []
     on = set()
-    for p in geom.picard:
+    for p in picard:
         support = p.support
         if len(support) != 1 or support[0][1:] != (1, 1):
             raise ConfigError("picard classes must be single basis elements")
@@ -340,7 +341,6 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     try:
         divisor_class = _parse_class(ambient, pair["divisor_class"], "pair")
         picard_names = pair["picard"].split()
-        m_vector = tuple(_number(int, "[pair]", x) for x in pair["m_vector"].split())
         novikov = tuple(pair["novikov"].split())
         j_source = pair["j_source"]
         tau_d_source = pair["tau_d_source"]
@@ -355,31 +355,30 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     for p, nm in zip(picard, picard_names):
         if ambient.degrees[ambient.basis.index(nm)] != 1:
             raise ConfigError(f"picard class {nm} is not degree 1")
-    if not (len(picard) == len(m_vector) == len(novikov)):
-        raise ConfigError("picard / m_vector / novikov arity mismatch")
+    if len(picard) != len(novikov):
+        raise ConfigError("picard / novikov arity mismatch")
+    # the divisor class: homogeneous of degree 1 and integrally spanned by picard
+    for i, c in enumerate(divisor_class.coeffs):
+        if c and ambient.degrees[i] != 1:
+            raise ConfigError("divisor_class must be homogeneous of degree 1")
+    m_vector = _expand_in_picard(picard, divisor_class)
     if j_source not in J_SOURCES:
         raise ConfigError(f"j_source must be one of {J_SOURCES}")
     if tau_d_source not in TAU_D_SOURCES:
         raise ConfigError(f"tau_d_source must be one of {TAU_D_SOURCES}")
-    tau_d_reason = pair.get("tau_d_reason")
-    if tau_d_source == "table" and tau_d_reason is not None:
-        raise ConfigError("[pair] tau_d_reason is read only with tau_d_source = zero")
-    for key in ("hyperplane", "projective_dim"):
-        if j_source != "closed_form_projective" and key in pair:
-            raise ConfigError(f"[pair] {key} is read only with j_source = closed_form_projective")
     if "toric" in cp and j_source != "toric_hypergeometric":
         raise ConfigError("[toric] is read only with j_source = toric_hypergeometric")
-    if tau_d_source == "zero":
-        if tau_d_reason not in ("k3", "elliptic_curve"):
-            raise ConfigError(
-                "a zero divisor mirror map needs tau_d_reason = k3 | elliptic_curve"
-            )
-        if divisor.top_degree > 2:
-            raise ConfigError("zero-justification only applies to curve/surface divisors")
+    if tau_d_source == "zero" and divisor.top_degree not in ZERO_TAU_REASONS:
+        raise ConfigError(
+            "[pair] tau_d_source = zero: zero-justification only applies to curve/surface "
+            f"divisors, and {divisor.name} has top degree {divisor.top_degree}"
+        )
 
     trunc = cp["truncation"]
     _known_keys(trunc, ("order", "weights"))
     order = _number(int, "[truncation]", trunc.get("order", "8"))
+    if order < 2:
+        raise ConfigError(f"[truncation] order must be at least 2, got {order}")
     weights_text = trunc.get("weights", "").split()
     weights = (
         tuple(_number(int, "[truncation]", x) for x in weights_text)
@@ -389,13 +388,6 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         policy = TruncationPolicy.make(len(novikov), order, weights)
     except ValueError as exc:
         raise ConfigError(f"[truncation]: {exc}") from exc
-
-    hyperplane = None
-    projective_dim = None
-    if pair.get("hyperplane"):
-        hyperplane = _parse_class(ambient, pair["hyperplane"], "pair")
-    if pair.get("projective_dim"):
-        projective_dim = _number(int, "[pair]", pair["projective_dim"])
 
     toric = None
     if "toric" in cp:
@@ -424,40 +416,26 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         name=name, ambient=ambient, divisor=divisor, restriction=restriction,
         divisor_class=divisor_class, picard=picard, novikov_names=novikov,
         m_vector=m_vector, policy=policy, j_source=j_source,
-        tau_d_source=tau_d_source, tau_d_reason=tau_d_reason,
-        hyperplane=hyperplane, projective_dim=projective_dim, toric=toric,
-        table=table,
+        tau_d_source=tau_d_source, toric=toric, table=table,
     )
     _validate_geometry(geom)
     return geom
 
 
 def _validate_geometry(geom: PairGeometry) -> None:
-    # divisor class: homogeneous of degree 1 and integrally spanned by picard
-    for i, c in enumerate(geom.divisor_class.coeffs):
-        if c and geom.ambient.degrees[i] != 1:
-            raise ConfigError("divisor_class must be homogeneous of degree 1")
-    coords = _expand_in_picard(geom, geom.divisor_class)
-    if coords != geom.m_vector:
-        raise ConfigError(
-            f"m_vector {geom.m_vector} disagrees with the divisor class pairing {coords}"
-        )
     if geom.j_source == "closed_form_projective":
-        if geom.hyperplane is None or geom.projective_dim is None:
-            raise ConfigError("closed_form_projective needs hyperplane and projective_dim")
         if geom.nvars != 1:
             raise ConfigError("closed_form_projective is single-variable")
-        m = geom.m_vector[0]
-        if geom.divisor_class != geom.hyperplane.scale(m):
-            raise ConfigError("divisor_class must be m * hyperplane for the closed form")
-        if m != geom.projective_dim + 1:
+        # D = m·H on the one picard class H; P^n has top degree n and -K = (n + 1)·H
+        m, n = geom.m_vector[0], geom.ambient.top_degree
+        if m != n + 1:
             raise ConfigError(
-                f"[pair] divisor_class {m}*hyperplane is not anticanonical: the closed "
-                f"form needs m_vector = projective_dim + 1 = {geom.projective_dim + 1}"
+                f"[pair] divisor_class has m = {m}, so it is not anticanonical: the closed "
+                f"form needs m = top degree + 1 = {n + 1}"
             )
     if geom.j_source == "toric_hypergeometric":
         if geom.toric is None:
-            raise ConfigError("toric_hypergeometric needs a [toric] section")
+            raise ConfigError("[pair] j_source = toric_hypergeometric needs a [toric] section")
         for cls in geom.toric.denominators + geom.toric.bundles:
             pv = geom.pairing(cls)
             if any(x < 0 for x in pv):
@@ -515,7 +493,7 @@ def _validate_geometry(geom: PairGeometry) -> None:
     if geom.tau_d_source == "table":
         if not d_rows:
             raise MissingDataError(
-                f"{geom.name}: tau_d_source=table but no d_point rows supplied"
+                f"{geom.name}: [pair] tau_d_source=table but no d_point rows supplied"
             )
         # the divisor mirror map reads psi^{-D.beta-2} at -D.beta >= 2 only
         for beta, a, v in d_rows:
@@ -584,13 +562,9 @@ map =
 name = p2_cubic
 divisor_class = 3*H
 picard = H
-m_vector = 3
 novikov = y
 j_source = closed_form_projective
 tau_d_source = zero
-tau_d_reason = elliptic_curve
-hyperplane = H
-projective_dim = 2
 
 [truncation]
 order = 8
@@ -626,13 +600,9 @@ map =
 name = p3_quartic
 divisor_class = 4*H
 picard = H
-m_vector = 4
 novikov = y
 j_source = closed_form_projective
 tau_d_source = zero
-tau_d_reason = k3
-hyperplane = H
-projective_dim = 3
 
 [truncation]
 order = 8
@@ -683,11 +653,9 @@ map =
 name = blp3_k3
 divisor_class = h - H
 picard = H h
-m_vector = -1 1
 novikov = q1 q0
 j_source = toric_hypergeometric
 tau_d_source = zero
-tau_d_reason = k3
 
 [toric]
 denominators = H; H; H; H; h
@@ -723,7 +691,7 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
         ]
         return InvariantTable(tuple(rows))
     m = geom.m_vector[0]
-    n = geom.projective_dim
+    n = m - 1
     rows = []
     d1 = 1
     while m * d1 <= t_order:

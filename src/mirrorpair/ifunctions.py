@@ -513,30 +513,38 @@ class RelativeSeries:
 # the exponential prefactor
 
 
+def _monomials(
+    alg: GradedAlgebra, classes: list[Element], reach: list[int]
+) -> list[tuple[tuple[int, ...], int, Element]]:
+    """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f, as
+    (exponents j, Σ j, product), exponents in lexicographic order.  Each power
+    is one product from the one before, and a row stops at its first zero.
+    """
+    monomials = [((), 0, alg.unit())]
+    for u, n in zip(classes, reach):
+        grown = []
+        for js, t, m in monomials:
+            for j in range(n):
+                if m.is_zero():
+                    break
+                grown.append((js + (j,), t + j, m))
+                m = m * u
+        monomials = grown
+    return monomials
+
+
 def _prefactor_terms(classes: list[Element]) -> list[tuple[tuple[int, ...], int, Element]]:
-    """Expansion of exp(Σ p_i ℓ_i / z) over the classes p_i: list of
+    """Expansion of exp(Σ p_i ℓ_i / z) over the degree-1 classes p_i: list of
     (log multi-index α, z-shift −|α|, class).
 
-    The class is (Π p_i^{α_i}) / Π α_i!; nilpotency bounds |α| by the
-    algebra's top degree, so the list is finite.
+    The class is (Π p_i^{α_i}) / Π α_i!; a product of more than the algebra's
+    top degree of them is 0, so the list is finite.
     """
     alg = classes[0].algebra
-    top = alg.top_degree
-    out: list[tuple[tuple[int, ...], int, Element]] = []
-    for alpha in iproduct(*(range(top + 1) for _ in classes)):
-        total = sum(alpha)
-        if total > top:
-            continue
-        cls = alg.unit()
-        denom = Fraction(1)
-        for p, a in zip(classes, alpha):
-            if a:
-                cls = cls * p.power(a)
-                denom *= math.factorial(a)
-        if cls.is_zero():
-            continue
-        out.append((alpha, -total, cls.scale(Fraction(1) / denom)))
-    return out
+    return [
+        (alpha, -total, m.scale(Fraction(1, math.prod(map(math.factorial, alpha)))))
+        for alpha, total, m in _monomials(alg, classes, [alg.top_degree + 1] * len(classes))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +748,7 @@ _OVERALL_Z = 1  # the template's overall factor z
 
 def _assemble(
     geom: PairGeometry,
-    pieces: list[tuple[tuple[int, ...], int, ZLaurentElement]],
+    pieces: list[tuple[tuple[int, ...], int, dict[int, Element]]],
     lowest_z: int | None = None,
 ) -> RelativeSeries:
     """Shared final stage: overall z, prefactor expansion, contact attachment.
@@ -766,9 +774,9 @@ def _assemble(
     table.sort(key=lambda t: -t[1])  # by falling shift, so those that reach `low` lead
     drops = [-shift for _, shift, _, _ in table]
     terms: dict = {}
-    for beta, contact, zl in pieces:
+    for beta, contact, slices in pieces:
         alg = amb if contact == 0 else div
-        for z, el in zl.terms.items():
+        for z, el in slices.items():
             for alpha, shift, rows, restricted in table[: bisect_right(drops, z - low)]:
                 zf = z + shift
                 if zf > 1:
@@ -822,7 +830,7 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     dcls = geom.divisor_class
     classes = _effective_classes(geom.policy)
     if geom.j_source == "closed_form_projective":
-        multiplicity = Counter({geom.hyperplane: -(geom.projective_dim + 1)})
+        multiplicity = Counter({geom.picard[0]: -geom.m_vector[0]})  # 1/(H + kz)^{n+1}, n = m − 1
         multiplicity[dcls] += 1  # merged when D = H, as for n = 0
         return _hypergeometric(
             geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z
@@ -892,16 +900,7 @@ def _hypergeometric(
     # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
     reach.append(max(len(nums) for nums, _ in poles.values()))
-    monomials = [((), 0, amb.unit())]
-    for u, n in zip([cls for cls, _, _ in factors] + [dcls], reach):
-        grown = []
-        for js, t, m in monomials:
-            for j in range(n):
-                if m.is_zero():
-                    break
-                grown.append((js + (j,), t + j, m))
-                m = m * u
-        monomials = grown
+    monomials = _monomials(amb, [cls for cls, _, _ in factors] + [dcls], reach)
     monomials = sorted(((js, t, m.support) for js, t, m in monomials), key=lambda m: m[1])
     degrees = [t for _, t, _ in monomials]
     # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
@@ -929,9 +928,9 @@ def _hypergeometric(
                 if n:
                     for z, vn, vd in base:
                         slices.setdefault(z - t, []).append((support, n * vn, vd))
-        pieces.append((beta, -c, ZLaurentElement(amb, {
+        pieces.append((beta, -c, {
             z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items() if z >= floor
-        })))
+        }))
     return _assemble(geom, pieces, lowest_z)
 
 

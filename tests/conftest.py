@@ -77,7 +77,6 @@ map =
 name = synthetic_negative
 divisor_class = -2*H
 picard = H
-m_vector = -2
 novikov = y
 j_source = invariant_table
 tau_d_source = table
@@ -93,8 +92,7 @@ order = 4
 # I-function then has to push a point-supported coefficient through the
 # divisor class, which cannot work; used to exercise the cancellation guard.
 SYNTHETIC_NEGATIVE_ZERO_TAU = SYNTHETIC_NEGATIVE.replace(
-    "tau_d_source = table",
-    "tau_d_source = zero\ntau_d_reason = elliptic_curve",
+    "tau_d_source = table", "tau_d_source = zero"
 ).replace("    d_point 1 0 pt 1\n", "")
 
 
@@ -144,7 +142,7 @@ def dense_product(a, b):
 def assemble_literal(geom, pieces):
     """The terms {(β, contact, z, α): class} of the relative series built from the pieces.
 
-    A piece (β, contact, L) contributes z·L·Π_i p_i^{α_i}/(α_i! z^{α_i}) over
+    A piece (β, contact, {z: class}) contributes z·L·Π_i p_i^{α_i}/(α_i! z^{α_i}) over
     the Picard classes p_i and every α with |α| ≤ the top degree, restricted
     to the divisor when contact ≠ 0.  Zeros are dropped, and a nonzero
     ambient product above z¹ raises ValueError.
@@ -163,8 +161,8 @@ def assemble_literal(geom, pieces):
         scale = Fraction(1, math.prod(math.factorial(a) for a in alpha))
         prefactor.append((alpha, 1 - sum(alpha), [c * scale for c in cls]))
     out = {}
-    for beta, contact, zl in pieces:
-        for z, el in zl.terms.items():
+    for beta, contact, slices in pieces:
+        for z, el in slices.items():
             for alpha, shift, cls in prefactor:
                 zf = z + shift
                 value = dense_product(el, amb.element(cls))

@@ -623,9 +623,11 @@ P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
         # keys and sections that nothing reads
         ("[truncation]\n", "[toric]\ndenominators = H; H\nbundles = 2*H\n[truncation]\n", "toric"),
         ("picard = H\n", "picard = H\nbogus = 1\n", "pair"),
+        # a source that the rest of the config cannot feed
         ("j_source = closed_form_projective\n", "j_source = toric_hypergeometric\n", "pair"),
         ("tau_d_source = zero\n", "tau_d_source = table\n", "pair"),
-        ("tau_d_reason = elliptic_curve\n", "tau_d_reason = elliptic_curve\n[extra]\n", "extra"),
+        # more keys and sections that nothing reads
+        ("tau_d_source = zero\n", "tau_d_source = zero\n[extra]\n", "extra"),
         ("point = H2\n", "point = H2\nsize = 3\n", "algebra.ambient"),
         ("point = p\n", "point = p\nsize = 2\n", "algebra.divisor"),
         ("map =\n", "maps = one one 1\nmap =\n", "restriction"),
@@ -681,8 +683,7 @@ def test_non_associative_product_is_refused(tmp_path, capsys):
 def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command):
     # D = 4H on P^2 is not anticanonical: the closed form does not apply to it
     cfg = tmp_path / "pair.ini"
-    cfg.write_text(P2_CUBIC.replace("divisor_class = 3*H", "divisor_class = 4*H")
-                   .replace("m_vector = 3", "m_vector = 4"))
+    cfg.write_text(P2_CUBIC.replace("divisor_class = 3*H", "divisor_class = 4*H"))
     code = run([command, "--geometry", str(cfg), "--order", "4"], stream=io.StringIO())
     assert code == 2
     err = capsys.readouterr().err
@@ -698,7 +699,7 @@ def test_content_above_z1_is_refused_on_every_route(tmp_path, capsys, command):
     cfg.write_text(P2_CUBIC.replace(
         "j_source = closed_form_projective",
         "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
-    ).replace("hyperplane = H\nprojective_dim = 2\n", ""))
+    ))
     code = run([command, "--geometry", str(cfg), "--order", "6"], stream=io.StringIO())
     assert code == 2
     err = capsys.readouterr().err
@@ -711,7 +712,7 @@ def test_table_geometry_records_do_not_depend_on_the_order(tmp_path):
     cfg.write_text(P2_CUBIC.replace(
         "j_source = closed_form_projective",
         "j_source = invariant_table\ninvariants =\n    x_point 1 12 pt 1",
-    ).replace("hyperplane = H\nprojective_dim = 2\n", ""))
+    ))
 
     def class_one(order):
         code, text = _run("i-function", "--geometry", str(cfg), "--order", order,

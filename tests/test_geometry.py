@@ -5,12 +5,14 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import SYNTHETIC_NEGATIVE
 from mirrorpair import algebra
 from mirrorpair.cli import run
+from mirrorpair.geometry import PAIR_KEYS, SECTIONS
 from mirrorpair import (
     BUILTIN_CONFIGS,
     ConfigError,
@@ -109,18 +111,6 @@ def test_divisor_class_must_be_degree_one():
         load_geometry(bad)
 
 
-def test_m_vector_must_match_divisor_class():
-    bad = SYNTHETIC_NEGATIVE.replace("m_vector = -2", "m_vector = 2")
-    with pytest.raises(ConfigError, match="disagrees"):
-        load_geometry(bad)
-
-
-def test_zero_tau_needs_a_reason():
-    bad = SYNTHETIC_NEGATIVE.replace("tau_d_source = table", "tau_d_source = zero")
-    with pytest.raises(ConfigError, match="tau_d_reason"):
-        load_geometry(bad)
-
-
 def test_table_source_needs_d_point_rows():
     bad = SYNTHETIC_NEGATIVE.replace("    d_point 1 0 pt 1\n", "")
     with pytest.raises(MissingDataError, match="d_point"):
@@ -129,9 +119,7 @@ def test_table_source_needs_d_point_rows():
 
 def test_zero_tau_refuses_d_point_rows():
     assert load_geometry(SYNTHETIC_NEGATIVE).tau_d_source == "table"
-    bad = SYNTHETIC_NEGATIVE.replace(
-        "tau_d_source = table", "tau_d_source = zero\ntau_d_reason = elliptic_curve"
-    )
+    bad = SYNTHETIC_NEGATIVE.replace("tau_d_source = table", "tau_d_source = zero")
     with pytest.raises(ConfigError, match=r"d_point class 1 psi\^0 .*tau_d_reason = elliptic_curve"):
         load_geometry(bad)
 
@@ -171,33 +159,76 @@ def test_bad_truncation_is_wrapped():
         load_geometry(bad)
 
 
-CONFIGS = {**BUILTIN_CONFIGS, "synthetic_negative": SYNTHETIC_NEGATIVE}
-
-
 @pytest.mark.parametrize(
     "name, old, new, message",
     [
-        ("blp3_k3", "tau_d_reason = k3\n", "tau_d_reason = k3\nhyperplane = H\n",
-         r"\[pair\] hyperplane is read only with j_source = closed_form_projective"),
-        ("blp3_k3", "tau_d_reason = k3\n", "tau_d_reason = k3\nprojective_dim = 3\n",
-         r"\[pair\] projective_dim is read only"),
         ("blp3_k3", "bundles = 4*H + h\n", "bundles = 4*H + h\nweights = 1\n",
          r"\[toric\] unknown key 'weights': it takes denominators and bundles"),
-        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\ntau_d_reason = k3\n",
-         r"\[pair\] tau_d_reason is read only with tau_d_source = zero"),
-        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\nhyperplane = H\n",
-         r"\[pair\] hyperplane is read only with j_source = closed_form_projective"),
-        ("synthetic_negative", "tau_d_source = table\n", "tau_d_source = table\nprojective_dim = 1\n",
-         r"\[pair\] projective_dim is read only with j_source = closed_form_projective"),
     ],
 )
 def test_keys_nothing_reads_are_refused(name, old, new, message):
-    # the p2_cubic cases are inputs of test_cli's test_config_faults_name_their_section
-    text = CONFIGS[name]
+    # the p2_cubic cases are inputs of test_cli's test_config_faults_name_their_section,
+    # the keys the loader derives those of test_derived_pair_keys_are_refused_as_unknown
+    text = BUILTIN_CONFIGS[name]
     assert text.count(old) == 1
     load_geometry(text)
     with pytest.raises(ConfigError, match=message):
         load_geometry(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["m_vector = 3", "hyperplane = H", "projective_dim = 2", "tau_d_reason = elliptic_curve"],
+)
+def test_derived_pair_keys_are_refused_as_unknown(tmp_path, capsys, line):
+    # the loader works these out from divisor_class and the two rings; a config
+    # that still declares one is refused, even where it agrees
+    key = line.split()[0]
+    text = BUILTIN_CONFIGS["p2_cubic"].replace("picard = H\n", f"picard = H\n{line}\n")
+    with pytest.raises(ConfigError, match=rf"\[pair\] unknown key '{key}'"):
+        load_geometry(text)
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text)
+    assert run(["mirror-map", "--geometry", str(cfg)], stream=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: [pair] unknown key '{key}'")
+
+
+# per builtin: the m-vector (the divisor class on the picard classes), the
+# closed form's n (None off the closed form) and the reason τ_D = 0
+DERIVED = {
+    "p2_cubic": ((3,), 2, "elliptic_curve"),
+    "p3_quartic": ((4,), 3, "k3"),
+    "blp3_k3": ((-1, 1), None, "k3"),
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtins_derive_the_pair_data(name):
+    m, n, reason = DERIVED[name]
+    geom = builtin_geometry(name)
+    assert geom.m_vector == m
+    assert geom.tau_d_reason == reason
+    if n is None:
+        assert geom.j_source != "closed_form_projective"
+    else:
+        # ⟨[pt] ψ^{2m−2}⟩ at curve degree 2 is 1/(2!)^{n+1}
+        closed = tabulate_one_point_invariants(geom, 2 * m[0]).as_dict()
+        assert closed[("x_point", (2,), 2 * m[0] - 2)] == Fraction(1, 2 ** (n + 1))
+
+
+def test_zero_tau_needs_a_curve_or_surface_divisor():
+    # a point divisor has top degree 0: neither an elliptic curve nor a K3
+    text = BUILTIN_CONFIGS["p2_cubic"]
+    for old, new in (("basis = one p\ndegrees = 0 1\nunit = one\npoint = p\n",
+                      "basis = one\ndegrees = 0\nunit = one\npoint = one\n"),
+                     ("    H p 3\n", "")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match="zero-justification only applies to curve/surface"):
+        load_geometry(text)
+    table = "tau_d_source = table\ninvariants = d_point 1 1 pt 0"
+    load_geometry(text.replace("tau_d_source = zero", table))
 
 
 @pytest.mark.parametrize(
@@ -251,6 +282,49 @@ def test_truncation_takes_only_order_and_weights(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=rf"\[truncation\] unknown key '{key}'"):
         load_geometry(bad)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("command", ["verify", "mirror-map"])
+def test_truncation_order_below_two_is_refused(tmp_path, capsys, command, order):
+    # as --order is: at order 0 a verify would pass having checked no class
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("order = 5\n") == 1
+    load_geometry(text.replace("order = 5\n", "order = 2\n"))
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text.replace("order = 5\n", f"order = {order}\n"))
+    assert run([command, "--geometry", str(cfg)], stream=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: [truncation] order must be at least 2, got {order}\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _accepted_keys(section):
+    """The keys `load_geometry` takes in a section, read off its unknown-key refusal."""
+    text = BUILTIN_CONFIGS["blp3_k3"]  # it has every section, [toric] included
+    header = f"[{section}]\n"
+    assert text.count(header) == 1
+    with pytest.raises(ConfigError) as info:
+        load_geometry(text.replace(header, header + "unread_key = 1\n"))
+    refusal = rf"\[{re.escape(section)}\] unknown key 'unread_key': it takes (.*)"
+    return re.fullmatch(refusal, str(info.value)).group(1).replace(" and ", ", ").split(", ")
+
+
+def test_readme_documents_the_config_format_the_loader_reads():
+    readme = README.read_text()
+    flat = " ".join(readme.split())  # README wraps its sentences
+    documented = {
+        section: re.findall(r"`(\w+)`", keys)
+        for section, keys in re.findall(r"`\[([\w.*]+)\]` takes (?:only )?(.*?)[;.] ", flat)
+    }
+    assert documented["pair"] == list(PAIR_KEYS)
+    for section in SECTIONS:
+        assert _accepted_keys(section) == documented[re.sub(r"\..*", ".*", section)], section
+    # the config example is the suite's synthetic pair
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert example.strip() == SYNTHETIC_NEGATIVE.strip()
 
 
 # ---------------------------------------------------------------------------
