@@ -12,7 +12,6 @@ sense, so multiplication is plainly commutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -38,7 +37,6 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GradedAlgebra:
     """A graded-commutative ring presented by structure constants.
 
@@ -49,21 +47,27 @@ class GradedAlgebra:
     (k, numerator, denominator) triples, for `sum_of_products`.
     """
 
-    name: str
-    basis: tuple[str, ...]
-    degrees: tuple[int, ...]
-    table: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    unit_index: int
-    point_index: int | None
-    integration: tuple[Fraction, ...]
-    constants: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("name", "basis", "degrees", "table", "unit_index", "point_index",
+                 "integration", "constants")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constants", tuple(
-            tuple(_sparse(vec) for vec in row) for row in self.table
-        ))
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        degrees: tuple[int, ...],
+        table: tuple[tuple[tuple[Fraction, ...], ...], ...],
+        unit_index: int,
+        point_index: int | None,
+        integration: tuple[Fraction, ...],
+    ):
+        self.name = name
+        self.basis = basis
+        self.degrees = degrees
+        self.table = table
+        self.unit_index = unit_index
+        self.point_index = point_index
+        self.integration = integration
+        self.constants = tuple(tuple(_sparse(vec) for vec in row) for row in table)
 
     # -- construction ------------------------------------------------------
 
@@ -159,10 +163,10 @@ class GradedAlgebra:
         return Element(self, c)
 
 
-@dataclass(frozen=True)
 class Element:
-    algebra: GradedAlgebra
-    coeffs: tuple[Fraction, ...]
+    def __init__(self, algebra: GradedAlgebra, coeffs: tuple[Fraction, ...]):
+        self.algebra = algebra
+        self.coeffs = coeffs
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
@@ -372,7 +376,6 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
     return [f"{alg.name}: associativity fails at ({i},{j},{k})" for i, j, k in sorted(failing)]
 
 
-@dataclass(frozen=True)
 class RestrictionMap:
     """Ring homomorphism between two graded algebras, stored as basis images.
 
@@ -383,26 +386,17 @@ class RestrictionMap:
     on first use.
     """
 
-    source: GradedAlgebra
-    target: GradedAlgebra
-    images: tuple[Element, ...]
-    rows: tuple[tuple[tuple[int, int, int], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    gram: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
-    cross: tuple[tuple[tuple[int, int, int], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        rows = tuple(img.support for img in self.images)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "gram", tuple(map(tuple, pairing_matrix(self.source))))
+    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, images: tuple[Element, ...]):
+        self.source = source
+        self.target = target
+        self.images = images
+        self.rows = rows = tuple(img.support for img in images)
+        self.gram = tuple(map(tuple, pairing_matrix(source)))
         # ∫ e_k ∪ r(e_j) = Σ_b r(e_j)_b ∫ e_k·e_b, the target's pairing row k
-        object.__setattr__(self, "cross", tuple(
+        self.cross = tuple(
             _sparse(sum((Fraction(n, d) * pair[b] for b, n, d in row), _ZERO) for row in rows)
-            for pair in pairing_matrix(self.target)
-        ))
+            for pair in pairing_matrix(target)
+        )
 
     @staticmethod
     def from_images(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -24,6 +23,8 @@ from .algebra import (
     Element,
     GradedAlgebra,
     RestrictionMap,
+    _combine,
+    _sparse,
     check_algebra,
     check_restriction,
     rat,
@@ -48,14 +49,16 @@ PAIR_KEYS = ("name", "divisor_class", "picard", "novikov", "j_source", "tau_d_so
 ZERO_TAU_REASONS = {1: "elliptic_curve", 2: "k3"}
 
 
-@dataclass(frozen=True)
 class InvariantTable:
     """One-point descendant invariants ⟨[pt] ψ^a⟩ of X (kind x_point) or D (d_point).
 
     Keys are (kind, curve-class exponents, psi power); values exact rationals.
     """
 
-    entries: tuple[tuple[tuple[str, tuple[int, ...], int], Fraction], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[tuple[str, tuple[int, ...], int], Fraction], ...]):
+        self.entries = entries
 
     def as_dict(self) -> dict[tuple[str, tuple[int, ...], int], Fraction]:
         return dict(self.entries)
@@ -116,29 +119,50 @@ def format_invariants(table: InvariantTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class ToricData:
     """Denominator divisor classes and bundle (numerator) classes of the template."""
 
-    denominators: tuple[Element, ...]
-    bundles: tuple[Element, ...]
+    __slots__ = ("denominators", "bundles")
+
+    def __init__(self, denominators: tuple[Element, ...], bundles: tuple[Element, ...]):
+        self.denominators = denominators
+        self.bundles = bundles
 
 
-@dataclass(frozen=True)
 class PairGeometry:
-    name: str
-    ambient: GradedAlgebra
-    divisor: GradedAlgebra
-    restriction: RestrictionMap
-    divisor_class: Element
-    picard: tuple[Element, ...]        # degree-1 classes dual to the Novikov basis
-    novikov_names: tuple[str, ...]
-    m_vector: tuple[int, ...]          # the divisor class on the picard classes: D·β per curve
-    policy: TruncationPolicy
-    j_source: str
-    tau_d_source: str
-    toric: ToricData | None
-    table: InvariantTable | None
+    __slots__ = ("name", "ambient", "divisor", "restriction", "divisor_class", "picard",
+                 "novikov_names", "m_vector", "policy", "j_source", "tau_d_source",
+                 "toric", "table")
+
+    def __init__(
+        self,
+        name: str,
+        ambient: GradedAlgebra,
+        divisor: GradedAlgebra,
+        restriction: RestrictionMap,
+        divisor_class: Element,
+        picard: tuple[Element, ...],
+        novikov_names: tuple[str, ...],
+        m_vector: tuple[int, ...],
+        policy: TruncationPolicy,
+        j_source: str,
+        tau_d_source: str,
+        toric: ToricData | None,
+        table: InvariantTable | None,
+    ):
+        self.name = name
+        self.ambient = ambient
+        self.divisor = divisor
+        self.restriction = restriction
+        self.divisor_class = divisor_class
+        self.picard = picard  # degree-1 classes dual to the Novikov basis
+        self.novikov_names = novikov_names
+        self.m_vector = m_vector  # the divisor class on the picard classes: D·β per curve
+        self.policy = policy
+        self.j_source = j_source
+        self.tau_d_source = tau_d_source
+        self.toric = toric
+        self.table = table
 
     @property
     def nvars(self) -> int:
@@ -163,10 +187,18 @@ class PairGeometry:
         return sum(m * b for m, b in zip(self.m_vector, beta))
 
     def with_policy(self, policy: TruncationPolicy) -> "PairGeometry":
-        return replace(self, policy=policy)
+        return PairGeometry(
+            self.name, self.ambient, self.divisor, self.restriction, self.divisor_class,
+            self.picard, self.novikov_names, self.m_vector, policy, self.j_source,
+            self.tau_d_source, self.toric, self.table,
+        )
 
     def with_table(self, table: InvariantTable | None) -> "PairGeometry":
-        return replace(self, table=table)
+        return PairGeometry(
+            self.name, self.ambient, self.divisor, self.restriction, self.divisor_class,
+            self.picard, self.novikov_names, self.m_vector, self.policy, self.j_source,
+            self.tau_d_source, self.toric, table,
+        )
 
 
 def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, ...]:
@@ -426,8 +458,18 @@ def _validate_geometry(geom: PairGeometry) -> None:
     if geom.j_source == "closed_form_projective":
         if geom.nvars != 1:
             raise ConfigError("closed_form_projective is single-variable")
+        # the ring of P^n is Q[H]/H^(n+1): n + 1 classes, the powers of H, and ∫H^n = 1
+        amb, H = geom.ambient, geom.picard[0]
+        n = amb.top_degree
+        top = _integral_of_top_power(amb, H.support[0][0])
+        if amb.dim != n + 1 or top != 1:
+            raise ConfigError(
+                f"[pair] j_source = closed_form_projective needs the ring of P^{n}, "
+                f"Q[{H!r}]/{H!r}^{n + 1} with the integral of {H!r}^{n} equal to 1; "
+                f"{amb.name} has {amb.dim} basis classes and the integral of {H!r}^{n} is {top}"
+            )
         # D = m·H on the one picard class H; P^n has top degree n and -K = (n + 1)·H
-        m, n = geom.m_vector[0], geom.ambient.top_degree
+        m = geom.m_vector[0]
         if m != n + 1:
             raise ConfigError(
                 f"[pair] divisor_class has m = {m}, so it is not anticanonical: the closed "
@@ -511,6 +553,14 @@ def _validate_geometry(geom: PairGeometry) -> None:
             f"{geom.name}'s zero divisor mirror map (tau_d_reason = {geom.tau_d_reason}), "
             "which reads no d_point rows"
         )
+
+
+def _integral_of_top_power(alg: GradedAlgebra, h: int) -> Fraction:
+    """∫e_h^n for n the top degree, multiplied up on the sparse structure constants."""
+    row = ((h, 1, 1),)
+    for _ in range(alg.top_degree - 1):
+        row = _sparse(_combine(((alg.constants[l][h], c, d) for l, c, d in row), alg.dim))
+    return sum((Fraction(c, d) * alg.integration[l] for l, c, d in row), Fraction(0))
 
 
 def _class_str(beta: tuple[int, ...]) -> str:

@@ -33,7 +33,6 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, product as iproduct, takewhile
@@ -566,14 +565,22 @@ def absolute_core(geom: PairGeometry, beta: tuple[int, ...]) -> dict[int, Fracti
 # divisor mirror map
 
 
-@dataclass(frozen=True)
 class DivisorMirrorMap:
     """z^{≥0} correction data of the divisor theory: {(beta, zexp): ambient class}."""
 
-    geometry_name: str
-    source: str
-    reason: str | None
-    terms: tuple[tuple[tuple[tuple[int, ...], int], Element], ...]
+    __slots__ = ("geometry_name", "source", "reason", "terms")
+
+    def __init__(
+        self,
+        geometry_name: str,
+        source: str,
+        reason: str | None,
+        terms: tuple[tuple[tuple[tuple[int, ...], int], Element], ...],
+    ):
+        self.geometry_name = geometry_name
+        self.source = source
+        self.reason = reason
+        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -604,14 +611,16 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
 # -- the normal-bundle compactification route (machinery check for the above) --
 
 
-@dataclass(frozen=True)
 class NormalBundleModel:
     """The compactified normal-bundle geometry: divisor algebra extended by h0
     with h0² = −c1(N)·h0, plus the series data of its relative I-function."""
 
-    algebra: GradedAlgebra
-    h0_indices: tuple[int, ...]       # basis index of b⊗h0 for each divisor index b
-    terms: dict                        # (beta, j, zexp, logpow0) -> Element of `algebra`
+    __slots__ = ("algebra", "h0_indices", "terms")
+
+    def __init__(self, algebra: GradedAlgebra, h0_indices: tuple[int, ...], terms: dict):
+        self.algebra = algebra
+        self.h0_indices = h0_indices  # basis index of b⊗h0 for each divisor index b
+        self.terms = terms            # (beta, j, zexp, logpow0) -> Element of `algebra`
 
 
 def build_normal_bundle_algebra(geom: PairGeometry) -> tuple[GradedAlgebra, tuple[int, ...]]:
@@ -938,15 +947,16 @@ def _hypergeometric(
 # normalization and the mirror map
 
 
-@dataclass(frozen=True)
 class MirrorExponent:
     """The change-of-variables exponent g extracted from a mirror map."""
 
-    g: NovikovSeries
-    contact_one: NovikovSeries  # [1]_{-1} components, reported, never summed into g
+    __slots__ = ("g", "contact_one")
+
+    def __init__(self, g: NovikovSeries, contact_one: NovikovSeries):
+        self.g = g
+        self.contact_one = contact_one  # [1]_{-1} components, reported, never summed into g
 
 
-@dataclass(frozen=True)
 class NormalizedI:
     """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
 
@@ -954,10 +964,19 @@ class NormalizedI:
     and J₀, the mirror map; so `j_function` has floor z⁰.
     """
 
-    unit_part: StateSeries        # I1 = z^1 slice
-    j_function: RelativeSeries    # the z^1 and z^0 slices of I · reciprocal(I1)
-    mirror_map: StateSeries       # z^0 slice of J
-    exponent: MirrorExponent
+    __slots__ = ("unit_part", "j_function", "mirror_map", "exponent")
+
+    def __init__(
+        self,
+        unit_part: StateSeries,
+        j_function: RelativeSeries,
+        mirror_map: StateSeries,
+        exponent: MirrorExponent,
+    ):
+        self.unit_part = unit_part    # I1 = z^1 slice
+        self.j_function = j_function  # the z^1 and z^0 slices of I · reciprocal(I1)
+        self.mirror_map = mirror_map  # z^0 slice of J
+        self.exponent = exponent
 
 
 def normalize_i(I: RelativeSeries) -> NormalizedI:
@@ -1081,12 +1100,12 @@ def _grouped_exp(
     return out
 
 
-@dataclass(frozen=True)
 class MirrorChange:
     """q_i = y_i · exp(m_i · g(y)): the mirror change of variables."""
 
-    m_vector: tuple[int, ...]
-    g: NovikovSeries
+    def __init__(self, m_vector: tuple[int, ...], g: NovikovSeries):
+        self.m_vector = m_vector
+        self.g = g
 
     @property
     def policy(self) -> TruncationPolicy:

@@ -8,7 +8,6 @@ terms recover the mirror exponent it was built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -35,14 +34,13 @@ def _poly_mul(
     return {e: Fraction(n, d) for e, (n, d) in acc.items() if n}
 
 
-@dataclass(frozen=True)
 class SimplePoleLaurent:
     """f(x) = x^{-1} + f_0 + f_1 x + ... — the pole coefficient must be 1."""
 
-    tail: tuple[Fraction, ...]
+    __slots__ = ("tail",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(Fraction(v) for v in self.tail))
+    def __init__(self, tail: tuple[Fraction, ...]):
+        self.tail = tuple(Fraction(v) for v in tail)
 
     def as_dict(self) -> dict[int, Fraction]:
         out = {-1: Fraction(1)}
@@ -128,11 +126,15 @@ def inversion_roundtrip(f: SimplePoleLaurent, order: int) -> tuple[bool, dict[in
 # the Bell-polynomial exponential identity
 
 
-@dataclass(frozen=True)
 class BellReport:
-    order: int
-    ok: bool
-    mismatches: tuple[tuple[int, Fraction, Fraction], ...]
+    __slots__ = ("order", "ok", "mismatches")
+
+    def __init__(
+        self, order: int, ok: bool, mismatches: tuple[tuple[int, Fraction, Fraction], ...]
+    ):
+        self.order = order
+        self.ok = ok
+        self.mismatches = mismatches
 
 
 def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
@@ -174,13 +176,22 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
 # potential roundtrip: the constant terms of W-powers recover the exponent
 
 
-@dataclass(frozen=True)
 class RoundtripReport:
-    curve_order: int
-    ok: bool
-    computed: tuple[tuple[tuple[int, ...], Fraction], ...]   # class -> recovered value
-    expected: tuple[tuple[tuple[int, ...], Fraction], ...]
-    mismatches: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
+    __slots__ = ("curve_order", "ok", "computed", "expected", "mismatches")
+
+    def __init__(
+        self,
+        curve_order: int,
+        ok: bool,
+        computed: tuple[tuple[tuple[int, ...], Fraction], ...],
+        expected: tuple[tuple[tuple[int, ...], Fraction], ...],
+        mismatches: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...],
+    ):
+        self.curve_order = curve_order
+        self.ok = ok
+        self.computed = computed  # class -> recovered value
+        self.expected = expected
+        self.mismatches = mismatches
 
 
 def potential_roundtrip(change: MirrorChange) -> RoundtripReport:

@@ -18,7 +18,6 @@ that must be caught at the first affected degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,13 +45,15 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
 class PeriodSeries:
     """A power series in t with rational coefficients and constant term 1."""
 
-    kind: str  # "quantum" | "regularized" | "classical"
-    t_order: int
-    coefficients: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("kind", "t_order", "coefficients")
+
+    def __init__(self, kind: str, t_order: int, coefficients: tuple[tuple[int, Fraction], ...]):
+        self.kind = kind  # "quantum" | "regularized" | "classical"
+        self.t_order = t_order
+        self.coefficients = coefficients
 
     @staticmethod
     def make(kind: str, t_order: int, coeffs: dict[int, Fraction]) -> "PeriodSeries":
@@ -104,7 +105,6 @@ def regularize(period: PeriodSeries) -> PeriodSeries:
 # the proper potential
 
 
-@dataclass(frozen=True)
 class ProperPotential:
     """W = x + Σ_{β≠0} w_β t^{D·β} x^{1-D·β}, with the per-class terms kept.
 
@@ -114,8 +114,9 @@ class ProperPotential:
     on first use; the period, Euler-scaling and roundtrip checks share them.
     """
 
-    geometry: PairGeometry
-    change: MirrorChange
+    def __init__(self, geometry: PairGeometry, change: MirrorChange):
+        self.geometry = geometry
+        self.change = change
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:  # β ≠ 0 -> w_β
@@ -197,7 +198,6 @@ def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential
     return proper_potential(geom)
 
 
-@dataclass(frozen=True)
 class ClassicalPeriod:
     """θ_β = [W^{D·β}]_{x^0} = (D·β)·g_β on each class β with 1 ≤ D·β ≤ t_order.
 
@@ -205,9 +205,17 @@ class ClassicalPeriod:
     the potential's collapse refusal when m has entries of both signs.
     """
 
-    t_order: int
-    terms: tuple[tuple[tuple[int, ...], int, Fraction], ...]  # (β, D·β, θ_β)
-    refusal: str | None
+    __slots__ = ("t_order", "terms", "refusal")
+
+    def __init__(
+        self,
+        t_order: int,
+        terms: tuple[tuple[tuple[int, ...], int, Fraction], ...],
+        refusal: str | None,
+    ):
+        self.t_order = t_order
+        self.terms = terms  # (β, D·β, θ_β)
+        self.refusal = refusal
 
     def series(self) -> PeriodSeries:
         if self.refusal:
@@ -247,15 +255,27 @@ def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
 # the two-sided comparison
 
 
-@dataclass(frozen=True)
 class PeriodComparison:
-    geometry_name: str
-    t_order: int
-    rows: tuple[tuple[int, Fraction, Fraction, bool], ...]  # (d, classical, regularized, ok)
-    all_match: bool
-    first_mismatch: int | None
-    negative_control: bool
-    expected_mismatch_degree: int | None
+    __slots__ = ("geometry_name", "t_order", "rows", "all_match", "first_mismatch",
+                 "negative_control", "expected_mismatch_degree")
+
+    def __init__(
+        self,
+        geometry_name: str,
+        t_order: int,
+        rows: tuple[tuple[int, Fraction, Fraction, bool], ...],
+        all_match: bool,
+        first_mismatch: int | None,
+        negative_control: bool,
+        expected_mismatch_degree: int | None,
+    ):
+        self.geometry_name = geometry_name
+        self.t_order = t_order
+        self.rows = rows  # (d, classical, regularized, ok)
+        self.all_match = all_match
+        self.first_mismatch = first_mismatch
+        self.negative_control = negative_control
+        self.expected_mismatch_degree = expected_mismatch_degree
 
     @property
     def passed(self) -> bool:
@@ -317,16 +337,29 @@ def compare_periods(
 # the Euler-scaling identity of the change of variables
 
 
-@dataclass(frozen=True)
 class EulerScalingReport:
-    geometry_name: str
-    order: int
-    coefficient_identity_ok: bool  # L == R
-    scaling_ok: bool               # Δ_D L == Δ_D R
-    display_ok: bool               # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
-    endpoint_y_ok: bool            # 1 + Σ n_β u_β q^β(y) == exp(g)
-    endpoint_q_ok: bool            # G(q(y)) == g(y)
-    details: str
+    __slots__ = ("geometry_name", "order", "coefficient_identity_ok", "scaling_ok",
+                 "display_ok", "endpoint_y_ok", "endpoint_q_ok", "details")
+
+    def __init__(
+        self,
+        geometry_name: str,
+        order: int,
+        coefficient_identity_ok: bool,
+        scaling_ok: bool,
+        display_ok: bool,
+        endpoint_y_ok: bool,
+        endpoint_q_ok: bool,
+        details: str,
+    ):
+        self.geometry_name = geometry_name
+        self.order = order
+        self.coefficient_identity_ok = coefficient_identity_ok  # L == R
+        self.scaling_ok = scaling_ok        # Δ_D L == Δ_D R
+        self.display_ok = display_ok        # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
+        self.endpoint_y_ok = endpoint_y_ok  # 1 + Σ n_β u_β q^β(y) == exp(g)
+        self.endpoint_q_ok = endpoint_q_ok  # G(q(y)) == g(y)
+        self.details = details
 
     @property
     def all_ok(self) -> bool:

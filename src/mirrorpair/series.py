@@ -26,7 +26,6 @@ Three series shapes drive the computations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -53,12 +52,26 @@ class PipelineInvariantError(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class TruncationPolicy:
-    """Weighted total-degree truncation for Novikov exponents."""
+    """Weighted total-degree truncation for Novikov exponents.
 
-    weights: tuple[int, ...]
-    max_total: int
+    Two policies are equal when their weights and order are: series under
+    equal policies combine.
+    """
+
+    __slots__ = ("weights", "max_total")
+
+    def __init__(self, weights: tuple[int, ...], max_total: int):
+        self.weights = weights
+        self.max_total = max_total
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncationPolicy):
+            return NotImplemented
+        return self.weights == other.weights and self.max_total == other.max_total
+
+    def __hash__(self) -> int:
+        return hash((self.weights, self.max_total))
 
     @staticmethod
     def make(

@@ -44,6 +44,7 @@ import pytest
 
 from mirrorpair import (
     NovikovSeries,
+    PairGeometry,
     StateSeries,
     TruncationError,
     XLaurentSeries,
@@ -120,6 +121,13 @@ def blp3():
     from mirrorpair import builtin_geometry
 
     return builtin_geometry("blp3_k3")
+
+
+def geometry_with(geom, **changes):
+    """A PairGeometry like geom with the named fields changed, built past the loader's checks."""
+    fields = {k: getattr(geom, k) for k in PairGeometry.__slots__}
+    fields.update(changes)  # a name PairGeometry does not take is a TypeError
+    return PairGeometry(**fields)
 
 
 def dense_product(a, b):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -690,6 +691,27 @@ def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command)
     assert err.startswith("error: ") and "[pair]" in err and "anticanonical" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    # P^2 blown up at a point: a second degree-1 class a with a^2 = -H2
+    ("basis = one H H2\ndegrees = 0 1 2\nunit = one\npoint = H2\nproducts =\n    H H H2 1\n",
+     "basis = one H a H2\ndegrees = 0 1 1 2\nunit = one\npoint = H2\nproducts =\n"
+     "    H H H2 1\n    a a H2 -1\n"),
+    # Q[H]/H^3 with the integral of H^2 equal to 2
+    ("    H H H2 1\n", "    H H H2 2\n"),
+], ids=["blown_up_plane", "integral_two"])
+def test_closed_form_needs_the_ring_of_projective_space(tmp_path, capsys, old, new):
+    # D = 3H is anticanonical on the one picard class H, but P^2's closed form
+    # would print 1, 6, 90 for a ring that is not Q[H]/H^3 with the integral of H^2 = 1
+    text = P2_CUBIC.replace(old, new)
+    assert text != P2_CUBIC
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text)
+    code = run(["classical-period", "--geometry", str(cfg), "--order", "6"], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[pair] j_source = closed_form_projective" in err
+
+
 @pytest.mark.parametrize("command", ["mirror-map", "proper-potential", "classical-period",
                                      "i-function"])
 def test_content_above_z1_is_refused_on_every_route(tmp_path, capsys, command):
@@ -758,9 +780,7 @@ def _plant_endless_reciprocal(monkeypatch):
 
 
 def _plant_short_mirror_exponent(monkeypatch):
-    import dataclasses
-
-    from mirrorpair import MirrorChange, NovikovSeries, TruncationPolicy, cli
+    from mirrorpair import MirrorChange, NovikovSeries, ProperPotential, TruncationPolicy, cli
 
     original = cli.proper_potential
 
@@ -769,7 +789,7 @@ def _plant_short_mirror_exponent(monkeypatch):
         pol = pot.geometry.policy
         short = TruncationPolicy.make(pol.nvars, pol.max_total - 1, pol.weights)
         g = NovikovSeries(short, pot.change.g.terms)
-        return dataclasses.replace(pot, change=MirrorChange(pot.change.m_vector, g))
+        return ProperPotential(pot.geometry, MirrorChange(pot.change.m_vector, g))
 
     monkeypatch.setattr(cli, "proper_potential", proper_potential)
 
@@ -809,3 +829,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "zero" in proc.stdout
+
+
+def test_start_up_loads_no_dataclasses():
+    """Generating dataclass methods, and importing `dataclasses` with the
+    `inspect` it pulls in, cost about a fifth of a command's start-up: a
+    fresh interpreter that imports the CLI and loads the builtins loads neither."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import mirrorpair.cli\n"
+        "from mirrorpair.geometry import BUILTIN_CONFIGS, builtin_geometry\n"
+        "for name in BUILTIN_CONFIGS:\n"
+        "    builtin_geometry(name)\n"
+        "print(mirrorpair.cli.__file__)\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.split("\n")[:2]
+    assert Path(path).resolve().is_relative_to(src)
+    assert loaded == ""

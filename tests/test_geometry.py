@@ -3,13 +3,12 @@
 import io
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import SYNTHETIC_NEGATIVE
+from conftest import SYNTHETIC_NEGATIVE, geometry_with
 from mirrorpair import algebra
 from mirrorpair.cli import run
 from mirrorpair.geometry import PAIR_KEYS, SECTIONS
@@ -255,7 +254,7 @@ def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
 def test_pairing_refuses_a_repeated_picard_class_and_a_class_off_the_span(blp3):
     H = blp3.ambient.named("H")
     with pytest.raises(ConfigError, match="picard class H is repeated"):
-        replace(blp3, picard=(H, H)).pairing(H)
+        geometry_with(blp3, picard=(H, H)).pairing(H)
     with pytest.raises(ConfigError, match="H2 is not in the span of the picard classes"):
         blp3.pairing(blp3.ambient.named("H2"))
 

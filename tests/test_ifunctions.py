@@ -7,7 +7,6 @@ paper, and the blown-up series from the closed multinomial expression
 (4a+b)!/((a!)^4 b!).
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from conftest import (
     SYNTHETIC_NEGATIVE_ZERO_TAU,
     assemble_literal,
     class_thetas,
+    geometry_with,
     geometric_reciprocal,
     state_product,
 )
@@ -295,7 +295,7 @@ def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
     H, h = amb.named("H"), amb.named("h")
     assert any(x == 0 for x in geom.pairing(H.scale(3)))
     _check_pieces(monkeypatch, geom, (6,))
-    negative = dataclasses.replace(geom, toric=ToricData(
+    negative = geometry_with(geom, toric=ToricData(
         geom.toric.denominators, (H.scale(5), h - H)))
     assert min(negative.pairing(h - H)) < 0
     _check_pieces(monkeypatch, negative, (6,))
@@ -307,7 +307,7 @@ def test_closed_form_pieces_are_literal_link_products(monkeypatch, name):
         # D = H gives n = m − 1 = 0: the template merges 1/(H + kz) and D's chain
         # into one class.  The loader refuses D = H on P^2 as not anticanonical,
         # so the pair loads as a table pair and takes the closed form past it.
-        geom = dataclasses.replace(load_geometry(
+        geom = geometry_with(load_geometry(
             BUILTIN_CONFIGS["p2_cubic"]
             .replace("divisor_class = 3*H", "divisor_class = H")
             .replace("H p 3", "H p 1")

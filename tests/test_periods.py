@@ -6,7 +6,6 @@ no shared code with the package), and the theta constant terms against
 explicit multinomial sums.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from mirrorpair import (
     MissingDataError,
     NovikovSeries,
     PipelineInvariantError,
+    ProperPotential,
     TruncationError,
     XLaurentSeries,
     classical_period,
@@ -157,7 +157,7 @@ def test_collapse_of_the_plane_potential(p2):
 def test_collapse_rejects_low_contact_weight(p2):
     # a change with m = 1 puts a weight at the class 1, of contact weight 1
     pot = proper_potential(p2, 9)
-    bad = dataclasses.replace(pot, change=MirrorChange((1,), pot.change.g))
+    bad = ProperPotential(pot.geometry, MirrorChange((1,), pot.change.g))
     assert bad.terms[0][0] == (1,) and bad.contact_weight((1,)) == 1
     with pytest.raises(ValueError, match="contact weight 1 < 2"):
         bad.collapse(9)
@@ -275,7 +275,7 @@ def test_mixed_sign_classical_period_per_class(blp3, order):
 def test_classical_period_refuses_a_short_mirror_exponent(p2):
     pot = proper_potential(p2, 12)
     low = NovikovSeries(proper_potential(p2, 9).geometry.policy, pot.change.g.terms)
-    short = dataclasses.replace(pot, change=MirrorChange(pot.change.m_vector, low))
+    short = ProperPotential(pot.geometry, MirrorChange(pot.change.m_vector, low))
     with pytest.raises(PipelineInvariantError, match="mirror exponent g truncated at order 3"):
         classical_period(short, 12)
 
