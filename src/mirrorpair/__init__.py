@@ -63,7 +63,6 @@ from .inversion import (
     potential_roundtrip,
 )
 from .periods import (
-    ClassicalPeriod,
     EulerScalingReport,
     PeriodComparison,
     PeriodSeries,

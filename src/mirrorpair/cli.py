@@ -207,7 +207,7 @@ def _load_geometry(ns: argparse.Namespace, order_is_truncation: bool) -> PairGeo
             raise type(exc)(f"{ns.geometry}: {exc}") from exc
     if order_is_truncation and ns.order is not None:
         pol = geom.policy
-        geom = geom.with_policy(TruncationPolicy.make(pol.nvars, ns.order, pol.weights))
+        geom = geom.replace(policy=TruncationPolicy.make(pol.nvars, ns.order, pol.weights))
     if ns.table is not None:
         text = _read_input("--table", ns.table)
         try:
@@ -273,10 +273,6 @@ def _novikov_records(series: str, prefix: str, ns: NovikovSeries) -> list[dict]:
         _record(series, f"{prefix}{_beta_str(beta)}", c, beta=list(beta))
         for beta, c in sorted(ns.terms.items())
     ]
-
-
-def _period_records(name: str, period) -> list[dict]:
-    return [_record(name, f"t^{d}", v, t_deg=d) for d, v in period.coefficients]
 
 
 def _divisor_map_records(dm) -> list[dict]:
@@ -377,26 +373,40 @@ def cmd_mirror_map(ns: argparse.Namespace, stream) -> int:
     return 0
 
 
-def cmd_quantum_period(ns: argparse.Namespace, stream) -> int:
-    """quantum-period, or regularized-period: the same series d!-rescaled."""
+def cmd_period(ns: argparse.Namespace, stream) -> int:
+    """quantum-period, regularized-period and classical-period: one period each.
+
+    The t-series prints when its view is allowed, and the refusal in its place
+    when not; a pair with more than one Novikov variable adds the per-class terms.
+    """
     geom = _load_geometry(ns, order_is_truncation=False)
     t_order = ns.order or DEFAULT_T_ORDER
-    period = quantum_period(geom, t_order)
-    if ns.command == "regularized-period":
-        period = regularize(period)
+    if ns.command == "classical-period":
+        period = classical_period(proper_potential(geom, t_order), t_order)
+    else:
+        period = quantum_period(geom, t_order)
+        if ns.command == "regularized-period":
+            period = regularize(period)
     series = f"{period.kind}_period"
-    _emit(ns.fmt, _metadata(geom, series=series, t_order=t_order),
-          _period_records(series, period), stream)
+    md = _metadata(period.geometry, series=series, t_order=t_order)
+    try:
+        view = period.coefficients
+    except TruncationError as exc:
+        view = {}
+        md["collapsed_view"] = f"refused: {exc}"
+    records = [_record(series, f"t^{d}", v, t_deg=d) for d, v in view.items()]
+    if len(geom.m_vector) > 1:
+        records += [
+            _record(f"{series}_term", f"q^{_beta_str(beta)} t^{d}", v, beta=list(beta), t_deg=d)
+            for beta, d, v in period.terms
+        ]
+    _emit(ns.fmt, md, records, stream)
     return 0
 
 
 def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
     geom = _load_geometry(ns, order_is_truncation=False)
     pot = proper_potential(geom, ns.order)
-    refusal = pot.collapse_refusal()
-    records = _potential_records(pot.collapse(ns.order)) if refusal is None else []
-    if ns.per_beta or len(geom.m_vector) > 1:
-        records += _potential_term_records(pot)
     md = _metadata(
         pot.geometry,
         series="proper_potential",
@@ -405,27 +415,13 @@ def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
         )
         or "0",
     )
-    if refusal is not None:
-        md["collapsed_view"] = f"refused: {refusal}"
-    _emit(ns.fmt, md, records, stream)
-    return 0
-
-
-def cmd_classical_period(ns: argparse.Namespace, stream) -> int:
-    geom = _load_geometry(ns, order_is_truncation=False)
-    t_order = ns.order or DEFAULT_T_ORDER
-    pot = proper_potential(geom, t_order)
-    period = classical_period(pot, t_order)
-    records = [] if period.refusal else _period_records("classical_period", period.series())
-    if len(geom.m_vector) > 1:
-        records += [
-            _record("classical_period_term", f"q^{_beta_str(beta)} t^{d}", v,
-                    beta=list(beta), t_deg=d)
-            for beta, d, v in period.terms
-        ]
-    md = _metadata(pot.geometry, series="classical_period", t_order=t_order)
-    if period.refusal:
-        md["collapsed_view"] = f"refused: {period.refusal}"
+    try:
+        records = _potential_records(pot.collapse(ns.order))
+    except TruncationError as exc:
+        records = []
+        md["collapsed_view"] = f"refused: {exc}"
+    if ns.per_beta or len(geom.m_vector) > 1:
+        records += _potential_term_records(pot)
     _emit(ns.fmt, md, records, stream)
     return 0
 
@@ -529,10 +525,10 @@ DISPATCH = {
     "i-function": cmd_i_function,
     "tau-d": cmd_tau_d,
     "mirror-map": cmd_mirror_map,
-    "quantum-period": cmd_quantum_period,
-    "regularized-period": cmd_quantum_period,
+    "quantum-period": cmd_period,
+    "regularized-period": cmd_period,
     "proper-potential": cmd_proper_potential,
-    "classical-period": cmd_classical_period,
+    "classical-period": cmd_period,
     "verify": cmd_verify,
     "identities": cmd_identities,
 }

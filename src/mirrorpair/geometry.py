@@ -186,19 +186,9 @@ class PairGeometry:
         """D·β for a curve class."""
         return sum(m * b for m, b in zip(self.m_vector, beta))
 
-    def with_policy(self, policy: TruncationPolicy) -> "PairGeometry":
-        return PairGeometry(
-            self.name, self.ambient, self.divisor, self.restriction, self.divisor_class,
-            self.picard, self.novikov_names, self.m_vector, policy, self.j_source,
-            self.tau_d_source, self.toric, self.table,
-        )
-
-    def with_table(self, table: InvariantTable | None) -> "PairGeometry":
-        return PairGeometry(
-            self.name, self.ambient, self.divisor, self.restriction, self.divisor_class,
-            self.picard, self.novikov_names, self.m_vector, self.policy, self.j_source,
-            self.tau_d_source, self.toric, table,
-        )
+    def replace(self, **fields) -> "PairGeometry":
+        """A copy with the named fields replaced, as in ``geom.replace(policy=p)``."""
+        return PairGeometry(**{**{name: getattr(self, name) for name in self.__slots__}, **fields})
 
 
 def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, ...]:
@@ -576,7 +566,7 @@ def attach_invariants(geom: PairGeometry, extra: InvariantTable) -> PairGeometry
     for key, value in extra.entries:
         if merged.setdefault(key, value) != value:
             raise ConfigError(f"table entry {key} conflicts with the geometry's own value")
-    geom = geom.with_table(InvariantTable(tuple(merged.items())))
+    geom = geom.replace(table=InvariantTable(tuple(merged.items())))
     _validate_geometry(geom)
     return geom
 

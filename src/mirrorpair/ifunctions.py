@@ -54,7 +54,6 @@ from .series import (
     TruncationPolicy,
     TruncationError,
     ZLaurentElement,
-    _solve_by_weight,
     nilpotent_reciprocal,
 )
 
@@ -1061,21 +1060,18 @@ def _grouped_exp(
     """Σ_γ c_γ·[e^{scale(d)·f}]_{β−γ} over the kernel's (γ, c_γ), at each class β.
 
     Classes are grouped by d = m·β.  For m of one sign each group reads
-    e^{scale(d)·f} straight off the exp recurrence (`_solve_by_weight`, the
-    one list of steps of f scaled as integers) truncated at its heaviest
-    class, and most groups are light.  For m of
-    both signs every group reaches about the full order, so all of them read
-    one power walk instead: Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0,
-    each class β gaining (s^k/k!)·[Q_k]_β with s = scale(d).  One Q_k is
-    kept at a time.
+    f.exp(scale(d)) truncated at its heaviest class, and most groups are
+    light.  For m of both signs every group reaches about the full order, so
+    all of them read one power walk instead: Q_k = f^k·kernel for
+    k = 0, 1, … until Q_k = 0, each class β gaining (s^k/k!)·[Q_k]_β with
+    s = scale(d).  One Q_k is kept at a time.
     """
     pol = f.policy
-    if f.constant_term() != 0:
-        raise ValueError("exp needs a series with zero constant term")
     groups: dict[int, list[tuple[int, ...]]] = {}
     for beta in classes:
         groups.setdefault(sum(map(mul, m_vector, beta)), []).append(beta)
     if mixed_signs(m_vector):
+        f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
         out = {b: Fraction(0) for betas in groups.values() for b in betas}
         q = NovikovSeries(pol, dict(kernel))
         factor = dict.fromkeys(groups, Fraction(1))  # s^k/k! per group
@@ -1089,10 +1085,8 @@ def _grouped_exp(
             q, k = f * q, k + 1
         return out
     out = {}
-    steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in f.terms.items()]
     for d, betas in groups.items():
-        top = TruncationPolicy.make(pol.nvars, max(pol.weight(b) for b in betas), pol.weights)
-        power = _solve_by_weight(top, Fraction(1), steps, divide_by_weight=True, scale=scale(d)).terms
+        power = f.exp(scale(d), max(pol.weight(b) for b in betas)).terms
         for beta in betas:
             out[beta] = sum(
                 c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in kernel
@@ -1127,8 +1121,6 @@ class MirrorChange:
         m·β, or for m of both signs one walk over g^k·(1 + E_m g).  Built once.
         """
         g = self.g
-        if g.constant_term() != 0:
-            raise ValueError("composed_exponent needs an exponent g with zero constant term")
         pol = self.policy
         jacobian = [((0,) * pol.nvars, Fraction(1))] + [
             (beta, c * self.contact_weight(beta))
@@ -1169,8 +1161,7 @@ def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
     G = composed_exponent(change)
     out = []
     for i, m in enumerate(change.m_vector):
-        e = (G * Fraction(-m)).exp()
-        out.append(NovikovSeries.variable(pol, i) * e)
+        out.append(NovikovSeries.variable(pol, i) * G.exp(-m))
     return tuple(out)
 
 
@@ -1178,26 +1169,19 @@ def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> Novikov
     """f(q) ↦ f(q(y)): monomial-wise q^β ↦ y^β · exp((D·β)·g(y)).
 
     The classes of f are grouped by d = D·β, and each group is one product of
-    its terms with e^{d·g}, read off the exp recurrence (`_solve_by_weight`)
-    only through the weight its lightest class leaves room for.
+    its terms with e^{d·g}, g.exp(d) truncated at the weight its lightest
+    class leaves room for.
     """
     pol, g = series_q.policy, change.g
     if g.policy != pol:
         raise ValueError("incompatible truncation policies")
-    if g.constant_term() != 0:
-        raise ValueError("exp needs a series with zero constant term")
     groups: dict[int, dict] = {}
     for beta, c in series_q.terms.items():
         groups.setdefault(change.contact_weight(beta), {})[beta] = c
-    steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in g.terms.items()]
     out: dict = {}
     for d, terms in groups.items():
-        room = pol.max_total - min(map(pol.weight, terms))
-        power = _solve_by_weight(
-            TruncationPolicy.make(pol.nvars, room, pol.weights), Fraction(1), steps,
-            divide_by_weight=True, scale=d,
-        )
-        # the product reads e^{d·g} only through weight `room`, so it may sit under pol
+        power = g.exp(d, pol.max_total - min(map(pol.weight, terms)))
+        # the product reads e^{d·g} only through the weight it is cut at, so it may sit under pol
         part = NovikovSeries._kernel_output(pol, terms) * NovikovSeries._kernel_output(pol, power.terms)
         for k, v in part.terms.items():
             out[k] = out.get(k, 0) + v

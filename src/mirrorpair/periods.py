@@ -1,16 +1,17 @@
 """Quantum, regularized, and classical periods, and the proper potential.
 
-The quantum period collects one-point descendant invariants ⟨[pt] ψ^{d-2}⟩
-graded by the divisor pairing d = D·β; its degreewise d!-rescaling is the
-regularized quantum period.  On the mirror side, the proper potential is
-W = x · exp(G(q)) collapsed along D·β (each class β contributes its mirror
-coefficient at t^{D·β} x^{1-D·β}).  The classical period is kept per class:
-θ_β = [q^β] e^{(D·β)·G}, the constant term of W^{D·β} on β, is (D·β)·g_β by
-Good's formula (checked from G by `inversion.potential_roundtrip`), and the
-t-series Σ_n [W^n]_{x^0} t^n sums it over the classes.  When m has entries of
-both signs infinitely many classes share each t-degree, so the collapsed
-views are refused rather than summed from a truncated slice.
-`compare_periods` checks the two sides coefficient by coefficient in exact
+Each period is one `PeriodSeries`: a value v_β per curve class β with
+D·β ≤ t_order, and the t-series 1 + Σ_d (Σ_{D·β = d} v_β) t^d as a view on
+top.  The quantum period's values are the one-point descendant invariants
+⟨[pt] ψ^{D·β-2}⟩_β, and `regularize` rescales each by (D·β)!.  On the mirror
+side, the proper potential W = x · exp(G(q)) places each class β's mirror
+coefficient at t^{D·β} x^{1-D·β}.  The classical period's values are
+θ_β = [q^β] e^{(D·β)·G}, the constant term of W^{D·β} on β, which Good's
+formula makes (D·β)·g_β (checked from G by `inversion.potential_roundtrip`).
+`collapse_by_degree` is the one sum of classes into t-degrees, for the
+periods and W alike: when m has entries of both signs infinitely many classes
+share each t-degree, so it refuses rather than sum a truncated slice.
+`compare_periods` checks the two t-series coefficient by coefficient in exact
 arithmetic, with an optional deliberately-perturbed run (`negative_control`)
 that must be caught at the first affected degree.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 from .geometry import (
     MissingDataError,
@@ -45,34 +47,78 @@ from .series import (
 )
 
 
+def collapse_by_degree(
+    geom: PairGeometry, terms: Iterable[tuple[tuple[int, ...], int, Fraction]]
+) -> dict[int, Fraction]:
+    """Σ_{D·β = d} v_β at each t-degree d of the per-class terms (β, d, v_β).
+
+    Refused with TruncationError when m has entries of both signs: then
+    infinitely many classes share each t-degree and a truncated sum changes
+    with the order.
+    """
+    m = geom.m_vector
+    if mixed_signs(m):
+        raise TruncationError(
+            f"{geom.name}: m_vector {','.join(map(str, m))} has entries "
+            "of both signs, so infinitely many classes share each t-degree D.beta "
+            "and any truncated collapse (the collapsed potential and its classical "
+            "period) changes with the order; only the per-class terms are exact"
+        )
+    sums: dict[int, Fraction] = {}
+    for _, d, v in terms:
+        sums[d] = sums.get(d, 0) + v
+    return sums
+
+
 class PeriodSeries:
-    """A power series in t with rational coefficients and constant term 1."""
+    """A period through t^{t_order}: per-class terms and their t-series view.
 
-    __slots__ = ("kind", "t_order", "coefficients")
+    ``terms`` holds (β, D·β, v_β) by class, ``geometry`` the geometry the
+    period ran at (its policy is the truncation used).  ``coefficients`` is
+    the view {d: coefficient of t^d}, constant term 1, nonzero degrees rising;
+    it is summed once by `collapse_by_degree` and refused where that refuses.
+    """
 
-    def __init__(self, kind: str, t_order: int, coefficients: tuple[tuple[int, Fraction], ...]):
+    def __init__(
+        self,
+        kind: str,
+        t_order: int,
+        geometry: PairGeometry,
+        terms: tuple[tuple[tuple[int, ...], int, Fraction], ...],
+    ):
         self.kind = kind  # "quantum" | "regularized" | "classical"
         self.t_order = t_order
-        self.coefficients = coefficients
+        self.geometry = geometry
+        self.terms = terms  # (β, D·β, v_β)
 
-    @staticmethod
-    def make(kind: str, t_order: int, coeffs: dict[int, Fraction]) -> "PeriodSeries":
-        clean = {d: Fraction(v) for d, v in coeffs.items() if v != 0 and d <= t_order}
-        return PeriodSeries(kind, t_order, tuple(sorted(clean.items())))
+    @cached_property
+    def coefficients(self) -> dict[int, Fraction]:
+        sums = collapse_by_degree(self.geometry, self.terms)
+        return {0: Fraction(1), **{d: sums[d] for d in sorted(sums) if sums[d]}}
 
     def coefficient(self, d: int) -> Fraction:
         if d > self.t_order:
             raise TruncationError(
                 f"t^{d} beyond computed order {self.t_order}; rerun with order >= {d}"
             )
-        return dict(self.coefficients).get(d, Fraction(0))
+        return self.coefficients.get(d, Fraction(0))
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coefficients)
 
 
+def _point_terms(
+    geom: PairGeometry, rows: list[tuple[tuple[int, ...], int, Fraction]], t_order: int
+) -> tuple[tuple[tuple[int, ...], int, Fraction], ...]:
+    """(β, D·β, ⟨[pt] ψ^{D·β-2}⟩_β) for the nonzero x_point rows with 2 ≤ D·β ≤ t_order."""
+    graded = ((b, geom.contact_weight(b), a, v) for b, a, v in rows)
+    return tuple(sorted(
+        (b, d, v) for b, d, a, v in graded if 2 <= d <= t_order and a == d - 2 and v
+    ))
+
+
 def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
-    """G(t) = 1 + Σ_{D·β = d ≥ 2} ⟨[pt] ψ^{d-2}⟩_β t^d."""
+    """G(t) = 1 + Σ_{D·β = d ≥ 2} ⟨[pt] ψ^{d-2}⟩_β t^d, kept per class β."""
     dm = divisor_mirror_map(geom)
     if not dm.is_zero():
         raise MissingDataError(
@@ -80,25 +126,15 @@ def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
             "deformed invariants: external data required"
         )
     rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
-    return _quantum_from_rows(geom, rows, t_order)
-
-
-def _quantum_from_rows(
-    geom: PairGeometry, rows: list[tuple[tuple[int, ...], int, Fraction]], t_order: int
-) -> PeriodSeries:
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    for beta, a, v in rows:
-        d = geom.contact_weight(beta)
-        if d >= 2 and a == d - 2 and d <= t_order:
-            coeffs[d] = coeffs.get(d, Fraction(0)) + v
-    return PeriodSeries.make("quantum", t_order, coeffs)
+    return PeriodSeries("quantum", t_order, geom, _point_terms(geom, rows, t_order))
 
 
 def regularize(period: PeriodSeries) -> PeriodSeries:
+    """The regularized quantum period: each class's value times (D·β)!."""
     if period.kind != "quantum":
         raise ValueError(f"can only regularize a quantum period, got {period.kind}")
-    coeffs = {d: v * math.factorial(d) for d, v in period.coefficients}
-    return PeriodSeries.make("regularized", period.t_order, coeffs)
+    terms = tuple((b, d, v * math.factorial(d)) for b, d, v in period.terms)
+    return PeriodSeries("regularized", period.t_order, period.geometry, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -128,39 +164,23 @@ class ProperPotential:
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
 
-    def collapse_refusal(self) -> str | None:
-        """Why the collapsed view would depend on the truncation, or None."""
-        m = self.geometry.m_vector
-        if mixed_signs(m):
-            return (
-                f"{self.geometry.name}: m_vector {','.join(map(str, m))} has entries "
-                "of both signs, so infinitely many classes share each t-degree D.beta "
-                "and any truncated collapse (the collapsed potential and its classical "
-                "period) changes with the order; only the per-class terms are exact"
-            )
-        return None
-
     def collapse(self, t_order: int | None = None) -> XLaurentSeries:
         """The single-variable view: every class lands at t^{D·β} x^{1-D·β}.
 
-        Refused with TruncationError when collapse_refusal() gives a reason.
+        The classes of one t-degree are summed by `collapse_by_degree`, so the
+        view is refused with TruncationError when m has entries of both signs.
         """
-        reason = self.collapse_refusal()
-        if reason:
-            raise TruncationError(reason)
-        degrees = [self.contact_weight(b) for b, _ in self.terms]
-        if t_order is None:
-            t_order = max(degrees, default=0)
-        w = XLaurentSeries.monomial(t_order, 1, 0, 1)
-        for (beta, c), d in zip(self.terms, degrees):
+        terms = [(b, self.contact_weight(b), c) for b, c in self.terms]
+        sums = collapse_by_degree(self.geometry, terms)
+        for beta, d, _ in terms:
             if d < 2:
                 raise ValueError(
                     f"potential term at {beta} has contact weight {d} < 2; "
                     "cannot collapse"
                 )
-            if d <= t_order:
-                w = w + XLaurentSeries.monomial(t_order, 1 - d, d, c)
-        return w
+        if t_order is None:
+            t_order = max(sums, default=0)
+        return XLaurentSeries(t_order, {1: {0: 1}, **{1 - d: {d: v} for d, v in sums.items()}})
 
 
 def covering_order(geom: PairGeometry, t_order: int) -> int:
@@ -182,7 +202,7 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
         fresh = TruncationPolicy.make(
             pol.nvars, max_total=covering_order(geom, t_order), weights=pol.weights
         )
-        work = geom.with_policy(fresh)
+        work = geom.replace(policy=fresh)
     g = normalize_i(relative_i_function(work, lowest_z=0)).exponent.g
     return ProperPotential(work, MirrorChange(work.m_vector, g))
 
@@ -198,36 +218,8 @@ def shared_potential(geom: PairGeometry, t_order: int | None) -> ProperPotential
     return proper_potential(geom)
 
 
-class ClassicalPeriod:
-    """θ_β = [W^{D·β}]_{x^0} = (D·β)·g_β on each class β with 1 ≤ D·β ≤ t_order.
-
-    series() is the view π(t) = 1 + Σ_n (Σ_{D·β = n} θ_β) t^n, refused with
-    the potential's collapse refusal when m has entries of both signs.
-    """
-
-    __slots__ = ("t_order", "terms", "refusal")
-
-    def __init__(
-        self,
-        t_order: int,
-        terms: tuple[tuple[tuple[int, ...], int, Fraction], ...],
-        refusal: str | None,
-    ):
-        self.t_order = t_order
-        self.terms = terms  # (β, D·β, θ_β)
-        self.refusal = refusal
-
-    def series(self) -> PeriodSeries:
-        if self.refusal:
-            raise TruncationError(self.refusal)
-        coeffs = {0: Fraction(1)}
-        for _, d, v in self.terms:
-            coeffs[d] = coeffs.get(d, Fraction(0)) + v
-        return PeriodSeries.make("classical", self.t_order, coeffs)
-
-
-def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
-    """The classical period of the potential, class by class, through t^{t_order}.
+def classical_period(pot: ProperPotential, t_order: int) -> PeriodSeries:
+    """θ_β = [W^{D·β}]_{x^0} on each class β with 1 ≤ D·β ≤ t_order.
 
     Good's formula [q^β] e^{k·G} = [y^β] e^{(k − m·β)·g}·(1 + E_m g) at k = m·β
     gives θ_β = (m·β)·g_β, read off g with no G built.  The potential must cover
@@ -248,7 +240,7 @@ def classical_period(pot: ProperPotential, t_order: int) -> ClassicalPeriod:
         )
     kept = ((b, pot.contact_weight(b), c) for b, c in sorted(g.terms.items()))
     terms = tuple((b, d, d * c) for b, d, c in kept if 1 <= d <= t_order)
-    return ClassicalPeriod(t_order, terms, pot.collapse_refusal())
+    return PeriodSeries("classical", t_order, geom, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +287,7 @@ def compare_periods(
     passing means the mismatch is flagged exactly at that degree.
     """
     geom = pot.geometry
-    classical = classical_period(pot, t_order).series()
+    classical = classical_period(pot, t_order).coefficients
     rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
     expected_deg: int | None = None
     if negative_control:
@@ -311,13 +303,14 @@ def compare_periods(
         expected_deg, idx = graded[0]
         b, a, v = rows[idx]
         rows[idx] = (b, a, v + 1)
-    reg = regularize(_quantum_from_rows(geom, rows, t_order))
+    reg = regularize(PeriodSeries("quantum", t_order, geom, _point_terms(geom, rows, t_order)))
+    regularized = reg.coefficients
 
     out_rows = []
     first = None
     for d in range(0, t_order + 1):
-        c = classical.coefficient(d)
-        r = reg.coefficient(d)
+        c = classical.get(d, Fraction(0))
+        r = regularized.get(d, Fraction(0))
         ok = c == r
         if not ok and first is None:
             first = d
@@ -421,7 +414,7 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     endpoint_y = (one + nu_y) == exp_g
     endpoint_q = g_back == g
 
-    E = (g * Fraction(-1)).exp()
+    E = g.exp(-1)
     L = E * u_y - E + one
     r_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, c in g.terms.items():

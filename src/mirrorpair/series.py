@@ -228,16 +228,29 @@ class NovikovSeries:
 
     # -- transcendental operations ----------------------------------------
 
-    def exp(self) -> "NovikovSeries":
-        """exp(f) for f with zero constant term.
+    def exp(self, scale: int = 1, order: int | None = None) -> "NovikovSeries":
+        """exp(scale·f) for f with zero constant term, through weight ``order``.
 
-        With E = Σ w_i y_i ∂_i over the policy's weights, E(e^f) = e^f·E(f)
-        reads wt(β)·h_β = Σ_δ wt(δ) f_δ h_{β−δ} for h = e^f.
+        With E = Σ w_i y_i ∂_i over the policy's weights, E(e^{sf}) = e^{sf}·s·E(f)
+        reads wt(β)·h_β = s·Σ_δ wt(δ) f_δ h_{β−δ} for h = e^{sf}: the integer
+        scale s multiplies the recurrence's integer steps, so e^{sf} costs what
+        e^f does.  A lower order (by default the policy's) truncates the result
+        there, under a policy that says so, and leaves out the heavier steps.
         """
         if self.constant_term() != 0:
             raise ValueError("exp needs a series with zero constant term")
         pol = self.policy
-        steps = [(k, pol.weight(k), v * pol.weight(k)) for k, v in self.terms.items()]
+        if order is not None:
+            if order > pol.max_total:
+                raise ValueError(
+                    f"exp through order {order} of a series known to {pol.max_total}"
+                )
+            pol = TruncationPolicy.make(pol.nvars, order, pol.weights)
+        steps = []
+        for k, v in self.terms.items():
+            w = pol.weight(k)
+            if w <= pol.max_total:
+                steps.append((k, w, scale * w * v.numerator, v.denominator))
         return _solve_by_weight(pol, Fraction(1), steps, divide_by_weight=True)
 
     def log(self) -> "NovikovSeries":
@@ -254,7 +267,10 @@ class NovikovSeries:
         if c == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
         pol = self.policy
-        steps = [(k, pol.weight(k), -v / c) for k, v in self.terms.items() if any(k)]
+        steps = [
+            (k, pol.weight(k), s.numerator, s.denominator)
+            for k, v in self.terms.items() if any(k) for s in (-v / c,)
+        ]
         return _solve_by_weight(pol, 1 / c, steps, divide_by_weight=False)
 
     def euler_derive(self, i: int) -> "NovikovSeries":
@@ -296,23 +312,19 @@ def _accumulate(acc: dict, key, n: int, d: int) -> None:
 def _solve_by_weight(
     pol: TruncationPolicy,
     lead: Fraction,
-    steps: list[tuple[tuple[int, ...], int, Fraction]],
+    steps: list[tuple[tuple[int, ...], int, int, int]],
     divide_by_weight: bool,
-    scale: int = 1,
 ) -> NovikovSeries:
-    """The series h with h_0 = lead and s_β·h_β = Σ_{(δ, wt δ, c)} scale·c·h_{β−δ}.
+    """The series h with h_0 = lead and s_β·h_β = Σ_{(δ, wt δ, n, d)} (n/d)·h_{β−δ}.
 
     s_β is wt(β) or 1.  Every step has positive weight, so h_β depends only
     on lighter monomials: they are finalized level by level in order of
     weight, each made once as a Fraction and pushed forward to β + δ as
     integers by `_accumulate`.  The cost is one product.  Steps heavier than
-    the policy's order are never read, so one list of steps serves any
-    truncation; an integer ``scale`` multiplies their numerators.
+    the policy's order are never read.
     """
     top = pol.max_total
-    steps = sorted(
-        ((k, w, scale * c.numerator, c.denominator) for k, w, c in steps), key=lambda s: s[1]
-    )
+    steps = sorted(steps, key=lambda s: s[1])
     levels: list[dict] = [{} for _ in range(top + 1)]
     levels[0][(0,) * pol.nvars] = [lead.numerator, lead.denominator]
     out: dict[tuple[int, ...], Fraction] = {}

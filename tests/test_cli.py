@@ -137,26 +137,42 @@ def test_proper_potential_per_beta_rows():
     assert "proper_potential_term" in kinds  # multi-variable: per-class rows
 
 
-def test_mixed_sign_potential_prints_only_order_stable_records():
-    """With m = (-1, 1) only the per-class terms are exact; the collapsed view is refused."""
+def test_mixed_sign_potential_prints_only_order_stable_records(tmp_path):
+    """With m = (-1, 1) only the per-class terms are exact; the collapsed view is refused.
+
+    The quantum side reads two x_point rows at D.beta = 2, whose t-sum 1 + 7
+    would be a fact about the table, not about the pair.
+    """
+    table = tmp_path / "points.tsv"
+    table.write_text("x_point 0,2 0 pt 1\nx_point 3,5 0 pt 7\n")
+    reasons = set()
 
     def records(command, series, order):
         code, text = _run(command, "--geometry", "blp3_k3", "--order", str(order),
-                          "--format", "json")
+                          "--table", str(table), "--format", "json")
         assert code == 0
         doc = json.loads(text)
-        assert doc["metadata"]["collapsed_view"].startswith("refused: ")
-        assert "both signs" in doc["metadata"]["collapsed_view"]
+        reason = doc["metadata"]["collapsed_view"]
+        assert reason.startswith("refused: ") and "both signs" in reason
+        reasons.add(reason)
         assert {r["series"] for r in doc["records"]} == {series}
         return {(r["selector"], r["value"]) for r in doc["records"]}
 
     for command, series, known in (
         ("proper-potential", "proper_potential_term", ("q^0:2 t^2 x^-1", "1/2")),
         ("classical-period", "classical_period_term", ("q^1:3 t^2", "704")),
+        ("quantum-period", "quantum_period_term", ("q^3:5 t^2", "7")),
+        ("regularized-period", "regularized_period_term", ("q^3:5 t^2", "14")),
     ):
         low = records(command, series, 4)
         assert known in low
         assert low <= records(command, series, 6) <= records(command, series, 8)
+    assert len(reasons) == 1  # one refusal, word for word, on all four commands
+    quantum = records("quantum-period", "quantum_period_term", 8)
+    assert quantum == {("q^0:2 t^2", "1"), ("q^3:5 t^2", "7")}
+    assert records("regularized-period", "regularized_period_term", 8) == {
+        (selector, str(int(value) * 2)) for selector, value in quantum  # 2! at D.beta = 2
+    }
 
 
 def test_regularized_matches_quantum_times_factorial():
@@ -450,13 +466,16 @@ def test_table_flag_enables_quantum_side(tmp_path):
     # blp3_k3 has no builtin x_point source; attaching one must light it up,
     # exactly as the MissingDataError message promises.
     table = tmp_path / "points.tsv"
-    table.write_text("x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7\n")
+    table.write_text("x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7\nx_point 1,3 0 pt 0\n")
+    # m = (-1, 1) has both signs, so the t-sum is refused and the nonzero rows print per class
     code, text = _run("quantum-period", "--geometry", "blp3_k3", "--order", "3",
                       "--table", str(table), "--format", "json")
     assert code == 0
     doc = json.loads(text)
-    values = {r["t_deg"]: r["value"] for r in doc["records"]}
-    assert values == {0: "1", 2: "5", 3: "7"}
+    assert doc["metadata"]["collapsed_view"].startswith("refused: ")
+    values = {(r["series"], r["selector"]): r["value"] for r in doc["records"]}
+    assert values == {("quantum_period_term", "q^0:2 t^2"): "5",
+                      ("quantum_period_term", "q^0:3 t^3"): "7"}
 
 
 @pytest.mark.parametrize("command", ["i-function", "mirror-map", "proper-potential"])

@@ -406,7 +406,7 @@ def test_tabulate_needs_a_source():
 
 def test_tabulate_reads_x_point_rows_of_a_toric_geometry():
     rows = ((("x_point", (0, 2), 0), Fraction(5)),)
-    blp3 = builtin_geometry("blp3_k3").with_table(InvariantTable(rows))
+    blp3 = builtin_geometry("blp3_k3").replace(table=InvariantTable(rows))
     assert blp3.j_source == "toric_hypergeometric"
     assert tabulate_one_point_invariants(blp3, 4).entries == rows
 

@@ -354,7 +354,7 @@ def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
 
 def _at_order(geom, order):
     pol = geom.policy
-    return geom.with_policy(TruncationPolicy.make(pol.nvars, order, pol.weights))
+    return geom.replace(policy=TruncationPolicy.make(pol.nvars, order, pol.weights))
 
 
 def _pieces(monkeypatch, name):

@@ -13,6 +13,7 @@ import pytest
 from conftest import power_constant_terms, theta_coefficient
 
 from mirrorpair import (
+    InvariantTable,
     MirrorChange,
     MissingDataError,
     NovikovSeries,
@@ -20,6 +21,7 @@ from mirrorpair import (
     ProperPotential,
     TruncationError,
     XLaurentSeries,
+    attach_invariants,
     classical_period,
     compare_periods,
     euler_scaling_check,
@@ -235,14 +237,14 @@ def test_plane_classical_period_matches_literal_powers(p2, t_order):
     period = classical_period(pot, t_order)
     assert all(d == 3 * beta[0] for beta, d, _ in period.terms)
     want = power_constant_terms(pot.collapse(t_order), t_order)
-    assert period.series().as_dict() == {n: v for n, v in enumerate(want) if v}
+    assert period.as_dict() == {n: v for n, v in enumerate(want) if v}
 
 
 @pytest.mark.parametrize("t_order", [8, 16, 24])
 def test_space_classical_period_matches_literal_powers(p3, t_order):
     pot = proper_potential(p3, t_order)
     want = power_constant_terms(pot.collapse(t_order), t_order)
-    got = classical_period(pot, t_order).series().as_dict()
+    got = classical_period(pot, t_order).as_dict()
     assert got == {n: v for n, v in enumerate(want) if v}
 
 
@@ -251,9 +253,8 @@ def test_mixed_sign_classical_period_per_class(blp3, order):
     """θ_β = [q^β] S^{m·β}, with S = 1 + Σ w_β q^β raised by repeated products."""
     pot = proper_potential(blp3, order)
     period = classical_period(pot, order)
-    assert period.refusal is not None
     with pytest.raises(TruncationError, match="both signs"):
-        period.series()
+        period.as_dict()
     pol = pot.geometry.policy
     S = NovikovSeries(pol, {(0, 0): Fraction(1), **dict(pot.terms)})
     got = {beta: (d, v) for beta, d, v in period.terms}
@@ -272,6 +273,24 @@ def test_mixed_sign_classical_period_per_class(blp3, order):
     assert got  # the mixed-sign pair has classes with D·β ≥ 1
 
 
+def test_every_t_collapse_refuses_a_mixed_sign_pair_alike(blp3):
+    """The potential, the classical and the quantum period share one refusal."""
+    table = InvariantTable(((("x_point", (0, 2), 0), Fraction(1)),
+                            (("x_point", (3, 5), 0), Fraction(7))))
+    pot = proper_potential(blp3, 6)
+    views = (
+        lambda: pot.collapse(6),
+        lambda: classical_period(pot, 6).as_dict(),
+        lambda: quantum_period(attach_invariants(blp3, table), 6).as_dict(),
+    )
+    messages = set()
+    for view in views:
+        with pytest.raises(TruncationError, match="both signs") as caught:
+            view()
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+
+
 def test_classical_period_refuses_a_short_mirror_exponent(p2):
     pot = proper_potential(p2, 12)
     low = NovikovSeries(proper_potential(p2, 9).geometry.policy, pot.change.g.terms)
@@ -285,7 +304,7 @@ def test_classical_period_refuses_a_short_mirror_exponent(p2):
 
 
 def test_classical_equals_regularized_plane(p2):
-    cl = classical_period(proper_potential(p2, 9), 9).series()
+    cl = classical_period(proper_potential(p2, 9), 9)
     reg = regularize(quantum_period(p2, 9))
     assert cl.as_dict() == reg.as_dict()
 

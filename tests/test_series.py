@@ -223,6 +223,23 @@ def test_kernels_match_naive_series(f):
     assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
 
 
+@given(f=_weighted_series(), scale=st.integers(min_value=-3, max_value=4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scaled_exp_through_a_lower_order_matches_naive_series(f, scale, data):
+    """exp(scale, order) is e^{scale·f} cut at weight `order`, under a policy that says so."""
+    pol = f.policy
+    u = f - NovikovSeries.constant(pol, f.constant_term())
+    order = data.draw(st.integers(min_value=0, max_value=pol.max_total))
+    low = TruncationPolicy.make(pol.nvars, order, pol.weights)
+    want = _naive(u * scale, lambda k: Fraction(1, math.factorial(k)))
+    got = u.exp(scale, order)
+    assert got.policy == low
+    assert got == NovikovSeries(low, want.terms)
+    assert u.exp(scale) == want
+    with pytest.raises(ValueError, match="known to"):
+        u.exp(scale, pol.max_total + 1)
+
+
 @st.composite
 def _mixed_denominator_pair(draw):
     """Two series over a 1-3 variable policy with weights 1-3 and rational
