@@ -42,11 +42,9 @@ from .ifunctions import (
     RelativeSeries,
     StateSeries,
     composed_exponent,
-    divisor_map_from_normal_bundle,
     divisor_mirror_map,
     extract_mirror_exponent,
     inverse_coordinates,
-    normal_bundle_i_function,
     normalize_i,
     relative_i_function,
     substitute_forward,

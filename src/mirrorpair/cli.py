@@ -109,12 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("quantum-period", help="quantum period in t"))
     common(sub.add_parser("regularized-period", help="degreewise d!-rescaled quantum period"))
 
-    p = common(sub.add_parser("proper-potential", help="proper Landau-Ginzburg potential"))
-    p.add_argument(
-        "--per-beta",
-        action="store_true",
-        help="also list the per-curve-class terms before collapsing",
-    )
+    common(sub.add_parser("proper-potential", help="proper Landau-Ginzburg potential"))
 
     common(sub.add_parser("classical-period", help="constant-term period of the potential"))
 
@@ -420,7 +415,7 @@ def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
     except TruncationError as exc:
         records = []
         md["collapsed_view"] = f"refused: {exc}"
-    if ns.per_beta or len(geom.m_vector) > 1:
+    if len(geom.m_vector) > 1:
         records += _potential_term_records(pot)
     _emit(ns.fmt, md, records, stream)
     return 0

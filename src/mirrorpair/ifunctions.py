@@ -44,6 +44,7 @@ from .algebra import (
     GradedAlgebra,
     _combine,
     _sparse,
+    nilpotency_index,
     pairing_pushforward,
     rat,
 )
@@ -53,8 +54,6 @@ from .series import (
     PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
-    ZLaurentElement,
-    nilpotent_reciprocal,
 )
 
 
@@ -82,20 +81,12 @@ class PochhammerChains:
     literal product.  Each chain keeps the rows of all its lengths and grows
     one link at a time, by a truncated scalar product with the link's
     binomial row (`_link_row`), so a prefix is built once however many
-    classes β ask for it.  `__call__` scales u's powers, built once per
-    class, by a row.  Make one table per build; it is not a cache.
+    classes β ask for it.  Make one table per build; it is not a cache.
     """
 
     def __init__(self) -> None:
         self._rows: dict[tuple[Element, int, int], list[tuple[list[int], int]]] = {}
-        self._powers: dict[Element, list[Element]] = {}
-
-    def __call__(self, u: Element, n: int, s: int, e: int) -> ZLaurentElement:
-        nums, den = self.rows(u, n, s, e)[n]
-        powers = self._power_list(u, len(nums) - 1)
-        return ZLaurentElement(u.algebra, {
-            n * e - j: powers[j].scale(Fraction(c, den)) for j, c in enumerate(nums) if c
-        })
+        self._tops: dict[Element, int | None] = {}
 
     def rows(self, u: Element, n: int, s: int, e: int) -> list[tuple[list[int], int]]:
         """The rows (c_j numerators, denominator > 0) of P(u, m, s, e) for every m ≤ n."""
@@ -126,21 +117,14 @@ class PochhammerChains:
 
     def _top(self, u: Element, e: int) -> int | None:
         """u's last nonzero power, or None for e > 0 on a class that is not nilpotent."""
-        powers = self._power_list(u, u.algebra.top_degree + 2)
-        if powers[-1].is_zero():
-            return len(powers) - 2
-        if e < 0:
+        if u not in self._tops:
+            try:
+                self._tops[u] = nilpotency_index(u) - 1
+            except AlgebraError:
+                self._tops[u] = None
+        if self._tops[u] is None and e < 0:
             raise AlgebraError(f"{u!r} is not nilpotent in {u.algebra.name}")
-        return None
-
-    def _power_list(self, u: Element, top: int) -> list[Element]:
-        """u^0, u^1, … through u^top or through u's first zero power, whichever is first."""
-        powers = self._powers.get(u)
-        if powers is None:
-            powers = self._powers[u] = [u.algebra.unit()]
-        while len(powers) <= top and not powers[-1].is_zero():
-            powers.append(powers[-1] * u)
-        return powers
+        return self._tops[u]
 
 
 def _link_row(a: int, e: int, top: int | None) -> tuple[list[int], int]:
@@ -567,16 +551,14 @@ def absolute_core(geom: PairGeometry, beta: tuple[int, ...]) -> dict[int, Fracti
 class DivisorMirrorMap:
     """z^{≥0} correction data of the divisor theory: {(beta, zexp): ambient class}."""
 
-    __slots__ = ("geometry_name", "source", "reason", "terms")
+    __slots__ = ("source", "reason", "terms")
 
     def __init__(
         self,
-        geometry_name: str,
         source: str,
         reason: str | None,
         terms: tuple[tuple[tuple[tuple[int, ...], int], Element], ...],
     ):
-        self.geometry_name = geometry_name
         self.source = source
         self.reason = reason
         self.terms = terms
@@ -590,7 +572,7 @@ class DivisorMirrorMap:
 
 def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
     if geom.tau_d_source == "zero":
-        return DivisorMirrorMap(geom.name, "zero", geom.tau_d_reason, ())
+        return DivisorMirrorMap("zero", geom.tau_d_reason, ())
     # tau_d_source = table, the only other value the loader accepts
     if geom.table is None or geom.table.is_empty_for("d_point"):
         raise MissingDataError(
@@ -604,147 +586,7 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
         coeff = v * Fraction((-1) ** (a + 1) * math.factorial(a + 1))
         cls = push_unit.scale(coeff)
         _merge_add(terms, (tuple(beta), 0), cls)
-    return DivisorMirrorMap(geom.name, geom.tau_d_source, None, tuple(sorted(terms.items())))
-
-
-# -- the normal-bundle compactification route (machinery check for the above) --
-
-
-class NormalBundleModel:
-    """The compactified normal-bundle geometry: divisor algebra extended by h0
-    with h0² = −c1(N)·h0, plus the series data of its relative I-function."""
-
-    __slots__ = ("algebra", "h0_indices", "terms")
-
-    def __init__(self, algebra: GradedAlgebra, h0_indices: tuple[int, ...], terms: dict):
-        self.algebra = algebra
-        self.h0_indices = h0_indices  # basis index of b⊗h0 for each divisor index b
-        self.terms = terms            # (beta, j, zexp, logpow0) -> Element of `algebra`
-
-
-def build_normal_bundle_algebra(geom: PairGeometry) -> tuple[GradedAlgebra, tuple[int, ...]]:
-    div = geom.divisor
-    c1n = geom.restriction(geom.divisor_class)
-    names = list(div.basis) + [f"{b}.h0" for b in div.basis]
-    degrees = list(div.degrees) + [d + 1 for d in div.degrees]
-    n = div.dim
-    products: dict[tuple[str, str], dict[str, Fraction]] = {}
-
-    def put(a: str, b: str, el_plain: Element | None, el_h0: Element | None):
-        vec: dict[str, Fraction] = {}
-        if el_plain is not None:
-            for i, c in enumerate(el_plain.coeffs):
-                if c:
-                    vec[names[i]] = vec.get(names[i], Fraction(0)) + c
-        if el_h0 is not None:
-            for i, c in enumerate(el_h0.coeffs):
-                if c:
-                    vec[names[n + i]] = vec.get(names[n + i], Fraction(0)) + c
-        if vec:
-            products[(a, b)] = vec
-
-    ui = div.unit_index
-    for i in range(n):
-        ei = div.basis_element(i)
-        for j in range(n):
-            ej = div.basis_element(j)
-            plain = ei * ej
-            if not (i == ui or j == ui):
-                put(names[i], names[j], plain, None)
-            # e_i * (e_j h0) = (e_i e_j) h0
-            if i != ui:
-                put(names[i], names[n + j], None, plain)
-            # (e_i h0)(e_j h0) = e_i e_j h0² = −(e_i e_j c1N) h0
-            put(names[n + i], names[n + j], None, -(plain * c1n))
-    alg = GradedAlgebra.from_products(
-        f"{div.name}.normal_bundle", names, degrees, products,
-        unit=names[ui],
-        point=names[n + (div.point_index if div.point_index is not None else 0)],
-    )
-    return alg, tuple(range(n, 2 * n))
-
-
-def normal_bundle_i_function(geom: PairGeometry) -> NormalBundleModel:
-    """Relative I-function of (compactified normal bundle, zero section).
-
-    Terms are indexed by the divisor curve class β together with the fiber
-    offset j ≥ 0 (the extension variable exponent is c1(N)·β + j; the contact
-    order is −j).  Only β=0 plus table-supplied d_point rows feed in; the
-    divisor's own mirror-map seed is zero by assumption here.
-    """
-    alg, h0_idx = build_normal_bundle_algebra(geom)
-    div = geom.divisor
-    n = div.dim
-    h0 = alg.basis_element(h0_idx[div.unit_index])
-    c1n_y = alg.element(
-        tuple(geom.restriction(geom.divisor_class).coeffs) + (Fraction(0),) * n
-    )
-    pol = geom.policy
-    rows = geom.table.rows_for("d_point") if geom.table is not None else []
-    betas: list[tuple[int, ...]] = [tuple([0] * pol.nvars)]
-    betas += sorted({tuple(b) for (b, _, _) in rows if pol.admits(tuple(b))})
-
-    terms: dict = {}
-    chains = PochhammerChains()
-    pole_base = h0 - c1n_y
-    pref = _prefactor_terms([h0])  # exp(h0 · log y0 / z)
-    for beta in betas:
-        if all(b == 0 for b in beta):
-            base = ZLaurentElement(alg, {1: alg.unit()})
-        else:
-            zterms: dict[int, Element] = {}
-            for b, a, v in rows:
-                if tuple(b) == beta:
-                    z = -a - 1
-                    zterms[z] = zterms.get(z, alg.zero()) + alg.unit().scale(v)
-            if not zterms:
-                continue
-            base = ZLaurentElement(alg, zterms)
-        dbeta = geom.contact_weight(beta)
-        wb = pol.weight(beta)
-        for j in range(0, pol.max_total - wb + 1):
-            # Π_{a≤0}(h0 + a z) / Π_{a≤k}(h0 + a z); for k < 0 it keeps the bare a = 0 factor
-            k = dbeta + j
-            if k >= 0:
-                term = base * chains(h0, k, 1, -1)
-            else:
-                term = base * ZLaurentElement.from_element(h0) * chains(h0, -k - 1, -1, 1)
-            if j > 0:
-                term = term * nilpotent_reciprocal(pole_base, j)
-            for z, el in term.terms.items():
-                for alpha, shift, pcls in pref:
-                    _merge_add(terms, (beta, j, z + shift, alpha), el * pcls)
-    return NormalBundleModel(alg, h0_idx, terms)
-
-
-def divisor_map_from_normal_bundle(geom: PairGeometry, model: NormalBundleModel) -> DivisorMirrorMap:
-    """Extract the z^{≥0} content at extension variable = 1 beyond the seed z·[1].
-
-    Coefficients must be of the form v⊗h0 (fiber direction); the ambient class
-    recorded is the pairing pushforward of v.
-    """
-    div = geom.divisor
-    n = div.dim
-    out: dict[tuple[tuple[int, ...], int], Element] = {}
-    for (beta, j, z, logpow), el in model.terms.items():
-        if z < 0 or logpow != (0,):
-            continue
-        plain = el.coeffs[:n]
-        fiber = el.coeffs[n:]
-        if all(b == 0 for b in beta) and z == 1 and j == 0:
-            # the seed z·[1]: subtract the unit, anything else is a violation
-            rem = list(plain)
-            rem[div.unit_index] -= 1
-            plain = tuple(rem)
-        if any(c != 0 for c in plain):
-            raise MalformedMirrorMapError(
-                f"normal-bundle series has a base-direction z^{z} term at {beta}"
-            )
-        v = div.element(fiber)
-        if v.is_zero():
-            continue
-        _merge_add(out, (tuple(beta), z), pairing_pushforward(geom.restriction, v))
-    return DivisorMirrorMap(geom.name, "normal_bundle_route", None, tuple(sorted(out.items())))
+    return DivisorMirrorMap(geom.tau_d_source, None, tuple(sorted(terms.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,9 @@ def inversion_roundtrip(f: SimplePoleLaurent, order: int) -> tuple[bool, dict[in
 
 
 class BellReport:
-    __slots__ = ("order", "ok", "mismatches")
+    __slots__ = ("ok", "mismatches")
 
-    def __init__(
-        self, order: int, ok: bool, mismatches: tuple[tuple[int, Fraction, Fraction], ...]
-    ):
-        self.order = order
+    def __init__(self, ok: bool, mismatches: tuple[tuple[int, Fraction, Fraction], ...]):
         self.ok = ok
         self.mismatches = mismatches
 
@@ -169,7 +166,7 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
         b = rterm.coefficient((n,))
         if a != b:
             mismatches.append((n, a, b))
-    return BellReport(order, not mismatches, tuple(mismatches))
+    return BellReport(not mismatches, tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------

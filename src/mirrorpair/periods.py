@@ -61,8 +61,8 @@ def collapse_by_degree(
         raise TruncationError(
             f"{geom.name}: m_vector {','.join(map(str, m))} has entries "
             "of both signs, so infinitely many classes share each t-degree D.beta "
-            "and any truncated collapse (the collapsed potential and its classical "
-            "period) changes with the order; only the per-class terms are exact"
+            "and any truncated sum over one t-degree changes with the order; only the "
+            "per-class terms are exact"
         )
     sums: dict[int, Fraction] = {}
     for _, d, v in terms:
@@ -248,12 +248,11 @@ def classical_period(pot: ProperPotential, t_order: int) -> PeriodSeries:
 
 
 class PeriodComparison:
-    __slots__ = ("geometry_name", "t_order", "rows", "all_match", "first_mismatch",
+    __slots__ = ("t_order", "rows", "all_match", "first_mismatch",
                  "negative_control", "expected_mismatch_degree")
 
     def __init__(
         self,
-        geometry_name: str,
         t_order: int,
         rows: tuple[tuple[int, Fraction, Fraction, bool], ...],
         all_match: bool,
@@ -261,7 +260,6 @@ class PeriodComparison:
         negative_control: bool,
         expected_mismatch_degree: int | None,
     ):
-        self.geometry_name = geometry_name
         self.t_order = t_order
         self.rows = rows  # (d, classical, regularized, ok)
         self.all_match = all_match
@@ -316,7 +314,6 @@ def compare_periods(
             first = d
         out_rows.append((d, c, r, ok))
     return PeriodComparison(
-        geom.name,
         t_order,
         tuple(out_rows),
         first is None,
@@ -331,13 +328,11 @@ def compare_periods(
 
 
 class EulerScalingReport:
-    __slots__ = ("geometry_name", "order", "coefficient_identity_ok", "scaling_ok",
+    __slots__ = ("coefficient_identity_ok", "scaling_ok",
                  "display_ok", "endpoint_y_ok", "endpoint_q_ok", "details")
 
     def __init__(
         self,
-        geometry_name: str,
-        order: int,
         coefficient_identity_ok: bool,
         scaling_ok: bool,
         display_ok: bool,
@@ -345,8 +340,6 @@ class EulerScalingReport:
         endpoint_q_ok: bool,
         details: str,
     ):
-        self.geometry_name = geometry_name
-        self.order = order
         self.coefficient_identity_ok = coefficient_identity_ok  # L == R
         self.scaling_ok = scaling_ok        # Δ_D L == Δ_D R
         self.display_ok = display_ok        # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
@@ -442,9 +435,7 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     elif not endpoint_q:
         details = _first_difference(g_back, g)
 
-    return EulerScalingReport(
-        geom.name, pol.max_total, ident, scaling, display, endpoint_y, endpoint_q, details
-    )
+    return EulerScalingReport(ident, scaling, display, endpoint_y, endpoint_q, details)
 
 
 def roundtrip_for_geometry(pot: ProperPotential) -> RoundtripReport:

@@ -30,6 +30,13 @@ potential, multiplied out as whole x-Laurent series.  The package reads the
 classical period off the mirror exponent as θ_β = (m·β)·g_β instead, so the
 two routes share no code past the collapse.
 
+The normal-bundle route to the divisor mirror map τ_D: the relative
+I-function of the compactified normal bundle P(N ⊕ O) of D with its zero
+section, one link at a time over D's ring extended by h0, read off at z ≥ 0
+in the fiber direction.  The package reads τ_D off the d_point rows with the
+factor (−1)^{a+1}(a+1)! instead, so the two routes share only the pairing
+pushforward, which test_algebra checks against its defining property.
+
 The brute-force structure checks: every associativity triple of a ring and
 every basis pair of a restriction map, each product by the dense table.  The
 package sweeps only the triples that its O(n²) checks leave open, and
@@ -43,12 +50,15 @@ from itertools import product as iproduct
 import pytest
 
 from mirrorpair import (
+    GradedAlgebra,
     NovikovSeries,
     PairGeometry,
     StateSeries,
     TruncationError,
     XLaurentSeries,
+    ZLaurentElement,
     load_geometry,
+    nilpotent_reciprocal,
     pairing_pushforward,
 )
 
@@ -301,6 +311,76 @@ def theta_coefficient(w, n):
     if w.t_order < n:
         raise TruncationError(f"potential truncated at t^{w.t_order}; rerun with order >= {n}")
     return power_constant_terms(w, n)[n]
+
+
+def normal_bundle_algebra(geom):
+    """D's ring extended by h0, with h0² = −c1(N)·h0 and c1(N) = r(D).
+
+    The basis is D's basis b followed by b.h0 (degree + 1); each product of
+    basis classes is a `dense_product` in D's ring.
+    """
+    div = geom.divisor
+    n, ui = div.dim, div.unit_index
+    minus_c1n = -geom.restriction(geom.divisor_class)
+    names = [*div.basis, *(f"{b}.h0" for b in div.basis)]
+    products = {}
+    for i, j in iproduct(range(n), repeat=2):
+        plain = div.element(dense_product(div.basis_element(i), div.basis_element(j)))
+        # e_i·e_j, e_i·(e_j h0) = (e_i e_j) h0 and (e_i h0)(e_j h0) = −(e_i e_j c1N) h0
+        for a, b, shift, vec in ((i, j, 0, plain.coeffs), (i, n + j, n, plain.coeffs),
+                                 (n + i, n + j, n, dense_product(plain, minus_c1n))):
+            if ui not in (a, b) and any(vec):
+                products[(names[a], names[b])] = {names[shift + k]: c for k, c in enumerate(vec) if c}
+    return GradedAlgebra.from_products(
+        f"{div.name}.normal_bundle", names, [*div.degrees, *(d + 1 for d in div.degrees)],
+        products, unit=names[ui], point=names[n + (div.point_index or 0)],
+    )
+
+
+def normal_bundle_divisor_map(geom):
+    """τ_D by the normal-bundle route: {(β, z): ambient class} over z ≥ 0.
+
+    Per class β (β = 0 with base z·1, and each class of the d_point rows
+    within the truncation with base Σ v·z^{−a−1}) and fiber offset j ≥ 0 with
+    k = D·β + j: the base times Π_{a≤0}(h0 + az)/Π_{a≤k}(h0 + az), one link
+    at a time, times 1/(h0 − c1(N) + jz) when j > 0.  Of exp(h0·log y₀/z)
+    only the unit term is log-free, so no prefactor is expanded.  Every z ≥ 0
+    coefficient but the seed z·1 must lie in the fiber direction v·h0
+    (ValueError otherwise); v is recorded as its pairing pushforward.
+    """
+    alg = normal_bundle_algebra(geom)
+    div, pol = geom.divisor, geom.policy
+    n = div.dim
+    h0 = alg.basis_element(n + div.unit_index)
+    pole = h0 - alg.element(geom.restriction(geom.divisor_class).coeffs + (0,) * n)
+    zero = (0,) * pol.nvars
+    bases = {zero: {1: Fraction(1)}}
+    for beta, a, v in geom.table.rows_for("d_point") if geom.table is not None else ():
+        if any(beta) and pol.admits(tuple(beta)):
+            row = bases.setdefault(tuple(beta), {})
+            row[-a - 1] = row.get(-a - 1, 0) + v
+    out = {}
+    for beta, row in bases.items():
+        for j in range(pol.max_total - pol.weight(beta) + 1):
+            k = geom.contact_weight(beta) + j
+            term = ZLaurentElement(alg, {z: alg.unit().scale(v) for z, v in row.items()})
+            for a in range(k + 1, 1):  # k < 0: Π_{k<a≤0}(h0 + az)
+                term = term * ZLaurentElement.linear(h0, a)
+            for a in range(1, k + 1):  # k > 0: Π_{0<a≤k} 1/(h0 + az)
+                term = term * nilpotent_reciprocal(h0, a)
+            if j:
+                term = term * nilpotent_reciprocal(pole, j)
+            for z, el in term.terms.items():
+                if z < 0:
+                    continue
+                plain = list(el.coeffs[:n])
+                if beta == zero and j == 0 and z == 1:
+                    plain[div.unit_index] -= 1  # the seed z·1
+                if any(plain):
+                    raise ValueError(f"normal-bundle route: base-direction z^{z} term at {beta}")
+                cls = pairing_pushforward(geom.restriction, div.element(el.coeffs[n:]))
+                out[(beta, z)] = out[(beta, z)] + cls if (beta, z) in out else cls
+    return {key: cls for key, cls in out.items() if not cls.is_zero()}
 
 
 def check_algebra_brute_force(alg):

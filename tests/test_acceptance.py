@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from random import Random
 
-from conftest import theta_coefficient
+from conftest import normal_bundle_divisor_map, theta_coefficient
 
 from mirrorpair import (
     MirrorChange,
@@ -19,10 +19,8 @@ from mirrorpair import (
     builtin_geometry,
     compare_periods,
     composed_exponent,
-    divisor_map_from_normal_bundle,
     divisor_mirror_map,
     inversion_roundtrip,
-    normal_bundle_i_function,
     normalize_i,
     proper_potential,
     quantum_period,
@@ -91,8 +89,7 @@ def test_criterion_05_divisor_exponents_vanish():
     for name in ("p2_cubic", "p3_quartic"):
         geom = builtin_geometry(name)
         assert divisor_mirror_map(geom).is_zero()
-        model = normal_bundle_i_function(geom)
-        assert divisor_map_from_normal_bundle(geom, model).is_zero()
+        assert normal_bundle_divisor_map(geom) == {}
     _line(5, "divisor mirror maps vanish for both projective pairs, on both routes")
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_algebra_brute_force, check_restriction_brute_force, dense_product
+from conftest import (
+    check_algebra_brute_force,
+    check_restriction_brute_force,
+    dense_product,
+    normal_bundle_algebra,
+)
 from mirrorpair import (
     AlgebraError,
     Element,
@@ -22,7 +27,6 @@ from mirrorpair import (
     solve_exact,
     sum_of_products,
 )
-from mirrorpair.ifunctions import build_normal_bundle_algebra
 
 P2 = builtin_geometry("p2_cubic")
 P3 = builtin_geometry("p3_quartic")
@@ -360,7 +364,7 @@ def test_element_ring_axioms(a, b, c):
 # the product kernel, restriction and pushforward against literal sums
 
 ALGEBRAS = [P2.ambient, P2.divisor, P3.ambient, P3.divisor, BL.ambient, BL.divisor,
-            build_normal_bundle_algebra(BL)[0]]
+            normal_bundle_algebra(BL)]
 
 sparse_rationals = st.one_of(
     st.just(Fraction(0)),

@@ -129,7 +129,7 @@ def test_mirror_map_emits_inverse_coordinates():
     assert rows[("composed_exponent", "q^2")] == "3"
 
 
-def test_proper_potential_per_beta_rows():
+def test_proper_potential_lists_per_class_rows_for_several_variables():
     _, text = _run("proper-potential", "--geometry", "blp3_k3", "--order", "4",
                    "--format", "json")
     doc = json.loads(text)

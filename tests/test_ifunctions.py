@@ -21,6 +21,7 @@ from conftest import (
     class_thetas,
     geometry_with,
     geometric_reciprocal,
+    normal_bundle_divisor_map,
     state_product,
 )
 from mirrorpair import (
@@ -40,12 +41,10 @@ from mirrorpair import (
     builtin_geometry,
     composed_exponent,
     divisor_mirror_map,
-    divisor_map_from_normal_bundle,
     extract_mirror_exponent,
     inverse_coordinates,
     load_geometry,
     nilpotent_reciprocal,
-    normal_bundle_i_function,
     normalize_i,
     relative_i_function,
     substitute_forward,
@@ -67,12 +66,23 @@ from mirrorpair.ifunctions import (
 # P(u, c, +1, −1) for c ≥ 0 and u·P(u, −c−1, −1, +1) for c < 0.
 
 
+def _row_link(u, e, nums, den):
+    """Σ_k (nums[k]/den)·u^k·z^{e−k}, the link a scalar row stands for."""
+    return ZLaurentElement(u.algebra, {
+        e - k: u.power(k).scale(Fraction(n, den)) for k, n in enumerate(nums)})
+
+
+def _chain(chains, u, n, s, e):
+    """P(u, n, s, e) as a z-Laurent element, read off the table's row of length n."""
+    return _row_link(u, n * e, *chains.rows(u, n, s, e)[n])
+
+
 def test_factor_at_zero_contact_is_one(p2):
     u = p2.ambient.named("H")
     chains = PochhammerChains()
     for s in (1, -1):
         for e in (1, -1):
-            assert chains(u, 0, s, e) == ZLaurentElement.one(p2.ambient)
+            assert _chain(chains, u, 0, s, e) == ZLaurentElement.one(p2.ambient)
 
 
 def test_factor_at_negative_contact_is_literal_product(p2):
@@ -80,19 +90,19 @@ def test_factor_at_negative_contact_is_literal_product(p2):
     bare = ZLaurentElement.from_element(u)
     chains = PochhammerChains()
     # c = -1: the single a = 0 factor, i.e. the bare class
-    assert bare * chains(u, 0, -1, 1) == bare
+    assert bare * _chain(chains, u, 0, -1, 1) == bare
     # c = -2: (u - z) * u
-    assert bare * chains(u, 1, -1, 1) == ZLaurentElement.linear(u, -1) * bare
+    assert bare * _chain(chains, u, 1, -1, 1) == ZLaurentElement.linear(u, -1) * bare
     # c = -3 without u: (u - z)(u - 2z) = u² - 3uz + 2z²
     expect = ZLaurentElement(p2.ambient, {
         0: p2.ambient.named("H2"), 1: u.scale(-3), 2: p2.ambient.unit().scale(2)})
-    assert chains(u, 2, -1, 1) == expect
+    assert _chain(chains, u, 2, -1, 1) == expect
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_factor_at_positive_contact_multiplies_back(p2, c):
     u = p2.ambient.named("H")
-    back = PochhammerChains()(u, c, 1, -1)
+    back = _chain(PochhammerChains(), u, c, 1, -1)
     for a in range(1, c + 1):
         back = back * ZLaurentElement.linear(u, a)
     assert back == ZLaurentElement.one(p2.ambient)
@@ -115,12 +125,6 @@ def _literal_link(u, a, e):
     return link
 
 
-def _row_link(u, e, nums, den):
-    """Σ_k (nums[k]/den)·u^k·z^{e−k}, the link a scalar row stands for."""
-    return ZLaurentElement(u.algebra, {
-        e - k: u.power(k).scale(Fraction(n, den)) for k, n in enumerate(nums)})
-
-
 @pytest.mark.parametrize("which", list(CHAIN_CASES))
 def test_chains_match_literal_products(p2, blp3, which):
     if which == "p2_H":
@@ -141,12 +145,12 @@ def test_chains_match_literal_products(p2, blp3, which):
                 literal = one
                 for a in range(1, n + 1):
                     literal = literal * _literal_link(u, s * a, e)
-                assert shared(u, n, s, e) == literal
-                assert PochhammerChains()(u, n, s, e) == literal
+                assert _chain(shared, u, n, s, e) == literal
+                assert _chain(PochhammerChains(), u, n, s, e) == literal
         for e in exponents:
             if e > 0:
                 for n in range(length + 1):
-                    assert shared(u, n, s, e) * shared(u, n, s, -e) == one
+                    assert _chain(shared, u, n, s, e) * _chain(shared, u, n, s, -e) == one
 
 
 def _literal_chain(u, n, s, e):
@@ -177,23 +181,19 @@ def test_chain_rows_match_literal_products(blp3, coords, n, s, e):
         with pytest.raises(AlgebraError, match="not nilpotent"):
             chains.rows(u, n, s, e)
         return
-    literal = _literal_chain(u, n, s, e)
     nums, den = chains.rows(u, n, s, e)[n]
     assert den > 0 and all(isinstance(c, int) for c in nums)
-    assert ZLaurentElement(amb, {
-        n * e - j: u.power(j).scale(Fraction(c, den)) for j, c in enumerate(nums)
-    }) == literal
-    assert chains(u, n, s, e) == literal
+    assert _chain(chains, u, n, s, e) == _literal_chain(u, n, s, e)
 
 
 def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
     unit = p2.ambient.unit()
     with pytest.raises(AlgebraError, match="not nilpotent"):
-        PochhammerChains()(unit, 2, 1, -1)
+        PochhammerChains().rows(unit, 2, 1, -1)
     z = ZLaurentElement.linear(unit, 1)
     twice = ZLaurentElement.linear(unit, 2)
     square = z * twice * z * twice  # ((1 + z)(1 + 2z))²
-    assert PochhammerChains()(unit, 2, 1, 2) == square
+    assert _chain(PochhammerChains(), unit, 2, 1, 2) == square
 
 
 def test_chain_rejects_bad_arguments(p2):
@@ -201,7 +201,7 @@ def test_chain_rejects_bad_arguments(p2):
     chains = PochhammerChains()
     for args in ((-1, 1, 1), (2, 0, 1), (2, 2, 1), (2, 1, 0)):
         with pytest.raises(ValueError):
-            chains(u, *args)
+            chains.rows(u, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,8 @@ def test_table_pieces_are_literal_link_products(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "blp3_k3", "p2_from_table"])
 def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
-    # the template forms every piece from scalar rows: no z-Laurent product,
-    # chain element or reciprocal is made on the way
+    # the template forms every piece from scalar rows: no z-Laurent element,
+    # product or reciprocal is made on the way
     geom = _p2_from_table() if name == "p2_from_table" else builtin_geometry(name)
     calls = []
 
@@ -338,11 +338,7 @@ def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ZLaurentElement, "__mul__", counted(ZLaurentElement.__mul__, "mul"))
-    monkeypatch.setattr(PochhammerChains, "__call__", counted(PochhammerChains.__call__, "chain"))
-    reciprocal = counted(nilpotent_reciprocal, "reciprocal")
-    for mod in ("mirrorpair.ifunctions", "mirrorpair.series"):
-        monkeypatch.setattr(f"{mod}.nilpotent_reciprocal", reciprocal)
+    monkeypatch.setattr(ZLaurentElement, "__init__", counted(ZLaurentElement.__init__, "element"))
     built = relative_i_function(geom)
     monkeypatch.undo()
     assert built.terms and calls == []
@@ -370,7 +366,7 @@ def _pieces(monkeypatch, name):
             term = ZLaurentElement(geom.ambient, {
                 z: geom.ambient.unit().scale(v) for z, v in absolute_core(geom, (b,)).items()})
             if c < 0:
-                term = term * chains(geom.divisor_class, -c - 1, -1, -1)
+                term = term * _chain(chains, geom.divisor_class, -c - 1, -1, -1)
             pieces.append(((b,), -c, term.terms))
         return geom, pieces
     geom = _at_order(builtin_geometry(name), 6)
@@ -455,7 +451,7 @@ def test_absolute_core_of_the_plane(p2):
     # the plane's closed-form core at degree 1 is 1/(H + z)^3, one factor per
     # coordinate hyperplane
     H, H2 = p2.ambient.named("H"), p2.ambient.named("H2")
-    core = PochhammerChains()(H, 1, 1, -3)
+    core = _chain(PochhammerChains(), H, 1, 1, -3)
     assert core.coefficient(-3) == p2.ambient.unit()
     assert core.coefficient(-4) == -H.scale(3)
     assert core.coefficient(-5) == H2.scale(6)
@@ -467,7 +463,7 @@ def test_one_point_invariants_match_closed_form(p2, p3):
     # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core
     # P(H, d, +1, −(n+1)) = Π_{k≤d} 1/(H + kz)^{n+1} at z^{−D·β}
     def core(geom, n, d):
-        return PochhammerChains()(geom.ambient.named("H"), d, 1, -(n + 1))
+        return _chain(PochhammerChains(), geom.ambient.named("H"), d, 1, -(n + 1))
 
     assert [core(p2, 2, d).coefficient(-3 * d).unit_component()
             for d in (1, 2, 3)] == [Fraction(1), Fraction(1, 8), Fraction(1, 216)]
@@ -948,8 +944,7 @@ def test_composed_exponent_rejects_a_constant_term(ch, c):
 def test_divisor_exponent_vanishes_for_projective_pairs(p2, p3):
     for geom in (p2, p3):
         assert divisor_mirror_map(geom).is_zero()
-        model = normal_bundle_i_function(geom)
-        assert divisor_map_from_normal_bundle(geom, model).is_zero()
+        assert normal_bundle_divisor_map(geom) == {}
 
 
 def test_synthetic_divisor_exponent_table_route(synthetic_negative):
@@ -960,10 +955,27 @@ def test_synthetic_divisor_exponent_table_route(synthetic_negative):
 
 
 def test_synthetic_divisor_exponent_bundle_route(synthetic_negative):
-    model = normal_bundle_i_function(synthetic_negative)
-    nb = divisor_map_from_normal_bundle(synthetic_negative, model)
-    table = divisor_mirror_map(synthetic_negative)
-    assert dict(nb.terms) == dict(table.terms)
+    assert normal_bundle_divisor_map(synthetic_negative) == \
+        divisor_mirror_map(synthetic_negative).as_dict()
+
+
+# d_point rows at ψ² and ψ⁴ put the factor (−1)^{a+1}(a+1)! of the table route at a > 0
+SYNTHETIC_DESCENDANTS = SYNTHETIC_NEGATIVE.replace(
+    "    d_point 1 0 pt 1\n", "    d_point 1 0 pt 1\n    d_point 2 2 pt 3\n    d_point 3 4 pt 1/5\n")
+
+
+def test_both_divisor_exponent_routes_read_descendant_rows():
+    geom = load_geometry(SYNTHETIC_DESCENDANTS)
+    H = geom.ambient.named("H")
+    want = {((1,), 0): H.scale(2), ((2,), 0): H.scale(36), ((3,), 0): H.scale(48)}
+    assert divisor_mirror_map(geom).as_dict() == want
+    assert normal_bundle_divisor_map(geom) == want
+
+
+def test_bundle_route_catches_a_changed_descendant_row():
+    changed = load_geometry(SYNTHETIC_DESCENDANTS.replace("pt 1/5", "pt 2/5"))
+    table = divisor_mirror_map(load_geometry(SYNTHETIC_DESCENDANTS)).as_dict()
+    assert normal_bundle_divisor_map(changed) != table
 
 
 def test_relative_i_requires_zero_divisor_exponent(synthetic_negative):
