@@ -7,6 +7,9 @@ the exact verification suites (verify, identities).  Output formats: json
 "# key: value" metadata comments), or pretty (aligned text).  All values are
 exact rationals rendered as p/q strings.
 
+An in-process `run` reuses one argparse parser and one loaded geometry per
+builtin name; a --geometry or --table file is read on every call.
+
 Exit codes: 0 all requested checks pass, 1 a verification check failed,
 2 usage, configuration, or missing-data errors, 3 a broken pipeline
 invariant (a program fault, not a usage error).
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -72,7 +76,13 @@ DEFAULT_T_ORDER = 12
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    `parse_args` keeps no state on the parser, so one instance serves every
+    `run` in a process; it is not built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="mirrorpair",
         description="Exact mirror-pair pipeline: I-functions, mirror maps, "

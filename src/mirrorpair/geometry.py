@@ -15,6 +15,7 @@ three shipped pairs) so that external geometries can be supplied as files.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from fractions import Fraction
 
@@ -130,6 +131,13 @@ class ToricData:
 
 
 class PairGeometry:
+    """One log Calabi-Yau pair (X, D) with its truncation and invariant data.
+
+    Read-only: `builtin_geometry` hands one instance per name to every caller
+    in the process, so a variant is derived with `replace` (or
+    `attach_invariants`), never by assigning to a field.
+    """
+
     __slots__ = ("name", "ambient", "divisor", "restriction", "divisor_class", "picard",
                  "novikov_names", "m_vector", "policy", "j_source", "tau_d_source",
                  "toric", "table")
@@ -708,7 +716,13 @@ weights = 1 1
 }
 
 
+@functools.cache
 def builtin_geometry(name: str) -> PairGeometry:
+    """The shipped pair `name`, loaded and checked once per process.
+
+    Every call with one name returns the same read-only `PairGeometry`; an
+    unknown name raises `ConfigError` on every call.
+    """
     if name not in BUILTIN_CONFIGS:
         raise ConfigError(
             f"unknown builtin geometry {name!r}; have {sorted(BUILTIN_CONFIGS)}"

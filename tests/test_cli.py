@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorpair import BUILTIN_CONFIGS
+from mirrorpair import BUILTIN_CONFIGS, builtin_geometry, load_geometry
 from mirrorpair.cli import COMMANDS, build_parser, run
 
 
@@ -610,6 +610,36 @@ def test_geometry_flag_reads_a_config_file(tmp_path, capsys):
     assert "2" in text
 
 
+def test_tau_d_prints_only_classes_within_the_order(tmp_path):
+    from conftest import SYNTHETIC_NEGATIVE
+
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(SYNTHETIC_NEGATIVE.replace(
+        "    d_point 1 0 pt 1\n", "    d_point 1 0 pt 1\n    d_point 2 2 pt 3\n    d_point 3 4 pt 5\n"))
+    runs = {}
+    for order in ("2", "4"):
+        code, text = _run("tau-d", "--geometry", str(cfg), "--order", order, "--format", "json")
+        assert code == 0
+        runs[order] = {r["selector"]: r["value"] for r in json.loads(text)["records"]}
+    assert runs["2"] == {"beta=1 z=0 class=[H]": "2", "beta=2 z=0 class=[H]": "36"}
+    assert runs["2"].items() < runs["4"].items()
+    assert runs["4"]["beta=3 z=0 class=[H]"] == "1200"
+
+
+def test_a_tau_d_row_above_the_order_leaves_the_i_function_alone(tmp_path, capsys):
+    # τ_D's only nonzero term has weight 3, so it cannot reach an I-function
+    # cut at weight 2: the refusal at nonzero τ_D starts at --order 3.
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("tau_d_source = zero\n") == 1
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(text.replace(
+        "tau_d_source = zero\n", "tau_d_source = table\ninvariants =\n    d_point 3,0 1 pt 5\n"))
+    assert _run("i-function", "--geometry", str(cfg), "--order", "2", "--format", "json") == \
+        _run("i-function", "--geometry", "blp3_k3", "--order", "2", "--format", "json")
+    assert _run("i-function", "--geometry", str(cfg), "--order", "3") == (2, "")
+    assert "at nonzero divisor mirror map" in capsys.readouterr().err
+
+
 def test_missing_data_in_a_config_file_names_the_file(tmp_path, capsys):
     from conftest import SYNTHETIC_NEGATIVE
 
@@ -841,6 +871,53 @@ def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, mes
     assert err.startswith("error: pipeline invariant broken: ") and message in err
 
 
+def test_a_shared_parser_keeps_calls_independent(capsys):
+    """`run` reuses one parser: no flag, default or usage error of one call
+    reaches the next, and the last output is a fresh interpreter's."""
+    assert build_parser() is build_parser()
+    verify = ["verify", "--geometry", "p2_cubic", "--order", "9", "--format", "json"]
+    code, text = _run(*verify, "--negative-control")
+    assert code == 0 and json.loads(text)["metadata"]["negative_control"] == "true"
+    code, text = _run(*verify)
+    md = json.loads(text)["metadata"]
+    assert code == 0 and (md["negative_control"], md["result"]) == ("false", "pass")
+
+    identities = ["identities", "--cases", "2", "--format", "json"]
+    assert json.loads(_run(*identities, "--seed", "3")[1])["metadata"]["seed"] == 3
+    assert json.loads(_run(*identities)[1])["metadata"]["seed"] == 0
+
+    good = ["mirror-map", "--geometry", "p3_quartic", "--format", "csv"]  # default order
+    first = _run(*good)
+    assert run(good + ["--order", "1"], stream=io.StringIO()) == 2
+    assert run(good + ["--no-such-flag"], stream=io.StringIO()) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    last = _run(*good)
+    assert last == first and last[0] == 0
+    proc = subprocess.run([sys.executable, "-m", "mirrorpair.cli", *good], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (0, last[1].encode())
+
+
+@pytest.mark.parametrize("name, row", [
+    ("p2_cubic", "x_point 1 1 pt 1"),
+    ("p3_quartic", "x_point 1 2 pt 1"),
+    ("blp3_k3", "x_point 0,2 0 pt 5"),
+])
+def test_commands_leave_the_shared_builtin_unchanged(tmp_path, name, row):
+    table = tmp_path / "rows.tsv"
+    table.write_text(row + "\n")
+    shared = builtin_geometry(name)
+    for argv in (["mirror-map", "--order", "5"], ["proper-potential", "--order", "3"],
+                 ["quantum-period", "--table", str(table)]):
+        assert run([*argv, "--geometry", name], stream=io.StringIO()) == 0, argv
+
+    def state(geom):
+        rows = None if geom.table is None else geom.table.entries
+        return geom.policy.max_total, geom.policy.weights, geom.m_vector, rows
+
+    assert builtin_geometry(name) is shared
+    assert state(shared) == state(load_geometry(BUILTIN_CONFIGS[name], name))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mirrorpair.cli", "tau-d", "--geometry", "p2_cubic"],
@@ -850,10 +927,9 @@ def test_module_entry_point():
     assert "zero" in proc.stdout
 
 
-def test_start_up_loads_no_dataclasses():
-    """Generating dataclass methods, and importing `dataclasses` with the
-    `inspect` it pulls in, cost about a fifth of a command's start-up: a
-    fresh interpreter that imports the CLI and loads the builtins loads neither."""
+def _after_start_up(*exprs):
+    """The printed values of exprs in a fresh `-I` interpreter that has
+    imported the CLI from this checkout and loaded every builtin."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
@@ -863,10 +939,26 @@ def test_start_up_loads_no_dataclasses():
         "for name in BUILTIN_CONFIGS:\n"
         "    builtin_geometry(name)\n"
         "print(mirrorpair.cli.__file__)\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
-    )
+    ) + "".join(f"print({e})\n" for e in exprs)
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    path, loaded = proc.stdout.split("\n")[:2]
+    path, *values = proc.stdout.split("\n")[: len(exprs) + 1]
     assert Path(path).resolve().is_relative_to(src)
-    assert loaded == ""
+    return values
+
+
+def test_start_up_loads_no_dataclasses():
+    """Generating dataclass methods, and importing `dataclasses` with the
+    `inspect` it pulls in, cost about a fifth of a command's start-up: a
+    fresh interpreter that imports the CLI and loads the builtins loads neither."""
+    loaded = "' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
+    assert _after_start_up(loaded) == [""]
+
+
+def test_start_up_builds_no_parser():
+    """The parser is built by the first `run`, not at import: a process that
+    only imports the CLI and loads the builtins, as the set-up of a benchmark
+    does, builds none and has loaded each builtin once."""
+    built = "mirrorpair.cli.build_parser.cache_info().currsize"
+    loaded = "builtin_geometry.cache_info().currsize"
+    assert _after_start_up(built, loaded) == ["0", "3"]

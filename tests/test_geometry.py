@@ -32,8 +32,10 @@ def test_builtin_catalog():
     for name in BUILTINS:
         g = builtin_geometry(name)
         assert g.name == name
-    with pytest.raises(ConfigError, match="unknown builtin"):
-        builtin_geometry("p4_quintic")
+        assert builtin_geometry(name) is g  # one shared geometry per name
+    for _ in range(2):  # a refusal is not cached as an answer
+        with pytest.raises(ConfigError, match="unknown builtin"):
+            builtin_geometry("p4_quintic")
 
 
 def test_builtin_shapes():
@@ -271,7 +273,8 @@ def test_loading_a_builtin_multiplies_no_elements(monkeypatch, name):
         return original(*args)
 
     monkeypatch.setattr(algebra, "sum_of_products", counted)
-    builtin_geometry(name)
+    # the loader itself: builtin_geometry returns its shared copy once loaded
+    load_geometry(BUILTIN_CONFIGS[name], name)
     assert len(calls) == 0
 
 
