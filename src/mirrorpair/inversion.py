@@ -9,29 +9,40 @@ terms recover the mirror exponent it was built from.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .ifunctions import MirrorChange, class_constant_terms, composed_exponent
-from .series import NovikovSeries, TruncationPolicy, _accumulate
+from .series import NovikovSeries, TruncationPolicy
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials as plain dicts {exponent: Fraction}
+# rational polynomials as dense integer numerators over one denominator
 
 
-def _poly_mul(
-    a: dict[int, Fraction], b: dict[int, Fraction], cap: int
-) -> dict[int, Fraction]:
-    """a·b with only the exponents ≤ cap kept, accumulated in integers."""
-    right = sorted((e, c.numerator, c.denominator) for e, c in b.items())
-    acc: dict = {}
-    for ea, ca in a.items():
-        na, da = ca.numerator, ca.denominator
-        for eb, nb, db in right:
-            if ea + eb > cap:
-                break
-            _accumulate(acc, ea + eb, na * nb, da * db)
-    return {e: Fraction(n, d) for e, (n, d) in acc.items() if n}
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """a·b on dense integer coefficient lists (index = exponent), kept through x^n."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: len(out)]):
+        if ai:
+            for j, bj in enumerate(b[: len(out) - i], i):
+                out[j] += ai * bj
+    return out
+
+
+def _numerators(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """(N, D) with coeffs = N/D elementwise, D the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _power_walk(coeffs: list[Fraction], n: int):
+    """(F^k through x^n, L^k) for k = 1, 2, ..., where F/L = coeffs as a polynomial."""
+    f, d = _numerators(coeffs)
+    power, scale = [1], 1
+    while True:
+        power, scale = _mul(f, power, n), scale * d
+        yield power, scale
 
 
 class SimplePoleLaurent:
@@ -54,20 +65,13 @@ def lagrange_inverse(f: SimplePoleLaurent, order: int) -> dict[int, Fraction]:
     """Coefficients g_k of the compositional inverse g(ω) = Σ_{k≥1} g_k ω^{-k}.
 
     g_k = (1/k)·[f^k]_{x^{-1}}; the result satisfies f(g(ω)) = ω order by order.
-    Every exponent of f is ≥ −1, so only exponents ≤ order − k − 1 of f^k
-    reach a later [f^j]_{x^{-1}} and the running power keeps no others.
+    With f = x^{-1}·F/L for an integer polynomial F, g_k = [F^k]_{x^{k-1}}/(k·L^k),
+    and F has no negative exponents, so the running power keeps x^{order-1}.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    fd = f.as_dict()
-    out: dict[int, Fraction] = {}
-    power = {0: Fraction(1)}
-    for k in range(1, order + 1):
-        power = _poly_mul(power, fd, order - k - 1)
-        c = power.get(-1, Fraction(0))
-        if c:
-            out[k] = c / k
-    return out
+    walk = zip(range(1, order + 1), _power_walk([Fraction(1), *f.tail], order - 1))
+    return {k: Fraction(p[k - 1], k * scale) for k, (p, scale) in walk if p[k - 1]}
 
 
 def compose(f: SimplePoleLaurent, g: dict[int, Fraction], order: int) -> dict[int, Fraction]:
@@ -76,6 +80,11 @@ def compose(f: SimplePoleLaurent, g: dict[int, Fraction], order: int) -> dict[in
     g's keys are k ≥ 1 meaning g_k ω^{-k}; the leading order must be strictly
     negative (some key with a nonzero value), making 1/g(ω) well defined as a
     series in ω^{-1}.  The expansion is reported through ω^{-order}.
+
+    In u = ω^{-1}, with G = D·g integer and f_j = Φ_j/L: Σ_{j≤J} f_j g^j is Horner's
+    rule on integer numerators over L·D^{J+1}, and 1/g = u^{-lead}·D/S for
+    S = G/u^lead, where 1/S = Σ_k R_k u^k/s_0^{k+1} with R_0 = 1 and
+    R_k = −Σ_{1≤j≤k} S_j·s_0^{j−1}·R_{k−j}.
     """
     ks = sorted(k for k, v in g.items() if v)
     if not ks:
@@ -83,30 +92,30 @@ def compose(f: SimplePoleLaurent, g: dict[int, Fraction], order: int) -> dict[in
     if ks[0] < 1:
         raise ValueError("inverse series must live in negative ω-powers")
     lead = ks[0]
-    m = order + 2 * lead  # internal u-order margin (u = ω^{-1})
-    pol = TruncationPolicy.make(1, max_total=m)
-    gu = NovikovSeries(pol, {(k,): Fraction(v) for k, v in g.items()})
-    # 1/g = u^{-lead} · 1/(g/u^lead); g/u^lead has a nonzero constant term
-    shifted = NovikovSeries(pol, {(k - lead,): Fraction(v) for k, v in g.items()})
-    inv = shifted.reciprocal()
+    m = order + 2 * lead  # g is read through u^m
+    if m < 0:
+        raise ValueError("truncation order must be nonnegative")
+    gnum, d = _numerators([Fraction(g.get(k, 0)) for k in range(m + 1)])
+    s = gnum[lead:]  # S through u^{order+lead}, as the window needs
+    steps = [sj * s[0] ** (j - 1) for j, sj in enumerate(s) if j]
+    recip: list[int] = []
+    for k in range(len(s)):
+        recip.append(-sum(steps[j] * recip[k - 1 - j] for j in range(k)) if k else 1)
+    n = max(order, 0)
+    phis, den = _numerators(list(f.tail))
+    horner, lift = [0] * (n + 1), 1
+    for phi in reversed(phis):  # f_J, ..., f_0; G has no constant term
+        lift *= d
+        horner = _mul(horner, gnum, n)
+        horner[0] += phi * lift
+    den *= lift
     out: dict[int, Fraction] = {}
-
-    def add(uexp: int, c: Fraction):
-        if c and uexp <= order:
-            oexp = -uexp
-            out[oexp] = out.get(oexp, Fraction(0)) + c
-            if not out[oexp]:
-                del out[oexp]
-
-    for (k,), c in inv.terms.items():
-        add(k - lead, c)
-    power = NovikovSeries.one(pol)  # g^j as j walks the tail
-    for j, fj in enumerate(f.tail):
-        if j:
-            power = power * gu
-        if fj:
-            for (k,), c in power.terms.items():
-                add(k, c * fj)
+    for k, r in enumerate(recip):  # the u^{k-lead} coefficient of 1/g, then of Σ f_j g^j
+        e, num, q = k - lead, d * r, s[0] ** (k + 1)
+        if e >= 0:
+            num, q = num * den + horner[e] * q, q * den
+        if num:
+            out[-e] = Fraction(num, q)
     return out
 
 
@@ -142,31 +151,18 @@ def bell_identity_check(tail: tuple[Fraction, ...], order: int) -> BellReport:
     Only x-degrees ≤ order are read and f has no negative exponents, so the
     running power keeps no higher ones.
     """
-    fd = {0: Fraction(1)}
-    for j, c in enumerate(tail, start=1):
-        if c:
-            fd[j] = Fraction(c)
     pol = TruncationPolicy.make(1, max_total=order)
-    arg = {}
-    rhs = {}
-    power = {0: Fraction(1)}
-    for k in range(1, order + 1):
-        power = _poly_mul(power, fd, order)
-        ck = power.get(k, Fraction(0))
-        if ck:
-            arg[(k,)] = ck / k
-        dk = power.get(k - 1, Fraction(0))
-        if dk:
-            rhs[(k - 1,)] = rhs.get((k - 1,), Fraction(0)) + dk / k
+    arg, rhs = {}, {}
+    walk = _power_walk([Fraction(1), *map(Fraction, tail)], order)
+    for k, (power, scale) in zip(range(1, order + 1), walk):
+        if power[k]:
+            arg[(k,)] = Fraction(power[k], k * scale)
+        if power[k - 1]:
+            rhs[k - 1] = Fraction(power[k - 1], k * scale)
     lhs = NovikovSeries(pol, arg).exp()
-    rterm = NovikovSeries(pol, rhs)
-    mismatches = []
-    for n in range(0, order):
-        a = lhs.coefficient((n,))
-        b = rterm.coefficient((n,))
-        if a != b:
-            mismatches.append((n, a, b))
-    return BellReport(not mismatches, tuple(mismatches))
+    pairs = ((n, lhs.coefficient((n,)), rhs.get(n, Fraction(0))) for n in range(order))
+    mismatches = tuple(t for t in pairs if t[1] != t[2])
+    return BellReport(not mismatches, mismatches)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,28 @@ def test_identities_deterministic_under_seed():
     assert c[0] == 0  # different draws, still passing
 
 
+def test_identities_reports_a_planted_inversion_fault(monkeypatch):
+    """Negative control: a wrong inverse fails every Lagrange case, not the Bell ones."""
+    from mirrorpair import inversion
+
+    original = inversion.lagrange_inverse
+
+    def bumped(f, order):
+        g = original(f, order)
+        g[2] = g.get(2, 0) + 1
+        return g
+
+    monkeypatch.setattr(inversion, "lagrange_inverse", bumped)
+    code, text = _run("identities", "--cases", "3", "--format", "json")
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["metadata"]["result"] == "fail (3 cases)"
+    status = {}
+    for r in doc["records"]:
+        status.setdefault(r["series"], []).append(r["value"])
+    assert status == {"lagrange_roundtrip": ["fail"] * 3, "bell_identity": ["pass"] * 3}
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -222,16 +222,16 @@ small_rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
                             st.integers(min_value=1, max_value=4))
 
 
-mixed_rationals = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
-                            st.integers(min_value=1, max_value=12))
-laurent_polys = st.dictionaries(st.integers(min_value=-2, max_value=8), mixed_rationals,
-                                max_size=6)
+integer_polys = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=9)
 
 
-@given(a=laurent_polys, b=laurent_polys, cap=st.integers(min_value=-4, max_value=14))
+@given(a=integer_polys, b=integer_polys, cap=st.integers(min_value=-4, max_value=14))
 @settings(max_examples=60, deadline=None)
-def test_poly_mul_is_the_literal_capped_double_sum(a, b, cap):
-    assert inversion._poly_mul(a, b, cap) == _umul(a, b, cap)
+def test_mul_is_the_literal_capped_double_sum(a, b, cap):
+    got = inversion._mul(a, b, cap)
+    assert len(got) == max(cap + 1, 0)  # dense through x^cap
+    assert {e: c for e, c in enumerate(got) if c} == _umul(dict(enumerate(a)),
+                                                           dict(enumerate(b)), cap)
 
 
 @given(tail=st.lists(small_rationals, max_size=6), order=st.integers(min_value=1, max_value=12))
@@ -251,20 +251,34 @@ def test_bell_sums_read_untruncated_coefficients(tail, order):
     fd = {0: Fraction(1)}
     fd.update({j: c for j, c in enumerate(tail, start=1) if c})
     seen = []
-    original = inversion._poly_mul
+    original = inversion._power_walk
 
-    def spy(a, b, cap):
-        seen.append(original(a, b, cap))
-        return seen[-1]
+    def spy(coeffs, n):
+        for power, scale in original(coeffs, n):
+            seen.append([Fraction(c, scale) for c in power])
+            yield power, scale
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inversion, "_poly_mul", spy)
+        mp.setattr(inversion, "_power_walk", spy)
         assert bell_identity_check(tuple(tail), order).ok
     full = _full_powers(fd, order)
     assert len(seen) == order
     for k, (power, exact) in enumerate(zip(seen, full), start=1):
         for e in (k, k - 1):  # [f^k]_{x^k} and [f^k]_{x^{k-1}} feed the two sums
-            assert power.get(e, 0) == exact.get(e, 0)
+            assert power[e] == exact.get(e, 0)
+
+
+@given(tail=st.lists(small_rationals, max_size=6),
+       g1=small_rationals.filter(lambda c: c not in (0, 1, -1)),
+       rest=st.lists(small_rationals, max_size=12), order=st.integers(min_value=0, max_value=10))
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_hand_composition_on_rational_data(tail, g1, rest, order):
+    """Rational f and g with g_1 not a unit: the common denominators and the
+    powers of g_1 in the reciprocal are exercised, which integer sweeps never do."""
+    f = SimplePoleLaurent(tuple(tail))
+    g = {1: g1, **dict(enumerate(rest, start=2))}
+    want = _compose_by_hand(f, g, order)
+    assert compose(f, g, order) == {-e: c for e, c in want.items()}
 
 
 # ---------------------------------------------------------------------------
