@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -248,14 +248,15 @@ def _sparse(coeffs: Iterable[Fraction]) -> tuple[tuple[int, int, int], ...]:
     return tuple((k, c.numerator, c.denominator) for k, c in enumerate(coeffs) if c)
 
 
-def _combine(
+def _rows(
     terms: Iterable[tuple[tuple[tuple[int, int, int], ...], int, int]], dim: int
-) -> tuple[Fraction, ...]:
-    """Σ (n/d)·row over (row, n, d) terms, rows sparse as in `_sparse`.
+) -> tuple[tuple[int, int, int], ...]:
+    """Σ (n/d)·row over (row, n, d) terms, rows sparse as in `_sparse`, as a sparse row.
 
     Each output coordinate accumulates an integer numerator over an integer
-    denominator, joined by their lcm, and becomes one normalized Fraction at
-    the end.
+    denominator, joined by their lcm.  The nonzero ones come back as
+    (index, numerator, denominator) triples reduced by their gcd, with a
+    positive denominator; no Fraction is made.
     """
     num = [0] * dim
     den = [1] * dim
@@ -270,7 +271,23 @@ def _combine(
                 m = lcm(dk, d)
                 num[k] = num[k] * (m // dk) + n * (m // d)
                 den[k] = m
-    return tuple(Fraction(n, d) if n else _ZERO for n, d in zip(num, den))
+    out = []
+    for k, n in enumerate(num):
+        if n:
+            d = den[k]
+            g = gcd(n, d)
+            out.append((k, n // g, d // g))
+    return tuple(out)
+
+
+def _combine(
+    terms: Iterable[tuple[tuple[tuple[int, int, int], ...], int, int]], dim: int
+) -> tuple[Fraction, ...]:
+    """`_rows` as a dense coefficient tuple of Fractions."""
+    coeffs = [_ZERO] * dim
+    for k, n, d in _rows(terms, dim):
+        coeffs[k] = Fraction(n, d)
+    return tuple(coeffs)
 
 
 def sum_of_products(
@@ -279,7 +296,7 @@ def sum_of_products(
     """Σ a·b over the pairs (a, b) of elements of ``alg``, exactly.
 
     Only nonzero coordinates of the operands and nonzero structure constants
-    are visited, and the sum is accumulated in integers by `_combine`.
+    are visited, and the sum is accumulated in integers by `_rows`.
     """
     pairs = list(pairs)
     for a, b in pairs:
@@ -334,7 +351,7 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
       (k,j,i) does, and is reported with it;
     * a triple (i,j,i), whose two sides the same identities show equal.
 
-    The two sides of a swept triple are `_combine` of the rows C[l][k]
+    The two sides of a swept triple are `_rows` of the rows C[l][k]
     weighted by c_ij^l and of the rows C[i][l] weighted by c_jk^l.
     """
     problems: list[str] = []
@@ -369,8 +386,8 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
             for k in rest:
                 if k <= i or degrees[i] + degrees[j] + degrees[k] > top:
                     continue
-                left = _combine(((consts[l][k], c, d) for l, c, d in consts[i][j]), n)
-                right = _combine(((consts[i][l], c, d) for l, c, d in consts[j][k]), n)
+                left = _rows(((consts[l][k], c, d) for l, c, d in consts[i][j]), n)
+                right = _rows(((consts[i][l], c, d) for l, c, d in consts[j][k]), n)
                 if left != right:
                     failing |= {(i, j, k), (k, j, i)}
     return [f"{alg.name}: associativity fails at ({i},{j},{k})" for i, j, k in sorted(failing)]
@@ -431,7 +448,7 @@ class RestrictionMap:
 def check_restriction(rm: RestrictionMap) -> list[str]:
     """Verify multiplicativity on every basis pair, plus unit and degrees.
 
-    Both sides of r(e_i·e_j) = r(e_i)·r(e_j) are one `_combine` each: the
+    Both sides of r(e_i·e_j) = r(e_i)·r(e_j) are one `_rows` each: the
     image rows weighted by the source constants C[i][j], and the target
     constants weighted by the products of the image rows of e_i and e_j.
     """
@@ -448,8 +465,8 @@ def check_restriction(rm: RestrictionMap) -> list[str]:
                     f"not homogeneous of degree {src.degrees[i]}"
                 )
         for j in range(src.dim):
-            left = _combine(((rows[l], n, d) for l, n, d in src.constants[i][j]), dim)
-            right = _combine(
+            left = _rows(((rows[l], n, d) for l, n, d in src.constants[i][j]), dim)
+            right = _rows(
                 ((consts[a][b], an * bn, ad * bd)
                  for a, an, ad in rows[i] for b, bn, bd in rows[j]),
                 dim,

@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
 
@@ -141,9 +141,55 @@ def build_parser() -> argparse.ArgumentParser:
 # output
 
 
+def _json_scalar(key: str, value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"JSON output: {key!r} holds a {type(value).__name__}; only str, int, bool, "
+        "None and flat lists of them are written"
+    )
+
+
+def _json_object(obj: dict, pad: str) -> str:
+    """One flat dict whose closing brace sits at indent ``pad``."""
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    items = []
+    for key, value in obj.items():
+        if not isinstance(value, list):
+            text = _json_scalar(key, value)
+        elif value:
+            nested = "\n" + inner + "  "
+            text = ("[" + nested + ("," + nested).join([_json_scalar(key, v) for v in value])
+                    + "\n" + inner + "]")
+        else:
+            text = "[]"
+        items.append(inner + encode_basestring_ascii(key) + ": " + text)
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+def _json_document(metadata: dict, records: list[dict]) -> str:
+    """``json.dumps({"metadata": metadata, "records": records}, indent=2)``, byte
+    for byte, written directly: with an indent set the stdlib skips its C
+    encoder for its pure-Python one.  Values are str, int, bool or None, or
+    flat lists of them; any other value is a TypeError naming its key."""
+    body = ",\n".join(["    " + _json_object(r, "    ") for r in records])
+    listed = "[\n" + body + "\n  ]" if records else "[]"
+    return '{\n  "metadata": ' + _json_object(metadata, "  ") + ',\n  "records": ' + listed + "\n}"
+
+
 def _emit(fmt: str, metadata: dict, records: list[dict], stream) -> None:
     if fmt == "json":
-        stream.write(json.dumps({"metadata": metadata, "records": records}, indent=2) + "\n")
+        stream.write(_json_document(metadata, records) + "\n")
         return
     if fmt == "csv":
         for k, v in metadata.items():

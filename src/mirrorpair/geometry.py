@@ -24,8 +24,7 @@ from .algebra import (
     Element,
     GradedAlgebra,
     RestrictionMap,
-    _combine,
-    _sparse,
+    _rows,
     check_algebra,
     check_restriction,
     rat,
@@ -557,7 +556,7 @@ def _integral_of_top_power(alg: GradedAlgebra, h: int) -> Fraction:
     """∫e_h^n for n the top degree, multiplied up on the sparse structure constants."""
     row = ((h, 1, 1),)
     for _ in range(alg.top_degree - 1):
-        row = _sparse(_combine(((alg.constants[l][h], c, d) for l, c, d in row), alg.dim))
+        row = _rows(((alg.constants[l][h], c, d) for l, c, d in row), alg.dim)
     return sum((Fraction(c, d) * alg.integration[l] for l, c, d in row), Fraction(0))
 
 

@@ -43,7 +43,7 @@ from .algebra import (
     Element,
     GradedAlgebra,
     _combine,
-    _sparse,
+    _rows,
     nilpotency_index,
     pairing_pushforward,
     rat,
@@ -328,7 +328,7 @@ class _StateProduct:
         cup_d = [(div.basis_element(k) * rd).support for k in range(div.dim)]
 
         def then(last, dim):
-            return [[_sparse(_combine(((last[k], n, d) for k, n, d in c), dim)) for c in row]
+            return [[_rows(((last[k], n, d) for k, n, d in c), dim) for c in row]
                     for row in div.constants]
 
         self.cup, self.restricted = amb.constants, div.constants
@@ -344,9 +344,7 @@ class _StateProduct:
         out: dict = {}
         for (beta, c, logpow), value in terms.items():
             supp = value.support
-            on_div = supp if c else _sparse(
-                _combine(((images[i], n, d) for i, n, d in supp), dim)
-            )
+            on_div = supp if c else _rows(((images[i], n, d) for i, n, d in supp), dim)
             packed = sum(map(mul, beta, powers))
             out.setdefault((c, logpow), []).append((weight(beta), packed, (supp, on_div)))
         for rows in out.values():
@@ -497,35 +495,42 @@ class RelativeSeries:
 
 def _monomials(
     alg: GradedAlgebra, classes: list[Element], reach: list[int]
-) -> list[tuple[tuple[int, ...], int, Element]]:
+) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
     """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f, as
-    (exponents j, Σ j, product), exponents in lexicographic order.  Each power
-    is one product from the one before, and a row stops at its first zero.
+    (exponents j, Σ j, sparse integer row of the product), exponents in
+    lexicographic order.  Each power is one `_rows` product from the one
+    before, through the structure constants, and a row stops at its first zero.
     """
-    monomials = [((), 0, alg.unit())]
+    consts, dim = alg.constants, alg.dim
+    monomials = [((), 0, alg.unit().support)]
     for u, n in zip(classes, reach):
+        support = u.support
         grown = []
         for js, t, m in monomials:
             for j in range(n):
-                if m.is_zero():
+                if not m:
                     break
                 grown.append((js + (j,), t + j, m))
-                m = m * u
+                m = _rows(((consts[i][k], mn * un, md * ud)
+                           for i, mn, md in m for k, un, ud in support), dim)
         monomials = grown
     return monomials
 
 
-def _prefactor_terms(classes: list[Element]) -> list[tuple[tuple[int, ...], int, Element]]:
+def _prefactor_terms(
+    classes: list[Element],
+) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
     """Expansion of exp(Σ p_i ℓ_i / z) over the degree-1 classes p_i: list of
-    (log multi-index α, z-shift −|α|, class).
+    (log multi-index α, z-shift −|α|, sparse integer row of the class).
 
-    The class is (Π p_i^{α_i}) / Π α_i!; a product of more than the algebra's
-    top degree of them is 0, so the list is finite.
+    The class is (Π p_i^{α_i}) / Π α_i!, the monomial's row with Π α_i! folded
+    into its denominators; a product of more than the algebra's top degree of
+    them is 0, so the list is finite.
     """
     alg = classes[0].algebra
     return [
-        (alpha, -total, m.scale(Fraction(1, math.prod(map(math.factorial, alpha)))))
-        for alpha, total, m in _monomials(alg, classes, [alg.top_degree + 1] * len(classes))
+        (alpha, -total, _rows(((row, 1, math.prod(map(math.factorial, alpha))),), alg.dim))
+        for alpha, total, row in _monomials(alg, classes, [alg.top_degree + 1] * len(classes))
     ]
 
 
@@ -600,48 +605,50 @@ _OVERALL_Z = 1  # the template's overall factor z
 
 def _assemble(
     geom: PairGeometry,
-    pieces: list[tuple[tuple[int, ...], int, dict[int, Element]]],
+    pieces: list[tuple[tuple[int, ...], int, dict[int, tuple[tuple[int, int, int], ...]]]],
     lowest_z: int | None = None,
 ) -> RelativeSeries:
     """Shared final stage: overall z, prefactor expansion, contact attachment.
 
-    Each prefactor class p_α becomes, once per call, two tables of sparse
-    rows: e_i·p_α in the ambient algebra and r(e_i·p_α) on the divisor.
-    Each output term is then one `_combine` of a coefficient's support
-    against the rows its contact selects.  Pieces carry distinct (β, contact).
-    A nonzero ambient term above z¹ is a ConfigError naming the class: the
-    pair or its invariant rows break the shape z·[1] + O(z⁰) of a log
-    Calabi–Yau I-function.  Terms below ``lowest_z`` are not formed, and the
-    series records that floor; content above z¹ is checked either way.
+    A piece (β, contact, {z: row}) holds each nonzero z-slice of its class as
+    a sparse integer row of the ambient algebra, as `_rows` returns it.  Each
+    prefactor class p_α becomes, once per call, two tables of such rows:
+    e_i·p_α through the ambient structure constants and r(e_i·p_α) through
+    the restriction's image rows.  Each output term is then one `_combine`
+    of a slice against the rows its contact selects, and only a nonzero one
+    becomes an Element.  Pieces carry distinct (β, contact).  A nonzero
+    ambient term above z¹ is a ConfigError naming the class: the pair or its
+    invariant rows break the shape z·[1] + O(z⁰) of a log Calabi–Yau
+    I-function.  Terms below ``lowest_z`` are not formed, and the series
+    records that floor; content above z¹ is checked either way.
     """
-    amb, div, r = geom.ambient, geom.divisor, geom.restriction
+    amb, div = geom.ambient, geom.divisor
+    consts, images = amb.constants, geom.restriction.rows
     low = -math.inf if lowest_z is None else lowest_z
-    basis = [amb.basis_element(i) for i in range(amb.dim)]
     table = []
-    for alpha, shift, pcls in _prefactor_terms(list(geom.picard)):
-        products = [e * pcls for e in basis]
-        rows = [p.support for p in products]
-        restricted = [r(p).support for p in products]
+    for alpha, shift, prefactor in _prefactor_terms(list(geom.picard)):
+        rows = [_rows(((c[j], n, d) for j, n, d in prefactor), amb.dim) for c in consts]
+        restricted = [_rows(((images[k], n, d) for k, n, d in row), div.dim) for row in rows]
         table.append((alpha, shift + _OVERALL_Z, rows, restricted))
     table.sort(key=lambda t: -t[1])  # by falling shift, so those that reach `low` lead
     drops = [-shift for _, shift, _, _ in table]
     terms: dict = {}
     for beta, contact, slices in pieces:
         alg = amb if contact == 0 else div
-        for z, el in slices.items():
+        for z, row in slices.items():
             for alpha, shift, rows, restricted in table[: bisect_right(drops, z - low)]:
                 zf = z + shift
                 if zf > 1:
-                    if any(_combine(((rows[i], n, d) for i, n, d in el.support), amb.dim)):
+                    if _rows(((rows[i], n, d) for i, n, d in row), amb.dim):
                         raise ConfigError(
                             f"{geom.name}: the I-function of class {beta} has content "
                             f"at z^{zf}, above z^1"
                         )
                     continue
                 use = rows if contact == 0 else restricted
-                if not any(use[i] for i, _, _ in el.support):
+                if not any(use[i] for i, _, _ in row):
                     continue
-                coeffs = _combine(((use[i], n, d) for i, n, d in el.support), alg.dim)
+                coeffs = _combine(((use[i], n, d) for i, n, d in row), alg.dim)
                 if any(coeffs):
                     terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
     return RelativeSeries(geom, terms, lowest_z)
@@ -734,8 +741,10 @@ def _hypergeometric(
     Every factor is a scalar row over the powers of its class: the chain rows
     of `PochhammerChains`, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j
     the e = −1 link row.  So the nonzero monomials Π_f u_f^{j_f}·D^{j_D} are
-    tabulated once per build as sparse rows, and each z-slice of a class is
-    one `_combine` of them, weighted by integer products of its rows and base.
+    tabulated once per build as sparse integer rows (`_monomials`), and each
+    z-slice of a class is one `_rows` of them, weighted by integer products
+    of its rows and base.  `_assemble` receives every nonzero slice as that
+    row; an empty one is dropped.
     With ``lowest_z`` given, a slice that cannot reach it after assembly is
     not formed: monomials go by rising Σ j, so a class stops at the first one
     whose slices all lie below the template floor.
@@ -753,7 +762,7 @@ def _hypergeometric(
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
     reach.append(max(len(nums) for nums, _ in poles.values()))
     monomials = _monomials(amb, [cls for cls, _, _ in factors] + [dcls], reach)
-    monomials = sorted(((js, t, m.support) for js, t, m in monomials), key=lambda m: m[1])
+    monomials.sort(key=lambda m: m[1])
     degrees = [t for _, t, _ in monomials]
     # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
     # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
@@ -781,7 +790,7 @@ def _hypergeometric(
                     for z, vn, vd in base:
                         slices.setdefault(z - t, []).append((support, n * vn, vd))
         pieces.append((beta, -c, {
-            z: Element(amb, _combine(terms, amb.dim)) for z, terms in slices.items() if z >= floor
+            z: row for z, terms in slices.items() if z >= floor and (row := _rows(terms, amb.dim))
         }))
     return _assemble(geom, pieces, lowest_z)
 

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,6 +28,7 @@ from mirrorpair import (
     solve_exact,
     sum_of_products,
 )
+from mirrorpair.algebra import _combine, _rows
 
 P2 = builtin_geometry("p2_cubic")
 P3 = builtin_geometry("p3_quartic")
@@ -394,6 +396,52 @@ def test_product_kernel_matches_the_dense_table(alg, data):
     for x, y in pairs:
         expect = [e + c for e, c in zip(expect, dense_product(x, y))]
     assert sum_of_products(alg, pairs).coeffs == tuple(expect)
+
+
+def _literal_rows_sum(terms, dim):
+    """Σ (n/d)·row as a dense list of Fractions, one Fraction sum per triple."""
+    out = [Fraction(0)] * dim
+    for row, rn, rd in terms:
+        for k, n, d in row:
+            out[k] += Fraction(n, d) * Fraction(rn, rd)
+    return out
+
+
+@st.composite
+def weighted_rows(draw):
+    """(dim, terms): sparse rows of distinct rising indices with nonzero coordinates
+    over denominators up to 12, weighted by n/d; optionally each term is followed
+    by its negation, so the whole sum cancels."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    coordinate = st.tuples(st.integers(min_value=-30, max_value=30).filter(bool),
+                           st.integers(min_value=1, max_value=12))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        picked = draw(st.dictionaries(st.integers(min_value=0, max_value=dim - 1), coordinate))
+        row = tuple((k, n, d) for k, (n, d) in sorted(picked.items()))
+        weight = (draw(st.integers(min_value=-20, max_value=20)),
+                  draw(st.integers(min_value=-9, max_value=9).filter(bool)))
+        terms.append((row, *weight))
+    if draw(st.booleans()):
+        terms += [(row, -n, d) for row, n, d in terms]
+    return dim, terms
+
+
+@given(drawn=weighted_rows())
+@example(drawn=(2, [(((0, 1, 2), (1, 1, 6)), 1, 1), (((0, 1, 3), (1, 1, 3)), 1, 1)]))
+@example(drawn=(1, [(((0, 3, 4),), 2, 3), (((0, 1, 2),), -1, 1)]))
+@example(drawn=(4, []))
+@settings(max_examples=200, deadline=None)
+def test_rows_is_the_literal_fraction_sum(drawn):
+    # the examples join 1/2 + 1/3 over lcm 6 and reduce 1/6 + 1/3 = 3/6, and cancel
+    # 3/4·2/3 − 1/2 to nothing
+    dim, terms = drawn
+    got = _rows(terms, dim)
+    expect = _literal_rows_sum(terms, dim)
+    assert got == tuple((k, c.numerator, c.denominator) for k, c in enumerate(expect) if c)
+    for k, n, d in got:
+        assert type(n) is int and type(d) is int and n and d > 0 and gcd(n, d) == 1
+    assert _combine(terms, dim) == tuple(expect)
 
 
 def test_product_kernel_rejects_mixed_algebras():

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mirrorpair import BUILTIN_CONFIGS, builtin_geometry, load_geometry
+from mirrorpair import BUILTIN_CONFIGS, builtin_geometry, cli, load_geometry
 from mirrorpair.cli import COMMANDS, build_parser, run
 
 
@@ -87,6 +89,47 @@ def test_json_records_carry_structured_fields():
 
     for r in doc["records"]:
         Fraction(r["value"])
+
+
+@pytest.mark.parametrize("argv", [
+    *[(command, "--geometry", name) for command in COMMANDS if command != "identities"
+      for name in sorted(BUILTIN_CONFIGS)],
+    ("identities", "--cases", "3"),
+])
+def test_json_output_is_the_stdlib_indented_document(monkeypatch, argv):
+    # the stdlib encoder is the oracle: json.dumps(doc, indent=2) of the very
+    # metadata and records `_emit` was handed
+    handed = []
+    real = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda fmt, md, recs, stream:
+                        handed.append((md, recs)) or real(fmt, md, recs, stream))
+    code, text = _run(*argv, "--format", "json")
+    assert len(handed) == (code != 2)
+    for md, recs in handed:
+        assert text == json.dumps({"metadata": md, "records": recs}, indent=2) + "\n"
+
+
+json_scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+json_flat = st.dictionaries(st.text(), st.one_of(json_scalars, st.lists(json_scalars)))
+
+
+@given(metadata=json_flat, records=st.lists(json_flat, max_size=4))
+@example(metadata={}, records=[])
+@example(metadata={"\u00e9\u2603\U0001f600": "\"\\\n\x00\x1f\x7f\ud800"},
+         records=[{}, {"n": [-(10 ** 40), 0, 10 ** 40, True, None, ""], "e": []}])
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_the_stdlib_on_flat_documents(metadata, records):
+    out = io.StringIO()
+    cli._emit("json", metadata, records, out)
+    assert out.getvalue() == json.dumps(
+        {"metadata": metadata, "records": records}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.5, {"nested": "1"}, [["1"]], [1.0]])
+def test_json_writer_refuses_values_it_cannot_write(value):
+    for metadata, records in (({"weight": value}, []), ({}, [{"series": "x", "weight": value}])):
+        with pytest.raises(TypeError, match="'weight'"):
+            cli._emit("json", metadata, records, io.StringIO())
 
 
 def test_csv_format():

@@ -9,6 +9,7 @@ paper, and the blown-up series from the closed multinomial expression
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from conftest import (
     SYNTHETIC_NEGATIVE_ZERO_TAU,
     assemble_literal,
     class_thetas,
+    dense_product,
     geometry_with,
     geometric_reciprocal,
     normal_bundle_divisor_map,
@@ -219,13 +221,40 @@ def _p2_from_table():
     ))
 
 
+def _row_element(alg, row):
+    """The class of a sparse row of (index, numerator, denominator) triples, after
+    checking that the row is in lowest terms: rising distinct indices, nonzero
+    numerators, positive denominators coprime to them."""
+    assert [k for k, _, _ in row] == sorted({k for k, _, _ in row})
+    assert all(n and d > 0 and math.gcd(n, d) == 1 for _, n, d in row), row
+    coeffs = [Fraction(0)] * alg.dim
+    for k, n, d in row:
+        coeffs[k] = Fraction(n, d)
+    return alg.element(coeffs)
+
+
+def _as_elements(geom, pieces):
+    """Pieces with sparse-row slices, as `_assemble` takes them, with class slices;
+    every slice must be nonzero."""
+    assert all(row for *_, slices in pieces for row in slices.values())
+    return [(beta, contact, {z: _row_element(geom.ambient, row) for z, row in slices.items()})
+            for beta, contact, slices in pieces]
+
+
+def _as_rows(pieces):
+    """Pieces with class slices, as `_assemble` takes them: nonzero slices as sparse rows."""
+    return [(beta, contact, {z: el.support for z, el in slices.items() if not el.is_zero()})
+            for beta, contact, slices in pieces]
+
+
 def _relative_pieces(monkeypatch, geom):
-    """The (β, contact, {z: class}) pieces `relative_i_function` hands to `_assemble`."""
+    """The (β, contact, {z: class}) pieces `relative_i_function` hands to `_assemble`,
+    their sparse-row slices read back as classes."""
     seen = []
     monkeypatch.setattr(ifunctions, "_assemble", lambda g, p, lowest_z=None: seen.append(p))
     relative_i_function(geom)
     monkeypatch.undo()
-    return seen[0]
+    return _as_elements(geom, seen[0])
 
 
 def _literal_toric_piece(geom, beta):
@@ -325,6 +354,29 @@ def test_table_pieces_are_literal_link_products(monkeypatch):
     _check_pieces(monkeypatch, geom, (2, 4, 8), _literal_relative_piece)
 
 
+def test_monomials_of_the_blowup_are_literal_products(blp3):
+    # the template's net classes (bundles minus denominators, merged) and D, each
+    # taken to a power past its nilpotency, so every row meets its first zero
+    amb = blp3.ambient
+    net = {}
+    for classes, e in ((blp3.toric.bundles, 1), (blp3.toric.denominators, -1)):
+        for cls in classes:
+            net[cls] = net.get(cls, 0) + e
+    classes = [cls for cls, e in net.items() if e] + [blp3.divisor_class]
+    reach = [amb.top_degree + 2] * len(classes)
+    expect = []
+    for js in iproduct(*map(range, reach)):
+        coeffs = amb.unit().coeffs
+        for u, j in zip(classes, js):
+            for _ in range(j):
+                coeffs = dense_product(amb.element(coeffs), u)
+        if any(coeffs):
+            row = tuple((k, c.numerator, c.denominator) for k, c in enumerate(coeffs) if c)
+            expect.append((js, sum(js), row))
+    assert len(classes) >= 3 and len(expect) > len(classes) * amb.top_degree
+    assert ifunctions._monomials(amb, classes, reach) == expect
+
+
 @pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "blp3_k3", "p2_from_table"])
 def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
     # the template forms every piece from scalar rows: no z-Laurent element,
@@ -354,7 +406,8 @@ def _at_order(geom, order):
 
 
 def _pieces(monkeypatch, name):
-    """The (β, contact, z-Laurent) pieces one I-function build hands to `_assemble`."""
+    """The (β, contact, z-Laurent) pieces one I-function build hands to `_assemble`,
+    their slices as classes."""
     if name == "synthetic_negative":
         # the relative I-function refuses this pair (nonzero divisor map), so its
         # pieces are the absolute cores times the negative-contact chains
@@ -376,7 +429,7 @@ def _pieces(monkeypatch, name):
                         lambda g, p, lowest_z=None: seen.append(p) or real(g, p, lowest_z))
     relative_i_function(geom)
     monkeypatch.undo()
-    return geom, seen[0]
+    return geom, _as_elements(geom, seen[0])
 
 
 @pytest.mark.parametrize("name", ["blp3_k3", "p2_cubic", "p3_quartic", "synthetic_negative"])
@@ -389,7 +442,7 @@ def test_assemble_matches_the_literal_assembly(monkeypatch, name):
     monkeypatch.setattr(ifunctions, "RelativeSeries",
                         lambda g, terms, lowest_z=None:
                         handed.append(dict(terms)) or real(g, terms, lowest_z))
-    series = ifunctions._assemble(geom, pieces)
+    series = ifunctions._assemble(geom, _as_rows(pieces))
     monkeypatch.undo()
     expected = assemble_literal(geom, pieces)
     assert handed == [expected]
@@ -403,7 +456,7 @@ def test_assemble_refuses_content_above_the_window(p2):
         assemble_literal(p2, pieces)
     for lowest_z in (None, 0):
         with pytest.raises(ConfigError, match="p2_cubic: .* class \\(0,\\) .* z\\^2, above z\\^1"):
-            ifunctions._assemble(p2, pieces, lowest_z)
+            ifunctions._assemble(p2, _as_rows(pieces), lowest_z)
 
 
 # ---------------------------------------------------------------------------
