@@ -158,56 +158,79 @@ def _json_scalar(key: str, value) -> str:
     )
 
 
-def _json_object(obj: dict, pad: str) -> str:
-    """One flat dict whose closing brace sits at indent ``pad``."""
-    if not obj:
-        return "{}"
+def _json_field(key: str, value, inner: str) -> str:
+    """The ``,\n<inner>"key": value`` text of one field."""
+    if not isinstance(value, (list, tuple)):
+        text = _json_scalar(key, value)
+    elif value:
+        nested = "\n" + inner + "  "
+        text = ("[" + nested + ("," + nested).join([_json_scalar(key, v) for v in value])
+                + "\n" + inner + "]")
+    else:
+        text = "[]"
+    return ",\n" + inner + encode_basestring_ascii(key) + ": " + text
+
+
+def _json_object(fields, pad: str, memo: dict, head: str = "") -> str:
+    """One flat object, closing brace at indent ``pad``: the rendered ``head``, then
+    the (key, value) pairs ``fields``, each rendered once per (field, value types)
+    through ``memo``, so that equal ``1`` and ``True``, or ``(1,)`` and ``(True,)``,
+    share no text."""
     inner = pad + "  "
-    items = []
-    for key, value in obj.items():
-        if not isinstance(value, list):
-            text = _json_scalar(key, value)
-        elif value:
-            nested = "\n" + inner + "  "
-            text = ("[" + nested + ("," + nested).join([_json_scalar(key, v) for v in value])
-                    + "\n" + inner + "]")
-        else:
-            text = "[]"
-        items.append(inner + encode_basestring_ascii(key) + ": " + text)
-    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    parts = [head]
+    for field in fields:
+        value = field[1]
+        try:
+            typed = (field, tuple(map(type, value)) if type(value) is tuple else type(value))
+            text = memo.get(typed)
+            if text is None:
+                text = memo[typed] = _json_field(field[0], value, inner)
+        except TypeError:  # unhashable (a list, a dict) or refused: no memo, refused again
+            text = _json_field(field[0], value, inner)
+        parts.append(text)
+    text = "".join(parts)
+    return "{\n" + text[2:] + "\n" + pad + "}" if text else "{}"
 
 
-def _json_document(metadata: dict, records: list[dict]) -> str:
-    """``json.dumps({"metadata": metadata, "records": records}, indent=2)``, byte
-    for byte, written directly: with an indent set the stdlib skips its C
-    encoder for its pure-Python one.  Values are str, int, bool or None, or
-    flat lists of them; any other value is a TypeError naming its key."""
-    body = ",\n".join(["    " + _json_object(r, "    ") for r in records])
+def _json_document(metadata: dict, records: list[tuple]) -> str:
+    """``json.dumps(doc, indent=2)`` byte for byte, for the doc whose records are
+    the objects ``{"series", "selector", "value", **fields}``, written directly
+    (with an indent the stdlib skips its C encoder) and each distinct field
+    rendered once per document.  Series, selector and value are str; the other
+    values are str, int, bool or None, or flat lists or tuples of them, and any
+    other value is a TypeError naming its key."""
+    enc, memo = encode_basestring_ascii, {}
+    body = ",\n".join([
+        "    " + _json_object(fields, "    ", memo, f',\n      "series": {enc(s)},\n      '
+                            f'"selector": {enc(sel)},\n      "value": {enc(v)}')
+        for s, sel, v, fields in records
+    ])
     listed = "[\n" + body + "\n  ]" if records else "[]"
-    return '{\n  "metadata": ' + _json_object(metadata, "  ") + ',\n  "records": ' + listed + "\n}"
+    return ('{\n  "metadata": ' + _json_object(metadata.items(), "  ", {})
+            + ',\n  "records": ' + listed + "\n}")
 
 
-def _emit(fmt: str, metadata: dict, records: list[dict], stream) -> None:
+def _emit(fmt: str, metadata: dict, records: list[tuple], stream) -> None:
+    """Write the metadata and the records ``(series, selector, value, fields)``:
+    ``value`` is a str and ``fields`` the (key, value) pairs JSON adds after it."""
     if fmt == "json":
         stream.write(_json_document(metadata, records) + "\n")
         return
     if fmt == "csv":
         for k, v in metadata.items():
             stream.write(f"# {k}: {v}\n")
-        writer = csv.writer(stream)
-        writer.writerow(["series", "selector", "value"])
-        for r in records:
-            writer.writerow([r["series"], r["selector"], r["value"]])
+        csv.writer(stream).writerows([("series", "selector", "value"),
+                                      *[(r[0], r[1], r[2]) for r in records]])
         return
     # pretty
     for k, v in metadata.items():
         stream.write(f"{k}: {v}\n")
     if records:
         stream.write("\n")
-        w1 = max(len(r["series"]) for r in records)
-        w2 = max(len(r["selector"]) for r in records)
+        w1 = max(len(r[0]) for r in records)
+        w2 = max(len(r[1]) for r in records)
         for r in records:
-            stream.write(f"{r['series']:<{w1}}  {r['selector']:<{w2}}  {r['value']}\n")
+            stream.write(f"{r[0]:<{w1}}  {r[1]:<{w2}}  {r[2]}\n")
 
 
 def _metadata(geom: PairGeometry | None, **extra) -> dict:
@@ -276,107 +299,91 @@ def _beta_str(beta) -> str:
     return ":".join(str(b) for b in beta)
 
 
-def _class_label(alg, index: int) -> str:
-    return "1" if index == alg.unit_index else alg.basis[index]
+def _class_labels(alg) -> list[str]:
+    return ["1" if i == alg.unit_index else name for i, name in enumerate(alg.basis)]
 
 
-def _record(series: str, selector: str, value, **fields) -> dict:
-    """One output record; the fields follow series, selector and value in order."""
-    return {"series": series, "selector": selector, "value": str(value), **fields}
-
-
-def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[dict]:
+def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[tuple]:
     """One record per nonzero class coefficient of a StateSeries (keys
     (beta, contact, logpow)) or a RelativeSeries (keys (beta, contact, z, logpow)).
 
     Records go by weight and class, then falling z, contact and log; only
-    relative series carry the z field.
+    relative series carry the z field.  A term's shared fields and selector
+    prefix are formed once, whatever its number of classes, and each weight,
+    exponent text and class-label list once per call.
     """
-    pol = geom.policy
+    weight, text, labels = map(functools.cache, (geom.policy.weight, _beta_str, _class_labels))
 
     def order(key):
         beta, contact, *z, logpow = key
-        return (pol.weight(beta), beta, [-x for x in z], contact, logpow)
+        return (weight(beta), beta, [-x for x in z], contact, logpow)
 
     records = []
     for key in sorted(terms, key=order):
         beta, contact, *z, logpow = key
         el = terms[key]
-        z_field = {"z": z[0]} if z else {}
-        z_selector = f" z={z[0]}" if z else ""
-        for i, c in enumerate(el.coeffs):
-            if not c:
-                continue
-            label = _class_label(el.algebra, i)
-            records.append(_record(
-                series,
-                f"beta={_beta_str(beta)} contact={contact}{z_selector} "
-                f"log={_beta_str(logpow)} class=[{label}]",
-                c, beta=list(beta), contact=contact, **z_field, log=list(logpow),
-                **{"class": label},
-            ))
+        shared = (("beta", beta), ("contact", contact), *[("z", x) for x in z], ("log", logpow))
+        prefix = (f"beta={text(beta)} contact={contact}{f' z={z[0]}' if z else ''} "
+                  f"log={text(logpow)} class=[")
+        for label, c in zip(labels(el.algebra), el.coeffs):
+            if c:
+                records.append((series, prefix + label + "]", str(c), (*shared, ("class", label))))
     return records
 
 
-def _novikov_records(series: str, prefix: str, ns: NovikovSeries) -> list[dict]:
+def _novikov_records(series: str, prefix: str, ns: NovikovSeries) -> list[tuple]:
     """One record per term of a Novikov series, selector `<prefix><beta>`."""
     return [
-        _record(series, f"{prefix}{_beta_str(beta)}", c, beta=list(beta))
+        (series, f"{prefix}{_beta_str(beta)}", str(c), (("beta", beta),))
         for beta, c in sorted(ns.terms.items())
     ]
 
 
-def _divisor_map_records(dm) -> list[dict]:
+def _divisor_map_records(dm) -> list[tuple]:
     """One record per nonzero class coefficient of a divisor mirror map, or `all 0`."""
     if dm.is_zero():
-        return [_record("divisor_mirror_map", "all", 0)]
+        return [("divisor_mirror_map", "all", "0", ())]
     return [
-        _record(
-            "divisor_mirror_map",
-            f"beta={_beta_str(beta)} z={z} class=[{_class_label(el.algebra, i)}]",
-            c, beta=list(beta), z=z,
-        )
+        ("divisor_mirror_map", f"beta={_beta_str(beta)} z={z} class=[{label}]", str(c),
+         (("beta", beta), ("z", z)))
         for (beta, z), el in dm.terms
-        for i, c in enumerate(el.coeffs)
+        for label, c in zip(_class_labels(el.algebra), el.coeffs)
         if c
     ]
 
 
-def _potential_records(w) -> list[dict]:
+def _potential_records(w) -> list[tuple]:
     """The collapsed potential W, by falling x-exponent, then t-degree."""
     return [
-        _record("proper_potential", f"t^{t} x^{x}", w.terms[x][t], x_exp=x, t_deg=t)
+        ("proper_potential", f"t^{t} x^{x}", str(w.terms[x][t]), (("x_exp", x), ("t_deg", t)))
         for x in sorted(w.terms, reverse=True)
         for t in sorted(w.terms[x])
     ]
 
 
-def _potential_term_records(pot) -> list[dict]:
+def _potential_term_records(pot) -> list[tuple]:
     """The per-class terms q^β t^d x^{1−d} of W, d = D·β."""
-    records = []
-    for beta, c in pot.terms:
-        d = pot.contact_weight(beta)
-        records.append(_record(
-            "proper_potential_term", f"q^{_beta_str(beta)} t^{d} x^{1 - d}", c,
-            beta=list(beta), x_exp=1 - d, t_deg=d,
-        ))
-    return records
+    return [
+        ("proper_potential_term", f"q^{_beta_str(beta)} t^{d} x^{1 - d}", str(c),
+         (("beta", beta), ("x_exp", 1 - d), ("t_deg", d)))
+        for beta, c in pot.terms for d in (pot.contact_weight(beta),)
+    ]
 
 
-def _period_check_records(cmp) -> list[dict]:
+def _period_check_records(cmp) -> list[tuple]:
     """Classical against regularized period per t-degree, rows where both vanish left out."""
     return [
-        _record("period_check", f"t^{d}", "match" if ok else "MISMATCH",
-                classical=str(c), regularized=str(r), t_deg=d)
+        ("period_check", f"t^{d}", "match" if ok else "MISMATCH",
+         (("classical", str(c)), ("regularized", str(r)), ("t_deg", d)))
         for d, c, r, ok in cmp.rows
         if c != 0 or r != 0
     ]
 
 
-def _euler_records(rep) -> list[dict]:
+def _euler_records(rep) -> list[tuple]:
     """The five parts of the Euler-scaling check."""
     return [
-        _record("euler_scaling", label, "pass" if ok else "fail")
+        ("euler_scaling", label, "pass" if ok else "fail", ())
         for label, ok in (
             ("coefficient_identity", rep.coefficient_identity_ok),
             ("scaling_operator", rep.scaling_ok),
@@ -445,10 +452,10 @@ def cmd_period(ns: argparse.Namespace, stream) -> int:
     except TruncationError as exc:
         view = {}
         md["collapsed_view"] = f"refused: {exc}"
-    records = [_record(series, f"t^{d}", v, t_deg=d) for d, v in view.items()]
+    records = [(series, f"t^{d}", str(v), (("t_deg", d),)) for d, v in view.items()]
     if len(geom.m_vector) > 1:
         records += [
-            _record(f"{series}_term", f"q^{_beta_str(beta)} t^{d}", v, beta=list(beta), t_deg=d)
+            (f"{series}_term", f"q^{_beta_str(beta)} t^{d}", str(v), (("beta", beta), ("t_deg", d)))
             for beta, d, v in period.terms
         ]
     _emit(ns.fmt, md, records, stream)
@@ -490,11 +497,11 @@ def cmd_verify(ns: argparse.Namespace, stream) -> int:
         period_skip = f"skipped: {exc}"
     pot = shared_potential(geom, None if period_skip else t_order)
     order = pot.geometry.policy.max_total
-    records: list[dict] = []
+    records: list[tuple] = []
     failures: list[str] = []
 
     def check(selector: str, verdict: str) -> None:
-        records.append(_record("check", selector, verdict, order=order))
+        records.append(("check", selector, verdict, (("order", order),)))
 
     # 1. the period identity (regularized quantum == classical)
     if period_skip:
@@ -547,17 +554,17 @@ def cmd_identities(ns: argparse.Namespace, stream) -> int:
     lagrange_order = ns.order or 10
     bell_order = ns.order or 12
     rng = Random(ns.seed)
-    records: list[dict] = []
+    records: list[tuple] = []
     failures = 0
     for i in range(ns.cases):
         f = random_simple_pole(rng)
         ok, _ = inversion_roundtrip(f, lagrange_order)
-        records.append(_record("lagrange_roundtrip", f"case {i}", "pass" if ok else "fail"))
+        records.append(("lagrange_roundtrip", f"case {i}", "pass" if ok else "fail", ()))
         failures += not ok
     for i in range(ns.cases):
         tail = random_unit_tail(rng)
         rep = bell_identity_check(tail, bell_order)
-        records.append(_record("bell_identity", f"case {i}", "pass" if rep.ok else "fail"))
+        records.append(("bell_identity", f"case {i}", "pass" if rep.ok else "fail", ()))
         failures += not rep.ok
     md = _metadata(
         None,

@@ -94,7 +94,8 @@ def compose(f: SimplePoleLaurent, g: dict[int, Fraction], order: int) -> dict[in
     lead = ks[0]
     m = order + 2 * lead  # g is read through u^m
     if m < 0:
-        raise ValueError("truncation order must be nonnegative")
+        raise ValueError(f"compose through ω^-order needs order >= -2·lead = {-2 * lead} "
+                         f"for g of leading order ω^-{lead}; got {order}")
     gnum, d = _numerators([Fraction(g.get(k, 0)) for k in range(m + 1)])
     s = gnum[lead:]  # S through u^{order+lead}, as the window needs
     steps = [sj * s[0] ** (j - 1) for j, sj in enumerate(s) if j]

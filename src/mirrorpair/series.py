@@ -27,7 +27,7 @@ Three series shapes drive the computations:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -250,7 +250,9 @@ class NovikovSeries:
         for k, v in self.terms.items():
             w = pol.weight(k)
             if w <= pol.max_total:
-                steps.append((k, w, scale * w * v.numerator, v.denominator))
+                n, d = scale * w * v.numerator, v.denominator
+                g = gcd(n, d)  # lowest terms, so that more sums meet on one denominator
+                steps.append((k, w, n // g, d // g))
         return _solve_by_weight(pol, Fraction(1), steps, divide_by_weight=True)
 
     def log(self) -> "NovikovSeries":

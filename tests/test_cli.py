@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, metadata conventions."""
 
+import csv
 import io
 import json
 import subprocess
@@ -91,14 +92,22 @@ def test_json_records_carry_structured_fields():
         Fraction(r["value"])
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_COMMAND = [
     *[(command, "--geometry", name) for command in COMMANDS if command != "identities"
       for name in sorted(BUILTIN_CONFIGS)],
     ("identities", "--cases", "3"),
-])
+]
+
+
+def _dict_view(record):
+    series, selector, value, fields = record
+    return {"series": series, "selector": selector, "value": value, **dict(fields)}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_json_output_is_the_stdlib_indented_document(monkeypatch, argv):
     # the stdlib encoder is the oracle: json.dumps(doc, indent=2) of the very
-    # metadata and records `_emit` was handed
+    # metadata and records `_emit` was handed, each record as its dict view
     handed = []
     real = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda fmt, md, recs, stream:
@@ -106,30 +115,84 @@ def test_json_output_is_the_stdlib_indented_document(monkeypatch, argv):
     code, text = _run(*argv, "--format", "json")
     assert len(handed) == (code != 2)
     for md, recs in handed:
-        assert text == json.dumps({"metadata": md, "records": recs}, indent=2) + "\n"
+        for series, selector, value, fields in recs:
+            assert type(series) is type(selector) is type(value) is str
+            assert all(type(v) is not list for _, v in fields)
+        doc = {"metadata": md, "records": [_dict_view(r) for r in recs]}
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 json_scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
-json_flat = st.dictionaries(st.text(), st.one_of(json_scalars, st.lists(json_scalars)))
+json_values = st.one_of(json_scalars, st.lists(json_scalars), st.lists(json_scalars).map(tuple))
+json_record = st.tuples(
+    st.text(), st.text(), st.text(),
+    st.dictionaries(st.text().filter(lambda k: k not in ("series", "selector", "value")),
+                    json_values).map(lambda d: tuple(d.items())),
+)
 
 
-@given(metadata=json_flat, records=st.lists(json_flat, max_size=4))
+@given(metadata=st.dictionaries(st.text(), json_values), records=st.lists(json_record, max_size=4))
 @example(metadata={}, records=[])
 @example(metadata={"\u00e9\u2603\U0001f600": "\"\\\n\x00\x1f\x7f\ud800"},
-         records=[{}, {"n": [-(10 ** 40), 0, 10 ** 40, True, None, ""], "e": []}])
+         records=[("", "", "", ()),
+                  ("s", "t", "v", (("n", (-(10 ** 40), 0, 10 ** 40, True, None, "")), ("e", [])))])
+# equal fields of other types share no text: 1 and True, (1,) and (True,), () and []
+@example(metadata={"n": 1, "b": True}, records=[
+    ("s", "a", "1", (("n", 1), ("t", (1,)), ("e", ()), ("z", 0))),
+    ("s", "a", "1", (("n", True), ("t", (True,)), ("e", []), ("z", False))),
+    ("s", "a", "1", (("n", 1), ("t", (1, True)), ("e", ()), ("z", 0))),
+    ("s", "a", "1", (("n", True), ("t", (True, 1)), ("e", ()), ("z", False))),
+])
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_the_stdlib_on_flat_documents(metadata, records):
     out = io.StringIO()
     cli._emit("json", metadata, records, out)
     assert out.getvalue() == json.dumps(
-        {"metadata": metadata, "records": records}, indent=2) + "\n"
+        {"metadata": metadata, "records": [_dict_view(r) for r in records]}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [0.5, {"nested": "1"}, [["1"]], [1.0]])
+@pytest.mark.parametrize("value", [0.5, {"nested": "1"}, [["1"]], [1.0], 1.0, ((1,),), (1.0,)])
 def test_json_writer_refuses_values_it_cannot_write(value):
-    for metadata, records in (({"weight": value}, []), ({}, [{"series": "x", "weight": value}])):
+    # the records before the refused one hold equal values the writer can write
+    written = [("x", "s", "v", (("weight", 1),)), ("x", "s", "v", (("weight", (1,)),))]
+    for metadata, records in (({"weight": value}, []),
+                              ({}, [*written, ("x", "s", "v", (("weight", value),))])):
         with pytest.raises(TypeError, match="'weight'"):
             cli._emit("json", metadata, records, io.StringIO())
+
+
+def _json_run(argv):
+    code, text = _run(*argv, "--format", "json")
+    if code == 2:
+        return code, None, None
+    doc = json.loads(text)
+    return code, doc["metadata"], [(r["series"], r["selector"], r["value"]) for r in doc["records"]]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_csv_output_is_the_stdlib_csv_writer(argv):
+    # the oracle: the metadata as "# key: value" lines, then csv.writer rows of
+    # the (series, selector, value) triples the JSON run printed
+    code, md, triples = _json_run(argv)
+    want = io.StringIO()
+    for key, value in (md or {}).items():
+        want.write(f"# {key}: {value}\n")
+    if md is not None:
+        csv.writer(want).writerows([("series", "selector", "value"), *triples])
+    assert _run(*argv, "--format", "csv") == (code, want.getvalue())
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_pretty_output_is_aligned_text(argv):
+    # the oracle: "key: value" lines, a blank line, then the triples in columns
+    # padded to the widest series and selector, two spaces apart
+    code, md, triples = _json_run(argv)
+    lines = [f"{key}: {value}" for key, value in (md or {}).items()]
+    if triples:
+        w1 = max(len(s) for s, _, _ in triples)
+        w2 = max(len(sel) for _, sel, _ in triples)
+        lines += ["", *[s.ljust(w1) + "  " + sel.ljust(w2) + "  " + v for s, sel, v in triples]]
+    assert _run(*argv, "--format", "pretty") == (code, "".join(ln + "\n" for ln in lines))
 
 
 def test_csv_format():

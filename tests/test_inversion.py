@@ -139,6 +139,15 @@ def test_compose_rejects_bad_leading_orders():
         compose(f, {0: Fraction(1), 1: Fraction(1)}, 5)
 
 
+def test_compose_names_the_order_it_refuses():
+    # g = u^2 is read through u^(order + 4), so order -5 is below the window
+    f = SimplePoleLaurent((Fraction(5),))
+    with pytest.raises(ValueError, match=r"needs order >= -2·lead = -4 for g of leading "
+                                         r"order ω\^-2; got -5"):
+        compose(f, {2: Fraction(1)}, -5)
+    assert compose(f, {2: Fraction(1)}, -4) == {}
+
+
 def test_compose_handles_deeper_leading_order():
     # g = u^2: f(g) = u^{-2} + tail(g); pure bookkeeping, checked by hand
     f = SimplePoleLaurent((Fraction(5),))

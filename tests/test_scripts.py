@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("catalog_report.py", ()),
         ("identity_sweep.py", ("--cases", "5")),
+        ("output_digest.py", ()),
     ],
 )
 def test_script_runs_clean(script, args):

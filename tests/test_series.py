@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorpair.series as series_module
 from conftest import dense_product, series_product
 from mirrorpair import (
     NovikovSeries,
@@ -238,6 +239,28 @@ def test_scaled_exp_through_a_lower_order_matches_naive_series(f, scale, data):
     assert u.exp(scale) == want
     with pytest.raises(ValueError, match="known to"):
         u.exp(scale, pol.max_total + 1)
+
+
+@pytest.mark.parametrize("scale", [-3, 1, 2, 6])
+def test_exp_hands_its_steps_over_in_lowest_terms(monkeypatch, scale):
+    """Each step n/d of the exp recurrence reaches `_solve_by_weight` reduced,
+    with d > 0, so that more of its sums meet on one denominator."""
+    pol = TruncationPolicy.make(2, 6, (1, 2))
+    f = NovikovSeries(pol, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-5, 4),
+                            (1, 1): Fraction(3, 2), (2, 1): Fraction(7, 10)})
+    seen = []
+    real = series_module._solve_by_weight
+
+    def spy(pol, lead, steps, divide_by_weight):
+        seen.extend(steps)
+        return real(pol, lead, steps, divide_by_weight)
+
+    monkeypatch.setattr(series_module, "_solve_by_weight", spy)
+    f.exp(scale)
+    f.exp(scale, 3)
+    assert len(seen) == 7
+    for _, _, n, d in seen:
+        assert d > 0 and math.gcd(n, d) == 1
 
 
 @st.composite
