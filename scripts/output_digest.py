@@ -4,7 +4,7 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 300 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 312 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
@@ -12,17 +12,24 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
   * identities --seed 3 --cases 4, verify --geometry p2_cubic
     --negative-control, and the refusals i-function --order 1 and
     i-function --geometry nope (12 runs);
+  * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
+    and two d_point rows, and quantum-period and verify on blp3_k3 with a
+    --table of two x_point rows, one value of each a fraction (12 runs);
 
-each in json, csv and pretty.  Every run contributes the sha256 of its argv,
-exit code, standard output and standard error; the script prints the sha256
-over those, one line.  A change that promises unchanged output prints the
-same digest as its parent: copy this script into both checkouts and compare.
+each in json, csv and pretty.  The config and table of the last group are
+written to a temporary directory, whose path becomes the token <tmp> in the
+argv and standard error that are hashed.  Every run contributes the sha256
+of its argv, exit code, standard output and standard error; the script
+prints the sha256 over those, one line.  A change that promises unchanged
+output prints the same digest as its parent: copy this script into both
+checkouts and compare.
 """
 
 import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -38,6 +45,20 @@ EXTRA = (
     ("i-function", "--order", "1"),
     ("i-function", "--geometry", "nope"),
 )
+TMP = "<tmp>"
+FILES = {
+    "tau_d.ini": BUILTIN_CONFIGS["blp3_k3"].replace(
+        "tau_d_source = zero\n",
+        "tau_d_source = table\ninvariants =\n    d_point 3,0 1 pt 5\n    d_point 2,0 0 pt 3/7\n",
+    ),
+    "x.table": "x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7/3\n",
+}
+TABLE_RUNS = (
+    ("tau-d", "--geometry", f"{TMP}/tau_d.ini"),
+    ("i-function", "--geometry", f"{TMP}/tau_d.ini"),
+    ("quantum-period", "--geometry", "blp3_k3", "--table", f"{TMP}/x.table"),
+    ("verify", "--geometry", "blp3_k3", "--table", f"{TMP}/x.table"),
+)
 
 
 def grid():
@@ -46,20 +67,25 @@ def grid():
             for order in ((), ("--order", "4"), ("--order", "8"), ("--order", "12")):
                 yield (command, "--geometry", name, *order)
     yield from EXTRA
+    yield from TABLE_RUNS
 
 
 def main() -> int:
     total = hashlib.sha256()
-    for argv in grid():
-        for fmt in ("json", "csv", "pretty"):
-            args = [*argv, "--format", fmt]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = run(args, stream=out)
-            one = hashlib.sha256()
-            for part in (" ".join(args), str(code), out.getvalue(), err.getvalue()):
-                one.update(part.encode() + b"\0")
-            total.update(one.digest())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
+        for argv in grid():
+            for fmt in ("json", "csv", "pretty"):
+                args = [*argv, "--format", fmt]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run([a.replace(TMP, tmp) for a in args], stream=out)
+                one = hashlib.sha256()
+                for part in (" ".join(args), str(code), out.getvalue(),
+                             err.getvalue().replace(tmp, TMP)):
+                    one.update(part.encode() + b"\0")
+                total.update(one.digest())
     print(total.hexdigest())
     return 0
 

@@ -3,7 +3,8 @@
 Cohomology rings enter the pipeline as explicit multiplication tables: a basis,
 integer (complex) degrees, sparse structure constants, a unit, and an integration
 functional.  Everything downstream (series coefficients, intersection numbers,
-pushforwards) is exact, so coefficients are `fractions.Fraction` throughout.
+pushforwards) is exact.  An element is a sparse row of integer (index,
+numerator, denominator) triples, and only this module makes its dense view.
 
 Degrees are complex degrees: a surface class on a threefold has degree 1, the
 point class degree 3.  All our algebras are evenly graded in the topological
@@ -16,8 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -44,7 +43,8 @@ class GradedAlgebra:
     ``integration`` is the linear functional used for intersection pairings;
     by default it reads off the coefficient of the point class.
     ``constants[i][j]`` holds the nonzero entries of ``table[i][j]`` as
-    (k, numerator, denominator) triples, for `sum_of_products`.
+    (k, numerator, denominator) triples, for `sum_of_products`; an `Element`
+    is such a row too, and `element` is the one way in from dense coefficients.
     """
 
     __slots__ = ("name", "basis", "degrees", "table", "unit_index", "point_index",
@@ -143,15 +143,13 @@ class GradedAlgebra:
         return max(self.degrees)
 
     def zero(self) -> "Element":
-        return Element(self, (Fraction(0),) * self.dim)
+        return Element(self, ())
 
     def unit(self) -> "Element":
         return self.basis_element(self.unit_index)
 
     def basis_element(self, i: int) -> "Element":
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[i] = Fraction(1)
-        return Element(self, tuple(coeffs))
+        return Element(self, ((i, 1, 1),))
 
     def named(self, name: str) -> "Element":
         return self.basis_element(self.basis.index(name))
@@ -160,24 +158,29 @@ class GradedAlgebra:
         c = tuple(rat(x) for x in coeffs)
         if len(c) != self.dim:
             raise AlgebraError(f"{self.name}: wrong coefficient count")
-        return Element(self, c)
+        return Element(self, _sparse(c))
 
 
 class Element:
-    def __init__(self, algebra: GradedAlgebra, coeffs: tuple[Fraction, ...]):
+    """A class held as ``support``, the canonical sparse row `_rows` returns: rising
+    distinct indices, nonzero numerators and positive denominators coprime to
+    them.  Zero is the empty row, and equal classes have equal rows.
+    """
+
+    def __init__(self, algebra: GradedAlgebra, support: tuple[tuple[int, int, int], ...]):
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.support = support
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(((self.support, 1, 1), (other.support, 1, 1)))
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(((self.support, 1, 1), (other.support, -1, 1)))
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a for a in self.coeffs))
+        return self._sum(((self.support, -1, 1),))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -188,7 +191,10 @@ class Element:
 
     def scale(self, c) -> "Element":
         c = rat(c)
-        return Element(self.algebra, tuple(c * a for a in self.coeffs))
+        return self._sum(((self.support, c.numerator, c.denominator),))
+
+    def _sum(self, terms) -> "Element":
+        return Element(self.algebra, _rows(terms, self.algebra.dim))
 
     def _check(self, other: "Element") -> None:
         if self.algebra is not other.algebra:
@@ -200,31 +206,30 @@ class Element:
         return (
             isinstance(other, Element)
             and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
+            and self.support == other.support
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coeffs))
+        return hash((id(self.algebra), self.support))
 
     @cached_property
-    def support(self) -> tuple[tuple[int, int, int], ...]:
-        """The nonzero coordinates as (index, numerator, denominator) triples."""
-        return _sparse(self.coeffs)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense view: one Fraction per basis class."""
+        out = [_ZERO] * self.algebra.dim
+        for k, n, d in self.support:
+            out[k] = Fraction(n, d)
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def coefficient(self, name: str) -> Fraction:
-        return self.coeffs[self.algebra.basis.index(name)]
+        return not self.support
 
     def unit_component(self) -> Fraction:
-        return self.coeffs[self.algebra.unit_index]
+        u = self.algebra.unit_index
+        return next((Fraction(n, d) for k, n, d in self.support if k == u), _ZERO)
 
     def integrate(self) -> Fraction:
-        return sum(
-            (c * w for c, w in zip(self.coeffs, self.algebra.integration)),
-            start=Fraction(0),
-        )
+        w = self.algebra.integration
+        return sum((Fraction(n, d) * w[k] for k, n, d in self.support), _ZERO)
 
     def power(self, k: int) -> "Element":
         if k < 0:
@@ -236,9 +241,9 @@ class Element:
 
     def __repr__(self) -> str:
         parts = [
-            (f"{c}*" if c != 1 else "") + self.algebra.basis[i]
-            for i, c in enumerate(self.coeffs)
-            if c
+            ("" if (n, d) == (1, 1) else f"{n}*" if d == 1 else f"{n}/{d}*")
+            + self.algebra.basis[k]
+            for k, n, d in self.support
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -280,16 +285,6 @@ def _rows(
     return tuple(out)
 
 
-def _combine(
-    terms: Iterable[tuple[tuple[tuple[int, int, int], ...], int, int]], dim: int
-) -> tuple[Fraction, ...]:
-    """`_rows` as a dense coefficient tuple of Fractions."""
-    coeffs = [_ZERO] * dim
-    for k, n, d in _rows(terms, dim):
-        coeffs[k] = Fraction(n, d)
-    return tuple(coeffs)
-
-
 def sum_of_products(
     alg: GradedAlgebra, pairs: Iterable[tuple[Element, Element]]
 ) -> Element:
@@ -311,7 +306,7 @@ def sum_of_products(
         for i, an, ad in a.support
         for j, bn, bd in b.support
     )
-    return Element(alg, _combine(terms, alg.dim))
+    return Element(alg, _rows(terms, alg.dim))
 
 
 def nilpotency_index(x: Element) -> int:
@@ -442,7 +437,7 @@ class RestrictionMap:
             raise AlgebraError("restricting an element of the wrong algebra")
         rows = self.rows
         terms = ((rows[i], n, d) for i, n, d in x.support)
-        return Element(self.target, _combine(terms, self.target.dim))
+        return Element(self.target, _rows(terms, self.target.dim))
 
 
 def check_restriction(rm: RestrictionMap) -> list[str]:
@@ -538,5 +533,5 @@ def pairing_pushforward(rm: RestrictionMap, v: Element) -> Element:
     if v.algebra is not rm.target:
         raise AlgebraError("pushforward argument lives in the wrong algebra")
     src = rm.source
-    rhs = _combine(((rm.cross[k], n, d) for k, n, d in v.support), src.dim)
-    return src.element(solve_exact(rm.gram, rhs))
+    rhs = Element(src, _rows(((rm.cross[k], n, d) for k, n, d in v.support), src.dim))
+    return src.element(solve_exact(rm.gram, rhs.coeffs))

@@ -325,9 +325,9 @@ def _class_records(geom: PairGeometry, series: str, terms: dict) -> list[tuple]:
         shared = (("beta", beta), ("contact", contact), *[("z", x) for x in z], ("log", logpow))
         prefix = (f"beta={text(beta)} contact={contact}{f' z={z[0]}' if z else ''} "
                   f"log={text(logpow)} class=[")
-        for label, c in zip(labels(el.algebra), el.coeffs):
-            if c:
-                records.append((series, prefix + label + "]", str(c), (*shared, ("class", label))))
+        names = labels(el.algebra)
+        records += [(series, prefix + names[k] + "]", str(n) if d == 1 else f"{n}/{d}",
+                     (*shared, ("class", names[k]))) for k, n, d in el.support]
     return records
 
 
@@ -344,11 +344,11 @@ def _divisor_map_records(dm) -> list[tuple]:
     if dm.is_zero():
         return [("divisor_mirror_map", "all", "0", ())]
     return [
-        ("divisor_mirror_map", f"beta={_beta_str(beta)} z={z} class=[{label}]", str(c),
-         (("beta", beta), ("z", z)))
+        ("divisor_mirror_map",
+         f"beta={_beta_str(beta)} z={z} class=[{_class_labels(el.algebra)[k]}]",
+         str(n) if d == 1 else f"{n}/{d}", (("beta", beta), ("z", z)))
         for (beta, z), el in dm.terms
-        for label, c in zip(_class_labels(el.algebra), el.coeffs)
-        if c
+        for k, n, d in el.support
     ]
 
 
@@ -604,6 +604,8 @@ def run(argv: list[str], stream=None) -> int:
     try:
         if ns.order is not None and ns.order < 2:
             raise ConfigError("--order must be at least 2")
+        if ns.order is not None and ns.order >= sys.maxsize:
+            raise ConfigError(f"--order must be below {sys.maxsize}, got {ns.order}")
         return DISPATCH[ns.command](ns, stream)
     except PipelineInvariantError as exc:
         print(f"error: pipeline invariant broken: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import sys
 from fractions import Fraction
 
 from .algebra import (
@@ -205,6 +206,7 @@ def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, .
     # off them.
     coords = []
     on = set()
+    row = {k: (n, d) for k, n, d in cls.support}
     for p in picard:
         support = p.support
         if len(support) != 1 or support[0][1:] != (1, 1):
@@ -212,12 +214,12 @@ def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, .
         k = support[0][0]
         if k in on:
             raise ConfigError(f"picard class {p!r} is repeated")
-        c = cls.coeffs[k]
-        if c.denominator != 1:
+        n, d = row.get(k, (0, 1))
+        if d != 1:
             raise ConfigError(f"non-integer intersection pairing for {cls!r}")
-        coords.append(int(c))
+        coords.append(n)
         on.add(k)
-    if any(k not in on for k, _, _ in cls.support):
+    if any(k not in on for k in row):
         raise ConfigError(f"{cls!r} is not in the span of the picard classes")
     return tuple(coords)
 
@@ -313,7 +315,7 @@ def _parse_class(alg: GradedAlgebra, expr: str, section: str) -> Element:
         else:
             coeff, name = Fraction(1), term
         coeffs[_index(alg, section, name)] += coeff * sign
-    return Element(alg, tuple(coeffs))
+    return alg.element(coeffs)
 
 
 def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
@@ -357,7 +359,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         img = [Fraction(0)] * divisor.dim
         for tname, c in zip(row[1::2], row[2::2]):
             img[_index(divisor, "restriction", tname)] += _number(rat, "[restriction]", c)
-        images[src] = Element(divisor, tuple(img))
+        images[src] = divisor.element(img)
     images.setdefault(ambient.basis[ambient.unit_index], divisor.unit())
     restriction = RestrictionMap.from_images(ambient, divisor, images)
     problems = check_restriction(restriction)
@@ -387,9 +389,8 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if len(picard) != len(novikov):
         raise ConfigError("picard / novikov arity mismatch")
     # the divisor class: homogeneous of degree 1 and integrally spanned by picard
-    for i, c in enumerate(divisor_class.coeffs):
-        if c and ambient.degrees[i] != 1:
-            raise ConfigError("divisor_class must be homogeneous of degree 1")
+    if any(ambient.degrees[i] != 1 for i, _, _ in divisor_class.support):
+        raise ConfigError("divisor_class must be homogeneous of degree 1")
     m_vector = _expand_in_picard(picard, divisor_class)
     if j_source not in J_SOURCES:
         raise ConfigError(f"j_source must be one of {J_SOURCES}")
@@ -408,6 +409,8 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     order = _number(int, "[truncation]", trunc.get("order", "8"))
     if order < 2:
         raise ConfigError(f"[truncation] order must be at least 2, got {order}")
+    if order >= sys.maxsize:
+        raise ConfigError(f"[truncation] order must be below {sys.maxsize}, got {order}")
     weights_text = trunc.get("weights", "").split()
     weights = (
         tuple(_number(int, "[truncation]", x) for x in weights_text)

@@ -42,7 +42,6 @@ from .algebra import (
     AlgebraError,
     Element,
     GradedAlgebra,
-    _combine,
     _rows,
     nilpotency_index,
     pairing_pushforward,
@@ -316,7 +315,7 @@ class _StateProduct:
     composed with the rule's linear last step, the pushforward of each
     divisor basis class (`RestrictionMap.pushforward_rows`) or the cup with
     r(D).  Every pair that lands on an output key reads rows of one algebra
-    (the ambient one iff the contact is 0), so each key is one `_combine`.
+    (the ambient one iff the contact is 0), so each key's Element is one `_rows`.
     Build one per product or reciprocal; it is not a cache.
     """
 
@@ -376,7 +375,7 @@ class _StateProduct:
                 parts.append((table, a, sup2[side]))
 
     def finish(self, acc: dict) -> dict:
-        """The state terms of the filed keys, one `_combine` each, zeros dropped."""
+        """The state terms of the filed keys, one `_rows` each, zeros dropped."""
         geom = self.geometry
         algebras = (geom.ambient, geom.divisor)
         base, nvars = self.base, geom.nvars
@@ -384,15 +383,15 @@ class _StateProduct:
         for (c, logpow), keys in acc.items():
             for packed, parts in keys.items():
                 alg = algebras[c != 0]
-                coeffs = _combine((
+                row = _rows((
                     (table[i][j], n1 * n2, e1 * e2)
                     for table, s1, s2 in parts
                     for i, n1, e1 in s1
                     for j, n2, e2 in s2
                 ), alg.dim)
-                if any(coeffs):
+                if row:
                     beta = tuple(packed // base ** i % base for i in range(nvars))
-                    out[(beta, c, logpow)] = Element(alg, coeffs)
+                    out[(beta, c, logpow)] = Element(alg, row)
         return out
 
     def multiply(self, left: dict, right: dict) -> dict:
@@ -454,13 +453,12 @@ class RelativeSeries:
             )
 
     def z_slice(self, zexp: int) -> StateSeries:
+        """The z^zexp terms, keyed (β, contact, log): keys are unique, so none collide."""
         self._check_floor(zexp)
-        out: dict = {}
-        for (beta, contact, z, logpow), el in self.terms.items():
-            if z != zexp:
-                continue
-            _merge_add(out, (beta, contact, logpow), el)
-        return StateSeries(self.geometry, out)
+        return StateSeries(self.geometry, {
+            (beta, contact, logpow): el
+            for (beta, contact, z, logpow), el in self.terms.items() if z == zexp
+        })
 
     def top_z(self) -> int | None:
         return max((z for (_, _, z, _) in self.terms), default=None)
@@ -614,9 +612,9 @@ def _assemble(
     a sparse integer row of the ambient algebra, as `_rows` returns it.  Each
     prefactor class p_α becomes, once per call, two tables of such rows:
     e_i·p_α through the ambient structure constants and r(e_i·p_α) through
-    the restriction's image rows.  Each output term is then one `_combine`
-    of a slice against the rows its contact selects, and only a nonzero one
-    becomes an Element.  Pieces carry distinct (β, contact).  A nonzero
+    the restriction's image rows.  Each output term is then one `_rows` of
+    a slice against the rows its contact selects, and a nonzero one is kept
+    as the row of its Element.  Pieces carry distinct (β, contact).  A nonzero
     ambient term above z¹ is a ConfigError naming the class: the pair or its
     invariant rows break the shape z·[1] + O(z⁰) of a log Calabi–Yau
     I-function.  Terms below ``lowest_z`` are not formed, and the series
@@ -648,9 +646,9 @@ def _assemble(
                 use = rows if contact == 0 else restricted
                 if not any(use[i] for i, _, _ in row):
                     continue
-                coeffs = _combine(((use[i], n, d) for i, n, d in row), alg.dim)
-                if any(coeffs):
-                    terms[(beta, contact, zf, alpha)] = Element(alg, coeffs)
+                term = _rows(((use[i], n, d) for i, n, d in row), alg.dim)
+                if term:
+                    terms[(beta, contact, zf, alpha)] = Element(alg, term)
     return RelativeSeries(geom, terms, lowest_z)
 
 
@@ -881,13 +879,13 @@ def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
             raise MalformedMirrorMapError(
                 f"negative-contact mirror-map term at {beta} carries log factors"
             )
-        for i, c in enumerate(el.coeffs):
-            if c and i != unit_idx:
+        for i, _, _ in el.support:
+            if i != unit_idx:
                 raise MalformedMirrorMapError(
                     f"negative-contact mirror-map term at {beta} has non-unit class "
                     f"{geom.divisor.basis[i]}"
                 )
-        c = el.coeffs[unit_idx]
+        c = el.unit_component()
         if contact == -1:
             one_terms[beta] = one_terms.get(beta, Fraction(0)) + c
         else:

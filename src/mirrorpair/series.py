@@ -297,7 +297,7 @@ class NovikovSeries:
 def _accumulate(acc: dict, key, n: int, d: int) -> None:
     """Add n/d to the running sum at ``key``, kept as an integer [num, den] pair.
 
-    Denominators are joined by their lcm, the rule of `algebra._combine`, so
+    Denominators are joined by their lcm, the rule of `algebra._rows`, so
     no gcd is taken until the caller turns each pair into one Fraction.
     """
     slot = acc.get(key)

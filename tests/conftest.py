@@ -140,6 +140,18 @@ def geometry_with(geom, **changes):
     return PairGeometry(**fields)
 
 
+def is_canonical_row(row, dim) -> bool:
+    """Whether a sparse row is in lowest terms, as an `Element`'s support must be:
+    rising distinct indices below ``dim``, nonzero int numerators, positive int
+    denominators coprime to them."""
+    indices = [k for k, _, _ in row]
+    return indices == sorted(set(indices)) and all(
+        0 <= k < dim and type(n) is int and type(d) is int and n and d > 0
+        and math.gcd(n, d) == 1
+        for k, n, d in row
+    )
+
+
 def dense_product(a, b):
     """The coefficients of a·b by a literal triple loop over the dense table.
 

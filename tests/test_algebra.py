@@ -12,11 +12,11 @@ from conftest import (
     check_algebra_brute_force,
     check_restriction_brute_force,
     dense_product,
+    is_canonical_row,
     normal_bundle_algebra,
 )
 from mirrorpair import (
     AlgebraError,
-    Element,
     GradedAlgebra,
     RestrictionMap,
     builtin_geometry,
@@ -28,7 +28,7 @@ from mirrorpair import (
     solve_exact,
     sum_of_products,
 )
-from mirrorpair.algebra import _combine, _rows
+from mirrorpair.algebra import _rows
 
 P2 = builtin_geometry("p2_cubic")
 P3 = builtin_geometry("p3_quartic")
@@ -188,7 +188,7 @@ def restriction_maps(draw):
         i = draw(st.one_of(st.just(src.unit_index), st.integers(0, src.dim - 1)))
         k = draw(st.one_of(st.just(tgt.unit_index), st.integers(0, tgt.dim - 1)))
         images[i] = tuple(x + (m == k) for m, x in enumerate(images[i]))
-    return RestrictionMap(src, tgt, tuple(Element(tgt, img) for img in images))
+    return RestrictionMap(src, tgt, tuple(tgt.element(img) for img in images))
 
 
 @given(rm=restriction_maps())
@@ -345,21 +345,42 @@ def test_from_products_rejects_unit_rows():
 # element arithmetic invariants on random coefficient vectors
 
 
-coeffs = st.lists(
-    st.integers(min_value=-9, max_value=9).map(Fraction),
-    min_size=8, max_size=8,
-).map(tuple)
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=6)),
+)
+coeffs = st.lists(rationals, min_size=8, max_size=8).map(tuple)
 
 
-@given(a=coeffs, b=coeffs, c=coeffs)
+@given(a=coeffs, b=coeffs, c=coeffs, s=rationals)
+@example(a=(Fraction(0),) * 8, b=(Fraction(0),) * 8, c=(Fraction(0),) * 8, s=Fraction(0))
+@example(a=(Fraction(1, 2), Fraction(-1, 3)) + (Fraction(0),) * 6,
+         b=(Fraction(1, 2), Fraction(2, 3)) + (Fraction(0),) * 6,
+         c=(Fraction(1, 6),) * 8, s=Fraction(-4, 3))
 @settings(max_examples=60, deadline=None)
-def test_element_ring_axioms(a, b, c):
+def test_element_ring_axioms(a, b, c, s):
+    # the second example cancels 1/2 − 1/2 and reduces −1/3 + 2/3 and 3/2·(−4/3)
     amb = BL.ambient
     x, y, z = amb.element(a), amb.element(b), amb.element(c)
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert (x - x).is_zero()
+    # each operation against dense Fraction arithmetic on the drawn coordinates
+    cases = [
+        (x, a),
+        (x + y, [p + q for p, q in zip(a, b)]),
+        (x - y, [p - q for p, q in zip(a, b)]),
+        (-x, [-p for p in a]),
+        (x.scale(s), [s * p for p in a]),
+    ]
+    for got, want in cases:
+        assert got.coeffs == tuple(want)
+        assert is_canonical_row(got.support, amb.dim), got.support
+        assert got.is_zero() == all(w == 0 for w in want)
+        again = amb.element(got.coeffs)
+        assert got == again and hash(got) == hash(again)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +462,6 @@ def test_rows_is_the_literal_fraction_sum(drawn):
     assert got == tuple((k, c.numerator, c.denominator) for k, c in enumerate(expect) if c)
     for k, n, d in got:
         assert type(n) is int and type(d) is int and n and d > 0 and gcd(n, d) == 1
-    assert _combine(terms, dim) == tuple(expect)
 
 
 def test_product_kernel_rejects_mixed_algebras():

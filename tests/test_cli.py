@@ -532,6 +532,13 @@ def test_identities_order_must_be_at_least_two(capsys, order):
     assert "--order must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [sys.maxsize, 10**20])
+def test_order_too_large_to_enumerate_is_refused(capsys, order):
+    # the first order whose class ranges cannot be indexed by a machine-size integer
+    assert run(["i-function", "--order", str(order)], stream=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error: --order must be below {sys.maxsize}, got {order}\n"
+
+
 def test_identities_runs_at_order_two():
     code, text = _run("identities", "--cases", "1", "--order", "2")
     assert code == 0

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -298,6 +299,16 @@ def test_truncation_order_below_two_is_refused(tmp_path, capsys, command, order)
     assert run([command, "--geometry", str(cfg)], stream=io.StringIO()) == 2
     err = capsys.readouterr().err
     assert err == f"error: {cfg}: [truncation] order must be at least 2, got {order}\n"
+
+
+@pytest.mark.parametrize("order", [sys.maxsize, 10**20])
+def test_truncation_order_too_large_to_enumerate_is_refused(tmp_path, capsys, order):
+    # as --order is: from sys.maxsize on the class ranges cannot be indexed
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(BUILTIN_CONFIGS["blp3_k3"].replace("order = 5\n", f"order = {order}\n"))
+    assert run(["i-function", "--geometry", str(cfg)], stream=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: [truncation] order must be below {sys.maxsize}, got {order}\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

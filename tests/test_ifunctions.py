@@ -23,6 +23,7 @@ from conftest import (
     dense_product,
     geometry_with,
     geometric_reciprocal,
+    is_canonical_row,
     normal_bundle_divisor_map,
     state_product,
 )
@@ -225,8 +226,7 @@ def _row_element(alg, row):
     """The class of a sparse row of (index, numerator, denominator) triples, after
     checking that the row is in lowest terms: rising distinct indices, nonzero
     numerators, positive denominators coprime to them."""
-    assert [k for k, _, _ in row] == sorted({k for k, _, _ in row})
-    assert all(n and d > 0 and math.gcd(n, d) == 1 for _, n, d in row), row
+    assert is_canonical_row(row, alg.dim), row
     coeffs = [Fraction(0)] * alg.dim
     for k, n, d in row:
         coeffs[k] = Fraction(n, d)
@@ -1029,6 +1029,30 @@ def test_bundle_route_catches_a_changed_descendant_row():
     changed = load_geometry(SYNTHETIC_DESCENDANTS.replace("pt 1/5", "pt 2/5"))
     table = divisor_mirror_map(load_geometry(SYNTHETIC_DESCENDANTS)).as_dict()
     assert normal_bundle_divisor_map(changed) != table
+
+
+@pytest.mark.parametrize("name", [*sorted(BUILTIN_CONFIGS), "synthetic_negative",
+                                  "synthetic_descendants"])
+def test_every_element_handed_out_has_a_canonical_row(name):
+    # equality and hashing of classes compare rows, so every class the pipeline
+    # hands out must hold its row in lowest terms
+    if name in BUILTIN_CONFIGS:
+        geom = builtin_geometry(name)
+        whole, from_z0 = relative_i_function(geom), relative_i_function(geom, 0)
+        series = [whole.terms, from_z0.terms, normalize_i(from_z0).mirror_map.terms]
+        assert from_z0.terms and series[2]
+    else:
+        # the relative I-function refuses these pairs (nonzero divisor map)
+        geom = load_geometry(SYNTHETIC_NEGATIVE if name == "synthetic_negative"
+                             else SYNTHETIC_DESCENDANTS)
+        series = []
+    dm = divisor_mirror_map(geom)
+    assert bool(dm.terms) == (geom.tau_d_source == "table")
+    series.append(dict(dm.terms))
+    for terms in series:
+        for key, el in terms.items():
+            assert is_canonical_row(el.support, el.algebra.dim), (key, el.support)
+            assert not el.is_zero(), key
 
 
 def test_relative_i_requires_zero_divisor_exponent(synthetic_negative):
