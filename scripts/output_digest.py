@@ -4,7 +4,7 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 312 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 411 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
@@ -15,10 +15,14 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
   * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
     and two d_point rows, and quantum-period and verify on blp3_k3 with a
     --table of two x_point rows, one value of each a fraction (12 runs);
+  * the eight geometry subcommands on p2_cubic with j_source =
+    invariant_table and its one-point invariants through t^9 as x_point
+    rows, at the default order and at --order 4, 8 and 12, and verify
+    --negative-control on it (99 runs);
 
-each in json, csv and pretty.  The config and table of the last group are
-written to a temporary directory, whose path becomes the token <tmp> in the
-argv and standard error that are hashed.  Every run contributes the sha256
+each in json, csv and pretty.  The configs and table of the last two groups
+are written to a temporary directory, whose path becomes the token <tmp> in
+the argv and standard error that are hashed.  Every run contributes the sha256
 of its argv, exit code, standard output and standard error; the script
 prints the sha256 over those, one line.  A change that promises unchanged
 output prints the same digest as its parent: copy this script into both
@@ -52,6 +56,11 @@ FILES = {
         "tau_d_source = table\ninvariants =\n    d_point 3,0 1 pt 5\n    d_point 2,0 0 pt 3/7\n",
     ),
     "x.table": "x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7/3\n",
+    "p2_table.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n"
+        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
+    ),
 }
 TABLE_RUNS = (
     ("tau-d", "--geometry", f"{TMP}/tau_d.ini"),
@@ -61,13 +70,20 @@ TABLE_RUNS = (
 )
 
 
+ORDERS = ((), ("--order", "4"), ("--order", "8"), ("--order", "12"))
+
+
 def grid():
     for command in COMMANDS:
         for name in sorted(BUILTIN_CONFIGS):
-            for order in ((), ("--order", "4"), ("--order", "8"), ("--order", "12")):
+            for order in ORDERS:
                 yield (command, "--geometry", name, *order)
     yield from EXTRA
     yield from TABLE_RUNS
+    for command in COMMANDS:
+        for order in ORDERS:
+            yield (command, "--geometry", f"{TMP}/p2_table.ini", *order)
+    yield ("verify", "--geometry", f"{TMP}/p2_table.ini", "--negative-control")
 
 
 def main() -> int:

@@ -37,37 +37,33 @@ class AlgebraError(ValueError):
 
 
 class GradedAlgebra:
-    """A graded-commutative ring presented by structure constants.
+    """A graded-commutative ring presented by its sparse structure constants.
 
-    ``table[i][j]`` is the coefficient vector of ``e_i * e_j`` in the basis.
-    ``integration`` is the linear functional used for intersection pairings;
-    by default it reads off the coefficient of the point class.
-    ``constants[i][j]`` holds the nonzero entries of ``table[i][j]`` as
-    (k, numerator, denominator) triples, for `sum_of_products`; an `Element`
-    is such a row too, and `element` is the one way in from dense coefficients.
+    ``constants[i][j]`` is the product e_i·e_j as a sparse row of (k,
+    numerator, denominator) triples, the form `_rows` returns, read by
+    `sum_of_products`; an `Element` is such a row too, and `element` is the
+    one way in from dense coefficients.  ``integration`` is the linear
+    functional used for intersection pairings; by default it reads off the
+    coefficient of the point class.
     """
 
-    __slots__ = ("name", "basis", "degrees", "table", "unit_index", "point_index",
-                 "integration", "constants")
+    __slots__ = ("name", "basis", "degrees", "constants", "unit_index", "integration")
 
     def __init__(
         self,
         name: str,
         basis: tuple[str, ...],
         degrees: tuple[int, ...],
-        table: tuple[tuple[tuple[Fraction, ...], ...], ...],
+        constants: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...],
         unit_index: int,
-        point_index: int | None,
         integration: tuple[Fraction, ...],
     ):
         self.name = name
         self.basis = basis
         self.degrees = degrees
-        self.table = table
+        self.constants = constants
         self.unit_index = unit_index
-        self.point_index = point_index
         self.integration = integration
-        self.constants = tuple(tuple(_sparse(vec) for vec in row) for row in table)
 
     # -- construction ------------------------------------------------------
 
@@ -84,7 +80,8 @@ class GradedAlgebra:
         """Build from sparse products of non-unit basis pairs.
 
         Products involving the unit are implied; any pair not listed (in either
-        order) multiplies to zero.
+        order) multiplies to zero, and of a pair listed in both orders the
+        last one listed holds.
         """
         basis = tuple(basis)
         degrees = tuple(int(d) for d in degrees)
@@ -100,37 +97,35 @@ class GradedAlgebra:
             raise AlgebraError(f"{name}: unit must have degree 0")
         if point is not None and point not in index:
             raise AlgebraError(f"{name}: unknown point class {point!r}")
-        pi = index[point] if point is not None else None
         n = len(basis)
-        tab = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        consts = [[()] * n for _ in range(n)]
         for i in range(n):
-            tab[ui][i][i] = Fraction(1)
-            tab[i][ui][i] = Fraction(1)
+            consts[ui][i] = consts[i][ui] = ((i, 1, 1),)
         for (a, b), img in products.items():
             if a not in index or b not in index:
                 raise AlgebraError(f"{name}: product names unknown: {a}*{b}")
             i, j = index[a], index[b]
             if ui in (i, j):
                 raise AlgebraError(f"{name}: unit products are implied, do not list {a}*{b}")
-            vec = [Fraction(0)] * n
+            row = {}
             for k_name, c in img.items():
                 if k_name not in index:
                     raise AlgebraError(f"{name}: unknown target {k_name} in {a}*{b}")
-                vec[index[k_name]] = rat(c)
-            tab[i][j] = list(vec)
-            tab[j][i] = list(vec)
+                row[index[k_name]] = rat(c)
+            consts[i][j] = consts[j][i] = tuple(
+                (k, c.numerator, c.denominator) for k, c in sorted(row.items()) if c
+            )
         integ = [Fraction(0)] * n
         if integration is not None:
             for k_name, c in integration.items():
                 if k_name not in index:
                     raise AlgebraError(f"{name}: unknown integration class {k_name!r}")
                 integ[index[k_name]] = rat(c)
-        elif pi is not None:
-            integ[pi] = Fraction(1)
+        elif point is not None:
+            integ[index[point]] = Fraction(1)
         else:
             raise AlgebraError(f"{name}: need a point class or an integration functional")
-        frozen = tuple(tuple(tuple(v) for v in row) for row in tab)
-        return GradedAlgebra(name, basis, degrees, frozen, ui, pi, tuple(integ))
+        return GradedAlgebra(name, basis, degrees, tuple(map(tuple, consts)), ui, tuple(integ))
 
     # -- elements ----------------------------------------------------------
 
@@ -391,36 +386,28 @@ def check_algebra(alg: GradedAlgebra) -> list[str]:
 class RestrictionMap:
     """Ring homomorphism between two graded algebras, stored as basis images.
 
-    Built once with the map: ``rows``, the images as sparse rows; ``gram``, the
-    source pairing matrix; and ``cross``, the sparse rows k of
-    ∫_target e_k ∪ r(e_j) over j, which `pairing_pushforward` reads.  The
-    pushforwards of the target basis (``pushforward_rows``) are solved once,
-    on first use.
+    ``rows`` holds the image of each source basis class as a sparse target
+    row.  Built once with the map: ``gram``, the source pairing matrix; and
+    ``cross``, the sparse rows k of ∫_target e_k ∪ r(e_j) over j, which
+    `pairing_pushforward` reads.  The pushforwards of the target basis
+    (``pushforward_rows``) are solved once, on first use.
     """
 
-    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, images: tuple[Element, ...]):
+    def __init__(
+        self,
+        source: GradedAlgebra,
+        target: GradedAlgebra,
+        rows: tuple[tuple[tuple[int, int, int], ...], ...],
+    ):
         self.source = source
         self.target = target
-        self.images = images
-        self.rows = rows = tuple(img.support for img in images)
+        self.rows = rows
         self.gram = tuple(map(tuple, pairing_matrix(source)))
         # ∫ e_k ∪ r(e_j) = Σ_b r(e_j)_b ∫ e_k·e_b, the target's pairing row k
         self.cross = tuple(
             _sparse(sum((Fraction(n, d) * pair[b] for b, n, d in row), _ZERO) for row in rows)
             for pair in pairing_matrix(target)
         )
-
-    @staticmethod
-    def from_images(
-        source: GradedAlgebra,
-        target: GradedAlgebra,
-        images: Mapping[str, Element],
-    ) -> "RestrictionMap":
-        rows = []
-        for b in source.basis:
-            rows.append(images.get(b, target.zero()))
-        rm = RestrictionMap(source, target, tuple(rows))
-        return rm
 
     @cached_property
     def pushforward_rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:

@@ -361,7 +361,8 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
             img[_index(divisor, "restriction", tname)] += _number(rat, "[restriction]", c)
         images[src] = divisor.element(img)
     images.setdefault(ambient.basis[ambient.unit_index], divisor.unit())
-    restriction = RestrictionMap.from_images(ambient, divisor, images)
+    restriction = RestrictionMap(ambient, divisor, tuple(
+        images.get(b, divisor.zero()).support for b in ambient.basis))
     problems = check_restriction(restriction)
     if problems:
         raise ConfigError("restriction is not a ring map: " + "; ".join(problems[:3]))

@@ -53,6 +53,7 @@ from .series import (
     PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
+    _mul,
 )
 
 
@@ -68,62 +69,38 @@ class MalformedMirrorMapError(ValueError):
 # hypergeometric building blocks
 
 
-class PochhammerChains:
-    """The chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e of one I-function build.
+def _chain_rows(top: int | None, n: int, e: int) -> list[tuple[list[int], int]]:
+    """The rows of the chains P(u, m, e) = Π_{a=1}^{m} (u + a·z)^e for every m ≤ n.
 
-    u is a class, s = ±1 the sign of the z-slope and e a nonzero integer
-    exponent.  With x = u/z, P = (s^n·n!)^e·z^{ne}·Π_a (1 + x/(s·a))^e, so a
+    u is a class with last nonzero power ``top`` (`_top`) and e a nonzero
+    integer exponent.  With x = u/z, P = (m!)^e·z^{me}·Π_a (1 + x/a)^e, so a
     chain is held as the scalar row of its coefficients c_j in
-    P = Σ_j c_j·u^j·z^{ne−j}, integer numerators over one denominator.  The
-    row is cut after u's last nonzero power, so e < 0 needs a nilpotent u;
-    for e > 0 on a class that is not nilpotent it is not cut and is the
-    literal product.  Each chain keeps the rows of all its lengths and grows
-    one link at a time, by a truncated scalar product with the link's
-    binomial row (`_link_row`), so a prefix is built once however many
-    classes β ask for it.  Make one table per build; it is not a cache.
+    P = Σ_j c_j·u^j·z^{me−j}, integer numerators over one denominator > 0,
+    cut after u^top; for e > 0 on a class that is not nilpotent (top None)
+    it is not cut and is the literal product.  Each row grows the one before
+    by a link's binomial row (`_link_row`), through the truncated convolution
+    `_mul`.
     """
+    rows = [([1], 1)]
+    for a in range(1, n + 1):
+        nums, den = rows[-1]
+        link, link_den = _link_row(a, e, top)
+        cap = len(nums) + len(link) - 2
+        out = _mul(nums, link, cap if top is None else min(cap, top))
+        den *= link_den
+        g = math.gcd(den, *out)
+        rows.append(([x // g for x in out], den // g))
+    return rows
 
-    def __init__(self) -> None:
-        self._rows: dict[tuple[Element, int, int], list[tuple[list[int], int]]] = {}
-        self._tops: dict[Element, int | None] = {}
 
-    def rows(self, u: Element, n: int, s: int, e: int) -> list[tuple[list[int], int]]:
-        """The rows (c_j numerators, denominator > 0) of P(u, m, s, e) for every m ≤ n."""
-        if n < 0 or s not in (1, -1) or not isinstance(e, int) or e == 0:
-            raise ValueError(f"no chain of length {n}, slope sign {s}, exponent {e}")
-        rows = self._rows.get((u, s, e))
-        if rows is None:
-            rows = self._rows[(u, s, e)] = [([1], 1)]
-        if len(rows) > n:
-            return rows
-        top = self._top(u, e)
-        while len(rows) <= n:
-            nums, den = rows[-1]
-            link, link_den = _link_row(s * len(rows), e, top)
-            size = len(nums) + len(link) - 1
-            out = [0] * (size if top is None else min(size, top + 1))
-            for i, x in enumerate(nums):
-                for j, y in enumerate(link[: len(out) - i]):
-                    out[i + j] += x * y
-            den *= link_den
-            g = math.gcd(den, *out)
-            rows.append(([x // g for x in out], den // g))
-        return rows
-
-    def link_row(self, u: Element, a: int, e: int) -> tuple[list[int], int]:
-        """The row of the one link (u + a·z)^e, cut as u's chains are."""
-        return _link_row(a, e, self._top(u, e))
-
-    def _top(self, u: Element, e: int) -> int | None:
-        """u's last nonzero power, or None for e > 0 on a class that is not nilpotent."""
-        if u not in self._tops:
-            try:
-                self._tops[u] = nilpotency_index(u) - 1
-            except AlgebraError:
-                self._tops[u] = None
-        if self._tops[u] is None and e < 0:
-            raise AlgebraError(f"{u!r} is not nilpotent in {u.algebra.name}")
-        return self._tops[u]
+def _top(u: Element, e: int) -> int | None:
+    """u's last nonzero power, or None for e > 0 on a class that is not nilpotent."""
+    try:
+        return nilpotency_index(u) - 1
+    except AlgebraError:
+        if e < 0:
+            raise
+        return None
 
 
 def _link_row(a: int, e: int, top: int | None) -> tuple[list[int], int]:
@@ -736,12 +713,13 @@ def _hypergeometric(
     exponential prefactor (`_assemble`).  A net multiplicity 0 drops the
     class, and a class that pairs to ≤ 0 with β contributes 1.
 
-    Every factor is a scalar row over the powers of its class: the chain rows
-    of `PochhammerChains`, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j
-    the e = −1 link row.  So the nonzero monomials Π_f u_f^{j_f}·D^{j_D} are
-    tabulated once per build as sparse integer rows (`_monomials`), and each
-    z-slice of a class is one `_rows` of them, weighted by integer products
-    of its rows and base.  `_assemble` receives every nonzero slice as that
+    Every factor is a scalar row over the powers of its class: its chain rows
+    (`_chain_rows`), built once per build for the longest chain any class
+    asks of it, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j the
+    e = −1 link row, with D's top power found once.  So the nonzero
+    monomials Π_f u_f^{j_f}·D^{j_D} are tabulated once per build as sparse
+    integer rows (`_monomials`), and each z-slice of a class is one `_rows`
+    of them, weighted by integer products of its rows and base.  `_assemble` receives every nonzero slice as that
     row; an empty one is dropped.
     With ``lowest_z`` given, a slice that cannot reach it after assembly is
     not formed: monomials go by rising Σ j, so a class stops at the first one
@@ -751,10 +729,11 @@ def _hypergeometric(
     factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
     classes = list(bases)
     pairings = [[max(sum(map(mul, pv, beta)), 0) for beta in classes] for _, pv, _ in factors]
-    chains = PochhammerChains()
-    tables = [chains.rows(cls, max(tops), 1, e) for (cls, _, e), tops in zip(factors, pairings)]
+    tables = [_chain_rows(_top(cls, e), max(tops), e)
+              for (cls, _, e), tops in zip(factors, pairings)]
     contacts = [geom.contact_weight(beta) for beta in classes]
-    poles = {c: chains.link_row(dcls, c, -1) for c in set(contacts) if c > 0}
+    top_d = _top(dcls, -1)
+    poles = {c: _link_row(c, -1, top_d) for c in set(contacts) if c > 0}
     poles[0] = ([1], 1)
     # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]

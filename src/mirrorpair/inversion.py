@@ -13,21 +13,11 @@ from math import lcm
 from random import Random
 
 from .ifunctions import MirrorChange, class_constant_terms, composed_exponent
-from .series import NovikovSeries, TruncationPolicy
+from .series import NovikovSeries, TruncationPolicy, _mul
 
 
 # ---------------------------------------------------------------------------
 # rational polynomials as dense integer numerators over one denominator
-
-
-def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """a·b on dense integer coefficient lists (index = exponent), kept through x^n."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a[: len(out)]):
-        if ai:
-            for j, bj in enumerate(b[: len(out) - i], i):
-                out[j] += ai * bj
-    return out
 
 
 def _numerators(coeffs: list[Fraction]) -> tuple[list[int], int]:

@@ -281,8 +281,9 @@ def compare_periods(
 
     The potential must cover every class with D·β ≤ t_order.  The classical
     side always runs on the geometry's own data.  Under negative_control the
-    quantum-side table alone gets its lowest-degree entry bumped by 1, and
-    passing means the mismatch is flagged exactly at that degree.
+    quantum-side table alone gets its lowest-degree entry within the window
+    (2 ≤ D·β ≤ t_order) bumped by 1, and passing means the mismatch is
+    flagged exactly at that degree.
     """
     geom = pot.geometry
     classical = classical_period(pot, t_order).coefficients
@@ -292,7 +293,7 @@ def compare_periods(
         graded = sorted(
             (geom.contact_weight(b), i)
             for i, (b, a, v) in enumerate(rows)
-            if geom.contact_weight(b) >= 2 and a == geom.contact_weight(b) - 2
+            if 2 <= geom.contact_weight(b) <= t_order and a == geom.contact_weight(b) - 2
         )
         if not graded:
             raise MissingDataError(

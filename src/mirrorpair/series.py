@@ -1,6 +1,6 @@
 """Truncated exact formal series: Novikov variables, z-Laurent polynomials, x-Laurent tails.
 
-Three series shapes drive the computations:
+Three series shapes live here:
 
 * `NovikovSeries` — polynomial truncations of power series in finitely many
   Novikov variables with `Fraction` coefficients, truncated by a weighted total
@@ -15,9 +15,11 @@ Three series shapes drive the computations:
   results skip the public constructor's key checks (`_kernel_output`).
 
 * `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
-  graded algebra, used for the hypergeometric factors.  Every factor of the
-  I-function templates is a finite Laurent polynomial, so nothing is truncated
-  in z anywhere: the weighted Novikov order is the one truncation.
+  graded algebra.  No pipeline code builds one: the I-function template works
+  on the scalar rows of `ifunctions`.  It stays only for the test oracles,
+  which multiply hypergeometric links out literally, and for the benchmark's
+  trace of its product; it leaves with `nilpotent_reciprocal` once neither
+  reads it.
 
 * `XLaurentSeries` — Laurent series in the potential variable x whose
   coefficients are single-variable polynomials in t; exponents in x are exact
@@ -39,6 +41,20 @@ from .algebra import (
     rat,
     sum_of_products,
 )
+
+
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """a·b on dense integer coefficient lists (index = exponent), kept through x^n.
+
+    The one truncated integer convolution: the chain rows of `ifunctions` and
+    the polynomial kernels of `inversion` both run on it.
+    """
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: len(out)]):
+        if ai:
+            for j, bj in enumerate(b[: len(out) - i], i):
+                out[j] += ai * bj
+    return out
 
 
 class TruncationError(ValueError):

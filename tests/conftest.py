@@ -41,8 +41,13 @@ The brute-force structure checks: every associativity triple of a ring and
 every basis pair of a restriction map, each product by the dense table.  The
 package sweeps only the triples that its O(n²) checks leave open, and
 compares the sides of multiplicativity as sparse row combinations.
+
+The dense tables: a test that draws a table hands the oracles that table.
+For any other ring, `dense_table` reads one off its sparse structure
+constants by a literal loop; the package keeps only the sparse constants.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -152,12 +157,29 @@ def is_canonical_row(row, dim) -> bool:
     )
 
 
-def dense_product(a, b):
-    """The coefficients of a·b by a literal triple loop over the dense table.
+def dense_row(row, dim):
+    """The dense Fractions of a sparse row of (index, numerator, denominator) triples."""
+    out = [Fraction(0)] * dim
+    for k, n, d in row:
+        out[k] = Fraction(n, d)
+    return tuple(out)
+
+
+@functools.cache
+def dense_table(alg):
+    """t[i][j][k], the coefficient of e_k in e_i·e_j, read off alg's sparse
+    structure constants by a literal loop."""
+    return tuple(tuple(dense_row(c, alg.dim) for c in row) for row in alg.constants)
+
+
+def dense_product(a, b, table=None):
+    """The coefficients of a·b by a literal triple loop over the dense table,
+    ``dense_table`` of their algebra unless one is given.
 
     Zero coordinates of a and b contribute nothing and are passed over.
     """
     alg = a.algebra
+    table = dense_table(alg) if table is None else table
     n = alg.dim
     out = [Fraction(0)] * n
     for i in range(n):
@@ -165,7 +187,7 @@ def dense_product(a, b):
             if not (a.coeffs[i] and b.coeffs[j]):
                 continue
             for k in range(n):
-                out[k] += a.coeffs[i] * b.coeffs[j] * alg.table[i][j][k]
+                out[k] += a.coeffs[i] * b.coeffs[j] * table[i][j][k]
     return tuple(out)
 
 
@@ -179,7 +201,7 @@ def assemble_literal(geom, pieces):
     """
     amb, div = geom.ambient, geom.divisor
     picard = list(geom.picard)
-    image = [img.coeffs for img in geom.restriction.images]
+    image = [dense_row(row, div.dim) for row in geom.restriction.rows]
     prefactor = []
     for alpha in iproduct(range(amb.top_degree + 1), repeat=len(picard)):
         if sum(alpha) > amb.top_degree:
@@ -326,26 +348,27 @@ def theta_coefficient(w, n):
 
 
 def normal_bundle_algebra(geom):
-    """D's ring extended by h0, with h0² = −c1(N)·h0 and c1(N) = r(D).
+    """D's ring extended by h0, with h0² = −c1(N)·h0, c1(N) = r(D), and ∫ b·h0 = ∫_D b.
 
     The basis is D's basis b followed by b.h0 (degree + 1); each product of
-    basis classes is a `dense_product` in D's ring.
+    basis classes is a `dense_product` in D's ring, written as a sparse row
+    by a literal loop.
     """
     div = geom.divisor
-    n, ui = div.dim, div.unit_index
+    n = div.dim
     minus_c1n = -geom.restriction(geom.divisor_class)
-    names = [*div.basis, *(f"{b}.h0" for b in div.basis)]
-    products = {}
+    constants = [[()] * (2 * n) for _ in range(2 * n)]
     for i, j in iproduct(range(n), repeat=2):
         plain = div.element(dense_product(div.basis_element(i), div.basis_element(j)))
         # e_i·e_j, e_i·(e_j h0) = (e_i e_j) h0 and (e_i h0)(e_j h0) = −(e_i e_j c1N) h0
         for a, b, shift, vec in ((i, j, 0, plain.coeffs), (i, n + j, n, plain.coeffs),
                                  (n + i, n + j, n, dense_product(plain, minus_c1n))):
-            if ui not in (a, b) and any(vec):
-                products[(names[a], names[b])] = {names[shift + k]: c for k, c in enumerate(vec) if c}
-    return GradedAlgebra.from_products(
-        f"{div.name}.normal_bundle", names, [*div.degrees, *(d + 1 for d in div.degrees)],
-        products, unit=names[ui], point=names[n + (div.point_index or 0)],
+            constants[a][b] = constants[b][a] = tuple(
+                (shift + k, c.numerator, c.denominator) for k, c in enumerate(vec) if c)
+    return GradedAlgebra(
+        f"{div.name}.normal_bundle", (*div.basis, *(f"{b}.h0" for b in div.basis)),
+        (*div.degrees, *(d + 1 for d in div.degrees)), tuple(map(tuple, constants)),
+        div.unit_index, (Fraction(0),) * n + div.integration,
     )
 
 
@@ -395,14 +418,15 @@ def normal_bundle_divisor_map(geom):
     return {key: cls for key, cls in out.items() if not cls.is_zero()}
 
 
-def check_algebra_brute_force(alg):
-    """check_algebra's problems over every pair and every triple, from the dense table.
+def check_algebra_brute_force(alg, table):
+    """check_algebra's problems over every pair and every triple, from the dense
+    table ``table`` that alg was built from.
 
     The order is the package's: pair problems (commutativity, degree, top
     degree), then every failing triple (i, j, k) in lexicographic order, then
     the unit.
     """
-    n, table, degrees = alg.dim, alg.table, alg.degrees
+    n, degrees = alg.dim, alg.degrees
     top = max(degrees)
     problems = []
     for i in range(n):
@@ -441,15 +465,16 @@ def check_algebra_brute_force(alg):
     return problems
 
 
-def check_restriction_brute_force(rm):
-    """check_restriction's problems, r(e_i·e_j) against r(e_i)·r(e_j) by dense products."""
+def check_restriction_brute_force(rm, source_table, target_table):
+    """check_restriction's problems, r(e_i·e_j) against r(e_i)·r(e_j) by dense
+    products over the dense tables the two rings were built from."""
     src, tgt = rm.source, rm.target
 
     def restrict(coeffs):
         out = [Fraction(0)] * tgt.dim
-        for c, img in zip(coeffs, rm.images):
+        for c, row in zip(coeffs, rm.rows):
             if c:
-                out = [o + c * x for o, x in zip(out, img.coeffs)]
+                out = [o + c * x for o, x in zip(out, dense_row(row, tgt.dim))]
         return tgt.element(out)
 
     basis = [src.basis_element(i) for i in range(src.dim)]
@@ -465,7 +490,8 @@ def check_restriction_brute_force(rm):
                     f"not homogeneous of degree {src.degrees[i]}"
                 )
         for j, (ej, imj) in enumerate(zip(basis, images)):
-            if restrict(dense_product(ei, ej)).coeffs != dense_product(img, imj):
+            if (restrict(dense_product(ei, ej, source_table)).coeffs
+                    != dense_product(img, imj, target_table)):
                 problems.append(
                     f"{src.name}->{tgt.name}: not multiplicative on "
                     f"{src.basis[i]}*{src.basis[j]}"

@@ -12,6 +12,8 @@ from conftest import (
     check_algebra_brute_force,
     check_restriction_brute_force,
     dense_product,
+    dense_row,
+    dense_table,
     is_canonical_row,
     normal_bundle_algebra,
 )
@@ -61,19 +63,23 @@ def test_planted_non_associative_table_is_reported():
     ]
 
 
+def _sparse_rows(table):
+    """The dense table's entries as sparse (index, numerator, denominator) rows."""
+    return tuple(tuple(tuple((k, c.numerator, c.denominator) for k, c in enumerate(vec) if c)
+                       for vec in row) for row in table)
+
+
 def test_planted_non_commutative_table_is_reported():
-    # x·y = p but y·x = 2p; from_products cannot express this, so the table is literal
+    # x·y = p but y·x = 2p; from_products cannot express this, so the rows are literal
     names = ("one", "x", "y", "p")
-
-    def vec(**coeffs):
-        return tuple(Fraction(coeffs.get(b, 0)) for b in names)
-
-    table = [[vec() for _ in names] for _ in names]
-    for i, b in enumerate(names):
-        table[0][i] = table[i][0] = vec(**{b: 1})
-    table[1][2] = vec(p=1)
-    table[2][1] = vec(p=2)
-    alg = GradedAlgebra("noncomm", names, (0, 1, 1, 2), tuple(map(tuple, table)), 0, 3, vec(p=1))
+    constants = [[()] * 4 for _ in names]
+    for i in range(4):
+        constants[0][i] = constants[i][0] = ((i, 1, 1),)
+    constants[1][2] = ((3, 1, 1),)
+    constants[2][1] = ((3, 2, 1),)
+    integration = tuple(Fraction(int(b == "p")) for b in names)
+    alg = GradedAlgebra("noncomm", names, (0, 1, 1, 2), tuple(map(tuple, constants)), 0,
+                        integration)
     assert check_algebra(alg) == ["noncomm: e1*e2 != e2*e1", "noncomm: e2*e1 != e1*e2"]
 
 
@@ -97,7 +103,8 @@ _FAULTS = ("none",) * 3 + ("entry",) * 3 + ("asymmetric", "degree", "unit")
 
 @st.composite
 def monomial_tables(draw, nvars=None):
-    """(algebra, monomial of each basis index, scale of each basis index)."""
+    """(algebra, monomial of each basis index, scale of each basis index, the dense
+    table t[i][j][k] the algebra's rows were written from)."""
     nvars = nvars or draw(st.integers(1, 2))
     top = draw(st.integers(2, 5) if nvars == 1 else st.just(3))
     monos = [a for a in iproduct(range(top + 1), repeat=nvars) if sum(a) <= top]
@@ -137,18 +144,17 @@ def monomial_tables(draw, nvars=None):
     elif fault == "unit":
         table[unit][i] = list(table[unit][i])
         table[unit][i][k] += 1
-    point = degrees.index(top)
     integration = tuple(Fraction(int(d == top)) for d in degrees)
     alg = GradedAlgebra(f"t{n}", tuple(f"e{i}" for i in range(n)), tuple(degrees),
-                        tuple(tuple(map(tuple, row)) for row in table), unit, point, integration)
-    return alg, monos, scales
+                        _sparse_rows(table), unit, integration)
+    return alg, monos, scales, table
 
 
 @given(drawn=monomial_tables())
 @settings(max_examples=100, deadline=None)
 def test_structure_check_agrees_with_the_brute_force_sweep(drawn):
-    alg = drawn[0]
-    want = check_algebra_brute_force(alg)
+    alg, _, _, table = drawn
+    want = check_algebra_brute_force(alg, table)
     got = check_algebra(alg)
     assert bool(got) == bool(want)
     if all("associativity" in p for p in want):
@@ -157,19 +163,21 @@ def test_structure_check_agrees_with_the_brute_force_sweep(drawn):
 
 @st.composite
 def restriction_maps(draw):
-    """A map between two monomial tables in the same variables.
+    """(map, source table, target table): a map between two monomial tables in
+    the same variables.
 
     Its images are those of x_v -> c_v·x_v when the target is no taller than
     the source (a ring map on untouched tables), the identity, or random
     vectors; one image coordinate may then be perturbed.
     """
     nvars = draw(st.integers(1, 2))
-    src, smonos, sscales = draw(monomial_tables(nvars))
+    src, smonos, sscales, stable = draw(monomial_tables(nvars))
     kind = draw(st.sampled_from(["monomial", "random", "identity", "monomial", "random"]))
     if kind == "identity":
-        tgt, images = src, [src.basis_element(i).coeffs for i in range(src.dim)]
+        tgt, ttable = src, stable
+        images = [src.basis_element(i).coeffs for i in range(src.dim)]
     else:
-        tgt, tmonos, tscales = draw(monomial_tables(nvars))
+        tgt, tmonos, tscales, ttable = draw(monomial_tables(nvars))
         tindex = {a: i for i, a in enumerate(tmonos)}
         c = [draw(_nonzero) for _ in range(nvars)]
         images = []
@@ -188,13 +196,15 @@ def restriction_maps(draw):
         i = draw(st.one_of(st.just(src.unit_index), st.integers(0, src.dim - 1)))
         k = draw(st.one_of(st.just(tgt.unit_index), st.integers(0, tgt.dim - 1)))
         images[i] = tuple(x + (m == k) for m, x in enumerate(images[i]))
-    return RestrictionMap(src, tgt, tuple(tgt.element(img) for img in images))
+    return RestrictionMap(src, tgt, tuple(tgt.element(img).support for img in images)), \
+        stable, ttable
 
 
-@given(rm=restriction_maps())
+@given(drawn=restriction_maps())
 @settings(max_examples=60, deadline=None)
-def test_restriction_check_agrees_with_the_brute_force_sweep(rm):
-    assert check_restriction(rm) == check_restriction_brute_force(rm)
+def test_restriction_check_agrees_with_the_brute_force_sweep(drawn):
+    rm, source_table, target_table = drawn
+    assert check_restriction(rm) == check_restriction_brute_force(rm, source_table, target_table)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +311,12 @@ def test_pairing_matrix_nondegenerate_for_p2():
 @pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
 def test_pairing_matrix_integrates_the_dense_table(geom):
     for alg in (geom.ambient, geom.divisor):
-        n = alg.dim
+        n, table = alg.dim, dense_table(alg)
         want = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    want[i][j] += alg.table[i][j][k] * alg.integration[k]
+                    want[i][j] += table[i][j][k] * alg.integration[k]
         assert pairing_matrix(alg) == want
 
 
@@ -339,6 +349,94 @@ def test_from_products_rejects_unit_rows():
             "bad", ("one", "x"), (0, 1), {("one", "x"): {"x": 1}}, unit="one",
             integration={"x": 1},
         )
+
+
+_listed = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def product_listings(draw):
+    """Keyword arguments of `GradedAlgebra.from_products`: pairs of non-unit classes
+    listed in one or both orders, some more than once, coefficients of every
+    accepted type including zeros, and an integration given or left to the point."""
+    n = draw(st.integers(2, 5))
+    basis = tuple(f"b{i}" for i in range(n))
+    unit = draw(st.sampled_from(basis))
+    degrees = [0 if b == unit else draw(st.integers(1, 3)) for b in basis]
+    others = [b for b in basis if b != unit]
+    image = st.dictionaries(st.sampled_from(basis), _listed, max_size=3)
+    listing = draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(others), image),
+                            max_size=8))
+    products = {}
+    for a, b, img in listing:
+        products[(a, b)] = img
+    integration = draw(st.none() | st.dictionaries(st.sampled_from(basis), _listed, max_size=3))
+    point = draw(st.sampled_from(basis) if integration is None
+                 else st.none() | st.sampled_from(basis))
+    return dict(name="drawn", basis=basis, degrees=degrees, products=products, unit=unit,
+                point=point, integration=integration)
+
+
+@given(kwargs=product_listings())
+@example(kwargs=dict(name="drawn", basis=("one", "x", "p"), degrees=[0, 1, 2],
+                     products={("x", "p"): {"p": 2}, ("p", "x"): {"p": "1/2", "x": 0}},
+                     unit="one", point="p", integration=None))
+@settings(max_examples=150, deadline=None)
+def test_from_products_matches_the_listed_dense_table(kwargs):
+    # the example lists x·p in both orders: the later listing holds, and its zero drops
+    basis, unit = kwargs["basis"], kwargs["unit"]
+    n, index = len(basis), {b: i for i, b in enumerate(basis)}
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        table[index[unit]][i][i] = table[i][index[unit]][i] = Fraction(1)
+    for (a, b), img in kwargs["products"].items():
+        vec = [Fraction(0)] * n
+        for target, c in img.items():
+            vec[index[target]] = Fraction(c)
+        table[index[a]][index[b]] = table[index[b]][index[a]] = vec
+    integration = [Fraction(0)] * n
+    if kwargs["integration"] is None:
+        integration[index[kwargs["point"]]] = Fraction(1)
+    else:
+        for target, c in kwargs["integration"].items():
+            integration[index[target]] = Fraction(c)
+    alg = GradedAlgebra.from_products(**kwargs)
+    assert alg.constants == _sparse_rows(table)
+    assert all(is_canonical_row(c, n) for row in alg.constants for c in row)
+    assert alg.integration == tuple(integration)
+    assert (alg.name, alg.basis, alg.degrees, alg.unit_index) == \
+        ("drawn", basis, tuple(kwargs["degrees"]), index[unit])
+
+
+_VALID = dict(name="r", basis=("one", "x", "p"), degrees=(0, 1, 2),
+              products={("x", "x"): {"p": 1}}, unit="one", point="p")
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (dict(degrees=(0, 1)), AlgebraError, "r: basis/degrees length mismatch"),
+    (dict(basis=("one", "x", "x")), AlgebraError, "r: duplicate basis names"),
+    (dict(unit="u"), AlgebraError, "r: unknown unit 'u'"),
+    (dict(unit="x"), AlgebraError, "r: unit must have degree 0"),
+    (dict(point="q", products={("x", "y"): {}}), AlgebraError, "r: unknown point class 'q'"),
+    (dict(products={("x", "y"): {"p": 1}}), AlgebraError, "r: product names unknown: x*y"),
+    (dict(products={("x", "one"): {"x": 1}}), AlgebraError,
+     "r: unit products are implied, do not list x*one"),
+    (dict(products={("x", "x"): {"q": 1}}), AlgebraError, "r: unknown target q in x*x"),
+    (dict(products={("x", "x"): {"p": 1.5}}), TypeError, "not an exact rational: 1.5"),
+    (dict(integration={"q": 1}, products={}), AlgebraError, "r: unknown integration class 'q'"),
+    (dict(integration={"q": 1}, products={("x", "x"): {"q": 1}}), AlgebraError,
+     "r: unknown target q in x*x"),
+    (dict(point=None), AlgebraError, "r: need a point class or an integration functional"),
+])
+def test_from_products_refusals_are_word_for_word(change, error, message):
+    with pytest.raises(error) as raised:
+        GradedAlgebra.from_products(**{**_VALID, **change})
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +575,16 @@ def test_product_kernel_rejects_mixed_algebras():
 def test_restriction_and_pushforward_match_their_definitions(geom, data):
     rm = geom.restriction
     x = data.draw(elements(rm.source))
+    images = [rm.target.element(dense_row(row, rm.target.dim)) for row in rm.rows]
     expect = rm.target.zero()
-    for c, img in zip(x.coeffs, rm.images):
+    for c, img in zip(x.coeffs, images):
         expect = expect + img.scale(c)
     assert rm(x) == expect
     # ∫_src P(v) ∪ e_j == ∫_tgt v ∪ r(e_j) for every basis class e_j
     v = data.draw(elements(rm.target))
     push = pairing_pushforward(rm, v)
     assert push.algebra is rm.source
-    for j, img in enumerate(rm.images):
+    for j, img in enumerate(images):
         ej = rm.source.basis_element(j)
         assert (_integral(rm.source, dense_product(push, ej))
                 == _integral(rm.target, dense_product(v, img)))

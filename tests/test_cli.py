@@ -508,6 +508,28 @@ def test_verify_negative_control_needs_period_data(capsys):
     assert code == 2
 
 
+def test_negative_control_perturbs_only_rows_inside_the_window(tmp_path, capsys):
+    # the plane's one-point invariants as x_point rows, the first at t³: at t-order 2
+    # no row lies in the compared window, whichever source the rows come from
+    table_pair = tmp_path / "p2_table.ini"
+    table_pair.write_text(BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n"
+        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
+    refusals = []
+    for geometry in (str(table_pair), "p2_cubic"):
+        code = run(["verify", "--geometry", geometry, "--order", "2", "--negative-control"],
+                   stream=io.StringIO())
+        refusals.append((code, capsys.readouterr().err))
+    assert refusals == [(2, "error: p2_cubic: no quantum-side entries to perturb "
+                            "for the control run\n")] * 2
+    # at t-order 3 both catch the planted mismatch at t³
+    for geometry in (str(table_pair), "p2_cubic"):
+        code, text = _run("verify", "--geometry", geometry, "--order", "3",
+                          "--negative-control", "--format", "json")
+        assert code == 0 and json.loads(text)["metadata"]["result"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

@@ -56,17 +56,19 @@ from mirrorpair import ifunctions
 from mirrorpair.geometry import ToricData
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
-    PochhammerChains,
+    _chain_rows,
+    _link_row,
+    _top,
     absolute_core,
     class_constant_terms,
 )
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer chains P(u, n, s, e) = Π_{a=1}^{n} (u + s·a·z)^e
+# Pochhammer chains P(u, n, e) = Π_{a=1}^{n} (u + a·z)^e
 #
-# The hypergeometric factor Π_{a≤0}(u + az) / Π_{a≤c}(u + az) at contact c is
-# P(u, c, +1, −1) for c ≥ 0 and u·P(u, −c−1, −1, +1) for c < 0.
+# The hypergeometric factor Π_{a≤0}(u + az) / Π_{a≤c}(u + az) at contact c ≥ 0
+# is P(u, c, −1).
 
 
 def _row_link(u, e, nums, den):
@@ -75,37 +77,21 @@ def _row_link(u, e, nums, den):
         e - k: u.power(k).scale(Fraction(n, den)) for k, n in enumerate(nums)})
 
 
-def _chain(chains, u, n, s, e):
-    """P(u, n, s, e) as a z-Laurent element, read off the table's row of length n."""
-    return _row_link(u, n * e, *chains.rows(u, n, s, e)[n])
+def _chain(u, n, e):
+    """P(u, n, e) as a z-Laurent element, read off the row of length n."""
+    return _row_link(u, n * e, *_chain_rows(_top(u, e), n, e)[n])
 
 
 def test_factor_at_zero_contact_is_one(p2):
     u = p2.ambient.named("H")
-    chains = PochhammerChains()
-    for s in (1, -1):
-        for e in (1, -1):
-            assert _chain(chains, u, 0, s, e) == ZLaurentElement.one(p2.ambient)
-
-
-def test_factor_at_negative_contact_is_literal_product(p2):
-    u = p2.ambient.named("H")
-    bare = ZLaurentElement.from_element(u)
-    chains = PochhammerChains()
-    # c = -1: the single a = 0 factor, i.e. the bare class
-    assert bare * _chain(chains, u, 0, -1, 1) == bare
-    # c = -2: (u - z) * u
-    assert bare * _chain(chains, u, 1, -1, 1) == ZLaurentElement.linear(u, -1) * bare
-    # c = -3 without u: (u - z)(u - 2z) = u² - 3uz + 2z²
-    expect = ZLaurentElement(p2.ambient, {
-        0: p2.ambient.named("H2"), 1: u.scale(-3), 2: p2.ambient.unit().scale(2)})
-    assert _chain(chains, u, 2, -1, 1) == expect
+    for e in (1, -1):
+        assert _chain(u, 0, e) == ZLaurentElement.one(p2.ambient)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_factor_at_positive_contact_multiplies_back(p2, c):
     u = p2.ambient.named("H")
-    back = _chain(PochhammerChains(), u, c, 1, -1)
+    back = _chain(u, c, -1)
     for a in range(1, c + 1):
         back = back * ZLaurentElement.linear(u, a)
     assert back == ZLaurentElement.one(p2.ambient)
@@ -128,6 +114,14 @@ def _literal_link(u, a, e):
     return link
 
 
+def _literal_chain(u, n, s, e):
+    """Π_{a=1}^{n} (u + s·a·z)^e, one literal link at a time."""
+    literal = ZLaurentElement.one(u.algebra)
+    for a in range(1, n + 1):
+        literal = literal * _literal_link(u, s * a, e)
+    return literal
+
+
 @pytest.mark.parametrize("which", list(CHAIN_CASES))
 def test_chains_match_literal_products(p2, blp3, which):
     if which == "p2_H":
@@ -137,74 +131,54 @@ def test_chains_match_literal_products(p2, blp3, which):
         u = {"blp3_4H+h": H.scale(4) + h, "blp3_h-H": h - H, "blp3_H+h": H + h}[which]
     exponents, length = CHAIN_CASES[which]
     one = ZLaurentElement.one(u.algebra)
-    shared = PochhammerChains()
-    for s in (1, -1):
-        for e in exponents:
-            for a in range(1, length + 1):
-                assert _row_link(u, e, *PochhammerChains().link_row(u, s * a, e)) == \
-                    _literal_link(u, s * a, e)
-            # the shared table is asked longest first, so shorter chains are read back
-            for n in range(length, -1, -1):
-                literal = one
-                for a in range(1, n + 1):
-                    literal = literal * _literal_link(u, s * a, e)
-                assert _chain(shared, u, n, s, e) == literal
-                assert _chain(PochhammerChains(), u, n, s, e) == literal
-        for e in exponents:
-            if e > 0:
-                for n in range(length + 1):
-                    assert _chain(shared, u, n, s, e) * _chain(shared, u, n, s, -e) == one
-
-
-def _literal_chain(u, n, s, e):
-    literal = ZLaurentElement.one(u.algebra)
-    for a in range(1, n + 1):
-        literal = literal * _literal_link(u, s * a, e)
-    return literal
+    for e in exponents:
+        top = _top(u, e)
+        for a in range(1, length + 1):
+            assert _row_link(u, e, *_link_row(a, e, top)) == _literal_link(u, a, e)
+        # the longest chain's rows are the shorter chains, each as if asked alone
+        rows = _chain_rows(top, length, e)
+        for n in range(length + 1):
+            literal = _literal_chain(u, n, 1, e)
+            assert _row_link(u, n * e, *rows[n]) == literal
+            assert _chain(u, n, e) == literal
+    for e in exponents:
+        if e > 0:
+            for n in range(length + 1):
+                assert _chain(u, n, e) * _chain(u, n, -e) == one
 
 
 @given(
     coords=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)),
     n=st.integers(0, 7),
-    s=st.sampled_from((1, -1)),
     e=st.integers(-4, 4).filter(bool),
 )
-@example(coords=(4, 1, 0), n=7, s=1, e=1)
-@example(coords=(-1, 1, 0), n=7, s=1, e=-1)
-@example(coords=(0, 0, 1), n=3, s=-1, e=2)
+@example(coords=(4, 1, 0), n=7, e=1)
+@example(coords=(-1, 1, 0), n=7, e=-1)
+@example(coords=(0, 0, 1), n=3, e=2)
 @settings(max_examples=60, deadline=None)
-def test_chain_rows_match_literal_products(blp3, coords, n, s, e):
+def test_chain_rows_match_literal_products(blp3, coords, n, e):
     # u = x·H + y·h + w·1: nilpotent exactly when w = 0; a link with e < 0
-    # needs a nilpotent class, the empty chain does not
+    # needs a nilpotent class
     amb = blp3.ambient
     x, y, w = coords
     u = amb.named("H").scale(x) + amb.named("h").scale(y) + amb.unit().scale(w)
-    chains = PochhammerChains()
-    if w and e < 0 and n:
+    if w and e < 0:
         with pytest.raises(AlgebraError, match="not nilpotent"):
-            chains.rows(u, n, s, e)
+            _top(u, e)
         return
-    nums, den = chains.rows(u, n, s, e)[n]
+    nums, den = _chain_rows(_top(u, e), n, e)[n]
     assert den > 0 and all(isinstance(c, int) for c in nums)
-    assert _chain(chains, u, n, s, e) == _literal_chain(u, n, s, e)
+    assert _chain(u, n, e) == _literal_chain(u, n, 1, e)
 
 
 def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
     unit = p2.ambient.unit()
     with pytest.raises(AlgebraError, match="not nilpotent"):
-        PochhammerChains().rows(unit, 2, 1, -1)
+        _top(unit, -1)
     z = ZLaurentElement.linear(unit, 1)
     twice = ZLaurentElement.linear(unit, 2)
     square = z * twice * z * twice  # ((1 + z)(1 + 2z))²
-    assert _chain(PochhammerChains(), unit, 2, 1, 2) == square
-
-
-def test_chain_rejects_bad_arguments(p2):
-    u = p2.ambient.named("H")
-    chains = PochhammerChains()
-    for args in ((-1, 1, 1), (2, 0, 1), (2, 2, 1), (2, 1, 0)):
-        with pytest.raises(ValueError):
-            chains.rows(u, *args)
+    assert _chain(unit, 2, 2) == square
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +385,15 @@ def _pieces(monkeypatch, name):
     if name == "synthetic_negative":
         # the relative I-function refuses this pair (nonzero divisor map), so its
         # pieces are the absolute cores times the negative-contact chains
+        # Π_{a=1}^{−c−1} 1/(D − az), one literal link at a time
         geom = load_geometry(SYNTHETIC_NEGATIVE)
-        chains = PochhammerChains()
         pieces = []
         for b in range(geom.policy.max_total + 1):
             c = geom.contact_weight((b,))
             term = ZLaurentElement(geom.ambient, {
                 z: geom.ambient.unit().scale(v) for z, v in absolute_core(geom, (b,)).items()})
             if c < 0:
-                term = term * _chain(chains, geom.divisor_class, -c - 1, -1, -1)
+                term = term * _literal_chain(geom.divisor_class, -c - 1, -1, -1)
             pieces.append(((b,), -c, term.terms))
         return geom, pieces
     geom = _at_order(builtin_geometry(name), 6)
@@ -504,7 +478,7 @@ def test_absolute_core_of_the_plane(p2):
     # the plane's closed-form core at degree 1 is 1/(H + z)^3, one factor per
     # coordinate hyperplane
     H, H2 = p2.ambient.named("H"), p2.ambient.named("H2")
-    core = _chain(PochhammerChains(), H, 1, 1, -3)
+    core = _chain(H, 1, -3)
     assert core.coefficient(-3) == p2.ambient.unit()
     assert core.coefficient(-4) == -H.scale(3)
     assert core.coefficient(-5) == H2.scale(6)
@@ -514,9 +488,9 @@ def test_absolute_core_of_the_plane(p2):
 
 def test_one_point_invariants_match_closed_form(p2, p3):
     # ⟨[pt] ψ^{D·β−2}⟩_β is the unit component of the core
-    # P(H, d, +1, −(n+1)) = Π_{k≤d} 1/(H + kz)^{n+1} at z^{−D·β}
+    # P(H, d, −(n+1)) = Π_{k≤d} 1/(H + kz)^{n+1} at z^{−D·β}
     def core(geom, n, d):
-        return _chain(PochhammerChains(), geom.ambient.named("H"), d, 1, -(n + 1))
+        return _chain(geom.ambient.named("H"), d, -(n + 1))
 
     assert [core(p2, 2, d).coefficient(-3 * d).unit_component()
             for d in (1, 2, 3)] == [Fraction(1), Fraction(1, 8), Fraction(1, 216)]
