@@ -631,9 +631,10 @@ def _assemble(
 
 def _effective_classes(pol: TruncationPolicy):
     """All admissible exponent tuples (including 0)."""
-    ranges = [range(0, pol.max_total // w + 1) for w in pol.weights]
+    top = pol.max_total
+    ranges = [range(0, top // w + 1) for w in pol.weights]
     for beta in iproduct(*ranges):
-        if pol.admits(beta):
+        if pol.weight(beta) <= top:
             yield beta
 
 
@@ -925,11 +926,17 @@ def _grouped_exp(
 
 
 class MirrorChange:
-    """q_i = y_i · exp(m_i · g(y)): the mirror change of variables."""
+    """q_i = y_i · exp(m_i · g(y)): the mirror change of variables.
+
+    Everything a check reads off the change is built once and kept on it, and
+    on nothing longer-lived: e^G and G (`exp_composed`, `composed`), and each
+    truncation e^{d·g} that `exp_g` is asked for.
+    """
 
     def __init__(self, m_vector: tuple[int, ...], g: NovikovSeries):
         self.m_vector = m_vector
         self.g = g
+        self._exp_g: dict[tuple[int, int], NovikovSeries] = {}
 
     @property
     def policy(self) -> TruncationPolicy:
@@ -937,6 +944,13 @@ class MirrorChange:
 
     def contact_weight(self, beta: tuple[int, ...]) -> int:
         return sum(m * b for m, b in zip(self.m_vector, beta))
+
+    def exp_g(self, scale: int, order: int) -> NovikovSeries:
+        """e^{scale·g} through weight ``order``: g.exp(scale, order), built on first use."""
+        power = self._exp_g.get((scale, order))
+        if power is None:
+            power = self._exp_g[scale, order] = self.g.exp(scale, order)
+        return power
 
     @cached_property
     def exp_composed(self) -> NovikovSeries:
@@ -999,8 +1013,9 @@ def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> Novikov
     """f(q) ↦ f(q(y)): monomial-wise q^β ↦ y^β · exp((D·β)·g(y)).
 
     The classes of f are grouped by d = D·β, and each group is one product of
-    its terms with e^{d·g}, g.exp(d) truncated at the weight its lightest
-    class leaves room for.
+    its terms with e^{d·g} truncated at the weight its lightest class leaves
+    room for.  That truncation is the change's `exp_g`, so substitutions
+    through one change over the same groups build it once.
     """
     pol, g = series_q.policy, change.g
     if g.policy != pol:
@@ -1010,7 +1025,7 @@ def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> Novikov
         groups.setdefault(change.contact_weight(beta), {})[beta] = c
     out: dict = {}
     for d, terms in groups.items():
-        power = g.exp(d, pol.max_total - min(map(pol.weight, terms)))
+        power = change.exp_g(d, pol.max_total - min(map(pol.weight, terms)))
         # the product reads e^{d·g} only through the weight it is cut at, so it may sit under pol
         part = NovikovSeries._kernel_output(pol, terms) * NovikovSeries._kernel_output(pol, power.terms)
         for k, v in part.terms.items():

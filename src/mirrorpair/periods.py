@@ -174,7 +174,7 @@ class ProperPotential:
         sums = collapse_by_degree(self.geometry, terms)
         for beta, d, _ in terms:
             if d < 2:
-                raise ValueError(
+                raise PipelineInvariantError(
                     f"potential term at {beta} has contact weight {d} < 2; "
                     "cannot collapse"
                 )
@@ -394,7 +394,7 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     for beta, w in pot.terms:
         d = change.contact_weight(beta)
         if d < 2:
-            raise ValueError(
+            raise PipelineInvariantError(
                 f"{geom.name}: potential term at {beta} has contact weight {d} < 2"
             )
         u_terms[beta] = w / (d - 1)
@@ -405,7 +405,8 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     exp_g = g.exp()
     g_back = substitute_forward(composed_exponent(change), change)
 
-    endpoint_y = (one + nu_y) == exp_g
+    one_nu_y = one + nu_y
+    endpoint_y = one_nu_y == exp_g
     endpoint_q = g_back == g
 
     E = g.exp(-1)
@@ -414,7 +415,7 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     for beta, c in g.terms.items():
         d = change.contact_weight(beta)
         if d < 2:
-            raise ValueError(
+            raise PipelineInvariantError(
                 f"{geom.name}: exponent term at {beta} has contact weight {d} < 2"
             )
         r_terms[beta] = c * Fraction(d, d - 1)
@@ -426,13 +427,13 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     scaling = dL == dR
 
     Gy = g.weighted_scaling(m)
-    display = (Gy * E * (one + nu_y)) == Gy
+    display = (Gy * E * one_nu_y) == Gy
 
     details = ""
     if not ident:
         details = _first_difference(L, R)
     elif not endpoint_y:
-        details = _first_difference(one + nu_y, exp_g)
+        details = _first_difference(one_nu_y, exp_g)
     elif not endpoint_q:
         details = _first_difference(g_back, g)
 

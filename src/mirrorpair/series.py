@@ -12,7 +12,10 @@ Three series shapes live here:
   Products and recurrences accumulate the way `algebra.sum_of_products`
   does: each output monomial sums integer numerators over lcm-joined integer
   denominators (`_accumulate`) and becomes one Fraction at the end.  Their
-  results skip the public constructor's key checks (`_kernel_output`).
+  results, and those of the linear operators (+, −, negation, `euler_derive`,
+  `weighted_scaling`), skip the public constructor's key checks
+  (`_kernel_output`): their keys come from series under the one policy.
+  Each linear operator is one pass; `weighted_scaling(m)` scales y^k by m·k.
 
 * `ZLaurentElement` — exact z-Laurent polynomials with coefficients in a
   graded algebra.  No pipeline code builds one: the I-function template works
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -110,7 +113,7 @@ class TruncationPolicy:
         return len(self.weights)
 
     def weight(self, exps: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def admits(self, exps: tuple[int, ...]) -> bool:
         if len(exps) != self.nvars:
@@ -129,7 +132,7 @@ class NovikovSeries:
         self.policy = policy
         clean = {}
         for k, v in terms.items():
-            k = tuple(int(e) for e in k)
+            k = tuple(map(int, k))
             v = rat(v)
             if v and policy.admits(k):
                 clean[k] = v
@@ -173,14 +176,18 @@ class NovikovSeries:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return NovikovSeries(self.policy, out)
+            out[k] = out[k] + v if k in out else v
+        return NovikovSeries._kernel_output(self.policy, out)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return NovikovSeries._kernel_output(self.policy, out)
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries(self.policy, {k: -v for k, v in self.terms.items()})
+        return NovikovSeries._kernel_output(self.policy, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NovikovSeries):
@@ -277,7 +284,7 @@ class NovikovSeries:
             raise ValueError("log needs constant term 1")
         pol = self.policy
         d = self.weighted_scaling(pol.weights) * self.reciprocal()
-        return NovikovSeries(pol, {k: v / pol.weight(k) for k, v in d.terms.items()})
+        return NovikovSeries._kernel_output(pol, {k: v / pol.weight(k) for k, v in d.terms.items()})
 
     def reciprocal(self) -> "NovikovSeries":
         """1/f for f with invertible (nonzero) constant term: c·r_β = −Σ_{γ≠0} f_γ r_{β−γ}."""
@@ -295,19 +302,17 @@ class NovikovSeries:
         """The Euler operator y_i d/dy_i: scales each monomial by its i-th exponent."""
         if not (0 <= i < self.policy.nvars):
             raise ValueError(f"no Novikov variable with index {i}")
-        return NovikovSeries(
+        return NovikovSeries._kernel_output(
             self.policy, {k: v * k[i] for k, v in self.terms.items() if k[i]}
         )
 
     def weighted_scaling(self, m: tuple[int, ...]) -> "NovikovSeries":
-        """Σ_i m_i·(y_i d/dy_i) applied to the series."""
+        """Σ_i m_i·(y_i d/dy_i) applied to the series: each monomial scaled by m·k."""
         if len(m) != self.policy.nvars:
             raise ValueError("weight vector arity mismatch")
-        out = NovikovSeries.zero(self.policy)
-        for i, mi in enumerate(m):
-            if mi:
-                out = out + self.euler_derive(i) * Fraction(mi)
-        return out
+        return NovikovSeries._kernel_output(
+            self.policy, {k: v * sum(map(mul, m, k)) for k, v in self.terms.items()}
+        )
 
 
 def _accumulate(acc: dict, key, n: int, d: int) -> None:

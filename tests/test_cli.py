@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorpair import BUILTIN_CONFIGS, builtin_geometry, cli, load_geometry
+from mirrorpair import BUILTIN_CONFIGS, NovikovSeries, builtin_geometry, cli, load_geometry
 from mirrorpair.cli import COMMANDS, build_parser, run
 
 
@@ -334,6 +334,25 @@ def test_verify_passes_on_catalog():
     assert code == 0
     assert "result: pass" in text
     assert "period_theorem        pass" in text
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("verify", "--geometry", "p2_cubic", "--order", "24"), 27),
+    (("verify", "--geometry", "blp3_k3"), 8),
+])
+def test_verify_never_repeats_an_exp(monkeypatch, argv, calls):
+    """No verify run exponentiates the same (series, scale, order) twice: the
+    Euler-scaling check's three substitutions share the mirror change's e^{d·g}."""
+    seen = []
+    real = NovikovSeries.exp
+
+    def spy(self, scale=1, order=None):
+        seen.append((self.policy, tuple(sorted(self.terms.items())), scale, order))
+        return real(self, scale, order)
+
+    monkeypatch.setattr(NovikovSeries, "exp", spy)
+    assert run([*argv, "--format", "json"], io.StringIO()) == 0
+    assert len(set(seen)) == len(seen) == calls
 
 
 def test_verify_negative_control():

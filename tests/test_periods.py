@@ -161,8 +161,16 @@ def test_collapse_rejects_low_contact_weight(p2):
     pot = proper_potential(p2, 9)
     bad = ProperPotential(pot.geometry, MirrorChange((1,), pot.change.g))
     assert bad.terms[0][0] == (1,) and bad.contact_weight((1,)) == 1
-    with pytest.raises(ValueError, match="contact weight 1 < 2"):
+    # every class of g has D·β ≥ 2, so a weight below it is a program fault (CLI exit 3)
+    with pytest.raises(PipelineInvariantError, match="contact weight 1 < 2"):
         bad.collapse(9)
+
+
+def test_euler_scaling_check_rejects_low_contact_weight(p2):
+    pot = proper_potential(p2, 9)
+    bad = ProperPotential(pot.geometry, MirrorChange((1,), pot.change.g))
+    with pytest.raises(PipelineInvariantError, match=r"at \(1,\) has contact weight 1 < 2"):
+        euler_scaling_check(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,56 @@ def test_kernel_outputs_are_valid_series(pair, c):
         assert all(type(v) is Fraction for v in out.terms.values())
 
 
+@st.composite
+def _signed_pair_and_vector(draw):
+    """Two raw coefficient dicts of mixed-sign rationals under one 1- or
+    2-variable policy (keys may lie past its order), and a vector m with zero
+    and mixed-sign entries."""
+    nvars = draw(st.integers(min_value=1, max_value=2))
+    weights = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=0, max_value=6)), weights)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars)
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+    raw = st.dictionaries(exps, coeffs, max_size=6)
+    m = tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(nvars))
+    return pol, draw(raw), draw(raw), m
+
+
+@given(case=_signed_pair_and_vector())
+@settings(max_examples=60, deadline=None)
+def test_linear_operators_match_literal_dict_arithmetic(case):
+    pol, raw_f, raw_g, m = case
+
+    def admitted(raw):
+        return {k: v for k, v in raw.items()
+                if v and sum(w * e for w, e in zip(pol.weights, k)) <= pol.max_total}
+
+    def nonzero(d):
+        return {k: v for k, v in d.items() if v}
+
+    a, b = admitted(raw_f), admitted(raw_g)
+    f, g = NovikovSeries(pol, raw_f), NovikovSeries(pol, raw_g)
+    oracles = [
+        (f + g, {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}),
+        (f - g, {k: a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys()}),
+        (-f, {k: -v for k, v in a.items()}),
+        (f.weighted_scaling(m),
+         {k: v * sum(mi * ki for mi, ki in zip(m, k)) for k, v in a.items()}),
+        *((f.euler_derive(i), {k: v * k[i] for k, v in a.items()}) for i in range(pol.nvars)),
+    ]
+    for out, oracle in oracles:
+        assert out.terms == nonzero(oracle)
+        assert out == NovikovSeries(pol, oracle)
+        assert all(type(v) is Fraction for v in out.terms.values())
+    assert (f - f).terms == {} and (f + (-f)).terms == {}
+    other = NovikovSeries(TruncationPolicy.make(pol.nvars, pol.max_total + 1, pol.weights), raw_g)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="incompatible truncation policies"):
+            op(f, other)
+        with pytest.raises(ValueError, match="incompatible truncation policies"):
+            op(other, f)
+
+
 # ---------------------------------------------------------------------------
 # z-Laurent data over a finite graded algebra
 
