@@ -4,23 +4,27 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 411 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 420 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
     at the default order and at --order 4, 8 and 12 (288 runs);
   * identities --seed 3 --cases 4, verify --geometry p2_cubic
-    --negative-control, and the refusals i-function --order 1 and
-    i-function --geometry nope (12 runs);
+    --negative-control, the refusals i-function --order 1 and
+    i-function --geometry nope, and i-function --geometry blp3_k3
+    --order 16 (15 runs);
   * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
     and two d_point rows, and quantum-period and verify on blp3_k3 with a
     --table of two x_point rows, one value of each a fraction (12 runs);
+  * the refused i-function and mirror-map at --order 6 on p2_cubic with
+    j_source = invariant_table and a psi^0 row for a class of D.beta = 6,
+    which puts content at z^4 (6 runs);
   * the eight geometry subcommands on p2_cubic with j_source =
     invariant_table and its one-point invariants through t^9 as x_point
     rows, at the default order and at --order 4, 8 and 12, and verify
     --negative-control on it (99 runs);
 
-each in json, csv and pretty.  The configs and table of the last two groups
+each in json, csv and pretty.  The configs and table of the last three groups
 are written to a temporary directory, whose path becomes the token <tmp> in
 the argv and standard error that are hashed.  Every run contributes the sha256
 of its argv, exit code, standard output and standard error; the script
@@ -48,6 +52,7 @@ EXTRA = (
     ("verify", "--geometry", "p2_cubic", "--negative-control"),
     ("i-function", "--order", "1"),
     ("i-function", "--geometry", "nope"),
+    ("i-function", "--geometry", "blp3_k3", "--order", "16"),
 )
 TMP = "<tmp>"
 FILES = {
@@ -61,12 +66,18 @@ FILES = {
         "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n"
         "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
     ),
+    "above_z1.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
+    ),
 }
 TABLE_RUNS = (
     ("tau-d", "--geometry", f"{TMP}/tau_d.ini"),
     ("i-function", "--geometry", f"{TMP}/tau_d.ini"),
     ("quantum-period", "--geometry", "blp3_k3", "--table", f"{TMP}/x.table"),
     ("verify", "--geometry", "blp3_k3", "--table", f"{TMP}/x.table"),
+    ("i-function", "--geometry", f"{TMP}/above_z1.ini", "--order", "6"),
+    ("mirror-map", "--geometry", f"{TMP}/above_z1.ini", "--order", "6"),
 )
 
 

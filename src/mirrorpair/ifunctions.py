@@ -469,12 +469,13 @@ class RelativeSeries:
 
 
 def _monomials(
-    alg: GradedAlgebra, classes: list[Element], reach: list[int]
+    alg: GradedAlgebra, classes: list[Element], reach: list[int], limit: float = math.inf
 ) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
-    """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f, as
-    (exponents j, Σ j, sparse integer row of the product), exponents in
+    """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f and Σ j ≤ ``limit``,
+    as (exponents j, Σ j, sparse integer row of the product), exponents in
     lexicographic order.  Each power is one `_rows` product from the one
-    before, through the structure constants, and a row stops at its first zero.
+    before, through the structure constants, and a row stops at its first zero
+    or at the limit; a caller that reads no monomial past Σ j = limit forms none.
     """
     consts, dim = alg.constants, alg.dim
     monomials = [((), 0, alg.unit().support)]
@@ -482,7 +483,7 @@ def _monomials(
         support = u.support
         grown = []
         for js, t, m in monomials:
-            for j in range(n):
+            for j in range(min(n, limit - t + 1)):
                 if not m:
                     break
                 grown.append((js + (j,), t + j, m))
@@ -493,19 +494,22 @@ def _monomials(
 
 
 def _prefactor_terms(
-    classes: list[Element],
+    classes: list[Element], limit: float = math.inf
 ) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
     """Expansion of exp(Σ p_i ℓ_i / z) over the degree-1 classes p_i: list of
-    (log multi-index α, z-shift −|α|, sparse integer row of the class).
+    (log multi-index α, z-shift −|α|, sparse integer row of the class), for
+    |α| ≤ ``limit``.
 
     The class is (Π p_i^{α_i}) / Π α_i!, the monomial's row with Π α_i! folded
     into its denominators; a product of more than the algebra's top degree of
-    them is 0, so the list is finite.
+    them is 0, so the list is finite.  A term with |α| past the limit would
+    lower every slice below the floor of the caller, so it is not formed.
     """
     alg = classes[0].algebra
     return [
         (alpha, -total, _rows(((row, 1, math.prod(map(math.factorial, alpha))),), alg.dim))
-        for alpha, total, row in _monomials(alg, classes, [alg.top_degree + 1] * len(classes))
+        for alpha, total, row in _monomials(
+            alg, classes, [alg.top_degree + 1] * len(classes), limit)
     ]
 
 
@@ -589,29 +593,46 @@ def _assemble(
     a sparse integer row of the ambient algebra, as `_rows` returns it.  Each
     prefactor class p_α becomes, once per call, two tables of such rows:
     e_i·p_α through the ambient structure constants and r(e_i·p_α) through
-    the restriction's image rows.  Each output term is then one `_rows` of
-    a slice against the rows its contact selects, and a nonzero one is kept
-    as the row of its Element.  Pieces carry distinct (β, contact).  A nonzero
-    ambient term above z¹ is a ConfigError naming the class: the pair or its
-    invariant rows break the shape z·[1] + O(z⁰) of a log Calabi–Yau
-    I-function.  Terms below ``lowest_z`` are not formed, and the series
-    records that floor; content above z¹ is checked either way.
+    the restriction's image rows, each formed only where deg e_i + |α| is at
+    most the top degree of its algebra (the others are 0).  Each output term
+    is then one `_rows` of a slice against the rows its contact selects, and
+    a nonzero one is kept as the row of its Element.  Pieces carry distinct
+    (β, contact).  A nonzero ambient term above z¹ is a ConfigError naming
+    the class: the pair or its invariant rows break the shape z·[1] + O(z⁰)
+    of a log Calabi–Yau I-function.  Terms below ``lowest_z`` are not formed,
+    and the series records that floor; content above z¹ is checked either way.
+
+    A slice at z ≤ 0 cannot reach above z¹, so it meets only the p_α whose
+    product with it can be nonzero: the restriction and the cup product keep
+    degrees, so with |α| past the top degree of the target algebra (the
+    ambient one at contact 0, the divisor's otherwise) less the slice's
+    lowest degree, every term is 0.  A slice at z ≥ 1 meets every p_α, so the
+    above-z¹ check reads its whole ambient product.
     """
     amb, div = geom.ambient, geom.divisor
-    consts, images = amb.constants, geom.restriction.rows
+    consts, images, degrees = amb.constants, geom.restriction.rows, amb.degrees
+    amb_top, div_top = amb.top_degree, div.top_degree
     low = -math.inf if lowest_z is None else lowest_z
+    # a term α puts the slice z^s at z^{s + _OVERALL_Z − |α|}: past the highest
+    # slice's |α|, none reaches `low`
+    highest = max((z for *_, slices in pieces for z in slices), default=0)
     table = []
-    for alpha, shift, prefactor in _prefactor_terms(list(geom.picard)):
-        rows = [_rows(((c[j], n, d) for j, n, d in prefactor), amb.dim) for c in consts]
-        restricted = [_rows(((images[k], n, d) for k, n, d in row), div.dim) for row in rows]
+    for alpha, shift, prefactor in _prefactor_terms(list(geom.picard), highest + _OVERALL_Z - low):
+        rows = [_rows(((c[j], n, d) for j, n, d in prefactor), amb.dim)
+                if deg - shift <= amb_top else () for c, deg in zip(consts, degrees)]
+        restricted = [_rows(((images[k], n, d) for k, n, d in row), div.dim)
+                      if deg - shift <= div_top else () for row, deg in zip(rows, degrees)]
         table.append((alpha, shift + _OVERALL_Z, rows, restricted))
     table.sort(key=lambda t: -t[1])  # by falling shift, so those that reach `low` lead
     drops = [-shift for _, shift, _, _ in table]
     terms: dict = {}
     for beta, contact, slices in pieces:
-        alg = amb if contact == 0 else div
+        alg, room = (amb, amb_top) if contact == 0 else (div, div_top)
         for z, row in slices.items():
-            for alpha, shift, rows, restricted in table[: bisect_right(drops, z - low)]:
+            reach = z - low
+            if z + _OVERALL_Z <= 1:  # past its room in degree, every term of the slice is 0
+                reach = min(reach, room - min(degrees[i] for i, _, _ in row) - _OVERALL_Z)
+            for alpha, shift, rows, restricted in table[: bisect_right(drops, reach)]:
                 zf = z + shift
                 if zf > 1:
                     if _rows(((rows[i], n, d) for i, n, d in row), amb.dim):
@@ -720,41 +741,63 @@ def _hypergeometric(
     e = −1 link row, with D's top power found once.  So the nonzero
     monomials Π_f u_f^{j_f}·D^{j_D} are tabulated once per build as sparse
     integer rows (`_monomials`), and each z-slice of a class is one `_rows`
-    of them, weighted by integer products of its rows and base.  `_assemble` receives every nonzero slice as that
-    row; an empty one is dropped.
-    With ``lowest_z`` given, a slice that cannot reach it after assembly is
-    not formed: monomials go by rising Σ j, so a class stops at the first one
-    whose slices all lie below the template floor.
+    of them, weighted by integer products of its rows and base.  `_assemble`
+    receives every nonzero slice as that row; an empty one is dropped.
+
+    Every factor class has degree 1, so a monomial of Σ j = t has degree t
+    and lowers z by t.  A product that cannot reach a printed term is not
+    formed:
+
+    * a class with D·β ≠ 0 is printed restricted to D, and the restriction
+      keeps degrees, so a monomial of degree past D's top degree gives 0 on
+      every slice at z ≤ 0.  Such a class stops at the monomials of
+      Σ j ≤ max(D's top degree, ẑ_β − 1), ẑ_β its top template power: one of
+      Σ j ≤ ẑ_β − 1 can make a slice at z ≥ 1, which the above-z¹ check of
+      `_assemble` reads whole in the ambient ring;
+    * with ``lowest_z`` given, a slice that cannot reach it after assembly is
+      not formed: monomials go by rising Σ j, so a class stops at the first
+      one whose slices all lie below the template floor.  The monomials, the
+      chain rows and the pole's row are then tabulated only as deep as the
+      deepest class reads, max_β ẑ_β less that floor.
     """
     amb, dcls = geom.ambient, geom.divisor_class
     factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
     classes = list(bases)
     pairings = [[max(sum(map(mul, pv, beta)), 0) for beta in classes] for _, pv, _ in factors]
-    tables = [_chain_rows(_top(cls, e), max(tops), e)
-              for (cls, _, e), tops in zip(factors, pairings)]
     contacts = [geom.contact_weight(beta) for beta in classes]
-    top_d = _top(dcls, -1)
+    # each class's power of z before its base row, less the pole's (cz)^{−1}
+    zbases = [sum(e * tops[i] for (_, _, e), tops in zip(factors, pairings)) - (c > 0)
+              for i, c in enumerate(contacts)]
+    hats = [zb + max(bases[beta]) for zb, beta in zip(zbases, classes)]
+    # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
+    # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
+    floor = -math.inf if lowest_z is None else lowest_z - _OVERALL_Z
+    reads = max(hats) - floor  # no class reads a monomial of Σ j past it
+    depths = [_top(cls, e) for cls, _, e in factors] + [_top(dcls, -1)]
+    if lowest_z is not None:
+        depths = [reads if top is None else min(top, reads) for top in depths]
+    *depths, top_d = depths
+    tables = [_chain_rows(top, max(tops), e)
+              for top, (_, _, e), tops in zip(depths, factors, pairings)]
     poles = {c: _link_row(c, -1, top_d) for c in set(contacts) if c > 0}
     poles[0] = ([1], 1)
     # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
     reach.append(max(len(nums) for nums, _ in poles.values()))
-    monomials = _monomials(amb, [cls for cls, _, _ in factors] + [dcls], reach)
+    monomials = _monomials(amb, [cls for cls, _, _ in factors] + [dcls], reach, reads)
     monomials.sort(key=lambda m: m[1])
     degrees = [t for _, t, _ in monomials]
-    # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
-    # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
-    floor = -math.inf if lowest_z is None else lowest_z - _OVERALL_Z
+    div_top = geom.divisor.top_degree
     pieces = []
-    for i, (beta, c) in enumerate(zip(classes, contacts)):
+    for i, (beta, c, zbase, hat) in enumerate(zip(classes, contacts, zbases, hats)):
         rows = [table[tops[i]] for table, tops in zip(tables, pairings)]
         rows.append(poles[max(c, 0)])
-        zbase = sum(e * tops[i] for (_, _, e), tops in zip(factors, pairings))
-        zbase -= c > 0  # the pole's (cz)^{−1}
         den = math.prod(d for _, d in rows)
         base = [(zbase + k, v.numerator, den * v.denominator) for k, v in bases[beta].items()]
-        # a monomial of degree t lowers z by t: past the top z − floor none reaches the floor
-        cut = bisect_right(degrees, max(z for z, _, _ in base) - floor)
+        # a monomial of degree t lowers z by t: past the top z − floor none reaches the
+        # floor, and off contact 0 none past D's top degree shows unless it may reach z¹
+        limit = hat - floor if c == 0 else min(hat - floor, max(div_top, hat - 1))
+        cut = bisect_right(degrees, limit)
         base = [b for b in base if b[0] >= floor]
         slices: dict[int, list] = {}
         for js, t, support in islice(monomials, cut):

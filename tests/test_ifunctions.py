@@ -269,6 +269,19 @@ def _literal_relative_piece(geom, beta):
     return term
 
 
+def _printable_part(geom, beta, term):
+    """The literal piece less what restriction to D sends to 0: for D·β ≠ 0, every
+    component of degree above D's top degree in a slice at z ≤ 0.  Slices at
+    z ≥ 1 and contact-0 pieces stay whole."""
+    if term is None or geom.contact_weight(beta) == 0:
+        return term
+    amb, top = geom.ambient, geom.divisor.top_degree
+    return ZLaurentElement(amb, {
+        z: el if z >= 1 else amb.element(
+            [c if d <= top else 0 for c, d in zip(el.coeffs, amb.degrees)])
+        for z, el in term.terms.items()})
+
+
 def _check_pieces(monkeypatch, geom, orders, literal_piece=_literal_toric_piece):
     literal = {}
     for order in orders:
@@ -276,7 +289,7 @@ def _check_pieces(monkeypatch, geom, orders, literal_piece=_literal_toric_piece)
         pieces = _relative_pieces(monkeypatch, at_order)
         for beta in ifunctions._effective_classes(at_order.policy):
             if beta not in literal:
-                literal[beta] = literal_piece(geom, beta)
+                literal[beta] = _printable_part(geom, beta, literal_piece(geom, beta))
         assert [beta for beta, _, _ in pieces] == [
             b for b in ifunctions._effective_classes(at_order.policy) if literal[b] is not None]
         for beta, contact, zl in pieces:
@@ -431,6 +444,46 @@ def test_assemble_refuses_content_above_the_window(p2):
     for lowest_z in (None, 0):
         with pytest.raises(ConfigError, match="p2_cubic: .* class \\(0,\\) .* z\\^2, above z\\^1"):
             ifunctions._assemble(p2, _as_rows(pieces), lowest_z)
+
+
+def test_assemble_refuses_content_above_the_window_that_restricts_to_zero(p2):
+    # off contact 0 the printed terms live on D, where H² is 0; the refusal must
+    # still read the slice at z¹ whole in the ambient ring
+    H2 = p2.ambient.named("H2")
+    assert p2.restriction(H2).is_zero() and p2.contact_weight((1,)) == 3
+    pieces = [((1,), -3, {1: H2})]
+    for lowest_z in (None, 0):
+        with pytest.raises(ConfigError, match="p2_cubic: .* class \\(1,\\) .* z\\^2, above z\\^1"):
+            ifunctions._assemble(p2, _as_rows(pieces), lowest_z)
+
+
+def test_a_floored_build_tabulates_only_the_depth_it_reads(monkeypatch, blp3):
+    # from z⁰ up the template reads monomials of Σ j ≤ 1 and prefactor terms of
+    # |α| ≤ 1 alone, so it forms no more of them, nor longer chain rows
+    geom = _at_order(blp3, 8)
+    top = geom.ambient.top_degree
+
+    def tabulated(lowest_z):
+        seen = {"monomials": [], "prefactor": [], "chains": []}
+        for name, key in (("_monomials", "monomials"), ("_prefactor_terms", "prefactor"),
+                          ("_chain_rows", "chains")):
+            real = getattr(ifunctions, name)
+            monkeypatch.setattr(ifunctions, name, lambda *a, real=real, key=key:
+                                seen[key].append(real(*a)) or seen[key][-1])
+        relative_i_function(geom, lowest_z)
+        monkeypatch.undo()
+        # the template's monomials come first, then the prefactor's own
+        (template, _), (prefactor,) = seen["monomials"], seen["prefactor"]
+        return template, prefactor, [nums for rows in seen["chains"] for nums, _ in rows]
+
+    template, prefactor, chains = tabulated(0)
+    assert len(template) == 5 and all(t <= 1 for _, t, _ in template)
+    assert len(prefactor) == 3 and all(-shift <= 1 for _, shift, _ in prefactor)
+    assert chains and all(len(nums) <= 2 for nums in chains)
+    template, prefactor, chains = tabulated(None)
+    assert len(template) == 54 and max(t for _, t, _ in template) == top
+    assert len(prefactor) == 14 and max(-shift for _, shift, _ in prefactor) == top
+    assert max(map(len, chains)) > 2
 
 
 # ---------------------------------------------------------------------------
