@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, product as iproduct, takewhile
+from itertools import islice, product as iproduct
 from operator import add, mul, sub
 
 from .algebra import (
@@ -206,57 +206,8 @@ class StateSeries:
         geom = self.geometry
         if not self.terms or not other.terms:
             return StateSeries._kernel_output(geom, {})
-        prod = _StateProduct(geom)
-        return StateSeries._kernel_output(
-            geom, prod.multiply(prod.rows(self.terms), prod.rows(other.terms))
-        )
-
-    def reciprocal(self) -> "StateSeries":
-        """The right inverse r of f = c·([1]_0 − n), c ≠ 0, level by level in weight.
-
-        (1 − n_0)⁻¹ for the β = 0 part n_0 is the nilpotent sum Σ n_0^k, and
-        r_β = (1 − n_0)⁻¹·Σ_{γ≠0} n_γ·r_{β−γ} reads lighter levels only: one
-        product's worth of term pairs, on one `_StateProduct`'s tables.  The
-        product is commutative but not associative; for n_0 = 0 (every
-        I-function) or of contact 0 this r is the unique right inverse, which
-        is then the geometric series Σ n^k.
-        """
-        geom = self.geometry
-        zero = (0,) * geom.nvars
-        lead = self.terms.get((zero, 0, zero))
-        c = lead.unit_component() if lead is not None else Fraction(0)
-        if c == 0:
-            raise ValueError("state reciprocal needs a nonzero unit leading term")
-        unit = StateSeries.unit(geom)
-        n = {k: e.scale(-1 / c) for k, e in self.terms.items()}
-        n[(zero, 0, zero)] += geom.ambient.unit()
-        n0 = StateSeries(geom, {k: e for k, e in n.items() if k[0] == zero})
-        inverse0 = power = unit
-        for _ in range(geom.policy.max_total + geom.ambient.top_degree + 3):
-            power = power * n0
-            if power.is_zero():
-                break
-            inverse0 = inverse0 + power
-        else:
-            raise PipelineInvariantError("state reciprocal did not terminate (series not nilpotent)")
-        prod = _StateProduct(geom)
-        steps = prod.rows({k: e for k, e in n.items() if k[0] != zero})
-        levels = [prod.rows(inverse0.terms)]
-        lead_rows = None if inverse0 == unit else levels[0]
-        out = dict(inverse0.terms)
-        for w in range(1, geom.policy.max_total + 1):
-            acc: dict = {}
-            for sector1, rows1 in steps.items():
-                for row in takewhile(lambda t: t[0] <= w, rows1):
-                    for sector2, rows2 in levels[w - row[0]].items():
-                        prod.file(acc, sector1, [row], sector2, rows2, w)
-            level = prod.finish(acc)
-            if lead_rows is not None:
-                level = prod.multiply(lead_rows, prod.rows(level))
-            out.update(level)
-            levels.append(prod.rows(level))
-        r = StateSeries._kernel_output(geom, out)
-        return r if c == 1 else r.scale(1 / c)
+        terms = _StateProduct(geom).multiply(self.terms, other.terms)
+        return StateSeries._kernel_output(geom, terms)
 
     # -- queries ---------------------------------------------------------
 
@@ -293,7 +244,7 @@ class _StateProduct:
     divisor basis class (`RestrictionMap.pushforward_rows`) or the cup with
     r(D).  Every pair that lands on an output key reads rows of one algebra
     (the ambient one iff the contact is 0), so each key's Element is one `_rows`.
-    Build one per product or reciprocal; it is not a cache.
+    Build one per product; it is not a cache.
     """
 
     def __init__(self, geom: PairGeometry) -> None:
@@ -327,39 +278,44 @@ class _StateProduct:
             rows.sort(key=lambda t: t[0])
         return out
 
-    def file(self, acc: dict, sector1, rows1: list, sector2, rows2: list, top: int) -> None:
-        """File each pair of ``rows1`` × ``rows2`` of total weight ≤ ``top`` under its
-        output key, with the table its product rule reads."""
-        (c1, l1), (c2, l2) = sector1, sector2
-        c = c1 + c2
-        if c1 == 0 and c2 == 0:
-            table, side = self.cup, 0
-        elif (c1 < 0) == (c2 < 0) or c < 0:
-            table, side = self.restricted, 1
-        elif c == 0:
-            table, side = self.pushforward, 1
-        else:
-            table, side = self.divisor_class, 1
-        out = acc.setdefault((c, tuple(map(add, l1, l2))), {})
-        for w1, p1, sup1 in rows1:
-            room, a = top - w1, sup1[side]
-            for w2, p2, sup2 in rows2:
-                if w2 > room:
-                    break
-                parts = out.get(p1 + p2)
-                if parts is None:
-                    parts = out[p1 + p2] = []
-                parts.append((table, a, sup2[side]))
+    def multiply(self, left: dict, right: dict) -> dict:
+        """The product of two state term dicts, cut at the truncation order.
 
-    def finish(self, acc: dict) -> dict:
-        """The state terms of the filed keys, one `_rows` each, zeros dropped."""
+        Each pair of rows within the order is filed under its output key with
+        the table its product rule reads; each key is then one `_rows`, and
+        zeros are dropped.
+        """
         geom = self.geometry
+        top = geom.policy.max_total
+        acc: dict = {}
+        right = self.rows(right)
+        for (c1, l1), rows1 in self.rows(left).items():
+            for (c2, l2), rows2 in right.items():
+                c = c1 + c2
+                if c1 == 0 and c2 == 0:
+                    table, side = self.cup, 0
+                elif (c1 < 0) == (c2 < 0) or c < 0:
+                    table, side = self.restricted, 1
+                elif c == 0:
+                    table, side = self.pushforward, 1
+                else:
+                    table, side = self.divisor_class, 1
+                filed = acc.setdefault((c, tuple(map(add, l1, l2))), {})
+                for w1, p1, sup1 in rows1:
+                    room, a = top - w1, sup1[side]
+                    for w2, p2, sup2 in rows2:
+                        if w2 > room:
+                            break
+                        parts = filed.get(p1 + p2)
+                        if parts is None:
+                            parts = filed[p1 + p2] = []
+                        parts.append((table, a, sup2[side]))
         algebras = (geom.ambient, geom.divisor)
         base, nvars = self.base, geom.nvars
         out = {}
         for (c, logpow), keys in acc.items():
+            alg = algebras[c != 0]
             for packed, parts in keys.items():
-                alg = algebras[c != 0]
                 row = _rows((
                     (table[i][j], n1 * n2, e1 * e2)
                     for table, s1, s2 in parts
@@ -370,15 +326,6 @@ class _StateProduct:
                     beta = tuple(packed // base ** i % base for i in range(nvars))
                     out[(beta, c, logpow)] = Element(alg, row)
         return out
-
-    def multiply(self, left: dict, right: dict) -> dict:
-        """The product of two sector tables, cut at the truncation order."""
-        top = self.geometry.policy.max_total
-        acc: dict = {}
-        for sector1, rows1 in left.items():
-            for sector2, rows2 in right.items():
-                self.file(acc, sector1, rows1, sector2, rows2, top)
-        return self.finish(acc)
 
 
 
@@ -847,18 +794,27 @@ class NormalizedI:
         exponent: MirrorExponent,
     ):
         self.unit_part = unit_part    # I1 = z^1 slice
-        self.j_function = j_function  # the z^1 and z^0 slices of I · reciprocal(I1)
+        self.j_function = j_function  # the z^1 and z^0 slices of J = I · I1^-1
         self.mirror_map = mirror_map  # z^0 slice of J
         self.exponent = exponent
 
 
 def normalize_i(I: RelativeSeries) -> NormalizedI:
-    """Split off I1 and I0 and normalize to the J-shaped series.
+    """Split off I₁ and I₀ and normalize to J's z¹ and z⁰ slices, J = I·I₁⁻¹.
 
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
-    and the z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
+    and J's z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
     computed, so I may be built from z^0 up (`relative_i_function(geom, 0)`).
-    Raises PipelineInvariantError on violation.
+    For I₁ = [1]_0, J is I.
+
+    Otherwise I₁ must be Σ_β c_β·[1]_{−D·β} with −D·β ≥ 0 and no log, as the
+    template's homogeneity makes it.  On units at contacts ≥ 0 the contact
+    product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β} for
+    r = 1/u, u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.  I₀'s log
+    part must be p_i·I₁ at log_i (p_i restricted at contact > 0), as
+    `_assemble` builds it; contacts ≥ 0 multiply associatively, so its
+    quotient is p_i at β = 0, and only I₀'s log-free terms are multiplied by
+    I₁⁻¹.  Raises PipelineInvariantError on any violation.
     """
     geom = I.geometry
     i1 = I.z_slice(1)
@@ -868,20 +824,53 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
         raise PipelineInvariantError(
             f"I-function has content at z^{top} > z^1; shape check failed"
         )
-    if i1 == StateSeries.unit(geom):
-        j1, j0 = i1, i0
-    else:
-        recip = i1.reciprocal()
-        j1, j0 = i1 * recip, i0 * recip
-    if j1 != StateSeries.unit(geom):
-        raise PipelineInvariantError("normalized series does not have unit z^1 slice")
+    unit = StateSeries.unit(geom)
+    j0 = i0 if i1 == unit else _divide_by_unit_slice(i1, i0)
     slices = {
         (b, c, z, l): el
-        for z, part in ((1, j1), (0, j0))
+        for z, part in ((1, unit), (0, j0))
         for (b, c, l), el in part.terms.items()
     }
     J = RelativeSeries(geom, slices, lowest_z=0)
     return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
+
+
+def _divide_by_unit_slice(i1: StateSeries, i0: StateSeries) -> StateSeries:
+    """J₀ = I₀·I₁⁻¹ for an I₁ that is not [1]_0, by the route of `normalize_i`."""
+    geom = i1.geometry
+    pol, algebras, zero = geom.policy, (geom.ambient, geom.divisor), (0,) * geom.nvars
+    units = {}
+    for (beta, contact, logpow), el in i1.terms.items():
+        (i, n, d), *rest = el.support
+        if (any(logpow) or contact < 0 or contact != -geom.contact_weight(beta)
+                or rest or i != algebras[contact != 0].unit_index):
+            raise PipelineInvariantError(
+                f"z^1 slice is not a scalar series of units [1]_{{-D.beta}} with "
+                f"-D.beta >= 0: term at {beta}, contact {contact}, log {logpow}"
+            )
+        units[beta] = Fraction(n, d)
+    u = NovikovSeries._kernel_output(pol, units)
+    r = u.reciprocal()
+    if u * r != NovikovSeries.one(pol):
+        raise PipelineInvariantError("normalized series does not have unit z^1 slice")
+    logs = [tuple(int(k == i) for k in range(geom.nvars)) for i in range(geom.nvars)]
+    want = {}
+    for log, p in zip(logs, geom.picard):
+        images = (p, geom.restriction(p))
+        for beta, contact, _ in i1.terms:
+            term = images[contact != 0].scale(units[beta])
+            if not term.is_zero():  # r(p_i) may be 0
+                want[(beta, contact, log)] = term
+    if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
+        raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
+    inverse = {}
+    for beta, c in r.terms.items():
+        contact = -geom.contact_weight(beta)
+        inverse[(beta, contact, zero)] = algebras[contact != 0].unit().scale(c)
+    free = {k: el for k, el in i0.terms.items() if not any(k[2])}
+    j0 = StateSeries._kernel_output(geom, _StateProduct(geom).multiply(free, inverse))
+    j0.terms.update(((zero, 0, log), p) for log, p in zip(logs, geom.picard))
+    return j0
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
@@ -1043,12 +1032,16 @@ def class_constant_terms(
 
 
 def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
-    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)), on the change's G."""
+    """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)), on the change's G.
+
+    At m_i = −1 the factor is e^G, the change's `exp_composed`, read off it.
+    """
     pol = change.policy
     G = composed_exponent(change)
     out = []
     for i, m in enumerate(change.m_vector):
-        out.append(NovikovSeries.variable(pol, i) * G.exp(-m))
+        power = change.exp_composed if m == -1 else G.exp(-m)
+        out.append(NovikovSeries.variable(pol, i) * power)
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ sums e^{dG} from its literal powers; the package reads every class off one
 power walk (m of both signs) or one exp per value of m·β.
 
 The geometric state reciprocal: Σ (−n)^k with each power a `state_product`.
-The package solves the right inverse level by level in weight instead.
+The package inverts I₁'s unit coefficients as one Novikov series instead.
 
 The literal-W^n oracle: the constant terms of the powers of a collapsed
 potential, multiplied out as whole x-Laurent series.  The package reads the

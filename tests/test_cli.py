@@ -355,6 +355,23 @@ def test_verify_never_repeats_an_exp(monkeypatch, argv, calls):
     assert len(set(seen)) == len(seen) == calls
 
 
+def test_mirror_map_reads_e_to_the_g_off_the_change(monkeypatch):
+    """On blp3_k3, m = (−1, 1): y_0(q) = q_0·e^G reads e^G off the change's
+    exp_composed, so the run makes 2 exp calls where G.exp(1) made it 3: the
+    mixed-sign walk's zero-constant-term check, and e^{−G} for y_1."""
+    seen = []
+    real = NovikovSeries.exp
+
+    def spy(self, scale=1, order=None):
+        seen.append((scale, order))
+        return real(self, scale, order)
+
+    monkeypatch.setattr(NovikovSeries, "exp", spy)
+    argv = ["mirror-map", "--geometry", "blp3_k3", "--order", "8", "--format", "json"]
+    assert run(argv, io.StringIO()) == 0
+    assert seen == [(1, 0), (-1, None)]
+
+
 def test_verify_negative_control():
     code, text = _run("verify", "--geometry", "p2_cubic", "--order", "6",
                       "--negative-control")
@@ -992,16 +1009,32 @@ def _plant_high_z(monkeypatch):
 
 
 def _plant_bad_reciprocal(monkeypatch):
-    from mirrorpair.ifunctions import StateSeries
-
-    original = StateSeries.reciprocal
-    monkeypatch.setattr(StateSeries, "reciprocal", lambda self: original(self).scale(2))
+    original = NovikovSeries.reciprocal
+    monkeypatch.setattr(NovikovSeries, "reciprocal", lambda self: original(self) * 2)
 
 
-def _plant_endless_reciprocal(monkeypatch):
-    from mirrorpair.ifunctions import StateSeries
+def _plant_in_slice(monkeypatch, zexp, term):
+    """Add ``term(geometry)``, a {(β, contact, log): Element} dict, to every z^zexp slice."""
+    from mirrorpair.ifunctions import RelativeSeries, StateSeries
 
-    monkeypatch.setattr(StateSeries, "is_zero", lambda self: False)
+    original = RelativeSeries.z_slice
+
+    def z_slice(self, z):
+        out = original(self, z)
+        return out + StateSeries(self.geometry, term(self.geometry)) if z == zexp else out
+
+    monkeypatch.setattr(RelativeSeries, "z_slice", z_slice)
+
+
+def _plant_non_scalar_z1(monkeypatch):
+    # H at β = 0 beside the unit: not a multiple of [1]
+    _plant_in_slice(monkeypatch, 1, lambda g: {((0,) * g.nvars, 0, (0,) * g.nvars): g.picard[0]})
+
+
+def _plant_log_part_off_i1(monkeypatch):
+    # a second p_0 at β = 0 and log_0: the log part is no longer p_i·I_1
+    _plant_in_slice(monkeypatch, 0, lambda g: {
+        ((0,) * g.nvars, 0, (1,) + (0,) * (g.nvars - 1)): g.picard[0]})
 
 
 def _plant_short_mirror_exponent(monkeypatch):
@@ -1030,14 +1063,16 @@ def _plant_short_mirror_exponent(monkeypatch):
          "unit z^1 slice"),
         (_plant_bad_reciprocal, ("proper-potential", "--geometry", "blp3_k3", "--order", "4"),
          "unit z^1 slice"),
-        (_plant_endless_reciprocal, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
-         "did not terminate"),
+        (_plant_non_scalar_z1, ("mirror-map", "--geometry", "blp3_k3", "--order", "4"),
+         "z^1 slice is not a scalar series of units"),
+        (_plant_log_part_off_i1, ("proper-potential", "--geometry", "blp3_k3", "--order", "4"),
+         "z^0 log part is not p_i*I1"),
         (_plant_short_mirror_exponent,
          ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
          "mirror exponent g truncated at order 1, its potential at 2"),
     ],
     ids=["high-z", "high-z-potential", "non-unit-z1", "non-unit-z1-potential",
-         "endless-reciprocal", "short-mirror-exponent"],
+         "non-scalar-z1", "log-part-off-i1", "short-mirror-exponent"],
 )
 def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
     plant(monkeypatch)

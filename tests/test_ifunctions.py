@@ -668,32 +668,102 @@ def test_state_series_rejects_misplaced_classes(p2):
 
 
 def test_state_reciprocal_multiplies_back(blp3):
+    """I₁⁻¹ on blp3_k3, as the geometric series of literal state products, is
+    scalar at contacts −D·β ≥ 0, multiplies back to [1]_0, and carries the
+    Novikov reciprocal of I₁'s scalars: the route `normalize_i` takes."""
     i1 = normalize_i(relative_i_function(blp3)).unit_part
-    assert i1 * i1.reciprocal() == StateSeries.unit(blp3)
+    inverse = geometric_reciprocal(i1)
+    assert state_product(i1, inverse) == StateSeries.unit(blp3)
+    scalars = {}
+    for (beta, contact, logpow), el in inverse.terms.items():
+        alg = blp3.ambient if contact == 0 else blp3.divisor
+        assert contact == -blp3.contact_weight(beta) >= 0 and not any(logpow)
+        assert el == alg.unit().scale(el.unit_component())
+        scalars[beta] = el.unit_component()
+    u = NovikovSeries(blp3.policy, {b: el.unit_component() for (b, _, _), el in i1.terms.items()})
+    assert NovikovSeries(blp3.policy, scalars) == u.reciprocal()
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_blowup_j0_is_the_geometric_quotient(blp3, order):
+    geom = _at_order(blp3, order)
+    I = relative_i_function(geom)
+    N = normalize_i(I)
+    want = state_product(I.z_slice(0), geometric_reciprocal(I.z_slice(1)))
+    assert N.unit_part != StateSeries.unit(geom)  # the non-nef route
+    assert N.mirror_map == want
+    assert N.j_function.z_slice(0) == want
+
+
+def test_j0_quotient_when_a_picard_class_restricts_to_zero():
+    """blp3_k3 with h ↦ 0 on D, the restriction its geometry asks for: the
+    log part p_i·I₁ has no terms at contact > 0 for p = h."""
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("    h h 1\n") == text.count("    Hh p 4\n") == 1
+    geom = _at_order(load_geometry(text.replace("    h h 1\n", "").replace("    Hh p 4\n", "")), 4)
+    assert geom.restriction(geom.ambient.named("h")).is_zero()
+    I = relative_i_function(geom)
+    want = state_product(I.z_slice(0), geometric_reciprocal(I.z_slice(1)))
+    assert normalize_i(I).mirror_map == want
+
+
+def _unit_slice_and_log_free_terms(geom, units, raw):
+    """I₁ = Σ c_β·[1]_{−D·β} over the drawn classes with −D·β ≥ 0, and log-free
+    z⁰ terms: any class at contact ≥ 0, a multiple of [1] below, the shape a
+    mirror map's negative-contact part has."""
+    pol, zero = geom.policy, (0,) * geom.nvars
+    i1 = {}
+    for beta, c in units:
+        beta = tuple(beta[: pol.nvars])
+        contact = -geom.contact_weight(beta)
+        if pol.admits(beta) and contact >= 0:
+            i1[(beta, contact, zero)] = (geom.ambient if contact == 0 else geom.divisor).unit().scale(c)
+    i0 = {}
+    for (beta, contact, _), el in _random_state_series(geom, raw).terms.items():
+        if contact < 0:
+            el = el.algebra.unit().scale(el.unit_component() or 1)
+        i0[(beta, contact, zero)] = el
+    return i1, i0
 
 
 @pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
 @given(
+    c0=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    units=st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                             st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+                   max_size=5),
     raw=_state_terms,
-    c=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
-    nil=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
-    log=st.integers(0, 1),
+    log=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_state_reciprocal_is_the_geometric_series(request, name, raw, c, nil, log):
-    # β = 0 part c·[1]_0 plus a contact-0 nilpotent class (zero in some draws)
+def test_state_reciprocal_is_the_geometric_series(request, name, c0, units, raw, log):
+    """A scalar z¹ slice over a log-free z⁰ slice with the log part p_i·I₁
+    beside it: `normalize_i`'s J₀ is I₀ times the geometric series of I₁, by
+    literal state products, and J₁ is [1]_0.  Without that log part an I₁
+    other than [1]_0 is refused."""
+    from mirrorpair import RelativeSeries
+
     geom = request.getfixturevalue(name)
-    amb = geom.ambient
     zero = (0,) * geom.nvars
-    terms = {k: e for k, e in _random_state_series(geom, raw).terms.items() if any(k[0])}
-    nil = [0 if i == amb.unit_index else x for i, x in enumerate(nil[: amb.dim])]
-    terms[(zero, 0, zero)] = amb.unit().scale(c)
-    n0_key = (zero, 0, (log,) * geom.nvars)
-    terms[n0_key] = terms.get(n0_key, amb.zero()) + amb.element(nil)
-    f = StateSeries(geom, terms)
-    r = f.reciprocal()
-    assert r == geometric_reciprocal(f)
-    assert state_product(f, r) == StateSeries.unit(geom)
+    i1, i0 = _unit_slice_and_log_free_terms(geom, units, raw)
+    i1[(zero, 0, zero)] = geom.ambient.unit().scale(c0)
+    unit_slice = StateSeries(geom, i1)
+    if log:
+        for i, p in enumerate(geom.picard):
+            logi = tuple(int(k == i) for k in range(geom.nvars))
+            part = state_product(StateSeries(geom, {(zero, 0, logi): p}), unit_slice)
+            i0.update(part.terms)
+    I = RelativeSeries(geom, {
+        (b, c, z, l): el
+        for z, part in ((1, i1), (0, i0)) for (b, c, l), el in part.items()
+    })
+    if not log and unit_slice != StateSeries.unit(geom):
+        with pytest.raises(PipelineInvariantError, match="log part is not"):
+            normalize_i(I)
+        return
+    N = normalize_i(I)
+    assert N.j_function.z_slice(1) == StateSeries.unit(geom)
+    assert N.mirror_map == state_product(StateSeries(geom, i0), geometric_reciprocal(unit_slice))
 
 
 # ---------------------------------------------------------------------------
