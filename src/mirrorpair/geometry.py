@@ -662,7 +662,8 @@ weights = 1
     "blp3_k3": """
 # Hypersurface of class 4H+h in the projective bundle P(O(-1)+O) over proj 3-space,
 # with the K3 divisor cut by the section of class h-H.  The bundle relation is
-# h*h = H*h; the restriction identifies both degree-1 classes on the divisor.
+# h*h = H*h.  Since h*(h-H) = 0, h restricts to 0 on the divisor and H to its
+# hyperplane class, so the pushforward of the divisor's unit is (4H+h)(h-H).
 [algebra.ambient]
 name = bundle_ambient
 basis = one H h H2 Hh H3 H2h H3h
@@ -696,9 +697,7 @@ products =
 map =
     one one 1
     H h 1
-    h h 1
     H2 p 4
-    Hh p 4
 
 [pair]
 name = blp3_k3

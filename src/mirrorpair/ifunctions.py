@@ -12,9 +12,11 @@ the divisor.  Products follow the convention (reported by the CLI metadata):
 * exactly one negative, sum zero: pairing-transpose pushforward of the
   restricted product (ambient-valued);
 * exactly one negative, sum positive: restricted product cupped with the
-  restricted divisor class;
-* both negative: never produced by the pipeline; extended as the restricted
-  product.
+  restricted divisor class.
+
+The package takes these products only with the unit states of I₁⁻¹, the
+scalars r_β·[1]_{−D·β} at contact −D·β ≥ 0, where each is one linear map of
+the other factor (`_times_unit`).
 
 Relative I-functions are stored per curve class β as exact z-Laurent data
 (every template factor is a finite Laurent polynomial), with the exponential
@@ -36,7 +38,7 @@ from collections.abc import Callable, Iterable
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, product as iproduct
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .algebra import (
     AlgebraError,
@@ -201,14 +203,6 @@ class StateSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __mul__(self, other: "StateSeries") -> "StateSeries":
-        """The contact-order product rule (see module docstring), on `_StateProduct` rows."""
-        geom = self.geometry
-        if not self.terms or not other.terms:
-            return StateSeries._kernel_output(geom, {})
-        terms = _StateProduct(geom).multiply(self.terms, other.terms)
-        return StateSeries._kernel_output(geom, terms)
-
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, beta, contact: int = 0, logpow=None) -> Element:
@@ -227,106 +221,6 @@ class StateSeries:
         for (b, c, l) in sorted(self.terms):
             bits.append(f"[{self.terms[(b, c, l)]!r}]_{c} q^{b} log^{l}")
         return " + ".join(bits) if bits else "0"
-
-
-class _StateProduct:
-    """The tables of the contact-order product on one geometry, and its kernel.
-
-    Terms are taken once as rows, grouped by sector (contact, logpow) and
-    sorted by weight: (weight, packed β, supports).  β is packed as the
-    integer Σ β_i·B^i with B = order + 1, so the class of a product within
-    the order is a sum of two integers.  The supports are the value's sparse
-    (i, n, d) coordinates and those on the divisor, r(e)'s at contact 0.
-    The contacts of two sectors fix the product rule, and each rule reads one
-    table T[i][j] of sparse rows over basis pairs: the ambient structure
-    constants (cup), the divisor's (restricted product), and the divisor's
-    composed with the rule's linear last step, the pushforward of each
-    divisor basis class (`RestrictionMap.pushforward_rows`) or the cup with
-    r(D).  Every pair that lands on an output key reads rows of one algebra
-    (the ambient one iff the contact is 0), so each key's Element is one `_rows`.
-    Build one per product; it is not a cache.
-    """
-
-    def __init__(self, geom: PairGeometry) -> None:
-        amb, div, r = geom.ambient, geom.divisor, geom.restriction
-        self.geometry = geom
-        self.base = geom.policy.max_total + 1
-        rd = r(geom.divisor_class)
-        cup_d = [(div.basis_element(k) * rd).support for k in range(div.dim)]
-
-        def then(last, dim):
-            return [[_rows(((last[k], n, d) for k, n, d in c), dim) for c in row]
-                    for row in div.constants]
-
-        self.cup, self.restricted = amb.constants, div.constants
-        self.pushforward = then(r.pushforward_rows, amb.dim)
-        self.divisor_class = then(cup_d, div.dim)
-
-    def rows(self, terms: dict) -> dict:
-        """{(contact, logpow): [(weight, packed β, (support, support on the divisor))]}
-        by rising weight, for state terms {(β, contact, logpow): Element}."""
-        geom = self.geometry
-        weight, images, dim = geom.policy.weight, geom.restriction.rows, geom.divisor.dim
-        powers = [self.base ** i for i in range(geom.nvars)]
-        out: dict = {}
-        for (beta, c, logpow), value in terms.items():
-            supp = value.support
-            on_div = supp if c else _rows(((images[i], n, d) for i, n, d in supp), dim)
-            packed = sum(map(mul, beta, powers))
-            out.setdefault((c, logpow), []).append((weight(beta), packed, (supp, on_div)))
-        for rows in out.values():
-            rows.sort(key=lambda t: t[0])
-        return out
-
-    def multiply(self, left: dict, right: dict) -> dict:
-        """The product of two state term dicts, cut at the truncation order.
-
-        Each pair of rows within the order is filed under its output key with
-        the table its product rule reads; each key is then one `_rows`, and
-        zeros are dropped.
-        """
-        geom = self.geometry
-        top = geom.policy.max_total
-        acc: dict = {}
-        right = self.rows(right)
-        for (c1, l1), rows1 in self.rows(left).items():
-            for (c2, l2), rows2 in right.items():
-                c = c1 + c2
-                if c1 == 0 and c2 == 0:
-                    table, side = self.cup, 0
-                elif (c1 < 0) == (c2 < 0) or c < 0:
-                    table, side = self.restricted, 1
-                elif c == 0:
-                    table, side = self.pushforward, 1
-                else:
-                    table, side = self.divisor_class, 1
-                filed = acc.setdefault((c, tuple(map(add, l1, l2))), {})
-                for w1, p1, sup1 in rows1:
-                    room, a = top - w1, sup1[side]
-                    for w2, p2, sup2 in rows2:
-                        if w2 > room:
-                            break
-                        parts = filed.get(p1 + p2)
-                        if parts is None:
-                            parts = filed[p1 + p2] = []
-                        parts.append((table, a, sup2[side]))
-        algebras = (geom.ambient, geom.divisor)
-        base, nvars = self.base, geom.nvars
-        out = {}
-        for (c, logpow), keys in acc.items():
-            alg = algebras[c != 0]
-            for packed, parts in keys.items():
-                row = _rows((
-                    (table[i][j], n1 * n2, e1 * e2)
-                    for table, s1, s2 in parts
-                    for i, n1, e1 in s1
-                    for j, n2, e2 in s2
-                ), alg.dim)
-                if row:
-                    beta = tuple(packed // base ** i % base for i in range(nvars))
-                    out[(beta, c, logpow)] = Element(alg, row)
-        return out
-
 
 
 PRODUCT_RULE_TEXT = (
@@ -836,7 +730,10 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
 
 
 def _divide_by_unit_slice(i1: StateSeries, i0: StateSeries) -> StateSeries:
-    """J₀ = I₀·I₁⁻¹ for an I₁ that is not [1]_0, by the route of `normalize_i`."""
+    """J₀ = I₀·I₁⁻¹ for an I₁ that is not [1]_0, by the route of `normalize_i`.
+
+    A log-free I₀ term times a unit r_β·[1]_{−D·β} of I₁⁻¹ is r_β times
+    `_times_unit` of the term, and each output key is one `_rows`."""
     geom = i1.geometry
     pol, algebras, zero = geom.policy, (geom.ambient, geom.divisor), (0,) * geom.nvars
     units = {}
@@ -863,14 +760,56 @@ def _divide_by_unit_slice(i1: StateSeries, i0: StateSeries) -> StateSeries:
                 want[(beta, contact, log)] = term
     if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
         raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
-    inverse = {}
-    for beta, c in r.terms.items():
-        contact = -geom.contact_weight(beta)
-        inverse[(beta, contact, zero)] = algebras[contact != 0].unit().scale(c)
-    free = {k: el for k, el in i0.terms.items() if not any(k[2])}
-    j0 = StateSeries._kernel_output(geom, _StateProduct(geom).multiply(free, inverse))
-    j0.terms.update(((zero, 0, log), p) for log, p in zip(logs, geom.picard))
-    return j0
+    # I₁⁻¹ by contact, as (weight, packed β, n, d) by rising weight; β is packed
+    # as Σ β_i·B^i, B = order + 1, so the class of a product is a sum
+    base = pol.max_total + 1
+    powers = [base ** i for i in range(geom.nvars)]
+    inverse: dict = {}
+    for beta, rho in sorted(r.terms.items(), key=lambda t: pol.weight(t[0])):
+        inverse.setdefault(-geom.contact_weight(beta), []).append(
+            (pol.weight(beta), sum(map(mul, beta, powers)), rho.numerator, rho.denominator))
+    parts: dict = {}
+    for (beta1, c1, logpow), v in i0.terms.items():
+        if any(logpow):
+            continue
+        room, p1, images = pol.max_total - pol.weight(beta1), sum(map(mul, beta1, powers)), {}
+        for c2, sector in inverse.items():
+            if sector[0][0] > room:
+                continue
+            c = c1 + c2
+            side = (c > 0) - (c < 0)  # with c1, fixes the map `_times_unit` takes
+            if side not in images:
+                images[side] = _times_unit(geom, v, c1, c).support
+            image, filed = images[side], parts.setdefault(c, {})
+            for w, p2, n, d in sector:
+                if w > room:
+                    break
+                filed.setdefault(p1 + p2, []).append((image, n, d))
+    j0 = {}
+    for c, filed in parts.items():
+        alg = algebras[c != 0]
+        for packed, rows in filed.items():
+            row = _rows(rows, alg.dim)
+            if row:
+                j0[(tuple(packed // p % base for p in powers), c, zero)] = Element(alg, row)
+    j0.update(((zero, 0, log), p) for log, p in zip(logs, geom.picard))
+    return StateSeries._kernel_output(geom, j0)
+
+
+def _times_unit(geom: PairGeometry, v: Element, c1: int, c: int) -> Element:
+    """[v]_{c1}·[1]_{c−c1} at contact c ≥ c1, by the product rule: r(v) when
+    c1 = 0 < c, v's pairing pushforward when c1 < 0 = c, v·r(D) when
+    c1 < 0 < c, and v itself otherwise."""
+    res = geom.restriction
+    if c1 == 0 < c:
+        return res(v)
+    if c1 < 0 == c:
+        pushed = res.pushforward_rows
+        return Element(geom.ambient, _rows(((pushed[k], n, d) for k, n, d in v.support),
+                                           geom.ambient.dim))
+    if c1 < 0 < c:
+        return v * res(geom.divisor_class)
+    return v
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:

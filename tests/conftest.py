@@ -8,7 +8,8 @@ small enough to compute in milliseconds.
 
 The per-pair state product: the contact-order rule applied to one term
 pair at a time, with dense products, merged pair by pair.  The package
-groups the pairs by output key and rule and makes one kernel call per group.
+multiplies only by the unit states of I₁⁻¹, each one linear map of the
+other factor, and makes one `_rows` per output key.
 
 The literal assembly: every (β, contact, z-Laurent) piece of a relative
 I-function times every term of exp(Σ p_i ℓ_i / z), each class product by the

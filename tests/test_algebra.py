@@ -275,9 +275,14 @@ def test_restriction_images():
     assert r3(P3.ambient.named("H")) == P3.divisor.named("h")
     assert r3(P3.ambient.named("H2")) == P3.divisor.named("p").scale(4)
     rb = BL.restriction
-    # the divisor class is h - H, so both degree-1 classes restrict equally
-    assert rb(BL.ambient.named("H")) == rb(BL.ambient.named("h"))
-    assert (rb(BL.ambient.named("H")) * rb(BL.ambient.named("h"))).integrate() == 4
+    # h·(h − H) = 0: h restricts to 0 on the divisor, H to its hyperplane class
+    H, h = BL.ambient.named("H"), BL.ambient.named("h")
+    assert rb(H) == BL.divisor.named("h") and rb(h).is_zero()
+    assert rb(BL.ambient.named("H2")) == BL.divisor.named("p").scale(4)
+    assert rb(BL.ambient.named("Hh")).is_zero()
+    assert (rb(H) * rb(H)).integrate() == 4
+    # the divisor's unit pushes forward to [X]·[E] = (4H + h)(h − H)
+    assert pairing_pushforward(rb, BL.divisor.unit()) == (H.scale(4) + h) * (h - H)
 
 
 def test_pushforward_of_unit_is_divisor_class():

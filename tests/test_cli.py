@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -424,14 +426,18 @@ STABLE_COMMANDS = ("i-function", "tau-d", "mirror-map", "quantum-period",
 
 
 @pytest.mark.parametrize("geometry", sorted(BUILTIN_CONFIGS))
-def test_records_are_stable_under_a_higher_order(geometry):
-    """A record printed at --order 4 prints unchanged at --order 6, or both runs refuse."""
+@given(orders=st.sets(st.integers(2, 9), min_size=2, max_size=2).map(sorted))
+@example(orders=[4, 6])
+@settings(max_examples=12, deadline=None)
+def test_records_are_stable_under_a_higher_order(geometry, orders):
+    """A record printed at --order k prints unchanged at --order k′, for drawn
+    2 ≤ k < k′ ≤ 9, or both runs refuse."""
     outcomes = {}
     for command in STABLE_COMMANDS:
         runs = []
-        for order in ("4", "6"):
+        for order in orders:
             out = io.StringIO()
-            code = run([command, "--geometry", geometry, "--order", order, "--format", "json"],
+            code = run([command, "--geometry", geometry, "--order", str(order), "--format", "json"],
                        stream=out)
             records = json.loads(out.getvalue())["records"] if code == 0 else []
             runs.append((code, {(r["series"], r["selector"]): r["value"] for r in records}))
@@ -534,8 +540,31 @@ def test_pipeline_builds_no_slice_below_z0(monkeypatch, argv):
 def test_i_function_prints_the_whole_series():
     code, text = _run("i-function", "--geometry", "blp3_k3", "--order", "8", "--format", "json")
     records = json.loads(text)["records"]
-    assert code == 0 and len(records) == 574
-    assert sum(r["z"] < 0 for r in records) == 451 and min(r["z"] for r in records) == -3
+    assert code == 0 and len(records) == 413
+    assert sum(r["z"] < 0 for r in records) == 310 and min(r["z"] for r in records) == -3
+    # the ambient records do not read the restriction; h restricts to 0 on D, so
+    # no record off contact 0 carries a power of log q0, h's Novikov variable
+    assert sum(r["contact"] == 0 for r in records) == 174
+    assert not any(r["contact"] and r["log"][1] for r in records)
+
+
+def test_blowup_mirror_map_restricts_to_the_quartic_k3s():
+    """The [h] components of blp3_k3's mirror map at β = (k, 0) are the quartic
+    K3's mirror map I₁/I₀ at q^k, with I₀ = Σ a_d·q^d, a_d = (4d)!/(d!)⁴, and
+    I₁ = Σ a_d·4(H_{4d} − H_d)·q^d, H_n the n-th harmonic number."""
+    top = 4
+    a = [Fraction(math.factorial(4 * d), math.factorial(d) ** 4) for d in range(top + 1)]
+    harmonic = [sum(Fraction(1, j) for j in range(1, n + 1)) for n in range(4 * top + 1)]
+    i1 = [a[d] * 4 * (harmonic[4 * d] - harmonic[d]) for d in range(top + 1)]
+    quotient = []  # I₁/I₀, term by term: I₀ has constant term 1
+    for k in range(top + 1):
+        quotient.append(i1[k] - sum(a[j] * quotient[k - j] for j in range(1, k + 1)))
+    code, text = _run("mirror-map", "--geometry", "blp3_k3", "--order", "8", "--format", "json")
+    got = {r["beta"][0]: Fraction(r["value"]) for r in json.loads(text)["records"]
+           if r["series"] == "mirror_map" and r["beta"][1] == 0 and r["class"] == "h"}
+    assert code == 0 and quotient[0] == 0
+    assert [got[k] for k in range(1, top + 1)] == quotient[1:]
+    assert quotient[1:] == [104, 9780, Fraction(4141760, 3), 231052570]
 
 
 def test_verify_negative_control_needs_period_data(capsys):

@@ -95,9 +95,10 @@ def test_missing_sections_are_reported(section):
 def test_restriction_must_be_ring_map():
     from mirrorpair.geometry import BUILTIN_CONFIGS
 
-    # r(H)r(h) = h^2 = 4p, so declaring r(Hh) = 5p breaks multiplicativity
-    bad = BUILTIN_CONFIGS["blp3_k3"].replace("Hh p 4", "Hh p 5")
-    with pytest.raises(ConfigError, match="ring map"):
+    # r(Hh) = 0, so declaring r(h) = h makes r(H)r(h) = h^2 = 4p and breaks multiplicativity
+    bad = BUILTIN_CONFIGS["blp3_k3"].replace("    H h 1\n", "    H h 1\n    h h 1\n")
+    assert bad != BUILTIN_CONFIGS["blp3_k3"]
+    with pytest.raises(ConfigError, match=r"ring map: .*not multiplicative on H\*h"):
         load_geometry(bad)
 
 

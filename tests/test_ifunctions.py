@@ -58,6 +58,7 @@ from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     _chain_rows,
     _link_row,
+    _times_unit,
     _top,
     absolute_core,
     class_constant_terms,
@@ -554,51 +555,42 @@ def test_one_point_invariants_match_closed_form(p2, p3):
 # the contact-order product rule, case by case
 
 
-def _state_product(geom, c1, e1, c2, e2):
-    """(contact, value) of the product of the single-term series [e1]_c1, [e2]_c2."""
-    zero = (0,) * geom.nvars
-    prod = StateSeries(geom, {(zero, c1, zero): e1}) * StateSeries(geom, {(zero, c2, zero): e2})
-    c = c1 + c2
-    assert set(prod.terms) <= {(zero, c, zero)}
-    return c, prod.coefficient(zero, c)
-
-
-def test_product_rule_ambient_cup(p2):
-    H = p2.ambient.named("H")
-    c, v = _state_product(p2, 0, H, 0, H)
-    assert (c, v) == (0, p2.ambient.named("H2"))
+def _unit_product(geom, c1, v, c2):
+    """(contact, value) of [v]_c1·[1]_c2 for c2 ≥ 0, the one product `normalize_i` takes."""
+    return c1 + c2, _times_unit(geom, v, c1, c1 + c2)
 
 
 def test_product_rule_nonnegative_restricts_and_adds(p3):
     H = p3.ambient.named("H")
-    one_d = p3.divisor.unit()
-    c, v = _state_product(p3, 0, H, 2, one_d)
+    c, v = _unit_product(p3, 0, H, 2)
     assert c == 2 and v == p3.divisor.named("h")
 
 
 def test_product_rule_negative_sum_stays_negative(p3):
     one_d = p3.divisor.unit()
-    c, v = _state_product(p3, -2, one_d, 1, one_d)
+    c, v = _unit_product(p3, -2, one_d, 1)
     assert c == -1 and v == one_d
 
 
 def test_product_rule_zero_sum_pushes_forward(p3):
     one_d = p3.divisor.unit()
-    c, v = _state_product(p3, -1, one_d, 1, one_d)
+    c, v = _unit_product(p3, -1, one_d, 1)
     assert c == 0 and v == p3.ambient.named("H").scale(4)
 
 
 def test_product_rule_positive_sum_cups_divisor_class(p3):
     one_d = p3.divisor.unit()
-    c, v = _state_product(p3, -1, one_d, 2, one_d)
+    c, v = _unit_product(p3, -1, one_d, 2)
     assert c == 1 and v == p3.divisor.named("h").scale(4)
 
 
 def test_product_rule_positive_sum_vanishes_on_blowup(blp3):
-    # the K3 divisor class restricts to r(h - H) = 0, killing this branch
+    # the K3 divisor class restricts to r(h − H) = −h_D, as h restricts to 0, so
+    # this branch cups with −h_D and vanishes on the point class, D's top degree
     one_d = blp3.divisor.unit()
-    c, v = _state_product(blp3, -1, one_d, 2, one_d)
-    assert c == 1 and v.is_zero()
+    c, v = _unit_product(blp3, -1, one_d, 2)
+    assert c == 1 and v == -blp3.divisor.named("h")
+    assert _unit_product(blp3, -1, blp3.divisor.named("p"), 2) == (1, blp3.divisor.zero())
 
 
 def _random_state_series(geom, raw):
@@ -630,9 +622,10 @@ _state_terms = st.lists(
     max_size=6,
 )
 
-# every branch of the rule at once, with nonzero and zero products: contacts
-# −3…3, classes of weight 0 up to the truncation order, unit, mixed and
-# top-degree values
+# z⁰ terms for every map `_times_unit` takes, with nonzero and zero products:
+# contacts −3…3, classes of weight 0 up to the truncation order, unit, mixed
+# and top-degree values; against the units of _SOME_UNITS (contacts 0, 1 and 2
+# on blp3, 2 and 4 on synthetic_negative) every contact sign is reached
 _ALL_BRANCHES = [
     ([0, 0], 0, 0, [1, 1, 0, 0, 0, 0, 0, 0]),
     ([8, 0], 0, 1, [0, 1, 1, 1, 0, 0, 0, 0]),
@@ -644,17 +637,7 @@ _ALL_BRANCHES = [
     ([2, 0], 3, 1, [0, 0, 1, 0, 0, 0, 0, 0]),
     ([2, 0], -3, 0, [0, 1, 0, 0, 0, 0, 0, 0]),
 ]
-
-
-@pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
-@given(left=_state_terms, right=_state_terms)
-@example(left=_ALL_BRANCHES, right=_ALL_BRANCHES)
-@settings(max_examples=40, deadline=None)
-def test_state_product_matches_per_pair_oracle(request, name, left, right):
-    geom = request.getfixturevalue(name)
-    a = _random_state_series(geom, left)
-    b = _random_state_series(geom, right)
-    assert a * b == state_product(a, b)
+_SOME_UNITS = [([1, 0], Fraction(1)), ([2, 0], Fraction(-1, 2)), ([1, 1], Fraction(2))]
 
 
 def test_product_rule_text_is_published():
@@ -695,14 +678,13 @@ def test_blowup_j0_is_the_geometric_quotient(blp3, order):
     assert N.j_function.z_slice(0) == want
 
 
-def test_j0_quotient_when_a_picard_class_restricts_to_zero():
-    """blp3_k3 with h ↦ 0 on D, the restriction its geometry asks for: the
-    log part p_i·I₁ has no terms at contact > 0 for p = h."""
-    text = BUILTIN_CONFIGS["blp3_k3"]
-    assert text.count("    h h 1\n") == text.count("    Hh p 4\n") == 1
-    geom = _at_order(load_geometry(text.replace("    h h 1\n", "").replace("    Hh p 4\n", "")), 4)
+def test_j0_quotient_when_a_picard_class_restricts_to_zero(blp3):
+    """On blp3_k3 h ↦ 0 on D, so the log part p_i·I₁ has no terms at
+    contact > 0 for p = h, and J₀ is still the geometric quotient."""
+    geom = _at_order(blp3, 4)
     assert geom.restriction(geom.ambient.named("h")).is_zero()
     I = relative_i_function(geom)
+    assert not any(c and log[1] for (_, c, log) in I.z_slice(0).terms)
     want = state_product(I.z_slice(0), geometric_reciprocal(I.z_slice(1)))
     assert normalize_i(I).mirror_map == want
 
@@ -735,6 +717,7 @@ def _unit_slice_and_log_free_terms(geom, units, raw):
     raw=_state_terms,
     log=st.booleans(),
 )
+@example(c0=Fraction(1), units=_SOME_UNITS, raw=_ALL_BRANCHES, log=True)
 @settings(max_examples=25, deadline=None)
 def test_state_reciprocal_is_the_geometric_series(request, name, c0, units, raw, log):
     """A scalar z¹ slice over a log-free z⁰ slice with the log part p_i·I₁
@@ -844,12 +827,14 @@ def test_blowup_exponent(blp3):
 
 
 def test_blowup_i_function_hand_checked_coefficients(blp3):
-    # beta = (0,1), hand expansion of z * (4H+h+z)_1-factor / (h+z)-pole with
-    # the boundary pole shift: the contact -1 state starts 1 + 4 h_D z^-1 + ...
+    # beta = (0,1): z·(4H + h + z)/((h + z)(D + z)) at contact −1, restricted by
+    # H ↦ h_D, h ↦ 0, D ↦ −h_D: (4h_D + z)/(z − h_D) = (1 + 4x)/(1 − x) at
+    # x = h_D/z, so the state is 1 + 5h_D z^-1 + 5h_D² z^-2 with h_D² = 4p
     I = relative_i_function(blp3)
     assert I.coefficient((0, 1), -1, 0, logpow=(0, 0)) == blp3.divisor.unit()
     got = I.coefficient((0, 1), -1, -1, logpow=(0, 0))
-    assert got == blp3.divisor.named("h").scale(4)
+    assert got == blp3.divisor.named("h").scale(5)
+    assert I.coefficient((0, 1), -1, -2, logpow=(0, 0)) == blp3.divisor.named("p").scale(20)
 
 
 def test_blowup_prefactor_rows(blp3):
