@@ -4,15 +4,17 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 420 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 426 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
     at the default order and at --order 4, 8 and 12 (288 runs);
   * identities --seed 3 --cases 4, verify --geometry p2_cubic
     --negative-control, the refusals i-function --order 1 and
-    i-function --geometry nope, and i-function --geometry blp3_k3
-    --order 16 (15 runs);
+    i-function --geometry nope, i-function --geometry blp3_k3
+    --order 16, and verify on p2_cubic and p3_quartic at --order 48,
+    where each substitution through the mirror change sums 16 and 12
+    groups of one class (21 runs);
   * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
     and two d_point rows, and quantum-period and verify on blp3_k3 with a
     --table of two x_point rows, one value of each a fraction (12 runs);
@@ -53,6 +55,8 @@ EXTRA = (
     ("i-function", "--order", "1"),
     ("i-function", "--geometry", "nope"),
     ("i-function", "--geometry", "blp3_k3", "--order", "16"),
+    ("verify", "--geometry", "p2_cubic", "--order", "48"),
+    ("verify", "--geometry", "p3_quartic", "--order", "48"),
 )
 TMP = "<tmp>"
 FILES = {

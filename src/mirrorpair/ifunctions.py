@@ -55,6 +55,7 @@ from .series import (
     PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
+    _accumulate,
     _mul,
 )
 
@@ -863,37 +864,46 @@ def _grouped_exp(
 
     Classes are grouped by d = m·β.  For m of one sign each group reads
     f.exp(scale(d)) truncated at its heaviest class, and most groups are
-    light.  For m of both signs every group reaches about the full order, so
-    all of them read one power walk instead: Q_k = f^k·kernel for
-    k = 0, 1, … until Q_k = 0, each class β gaining (s^k/k!)·[Q_k]_β with
-    s = scale(d).  One Q_k is kept at a time.
+    light; a class reads only the γ whose β − γ that exp stores.  For m of
+    both signs every group reaches about the full order, so all of them read
+    one power walk instead: Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0,
+    each class β gaining (s^k/k!)·[Q_k]_β with s = scale(d).  One Q_k is kept
+    at a time.  Either way the sums are one integer pass through
+    `_accumulate`, keyed by class, and each class gets one Fraction at the
+    end; the classes whose sum is zero are left out.
     """
     pol = f.policy
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for beta in classes:
-        groups.setdefault(sum(map(mul, m_vector, beta)), []).append(beta)
+    group_of = {beta: sum(map(mul, m_vector, beta)) for beta in classes}
+    acc: dict = {}
     if mixed_signs(m_vector):
         f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
-        out = {b: Fraction(0) for betas in groups.values() for b in betas}
-        q = NovikovSeries(pol, dict(kernel))
-        factor = dict.fromkeys(groups, Fraction(1))  # s^k/k! per group
-        k = 0
+        steps = {d: scale(d) for d in group_of.values()}
+        power = dict.fromkeys(steps, 1)  # s^k per group, over k! = fact
+        q, k, fact = NovikovSeries(pol, dict(kernel)), 0, 1
         while not q.is_zero():
-            for d, betas in groups.items():
-                for beta in betas:
-                    if beta in q.terms:
-                        out[beta] += factor[d] * q.terms[beta]
-                factor[d] *= Fraction(scale(d), k + 1)
+            for beta, v in q.terms.items():
+                d = group_of.get(beta)
+                if d is not None and power[d]:
+                    _accumulate(acc, beta, power[d] * v.numerator, fact * v.denominator)
+            for d, s in steps.items():
+                power[d] *= s
             q, k = f * q, k + 1
-        return out
-    out = {}
-    for d, betas in groups.items():
-        power = f.exp(scale(d), max(pol.weight(b) for b in betas)).terms
-        for beta in betas:
-            out[beta] = sum(
-                c * power.get(tuple(map(sub, beta, gamma)), 0) for gamma, c in kernel
-            )
-    return out
+            fact *= k
+    else:
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for beta, d in group_of.items():
+            groups.setdefault(d, []).append(beta)
+        kernel = [(gamma, c.numerator, c.denominator) for gamma, c in kernel]
+        for d, betas in groups.items():
+            power = f.exp(scale(d), max(map(pol.weight, betas))).terms
+            for beta in betas:
+                for gamma, n, den in kernel:
+                    v = power.get(tuple(map(sub, beta, gamma)))
+                    if v is not None:
+                        _accumulate(acc, beta, n * v.numerator, den * v.denominator)
+    return {
+        beta: Fraction(*slot) for beta in group_of if (slot := acc.get(beta)) and slot[0]
+    }
 
 
 class MirrorChange:
@@ -966,8 +976,7 @@ def class_constant_terms(
     """
     pol = G.policy
     classes = [b for b in _effective_classes(pol) if sum(map(mul, m_vector, b)) >= 1]
-    theta = _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
-    return {beta: v for beta, v in theta.items() if v}
+    return _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
 
 
 def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
@@ -987,22 +996,19 @@ def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
 def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> NovikovSeries:
     """f(q) ↦ f(q(y)): monomial-wise q^β ↦ y^β · exp((D·β)·g(y)).
 
-    The classes of f are grouped by d = D·β, and each group is one product of
-    its terms with e^{d·g} truncated at the weight its lightest class leaves
-    room for.  That truncation is the change's `exp_g`, so substitutions
-    through one change over the same groups build it once.
+    The classes of f are grouped by d = D·β, and each group's terms are paired
+    with e^{d·g} truncated at the weight its lightest class leaves room for.
+    That truncation is the change's `exp_g`, so substitutions through one
+    change over the same groups build it once.  All the pairs are summed in
+    one integer pass, `NovikovSeries.sum_of_products`.
     """
-    pol, g = series_q.policy, change.g
-    if g.policy != pol:
+    pol = series_q.policy
+    if change.policy != pol:
         raise ValueError("incompatible truncation policies")
     groups: dict[int, dict] = {}
     for beta, c in series_q.terms.items():
         groups.setdefault(change.contact_weight(beta), {})[beta] = c
-    out: dict = {}
-    for d, terms in groups.items():
-        power = change.exp_g(d, pol.max_total - min(map(pol.weight, terms)))
-        # the product reads e^{d·g} only through the weight it is cut at, so it may sit under pol
-        part = NovikovSeries._kernel_output(pol, terms) * NovikovSeries._kernel_output(pol, power.terms)
-        for k, v in part.terms.items():
-            out[k] = out.get(k, 0) + v
-    return NovikovSeries(pol, out)
+    return NovikovSeries.sum_of_products(pol, (
+        (terms, change.exp_g(d, pol.max_total - min(map(pol.weight, terms))).terms)
+        for d, terms in groups.items()
+    ))

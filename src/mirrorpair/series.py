@@ -11,8 +11,11 @@ Three series shapes live here:
   number N of stored terms; log is E(f)·(1/f) divided back by the weight.
   Products and recurrences accumulate the way `algebra.sum_of_products`
   does: each output monomial sums integer numerators over lcm-joined integer
-  denominators (`_accumulate`) and becomes one Fraction at the end.  Their
-  results, and those of the linear operators (+, −, negation, `euler_derive`,
+  denominators (`_accumulate`) and becomes one Fraction at the end.  The one
+  product kernel is `NovikovSeries.sum_of_products`, Σ a·b over any number of
+  pairs in one such pass: `__mul__` is its one-pair case, and the mirror
+  change's substitutions hand it all their pairs at once.  Kernel results,
+  and those of the linear operators (+, −, negation, `euler_derive`,
   `weighted_scaling`), skip the public constructor's key checks
   (`_kernel_output`): their keys come from series under the one policy.
   Each linear operator is one pass; `weighted_scaling(m)` scales y^k by m·k.
@@ -195,21 +198,35 @@ class NovikovSeries:
             terms = {k: c * v for k, v in self.terms.items()}
             return NovikovSeries._kernel_output(self.policy, terms)
         self._check(other)
-        pol = self.policy
-        top = pol.max_total
-        right = sorted(
-            ((k, pol.weight(k), v.numerator, v.denominator) for k, v in other.terms.items()),
-            key=lambda t: t[1],
-        )
+        return NovikovSeries.sum_of_products(self.policy, ((self.terms, other.terms),))
+
+    @classmethod
+    def sum_of_products(
+        cls, policy: TruncationPolicy, pairs: Iterable[tuple[Mapping, Mapping]]
+    ) -> "NovikovSeries":
+        """Σ a·b over the pairs (a, b) of term dicts, cut at the policy's weight.
+
+        The Novikov counterpart of `algebra.sum_of_products`: every pair adds
+        its products into the one integer accumulator of `_accumulate`, and
+        each output monomial becomes one Fraction at the end.  The keys must
+        be admissible under ``policy``; a right factor may be cut lower.
+        """
+        top = policy.max_total
+        weight = policy.weight
         acc: dict = {}
-        for ka, va in self.terms.items():
-            room = top - pol.weight(ka)
-            na, da = va.numerator, va.denominator
-            for kb, wb, nb, db in right:
-                if wb > room:
-                    break
-                _accumulate(acc, tuple(map(add, ka, kb)), na * nb, da * db)
-        return NovikovSeries._kernel_output(pol, {k: Fraction(n, d) for k, (n, d) in acc.items()})
+        for left, right in pairs:
+            right = sorted(
+                ((k, weight(k), v.numerator, v.denominator) for k, v in right.items()),
+                key=lambda t: t[1],
+            )
+            for ka, va in left.items():
+                room = top - weight(ka)
+                na, da = va.numerator, va.denominator
+                for kb, wb, nb, db in right:
+                    if wb > room:
+                        break
+                    _accumulate(acc, tuple(map(add, ka, kb)), na * nb, da * db)
+        return cls._kernel_output(policy, {k: Fraction(n, d) for k, (n, d) in acc.items()})
 
     __rmul__ = __mul__
 

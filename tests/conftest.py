@@ -20,8 +20,10 @@ instead.
 The series-product oracle: a literal double loop of Fraction products over
 two Novikov series, cut at the truncation weight.  The package accumulates
 integers over lcm-joined denominators instead.  The per-class θ_β oracle
-sums e^{dG} from its literal powers; the package reads every class off one
-power walk (m of both signs) or one exp per value of m·β.
+sums e^{dG} from its literal powers, and the Good's-formula oracle reads e^G
+off the literal powers of g the same way; the package reads every class off
+one power walk (m of both signs) or one exp per value of m·β, and sums each
+class in integers.
 
 The geometric state reciprocal: Σ (−n)^k with each power a `state_product`.
 The package inverts I₁'s unit coefficients as one Novikov series instead.
@@ -52,6 +54,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import sub
 
 import pytest
 
@@ -321,6 +324,35 @@ def class_thetas(G, m_vector, t_order):
         if theta:
             out[beta] = theta
     return out
+
+
+def good_exp_composed(change):
+    """e^{G(q)} for the change q = y·e^{m·g}, by Good's formula written out literally.
+
+    [q^β] e^G = Σ_γ c_γ Σ_k s^k/k!·[g^k]_{β−γ} with s = 1 − m·β and the kernel
+    c = 1 + Σ_γ (m·γ)·g_γ y^γ, the Jacobian det(δ_ij + m_i y_j ∂_j g).  Each
+    power g^k = g^{k−1}·g is a `series_product`; g has no constant term, so g^k
+    vanishes past the truncation order.
+    """
+    g, m = change.g, change.m_vector
+    pol = g.policy
+    powers = [NovikovSeries.one(pol)]
+    for _ in range(pol.max_total):
+        powers.append(series_product(powers[-1], g))
+    kernel = {(0,) * pol.nvars: Fraction(1)}
+    for gamma, c in g.terms.items():
+        kernel[gamma] = c * sum(a * b for a, b in zip(m, gamma))
+    out = {}
+    for beta in iproduct(*(range(pol.max_total // w + 1) for w in pol.weights)):
+        if pol.weight(beta) > pol.max_total:
+            continue
+        s = 1 - sum(a * b for a, b in zip(m, beta))
+        out[beta] = sum(
+            c * Fraction(s**k, math.factorial(k)) * p.terms.get(tuple(map(sub, beta, gamma)), 0)
+            for gamma, c in kernel.items()
+            for k, p in enumerate(powers)
+        )
+    return NovikovSeries(pol, out)
 
 
 def power_constant_terms(w, top):

@@ -23,8 +23,10 @@ from conftest import (
     dense_product,
     geometry_with,
     geometric_reciprocal,
+    good_exp_composed,
     is_canonical_row,
     normal_bundle_divisor_map,
+    series_product,
     state_product,
 )
 from mirrorpair import (
@@ -942,14 +944,14 @@ def test_plane_inverse_coordinates(p2):
 
 
 def _compose(f, ys):
-    """f(y(q)) by products alone: Σ f_β Π y_i(q)^β_i."""
+    """f(y(q)) by literal products alone: Σ f_β Π y_i(q)^β_i."""
     pol = f.policy
     out = NovikovSeries.zero(pol)
     for beta, c in f.terms.items():
         mono = NovikovSeries.constant(pol, c)
         for y, e in zip(ys, beta):
             for _ in range(e):
-                mono = mono * y
+                mono = series_product(mono, y)
         out = out + mono
     return out
 
@@ -1028,8 +1030,46 @@ def test_substitute_forward_is_the_monomial_substitution(case):
     f = NovikovSeries(pol, terms)
     want = NovikovSeries.zero(pol)
     for beta, c in f.terms.items():
-        want = want + NovikovSeries(pol, {beta: c}) * (ch.g * ch.contact_weight(beta)).exp()
+        d = ch.contact_weight(beta)
+        power = NovikovSeries(pol, {k: d * v for k, v in ch.g.terms.items()}).exp()
+        want = want + series_product(NovikovSeries(pol, {beta: c}), power)
     assert substitute_forward(f, ch) == want
+
+
+@pytest.mark.parametrize("name, order", [("p2_cubic", 8), ("blp3_k3", None)])
+def test_substitute_forward_sums_its_groups_in_one_pass(monkeypatch, name, order):
+    """On a fresh change, the substitution forms no product series per group:
+    it builds e^{d·g} once per (d, order) group, d = m·β, and sums every
+    group's products together."""
+    geom = builtin_geometry(name)
+    if order is not None:
+        geom = _at_order(geom, order)
+    g = normalize_i(relative_i_function(geom)).exponent.g
+    G = composed_exponent(MirrorChange(geom.m_vector, g))
+    ch = MirrorChange(geom.m_vector, g)
+    pol = g.policy
+    lightest: dict = {}
+    for beta in G.terms:
+        d = ch.contact_weight(beta)
+        lightest[d] = min(lightest.get(d, pol.max_total), pol.weight(beta))
+    want = sorted((d, pol.max_total - w) for d, w in lightest.items())
+    assert len(want) > 1
+    exps, products = [], []
+    real_exp, real_mul = NovikovSeries.exp, NovikovSeries.__mul__
+
+    def exp(self, scale=1, order=None):
+        exps.append((scale, order))
+        return real_exp(self, scale, order)
+
+    def mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(NovikovSeries, "exp", exp)
+    monkeypatch.setattr(NovikovSeries, "__mul__", mul)
+    assert substitute_forward(G, ch) == g
+    assert products == []
+    assert sorted(exps) == want
 
 
 @st.composite
@@ -1044,6 +1084,17 @@ def _mixed_sign_exponents(draw):
     exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars).filter(any)
     coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     return m, NovikovSeries(pol, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@given(ch=_changes())
+@example(ch=_named_change((2, -1), (1, 2), {(1, 0): 2, (0, 1): -1}))
+@example(ch=_named_change((-3, 1, 2), (1, 1, 1), {(1, 0, 0): 1, (0, 1, 1): Fraction(-1, 2), (0, 0, 2): 3}))
+@example(ch=_named_change((5,), (2,), {(1,): Fraction(1, 3)}))
+@example(ch=_named_change((1, 2), (1, 1), {(1, 0): Fraction(-2, 3), (1, 1): 4, (0, 2): Fraction(1, 5)}))
+@settings(max_examples=30, deadline=None)
+def test_exp_composed_is_goods_formula(ch):
+    """e^G against Good's formula summed from literal powers of g, for m of one sign and of both."""
+    assert ch.exp_composed == good_exp_composed(ch)
 
 
 @given(mg=_mixed_sign_exponents())

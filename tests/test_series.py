@@ -305,6 +305,51 @@ def test_kernel_outputs_are_valid_series(pair, c):
 
 
 @st.composite
+def _product_pairs(draw):
+    """A 1-3 variable policy with weights 1-2, and 0-4 pairs (a, b) of series
+    over it with mixed-denominator coefficients; each b is cut at an order of
+    its own, at most the policy's, as `substitute_forward` passes e^{d·g}."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, draw(st.integers(min_value=0, max_value=9 - 2 * nvars)), weights)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+    def series(policy):
+        return st.dictionaries(exps, coeffs, max_size=5).map(lambda d: NovikovSeries(policy, d))
+
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        low = TruncationPolicy.make(nvars, draw(st.integers(0, pol.max_total)), weights)
+        pairs.append((draw(series(pol)), draw(series(low))))
+    return pol, pairs
+
+
+@given(case=_product_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sum_of_products_is_the_sum_of_literal_products(case):
+    pol, pairs = case
+    want = NovikovSeries.zero(pol)
+    for a, b in pairs:
+        want = want + series_product(a, NovikovSeries(pol, b.terms))
+    got = NovikovSeries.sum_of_products(pol, [(a.terms, b.terms) for a, b in pairs])
+    assert got == want
+    assert got == NovikovSeries(pol, got.terms)
+    assert all(type(v) is Fraction for v in got.terms.values())
+    # each pair again with its left factor negated: the sum cancels, and no zero is stored
+    cancel = [(t, b.terms) for a, b in pairs for t in (a.terms, (-a).terms)]
+    assert NovikovSeries.sum_of_products(pol, cancel).terms == {}
+    for a, b in pairs:
+        b = NovikovSeries(pol, b.terms)
+        assert a * b == NovikovSeries.sum_of_products(pol, [(a.terms, b.terms)])
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert NovikovSeries.sum_of_products(POL2, []).terms == {}
+    assert NovikovSeries.sum_of_products(POL2, iter(())) == NovikovSeries.zero(POL2)
+
+
+@st.composite
 def _signed_pair_and_vector(draw):
     """Two raw coefficient dicts of mixed-sign rationals under one 1- or
     2-variable policy (keys may lie past its order), and a vector m with zero
