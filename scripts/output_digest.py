@@ -4,7 +4,7 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 426 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 459 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
@@ -25,8 +25,16 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
     invariant_table and its one-point invariants through t^9 as x_point
     rows, at the default order and at --order 4, 8 and 12, and verify
     --negative-control on it (99 runs);
+  * verify --order 9, with and without --negative-control, on the same
+    pair with a zero row at t^3, the lowest read row, which the control
+    perturbs (6 runs);
+  * quantum-period on p2_cubic and blp3_k3 and tau-d on blp3_k3 with
+    tau_d_source = table, each with a --table of one row: rows the table
+    gate refuses (a closed-form contradiction, an x_point or d_point row
+    at a psi power never read, a d_point row on a zero divisor mirror map)
+    and zero rows it accepts (27 runs);
 
-each in json, csv and pretty.  The configs and table of the last three groups
+each in json, csv and pretty.  The configs and tables of the last five groups
 are written to a temporary directory, whose path becomes the token <tmp> in
 the argv and standard error that are hashed.  Every run contributes the sha256
 of its argv, exit code, standard output and standard error; the script
@@ -74,7 +82,25 @@ FILES = {
         "j_source = closed_form_projective",
         "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
     ),
+    "p2_zero.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 0\n"
+        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
+    ),
 }
+# (command, geometry, the one row of its --table)
+GATE_ROWS = (
+    ("quantum-period", "p2_cubic", "x_point 1 1 pt 5"),
+    ("quantum-period", "p2_cubic", "x_point 2 0 pt 1"),
+    ("quantum-period", "p2_cubic", "d_point 1 1 pt 3"),
+    ("quantum-period", "blp3_k3", "x_point 1,0 0 pt 7"),
+    ("quantum-period", "blp3_k3", "x_point 0,2 3 pt 7"),
+    ("quantum-period", "blp3_k3", "x_point 1,0 0 pt 0"),
+    ("tau-d", f"{TMP}/tau_d.ini", "d_point 2,0 3 pt 9"),
+    ("tau-d", f"{TMP}/tau_d.ini", "d_point 1,0 0 pt 2"),
+    ("tau-d", f"{TMP}/tau_d.ini", "d_point 1,0 0 pt 0"),
+)
+FILES.update({f"gate{i}.table": f"{row}\n" for i, (*_, row) in enumerate(GATE_ROWS)})
 TABLE_RUNS = (
     ("tau-d", "--geometry", f"{TMP}/tau_d.ini"),
     ("i-function", "--geometry", f"{TMP}/tau_d.ini"),
@@ -99,6 +125,10 @@ def grid():
         for order in ORDERS:
             yield (command, "--geometry", f"{TMP}/p2_table.ini", *order)
     yield ("verify", "--geometry", f"{TMP}/p2_table.ini", "--negative-control")
+    for control in ((), ("--negative-control",)):
+        yield ("verify", "--geometry", f"{TMP}/p2_zero.ini", "--order", "9", *control)
+    for i, (command, geometry, _) in enumerate(GATE_ROWS):
+        yield (command, "--geometry", geometry, "--table", f"{TMP}/gate{i}.table")
 
 
 def main() -> int:

@@ -431,6 +431,19 @@ def cmd_mirror_map(ns: argparse.Namespace, stream) -> int:
     return 0
 
 
+def _view_and_terms(geom, md: dict, view, terms) -> list[tuple]:
+    """The records of the collapsed view, or its refusal noted in md, then the
+    per-class records when the pair has more than one Novikov variable."""
+    try:
+        records = view()
+    except TruncationError as exc:
+        records = []
+        md["collapsed_view"] = f"refused: {exc}"
+    if len(geom.m_vector) > 1:
+        records += terms()
+    return records
+
+
 def cmd_period(ns: argparse.Namespace, stream) -> int:
     """quantum-period, regularized-period and classical-period: one period each.
 
@@ -447,17 +460,13 @@ def cmd_period(ns: argparse.Namespace, stream) -> int:
             period = regularize(period)
     series = f"{period.kind}_period"
     md = _metadata(period.geometry, series=series, t_order=t_order)
-    try:
-        view = period.coefficients
-    except TruncationError as exc:
-        view = {}
-        md["collapsed_view"] = f"refused: {exc}"
-    records = [(series, f"t^{d}", str(v), (("t_deg", d),)) for d, v in view.items()]
-    if len(geom.m_vector) > 1:
-        records += [
-            (f"{series}_term", f"q^{_beta_str(beta)} t^{d}", str(v), (("beta", beta), ("t_deg", d)))
-            for beta, d, v in period.terms
-        ]
+    records = _view_and_terms(
+        geom, md,
+        lambda: [(series, f"t^{d}", str(v), (("t_deg", d),))
+                 for d, v in period.coefficients.items()],
+        lambda: [(f"{series}_term", f"q^{_beta_str(beta)} t^{d}", str(v),
+                  (("beta", beta), ("t_deg", d))) for beta, d, v in period.terms],
+    )
     _emit(ns.fmt, md, records, stream)
     return 0
 
@@ -473,13 +482,11 @@ def cmd_proper_potential(ns: argparse.Namespace, stream) -> int:
         )
         or "0",
     )
-    try:
-        records = _potential_records(pot.collapse(ns.order))
-    except TruncationError as exc:
-        records = []
-        md["collapsed_view"] = f"refused: {exc}"
-    if len(geom.m_vector) > 1:
-        records += _potential_term_records(pot)
+    records = _view_and_terms(
+        geom, md,
+        lambda: _potential_records(pot.collapse(ns.order)),
+        lambda: _potential_term_records(pot),
+    )
     _emit(ns.fmt, md, records, stream)
     return 0
 

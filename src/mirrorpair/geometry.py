@@ -194,6 +194,16 @@ class PairGeometry:
         """D·β for a curve class."""
         return sum(m * b for m, b in zip(self.m_vector, beta))
 
+    def read_psi(self, kind: str, beta: tuple[int, ...]) -> int | None:
+        """The ψ power at which a one-point row of this kind and class is read, or None.
+
+        The one reading rule, which the closed form, the table gates, the quantum
+        period and τ_D all ask: with d = D·β for an x_point row and d = −D·β for a
+        d_point row, ⟨[pt] ψ^a⟩_β is read iff d ≥ 2 and a = d − 2 (dimension count).
+        """
+        d = self.contact_weight(beta) if kind == "x_point" else -self.contact_weight(beta)
+        return d - 2 if d >= 2 else None
+
     def replace(self, **fields) -> "PairGeometry":
         """A copy with the named fields replaced, as in ``geom.replace(policy=p)``."""
         return PairGeometry(**{**{name: getattr(self, name) for name in self.__slots__}, **fields})
@@ -509,7 +519,7 @@ def _validate_geometry(geom: PairGeometry) -> None:
             )
     x_rows, d_rows = table.rows_for("x_point"), table.rows_for("d_point")
     if geom.j_source == "closed_form_projective" and x_rows:
-        # the closed form gives 1/(d!)^{n+1} at psi^{D.beta-2} and 0 elsewhere
+        # the closed form gives 1/(d!)^{n+1} at the read psi power and 0 elsewhere
         top = max(geom.contact_weight(beta) for beta, _, _ in x_rows)
         closed = tabulate_one_point_invariants(geom, top).as_dict()
         for beta, a, v in x_rows:
@@ -520,15 +530,7 @@ def _validate_geometry(geom: PairGeometry) -> None:
                     f"the closed form of {geom.name}, which gives {want}"
                 )
     if geom.j_source == "toric_hypergeometric":
-        # the quantum period reads psi^{D.beta-2} at D.beta >= 2 only (dimension count)
-        for beta, a, v in x_rows:
-            d = geom.contact_weight(beta)
-            if v and (d < 2 or a != d - 2):
-                raise ConfigError(
-                    f"table row x_point class {_class_str(beta)} psi^{a} = {v} is never "
-                    f"read: {geom.name} reads x_point rows only at psi^(D.beta - 2) "
-                    f"with D.beta >= 2, and this class has D.beta = {d}"
-                )
+        _refuse_unread_rows(geom, "x_point", x_rows)
     if geom.j_source == "invariant_table" and not x_rows:
         raise MissingDataError(
             f"{geom.name}: j_source=invariant_table but no x_point rows supplied"
@@ -538,15 +540,7 @@ def _validate_geometry(geom: PairGeometry) -> None:
             raise MissingDataError(
                 f"{geom.name}: [pair] tau_d_source=table but no d_point rows supplied"
             )
-        # the divisor mirror map reads psi^{-D.beta-2} at -D.beta >= 2 only
-        for beta, a, v in d_rows:
-            d = -geom.contact_weight(beta)
-            if v and (d < 2 or a != d - 2):
-                raise ConfigError(
-                    f"table row d_point class {_class_str(beta)} psi^{a} = {v} is never "
-                    f"read: {geom.name} reads d_point rows only at psi^(-D.beta - 2) "
-                    f"with -D.beta >= 2, and this class has D.beta = {-d}"
-                )
+        _refuse_unread_rows(geom, "d_point", d_rows)
     if geom.tau_d_source == "zero" and d_rows:
         beta, a, _ = d_rows[0]
         raise ConfigError(
@@ -554,6 +548,18 @@ def _validate_geometry(geom: PairGeometry) -> None:
             f"{geom.name}'s zero divisor mirror map (tau_d_reason = {geom.tau_d_reason}), "
             "which reads no d_point rows"
         )
+
+
+def _refuse_unread_rows(geom: PairGeometry, kind: str, rows) -> None:
+    """ConfigError at the first nonzero row that `PairGeometry.read_psi` never reads."""
+    sign = "" if kind == "x_point" else "-"
+    for beta, a, v in rows:
+        if v and a != geom.read_psi(kind, beta):
+            raise ConfigError(
+                f"table row {kind} class {_class_str(beta)} psi^{a} = {v} is never "
+                f"read: {geom.name} reads {kind} rows only at psi^({sign}D.beta - 2) "
+                f"with {sign}D.beta >= 2, and this class has D.beta = {geom.contact_weight(beta)}"
+            )
 
 
 def _integral_of_top_power(alg: GradedAlgebra, h: int) -> Fraction:
@@ -749,12 +755,10 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
     m = geom.m_vector[0]
     n = m - 1
     rows = []
-    d1 = 1
-    while m * d1 <= t_order:
-        d = m * d1
-        if d >= 2:
-            rows.append((("x_point", (d1,), d - 2), Fraction(1, math.factorial(d1) ** (n + 1))))
-        d1 += 1
+    for d1 in range(1, t_order // m + 1):
+        a = geom.read_psi("x_point", (d1,))
+        if a is not None:
+            rows.append((("x_point", (d1,), a), Fraction(1, math.factorial(d1) ** (n + 1))))
     return InvariantTable(tuple(rows))
 
 

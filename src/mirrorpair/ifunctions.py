@@ -408,9 +408,10 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
     terms: dict[tuple[tuple[int, ...], int], Element] = {}
     push_unit = pairing_pushforward(geom.restriction, geom.divisor.unit())
     for beta, a, v in geom.table.rows_for("d_point"):
-        if not geom.policy.admits(beta):
-            continue  # above the truncation, as every other series is cut
-        # the gate admits a nonzero row only at psi^a with a = -D.beta - 2
+        # a row τ_D never reads is zero (the table gate); one above the
+        # truncation is cut, as every other series is
+        if a != geom.read_psi("d_point", beta) or not geom.policy.admits(beta):
+            continue
         coeff = v * Fraction((-1) ** (a + 1) * math.factorial(a + 1))
         cls = push_unit.scale(coeff)
         _merge_add(terms, (tuple(beta), 0), cls)

@@ -3,11 +3,14 @@
 Each period is one `PeriodSeries`: a value v_β per curve class β with
 D·β ≤ t_order, and the t-series 1 + Σ_d (Σ_{D·β = d} v_β) t^d as a view on
 top.  The quantum period's values are the one-point descendant invariants
-⟨[pt] ψ^{D·β-2}⟩_β, and `regularize` rescales each by (D·β)!.  On the mirror
-side, the proper potential W = x · exp(G(q)) places each class β's mirror
-coefficient at t^{D·β} x^{1-D·β}.  The classical period's values are
-θ_β = [q^β] e^{(D·β)·G}, the constant term of W^{D·β} on β, which Good's
-formula makes (D·β)·g_β (checked from G by `inversion.potential_roundtrip`).
+⟨[pt] ψ^{D·β-2}⟩_β at D·β ≥ 2, the x_point rows `PairGeometry.read_psi` reads
+(the one statement of that rule).  `_quantum_series` builds them for
+`quantum_period` and `compare_periods` alike, and `regularize` rescales each
+by (D·β)!.  On the mirror side, the proper potential W = x · exp(G(q))
+places each class β's mirror coefficient at t^{D·β} x^{1-D·β}.  The
+classical period's values are θ_β = [q^β] e^{(D·β)·G}, the constant term of
+W^{D·β} on β, which Good's formula makes (D·β)·g_β (checked from G by
+`inversion.potential_roundtrip`).
 `collapse_by_degree` is the one sum of classes into t-degrees, for the
 periods and W alike: when m has entries of both signs infinitely many classes
 share each t-degree, so it refuses rather than sum a truncated slice.
@@ -107,14 +110,31 @@ class PeriodSeries:
         return dict(self.coefficients)
 
 
-def _point_terms(
-    geom: PairGeometry, rows: list[tuple[tuple[int, ...], int, Fraction]], t_order: int
-) -> tuple[tuple[tuple[int, ...], int, Fraction], ...]:
-    """(β, D·β, ⟨[pt] ψ^{D·β-2}⟩_β) for the nonzero x_point rows with 2 ≤ D·β ≤ t_order."""
-    graded = ((b, geom.contact_weight(b), a, v) for b, a, v in rows)
-    return tuple(sorted(
-        (b, d, v) for b, d, a, v in graded if 2 <= d <= t_order and a == d - 2 and v
-    ))
+def _quantum_series(
+    geom: PairGeometry, t_order: int, negative_control: bool = False
+) -> tuple[PeriodSeries, int | None]:
+    """The quantum period from one tabulation, and the t-degree a control perturbs.
+
+    Its terms are (β, D·β, v_β) for the nonzero x_point rows with D·β ≤ t_order
+    that `PairGeometry.read_psi` reads.  Under negative_control the read row of
+    lowest D·β (the first in table order among equals, a zero row included)
+    gets its value bumped by 1, and its D·β is returned; otherwise None is.
+    """
+    rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
+    # a read row sits at D·β = ψ + 2
+    read = [(b, a + 2, v) for b, a, v in rows
+            if a == geom.read_psi("x_point", b) and a + 2 <= t_order]
+    bumped = None
+    if negative_control:
+        if not read:
+            raise MissingDataError(
+                f"{geom.name}: no quantum-side entries to perturb for the control run"
+            )
+        i = min(range(len(read)), key=lambda k: read[k][1])
+        b, bumped, v = read[i]
+        read[i] = (b, bumped, v + 1)
+    terms = tuple(sorted(t for t in read if t[2]))
+    return PeriodSeries("quantum", t_order, geom, terms), bumped
 
 
 def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
@@ -125,8 +145,7 @@ def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
             f"{geom.name}: quantum period at nonzero divisor mirror map needs "
             "deformed invariants: external data required"
         )
-    rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
-    return PeriodSeries("quantum", t_order, geom, _point_terms(geom, rows, t_order))
+    return _quantum_series(geom, t_order)[0]
 
 
 def regularize(period: PeriodSeries) -> PeriodSeries:
@@ -139,6 +158,13 @@ def regularize(period: PeriodSeries) -> PeriodSeries:
 
 # ---------------------------------------------------------------------------
 # the proper potential
+
+
+def _require_contact(d: int, what: str, beta: tuple[int, ...], suffix: str = "") -> int:
+    """d, or PipelineInvariantError when a term of W or g has contact weight D·β < 2."""
+    if d < 2:
+        raise PipelineInvariantError(f"{what} at {beta} has contact weight {d} < 2{suffix}")
+    return d
 
 
 class ProperPotential:
@@ -173,11 +199,7 @@ class ProperPotential:
         terms = [(b, self.contact_weight(b), c) for b, c in self.terms]
         sums = collapse_by_degree(self.geometry, terms)
         for beta, d, _ in terms:
-            if d < 2:
-                raise PipelineInvariantError(
-                    f"potential term at {beta} has contact weight {d} < 2; "
-                    "cannot collapse"
-                )
+            _require_contact(d, "potential term", beta, "; cannot collapse")
         if t_order is None:
             t_order = max(sums, default=0)
         return XLaurentSeries(t_order, {1: {0: 1}, **{1 - d: {d: v} for d, v in sums.items()}})
@@ -281,47 +303,19 @@ def compare_periods(
 
     The potential must cover every class with D·β ≤ t_order.  The classical
     side always runs on the geometry's own data.  Under negative_control the
-    quantum-side table alone gets its lowest-degree entry within the window
-    (2 ≤ D·β ≤ t_order) bumped by 1, and passing means the mismatch is
+    quantum side alone gets its lowest-degree read entry with D·β ≤ t_order
+    bumped by 1 (`_quantum_series`), and passing means the mismatch is
     flagged exactly at that degree.
     """
-    geom = pot.geometry
     classical = classical_period(pot, t_order).coefficients
-    rows = tabulate_one_point_invariants(geom, t_order).rows_for("x_point")
-    expected_deg: int | None = None
-    if negative_control:
-        graded = sorted(
-            (geom.contact_weight(b), i)
-            for i, (b, a, v) in enumerate(rows)
-            if 2 <= geom.contact_weight(b) <= t_order and a == geom.contact_weight(b) - 2
-        )
-        if not graded:
-            raise MissingDataError(
-                f"{geom.name}: no quantum-side entries to perturb for the control run"
-            )
-        expected_deg, idx = graded[0]
-        b, a, v = rows[idx]
-        rows[idx] = (b, a, v + 1)
-    reg = regularize(PeriodSeries("quantum", t_order, geom, _point_terms(geom, rows, t_order)))
-    regularized = reg.coefficients
+    quantum, expected_deg = _quantum_series(pot.geometry, t_order, negative_control)
+    regularized = regularize(quantum).coefficients
 
-    out_rows = []
-    first = None
-    for d in range(0, t_order + 1):
-        c = classical.get(d, Fraction(0))
-        r = regularized.get(d, Fraction(0))
-        ok = c == r
-        if not ok and first is None:
-            first = d
-        out_rows.append((d, c, r, ok))
-    return PeriodComparison(
-        t_order,
-        tuple(out_rows),
-        first is None,
-        first,
-        negative_control,
-        expected_deg,
-    )
+    sides = ((d, classical.get(d, Fraction(0)), regularized.get(d, Fraction(0)))
+             for d in range(t_order + 1))
+    rows = tuple((d, c, r, c == r) for d, c, r in sides)
+    first = next((d for d, _, _, ok in rows if not ok), None)
+    return PeriodComparison(t_order, rows, first is None, first, negative_control, expected_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +384,12 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
 
     one = NovikovSeries.one(pol)
     u_terms: dict[tuple[int, ...], Fraction] = {}
-    nu_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, w in pot.terms:
-        d = change.contact_weight(beta)
-        if d < 2:
-            raise PipelineInvariantError(
-                f"{geom.name}: potential term at {beta} has contact weight {d} < 2"
-            )
+        d = _require_contact(change.contact_weight(beta), f"{geom.name}: potential term", beta)
         u_terms[beta] = w / (d - 1)
-        nu_terms[beta] = w
 
     u_y = substitute_forward(NovikovSeries(pol, u_terms), change)
-    nu_y = substitute_forward(NovikovSeries(pol, nu_terms), change)
+    nu_y = substitute_forward(NovikovSeries(pol, pot.as_dict()), change)
     exp_g = g.exp()
     g_back = substitute_forward(composed_exponent(change), change)
 
@@ -413,11 +401,7 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     L = E * u_y - E + one
     r_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, c in g.terms.items():
-        d = change.contact_weight(beta)
-        if d < 2:
-            raise PipelineInvariantError(
-                f"{geom.name}: exponent term at {beta} has contact weight {d} < 2"
-            )
+        d = _require_contact(change.contact_weight(beta), f"{geom.name}: exponent term", beta)
         r_terms[beta] = c * Fraction(d, d - 1)
     R = NovikovSeries(pol, r_terms)
     ident = L == R

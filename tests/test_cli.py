@@ -595,6 +595,32 @@ def test_negative_control_perturbs_only_rows_inside_the_window(tmp_path, capsys)
         assert code == 0 and json.loads(text)["metadata"]["result"] == "pass"
 
 
+def test_negative_control_bumps_the_lowest_read_row_even_at_zero(tmp_path):
+    # class 1 is read at t³ with value 0: it is still the row of lowest D.beta in
+    # the window, so the control plants its mismatch there and nowhere else
+    zero_pair = tmp_path / "p2_zero.ini"
+    zero_pair.write_text(BUILTIN_CONFIGS["p2_cubic"].replace(
+        "j_source = closed_form_projective",
+        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 0\n"
+        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
+    argv = ("verify", "--geometry", str(zero_pair), "--order", "9", "--format", "json")
+
+    def period_rows(*flags):
+        code, text = _run(*argv, *flags)
+        assert code == 0
+        records = json.loads(text)["records"]
+        theorem = next(r["value"] for r in records if r["selector"] == "period_theorem")
+        return theorem, {r["selector"]: r["value"] for r in records
+                         if r["series"] == "period_check"}
+
+    theorem, rows = period_rows("--negative-control")
+    assert theorem == "pass (mismatch caught at t^3)"
+    assert rows == {"t^0": "match", "t^3": "MISMATCH", "t^6": "match", "t^9": "match"}
+    theorem, rows = period_rows()
+    assert theorem == "pass"
+    assert rows == {"t^0": "match", "t^6": "match", "t^9": "match"}
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
@@ -765,28 +791,46 @@ def _two_routes(tmp_path, capsys, name, rows):
 
 
 @pytest.mark.parametrize(
-    "name, rows, fragment",
+    "name, rows, fragment, line",
     [
-        ("p2_cubic", ["x_point 1 1 pt 5"], "x_point class 1 psi^1 = 5 contradicts the closed form"),
-        ("p2_cubic", ["x_point 1,1 0 pt 1"], "table class (1, 1) has 2 components"),
-        ("p2_cubic", ["d_point 1 1 pt 3"], "d_point class 1 psi^1 contradicts"),
-        ("blp3_k3", ["x_point 1,0 0 pt 7"], "x_point class 1,0 psi^0 = 7 is never read"),
+        ("p2_cubic", ["x_point 1 1 pt 5"], "x_point class 1 psi^1 = 5 contradicts the closed form",
+         "table row x_point class 1 psi^1 = 5 contradicts the closed form of p2_cubic, "
+         "which gives 1"),
+        ("p2_cubic", ["x_point 1,1 0 pt 1"], "table class (1, 1) has 2 components",
+         "table class (1, 1) has 2 components; p2_cubic curve classes have 1"),
+        ("p2_cubic", ["d_point 1 1 pt 3"], "d_point class 1 psi^1 contradicts",
+         "table row d_point class 1 psi^1 contradicts p2_cubic's zero divisor mirror map "
+         "(tau_d_reason = elliptic_curve), which reads no d_point rows"),
+        ("blp3_k3", ["x_point 1,0 0 pt 7"], "x_point class 1,0 psi^0 = 7 is never read",
+         "table row x_point class 1,0 psi^0 = 7 is never read: blp3_k3 reads x_point rows "
+         "only at psi^(D.beta - 2) with D.beta >= 2, and this class has D.beta = -1"),
         ("blp3_k3", ["x_point 0,2 0 pt 5", "x_point 0,2 3 pt 7"],
-         "x_point class 0,2 psi^3 = 7 is never read"),
-        ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 2"], "line 2: duplicate key"),
-        ("synthetic_negative", ["d_point 1 3 pt 9"], "d_point class 1 psi^3 = 9 is never read"),
-        ("synthetic_negative", ["d_point 2 0 pt 4"], "d_point class 2 psi^0 = 4 is never read"),
-        ("p2_cubic", ["x_point 1 1 pt 1/0"], "line 1, column 5: '1/0' is not an exact rational"),
-        ("p2_cubic", ["x_point 1,a 1 pt 1"], "line 1, column 2: 'a' is not an integer"),
+         "x_point class 0,2 psi^3 = 7 is never read",
+         "table row x_point class 0,2 psi^3 = 7 is never read: blp3_k3 reads x_point rows "
+         "only at psi^(D.beta - 2) with D.beta >= 2, and this class has D.beta = 2"),
+        ("p2_cubic", ["x_point 1 1 pt 1", "x_point 1 1 pt 2"], "line 2: duplicate key",
+         "invariant table line 2: duplicate key ('x_point', (1,), 1) gives 2, "
+         "an earlier line gives 1"),
+        ("synthetic_negative", ["d_point 1 3 pt 9"], "d_point class 1 psi^3 = 9 is never read",
+         "table row d_point class 1 psi^3 = 9 is never read: synthetic_negative reads d_point "
+         "rows only at psi^(-D.beta - 2) with -D.beta >= 2, and this class has D.beta = -2"),
+        ("synthetic_negative", ["d_point 2 0 pt 4"], "d_point class 2 psi^0 = 4 is never read",
+         "table row d_point class 2 psi^0 = 4 is never read: synthetic_negative reads d_point "
+         "rows only at psi^(-D.beta - 2) with -D.beta >= 2, and this class has D.beta = -4"),
+        ("p2_cubic", ["x_point 1 1 pt 1/0"], "line 1, column 5: '1/0' is not an exact rational",
+         "invariant table line 1, column 5: '1/0' is not an exact rational p/q"),
+        ("p2_cubic", ["x_point 1,a 1 pt 1"], "line 1, column 2: 'a' is not an integer",
+         "invariant table line 1, column 2: 'a' is not an integer"),
     ],
 )
 def test_a_refused_row_is_refused_the_same_from_both_routes(tmp_path, capsys, name, rows,
-                                                             fragment):
+                                                             fragment, line):
+    # the fragment names the case; the refusal must be the whole line, word for word
     from_key, from_table = _two_routes(tmp_path, capsys, name, rows)
     assert from_key == from_table
     code, out, err = from_key
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert fragment in line and err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize(
