@@ -66,7 +66,6 @@ from .series import (
     NovikovSeries,
     PipelineInvariantError,
     TruncationError,
-    TruncationPolicy,
 )
 
 DEFAULT_T_ORDER = 12
@@ -280,8 +279,7 @@ def _load_geometry(ns: argparse.Namespace, order_is_truncation: bool) -> PairGeo
         except (ConfigError, MissingDataError) as exc:
             raise type(exc)(f"{ns.geometry}: {exc}") from exc
     if order_is_truncation and ns.order is not None:
-        pol = geom.policy
-        geom = geom.replace(policy=TruncationPolicy.make(pol.nvars, ns.order, pol.weights))
+        geom = geom.replace(policy=geom.policy.at_order(ns.order))
     if ns.table is not None:
         text = _read_input("--table", ns.table)
         try:

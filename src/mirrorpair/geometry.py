@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     AlgebraError,
@@ -192,7 +193,11 @@ class PairGeometry:
 
     def contact_weight(self, beta: tuple[int, ...]) -> int:
         """D·β for a curve class."""
-        return sum(m * b for m, b in zip(self.m_vector, beta))
+        return divisor_degree(self.m_vector, beta)
+
+    def state_algebra(self, contact: int) -> GradedAlgebra:
+        """The algebra a state at this contact order lives in: X's at 0, D's otherwise."""
+        return self.ambient if contact == 0 else self.divisor
 
     def read_psi(self, kind: str, beta: tuple[int, ...]) -> int | None:
         """The ψ power at which a one-point row of this kind and class is read, or None.
@@ -207,6 +212,11 @@ class PairGeometry:
     def replace(self, **fields) -> "PairGeometry":
         """A copy with the named fields replaced, as in ``geom.replace(policy=p)``."""
         return PairGeometry(**{**{name: getattr(self, name) for name in self.__slots__}, **fields})
+
+
+def divisor_degree(m_vector: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """D·β = m·β, the contact order of a curve class β against D = Σ m_i p_i."""
+    return sum(map(mul, m_vector, beta))
 
 
 def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, ...]:
@@ -495,13 +505,8 @@ def _validate_geometry(geom: PairGeometry) -> None:
                 raise ConfigError(
                     f"toric class {cls!r} pairs negatively with an effective curve class"
                 )
-        total_den = geom.ambient.zero()
-        for cls in geom.toric.denominators:
-            total_den = total_den + cls
-        total_bun = geom.ambient.zero()
-        for cls in geom.toric.bundles:
-            total_bun = total_bun + cls
-        if total_den != total_bun:
+        zero = geom.ambient.zero()
+        if sum(geom.toric.denominators, zero) != sum(geom.toric.bundles, zero):
             # log Calabi-Yau bookkeeping: denominators + relative class must sum
             # to the anticanonical class = bundles + relative class
             raise ConfigError(
@@ -518,12 +523,9 @@ def _validate_geometry(geom: PairGeometry) -> None:
                 f"{geom.name} curve classes have {geom.nvars}"
             )
     x_rows, d_rows = table.rows_for("x_point"), table.rows_for("d_point")
-    if geom.j_source == "closed_form_projective" and x_rows:
-        # the closed form gives 1/(d!)^{n+1} at the read psi power and 0 elsewhere
-        top = max(geom.contact_weight(beta) for beta, _, _ in x_rows)
-        closed = tabulate_one_point_invariants(geom, top).as_dict()
+    if geom.j_source == "closed_form_projective":
         for beta, a, v in x_rows:
-            want = closed.get(("x_point", beta, a), 0)
+            want = _closed_form_value(geom, beta, a)
             if v != want:
                 raise ConfigError(
                     f"table row x_point class {_class_str(beta)} psi^{a} = {v} contradicts "
@@ -747,19 +749,21 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
     """
     require_quantum_source(geom)
     if geom.j_source != "closed_form_projective":
-        rows = [
-            (("x_point", beta, a), v)
-            for (beta, a, v) in geom.table.rows_for("x_point")
-        ]
-        return InvariantTable(tuple(rows))
-    m = geom.m_vector[0]
-    n = m - 1
-    rows = []
-    for d1 in range(1, t_order // m + 1):
-        a = geom.read_psi("x_point", (d1,))
-        if a is not None:
-            rows.append((("x_point", (d1,), a), Fraction(1, math.factorial(d1) ** (n + 1))))
-    return InvariantTable(tuple(rows))
+        return InvariantTable(tuple(
+            (("x_point", beta, a), v) for beta, a, v in geom.table.rows_for("x_point")))
+    classes = [(d,) for d in range(1, t_order // geom.m_vector[0] + 1)]
+    return InvariantTable(tuple(
+        (("x_point", beta, a), _closed_form_value(geom, beta, a))
+        for beta in classes if (a := geom.read_psi("x_point", beta)) is not None))
+
+
+def _closed_form_value(geom: PairGeometry, beta: tuple[int, ...], a: int) -> Fraction:
+    """⟨[pt] ψ^a⟩_β of a closed_form_projective pair, class by class: 1/(d!)^{n+1}
+    at curve degree d when `PairGeometry.read_psi` reads ψ^a there, 0 otherwise."""
+    if a != geom.read_psi("x_point", beta):
+        return Fraction(0)
+    n = geom.m_vector[0] - 1
+    return Fraction(1, math.factorial(beta[0]) ** (n + 1))
 
 
 def require_quantum_source(geom: PairGeometry) -> None:

@@ -49,7 +49,7 @@ from .algebra import (
     pairing_pushforward,
     rat,
 )
-from .geometry import ConfigError, MissingDataError, PairGeometry
+from .geometry import ConfigError, MissingDataError, PairGeometry, divisor_degree
 from .series import (
     NovikovSeries,
     PipelineInvariantError,
@@ -127,13 +127,6 @@ def _binomial(e: int, k: int) -> int:
 # state-space series
 
 
-def _merge_add(terms: dict, key, value: Element) -> None:
-    cur = terms.get(key)
-    terms[key] = value if cur is None else cur + value
-    if terms[key].is_zero():
-        del terms[key]
-
-
 class StateSeries:
     """z-free series with relative-state coefficients.
 
@@ -145,14 +138,14 @@ class StateSeries:
 
     def __init__(self, geometry: PairGeometry, terms: dict):
         self.geometry = geometry
+        home = geometry.state_algebra
         clean: dict = {}
         for (beta, contact, logpow), el in terms.items():
             beta = tuple(beta)
             logpow = tuple(logpow)
             if not geometry.policy.admits(beta):
                 continue
-            expected = geometry.ambient if contact == 0 else geometry.divisor
-            if el.algebra is not expected:
+            if el.algebra is not (expected := home(contact)):
                 raise AlgebraError(
                     f"contact {contact} value must live in {expected.name}"
                 )
@@ -179,8 +172,8 @@ class StateSeries:
     def __add__(self, other: "StateSeries") -> "StateSeries":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            _merge_add(out, k, v)
-        return StateSeries(self.geometry, out)
+            out[k] = out[k] + v if k in out else v
+        return StateSeries(self.geometry, out)  # which drops the zeros
 
     def __sub__(self, other: "StateSeries") -> "StateSeries":
         return self + other.scale(-1)
@@ -207,21 +200,28 @@ class StateSeries:
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, beta, contact: int = 0, logpow=None) -> Element:
-        beta = tuple(beta)
-        if not self.geometry.policy.admits(beta):
-            raise TruncationError(
-                f"class {beta} beyond truncation order {self.geometry.policy.max_total}"
-            )
-        if logpow is None:
-            logpow = (0,) * self.geometry.nvars
-        alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
-        return self.terms.get((beta, contact, tuple(logpow)), alg.zero())
+        return _read_state(self, beta, contact, logpow)
 
     def __repr__(self) -> str:
         bits = []
         for (b, c, l) in sorted(self.terms):
             bits.append(f"[{self.terms[(b, c, l)]!r}]_{c} q^{b} log^{l}")
         return " + ".join(bits) if bits else "0"
+
+
+def _read_state(series, beta, contact: int, logpow, *zexp: int) -> Element:
+    """The one read of a state coefficient, keyed (β, contact, *zexp, log): refused
+    past the truncation or below a floor, and zero in the contact's algebra if absent."""
+    geom = series.geometry
+    beta = tuple(beta)
+    if not geom.policy.admits(beta):
+        raise TruncationError(f"class {beta} beyond truncation order {geom.policy.max_total}")
+    for z in zexp:
+        series._check_floor(z)
+    if logpow is None:
+        logpow = (0,) * geom.nvars
+    return series.terms.get((beta, contact, *zexp, tuple(logpow)),
+                            geom.state_algebra(contact).zero())
 
 
 PRODUCT_RULE_TEXT = (
@@ -250,6 +250,7 @@ class RelativeSeries:
     def __init__(self, geometry: PairGeometry, terms: dict, lowest_z: int | None = None):
         self.geometry = geometry
         self.lowest_z = lowest_z
+        home = geometry.state_algebra
         clean: dict = {}
         for (beta, contact, zexp, logpow), el in terms.items():
             if el.is_zero():
@@ -258,8 +259,7 @@ class RelativeSeries:
                 raise PipelineInvariantError(
                     f"term at z^{zexp} in a series cut below z^{lowest_z}"
                 )
-            expected = geometry.ambient if contact == 0 else geometry.divisor
-            if el.algebra is not expected:
+            if el.algebra is not home(contact):
                 raise AlgebraError("mis-homed state value")
             clean[(tuple(beta), contact, zexp, tuple(logpow))] = el
         self.terms = clean
@@ -283,16 +283,7 @@ class RelativeSeries:
         return max((z for (_, _, z, _) in self.terms), default=None)
 
     def coefficient(self, beta, contact: int, zexp: int, logpow=None) -> Element:
-        beta = tuple(beta)
-        if not self.geometry.policy.admits(beta):
-            raise TruncationError(
-                f"class {beta} beyond truncation order {self.geometry.policy.max_total}"
-            )
-        self._check_floor(zexp)
-        if logpow is None:
-            logpow = (0,) * self.geometry.nvars
-        alg = self.geometry.ambient if contact == 0 else self.geometry.divisor
-        return self.terms.get((beta, contact, zexp, tuple(logpow)), alg.zero())
+        return _read_state(self, beta, contact, logpow, zexp)
 
     def __eq__(self, other) -> bool:
         return (
@@ -412,10 +403,20 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
         # truncation is cut, as every other series is
         if a != geom.read_psi("d_point", beta) or not geom.policy.admits(beta):
             continue
-        coeff = v * Fraction((-1) ** (a + 1) * math.factorial(a + 1))
-        cls = push_unit.scale(coeff)
-        _merge_add(terms, (tuple(beta), 0), cls)
+        # keys are unique per (β, ψ) and one ψ is read, so no class meets two rows
+        cls = push_unit.scale(v * Fraction((-1) ** (a + 1) * math.factorial(a + 1)))
+        if not cls.is_zero():
+            terms[(tuple(beta), 0)] = cls
     return DivisorMirrorMap(geom.tau_d_source, None, tuple(sorted(terms.items())))
+
+
+def _refuse_nonzero_tau_d(geom: PairGeometry, what: str, needs: str) -> None:
+    """MissingDataError when τ_D ≠ 0: ``what`` then needs ``needs``, which no table carries."""
+    if not divisor_mirror_map(geom).is_zero():
+        raise MissingDataError(
+            f"{geom.name}: {what} at nonzero divisor mirror map needs {needs}: "
+            "external data required"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +471,8 @@ def _assemble(
     drops = [-shift for _, shift, _, _ in table]
     terms: dict = {}
     for beta, contact, slices in pieces:
-        alg, room = (amb, amb_top) if contact == 0 else (div, div_top)
+        alg = geom.state_algebra(contact)
+        room = alg.top_degree
         for z, row in slices.items():
             reach = z - low
             if z + _OVERALL_Z <= 1:  # past its room in degree, every term of the slice is 0
@@ -519,11 +521,7 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     invariant data this table format does not carry — that case raises
     MissingDataError naming the gap.
     """
-    if not divisor_mirror_map(geom).is_zero():
-        raise MissingDataError(
-            f"{geom.name}: relative I-function at nonzero divisor mirror map "
-            "needs deformed absolute invariants: external data required"
-        )
+    _refuse_nonzero_tau_d(geom, "relative I-function", "deformed absolute invariants")
     if geom.j_source == "toric_hypergeometric":
         return toric_i_function(geom, lowest_z)
     dcls = geom.divisor_class
@@ -701,16 +699,16 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
     and J's z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
     computed, so I may be built from z^0 up (`relative_i_function(geom, 0)`).
-    For I₁ = [1]_0, J is I.
 
-    Otherwise I₁ must be Σ_β c_β·[1]_{−D·β} with −D·β ≥ 0 and no log, as the
-    template's homogeneity makes it.  On units at contacts ≥ 0 the contact
-    product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β} for
-    r = 1/u, u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.  I₀'s log
-    part must be p_i·I₁ at log_i (p_i restricted at contact > 0), as
-    `_assemble` builds it; contacts ≥ 0 multiply associatively, so its
-    quotient is p_i at β = 0, and only I₀'s log-free terms are multiplied by
-    I₁⁻¹.  Raises PipelineInvariantError on any violation.
+    I₁ must be Σ_β c_β·[1]_{−D·β} with −D·β ≥ 0 and no log, as the template's
+    homogeneity makes it, and I₀'s log part must be p_i·I₁ at log_i (p_i
+    restricted at contact > 0), as `_assemble` builds it; both are checked
+    whatever I₁ is.  For I₁ = [1]_0, J is I.  Otherwise, on units at contacts
+    ≥ 0 the contact product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β}
+    for r = 1/u, u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.
+    Contacts ≥ 0 multiply associatively, so the log part's quotient is p_i at
+    β = 0, and only I₀'s log-free terms are multiplied by I₁⁻¹.  Raises
+    PipelineInvariantError on any violation.
     """
     geom = I.geometry
     i1 = I.z_slice(1)
@@ -720,8 +718,27 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
         raise PipelineInvariantError(
             f"I-function has content at z^{top} > z^1; shape check failed"
         )
+    home, units = geom.state_algebra, {}
+    for (beta, contact, logpow), el in i1.terms.items():
+        (i, n, d), *rest = el.support
+        if (any(logpow) or contact < 0 or contact != -geom.contact_weight(beta)
+                or rest or i != home(contact).unit_index):
+            raise PipelineInvariantError(
+                f"z^1 slice is not a scalar series of units [1]_{{-D.beta}} with "
+                f"-D.beta >= 0: term at {beta}, contact {contact}, log {logpow}"
+            )
+        units[beta] = Fraction(n, d)
+    logs = [tuple(int(k == i) for k in range(geom.nvars)) for i in range(geom.nvars)]
+    want = {}
+    for log, p in zip(logs, geom.picard):
+        for beta, contact, _ in i1.terms:
+            term = _times_unit(geom, p, 0, contact).scale(units[beta])
+            if not term.is_zero():  # r(p_i) may be 0
+                want[(beta, contact, log)] = term
+    if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
+        raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
     unit = StateSeries.unit(geom)
-    j0 = i0 if i1 == unit else _divide_by_unit_slice(i1, i0)
+    j0 = i0 if i1 == unit else _divide_by_unit_slice(units, i0, logs)
     slices = {
         (b, c, z, l): el
         for z, part in ((1, unit), (0, j0))
@@ -731,37 +748,18 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
     return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
 
 
-def _divide_by_unit_slice(i1: StateSeries, i0: StateSeries) -> StateSeries:
-    """J₀ = I₀·I₁⁻¹ for an I₁ that is not [1]_0, by the route of `normalize_i`.
+def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeries:
+    """J₀ = I₀·I₁⁻¹ for I₁ = Σ c_β·[1]_{−D·β}, ``units`` {β: c_β}, not [1]_0, by the
+    route of `normalize_i`, with the log part already checked.
 
     A log-free I₀ term times a unit r_β·[1]_{−D·β} of I₁⁻¹ is r_β times
     `_times_unit` of the term, and each output key is one `_rows`."""
-    geom = i1.geometry
-    pol, algebras, zero = geom.policy, (geom.ambient, geom.divisor), (0,) * geom.nvars
-    units = {}
-    for (beta, contact, logpow), el in i1.terms.items():
-        (i, n, d), *rest = el.support
-        if (any(logpow) or contact < 0 or contact != -geom.contact_weight(beta)
-                or rest or i != algebras[contact != 0].unit_index):
-            raise PipelineInvariantError(
-                f"z^1 slice is not a scalar series of units [1]_{{-D.beta}} with "
-                f"-D.beta >= 0: term at {beta}, contact {contact}, log {logpow}"
-            )
-        units[beta] = Fraction(n, d)
+    geom = i0.geometry
+    pol, zero = geom.policy, (0,) * geom.nvars
     u = NovikovSeries._kernel_output(pol, units)
     r = u.reciprocal()
     if u * r != NovikovSeries.one(pol):
         raise PipelineInvariantError("normalized series does not have unit z^1 slice")
-    logs = [tuple(int(k == i) for k in range(geom.nvars)) for i in range(geom.nvars)]
-    want = {}
-    for log, p in zip(logs, geom.picard):
-        images = (p, geom.restriction(p))
-        for beta, contact, _ in i1.terms:
-            term = images[contact != 0].scale(units[beta])
-            if not term.is_zero():  # r(p_i) may be 0
-                want[(beta, contact, log)] = term
-    if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
-        raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
     # I₁⁻¹ by contact, as (weight, packed β, n, d) by rising weight; β is packed
     # as Σ β_i·B^i, B = order + 1, so the class of a product is a sum
     base = pol.max_total + 1
@@ -789,7 +787,7 @@ def _divide_by_unit_slice(i1: StateSeries, i0: StateSeries) -> StateSeries:
                 filed.setdefault(p1 + p2, []).append((image, n, d))
     j0 = {}
     for c, filed in parts.items():
-        alg = algebras[c != 0]
+        alg = geom.state_algebra(c)
         for packed, rows in filed.items():
             row = _rows(rows, alg.dim)
             if row:
@@ -874,7 +872,7 @@ def _grouped_exp(
     end; the classes whose sum is zero are left out.
     """
     pol = f.policy
-    group_of = {beta: sum(map(mul, m_vector, beta)) for beta in classes}
+    group_of = {beta: divisor_degree(m_vector, beta) for beta in classes}
     acc: dict = {}
     if mixed_signs(m_vector):
         f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
@@ -925,7 +923,7 @@ class MirrorChange:
         return self.g.policy
 
     def contact_weight(self, beta: tuple[int, ...]) -> int:
-        return sum(m * b for m, b in zip(self.m_vector, beta))
+        return divisor_degree(self.m_vector, beta)
 
     def exp_g(self, scale: int, order: int) -> NovikovSeries:
         """e^{scale·g} through weight ``order``: g.exp(scale, order), built on first use."""
@@ -976,7 +974,7 @@ def class_constant_terms(
     so θ_β is the constant term of W^{m·β} on the class β.  Zeros are dropped.
     """
     pol = G.policy
-    classes = [b for b in _effective_classes(pol) if sum(map(mul, m_vector, b)) >= 1]
+    classes = [b for b in _effective_classes(pol) if divisor_degree(m_vector, b) >= 1]
     return _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
 
 

@@ -34,9 +34,9 @@ from .geometry import (
 from .ifunctions import (
     MirrorChange,
     composed_exponent,
-    divisor_mirror_map,
     mixed_signs,
     normalize_i,
+    _refuse_nonzero_tau_d,
     relative_i_function,
     substitute_forward,
 )
@@ -45,7 +45,6 @@ from .series import (
     NovikovSeries,
     PipelineInvariantError,
     TruncationError,
-    TruncationPolicy,
     XLaurentSeries,
 )
 
@@ -139,12 +138,7 @@ def _quantum_series(
 
 def quantum_period(geom: PairGeometry, t_order: int) -> PeriodSeries:
     """G(t) = 1 + Σ_{D·β = d ≥ 2} ⟨[pt] ψ^{d-2}⟩_β t^d, kept per class β."""
-    dm = divisor_mirror_map(geom)
-    if not dm.is_zero():
-        raise MissingDataError(
-            f"{geom.name}: quantum period at nonzero divisor mirror map needs "
-            "deformed invariants: external data required"
-        )
+    _refuse_nonzero_tau_d(geom, "quantum period", "deformed invariants")
     return _quantum_series(geom, t_order)[0]
 
 
@@ -220,11 +214,7 @@ def proper_potential(geom: PairGeometry, t_order: int | None = None) -> ProperPo
     """
     work = geom
     if t_order is not None:
-        pol = geom.policy
-        fresh = TruncationPolicy.make(
-            pol.nvars, max_total=covering_order(geom, t_order), weights=pol.weights
-        )
-        work = geom.replace(policy=fresh)
+        work = geom.replace(policy=geom.policy.at_order(covering_order(geom, t_order)))
     g = normalize_i(relative_i_function(work, lowest_z=0)).exponent.g
     return ProperPotential(work, MirrorChange(work.m_vector, g))
 

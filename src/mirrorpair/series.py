@@ -115,6 +115,10 @@ class TruncationPolicy:
     def nvars(self) -> int:
         return len(self.weights)
 
+    def at_order(self, max_total: int) -> "TruncationPolicy":
+        """The policy of these weights truncated at another order."""
+        return TruncationPolicy.make(self.nvars, max_total, self.weights)
+
     def weight(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, self.weights, exps))
 
@@ -285,7 +289,7 @@ class NovikovSeries:
                 raise ValueError(
                     f"exp through order {order} of a series known to {pol.max_total}"
                 )
-            pol = TruncationPolicy.make(pol.nvars, order, pol.weights)
+            pol = pol.at_order(order)
         steps = []
         for k, v in self.terms.items():
             w = pol.weight(k)

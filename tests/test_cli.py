@@ -1140,12 +1140,14 @@ def _plant_short_mirror_exponent(monkeypatch):
          "z^1 slice is not a scalar series of units"),
         (_plant_log_part_off_i1, ("proper-potential", "--geometry", "blp3_k3", "--order", "4"),
          "z^0 log part is not p_i*I1"),
+        (_plant_log_part_off_i1, ("mirror-map", "--geometry", "p2_cubic", "--order", "4"),
+         "z^0 log part is not p_i*I1"),
         (_plant_short_mirror_exponent,
          ("classical-period", "--geometry", "p2_cubic", "--order", "6"),
          "mirror exponent g truncated at order 1, its potential at 2"),
     ],
     ids=["high-z", "high-z-potential", "non-unit-z1", "non-unit-z1-potential",
-         "non-scalar-z1", "log-part-off-i1", "short-mirror-exponent"],
+         "non-scalar-z1", "log-part-off-i1", "log-part-off-unit-i1", "short-mirror-exponent"],
 )
 def test_broken_pipeline_invariant_exits_3(monkeypatch, capsys, plant, argv, message):
     plant(monkeypatch)

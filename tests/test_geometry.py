@@ -156,6 +156,46 @@ def test_attach_invariants_merges_and_revalidates(synthetic_negative):
         attach_invariants(synthetic_negative, rows((("x_point", (1, 0), 0), Fraction(2))))
 
 
+def test_the_closed_form_gate_reads_each_row_alone(monkeypatch):
+    """The closed-form gate checks an x_point row against its own class's
+    value: a row at class 3000 tabulates nothing, and one that contradicts
+    the closed form is refused with that value."""
+    from mirrorpair import geometry
+
+    def refuse(geom, t_order):
+        raise AssertionError(f"the table gate tabulated through t^{t_order}")
+
+    monkeypatch.setattr(geometry, "tabulate_one_point_invariants", refuse)
+    p2 = builtin_geometry("p2_cubic")
+
+    def row(a, v):
+        return InvariantTable(((("x_point", (3000,), a), Fraction(v)),))
+
+    assert attach_invariants(p2, row(0, 0)).table.as_dict() == {("x_point", (3000,), 0): 0}
+    with pytest.raises(ConfigError, match=r"class 3000 psi\^0 = 1 contradicts .*, which gives 0$"):
+        attach_invariants(p2, row(0, 1))
+
+
+def test_a_far_row_leaves_the_quantum_period_its_own_tabulation(tmp_path, monkeypatch):
+    """quantum-period --order 3 on p2_cubic with a zero row at class 3000
+    tabulates the closed form through t^3 only, for the period itself."""
+    from mirrorpair import geometry, periods
+
+    calls, original = [], geometry.tabulate_one_point_invariants
+
+    def tabulate(geom, t_order):
+        calls.append(t_order)
+        return original(geom, t_order)
+
+    for module in (geometry, periods):
+        monkeypatch.setattr(module, "tabulate_one_point_invariants", tabulate)
+    table = tmp_path / "far.tsv"
+    table.write_text("x_point 3000 0 pt 0\n")
+    argv = ["quantum-period", "--geometry", "p2_cubic", "--order", "3", "--table", str(table)]
+    assert run(argv, stream=io.StringIO()) == 0
+    assert calls == [3]
+
+
 def test_bad_truncation_is_wrapped():
     bad = SYNTHETIC_NEGATIVE + "\nweights = 0\n"
     with pytest.raises(ConfigError, match=r"\[truncation\]"):

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run against the package and exit cleanly."""
+"""The scripts under scripts/ run against the package and exit cleanly, and the
+output digest prints its pinned value."""
 
 import os
 import subprocess
@@ -8,6 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+# The digest of the output grid: a change that alters any output byte on
+# purpose updates this pin and says so in CHANGES.md.
+OUTPUT_DIGEST = "a87c2db6c997a190e51e0b928af520fae1e2f19be721bfff9309c3c2c5a64695"
 
 
 @pytest.mark.parametrize(
@@ -26,3 +32,5 @@ def test_script_runs_clean(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script == "output_digest.py":
+        assert proc.stdout == OUTPUT_DIGEST + "\n"
