@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, product as iproduct
@@ -81,18 +81,22 @@ def _chain_rows(top: int | None, n: int, e: int) -> list[tuple[list[int], int]]:
     P = Σ_j c_j·u^j·z^{me−j}, integer numerators over one denominator > 0,
     cut after u^top; for e > 0 on a class that is not nilpotent (top None)
     it is not cut and is the literal product.  Each row grows the one before
-    by a link's binomial row (`_link_row`), through the truncated convolution
-    `_mul`.
+    by the next link's row (`_link_rows`, whose binomials are formed once per
+    chain) through the truncated convolution `_mul`.  Only a row over a
+    denominator is reduced by a gcd: for e > 0 every link, and so every row,
+    is over 1.
     """
     rows = [([1], 1)]
-    for a in range(1, n + 1):
+    for link, link_den in _link_rows(e, top, range(1, n + 1)):
         nums, den = rows[-1]
-        link, link_den = _link_row(a, e, top)
         cap = len(nums) + len(link) - 2
         out = _mul(nums, link, cap if top is None else min(cap, top))
         den *= link_den
-        g = math.gcd(den, *out)
-        rows.append(([x // g for x in out], den // g))
+        if den == 1:
+            rows.append((out, 1))
+        else:
+            g = math.gcd(den, *out)
+            rows.append(([x // g for x in out], den // g))
     return rows
 
 
@@ -106,16 +110,21 @@ def _top(u: Element, e: int) -> int | None:
         return None
 
 
-def _link_row(a: int, e: int, top: int | None) -> tuple[list[int], int]:
-    """(u + a·z)^e = a^e·z^e·(1 + x/a)^e at x = u/z, for a ≠ 0, as the binomial row
-    C(e, k)·a^{e−k} of u^k·z^{e−k}: integer numerators over one positive
-    denominator, through k = top (None: uncut), and for e > 0 through k = e at most.
+def _link_rows(
+    e: int, top: int | None, links: Iterable[int]
+) -> Iterator[tuple[list[int], int]]:
+    """The row of each link (u + a·z)^e = a^e·z^e·(1 + x/a)^e, x = u/z, a ≥ 1 of
+    ``links``: the binomial row C(e, k)·a^{e−k} of u^k·z^{e−k}, as integer
+    numerators C(e, k)·a^{e−k+s} over the denominator a^s, s = max(top − e, 0),
+    through k = top (None: uncut), and for e > 0 through k = e at most, so
+    that s = 0 and the denominator is 1.  The C(e, k) and exponents are formed
+    once for all the links.
     """
     top = e if top is None or top > e > 0 else top
     shift = max(top - e, 0)  # a^{e−k} = a^{e−k+shift} / a^{shift}
-    nums = [_binomial(e, k) * a ** (e - k + shift) for k in range(top + 1)]
-    den = a ** shift
-    return (nums, den) if den > 0 else ([-x for x in nums], -den)
+    terms = [(_binomial(e, k), e - k + shift) for k in range(top + 1)]
+    for a in links:
+        yield [c * a ** p for c, p in terms], a ** shift
 
 
 def _binomial(e: int, k: int) -> int:
@@ -450,8 +459,10 @@ def _assemble(
     product with it can be nonzero: the restriction and the cup product keep
     degrees, so with |α| past the top degree of the target algebra (the
     ambient one at contact 0, the divisor's otherwise) less the slice's
-    lowest degree, every term is 0.  A slice at z ≥ 1 meets every p_α, so the
-    above-z¹ check reads its whole ambient product.
+    lowest degree, every term is 0.  Off contact 0 such a slice meets only
+    the p_α whose restriction is not 0 (r(e_i·p_α) ≠ 0 for some i), a list
+    formed once per call.  A slice at z ≥ 1 meets every p_α, so the above-z¹
+    check reads its whole ambient product.
     """
     amb, div = geom.ambient, geom.divisor
     consts, images, degrees = amb.constants, geom.restriction.rows, amb.degrees
@@ -468,16 +479,21 @@ def _assemble(
                       if deg - shift <= div_top else () for row, deg in zip(rows, degrees)]
         table.append((alpha, shift + _OVERALL_Z, rows, restricted))
     table.sort(key=lambda t: -t[1])  # by falling shift, so those that reach `low` lead
-    drops = [-shift for _, shift, _, _ in table]
+    kept = [t for t in table if any(t[3])]  # the α whose restriction is not 0
+    every = (table, [-shift for _, shift, _, _ in table])
+    restricting = (kept, [-shift for _, shift, _, _ in kept])
     terms: dict = {}
     for beta, contact, slices in pieces:
         alg = geom.state_algebra(contact)
         room = alg.top_degree
         for z, row in slices.items():
             reach = z - low
+            visits, drops = every
             if z + _OVERALL_Z <= 1:  # past its room in degree, every term of the slice is 0
                 reach = min(reach, room - min(degrees[i] for i, _, _ in row) - _OVERALL_Z)
-            for alpha, shift, rows, restricted in table[: bisect_right(drops, reach)]:
+                if contact:
+                    visits, drops = restricting
+            for alpha, shift, rows, restricted in visits[: bisect_right(drops, reach)]:
                 zf = z + shift
                 if zf > 1:
                     if _rows(((rows[i], n, d) for i, n, d in row), amb.dim):
@@ -579,7 +595,8 @@ def _hypergeometric(
     Every factor is a scalar row over the powers of its class: its chain rows
     (`_chain_rows`), built once per build for the longest chain any class
     asks of it, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j the
-    e = −1 link row, with D's top power found once.  So the nonzero
+    e = −1 link rows of every contact c (`_link_rows`).  Each distinct class's
+    top power is found once, D's too when it is also a factor.  So the nonzero
     monomials Π_f u_f^{j_f}·D^{j_D} are tabulated once per build as sparse
     integer rows (`_monomials`), and each z-slice of a class is one `_rows`
     of them, weighted by integer products of its rows and base.  `_assemble`
@@ -614,13 +631,20 @@ def _hypergeometric(
     # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
     floor = -math.inf if lowest_z is None else lowest_z - _OVERALL_Z
     reads = max(hats) - floor  # no class reads a monomial of Σ j past it
-    depths = [_top(cls, e) for cls, _, e in factors] + [_top(dcls, -1)]
+    # each distinct class's last power is read once, at its lowest exponent (the
+    # pole's is −1): a class that is not nilpotent is refused if any is negative
+    lowest: dict[Element, int] = {}
+    for cls, e in [(cls, e) for cls, _, e in factors] + [(dcls, -1)]:
+        lowest[cls] = min(e, lowest.get(cls, e))
+    last = {cls: _top(cls, e) for cls, e in lowest.items()}
+    depths = [last[cls] for cls, _, _ in factors] + [last[dcls]]
     if lowest_z is not None:
         depths = [reads if top is None else min(top, reads) for top in depths]
     *depths, top_d = depths
     tables = [_chain_rows(top, max(tops), e)
               for top, (_, _, e), tops in zip(depths, factors, pairings)]
-    poles = {c: _link_row(c, -1, top_d) for c in set(contacts) if c > 0}
+    positive = {c for c in contacts if c > 0}
+    poles = dict(zip(positive, _link_rows(-1, top_d, positive)))
     poles[0] = ([1], 1)
     # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
@@ -837,10 +861,8 @@ def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
                     f"{geom.divisor.basis[i]}"
                 )
         c = el.unit_component()
-        if contact == -1:
-            one_terms[beta] = one_terms.get(beta, Fraction(0)) + c
-        else:
-            g_terms[beta] = g_terms.get(beta, Fraction(0)) + c
+        terms = one_terms if contact == -1 else g_terms
+        terms[beta] = terms[beta] + c if beta in terms else c
     return MirrorExponent(
         NovikovSeries(pol, g_terms), NovikovSeries(pol, one_terms)
     )

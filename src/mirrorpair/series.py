@@ -53,12 +53,20 @@ def _mul(a: list[int], b: list[int], n: int) -> list[int]:
     """a·b on dense integer coefficient lists (index = exponent), kept through x^n.
 
     The one truncated integer convolution: the chain rows of `ifunctions` and
-    the polynomial kernels of `inversion` both run on it.
+    the polynomial kernels of `inversion` both run on it.  The shorter operand
+    is walked outermost, no operand is sliced, and each walk stops at x^n;
+    a chain's link has two or three entries, so it takes that many passes.
     """
+    if len(a) > len(b):
+        a, b = b, a
     out = [0] * (n + 1)
-    for i, ai in enumerate(a[: len(out)]):
+    for i, ai in enumerate(a):
+        if i > n:
+            break
         if ai:
-            for j, bj in enumerate(b[: len(out) - i], i):
+            for j, bj in enumerate(b, i):
+                if j > n:
+                    break
                 out[j] += ai * bj
     return out
 

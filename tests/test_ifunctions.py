@@ -59,7 +59,7 @@ from mirrorpair.geometry import ToricData
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     _chain_rows,
-    _link_row,
+    _link_rows,
     _times_unit,
     _top,
     absolute_core,
@@ -136,8 +136,9 @@ def test_chains_match_literal_products(p2, blp3, which):
     one = ZLaurentElement.one(u.algebra)
     for e in exponents:
         top = _top(u, e)
-        for a in range(1, length + 1):
-            assert _row_link(u, e, *_link_row(a, e, top)) == _literal_link(u, a, e)
+        links = _link_rows(e, top, range(1, length + 1))
+        for a, link in enumerate(links, 1):
+            assert _row_link(u, e, *link) == _literal_link(u, a, e)
         # the longest chain's rows are the shorter chains, each as if asked alone
         rows = _chain_rows(top, length, e)
         for n in range(length + 1):
@@ -172,6 +173,45 @@ def test_chain_rows_match_literal_products(blp3, coords, n, e):
     nums, den = _chain_rows(_top(u, e), n, e)[n]
     assert den > 0 and all(isinstance(c, int) for c in nums)
     assert _chain(u, n, e) == _literal_chain(u, n, 1, e)
+
+
+def _scalar_chains(top, n, e):
+    """The coefficient lists of Π_{a≤m}(a + x)^e through x^top, m ≤ n, as exact
+    Fraction products of the links' own rows: a + x, or 1/(a + x) =
+    Σ_j (−1)^j·x^j/a^{j+1}; top None keeps every power (e > 0 only)."""
+    chains = [[Fraction(1)]]
+    for a in range(1, n + 1):
+        width = len(chains[-1]) + e if top is None else top + 1
+        link = ([Fraction(a), Fraction(1)] if e > 0 else
+                [Fraction((-1) ** j, a ** (j + 1)) for j in range(width)])
+        row = chains[-1]
+        for _ in range(abs(e)):
+            prod = [Fraction(0)] * min(len(row) + len(link) - 1, width)
+            for i, x in enumerate(row):
+                for j, y in enumerate(link):
+                    if i + j < len(prod):
+                        prod[i + j] += x * y
+            row = prod
+        chains.append(row)
+    return chains
+
+
+# (top, e, n): only a chain of e > 0 may be uncut (top None)
+LADDER_CHAINS = [(top, e, n) for e, n in ((1, 48), (-3, 16), (-4, 16))
+                 for top in (None, 0, 1, 2, 3, 4) if top is not None or e > 0]
+
+
+@pytest.mark.parametrize("top, e, n", LADDER_CHAINS)
+def test_chain_rows_match_scalar_products_at_ladder_depth(top, e, n):
+    # the literal-link tests stop at n ≤ 7; the ladder grows chains of 48 links
+    # (e = +1) and reduces long chains of e < 0 over their denominators
+    rows = _chain_rows(top, n, e)
+    assert len(rows) == n + 1
+    for m, ((nums, den), chain) in enumerate(zip(rows, _scalar_chains(top, n, e))):
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert [Fraction(c, den) for c in nums] == chain, (top, m, e)
+        if m in (0, 1, n // 2, n):
+            assert _chain_rows(top, m, e) == rows[: m + 1]
 
 
 def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
@@ -487,6 +527,26 @@ def test_a_floored_build_tabulates_only_the_depth_it_reads(monkeypatch, blp3):
     assert len(template) == 54 and max(t for _, t, _ in template) == top
     assert len(prefactor) == 14 and max(-shift for _, shift, _ in prefactor) == top
     assert max(map(len, chains)) > 2
+
+
+def test_assemble_skips_prefactor_terms_that_restrict_to_zero(monkeypatch, blp3):
+    # h restricts to 0, so off contact 0 every p_α with a power of h gives 0 on
+    # every slice at z ≤ 0: of the 550 (slice, p_α) visits a whole build made,
+    # 160 were such and kept nothing.  Each slice visits a prefix of its table,
+    # as long as the `bisect_right` it calls returns.
+    geom = _at_order(blp3, 8)
+    calls = []
+    real_assemble = ifunctions._assemble
+    monkeypatch.setattr(ifunctions, "_assemble", lambda *a: calls.append(a) or real_assemble(*a))
+    whole = relative_i_function(geom)
+    monkeypatch.undo()
+    (args,) = calls
+    visits = []
+    real_bisect = ifunctions.bisect_right
+    monkeypatch.setattr(ifunctions, "bisect_right",
+                        lambda *a: visits.append(real_bisect(*a)) or visits[-1])
+    assert ifunctions._assemble(*args).terms == whole.terms
+    assert sum(visits) == 550 - 160
 
 
 # ---------------------------------------------------------------------------

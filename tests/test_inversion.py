@@ -11,7 +11,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorpair import (
@@ -236,6 +236,11 @@ integer_polys = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_siz
 
 
 @given(a=integer_polys, b=integer_polys, cap=st.integers(min_value=-4, max_value=14))
+@example(a=[3, -1, 4, 1, -5], b=[2, 7], cap=9)  # the longer operand first
+@example(a=[1, 2, 3, 4], b=[5, 6, 7], cap=1)  # a cap below both lengths
+@example(a=[0, 2, 0, -3], b=[0, 0, 5, 0], cap=6)  # zero entries
+@example(a=[], b=[1, 2, 3], cap=4)  # an empty operand
+@example(a=[1, 2, 3], b=[], cap=4)
 @settings(max_examples=60, deadline=None)
 def test_mul_is_the_literal_capped_double_sum(a, b, cap):
     got = _mul(a, b, cap)
