@@ -4,7 +4,7 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 459 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 465 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
@@ -33,8 +33,12 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
     gate refuses (a closed-form contradiction, an x_point or d_point row
     at a psi power never read, a d_point row on a zero divisor mirror map)
     and zero rows it accepts (27 runs);
+  * the refused mirror-map at --order 4 on two pairs whose ring has a
+    degenerate pairing: P^2's ring without H*H = H2 under a toric template,
+    and p2_cubic with a divisor class q that pairs to 0 with every class
+    (6 runs);
 
-each in json, csv and pretty.  The configs and tables of the last five groups
+each in json, csv and pretty.  The configs and tables of the last six groups
 are written to a temporary directory, whose path becomes the token <tmp> in
 the argv and standard error that are hashed.  Every run contributes the sha256
 of its argv, exit code, standard output and standard error; the script
@@ -87,6 +91,12 @@ FILES = {
         "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 0\n"
         "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
     ),
+    "degenerate_ambient.ini": BUILTIN_CONFIGS["p2_cubic"]
+    .replace("products =\n    H H H2 1\n", "").replace("    H p 3\n", "")
+    .replace("j_source = closed_form_projective", "j_source = toric_hypergeometric")
+    .replace("[truncation]", "[toric]\ndenominators = H; H; H\nbundles = 3*H\n\n[truncation]"),
+    "degenerate_divisor.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
+        "basis = one p\ndegrees = 0 1\n", "basis = one p q\ndegrees = 0 1 1\n"),
 }
 # (command, geometry, the one row of its --table)
 GATE_ROWS = (
@@ -129,6 +139,8 @@ def grid():
         yield ("verify", "--geometry", f"{TMP}/p2_zero.ini", "--order", "9", *control)
     for i, (command, geometry, _) in enumerate(GATE_ROWS):
         yield (command, "--geometry", geometry, "--table", f"{TMP}/gate{i}.table")
+    for ring in ("ambient", "divisor"):
+        yield ("mirror-map", "--geometry", f"{TMP}/degenerate_{ring}.ini", "--order", "4")
 
 
 def main() -> int:

@@ -15,7 +15,6 @@ from .algebra import (
     nilpotency_index,
     pairing_matrix,
     pairing_pushforward,
-    solve_exact,
     sum_of_products,
 )
 from .geometry import (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
@@ -44,10 +44,11 @@ class GradedAlgebra:
     `sum_of_products`; an `Element` is such a row too, and `element` is the
     one way in from dense coefficients.  ``integration`` is the linear
     functional used for intersection pairings; by default it reads off the
-    coefficient of the point class.
+    coefficient of the point class.  ``duals``, the basis dual under that
+    pairing, is solved on first read.
     """
 
-    __slots__ = ("name", "basis", "degrees", "constants", "unit_index", "integration")
+    __slots__ = ("name", "basis", "degrees", "constants", "unit_index", "integration", "_duals")
 
     def __init__(
         self,
@@ -64,6 +65,7 @@ class GradedAlgebra:
         self.constants = constants
         self.unit_index = unit_index
         self.integration = integration
+        self._duals = None
 
     # -- construction ------------------------------------------------------
 
@@ -132,6 +134,35 @@ class GradedAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def duals(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The sparse rows of the dual basis e^i, ∫ e^i·e_j = δ_ij, by one exact
+        Gauss–Jordan elimination of the pairing matrix [G | 1] on first read.
+
+        Raises AlgebraError when the pairing is degenerate: then no dual basis,
+        and no pairing pushforward into this ring, exists.
+        """
+        if self._duals is None:
+            n = self.dim
+            m = [row + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(pairing_matrix(self))]
+            for c in range(n):
+                pivot = next((i for i in range(c, n) if m[i][c]), None)
+                if pivot is None:
+                    raise AlgebraError(
+                        f"{self.name}: the pairing (the integral of a*b) is degenerate: in its "
+                        f"matrix the row of {self.basis[c]} is a combination of the rows before it"
+                    )
+                m[c], m[pivot] = m[pivot], m[c]
+                pv = m[c][c]
+                m[c] = [x / pv if x else x for x in m[c]]  # the rows are mostly 0
+                for i in range(n):
+                    if i != c and m[i][c]:
+                        f = m[i][c]
+                        m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
+            self._duals = tuple(_sparse(row[n:]) for row in m)
+        return self._duals
 
     @property
     def top_degree(self) -> int:
@@ -304,6 +335,31 @@ def sum_of_products(
     return Element(alg, _rows(terms, alg.dim))
 
 
+def _monomials(
+    alg: GradedAlgebra, classes: list[Element], reach: list[int], limit: float = inf
+) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
+    """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f and Σ j ≤ ``limit``,
+    as (exponents j, Σ j, sparse integer row of the product), exponents in
+    lexicographic order.  Each power is one `_rows` product from the one
+    before, through the structure constants, and a row stops at its first zero
+    or at the limit; a caller that reads no monomial past Σ j = limit forms none.
+    """
+    consts, dim = alg.constants, alg.dim
+    monomials = [((), 0, alg.unit().support)]
+    for u, n in zip(classes, reach):
+        support = u.support
+        grown = []
+        for js, t, m in monomials:
+            for j in range(min(n, limit - t + 1)):
+                if not m:
+                    break
+                grown.append((js + (j,), t + j, m))
+                m = _rows(((consts[i][k], mn * un, md * ud)
+                           for i, mn, md in m for k, un, ud in support), dim)
+        monomials = grown
+    return monomials
+
+
 def nilpotency_index(x: Element) -> int:
     """Least k with x^k = 0; raises if x is not nilpotent.
 
@@ -387,10 +443,8 @@ class RestrictionMap:
     """Ring homomorphism between two graded algebras, stored as basis images.
 
     ``rows`` holds the image of each source basis class as a sparse target
-    row.  Built once with the map: ``gram``, the source pairing matrix; and
-    ``cross``, the sparse rows k of ∫_target e_k ∪ r(e_j) over j, which
-    `pairing_pushforward` reads.  The pushforwards of the target basis
-    (``pushforward_rows``) are solved once, on first use.
+    row.  ``pushforward_rows`` holds the pairing pushforward of each target
+    basis class, made on first read from the source's dual basis.
     """
 
     def __init__(
@@ -402,21 +456,20 @@ class RestrictionMap:
         self.source = source
         self.target = target
         self.rows = rows
-        self.gram = tuple(map(tuple, pairing_matrix(source)))
-        # ∫ e_k ∪ r(e_j) = Σ_b r(e_j)_b ∫ e_k·e_b, the target's pairing row k
-        self.cross = tuple(
-            _sparse(sum((Fraction(n, d) * pair[b] for b, n, d in row), _ZERO) for row in rows)
-            for pair in pairing_matrix(target)
-        )
 
     @cached_property
     def pushforward_rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """The sparse source rows of `pairing_pushforward` of each target basis
-        class, solved on first use.  The pushforward is linear, so these rows
-        weighted by v's coordinates give it at any v."""
-        tgt = self.target
+        """The sparse source rows of the pushforward P(f_k) of each target basis
+        class f_k: P(f_k) = Σ_j (∫_target f_k·r(e_j))·e^j over the source's dual
+        basis e^j, whose elimination refuses a degenerate source pairing.  The
+        pushforward is linear, so these rows weighted by v's coordinates give it
+        at any v; this is the one place it is computed."""
+        duals, dim = self.source.duals, self.source.dim
         return tuple(
-            pairing_pushforward(self, tgt.basis_element(k)).support for k in range(tgt.dim)
+            # ∫ f_k·r(e_j) = Σ_b r(e_j)_b·∫ f_k·f_b, the target's pairing row k
+            _rows(((duals[j], c.numerator, c.denominator) for j, row in enumerate(self.rows)
+                   if (c := sum((Fraction(n, d) * pair[b] for b, n, d in row), _ZERO))), dim)
+            for pair in pairing_matrix(self.target)
         )
 
     def __call__(self, x: Element) -> Element:
@@ -461,45 +514,7 @@ def check_restriction(rm: RestrictionMap) -> list[str]:
     return problems
 
 
-# -- exact linear algebra ----------------------------------------------------
-
-
-def solve_exact(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> list[Fraction]:
-    """Solve M x = b over the rationals by Gaussian elimination.
-
-    Underdetermined systems return the particular solution with free
-    coordinates set to zero; inconsistent systems raise AlgebraError.
-    """
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            raise AlgebraError("inconsistent linear system (no exact solution)")
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = m[row][ncols]
-    return x
+# -- the pairing ------------------------------------------------------------
 
 
 def pairing_matrix(alg: GradedAlgebra) -> list[list[Fraction]]:
@@ -513,12 +528,11 @@ def pairing_pushforward(rm: RestrictionMap, v: Element) -> Element:
     """The pairing transpose of a restriction map.
 
     Returns the source-algebra class P(v) with  ∫_source P(v)∪e = ∫_target v∪r(e)
-    for every basis class e.  For an honest divisor inclusion this is the
-    cohomology pushforward; e.g. the image of the target's unit is the divisor
-    class itself.
+    for every basis class e: ``rm.pushforward_rows`` weighted by v's
+    coordinates.  For an honest divisor inclusion this is the cohomology
+    pushforward; e.g. the image of the target's unit is the divisor class itself.
     """
     if v.algebra is not rm.target:
         raise AlgebraError("pushforward argument lives in the wrong algebra")
-    src = rm.source
-    rhs = Element(src, _rows(((rm.cross[k], n, d) for k, n, d in v.support), src.dim))
-    return src.element(solve_exact(rm.gram, rhs.coeffs))
+    pushed = rm.pushforward_rows
+    return Element(rm.source, _rows(((pushed[k], n, d) for k, n, d in v.support), rm.source.dim))

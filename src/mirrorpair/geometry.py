@@ -20,13 +20,14 @@ import math
 import sys
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
     Element,
     GradedAlgebra,
     RestrictionMap,
-    _rows,
+    _monomials,
     check_algebra,
     check_restriction,
     rat,
@@ -121,18 +122,21 @@ def format_invariants(table: InvariantTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ToricData:
-    """Denominator divisor classes and bundle (numerator) classes of the template."""
+class IFactor(NamedTuple):
+    """One net factor Π_{k=1}^{u·β}(u + kz)^e of the pair's I-function, derived at load."""
 
-    __slots__ = ("denominators", "bundles")
-
-    def __init__(self, denominators: tuple[Element, ...], bundles: tuple[Element, ...]):
-        self.denominators = denominators
-        self.bundles = bundles
+    cls: Element  # u, a nilpotent class of degree 1 in the span of the picard classes
+    pairing: tuple[int, ...]  # u·β on each Novikov curve class
+    exponent: int  # e: +1 per bundle, −1 per denominator, merged over equal classes
+    last: int  # u's last nonzero power
 
 
 class PairGeometry:
     """One log Calabi-Yau pair (X, D) with its truncation and invariant data.
+
+    ``factors`` are the net factors of its I-function and ``divisor_last`` is
+    D's last nonzero power, which the pole 1/(D + (D·β)z) reads; the loader
+    derives both, whatever the source.
 
     Read-only: `builtin_geometry` hands one instance per name to every caller
     in the process, so a variant is derived with `replace` (or
@@ -141,7 +145,7 @@ class PairGeometry:
 
     __slots__ = ("name", "ambient", "divisor", "restriction", "divisor_class", "picard",
                  "novikov_names", "m_vector", "policy", "j_source", "tau_d_source",
-                 "toric", "table")
+                 "factors", "divisor_last", "table")
 
     def __init__(
         self,
@@ -156,7 +160,8 @@ class PairGeometry:
         policy: TruncationPolicy,
         j_source: str,
         tau_d_source: str,
-        toric: ToricData | None,
+        factors: tuple[IFactor, ...],
+        divisor_last: int,
         table: InvariantTable | None,
     ):
         self.name = name
@@ -170,7 +175,8 @@ class PairGeometry:
         self.policy = policy
         self.j_source = j_source
         self.tau_d_source = tau_d_source
-        self.toric = toric
+        self.factors = factors
+        self.divisor_last = divisor_last
         self.table = table
 
     @property
@@ -181,15 +187,6 @@ class PairGeometry:
     def tau_d_reason(self) -> str | None:
         """Why a zero divisor mirror map is zero: D is an elliptic curve or a K3 surface."""
         return ZERO_TAU_REASONS[self.divisor.top_degree] if self.tau_d_source == "zero" else None
-
-    def pairing(self, cls: Element) -> tuple[int, ...]:
-        """Intersection numbers of a degree-1 class against the Novikov curve basis.
-
-        Works by expanding the class over the picard classes (which are dual to
-        the curve basis by construction); raises when the class is not in their
-        span or the coordinates are not integers.
-        """
-        return _expand_in_picard(self.picard, cls)
 
     def contact_weight(self, beta: tuple[int, ...]) -> int:
         """D·β for a curve class."""
@@ -220,6 +217,10 @@ def divisor_degree(m_vector: tuple[int, ...], beta: tuple[int, ...]) -> int:
 
 
 def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, ...]:
+    """Intersection numbers of a degree-1 class against the Novikov curve basis:
+    its coordinates on the picard classes, which are dual to that basis by
+    construction.  Raises when the class is not in their span or a coordinate
+    is not an integer."""
     # The picard classes must be basis elements, which keeps the expansion a
     # plain coefficient read-off; any other picard class is refused, and so is
     # a repeated one.  The class is in their span when it has no coordinate
@@ -316,6 +317,10 @@ def _parse_algebra(section: configparser.SectionProxy, fallback_name: str) -> Gr
     problems = check_algebra(alg)
     if problems:
         raise ConfigError(f"[{section.name}] invalid ring: " + "; ".join(problems[:3]))
+    try:
+        alg.duals  # solved once, here: a degenerate pairing has no dual basis
+    except AlgebraError as exc:
+        raise ConfigError(f"[{section.name}] invalid ring: {exc}") from exc
     return alg
 
 
@@ -458,7 +463,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         )
         if not dens or not bundles:
             raise ConfigError("[toric] needs denominators and bundles")
-        toric = ToricData(dens, bundles)
+        toric = (dens, bundles)
 
     table = None
     if pair.get("invariants"):
@@ -468,53 +473,90 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     geom = PairGeometry(
         name=name, ambient=ambient, divisor=divisor, restriction=restriction,
         divisor_class=divisor_class, picard=picard, novikov_names=novikov,
-        m_vector=m_vector, policy=policy, j_source=j_source,
-        tau_d_source=tau_d_source, toric=toric, table=table,
+        m_vector=m_vector, policy=policy, j_source=j_source, tau_d_source=tau_d_source,
+        factors=_i_factors(ambient, picard, divisor_class, m_vector, j_source, toric),
+        divisor_last=len(_powers(ambient, divisor_class)) - 1, table=table,
     )
     _validate_geometry(geom)
     return geom
 
 
-def _validate_geometry(geom: PairGeometry) -> None:
-    if geom.j_source == "closed_form_projective":
-        if geom.nvars != 1:
+def _i_factors(
+    ambient: GradedAlgebra,
+    picard: tuple[Element, ...],
+    divisor_class: Element,
+    m_vector: tuple[int, ...],
+    j_source: str,
+    toric: tuple[tuple[Element, ...], tuple[Element, ...]] | None,
+) -> tuple[IFactor, ...]:
+    """The net factors of the I-function, after the checks on the source's data.
+
+    A `closed_form_projective` pair has {H: −(n+1), D: +1}, a toric pair +1 per
+    bundle and −1 per denominator, an `invariant_table` pair {D: +1}; equal
+    classes are merged (D = H for n = 0) and a net exponent 0 drops the class.
+    Every class is of degree 1 in the span of the picard classes, so nilpotent:
+    its last power is read off the structure constants, with no Element product.
+    """
+    if j_source == "closed_form_projective":
+        if len(picard) != 1:
             raise ConfigError("closed_form_projective is single-variable")
         # the ring of P^n is Q[H]/H^(n+1): n + 1 classes, the powers of H, and ∫H^n = 1
-        amb, H = geom.ambient, geom.picard[0]
-        n = amb.top_degree
-        top = _integral_of_top_power(amb, H.support[0][0])
-        if amb.dim != n + 1 or top != 1:
+        H, n = picard[0], ambient.top_degree
+        powers = _powers(ambient, H)
+        top = Element(ambient, powers[n] if n < len(powers) else ()).integrate()
+        if ambient.dim != n + 1 or top != 1:
             raise ConfigError(
                 f"[pair] j_source = closed_form_projective needs the ring of P^{n}, "
                 f"Q[{H!r}]/{H!r}^{n + 1} with the integral of {H!r}^{n} equal to 1; "
-                f"{amb.name} has {amb.dim} basis classes and the integral of {H!r}^{n} is {top}"
+                f"{ambient.name} has {ambient.dim} basis classes and the integral of "
+                f"{H!r}^{n} is {top}"
             )
         # D = m·H on the one picard class H; P^n has top degree n and -K = (n + 1)·H
-        m = geom.m_vector[0]
+        m = m_vector[0]
         if m != n + 1:
             raise ConfigError(
                 f"[pair] divisor_class has m = {m}, so it is not anticanonical: the closed "
                 f"form needs m = top degree + 1 = {n + 1}"
             )
-    if geom.j_source == "toric_hypergeometric":
-        if geom.toric is None:
+        signed = [(H, -m), (divisor_class, 1)]  # 1/(H + kz)^{n+1} and D's chain
+    elif j_source == "toric_hypergeometric":
+        if toric is None:
             raise ConfigError("[pair] j_source = toric_hypergeometric needs a [toric] section")
-        for cls in geom.toric.denominators + geom.toric.bundles:
-            pv = geom.pairing(cls)
-            if any(x < 0 for x in pv):
+        dens, bundles = toric
+        for cls in dens + bundles:
+            if any(x < 0 for x in _expand_in_picard(picard, cls)):
                 raise ConfigError(
                     f"toric class {cls!r} pairs negatively with an effective curve class"
                 )
-        zero = geom.ambient.zero()
-        if sum(geom.toric.denominators, zero) != sum(geom.toric.bundles, zero):
+        zero = ambient.zero()
+        if sum(dens, zero) != sum(bundles, zero):
             # log Calabi-Yau bookkeeping: denominators + relative class must sum
             # to the anticanonical class = bundles + relative class
             raise ConfigError(
                 "toric data violates the log Calabi-Yau condition: "
                 "sum(denominators) != sum(bundles)"
             )
-    # invariant rows: one gate, whether they come from the invariants key or
-    # are attached later (attach_invariants)
+        signed = [(cls, 1) for cls in bundles] + [(cls, -1) for cls in dens]
+    else:
+        signed = [(divisor_class, 1)]
+    net: dict[Element, int] = {}
+    for cls, e in signed:
+        net[cls] = net.get(cls, 0) + e
+    return tuple(
+        IFactor(cls, _expand_in_picard(picard, cls), e, len(_powers(ambient, cls)) - 1)
+        for cls, e in net.items() if e
+    )
+
+
+def _powers(alg: GradedAlgebra, u: Element) -> list[tuple[tuple[int, int, int], ...]]:
+    """The sparse rows of u⁰ = 1, u¹, … through u's last nonzero power (`_monomials`)."""
+    return [row for _, _, row in _monomials(alg, [u], [alg.top_degree + 1])]
+
+
+def _validate_geometry(geom: PairGeometry) -> None:
+    """The gate on the invariant rows, whether they come from the invariants key or
+    are attached later (`attach_invariants`); the rest of the pair is checked
+    once, by the loader."""
     table = geom.table or InvariantTable(())
     for (_, beta, _), _ in table.entries:
         if len(beta) != geom.nvars:
@@ -562,14 +604,6 @@ def _refuse_unread_rows(geom: PairGeometry, kind: str, rows) -> None:
                 f"read: {geom.name} reads {kind} rows only at psi^({sign}D.beta - 2) "
                 f"with {sign}D.beta >= 2, and this class has D.beta = {geom.contact_weight(beta)}"
             )
-
-
-def _integral_of_top_power(alg: GradedAlgebra, h: int) -> Fraction:
-    """∫e_h^n for n the top degree, multiplied up on the sparse structure constants."""
-    row = ((h, 1, 1),)
-    for _ in range(alg.top_degree - 1):
-        row = _rows(((alg.constants[l][h], c, d) for l, c, d in row), alg.dim)
-    return sum((Fraction(c, d) * alg.integration[l] for l, c, d in row), Fraction(0))
 
 
 def _class_str(beta: tuple[int, ...]) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from fractions import Fraction
@@ -43,9 +42,8 @@ from operator import mul, sub
 from .algebra import (
     AlgebraError,
     Element,
-    GradedAlgebra,
+    _monomials,
     _rows,
-    nilpotency_index,
     pairing_pushforward,
     rat,
 )
@@ -72,25 +70,22 @@ class MalformedMirrorMapError(ValueError):
 # hypergeometric building blocks
 
 
-def _chain_rows(top: int | None, n: int, e: int) -> list[tuple[list[int], int]]:
+def _chain_rows(top: int, n: int, e: int) -> list[tuple[list[int], int]]:
     """The rows of the chains P(u, m, e) = Π_{a=1}^{m} (u + a·z)^e for every m ≤ n.
 
-    u is a class with last nonzero power ``top`` (`_top`) and e a nonzero
-    integer exponent.  With x = u/z, P = (m!)^e·z^{me}·Π_a (1 + x/a)^e, so a
-    chain is held as the scalar row of its coefficients c_j in
+    u is a class with last nonzero power ``top`` (`IFactor.last`) and e a
+    nonzero integer exponent.  With x = u/z, P = (m!)^e·z^{me}·Π_a (1 + x/a)^e,
+    so a chain is held as the scalar row of its coefficients c_j in
     P = Σ_j c_j·u^j·z^{me−j}, integer numerators over one denominator > 0,
-    cut after u^top; for e > 0 on a class that is not nilpotent (top None)
-    it is not cut and is the literal product.  Each row grows the one before
-    by the next link's row (`_link_rows`, whose binomials are formed once per
-    chain) through the truncated convolution `_mul`.  Only a row over a
-    denominator is reduced by a gcd: for e > 0 every link, and so every row,
-    is over 1.
+    cut after u^top.  Each row grows the one before by the next link's row
+    (`_link_rows`, whose binomials are formed once per chain) through the
+    truncated convolution `_mul`.  Only a row over a denominator is reduced
+    by a gcd: for e > 0 every link, and so every row, is over 1.
     """
     rows = [([1], 1)]
     for link, link_den in _link_rows(e, top, range(1, n + 1)):
         nums, den = rows[-1]
-        cap = len(nums) + len(link) - 2
-        out = _mul(nums, link, cap if top is None else min(cap, top))
+        out = _mul(nums, link, min(len(nums) + len(link) - 2, top))
         den *= link_den
         if den == 1:
             rows.append((out, 1))
@@ -100,27 +95,15 @@ def _chain_rows(top: int | None, n: int, e: int) -> list[tuple[list[int], int]]:
     return rows
 
 
-def _top(u: Element, e: int) -> int | None:
-    """u's last nonzero power, or None for e > 0 on a class that is not nilpotent."""
-    try:
-        return nilpotency_index(u) - 1
-    except AlgebraError:
-        if e < 0:
-            raise
-        return None
-
-
-def _link_rows(
-    e: int, top: int | None, links: Iterable[int]
-) -> Iterator[tuple[list[int], int]]:
+def _link_rows(e: int, top: int, links: Iterable[int]) -> Iterator[tuple[list[int], int]]:
     """The row of each link (u + a·z)^e = a^e·z^e·(1 + x/a)^e, x = u/z, a ≥ 1 of
     ``links``: the binomial row C(e, k)·a^{e−k} of u^k·z^{e−k}, as integer
     numerators C(e, k)·a^{e−k+s} over the denominator a^s, s = max(top − e, 0),
-    through k = top (None: uncut), and for e > 0 through k = e at most, so
-    that s = 0 and the denominator is 1.  The C(e, k) and exponents are formed
-    once for all the links.
+    through k = top, and for e > 0 through k = e at most, so that s = 0 and
+    the denominator is 1.  The C(e, k) and exponents are formed once for all
+    the links.
     """
-    top = e if top is None or top > e > 0 else top
+    top = e if top > e > 0 else top
     shift = max(top - e, 0)  # a^{e−k} = a^{e−k+shift} / a^{shift}
     terms = [(_binomial(e, k), e - k + shift) for k in range(top + 1)]
     for a in links:
@@ -308,31 +291,6 @@ class RelativeSeries:
 
 # ---------------------------------------------------------------------------
 # the exponential prefactor
-
-
-def _monomials(
-    alg: GradedAlgebra, classes: list[Element], reach: list[int], limit: float = math.inf
-) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]]:
-    """The nonzero monomials Π u_f^{j_f} with each j_f < reach_f and Σ j ≤ ``limit``,
-    as (exponents j, Σ j, sparse integer row of the product), exponents in
-    lexicographic order.  Each power is one `_rows` product from the one
-    before, through the structure constants, and a row stops at its first zero
-    or at the limit; a caller that reads no monomial past Σ j = limit forms none.
-    """
-    consts, dim = alg.constants, alg.dim
-    monomials = [((), 0, alg.unit().support)]
-    for u, n in zip(classes, reach):
-        support = u.support
-        grown = []
-        for js, t, m in monomials:
-            for j in range(min(n, limit - t + 1)):
-                if not m:
-                    break
-                grown.append((js + (j,), t + j, m))
-                m = _rows(((consts[i][k], mn * un, md * ud)
-                           for i, mn, md in m for k, un, ud in support), dim)
-        monomials = grown
-    return monomials
 
 
 def _prefactor_terms(
@@ -527,8 +485,9 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     mirror map and the potential read z¹ and z⁰ alone); the series records
     the floor, and content above z¹ is refused as for the whole series.
 
-    Every source goes through one template (`_hypergeometric`): the absolute
-    factors times Π_{0<a<D·β}(D + az), which is the chain of D over the pole
+    Every source goes through one template (`_hypergeometric`) on the net
+    factors the loader derived (`PairGeometry.factors`): the absolute factors
+    times Π_{0<a<D·β}(D + az), which is the chain of D over the pole
     1/(D + (D·β)z).  A `closed_form_projective` pair has the factors
     1/Π_{k≤d}(H + kz)^{n+1}; an `invariant_table` pair has a scalar base row per
     class (`absolute_core`) instead, and a class with D·β < 0 and a nonzero row
@@ -540,14 +499,9 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     _refuse_nonzero_tau_d(geom, "relative I-function", "deformed absolute invariants")
     if geom.j_source == "toric_hypergeometric":
         return toric_i_function(geom, lowest_z)
-    dcls = geom.divisor_class
     classes = _effective_classes(geom.policy)
     if geom.j_source == "closed_form_projective":
-        multiplicity = Counter({geom.picard[0]: -geom.m_vector[0]})  # 1/(H + kz)^{n+1}, n = m − 1
-        multiplicity[dcls] += 1  # merged when D = H, as for n = 0
-        return _hypergeometric(
-            geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z
-        )
+        return _hypergeometric(geom, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
     bases = {}
     for beta in classes:
         row = absolute_core(geom, beta)
@@ -559,7 +513,7 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
                 "factor through the divisor class"
             )
         bases[beta] = row
-    return _hypergeometric(geom, {dcls: 1}, bases, lowest_z)
+    return _hypergeometric(geom, bases, lowest_z)
 
 
 def toric_i_function(geom: PairGeometry, lowest_z: int | None = None) -> RelativeSeries:
@@ -568,39 +522,36 @@ def toric_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Relativ
     Per class β: Π_bundles Π_{k=1}^{b·β}(b + kz) over Π_dens Π_{k=1}^{t·β}(t + kz),
     with the pole of `_hypergeometric`.  Factors of the relative ray are
     structurally cancelled against the hypergeometric modification.  Equal
-    classes are merged into one chain with their net multiplicity (+1 per
-    bundle, −1 per denominator).  ``lowest_z`` is `relative_i_function`'s.
+    classes are merged by the loader into one factor with their net exponent
+    (+1 per bundle, −1 per denominator).  ``lowest_z`` is `relative_i_function`'s.
     """
-    if geom.toric is None:
+    if geom.j_source != "toric_hypergeometric":
         raise MissingDataError(f"{geom.name}: no toric data")
-    multiplicity = Counter(geom.toric.bundles)
-    multiplicity.subtract(geom.toric.denominators)
     classes = _effective_classes(geom.policy)
-    return _hypergeometric(geom, multiplicity, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
+    return _hypergeometric(geom, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
 
 
 def _hypergeometric(
     geom: PairGeometry,
-    multiplicity: dict[Element, int],
     bases: dict[tuple[int, ...], dict[int, Fraction]],
     lowest_z: int | None = None,
 ) -> RelativeSeries:
     """The one template of every relative I-function: per class β of ``bases``,
     its scalar base row Σ v·z^k times Π_u Π_{k=1}^{u·β}(u + kz)^{e_u} over the
-    net factors u with multiplicity e_u, times the simple pole 1/(D + (D·β)z)
-    with a [1]_{−D·β} state when D·β > 0, then the overall z and the
-    exponential prefactor (`_assemble`).  A net multiplicity 0 drops the
-    class, and a class that pairs to ≤ 0 with β contributes 1.
+    pair's net factors u with exponent e_u (`PairGeometry.factors`), times the
+    simple pole 1/(D + (D·β)z) with a [1]_{−D·β} state when D·β > 0, then the
+    overall z and the exponential prefactor (`_assemble`).  A class that pairs
+    to ≤ 0 with β contributes 1.
 
-    Every factor is a scalar row over the powers of its class: its chain rows
-    (`_chain_rows`), built once per build for the longest chain any class
-    asks of it, and for the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j the
-    e = −1 link rows of every contact c (`_link_rows`).  Each distinct class's
-    top power is found once, D's too when it is also a factor.  So the nonzero
-    monomials Π_f u_f^{j_f}·D^{j_D} are tabulated once per build as sparse
-    integer rows (`_monomials`), and each z-slice of a class is one `_rows`
-    of them, weighted by integer products of its rows and base.  `_assemble`
-    receives every nonzero slice as that row; an empty one is dropped.
+    Every factor is a scalar row over the powers of its class, cut after the
+    class's last power, which the loader read: its chain rows (`_chain_rows`),
+    built once per build for the longest chain any class asks of it, and for
+    the pole 1/(D + cz) = (cz)^{−1}·Σ_j (−D/(cz))^j the e = −1 link rows of
+    every contact c (`_link_rows`).  So the nonzero monomials
+    Π_f u_f^{j_f}·D^{j_D} are tabulated once per build as sparse integer rows
+    (`_monomials`), and each z-slice of a class is one `_rows` of them,
+    weighted by integer products of its rows and base.  `_assemble` receives
+    every nonzero slice as that row; an empty one is dropped.
 
     Every factor class has degree 1, so a monomial of Σ j = t has degree t
     and lowers z by t.  A product that cannot reach a printed term is not
@@ -618,38 +569,28 @@ def _hypergeometric(
       chain rows and the pole's row are then tabulated only as deep as the
       deepest class reads, max_β ẑ_β less that floor.
     """
-    amb, dcls = geom.ambient, geom.divisor_class
-    factors = [(cls, geom.pairing(cls), e) for cls, e in multiplicity.items() if e]
+    amb, dcls, factors = geom.ambient, geom.divisor_class, geom.factors
     classes = list(bases)
-    pairings = [[max(sum(map(mul, pv, beta)), 0) for beta in classes] for _, pv, _ in factors]
+    pairings = [[max(sum(map(mul, f.pairing, beta)), 0) for beta in classes] for f in factors]
     contacts = [geom.contact_weight(beta) for beta in classes]
     # each class's power of z before its base row, less the pole's (cz)^{−1}
-    zbases = [sum(e * tops[i] for (_, _, e), tops in zip(factors, pairings)) - (c > 0)
+    zbases = [sum(f.exponent * tops[i] for f, tops in zip(factors, pairings)) - (c > 0)
               for i, c in enumerate(contacts)]
     hats = [zb + max(bases[beta]) for zb, beta in zip(zbases, classes)]
     # `_assemble` puts a slice z^s at z^{s + _OVERALL_Z − |α|} for each prefactor
     # term α, highest at α = 0, so below z^{lowest_z − _OVERALL_Z} none reaches lowest_z
     floor = -math.inf if lowest_z is None else lowest_z - _OVERALL_Z
     reads = max(hats) - floor  # no class reads a monomial of Σ j past it
-    # each distinct class's last power is read once, at its lowest exponent (the
-    # pole's is −1): a class that is not nilpotent is refused if any is negative
-    lowest: dict[Element, int] = {}
-    for cls, e in [(cls, e) for cls, _, e in factors] + [(dcls, -1)]:
-        lowest[cls] = min(e, lowest.get(cls, e))
-    last = {cls: _top(cls, e) for cls, e in lowest.items()}
-    depths = [last[cls] for cls, _, _ in factors] + [last[dcls]]
-    if lowest_z is not None:
-        depths = [reads if top is None else min(top, reads) for top in depths]
-    *depths, top_d = depths
-    tables = [_chain_rows(top, max(tops), e)
-              for top, (_, _, e), tops in zip(depths, factors, pairings)]
+    *depths, top_d = [min(last, reads) for last in [f.last for f in factors] + [geom.divisor_last]]
+    tables = [_chain_rows(top, max(tops), f.exponent)
+              for top, f, tops in zip(depths, factors, pairings)]
     positive = {c for c in contacts if c > 0}
     poles = dict(zip(positive, _link_rows(-1, top_d, positive)))
     poles[0] = ([1], 1)
     # the nonzero monomials (exponents j, Σ j, Π u^j), each j below its longest row
     reach = [len(table[max(tops)][0]) for table, tops in zip(tables, pairings)]
     reach.append(max(len(nums) for nums, _ in poles.values()))
-    monomials = _monomials(amb, [cls for cls, _, _ in factors] + [dcls], reach, reads)
+    monomials = _monomials(amb, [f.cls for f in factors] + [dcls], reach, reads)
     monomials.sort(key=lambda m: m[1])
     degrees = [t for _, t, _ in monomials]
     div_top = geom.divisor.top_degree
@@ -828,9 +769,7 @@ def _times_unit(geom: PairGeometry, v: Element, c1: int, c: int) -> Element:
     if c1 == 0 < c:
         return res(v)
     if c1 < 0 == c:
-        pushed = res.pushforward_rows
-        return Element(geom.ambient, _rows(((pushed[k], n, d) for k, n, d in v.support),
-                                           geom.ambient.dim))
+        return pairing_pushforward(res, v)
     if c1 < 0 < c:
         return v * res(geom.divisor_class)
     return v

@@ -27,7 +27,6 @@ from mirrorpair import (
     nilpotency_index,
     pairing_matrix,
     pairing_pushforward,
-    solve_exact,
     sum_of_products,
 )
 from mirrorpair.algebra import _rows
@@ -326,7 +325,7 @@ def test_pairing_matrix_integrates_the_dense_table(geom):
 
 
 # ---------------------------------------------------------------------------
-# nilpotency, exact solving
+# nilpotency, the dual basis
 
 
 def test_nilpotency_index():
@@ -338,14 +337,27 @@ def test_nilpotency_index():
         nilpotency_index(P2.ambient.unit())
 
 
-def test_solve_exact_and_inconsistency():
-    sol = solve_exact(
-        [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]],
-        [Fraction(5), Fraction(6)],
-    )
-    assert sol == [Fraction(3, 2), Fraction(2)]
-    with pytest.raises(AlgebraError):
-        solve_exact([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)])
+@pytest.mark.parametrize("geom", [P2, P3, BL], ids=lambda g: g.name)
+def test_dual_basis_pairs_to_the_identity(geom):
+    for alg in (geom.ambient, geom.divisor):
+        assert len(alg.duals) == alg.dim
+        for i, row in enumerate(alg.duals):
+            assert is_canonical_row(row, alg.dim)
+            dual = alg.element(dense_row(row, alg.dim))
+            for j in range(alg.dim):
+                pairing = _integral(alg, dense_product(dual, alg.basis_element(j)))
+                assert pairing == (i == j), (alg.name, i, j)
+
+
+def test_a_degenerate_pairing_has_no_dual_basis():
+    # H·H = 0 on (one, H, H2) with ∫H2 = 1: H pairs to 0 with every class
+    alg = GradedAlgebra.from_products("flat", ("one", "H", "H2"), (0, 1, 2), {},
+                                      unit="one", point="H2")
+    assert check_algebra(alg) == []
+    for _ in range(2):  # refused on every read, not cached as solved
+        with pytest.raises(AlgebraError, match="flat: the pairing .* is degenerate: in its "
+                           "matrix the row of H is a combination of the rows before it"):
+            alg.duals
 
 
 def test_from_products_rejects_unit_rows():

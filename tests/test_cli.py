@@ -995,6 +995,40 @@ def test_non_associative_product_is_refused(tmp_path, capsys):
     assert "associativity fails" in err
 
 
+def _replaced(text, *swaps):
+    for old, new in swaps:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+# a ring whose pairing is degenerate in each section, the rest a pair that loads:
+# P^2's ring without H·H = H2, so H pairs to 0 with every class, under the toric
+# template 1/(H + kz)^3 · (3H + kz); and a divisor ring with a class q that pairs
+# to 0 with every class
+DEGENERATE_RINGS = {
+    "algebra.ambient": _replaced(
+        P2_CUBIC, ("products =\n    H H H2 1\n", ""), ("    H p 3\n", ""),
+        ("j_source = closed_form_projective\n", "j_source = toric_hypergeometric\n"),
+        ("[truncation]\n", "[toric]\ndenominators = H; H; H\nbundles = 3*H\n\n[truncation]\n")),
+    "algebra.divisor": _replaced(
+        P2_CUBIC, ("basis = one p\ndegrees = 0 1\n", "basis = one p q\ndegrees = 0 1 1\n")),
+}
+
+
+@pytest.mark.parametrize("section", sorted(DEGENERATE_RINGS))
+def test_a_ring_with_a_degenerate_pairing_is_refused(tmp_path, capsys, section):
+    # the pairing pushforward of such a ring is not defined: it is refused at
+    # load, not solved to a particular solution
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(DEGENERATE_RINGS[section])
+    code = run(["mirror-map", "--geometry", str(cfg), "--order", "4"], stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: [{section}] invalid ring: ") and err.count("\n") == 1
+    assert "the pairing (the integral of a*b) is degenerate" in err
+
+
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"identities"}))
 def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command):
     # D = 4H on P^2 is not anticanonical: the closed form does not apply to it

@@ -11,8 +11,9 @@ import pytest
 
 from conftest import SYNTHETIC_NEGATIVE, geometry_with
 from mirrorpair import algebra
+from mirrorpair.algebra import nilpotency_index
 from mirrorpair.cli import run
-from mirrorpair.geometry import PAIR_KEYS, SECTIONS
+from mirrorpair.geometry import PAIR_KEYS, SECTIONS, IFactor, _expand_in_picard
 from mirrorpair import (
     BUILTIN_CONFIGS,
     ConfigError,
@@ -49,8 +50,8 @@ def test_builtin_shapes():
     assert bl.m_vector == (-1, 1)
     assert bl.novikov_names == ("q1", "q0")
     assert bl.j_source == "toric_hypergeometric"
-    assert bl.toric is not None
-    assert len(bl.toric.denominators) == 5
+    # five denominators H; H; H; H; h merged into two factors
+    assert sum(-f.exponent for f in bl.factors if f.exponent < 0) == 5
 
 
 def test_synthetic_config_loads(synthetic_negative):
@@ -63,8 +64,8 @@ def test_synthetic_config_loads(synthetic_negative):
 
 
 def test_pairing_of_picard_classes(blp3):
-    assert blp3.pairing(blp3.divisor_class) == (-1, 1)
-    assert blp3.pairing(blp3.ambient.named("H")) == (1, 0)
+    assert _expand_in_picard(blp3.picard, blp3.divisor_class) == (-1, 1)
+    assert _expand_in_picard(blp3.picard, blp3.ambient.named("H")) == (1, 0)
     assert blp3.contact_weight((2, 3)) == 1
 
 
@@ -260,6 +261,55 @@ def test_builtins_derive_the_pair_data(name):
         assert closed[("x_point", (2,), 2 * m[0] - 2)] == Fraction(1, 2 ** (n + 1))
 
 
+# per builtin, typed by hand: each net factor Π_{k≤u·β}(u + kz)^e of its
+# I-function as u's coordinates on the basis, u·β on the curve classes and e
+BUILTIN_FACTORS = {
+    "p2_cubic": [({"H": 1}, (1,), -3), ({"H": 3}, (3,), 1)],
+    "p3_quartic": [({"H": 1}, (1,), -4), ({"H": 4}, (4,), 1)],
+    "blp3_k3": [({"H": 4, "h": 1}, (4, 1), 1), ({"H": 1}, (1, 0), -4), ({"h": 1}, (0, 1), -1)],
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_loader_derives_the_i_function_factors(name):
+    geom = builtin_geometry(name)
+    amb = geom.ambient
+    want = {
+        sum((amb.named(b).scale(c) for b, c in coords.items()), amb.zero()): (pairing, e)
+        for coords, pairing, e in BUILTIN_FACTORS[name]
+    }
+    assert len(geom.factors) == len(want)
+    assert {f.cls: (f.pairing, f.exponent) for f in geom.factors} == want
+    # the last nonzero powers, against products of Elements
+    for f in geom.factors:
+        assert f.last == nilpotency_index(f.cls) - 1
+    assert geom.divisor_last == nilpotency_index(geom.divisor_class) - 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("bundles = 4*H + h\n", "bundles = 5*H; h - H\n",
+         r"toric class -1\*H \+ h pairs negatively with an effective curve class"),
+        ("bundles = 4*H + h\n", "bundles = 3*H + h\n",
+         r"toric data violates the log Calabi-Yau condition: sum\(denominators\) != sum\(bundles\)"),
+    ],
+)
+def test_toric_refusals_run_once_at_load(old, new, message):
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count(old) == 1
+    with pytest.raises(ConfigError, match=message):
+        load_geometry(text.replace(old, new))
+    # the toric data cannot change after load, so attaching rows re-checks only
+    # the rows: a pair set past the loader with such factors takes them
+    blp3 = builtin_geometry("blp3_k3")
+    H, h = blp3.ambient.named("H"), blp3.ambient.named("h")
+    negative = geometry_with(blp3, factors=blp3.factors + (
+        IFactor(h - H, (-1, 1), 1, nilpotency_index(h - H) - 1),))
+    rows = ingest_invariants("x_point 0,2 0 pt 5\n")
+    assert attach_invariants(negative, rows).factors == negative.factors
+
+
 def test_zero_tau_needs_a_curve_or_surface_divisor():
     # a point divisor has top degree 0: neither an elliptic curve nor a K3
     text = BUILTIN_CONFIGS["p2_cubic"]
@@ -298,9 +348,9 @@ def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
 def test_pairing_refuses_a_repeated_picard_class_and_a_class_off_the_span(blp3):
     H = blp3.ambient.named("H")
     with pytest.raises(ConfigError, match="picard class H is repeated"):
-        geometry_with(blp3, picard=(H, H)).pairing(H)
+        _expand_in_picard((H, H), H)
     with pytest.raises(ConfigError, match="H2 is not in the span of the picard classes"):
-        blp3.pairing(blp3.ambient.named("H2"))
+        _expand_in_picard(blp3.picard, blp3.ambient.named("H2"))
 
 
 @pytest.mark.parametrize("name", BUILTINS)

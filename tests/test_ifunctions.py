@@ -7,6 +7,7 @@ paper, and the blown-up series from the closed multinomial expression
 (4a+b)!/((a!)^4 b!).
 """
 
+import io
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -31,7 +32,6 @@ from conftest import (
 )
 from mirrorpair import (
     BUILTIN_CONFIGS,
-    AlgebraError,
     CancellationError,
     ConfigError,
     MalformedMirrorMapError,
@@ -49,19 +49,21 @@ from mirrorpair import (
     extract_mirror_exponent,
     inverse_coordinates,
     load_geometry,
+    nilpotency_index,
     nilpotent_reciprocal,
     normalize_i,
     relative_i_function,
     substitute_forward,
+    toric_i_function,
 )
-from mirrorpair import ifunctions
-from mirrorpair.geometry import ToricData
+from mirrorpair import algebra, ifunctions
+from mirrorpair.cli import run
+from mirrorpair.geometry import IFactor
 from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     _chain_rows,
     _link_rows,
     _times_unit,
-    _top,
     absolute_core,
     class_constant_terms,
 )
@@ -80,9 +82,14 @@ def _row_link(u, e, nums, den):
         e - k: u.power(k).scale(Fraction(n, den)) for k, n in enumerate(nums)})
 
 
+def _last(u):
+    """u's last nonzero power, by products of Elements."""
+    return nilpotency_index(u) - 1
+
+
 def _chain(u, n, e):
     """P(u, n, e) as a z-Laurent element, read off the row of length n."""
-    return _row_link(u, n * e, *_chain_rows(_top(u, e), n, e)[n])
+    return _row_link(u, n * e, *_chain_rows(_last(u), n, e)[n])
 
 
 def test_factor_at_zero_contact_is_one(p2):
@@ -135,7 +142,7 @@ def test_chains_match_literal_products(p2, blp3, which):
     exponents, length = CHAIN_CASES[which]
     one = ZLaurentElement.one(u.algebra)
     for e in exponents:
-        top = _top(u, e)
+        top = _last(u)
         links = _link_rows(e, top, range(1, length + 1))
         for a, link in enumerate(links, 1):
             assert _row_link(u, e, *link) == _literal_link(u, a, e)
@@ -152,25 +159,20 @@ def test_chains_match_literal_products(p2, blp3, which):
 
 
 @given(
-    coords=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)),
+    coords=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     n=st.integers(0, 7),
     e=st.integers(-4, 4).filter(bool),
 )
-@example(coords=(4, 1, 0), n=7, e=1)
-@example(coords=(-1, 1, 0), n=7, e=-1)
-@example(coords=(0, 0, 1), n=3, e=2)
+@example(coords=(4, 1), n=7, e=1)
+@example(coords=(-1, 1), n=7, e=-1)
+@example(coords=(0, 0), n=3, e=2)
 @settings(max_examples=60, deadline=None)
 def test_chain_rows_match_literal_products(blp3, coords, n, e):
-    # u = x·H + y·h + w·1: nilpotent exactly when w = 0; a link with e < 0
-    # needs a nilpotent class
+    # u = x·H + y·h, a class of degree 1 in the picard span, as every factor is
     amb = blp3.ambient
-    x, y, w = coords
-    u = amb.named("H").scale(x) + amb.named("h").scale(y) + amb.unit().scale(w)
-    if w and e < 0:
-        with pytest.raises(AlgebraError, match="not nilpotent"):
-            _top(u, e)
-        return
-    nums, den = _chain_rows(_top(u, e), n, e)[n]
+    x, y = coords
+    u = amb.named("H").scale(x) + amb.named("h").scale(y)
+    nums, den = _chain_rows(_last(u), n, e)[n]
     assert den > 0 and all(isinstance(c, int) for c in nums)
     assert _chain(u, n, e) == _literal_chain(u, n, 1, e)
 
@@ -178,15 +180,14 @@ def test_chain_rows_match_literal_products(blp3, coords, n, e):
 def _scalar_chains(top, n, e):
     """The coefficient lists of Π_{a≤m}(a + x)^e through x^top, m ≤ n, as exact
     Fraction products of the links' own rows: a + x, or 1/(a + x) =
-    Σ_j (−1)^j·x^j/a^{j+1}; top None keeps every power (e > 0 only)."""
+    Σ_j (−1)^j·x^j/a^{j+1}."""
     chains = [[Fraction(1)]]
     for a in range(1, n + 1):
-        width = len(chains[-1]) + e if top is None else top + 1
         link = ([Fraction(a), Fraction(1)] if e > 0 else
-                [Fraction((-1) ** j, a ** (j + 1)) for j in range(width)])
+                [Fraction((-1) ** j, a ** (j + 1)) for j in range(top + 1)])
         row = chains[-1]
         for _ in range(abs(e)):
-            prod = [Fraction(0)] * min(len(row) + len(link) - 1, width)
+            prod = [Fraction(0)] * min(len(row) + len(link) - 1, top + 1)
             for i, x in enumerate(row):
                 for j, y in enumerate(link):
                     if i + j < len(prod):
@@ -196,9 +197,8 @@ def _scalar_chains(top, n, e):
     return chains
 
 
-# (top, e, n): only a chain of e > 0 may be uncut (top None)
-LADDER_CHAINS = [(top, e, n) for e, n in ((1, 48), (-3, 16), (-4, 16))
-                 for top in (None, 0, 1, 2, 3, 4) if top is not None or e > 0]
+# (top, e, n)
+LADDER_CHAINS = [(top, e, n) for e, n in ((1, 48), (-3, 16), (-4, 16)) for top in range(5)]
 
 
 @pytest.mark.parametrize("top, e, n", LADDER_CHAINS)
@@ -214,14 +214,13 @@ def test_chain_rows_match_scalar_products_at_ladder_depth(top, e, n):
             assert _chain_rows(top, m, e) == rows[: m + 1]
 
 
-def test_chain_links_need_a_nilpotent_class_only_for_negative_exponents(p2):
-    unit = p2.ambient.unit()
-    with pytest.raises(AlgebraError, match="not nilpotent"):
-        _top(unit, -1)
-    z = ZLaurentElement.linear(unit, 1)
-    twice = ZLaurentElement.linear(unit, 2)
-    square = z * twice * z * twice  # ((1 + z)(1 + 2z))²
-    assert _chain(unit, 2, 2) == square
+def test_the_loader_admits_only_nilpotent_factor_classes():
+    # a chain is cut after its class's last power, so every factor class must be
+    # nilpotent: one with a unit part is refused at load, off the picard span
+    text = BUILTIN_CONFIGS["blp3_k3"]
+    assert text.count("bundles = 4*H + h\n") == 1
+    with pytest.raises(ConfigError, match="is not in the span of the picard classes"):
+        load_geometry(text.replace("bundles = 4*H + h\n", "bundles = 4*H + h + one\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +273,29 @@ def _relative_pieces(monkeypatch, geom):
     return _as_elements(geom, seen[0])
 
 
-def _literal_toric_piece(geom, beta):
-    """Π_{k=1}^{b·β}(b + kz) over bundles times Π_{k=1}^{t·β} 1/(t + kz) over
-    denominators, one link at a time with no classes merged, times the pole
+def _literal_toric_piece(bundles, denominators):
+    """The literal piece of a toric pair with the [toric] lists given as (class,
+    pairing) pairs: Π_{k=1}^{b·β}(b + kz) over bundles times Π_{k=1}^{t·β} 1/(t + kz)
+    over denominators, one link at a time with no classes merged, times the pole
     1/(D + (D·β)z) when D·β > 0."""
-    term = ZLaurentElement.one(geom.ambient)
-    for classes, link in ((geom.toric.bundles, ZLaurentElement.linear),
-                          (geom.toric.denominators, nilpotent_reciprocal)):
-        for cls in classes:
-            for k in range(1, sum(p * b for p, b in zip(geom.pairing(cls), beta)) + 1):
-                term = term * link(cls, k)
-    c = geom.contact_weight(beta)
-    if c > 0:
-        term = term * nilpotent_reciprocal(geom.divisor_class, c)
-    return term
+    def piece(geom, beta):
+        term = ZLaurentElement.one(geom.ambient)
+        for classes, link in ((bundles, ZLaurentElement.linear),
+                              (denominators, nilpotent_reciprocal)):
+            for cls, pairing in classes:
+                for k in range(1, sum(p * b for p, b in zip(pairing, beta)) + 1):
+                    term = term * link(cls, k)
+        c = geom.contact_weight(beta)
+        if c > 0:
+            term = term * nilpotent_reciprocal(geom.divisor_class, c)
+        return term
+    return piece
+
+
+def _blp3_toric_lists(geom):
+    """H, h and blp3_k3's [toric] denominators H; H; H; H; h as (class, pairing) pairs."""
+    H, h = geom.ambient.named("H"), geom.ambient.named("h")
+    return H, h, [(H, (1, 0))] * 4 + [(h, (0, 1))]
 
 
 def _literal_relative_piece(geom, beta):
@@ -325,7 +333,7 @@ def _printable_part(geom, beta, term):
         for z, el in term.terms.items()})
 
 
-def _check_pieces(monkeypatch, geom, orders, literal_piece=_literal_toric_piece):
+def _check_pieces(monkeypatch, geom, orders, literal_piece):
     literal = {}
     for order in orders:
         at_order = _at_order(geom, order)
@@ -341,7 +349,9 @@ def _check_pieces(monkeypatch, geom, orders, literal_piece=_literal_toric_piece)
 
 
 def test_toric_pieces_of_the_blowup_are_literal_link_products(monkeypatch, blp3):
-    _check_pieces(monkeypatch, blp3, range(2, 13))
+    H, h, denominators = _blp3_toric_lists(blp3)
+    piece = _literal_toric_piece([(H.scale(4) + h, (4, 1))], denominators)
+    _check_pieces(monkeypatch, blp3, range(2, 13), piece)
 
 
 def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
@@ -350,29 +360,31 @@ def test_toric_pieces_drop_factors_that_pair_to_at_most_zero(monkeypatch):
     # refuses a negative pairing.
     cfg = BUILTIN_CONFIGS["blp3_k3"].replace("bundles = 4*H + h", "bundles = 3*H; H + h")
     geom = load_geometry(cfg)
-    amb = geom.ambient
-    H, h = amb.named("H"), amb.named("h")
-    assert any(x == 0 for x in geom.pairing(H.scale(3)))
-    _check_pieces(monkeypatch, geom, (6,))
-    negative = geometry_with(geom, toric=ToricData(
-        geom.toric.denominators, (H.scale(5), h - H)))
-    assert min(negative.pairing(h - H)) < 0
-    _check_pieces(monkeypatch, negative, (6,))
+    H, h, denominators = _blp3_toric_lists(geom)
+    bundles = [(H.scale(3), (3, 0)), (H + h, (1, 1))]
+    _check_pieces(monkeypatch, geom, (6,), _literal_toric_piece(bundles, denominators))
+    # the net factors of bundles 5H; h − H over the same denominators
+    negative = geometry_with(geom, factors=tuple(
+        IFactor(u, pairing, e, _last(u)) for u, pairing, e in (
+            (H.scale(5), (5, 0), 1), (h - H, (-1, 1), 1), (H, (1, 0), -4), (h, (0, 1), -1))))
+    bundles = [(H.scale(5), (5, 0)), (h - H, (-1, 1))]
+    _check_pieces(monkeypatch, negative, (6,), _literal_toric_piece(bundles, denominators))
 
 
 @pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "hyperplane_divisor"])
 def test_closed_form_pieces_are_literal_link_products(monkeypatch, name):
     if name == "hyperplane_divisor":
-        # D = H gives n = m − 1 = 0: the template merges 1/(H + kz) and D's chain
-        # into one class.  The loader refuses D = H on P^2 as not anticanonical,
-        # so the pair loads as a table pair and takes the closed form past it.
+        # D = H gives n = m − 1 = 0: 1/(H + kz) and D's chain merge into one
+        # class of net exponent 0, so the pair has no net factor.  The loader
+        # refuses D = H on P^2 as not anticanonical, so the pair loads as a
+        # table pair and takes the closed form, and its factors, past it.
         geom = geometry_with(load_geometry(
             BUILTIN_CONFIGS["p2_cubic"]
             .replace("divisor_class = 3*H", "divisor_class = H")
             .replace("H p 3", "H p 1")
             .replace("j_source = closed_form_projective",
                      "j_source = invariant_table\ninvariants = x_point 1 0 pt 1")
-        ), j_source="closed_form_projective", table=None)
+        ), j_source="closed_form_projective", table=None, factors=())
     else:
         geom = builtin_geometry(name)
     _check_pieces(monkeypatch, geom, range(2, 13), _literal_relative_piece)
@@ -385,14 +397,11 @@ def test_table_pieces_are_literal_link_products(monkeypatch):
 
 
 def test_monomials_of_the_blowup_are_literal_products(blp3):
-    # the template's net classes (bundles minus denominators, merged) and D, each
-    # taken to a power past its nilpotency, so every row meets its first zero
+    # the template's net classes 4H + h, H and h, and D, each taken to a power
+    # past its nilpotency, so every row meets its first zero
     amb = blp3.ambient
-    net = {}
-    for classes, e in ((blp3.toric.bundles, 1), (blp3.toric.denominators, -1)):
-        for cls in classes:
-            net[cls] = net.get(cls, 0) + e
-    classes = [cls for cls, e in net.items() if e] + [blp3.divisor_class]
+    H, h = amb.named("H"), amb.named("h")
+    classes = [H.scale(4) + h, H, h, blp3.divisor_class]
     reach = [amb.top_degree + 2] * len(classes)
     expect = []
     for js in iproduct(*map(range, reach)):
@@ -424,6 +433,39 @@ def test_every_source_builds_its_pieces_on_the_one_template(monkeypatch, name):
     built = relative_i_function(geom)
     monkeypatch.undo()
     assert built.terms and calls == []
+
+
+def _element_products(monkeypatch, call):
+    """How many Element products (`algebra.sum_of_products` calls) call() forms."""
+    calls = []
+    real = algebra.sum_of_products
+    monkeypatch.setattr(algebra, "sum_of_products", lambda *a: calls.append(a) or real(*a))
+    call()
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["p2_cubic", "p3_quartic", "blp3_k3"])
+def test_an_i_function_build_multiplies_no_elements(monkeypatch, name):
+    # each factor's last power is the loader's, not found again by products
+    geom = builtin_geometry(name)
+    assert _element_products(monkeypatch, lambda: relative_i_function(geom)) == 0
+
+
+def test_the_mirror_change_ladder_multiplies_no_elements(monkeypatch):
+    steps = [("classical-period", "p2_cubic", 24), ("classical-period", "p2_cubic", 36),
+             ("classical-period", "p2_cubic", 48), ("classical-period", "p3_quartic", 32),
+             ("classical-period", "p3_quartic", 48), ("mirror-map", "p2_cubic", 12)]
+    for command, name, order in steps:
+        argv = [command, "--geometry", name, "--order", str(order), "--format", "json"]
+        codes = []
+        count = _element_products(monkeypatch, lambda: codes.append(run(argv, stream=io.StringIO())))
+        assert (codes, count) == ([0], 0), argv
+
+
+def test_toric_i_function_needs_a_toric_pair(p2):
+    with pytest.raises(MissingDataError, match="p2_cubic: no toric data"):
+        toric_i_function(p2)
 
 
 # ---------------------------------------------------------------------------
