@@ -4,7 +4,7 @@
 Usage:  python3 scripts/output_digest.py
 
 Runs `mirrorpair.cli.run` in this process, importing the package from the
-`src/` of the checkout the script sits in, over a fixed grid of 465 runs:
+`src/` of the checkout the script sits in, over a fixed grid of 468 runs:
 
   * i-function, tau-d, mirror-map, quantum-period, regularized-period,
     proper-potential, classical-period and verify on every builtin geometry,
@@ -12,9 +12,11 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
   * identities --seed 3 --cases 4, verify --geometry p2_cubic
     --negative-control, the refusals i-function --order 1 and
     i-function --geometry nope, i-function --geometry blp3_k3
-    --order 16, and verify on p2_cubic and p3_quartic at --order 48,
+    --order 16, verify on p2_cubic and p3_quartic at --order 48,
     where each substitution through the mirror change sums 16 and 12
-    groups of one class (21 runs);
+    groups of one class, and mirror-map --geometry blp3_k3 --order 20,
+    whose change of m = (-1, 1) reads e^G, G and both inverse coordinates
+    off one power walk (24 runs);
   * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
     and two d_point rows, and quantum-period and verify on blp3_k3 with a
     --table of two x_point rows, one value of each a fraction (12 runs);
@@ -69,6 +71,7 @@ EXTRA = (
     ("i-function", "--geometry", "blp3_k3", "--order", "16"),
     ("verify", "--geometry", "p2_cubic", "--order", "48"),
     ("verify", "--geometry", "p3_quartic", "--order", "48"),
+    ("mirror-map", "--geometry", "blp3_k3", "--order", "20"),
 )
 TMP = "<tmp>"
 FILES = {

@@ -668,7 +668,8 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
     I₁ must be Σ_β c_β·[1]_{−D·β} with −D·β ≥ 0 and no log, as the template's
     homogeneity makes it, and I₀'s log part must be p_i·I₁ at log_i (p_i
     restricted at contact > 0), as `_assemble` builds it; both are checked
-    whatever I₁ is.  For I₁ = [1]_0, J is I.  Otherwise, on units at contacts
+    whatever I₁ is, the log part against one image of each p_i per sign of
+    I₁'s contacts.  For I₁ = [1]_0, J is I.  Otherwise, on units at contacts
     ≥ 0 the contact product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β}
     for r = 1/u, u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.
     Contacts ≥ 0 multiply associatively, so the log part's quotient is p_i at
@@ -694,12 +695,14 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
             )
         units[beta] = Fraction(n, d)
     logs = [tuple(int(k == i) for k in range(geom.nvars)) for i in range(geom.nvars)]
+    sides = {min(contact, 1) for _, contact, _ in i1.terms}  # I₁'s contacts are ≥ 0
     want = {}
     for log, p in zip(logs, geom.picard):
+        images = {side: _times_unit(geom, p, 0, side) for side in sides}
         for beta, contact, _ in i1.terms:
-            term = _times_unit(geom, p, 0, contact).scale(units[beta])
-            if not term.is_zero():  # r(p_i) may be 0
-                want[(beta, contact, log)] = term
+            image = images[min(contact, 1)]
+            if not image.is_zero():  # r(p_i) may be 0
+                want[(beta, contact, log)] = image.scale(units[beta])
     if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
         raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
     unit = StateSeries.unit(geom)
@@ -718,7 +721,8 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
     route of `normalize_i`, with the log part already checked.
 
     A log-free I₀ term times a unit r_β·[1]_{−D·β} of I₁⁻¹ is r_β times
-    `_times_unit` of the term, and each output key is one `_rows`."""
+    `_times_unit` of the term, its cup with r(D) read off rows formed once
+    here, and each output key is one `_rows`."""
     geom = i0.geometry
     pol, zero = geom.policy, (0,) * geom.nvars
     u = NovikovSeries._kernel_output(pol, units)
@@ -733,6 +737,7 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
     for beta, rho in sorted(r.terms.items(), key=lambda t: pol.weight(t[0])):
         inverse.setdefault(-geom.contact_weight(beta), []).append(
             (pol.weight(beta), sum(map(mul, beta, powers)), rho.numerator, rho.denominator))
+    cup_d = _cup_rows(geom.restriction(geom.divisor_class))
     parts: dict = {}
     for (beta1, c1, logpow), v in i0.terms.items():
         if any(logpow):
@@ -744,7 +749,7 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
             c = c1 + c2
             side = (c > 0) - (c < 0)  # with c1, fixes the map `_times_unit` takes
             if side not in images:
-                images[side] = _times_unit(geom, v, c1, c).support
+                images[side] = _times_unit(geom, v, c1, c, cup_d).support
             image, filed = images[side], parts.setdefault(c, {})
             for w, p2, n, d in sector:
                 if w > room:
@@ -761,18 +766,34 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
     return StateSeries._kernel_output(geom, j0)
 
 
-def _times_unit(geom: PairGeometry, v: Element, c1: int, c: int) -> Element:
+def _times_unit(
+    geom: PairGeometry, v: Element, c1: int, c: int,
+    cup_d: tuple[tuple[tuple[int, int, int], ...], ...] | None = None,
+) -> Element:
     """[v]_{c1}·[1]_{c−c1} at contact c ≥ c1, by the product rule: r(v) when
     c1 = 0 < c, v's pairing pushforward when c1 < 0 = c, v·r(D) when
-    c1 < 0 < c, and v itself otherwise."""
+    c1 < 0 < c, and v itself otherwise.
+
+    v·r(D) is one `_rows` of v's coordinates against ``cup_d``, the rows
+    e_j·r(D) of D's basis classes (`_cup_rows`), which a caller with many
+    products forms once and passes; they are formed here when it does not."""
     res = geom.restriction
     if c1 == 0 < c:
         return res(v)
     if c1 < 0 == c:
         return pairing_pushforward(res, v)
     if c1 < 0 < c:
-        return v * res(geom.divisor_class)
+        rows = _cup_rows(res(geom.divisor_class)) if cup_d is None else cup_d
+        return Element(v.algebra, _rows(((rows[j], n, d) for j, n, d in v.support), v.algebra.dim))
     return v
+
+
+def _cup_rows(x: Element) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The sparse row of e_j·x for each basis class e_j of x's algebra."""
+    alg = x.algebra
+    return tuple(
+        _rows(((c[b], n, d) for b, n, d in x.support), alg.dim) for c in alg.constants
+    )
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:
@@ -826,52 +847,89 @@ def _grouped_exp(
     f.exp(scale(d)) truncated at its heaviest class, and most groups are
     light; a class reads only the γ whose β − γ that exp stores.  For m of
     both signs every group reaches about the full order, so all of them read
-    one power walk instead: Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0,
-    each class β gaining (s^k/k!)·[Q_k]_β with s = scale(d).  One Q_k is kept
-    at a time.  Either way the sums are one integer pass through
-    `_accumulate`, keyed by class, and each class gets one Fraction at the
-    end; the classes whose sum is zero are left out.
+    one `_power_walk` over f^k·kernel instead.  Either way each class sums
+    integer numerators over lcm-joined denominators (`_accumulate`) and gets
+    one Fraction at the end; the classes whose sum is zero are left out.
     """
-    pol = f.policy
     group_of = {beta: divisor_degree(m_vector, beta) for beta in classes}
-    acc: dict = {}
     if mixed_signs(m_vector):
-        f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
-        steps = {d: scale(d) for d in group_of.values()}
-        power = dict.fromkeys(steps, 1)  # s^k per group, over k! = fact
-        q, k, fact = NovikovSeries(pol, dict(kernel)), 0, 1
-        while not q.is_zero():
-            for beta, v in q.terms.items():
-                d = group_of.get(beta)
-                if d is not None and power[d]:
-                    _accumulate(acc, beta, power[d] * v.numerator, fact * v.denominator)
-            for d, s in steps.items():
-                power[d] *= s
-            q, k = f * q, k + 1
-            fact *= k
-    else:
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for beta, d in group_of.items():
-            groups.setdefault(d, []).append(beta)
-        kernel = [(gamma, c.numerator, c.denominator) for gamma, c in kernel]
-        for d, betas in groups.items():
-            power = f.exp(scale(d), max(map(pol.weight, betas))).terms
-            for beta in betas:
-                for gamma, n, den in kernel:
-                    v = power.get(tuple(map(sub, beta, gamma)))
-                    if v is not None:
-                        _accumulate(acc, beta, n * v.numerator, den * v.denominator)
+        return _power_walk(f, group_of, kernel, [(scale, 0)])[0]
+    pol = f.policy
+    acc: dict = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for beta, d in group_of.items():
+        groups.setdefault(d, []).append(beta)
+    kernel = [(gamma, c.numerator, c.denominator) for gamma, c in kernel]
+    for d, betas in groups.items():
+        power = f.exp(scale(d), max(map(pol.weight, betas))).terms
+        for beta in betas:
+            for gamma, n, den in kernel:
+                v = power.get(tuple(map(sub, beta, gamma)))
+                if v is not None:
+                    _accumulate(acc, beta, n * v.numerator, den * v.denominator)
     return {
         beta: Fraction(*slot) for beta in group_of if (slot := acc.get(beta)) and slot[0]
     }
+
+
+def _power_walk(
+    f: NovikovSeries, group_of: dict[tuple[int, ...], int],
+    kernel: list[tuple[tuple[int, ...], Fraction]], reads: list[tuple[Callable[[int], int], int]],
+) -> list[dict[tuple[int, ...], Fraction]]:
+    """Σ_{k≥lag} (s^{k−lag}/(k−lag)!)·[Q_k]_β at each class β of ``group_of``
+    (β ↦ d = m·β), one dict per read (scale, lag) with s = scale(d).
+
+    Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0, one Q_k held at a time,
+    so f must have no constant term: exp's refusal is raised first.  Over
+    the step's k! a read weighs [Q_k]_β by the integer s^{k−lag}·k!/(k−lag)!,
+    so all reads of a class share one denominator, joined by its lcm as in
+    `_accumulate`, and each read gets one Fraction per class at the end; the
+    classes whose sum is zero are left out.
+    """
+    f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
+    acc: dict = {}
+    q, k, fact = NovikovSeries(f.policy, dict(kernel)), 0, 1
+    while not q.is_zero():
+        # perm(k, lag) = k!/(k − lag)!, and 0 while k < lag
+        falls = [(scale, k - lag, math.perm(k, lag)) for scale, lag in reads]
+        weights: dict = {}  # a group's, formed at its first class in Q_k
+        for beta, v in q.terms.items():
+            d = group_of.get(beta)
+            if d is None:
+                continue
+            ws = weights.get(d)
+            if ws is None:
+                ws = weights[d] = [c and scale(d) ** e * c for scale, e, c in falls]
+            if not any(ws):
+                continue
+            n, den = v.numerator, fact * v.denominator
+            slot = acc.get(beta)
+            if slot is None:
+                acc[beta] = [den, *(w * n for w in ws)]
+            elif slot[0] == den:
+                for i, w in enumerate(ws, 1):
+                    slot[i] += w * n
+            else:  # one lcm join for all the reads, as in `_accumulate`
+                join = math.lcm(slot[0], den)
+                a, n, slot[0] = join // slot[0], n * (join // den), join
+                for i, w in enumerate(ws, 1):
+                    slot[i] = slot[i] * a + w * n
+        q, k = f * q, k + 1
+        fact *= k
+    return [
+        {beta: Fraction(slot[i], slot[0]) for beta in group_of
+         if (slot := acc.get(beta)) and slot[i]}
+        for i in range(1, len(reads) + 1)
+    ]
 
 
 class MirrorChange:
     """q_i = y_i · exp(m_i · g(y)): the mirror change of variables.
 
     Everything a check reads off the change is built once and kept on it, and
-    on nothing longer-lived: e^G and G (`exp_composed`, `composed`), and each
-    truncation e^{d·g} that `exp_g` is asked for.
+    on nothing longer-lived: e^G and G (`exp_composed`, `composed`), for m of
+    both signs each e^{−m_i G} of the inverse coordinates (`composed_power`),
+    and each truncation e^{d·g} that `exp_g` is asked for.
     """
 
     def __init__(self, m_vector: tuple[int, ...], g: NovikovSeries):
@@ -893,6 +951,33 @@ class MirrorChange:
             power = self._exp_g[scale, order] = self.g.exp(scale, order)
         return power
 
+    def _jacobian(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The kernel 1 + E_m g, E_m = Σ m_i y_i ∂_i, as (class, coefficient) pairs."""
+        return [((0,) * self.policy.nvars, Fraction(1))] + [
+            (beta, c * d) for beta, c in self.g.terms.items() if (d := self.contact_weight(beta))
+        ]
+
+    @cached_property
+    def _walk(self) -> tuple[NovikovSeries, dict[int, NovikovSeries]]:
+        """For m of both signs: G and {a: e^{aG}} for a = 1 and each −m_i, all
+        read off one `_power_walk` over Q_k = g^k·(1 + E_m g).
+
+        By Good's formula [q^β] F(y(q)) = [y^β] F·e^{−(m·β)g}·(1 + E_m g), so
+
+            [q^β] e^{aG} = Σ_k (a − m·β)^k/k!·[Q_k]_β,
+            [q^β] G = Σ_{k≥1} (−m·β)^{k−1}/(k−1)!·[Q_k]_β.
+
+        Built once.
+        """
+        pol = self.policy
+        offsets = sorted({1, *(-m for m in self.m_vector)})
+        reads = [(lambda d, a=a: a - d, 0) for a in offsets] + [(lambda d: -d, 1)]
+        group_of = {beta: self.contact_weight(beta) for beta in _effective_classes(pol)}
+        *exps, log = _power_walk(self.g, group_of, self._jacobian(), reads)
+        return NovikovSeries._kernel_output(pol, log), {
+            a: NovikovSeries._kernel_output(pol, e) for a, e in zip(offsets, exps)
+        }
+
     @cached_property
     def exp_composed(self) -> NovikovSeries:
         """e^{G(q)}, G = g(y(q)), by Good's multivariate Lagrange inversion.
@@ -902,23 +987,31 @@ class MirrorChange:
 
             [q^β] e^G = [y^β] e^{(1 − m·β)·g(y)}·(1 + E_m g),
 
-        read off `_grouped_exp` with the kernel 1 + E_m g: one exp per value of
-        m·β, or for m of both signs one walk over g^k·(1 + E_m g).  Built once.
+        read off `_grouped_exp` with the kernel 1 + E_m g, one exp per value of
+        m·β; for m of both signs it is one read of the change's power walk
+        (`_walk`).  Built once.
         """
-        g = self.g
+        if mixed_signs(self.m_vector):
+            return self._walk[1][1]
         pol = self.policy
-        jacobian = [((0,) * pol.nvars, Fraction(1))] + [
-            (beta, c * self.contact_weight(beta))
-            for beta, c in g.terms.items()
-            if self.contact_weight(beta)
-        ]
         classes = _effective_classes(pol)
-        return NovikovSeries(pol, _grouped_exp(g, self.m_vector, lambda d: 1 - d, classes, jacobian))
+        return NovikovSeries(
+            pol, _grouped_exp(self.g, self.m_vector, lambda d: 1 - d, classes, self._jacobian()))
 
     @cached_property
     def composed(self) -> NovikovSeries:
-        """G(q) = g(y(q)) in closed form: the log of exp_composed.  Built once."""
+        """G(q) = g(y(q)) in closed form: for m of one sign the log of exp_composed,
+        for m of both signs a read of the power walk (`_walk`).  Built once."""
+        if mixed_signs(self.m_vector):
+            return self._walk[0]
         return self.exp_composed.log()
+
+    def composed_power(self, a: int) -> NovikovSeries:
+        """e^{a·G}: e^G at a = 1, for m of both signs the walk's read at a = −m_i
+        too, and otherwise G.exp(a)."""
+        if mixed_signs(self.m_vector) and a in self._walk[1]:
+            return self._walk[1][a]
+        return self.exp_composed if a == 1 else self.composed.exp(a)
 
 
 def composed_exponent(change: MirrorChange) -> NovikovSeries:
@@ -942,15 +1035,15 @@ def class_constant_terms(
 def inverse_coordinates(change: MirrorChange) -> tuple[NovikovSeries, ...]:
     """The inverse substitution series y_i(q) = q_i · exp(−m_i · G(q)), on the change's G.
 
-    At m_i = −1 the factor is e^G, the change's `exp_composed`, read off it.
+    Each factor is the change's `composed_power(−m_i)`: for m of both signs a
+    read of its power walk, so no exp of G is taken; for m of one sign e^G
+    at m_i = −1 and G.exp(−m_i) otherwise.
     """
     pol = change.policy
-    G = composed_exponent(change)
-    out = []
-    for i, m in enumerate(change.m_vector):
-        power = change.exp_composed if m == -1 else G.exp(-m)
-        out.append(NovikovSeries.variable(pol, i) * power)
-    return tuple(out)
+    return tuple(
+        NovikovSeries.variable(pol, i) * change.composed_power(-m)
+        for i, m in enumerate(change.m_vector)
+    )
 
 
 def substitute_forward(series_q: NovikovSeries, change: MirrorChange) -> NovikovSeries:

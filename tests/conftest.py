@@ -20,10 +20,10 @@ instead.
 The series-product oracle: a literal double loop of Fraction products over
 two Novikov series, cut at the truncation weight.  The package accumulates
 integers over lcm-joined denominators instead.  The per-class θ_β oracle
-sums e^{dG} from its literal powers, and the Good's-formula oracle reads e^G
-off the literal powers of g the same way; the package reads every class off
-one power walk (m of both signs) or one exp per value of m·β, and sums each
-class in integers.
+sums e^{dG} from its literal powers, and the Good's-formula oracles read e^{aG}
+and G off the literal powers of g the same way; the package reads every class
+off one power walk (m of both signs) or one exp per value of m·β and a log,
+and sums each class in integers.
 
 The geometric state reciprocal: Σ (−n)^k with each power a `state_product`.
 The package inverts I₁'s unit coefficients as one Novikov series instead.
@@ -326,13 +326,14 @@ def class_thetas(G, m_vector, t_order):
     return out
 
 
-def good_exp_composed(change):
-    """e^{G(q)} for the change q = y·e^{m·g}, by Good's formula written out literally.
+def _good_reads(change, weight):
+    """Σ_γ c_γ Σ_k weight(k, m·β)·[g^k]_{β−γ} at each class β of the change's
+    truncation: Good's formula [q^β] F(y(q)) = [y^β] F·e^{−(m·β)g}·(1 + E_m g)
+    written out literally for an F built from powers of g.
 
-    [q^β] e^G = Σ_γ c_γ Σ_k s^k/k!·[g^k]_{β−γ} with s = 1 − m·β and the kernel
-    c = 1 + Σ_γ (m·γ)·g_γ y^γ, the Jacobian det(δ_ij + m_i y_j ∂_j g).  Each
-    power g^k = g^{k−1}·g is a `series_product`; g has no constant term, so g^k
-    vanishes past the truncation order.
+    The kernel c = 1 + Σ_γ (m·γ)·g_γ y^γ is the Jacobian det(δ_ij + m_i y_j ∂_j g).
+    Each power g^k = g^{k−1}·g is a `series_product`; g has no constant term,
+    so g^k vanishes past the truncation order.
     """
     g, m = change.g, change.m_vector
     pol = g.policy
@@ -346,13 +347,25 @@ def good_exp_composed(change):
     for beta in iproduct(*(range(pol.max_total // w + 1) for w in pol.weights)):
         if pol.weight(beta) > pol.max_total:
             continue
-        s = 1 - sum(a * b for a, b in zip(m, beta))
+        d = sum(a * b for a, b in zip(m, beta))
         out[beta] = sum(
-            c * Fraction(s**k, math.factorial(k)) * p.terms.get(tuple(map(sub, beta, gamma)), 0)
+            c * weight(k, d) * p.terms.get(tuple(map(sub, beta, gamma)), 0)
             for gamma, c in kernel.items()
             for k, p in enumerate(powers)
         )
     return NovikovSeries(pol, out)
+
+
+def good_exp_composed(change, a=1):
+    """e^{a·G(q)} for the change q = y·e^{m·g}: F = e^{a·g}, so [g^k] weighs
+    s^k/k! with s = a − m·β."""
+    return _good_reads(change, lambda k, d: Fraction((a - d) ** k, math.factorial(k)))
+
+
+def good_composed(change):
+    """G(q) = g(y(q)): F = g, so [g^k] weighs (−m·β)^{k−1}/(k−1)! for k ≥ 1."""
+    return _good_reads(
+        change, lambda k, d: Fraction((-d) ** (k - 1), math.factorial(k - 1)) if k else 0)
 
 
 def power_constant_terms(w, top):

@@ -358,9 +358,9 @@ def test_verify_never_repeats_an_exp(monkeypatch, argv, calls):
 
 
 def test_mirror_map_reads_e_to_the_g_off_the_change(monkeypatch):
-    """On blp3_k3, m = (−1, 1): y_0(q) = q_0·e^G reads e^G off the change's
-    exp_composed, so the run makes 2 exp calls where G.exp(1) made it 3: the
-    mixed-sign walk's zero-constant-term check, and e^{−G} for y_1."""
+    """On blp3_k3, m = (−1, 1): e^G, G, and the e^{±G} of y_0(q) = q_0·e^G and
+    y_1(q) = q_1·e^{−G} are all read off the change's one power walk, so the
+    run makes 1 exp call, the walk's zero-constant-term check."""
     seen = []
     real = NovikovSeries.exp
 
@@ -371,7 +371,7 @@ def test_mirror_map_reads_e_to_the_g_off_the_change(monkeypatch):
     monkeypatch.setattr(NovikovSeries, "exp", spy)
     argv = ["mirror-map", "--geometry", "blp3_k3", "--order", "8", "--format", "json"]
     assert run(argv, io.StringIO()) == 0
-    assert seen == [(1, 0), (-1, None)]
+    assert seen == [(1, 0)]
 
 
 def test_verify_negative_control():

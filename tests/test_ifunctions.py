@@ -9,6 +9,7 @@ paper, and the blown-up series from the closed multinomial expression
 
 import io
 import math
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -24,6 +25,7 @@ from conftest import (
     dense_product,
     geometry_with,
     geometric_reciprocal,
+    good_composed,
     good_exp_composed,
     is_canonical_row,
     normal_bundle_divisor_map,
@@ -461,6 +463,15 @@ def test_the_mirror_change_ladder_multiplies_no_elements(monkeypatch):
         codes = []
         count = _element_products(monkeypatch, lambda: codes.append(run(argv, stream=io.StringIO())))
         assert (codes, count) == ([0], 0), argv
+
+
+@pytest.mark.parametrize("order", [8, 10])
+def test_a_non_nef_mirror_map_multiplies_no_elements(monkeypatch, order):
+    # normalize_i's v·r(D) is one `_rows` against the rows e_j·r(D), formed once per call
+    argv = ["mirror-map", "--geometry", "blp3_k3", "--order", str(order), "--format", "json"]
+    codes = []
+    count = _element_products(monkeypatch, lambda: codes.append(run(argv, stream=io.StringIO())))
+    assert (codes, count) == ([0], 0)
 
 
 def test_toric_i_function_needs_a_toric_pair(p2):
@@ -1197,6 +1208,65 @@ def _mixed_sign_exponents(draw):
 def test_exp_composed_is_goods_formula(ch):
     """e^G against Good's formula summed from literal powers of g, for m of one sign and of both."""
     assert ch.exp_composed == good_exp_composed(ch)
+
+
+def _assert_reads_are_goods_formula(ch):
+    """e^G, G and each y_i(q) = q_i·e^{−m_i G} against Good's formula summed from
+    literal powers of g, each shift by q_i a literal product."""
+    pol = ch.policy
+    assert ch.exp_composed == good_exp_composed(ch)
+    assert composed_exponent(ch) == good_composed(ch)
+    assert inverse_coordinates(ch) == tuple(
+        series_product(NovikovSeries.variable(pol, i), good_exp_composed(ch, -m))
+        for i, m in enumerate(ch.m_vector))
+
+
+def _seeded_change(seed, m):
+    """A change with the given m and a seeded random g: weights 1-2, up to 5 terms."""
+    rng = random.Random(seed)
+    pol = TruncationPolicy.make(len(m), rng.randint(3, 9 - len(m)),
+                                tuple(rng.randint(1, 2) for _ in m))
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        beta = tuple(rng.randint(0, 3) for _ in m)
+        if any(beta):
+            terms[beta] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return MirrorChange(m, NovikovSeries(pol, terms))
+
+
+# m of both signs over 2-3 variables, with entries of size 2 and more and zeros
+@pytest.mark.parametrize("m", [(-1, 1), (2, -1), (-3, 2), (1, -2, 0), (0, 3, -1), (-2, 1, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_power_walk_reads_are_goods_formula(monkeypatch, m, seed):
+    """Every read comes off the walk: the one exp is its check on g."""
+    ch, seen = _seeded_change(seed, m), []
+    real = NovikovSeries.exp
+    monkeypatch.setattr(NovikovSeries, "exp", lambda self, scale=1, order=None: (
+        seen.append(self) or real(self, scale, order)))
+    _assert_reads_are_goods_formula(ch)
+    assert len(seen) == 1 and seen[0] is ch.g
+
+
+@pytest.mark.parametrize("order", range(4, 13))
+def test_the_blowup_change_reads_are_goods_formula(blp3, order):
+    geom = _at_order(blp3, order)
+    g = normalize_i(relative_i_function(geom, 0)).exponent.g
+    _assert_reads_are_goods_formula(MirrorChange(geom.m_vector, g))
+
+
+def test_a_non_nef_mirror_map_walks_once(monkeypatch):
+    """On blp3_k3, m = (−1, 1): e^G, G and both y_i(q) come off one power walk,
+    with no log and no exp but the walk's zero-constant-term check on g."""
+    walks, logs, exps = [], [], []
+    real_walk, real_log, real_exp = ifunctions._power_walk, NovikovSeries.log, NovikovSeries.exp
+    monkeypatch.setattr(ifunctions, "_power_walk", lambda f, *a: walks.append(f) or real_walk(f, *a))
+    monkeypatch.setattr(NovikovSeries, "log", lambda self: logs.append(self) or real_log(self))
+    monkeypatch.setattr(NovikovSeries, "exp", lambda self, scale=1, order=None: (
+        exps.append((self, scale, order)) or real_exp(self, scale, order)))
+    argv = ["mirror-map", "--geometry", "blp3_k3", "--order", "8", "--format", "json"]
+    assert run(argv, stream=io.StringIO()) == 0
+    assert len(walks) == 1 and logs == []
+    assert len(exps) == 1 and exps[0][0] is walks[0] and exps[0][1:] == (1, 0)
 
 
 @given(mg=_mixed_sign_exponents())
