@@ -220,21 +220,16 @@ def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, .
     """Intersection numbers of a degree-1 class against the Novikov curve basis:
     its coordinates on the picard classes, which are dual to that basis by
     construction.  Raises when the class is not in their span or a coordinate
-    is not an integer."""
-    # The picard classes must be basis elements, which keeps the expansion a
-    # plain coefficient read-off; any other picard class is refused, and so is
-    # a repeated one.  The class is in their span when it has no coordinate
-    # off them.
+    is not an integer.
+
+    The loader makes each picard class one basis element and refuses a
+    repeated name, so the expansion is a plain coefficient read-off, and the
+    class is in their span when it has no coordinate off them."""
     coords = []
     on = set()
     row = {k: (n, d) for k, n, d in cls.support}
     for p in picard:
-        support = p.support
-        if len(support) != 1 or support[0][1:] != (1, 1):
-            raise ConfigError("picard classes must be single basis elements")
-        k = support[0][0]
-        if k in on:
-            raise ConfigError(f"picard class {p!r} is repeated")
+        k = p.support[0][0]
         n, d = row.get(k, (0, 1))
         if d != 1:
             raise ConfigError(f"non-integer intersection pairing for {cls!r}")

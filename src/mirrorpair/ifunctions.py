@@ -14,9 +14,10 @@ the divisor.  Products follow the convention (reported by the CLI metadata):
 * exactly one negative, sum positive: restricted product cupped with the
   restricted divisor class.
 
-The package takes these products only with the unit states of I₁⁻¹, the
-scalars r_β·[1]_{−D·β} at contact −D·β ≥ 0, where each is one linear map of
-the other factor (`_times_unit`).
+The package takes these products only with the unit states of I₁ and I₁⁻¹,
+the scalars r_β·[1]_{−D·β} at contact −D·β ≥ 0, where each is one linear map
+of the other factor, chosen by the signs of the two contacts from one table
+(`_unit_maps`, read by `_times_unit`).
 
 Relative I-functions are stored per curve class β as exact z-Laurent data
 (every template factor is a finite Laurent polynomial), with the exponential
@@ -45,7 +46,6 @@ from .algebra import (
     _monomials,
     _rows,
     pairing_pushforward,
-    rat,
 )
 from .geometry import ConfigError, MissingDataError, PairGeometry, divisor_degree
 from .series import (
@@ -158,23 +158,6 @@ class StateSeries:
     def unit(geometry: PairGeometry) -> "StateSeries":
         z = (0,) * geometry.nvars
         return StateSeries(geometry, {(z, 0, z): geometry.ambient.unit()})
-
-    # -- basic ring ops ----------------------------------------------------
-
-    def __add__(self, other: "StateSeries") -> "StateSeries":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return StateSeries(self.geometry, out)  # which drops the zeros
-
-    def __sub__(self, other: "StateSeries") -> "StateSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "StateSeries":
-        c = rat(c)
-        return StateSeries(
-            self.geometry, {k: v.scale(c) for k, v in self.terms.items()}
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -639,27 +622,20 @@ class MirrorExponent:
 class NormalizedI:
     """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
 
-    J = I·I₁⁻¹ is kept only on the two slices that have readers: J₁ = [1]₀
-    and J₀, the mirror map; so `j_function` has floor z⁰.
+    Of J = I·I₁⁻¹ only J₀, the mirror map, has readers; J₁ = [1]_0 is checked
+    and not kept.
     """
 
-    __slots__ = ("unit_part", "j_function", "mirror_map", "exponent")
+    __slots__ = ("unit_part", "mirror_map", "exponent")
 
-    def __init__(
-        self,
-        unit_part: StateSeries,
-        j_function: RelativeSeries,
-        mirror_map: StateSeries,
-        exponent: MirrorExponent,
-    ):
+    def __init__(self, unit_part: StateSeries, mirror_map: StateSeries, exponent: MirrorExponent):
         self.unit_part = unit_part    # I1 = z^1 slice
-        self.j_function = j_function  # the z^1 and z^0 slices of J = I · I1^-1
-        self.mirror_map = mirror_map  # z^0 slice of J
+        self.mirror_map = mirror_map  # z^0 slice of J = I · I1^-1
         self.exponent = exponent
 
 
 def normalize_i(I: RelativeSeries) -> NormalizedI:
-    """Split off I₁ and I₀ and normalize to J's z¹ and z⁰ slices, J = I·I₁⁻¹.
+    """Split off I₁ and I₀ and normalize to J₀, the z⁰ slice of J = I·I₁⁻¹.
 
     Verifies the shape J = z·[1]_0 + (z^0 part) + O(z^{-1}): nothing above z^1
     and J's z^1 slice exactly the unit state.  Only J's z^1 and z^0 slices are
@@ -668,12 +644,14 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
     I₁ must be Σ_β c_β·[1]_{−D·β} with −D·β ≥ 0 and no log, as the template's
     homogeneity makes it, and I₀'s log part must be p_i·I₁ at log_i (p_i
     restricted at contact > 0), as `_assemble` builds it; both are checked
-    whatever I₁ is, the log part against one image of each p_i per sign of
-    I₁'s contacts.  For I₁ = [1]_0, J is I.  Otherwise, on units at contacts
-    ≥ 0 the contact product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β}
-    for r = 1/u, u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.
-    Contacts ≥ 0 multiply associatively, so the log part's quotient is p_i at
-    β = 0, and only I₀'s log-free terms are multiplied by I₁⁻¹.  Raises
+    whatever I₁ is.  Every product with a unit of I₁ or I₁⁻¹ is one map of the
+    product rule's table (`_unit_maps`), formed once here and only when I₁
+    has a term at contact > 0: otherwise every product keeps its factor.
+    For I₁ = [1]_0, J is I.  Otherwise, on units at contacts ≥ 0 the contact
+    product is the Novikov product, so I₁⁻¹ = Σ r_β·[1]_{−D·β} for r = 1/u,
+    u = Σ c_β·y^β, and J₁ = [1]_0 is the one check u·r = 1.  Contacts ≥ 0
+    multiply associatively, so the log part's quotient is p_i at β = 0, and
+    only I₀'s log-free terms are multiplied by I₁⁻¹.  Raises
     PipelineInvariantError on any violation.
     """
     geom = I.geometry
@@ -694,35 +672,30 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
                 f"-D.beta >= 0: term at {beta}, contact {contact}, log {logpow}"
             )
         units[beta] = Fraction(n, d)
+    sides = {_sign(contact) for _, contact, _ in i1.terms}  # I₁'s contacts are ≥ 0
+    maps = _unit_maps(geom) if 1 in sides else {}
     logs = [tuple(int(k == i) for k in range(geom.nvars)) for i in range(geom.nvars)]
-    sides = {min(contact, 1) for _, contact, _ in i1.terms}  # I₁'s contacts are ≥ 0
     want = {}
     for log, p in zip(logs, geom.picard):
-        images = {side: _times_unit(geom, p, 0, side) for side in sides}
+        images = {side: _times_unit(p, (0, side), maps) for side in sides}
         for beta, contact, _ in i1.terms:
-            image = images[min(contact, 1)]
+            image = images[_sign(contact)]
             if not image.is_zero():  # r(p_i) may be 0
                 want[(beta, contact, log)] = image.scale(units[beta])
     if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
         raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
-    unit = StateSeries.unit(geom)
-    j0 = i0 if i1 == unit else _divide_by_unit_slice(units, i0, logs)
-    slices = {
-        (b, c, z, l): el
-        for z, part in ((1, unit), (0, j0))
-        for (b, c, l), el in part.terms.items()
-    }
-    J = RelativeSeries(geom, slices, lowest_z=0)
-    return NormalizedI(i1, J, j0, extract_mirror_exponent(j0))
+    j0 = i0 if i1 == StateSeries.unit(geom) else _divide_by_unit_slice(units, i0, logs, maps)
+    return NormalizedI(i1, j0, extract_mirror_exponent(j0))
 
 
-def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeries:
+def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list, maps: dict) -> StateSeries:
     """J₀ = I₀·I₁⁻¹ for I₁ = Σ c_β·[1]_{−D·β}, ``units`` {β: c_β}, not [1]_0, by the
     route of `normalize_i`, with the log part already checked.
 
     A log-free I₀ term times a unit r_β·[1]_{−D·β} of I₁⁻¹ is r_β times
-    `_times_unit` of the term, its cup with r(D) read off rows formed once
-    here, and each output key is one `_rows`."""
+    `_times_unit` of the term on the table ``maps``, each image formed once
+    per term and sign of the output contact, and each output key is one
+    `_rows`."""
     geom = i0.geometry
     pol, zero = geom.policy, (0,) * geom.nvars
     u = NovikovSeries._kernel_output(pol, units)
@@ -737,7 +710,6 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
     for beta, rho in sorted(r.terms.items(), key=lambda t: pol.weight(t[0])):
         inverse.setdefault(-geom.contact_weight(beta), []).append(
             (pol.weight(beta), sum(map(mul, beta, powers)), rho.numerator, rho.denominator))
-    cup_d = _cup_rows(geom.restriction(geom.divisor_class))
     parts: dict = {}
     for (beta1, c1, logpow), v in i0.terms.items():
         if any(logpow):
@@ -747,10 +719,10 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
             if sector[0][0] > room:
                 continue
             c = c1 + c2
-            side = (c > 0) - (c < 0)  # with c1, fixes the map `_times_unit` takes
-            if side not in images:
-                images[side] = _times_unit(geom, v, c1, c, cup_d).support
-            image, filed = images[side], parts.setdefault(c, {})
+            key = (_sign(c1), _sign(c))
+            if key not in images:
+                images[key] = _times_unit(v, key, maps).support
+            image, filed = images[key], parts.setdefault(c, {})
             for w, p2, n, d in sector:
                 if w > room:
                     break
@@ -766,34 +738,36 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list) -> StateSeri
     return StateSeries._kernel_output(geom, j0)
 
 
-def _times_unit(
-    geom: PairGeometry, v: Element, c1: int, c: int,
-    cup_d: tuple[tuple[tuple[int, int, int], ...], ...] | None = None,
-) -> Element:
-    """[v]_{c1}·[1]_{c−c1} at contact c ≥ c1, by the product rule: r(v) when
-    c1 = 0 < c, v's pairing pushforward when c1 < 0 = c, v·r(D) when
-    c1 < 0 < c, and v itself otherwise.
-
-    v·r(D) is one `_rows` of v's coordinates against ``cup_d``, the rows
-    e_j·r(D) of D's basis classes (`_cup_rows`), which a caller with many
-    products forms once and passes; they are formed here when it does not."""
-    res = geom.restriction
-    if c1 == 0 < c:
-        return res(v)
-    if c1 < 0 == c:
-        return pairing_pushforward(res, v)
-    if c1 < 0 < c:
-        rows = _cup_rows(res(geom.divisor_class)) if cup_d is None else cup_d
-        return Element(v.algebra, _rows(((rows[j], n, d) for j, n, d in v.support), v.algebra.dim))
-    return v
+def _sign(contact: int) -> int:
+    """−1, 0 or 1: the sign of a contact, which with its factor's fixes a product's map."""
+    return (contact > 0) - (contact < 0)
 
 
-def _cup_rows(x: Element) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The sparse row of e_j·x for each basis class e_j of x's algebra."""
-    alg = x.algebra
-    return tuple(
-        _rows(((c[b], n, d) for b, n, d in x.support), alg.dim) for c in alg.constants
-    )
+def _unit_maps(geom: PairGeometry) -> dict:
+    """The product rule's maps of [v]_{c1}·[1]_{c−c1}, c ≥ c1, keyed by the signs
+    of (c1, c): each is (rows, target algebra), the image row of each basis
+    class of v's algebra.  (0, +) holds the restriction's rows, (−, 0) the
+    pairing pushforward's and (−, +) the rows e_j·r(D).  At every other key
+    the product is v itself, and the table holds nothing."""
+    res, amb, div = geom.restriction, geom.ambient, geom.divisor
+    cup = res(geom.divisor_class).support
+    return {
+        (0, 1): (res.rows, div),
+        (-1, 0): (res.pushforward_rows, amb),
+        (-1, 1): (tuple(_rows(((c[b], n, d) for b, n, d in cup), div.dim)
+                        for c in div.constants), div),
+    }
+
+
+def _times_unit(v: Element, key: tuple[int, int], maps: dict) -> Element:
+    """[v]_{c1}·[1]_{c−c1} for ``key`` the signs of (c1, c): one `_rows` of v's
+    coordinates against the rows ``maps`` (`_unit_maps`) holds at the key, and
+    v itself at a key it does not hold."""
+    entry = maps.get(key)
+    if entry is None:
+        return v
+    rows, alg = entry
+    return Element(alg, _rows(((rows[j], n, d) for j, n, d in v.support), alg.dim))
 
 
 def extract_mirror_exponent(tau: StateSeries) -> MirrorExponent:

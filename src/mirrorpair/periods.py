@@ -380,14 +380,14 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
 
     u_y = substitute_forward(NovikovSeries(pol, u_terms), change)
     nu_y = substitute_forward(NovikovSeries(pol, pot.as_dict()), change)
-    exp_g = g.exp()
+    exp_g = change.exp_g(1, pol.max_total)
     g_back = substitute_forward(composed_exponent(change), change)
 
     one_nu_y = one + nu_y
     endpoint_y = one_nu_y == exp_g
     endpoint_q = g_back == g
 
-    E = g.exp(-1)
+    E = change.exp_g(-1, pol.max_total)
     L = E * u_y - E + one
     r_terms: dict[tuple[int, ...], Fraction] = {}
     for beta, c in g.terms.items():

@@ -37,8 +37,9 @@ The normal-bundle route to the divisor mirror map τ_D: the relative
 I-function of the compactified normal bundle P(N ⊕ O) of D with its zero
 section, one link at a time over D's ring extended by h0, read off at z ≥ 0
 in the fiber direction.  The package reads τ_D off the d_point rows with the
-factor (−1)^{a+1}(a+1)! instead, so the two routes share only the pairing
-pushforward, which test_algebra checks against its defining property.
+factor (−1)^{a+1}(a+1)! instead.  The oracles' pairing pushforward
+(`pushforward`) is solved from its defining property on the dense Gram
+matrix; the package reads it off the rows over its dual basis.
 
 The brute-force structure checks: every associativity triple of a ring and
 every basis pair of a restriction map, each product by the dense table.  The
@@ -68,7 +69,6 @@ from mirrorpair import (
     ZLaurentElement,
     load_geometry,
     nilpotent_reciprocal,
-    pairing_pushforward,
 )
 
 SYNTHETIC_NEGATIVE = """
@@ -235,6 +235,28 @@ def assemble_literal(geom, pieces):
     return out
 
 
+def pushforward(geom, v):
+    """P(v) on X for a class v on D, from its definition ∫_X P(v)·e_j = ∫_D v·r(e_j)
+    for every basis class e_j of X, solved on the Gram matrix ∫_X e_i·e_j of
+    `dense_table` by Gauss–Jordan elimination in Fractions."""
+    amb, div = geom.ambient, geom.divisor
+    table, n = dense_table(amb), amb.dim
+
+    def integral(alg, coeffs):
+        return sum((c * w for c, w in zip(coeffs, alg.integration)), Fraction(0))
+
+    rows = [[integral(amb, table[i][j]) for j in range(n)] + [integral(div, dense_product(
+        v, div.element(dense_row(geom.restriction.rows[i], div.dim))))] for i in range(n)]
+    for c in range(n):  # the Gram matrix is symmetric, so its rows solve for P(v)
+        pivot = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return amb.element([row[n] for row in rows])
+
+
 def contact_product(geom, c1, e1, c2, e2):
     """(contact, value) of [e1]_c1 · [e2]_c2 by the contact-order rule."""
     c = c1 + c2
@@ -250,7 +272,7 @@ def contact_product(geom, c1, e1, c2, e2):
     if (c1 >= 0 and c2 >= 0) or (c1 < 0 and c2 < 0) or c < 0:
         return c, times(d1, d2)
     if c == 0:
-        return 0, pairing_pushforward(r, times(d1, d2))
+        return 0, pushforward(geom, times(d1, d2))
     return c, times(times(d1, d2), r(geom.divisor_class))
 
 
@@ -276,16 +298,20 @@ def geometric_reciprocal(f):
     vanished after 64 steps raise ValueError.
     """
     geom = f.geometry
-    unit = StateSeries.unit(geom)
     zero = (0,) * geom.nvars
     c = f.terms[(zero, 0, zero)].unit_component()
-    n = f.scale(1 / c) - unit
-    out = power = unit
+    n = {key: el.scale(1 / c) for key, el in f.terms.items()}
+    n[(zero, 0, zero)] -= geom.ambient.unit()
+    n = StateSeries(geom, n)
+    power = StateSeries.unit(geom)
+    out = dict(power.terms)
     for k in range(1, 64):
         power = state_product(power, n)
         if not power.terms:
-            return out.scale(1 / c)
-        out = out + power.scale((-1) ** k)
+            return StateSeries(geom, {key: el.scale(1 / c) for key, el in out.items()})
+        for key, el in power.terms.items():
+            el = el.scale((-1) ** k)
+            out[key] = out[key] + el if key in out else el
     raise ValueError("geometric series of a state series did not end")
 
 
@@ -459,7 +485,7 @@ def normal_bundle_divisor_map(geom):
                     plain[div.unit_index] -= 1  # the seed z·1
                 if any(plain):
                     raise ValueError(f"normal-bundle route: base-direction z^{z} term at {beta}")
-                cls = pairing_pushforward(geom.restriction, div.element(el.coeffs[n:]))
+                cls = pushforward(geom, div.element(el.coeffs[n:]))
                 out[(beta, z)] = out[(beta, z)] + cls if (beta, z) in out else cls
     return {key: cls for key, cls in out.items() if not cls.is_zero()}
 

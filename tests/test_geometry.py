@@ -345,10 +345,7 @@ def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
     assert err.startswith(f"error: {cfg}: ") and re.search(message, err)
 
 
-def test_pairing_refuses_a_repeated_picard_class_and_a_class_off_the_span(blp3):
-    H = blp3.ambient.named("H")
-    with pytest.raises(ConfigError, match="picard class H is repeated"):
-        _expand_in_picard((H, H), H)
+def test_pairing_refuses_a_class_off_the_span(blp3):
     with pytest.raises(ConfigError, match="H2 is not in the span of the picard classes"):
         _expand_in_picard(blp3.picard, blp3.ambient.named("H2"))
 

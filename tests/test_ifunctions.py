@@ -65,7 +65,9 @@ from mirrorpair.ifunctions import (
     PRODUCT_RULE_TEXT,
     _chain_rows,
     _link_rows,
+    _sign,
     _times_unit,
+    _unit_maps,
     absolute_core,
     class_constant_terms,
 )
@@ -628,9 +630,6 @@ def test_reading_below_the_floor_raises(blp3):
     with pytest.raises(TruncationError, match="below .* z\\^0"):
         floored.coefficient((1, 0), 0, -1)
     assert floored != whole  # a partial series never passes for the whole one
-    assert normalize_i(floored).j_function.lowest_z == 0
-    with pytest.raises(TruncationError):
-        normalize_i(floored).j_function.z_slice(-1)
 
 
 def test_a_floored_series_refuses_terms_below_its_floor(p2):
@@ -671,8 +670,9 @@ def test_one_point_invariants_match_closed_form(p2, p3):
 
 
 def _unit_product(geom, c1, v, c2):
-    """(contact, value) of [v]_c1·[1]_c2 for c2 ≥ 0, the one product `normalize_i` takes."""
-    return c1 + c2, _times_unit(geom, v, c1, c1 + c2)
+    """(contact, value) of [v]_c1·[1]_c2 for c2 ≥ 0, the one product `normalize_i`
+    takes, on the table of the product rule's maps it forms."""
+    return c1 + c2, _times_unit(v, (_sign(c1), _sign(c1 + c2)), _unit_maps(geom))
 
 
 def test_product_rule_nonnegative_restricts_and_adds(p3):
@@ -737,7 +737,7 @@ _state_terms = st.lists(
     max_size=6,
 )
 
-# z⁰ terms for every map `_times_unit` takes, with nonzero and zero products:
+# z⁰ terms for every map of `_unit_maps`, with nonzero and zero products:
 # contacts −3…3, classes of weight 0 up to the truncation order, unit, mixed
 # and top-degree values; against the units of _SOME_UNITS (contacts 0, 1 and 2
 # on blp3, 2 and 4 on synthetic_negative) every contact sign is reached
@@ -790,7 +790,6 @@ def test_blowup_j0_is_the_geometric_quotient(blp3, order):
     want = state_product(I.z_slice(0), geometric_reciprocal(I.z_slice(1)))
     assert N.unit_part != StateSeries.unit(geom)  # the non-nef route
     assert N.mirror_map == want
-    assert N.j_function.z_slice(0) == want
 
 
 def test_j0_quotient_when_a_picard_class_restricts_to_zero(blp3):
@@ -823,25 +822,12 @@ def _unit_slice_and_log_free_terms(geom, units, raw):
     return i1, i0
 
 
-@pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
-@given(
-    c0=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
-    units=st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=2, max_size=2),
-                             st.fractions(min_value=-3, max_value=3, max_denominator=2)),
-                   max_size=5),
-    raw=_state_terms,
-    log=st.booleans(),
-)
-@example(c0=Fraction(1), units=_SOME_UNITS, raw=_ALL_BRANCHES, log=True)
-@settings(max_examples=25, deadline=None)
-def test_state_reciprocal_is_the_geometric_series(request, name, c0, units, raw, log):
-    """A scalar z¹ slice over a log-free z⁰ slice with the log part p_i·I₁
-    beside it: `normalize_i`'s J₀ is I₀ times the geometric series of I₁, by
-    literal state products, and J₁ is [1]_0.  Without that log part every I₁
-    is refused, [1]_0 included."""
+def _unit_slice_series(geom, c0, units, raw, log):
+    """(I, I₀, I₁): a scalar z¹ slice c₀·[1]_0 + Σ c_β·[1]_{−D·β} over a log-free
+    z⁰ slice (`_unit_slice_and_log_free_terms`), with the log part p_i·I₁
+    beside it at log_i when ``log``."""
     from mirrorpair import RelativeSeries
 
-    geom = request.getfixturevalue(name)
     zero = (0,) * geom.nvars
     i1, i0 = _unit_slice_and_log_free_terms(geom, units, raw)
     i1[(zero, 0, zero)] = geom.ambient.unit().scale(c0)
@@ -855,13 +841,72 @@ def test_state_reciprocal_is_the_geometric_series(request, name, c0, units, raw,
         (b, c, z, l): el
         for z, part in ((1, i1), (0, i0)) for (b, c, l), el in part.items()
     })
+    return I, StateSeries(geom, i0), unit_slice
+
+
+@pytest.mark.parametrize("name", ["p3", "blp3", "synthetic_negative"])
+@given(
+    c0=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    units=st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                             st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+                   max_size=5),
+    raw=_state_terms,
+    log=st.booleans(),
+)
+@example(c0=Fraction(1), units=_SOME_UNITS, raw=_ALL_BRANCHES, log=True)
+@settings(max_examples=25, deadline=None)
+def test_state_reciprocal_is_the_geometric_series(request, name, c0, units, raw, log):
+    """A scalar z¹ slice over a log-free z⁰ slice with the log part p_i·I₁
+    beside it: `normalize_i` runs, so its check u·r = 1 holds, which is
+    J₁ = [1]_0, and its J₀ is I₀ times the geometric series of I₁, by literal
+    state products.  Without that log part every I₁ is refused, [1]_0
+    included.
+
+    On p3 every class β ≠ 0 has −D·β < 0, so every drawn unit but c₀ is
+    dropped: that case covers the divide by a constant unit only.  blp3 and
+    synthetic_negative reach the maps at contact > 0
+    (`test_unit_products_reach_every_map_of_the_table`)."""
+    geom = request.getfixturevalue(name)
+    I, i0, unit_slice = _unit_slice_series(geom, c0, units, raw, log)
     if not log:
         with pytest.raises(PipelineInvariantError, match="log part is not"):
             normalize_i(I)
         return
     N = normalize_i(I)
-    assert N.j_function.z_slice(1) == StateSeries.unit(geom)
-    assert N.mirror_map == state_product(StateSeries(geom, i0), geometric_reciprocal(unit_slice))
+    assert N.mirror_map == state_product(i0, geometric_reciprocal(unit_slice))
+
+
+class _CountingMaps(dict):
+    """A table of the product rule's maps that counts the lookups of each key it holds."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.hits = dict.fromkeys(table, 0)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits[key] += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name, tables", [("p3", 0), ("blp3", 1), ("synthetic_negative", 1)])
+def test_unit_products_reach_every_map_of_the_table(monkeypatch, request, name, tables):
+    """The `_ALL_BRANCHES` terms over the `_SOME_UNITS` slice reach each of the
+    table's three maps, restriction, pushforward and cup with r(D), on blp3
+    and synthetic_negative, where I₁ has terms at contact > 0.  On p3 it has
+    none, so `normalize_i` forms no table."""
+    geom = request.getfixturevalue(name)
+    I, i0, unit_slice = _unit_slice_series(geom, 1, _SOME_UNITS, _ALL_BRANCHES, True)
+    spies = []
+    real = ifunctions._unit_maps
+    monkeypatch.setattr(ifunctions, "_unit_maps",
+                        lambda g: spies.append(_CountingMaps(real(g))) or spies[-1])
+    N = normalize_i(I)
+    assert len(spies) == tables
+    for spy in spies:
+        assert set(spy.hits) == {(0, 1), (-1, 0), (-1, 1)}
+        assert all(spy.hits.values()), spy.hits
+    assert N.mirror_map == state_product(i0, geometric_reciprocal(unit_slice))
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +946,12 @@ def test_blowup_unit_slice_closed_form(blp3):
 
 
 def test_blowup_j_shape(blp3):
-    N = normalize_i(relative_i_function(blp3))
-    assert N.j_function.top_z() == 1
-    assert N.j_function.z_slice(1) == StateSeries.unit(blp3)
+    """J = I·I₁⁻¹ tops out at z¹, as I does, and J₁ = [1]_0: `normalize_i`
+    runs, so its check u·r = 1 holds (the literal I₁·I₁⁻¹ is
+    `test_state_reciprocal_multiplies_back`)."""
+    I = relative_i_function(blp3)
+    assert I.top_z() == 1
+    normalize_i(I)
 
 
 def test_blowup_contact_one_report(blp3):
