@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .ifunctions import (
     CancellationError,
-    DivisorMirrorMap,
     MalformedMirrorMapError,
     MirrorChange,
     MirrorExponent,

@@ -166,9 +166,6 @@ class StateSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("StateSeries is not hashable")
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -268,9 +265,6 @@ class RelativeSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("RelativeSeries is not hashable")
-
 
 # ---------------------------------------------------------------------------
 # the exponential prefactor
@@ -315,31 +309,17 @@ def absolute_core(geom: PairGeometry, beta: tuple[int, ...]) -> dict[int, Fracti
 # divisor mirror map
 
 
-class DivisorMirrorMap:
-    """z^{≥0} correction data of the divisor theory: {(beta, zexp): ambient class}."""
+def divisor_mirror_map(
+    geom: PairGeometry,
+) -> tuple[tuple[tuple[tuple[int, ...], int], Element], ...]:
+    """τ_D, the z^{≥0} correction of the divisor theory: its sorted nonzero
+    ((β, z power), ambient class) terms, () when τ_D = 0.
 
-    __slots__ = ("source", "reason", "terms")
-
-    def __init__(
-        self,
-        source: str,
-        reason: str | None,
-        terms: tuple[tuple[tuple[tuple[int, ...], int], Element], ...],
-    ):
-        self.source = source
-        self.reason = reason
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict[tuple[tuple[int, ...], int], Element]:
-        return dict(self.terms)
-
-
-def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
+    Where τ_D comes from, and why it is zero, stay on the geometry
+    (`tau_d_source`, `tau_d_reason`).
+    """
     if geom.tau_d_source == "zero":
-        return DivisorMirrorMap("zero", geom.tau_d_reason, ())
+        return ()
     # tau_d_source = table, the only other value the loader accepts
     if geom.table is None or geom.table.is_empty_for("d_point"):
         raise MissingDataError(
@@ -357,12 +337,12 @@ def divisor_mirror_map(geom: PairGeometry) -> DivisorMirrorMap:
         cls = push_unit.scale(v * Fraction((-1) ** (a + 1) * math.factorial(a + 1)))
         if not cls.is_zero():
             terms[(tuple(beta), 0)] = cls
-    return DivisorMirrorMap(geom.tau_d_source, None, tuple(sorted(terms.items())))
+    return tuple(sorted(terms.items()))
 
 
 def _refuse_nonzero_tau_d(geom: PairGeometry, what: str, needs: str) -> None:
     """MissingDataError when τ_D ≠ 0: ``what`` then needs ``needs``, which no table carries."""
-    if not divisor_mirror_map(geom).is_zero():
+    if divisor_mirror_map(geom):
         raise MissingDataError(
             f"{geom.name}: {what} at nonzero divisor mirror map needs {needs}: "
             "external data required"
@@ -620,16 +600,15 @@ class MirrorExponent:
 
 
 class NormalizedI:
-    """I split into its z¹ and z⁰ slices and normalized by I₁⁻¹.
+    """What normalizing I by I₁⁻¹ yields: J₀, the mirror map, and its exponent.
 
-    Of J = I·I₁⁻¹ only J₀, the mirror map, has readers; J₁ = [1]_0 is checked
-    and not kept.
+    Of J = I·I₁⁻¹ only J₀ has readers; J₁ = [1]_0 is checked and not kept,
+    and I₁ itself is `I.z_slice(1)`.
     """
 
-    __slots__ = ("unit_part", "mirror_map", "exponent")
+    __slots__ = ("mirror_map", "exponent")
 
-    def __init__(self, unit_part: StateSeries, mirror_map: StateSeries, exponent: MirrorExponent):
-        self.unit_part = unit_part    # I1 = z^1 slice
+    def __init__(self, mirror_map: StateSeries, exponent: MirrorExponent):
         self.mirror_map = mirror_map  # z^0 slice of J = I · I1^-1
         self.exponent = exponent
 
@@ -685,7 +664,7 @@ def normalize_i(I: RelativeSeries) -> NormalizedI:
     if want != {k: el for k, el in i0.terms.items() if any(k[2])}:
         raise PipelineInvariantError("z^0 log part is not p_i*I1 at log_i")
     j0 = i0 if i1 == StateSeries.unit(geom) else _divide_by_unit_slice(units, i0, logs, maps)
-    return NormalizedI(i1, j0, extract_mirror_exponent(j0))
+    return NormalizedI(j0, extract_mirror_exponent(j0))
 
 
 def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list, maps: dict) -> StateSeries:
@@ -927,9 +906,8 @@ class MirrorChange:
 
     def _jacobian(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """The kernel 1 + E_m g, E_m = Σ m_i y_i ∂_i, as (class, coefficient) pairs."""
-        return [((0,) * self.policy.nvars, Fraction(1))] + [
-            (beta, c * d) for beta, c in self.g.terms.items() if (d := self.contact_weight(beta))
-        ]
+        return [((0,) * self.policy.nvars, Fraction(1)),
+                *self.g.weighted_scaling(self.m_vector).terms.items()]
 
     @cached_property
     def _walk(self) -> tuple[NovikovSeries, dict[int, NovikovSeries]]:

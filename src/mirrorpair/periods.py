@@ -178,9 +178,6 @@ class ProperPotential:
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:  # β ≠ 0 -> w_β
         return tuple(sorted((b, c) for b, c in self.change.exp_composed.terms.items() if any(b)))
 
-    def contact_weight(self, beta) -> int:
-        return self.change.contact_weight(beta)
-
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
 
@@ -190,7 +187,7 @@ class ProperPotential:
         The classes of one t-degree are summed by `collapse_by_degree`, so the
         view is refused with TruncationError when m has entries of both signs.
         """
-        terms = [(b, self.contact_weight(b), c) for b, c in self.terms]
+        terms = [(b, self.change.contact_weight(b), c) for b, c in self.terms]
         sums = collapse_by_degree(self.geometry, terms)
         for beta, d, _ in terms:
             _require_contact(d, "potential term", beta, "; cannot collapse")
@@ -250,7 +247,7 @@ def classical_period(pot: ProperPotential, t_order: int) -> PeriodSeries:
             f"{geom.name}: mirror exponent g truncated at order "
             f"{g.policy.max_total}, its potential at {geom.policy.max_total}"
         )
-    kept = ((b, pot.contact_weight(b), c) for b, c in sorted(g.terms.items()))
+    kept = ((b, pot.change.contact_weight(b), c) for b, c in sorted(g.terms.items()))
     terms = tuple((b, d, d * c) for b, d, c in kept if 1 <= d <= t_order)
     return PeriodSeries("classical", t_order, geom, terms)
 
@@ -260,30 +257,27 @@ def classical_period(pot: ProperPotential, t_order: int) -> PeriodSeries:
 
 
 class PeriodComparison:
-    __slots__ = ("t_order", "rows", "all_match", "first_mismatch",
-                 "negative_control", "expected_mismatch_degree")
+    """Classical against regularized period: `rows` (d, classical, regularized,
+    ok) for d = 0..t_order, the lowest d not ok (None if every d is), and the
+    degree a negative control perturbed (None on a plain run).  It passes when
+    the two degrees agree: no mismatch, or the first one where it was planted.
+    """
+
+    __slots__ = ("rows", "first_mismatch", "expected_mismatch_degree")
 
     def __init__(
         self,
-        t_order: int,
         rows: tuple[tuple[int, Fraction, Fraction, bool], ...],
-        all_match: bool,
         first_mismatch: int | None,
-        negative_control: bool,
         expected_mismatch_degree: int | None,
     ):
-        self.t_order = t_order
-        self.rows = rows  # (d, classical, regularized, ok)
-        self.all_match = all_match
+        self.rows = rows
         self.first_mismatch = first_mismatch
-        self.negative_control = negative_control
         self.expected_mismatch_degree = expected_mismatch_degree
 
     @property
     def passed(self) -> bool:
-        if not self.negative_control:
-            return self.all_match
-        return (not self.all_match) and self.first_mismatch == self.expected_mismatch_degree
+        return self.first_mismatch == self.expected_mismatch_degree
 
 
 def compare_periods(
@@ -305,7 +299,7 @@ def compare_periods(
              for d in range(t_order + 1))
     rows = tuple((d, c, r, c == r) for d, c, r in sides)
     first = next((d for d, _, _, ok in rows if not ok), None)
-    return PeriodComparison(t_order, rows, first is None, first, negative_control, expected_deg)
+    return PeriodComparison(rows, first, expected_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +307,18 @@ def compare_periods(
 
 
 class EulerScalingReport:
-    __slots__ = ("coefficient_identity_ok", "scaling_ok",
-                 "display_ok", "endpoint_y_ok", "endpoint_q_ok", "details")
+    """The Euler-scaling check: `parts` are its five (label, ok) pairs in
+    print order, and `details` names the first difference of a failed one."""
 
-    def __init__(
-        self,
-        coefficient_identity_ok: bool,
-        scaling_ok: bool,
-        display_ok: bool,
-        endpoint_y_ok: bool,
-        endpoint_q_ok: bool,
-        details: str,
-    ):
-        self.coefficient_identity_ok = coefficient_identity_ok  # L == R
-        self.scaling_ok = scaling_ok        # Δ_D L == Δ_D R
-        self.display_ok = display_ok        # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
-        self.endpoint_y_ok = endpoint_y_ok  # 1 + Σ n_β u_β q^β(y) == exp(g)
-        self.endpoint_q_ok = endpoint_q_ok  # G(q(y)) == g(y)
+    __slots__ = ("parts", "details")
+
+    def __init__(self, parts: tuple[tuple[str, bool], ...], details: str):
+        self.parts = parts
         self.details = details
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.coefficient_identity_ok
-            and self.scaling_ok
-            and self.display_ok
-            and self.endpoint_y_ok
-            and self.endpoint_q_ok
-        )
+        return all(ok for _, ok in self.parts)
 
 
 def _first_difference(a: NovikovSeries, b: NovikovSeries) -> str:
@@ -411,7 +389,13 @@ def euler_scaling_check(pot: ProperPotential) -> EulerScalingReport:
     elif not endpoint_q:
         details = _first_difference(g_back, g)
 
-    return EulerScalingReport(ident, scaling, display, endpoint_y, endpoint_q, details)
+    return EulerScalingReport((
+        ("coefficient_identity", ident),     # L == R
+        ("scaling_operator", scaling),       # Δ_D L == Δ_D R
+        ("display_form", display),           # G·exp(-g)·(1 + Σ n_β u_β q^β(y)) == G
+        ("endpoint_y", endpoint_y),          # 1 + Σ n_β u_β q^β(y) == exp(g)
+        ("endpoint_q", endpoint_q),          # G(q(y)) == g(y)
+    ), details)
 
 
 def roundtrip_for_geometry(pot: ProperPotential) -> RoundtripReport:

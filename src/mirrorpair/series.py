@@ -249,9 +249,6 @@ class NovikovSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("NovikovSeries is not hashable")
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -446,9 +443,6 @@ class ZLaurentElement:
         if not isinstance(other, ZLaurentElement) or self.algebra is not other.algebra:
             return False
         return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("ZLaurentElement is not hashable")
 
     def coefficient(self, k: int) -> Element:
         """The z^k coefficient (zero outside the support)."""

@@ -382,6 +382,36 @@ def test_verify_negative_control():
     assert "MISMATCH" in text
 
 
+@pytest.mark.parametrize(
+    "control, verdict",
+    [
+        (False, "fail (first mismatch at t^6)"),
+        (True, "fail (perturbation not caught at the expected degree)"),
+    ],
+)
+def test_verify_fails_a_wrong_quantum_side(monkeypatch, control, verdict):
+    """A quantum side off by 1 at t^6 fails a plain run there; under the
+    control, one that takes the control's bump back out is not caught."""
+    from mirrorpair import periods
+
+    original = periods._quantum_series
+
+    def shifted(geom, t_order, negative_control=False):
+        period, bumped = original(geom, t_order, negative_control)
+        at, by = (bumped, -1) if negative_control else (6, 1)
+        terms = tuple((b, d, v + by if d == at else v) for b, d, v in period.terms)
+        return periods.PeriodSeries(period.kind, t_order, geom, terms), bumped
+
+    monkeypatch.setattr(periods, "_quantum_series", shifted)
+    argv = ["verify", "--geometry", "p2_cubic", "--order", "9", "--format", "json"]
+    code, text = _run(*argv, *(["--negative-control"] if control else []))
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["metadata"]["result"] == "fail: period_theorem"
+    checks = {r["selector"]: r["value"] for r in doc["records"] if r["series"] == "check"}
+    assert checks["period_theorem"] == verdict
+
+
 def test_verify_skips_period_check_without_data():
     code, text = _run("verify", "--geometry", "blp3_k3", "--order", "4")
     assert code == 0
