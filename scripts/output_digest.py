@@ -74,30 +74,31 @@ EXTRA = (
     ("mirror-map", "--geometry", "blp3_k3", "--order", "20"),
 )
 TMP = "<tmp>"
+
+
+def p2_table(rows: str) -> str:
+    """p2_cubic as an invariant_table pair with these x_point rows, [toric] dropped."""
+    return (
+        BUILTIN_CONFIGS["p2_cubic"]
+        .replace("j_source = toric_hypergeometric",
+                 "j_source = invariant_table\ninvariants =\n" + rows)
+        .replace("[toric]\ndenominators = H; H; H\n\n", "")
+    )
+
+
 FILES = {
     "tau_d.ini": BUILTIN_CONFIGS["blp3_k3"].replace(
         "tau_d_source = zero\n",
         "tau_d_source = table\ninvariants =\n    d_point 3,0 1 pt 5\n    d_point 2,0 0 pt 3/7\n",
     ),
     "x.table": "x_point 0,2 0 pt 5\nx_point 0,3 1 pt 7/3\n",
-    "p2_table.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n"
-        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
-    ),
-    "above_z1.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
-    ),
-    "p2_zero.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 0\n"
-        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216",
-    ),
+    "p2_table.ini": p2_table(
+        "    x_point 1 1 pt 1\n    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"),
+    "above_z1.ini": p2_table("    x_point 1 1 pt 1\n    x_point 2 0 pt 1"),
+    "p2_zero.ini": p2_table(
+        "    x_point 1 1 pt 0\n    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"),
     "degenerate_ambient.ini": BUILTIN_CONFIGS["p2_cubic"]
-    .replace("products =\n    H H H2 1\n", "").replace("    H p 3\n", "")
-    .replace("j_source = closed_form_projective", "j_source = toric_hypergeometric")
-    .replace("[truncation]", "[toric]\ndenominators = H; H; H\nbundles = 3*H\n\n[truncation]"),
+    .replace("products =\n    H H H2 1\n", "").replace("    H p 3\n", ""),
     "degenerate_divisor.ini": BUILTIN_CONFIGS["p2_cubic"].replace(
         "basis = one p\ndegrees = 0 1\n", "basis = one p q\ndegrees = 0 1 1\n"),
 }

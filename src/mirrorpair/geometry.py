@@ -5,8 +5,8 @@ pair (X, D): the ambient cohomology ring, the divisor's ring, the restriction
 homomorphism between them, the divisor's class, the Novikov variables with
 their intersection numbers against D (the m-vector, read off the divisor
 class), truncation policy, and where the absolute-invariant input comes from
-(a closed form, a toric hypergeometric template, or an ingested table of
-one-point invariants).
+(a toric hypergeometric template or an ingested table of one-point
+invariants).
 
 Geometries are described by INI-style config text (see BUILTIN_CONFIGS for the
 three shipped pairs) so that external geometries can be supplied as files.
@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from itertools import product as iproduct
 from operator import mul
 from typing import NamedTuple
 
@@ -43,7 +44,7 @@ class MissingDataError(ValueError):
     """An operation needs invariant data that was not supplied."""
 
 
-J_SOURCES = ("closed_form_projective", "toric_hypergeometric", "invariant_table")
+J_SOURCES = ("toric_hypergeometric", "invariant_table")
 TAU_D_SOURCES = ("zero", "table")
 TABLE_KINDS = ("x_point", "d_point")
 SECTIONS = ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation", "toric")
@@ -127,7 +128,7 @@ class IFactor(NamedTuple):
 
     cls: Element  # u, a nilpotent class of degree 1 in the span of the picard classes
     pairing: tuple[int, ...]  # u·β on each Novikov curve class
-    exponent: int  # e: +1 per bundle, −1 per denominator, merged over equal classes
+    exponent: int  # e: +1 for D and per bundle, −1 per denominator, merged over equal classes
     last: int  # u's last nonzero power
 
 
@@ -199,7 +200,7 @@ class PairGeometry:
     def read_psi(self, kind: str, beta: tuple[int, ...]) -> int | None:
         """The ψ power at which a one-point row of this kind and class is read, or None.
 
-        The one reading rule, which the closed form, the table gates, the quantum
+        The one reading rule, which Givental's rule, the table gates, the quantum
         period and τ_D all ask: with d = D·β for an x_point row and d = −D·β for a
         d_point row, ⟨[pt] ψ^a⟩_β is read iff d ≥ 2 and a = d − 2 (dimension count).
         """
@@ -413,6 +414,10 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if any(ambient.degrees[i] != 1 for i, _, _ in divisor_class.support):
         raise ConfigError("divisor_class must be homogeneous of degree 1")
     m_vector = _expand_in_picard(picard, divisor_class)
+    if j_source == "closed_form_projective":
+        raise ConfigError("[pair] j_source = closed_form_projective is retired: write j_source "
+                          "= toric_hypergeometric and a [toric] section with denominators = "
+                          "H; ...; H, n + 1 times for P^n")
     if j_source not in J_SOURCES:
         raise ConfigError(f"j_source must be one of {J_SOURCES}")
     if tau_d_source not in TAU_D_SOURCES:
@@ -446,18 +451,12 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     if "toric" in cp:
         tsec = cp["toric"]
         _known_keys(tsec, ("denominators", "bundles"))
-        dens = tuple(
-            _parse_class(ambient, expr.strip(), "toric")
-            for expr in tsec.get("denominators", "").split(";")
-            if expr.strip()
-        )
-        bundles = tuple(
-            _parse_class(ambient, expr.strip(), "toric")
-            for expr in tsec.get("bundles", "").split(";")
-            if expr.strip()
-        )
-        if not dens or not bundles:
-            raise ConfigError("[toric] needs denominators and bundles")
+        dens, bundles = (
+            tuple(_parse_class(ambient, expr.strip(), "toric")
+                  for expr in tsec.get(key, "").split(";") if expr.strip())
+            for key in ("denominators", "bundles"))
+        if not dens:
+            raise ConfigError("[toric] needs denominators")
         toric = (dens, bundles)
 
     table = None
@@ -469,7 +468,7 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
         name=name, ambient=ambient, divisor=divisor, restriction=restriction,
         divisor_class=divisor_class, picard=picard, novikov_names=novikov,
         m_vector=m_vector, policy=policy, j_source=j_source, tau_d_source=tau_d_source,
-        factors=_i_factors(ambient, picard, divisor_class, m_vector, j_source, toric),
+        factors=_i_factors(ambient, picard, divisor_class, j_source, toric),
         divisor_last=len(_powers(ambient, divisor_class)) - 1, table=table,
     )
     _validate_geometry(geom)
@@ -480,60 +479,38 @@ def _i_factors(
     ambient: GradedAlgebra,
     picard: tuple[Element, ...],
     divisor_class: Element,
-    m_vector: tuple[int, ...],
     j_source: str,
     toric: tuple[tuple[Element, ...], tuple[Element, ...]] | None,
 ) -> tuple[IFactor, ...]:
-    """The net factors of the I-function, after the checks on the source's data.
+    """The net factors of the I-function, after the checks on the toric data.
 
-    A `closed_form_projective` pair has {H: −(n+1), D: +1}, a toric pair +1 per
-    bundle and −1 per denominator, an `invariant_table` pair {D: +1}; equal
-    classes are merged (D = H for n = 0) and a net exponent 0 drops the class.
-    Every class is of degree 1 in the span of the picard classes, so nilpotent:
-    its last power is read off the structure constants, with no Element product.
+    Every pair has {D: +1}, the relative modification; a toric pair adds +1 per
+    bundle and −1 per denominator.  Equal classes are merged (D's own ray
+    cancels D's +1) and a net exponent 0 drops the class.  Every class is of
+    degree 1 in the span of the picard classes, so nilpotent: its last power
+    is read off the structure constants, with no Element product.
     """
-    if j_source == "closed_form_projective":
-        if len(picard) != 1:
-            raise ConfigError("closed_form_projective is single-variable")
-        # the ring of P^n is Q[H]/H^(n+1): n + 1 classes, the powers of H, and ∫H^n = 1
-        H, n = picard[0], ambient.top_degree
-        powers = _powers(ambient, H)
-        top = Element(ambient, powers[n] if n < len(powers) else ()).integrate()
-        if ambient.dim != n + 1 or top != 1:
-            raise ConfigError(
-                f"[pair] j_source = closed_form_projective needs the ring of P^{n}, "
-                f"Q[{H!r}]/{H!r}^{n + 1} with the integral of {H!r}^{n} equal to 1; "
-                f"{ambient.name} has {ambient.dim} basis classes and the integral of "
-                f"{H!r}^{n} is {top}"
-            )
-        # D = m·H on the one picard class H; P^n has top degree n and -K = (n + 1)·H
-        m = m_vector[0]
-        if m != n + 1:
-            raise ConfigError(
-                f"[pair] divisor_class has m = {m}, so it is not anticanonical: the closed "
-                f"form needs m = top degree + 1 = {n + 1}"
-            )
-        signed = [(H, -m), (divisor_class, 1)]  # 1/(H + kz)^{n+1} and D's chain
-    elif j_source == "toric_hypergeometric":
+    signed = []
+    if j_source == "toric_hypergeometric":
         if toric is None:
             raise ConfigError("[pair] j_source = toric_hypergeometric needs a [toric] section")
         dens, bundles = toric
-        for cls in dens + bundles:
+        # D's own ray cancels, so only it may pair negatively
+        for cls in [u for u in dens if u != divisor_class] + list(bundles):
             if any(x < 0 for x in _expand_in_picard(picard, cls)):
                 raise ConfigError(
                     f"toric class {cls!r} pairs negatively with an effective curve class"
                 )
         zero = ambient.zero()
-        if sum(dens, zero) != sum(bundles, zero):
-            # log Calabi-Yau bookkeeping: denominators + relative class must sum
-            # to the anticanonical class = bundles + relative class
+        anti = sum(dens, zero) - sum(bundles, zero)
+        if anti != divisor_class:
+            # -K_X = Σ denominators − Σ bundles, for X a complete intersection in Y
             raise ConfigError(
-                "toric data violates the log Calabi-Yau condition: "
-                "sum(denominators) != sum(bundles)"
+                f"[pair] divisor_class {divisor_class!r} is not anticanonical: the [toric] "
+                f"denominators less the bundles sum to {anti!r}"
             )
         signed = [(cls, 1) for cls in bundles] + [(cls, -1) for cls in dens]
-    else:
-        signed = [(divisor_class, 1)]
+    signed.append((divisor_class, 1))
     net: dict[Element, int] = {}
     for cls, e in signed:
         net[cls] = net.get(cls, 0) + e
@@ -560,15 +537,15 @@ def _validate_geometry(geom: PairGeometry) -> None:
                 f"{geom.name} curve classes have {geom.nvars}"
             )
     x_rows, d_rows = table.rows_for("x_point"), table.rows_for("d_point")
-    if geom.j_source == "closed_form_projective":
+    if _givental_gap(geom) is None:
         for beta, a, v in x_rows:
-            want = _closed_form_value(geom, beta, a)
+            want = _givental_value(geom, beta, a)
             if v != want:
                 raise ConfigError(
                     f"table row x_point class {_class_str(beta)} psi^{a} = {v} contradicts "
                     f"the closed form of {geom.name}, which gives {want}"
                 )
-    if geom.j_source == "toric_hypergeometric":
+    elif geom.j_source == "toric_hypergeometric":
         _refuse_unread_rows(geom, "x_point", x_rows)
     if geom.j_source == "invariant_table" and not x_rows:
         raise MissingDataError(
@@ -651,8 +628,11 @@ name = p2_cubic
 divisor_class = 3*H
 picard = H
 novikov = y
-j_source = closed_form_projective
+j_source = toric_hypergeometric
 tau_d_source = zero
+
+[toric]
+denominators = H; H; H
 
 [truncation]
 order = 8
@@ -689,8 +669,11 @@ name = p3_quartic
 divisor_class = 4*H
 picard = H
 novikov = y
-j_source = closed_form_projective
+j_source = toric_hypergeometric
 tau_d_source = zero
+
+[toric]
+denominators = H; H; H; H
 
 [truncation]
 order = 8
@@ -745,7 +728,7 @@ j_source = toric_hypergeometric
 tau_d_source = zero
 
 [toric]
-denominators = H; H; H; H; h
+denominators = H; H; H; H; h; h - H
 bundles = 4*H + h
 
 [truncation]
@@ -772,35 +755,52 @@ def builtin_geometry(name: str) -> PairGeometry:
 def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> InvariantTable:
     """Materialize the ⟨[pt] ψ^{d-2}⟩ one-point invariants through t-degree t_order.
 
-    For the closed-form projective route these are 1/(d'!)^{n+1} at curve degree
-    d' (t-degree d = m d'); any other geometry re-emits its x_point rows.  Used
-    by the period comparison's table round trip and the negative control.
+    Givental's rule gives them at every class β ≥ 0 with m·β ≤ t_order where
+    it reads the pair; any other geometry re-emits its x_point rows.  Used by
+    the period comparison's table round trip and the negative control.
     """
     require_quantum_source(geom)
-    if geom.j_source != "closed_form_projective":
+    if _givental_gap(geom) is not None:
         return InvariantTable(tuple(
             (("x_point", beta, a), v) for beta, a, v in geom.table.rows_for("x_point")))
-    classes = [(d,) for d in range(1, t_order // geom.m_vector[0] + 1)]
+    m = geom.m_vector
+    classes = iproduct(*(range(t_order // mi + 1) for mi in m))
     return InvariantTable(tuple(
-        (("x_point", beta, a), _closed_form_value(geom, beta, a))
-        for beta in classes if (a := geom.read_psi("x_point", beta)) is not None))
+        (("x_point", beta, a), _givental_value(geom, beta, a))
+        for beta in classes if divisor_degree(m, beta) <= t_order
+        and (a := geom.read_psi("x_point", beta)) is not None))
 
 
-def _closed_form_value(geom: PairGeometry, beta: tuple[int, ...], a: int) -> Fraction:
-    """⟨[pt] ψ^a⟩_β of a closed_form_projective pair, class by class: 1/(d!)^{n+1}
-    at curve degree d when `PairGeometry.read_psi` reads ψ^a there, 0 otherwise."""
+def _givental_gap(geom: PairGeometry) -> str | None:
+    """None when Givental's rule gives the pair's one-point invariants, else why not.
+
+    It reads a toric X with D anticanonical: a toric pair whose only positive net
+    factor is D, with exponent +1.  The quantum period is then e^{−ct} times its
+    sum (Coates–Corti–Galkin–Kasprzyk 2016), and c = 0 when every m_i ≥ 2."""
+    positive = [(f.cls, f.exponent) for f in geom.factors if f.exponent > 0]
+    if geom.j_source != "toric_hypergeometric" or positive != [(geom.divisor_class, 1)]:
+        return "supply an x_point table"
+    if min(geom.m_vector) < 2:
+        return (
+            f"Givental's rule needs every m_i >= 2, and m = {_class_str(geom.m_vector)}: "
+            "a smaller m_i can make its e^(-ct) correction nonzero (c != 0), which is "
+            "not implemented; supply an x_point table"
+        )
+    return None
+
+
+def _givental_value(geom: PairGeometry, beta: tuple[int, ...], a: int) -> Fraction:
+    """⟨[pt] ψ^a⟩_β by Givental's rule, 1/Π_ρ (D_ρ·β)!: Π 1/((u·β)!)^{−e} over the
+    negative net factors u of `PairGeometry.factors` when `PairGeometry.read_psi`
+    reads ψ^a at β, 0 otherwise (Givental 1998)."""
     if a != geom.read_psi("x_point", beta):
         return Fraction(0)
-    n = geom.m_vector[0] - 1
-    return Fraction(1, math.factorial(beta[0]) ** (n + 1))
+    return Fraction(1, math.prod(math.factorial(divisor_degree(f.pairing, beta)) ** -f.exponent
+                                 for f in geom.factors if f.exponent < 0))
 
 
 def require_quantum_source(geom: PairGeometry) -> None:
     """Raise MissingDataError when nothing supplies the one-point invariants."""
-    if geom.j_source != "closed_form_projective" and (
-        geom.table is None or geom.table.is_empty_for("x_point")
-    ):
-        raise MissingDataError(
-            f"{geom.name}: no invariant source for the quantum side "
-            "(supply an x_point table)"
-        )
+    gap = _givental_gap(geom)
+    if gap is not None and (geom.table is None or geom.table.is_empty_for("x_point")):
+        raise MissingDataError(f"{geom.name}: no invariant source for the quantum side ({gap})")

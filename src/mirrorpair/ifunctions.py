@@ -451,8 +451,8 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     Every source goes through one template (`_hypergeometric`) on the net
     factors the loader derived (`PairGeometry.factors`): the absolute factors
     times Π_{0<a<D·β}(D + az), which is the chain of D over the pole
-    1/(D + (D·β)z).  A `closed_form_projective` pair has the factors
-    1/Π_{k≤d}(H + kz)^{n+1}; an `invariant_table` pair has a scalar base row per
+    1/(D + (D·β)z).  A toric pair has base 1 on every class
+    (`toric_i_function`); an `invariant_table` pair has a scalar base row per
     class (`absolute_core`) instead, and a class with D·β < 0 and a nonzero row
     cannot factor through the divisor class.  A nonzero divisor mirror map
     would deform the absolute series input, which needs multi-insertion
@@ -462,11 +462,8 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     _refuse_nonzero_tau_d(geom, "relative I-function", "deformed absolute invariants")
     if geom.j_source == "toric_hypergeometric":
         return toric_i_function(geom, lowest_z)
-    classes = _effective_classes(geom.policy)
-    if geom.j_source == "closed_form_projective":
-        return _hypergeometric(geom, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
     bases = {}
-    for beta in classes:
+    for beta in _effective_classes(geom.policy):
         row = absolute_core(geom, beta)
         if not row:
             continue
@@ -480,13 +477,13 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
 
 
 def toric_i_function(geom: PairGeometry, lowest_z: int | None = None) -> RelativeSeries:
-    """The toric hypergeometric template for bundle-type pairs.
+    """The toric hypergeometric template, for X in a toric Y or, with no bundles, X = Y.
 
     Per class β: Π_bundles Π_{k=1}^{b·β}(b + kz) over Π_dens Π_{k=1}^{t·β}(t + kz),
-    with the pole of `_hypergeometric`.  Factors of the relative ray are
-    structurally cancelled against the hypergeometric modification.  Equal
-    classes are merged by the loader into one factor with their net exponent
-    (+1 per bundle, −1 per denominator).  ``lowest_z`` is `relative_i_function`'s.
+    times D's chain and the pole of `_hypergeometric`.  Equal classes are
+    merged by the loader into one factor with their net exponent, so D's own
+    ray among the denominators cancels D's chain.  ``lowest_z`` is
+    `relative_i_function`'s.
     """
     if geom.j_source != "toric_hypergeometric":
         raise MissingDataError(f"{geom.name}: no toric data")

@@ -116,6 +116,22 @@ SYNTHETIC_NEGATIVE_ZERO_TAU = SYNTHETIC_NEGATIVE.replace(
 ).replace("    d_point 1 0 pt 1\n", "")
 
 
+def p2_table(rows):
+    """p2_cubic's config as an invariant_table pair whose invariants key holds the
+    given row lines: its toric source and its [toric] section swapped out."""
+    from mirrorpair import BUILTIN_CONFIGS
+
+    text = BUILTIN_CONFIGS["p2_cubic"]
+    for old, new in (
+        ("j_source = toric_hypergeometric\n",
+         "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n") + "\n"),
+        ("[toric]\ndenominators = H; H; H\n\n", ""),
+    ):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.fixture(scope="session")
 def synthetic_negative():
     return load_geometry(SYNTHETIC_NEGATIVE)

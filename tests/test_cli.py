@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import p2_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,19 @@ def test_csv_format():
     body = "\n".join(lines[header_at:])
     assert "t^3 x^-2,2" in body
     assert "t^9 x^-8,32" in body
+
+
+def test_plane_proper_potential_matches_the_literature():
+    # W = x + Σ_d c_d t^{3d} x^{1−3d} for (P^2, cubic): c_d = 2, 5, 32, 286, 3038
+    # (Carl–Pumperla–Siebert, "A tropical view on Landau–Ginzburg models";
+    # Gräfnitz–Ruddat–Zaslow, "The proper Landau–Ginzburg potential is the open
+    # mirror map")
+    code, text = _run("proper-potential", "--geometry", "p2_cubic", "--order", "15",
+                      "--format", "json")
+    assert code == 0
+    got = {(r["t_deg"], r["x_exp"]): r["value"] for r in json.loads(text)["records"]}
+    assert got == {(0, 1): "1", (3, -2): "2", (6, -5): "5", (9, -8): "32",
+                   (12, -11): "286", (15, -14): "3038"}
 
 
 def test_pretty_format_has_metadata_preamble():
@@ -607,10 +621,8 @@ def test_negative_control_perturbs_only_rows_inside_the_window(tmp_path, capsys)
     # the plane's one-point invariants as x_point rows, the first at t³: at t-order 2
     # no row lies in the compared window, whichever source the rows come from
     table_pair = tmp_path / "p2_table.ini"
-    table_pair.write_text(BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n"
-        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
+    table_pair.write_text(p2_table(
+        "    x_point 1 1 pt 1\n    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
     refusals = []
     for geometry in (str(table_pair), "p2_cubic"):
         code = run(["verify", "--geometry", geometry, "--order", "2", "--negative-control"],
@@ -629,10 +641,8 @@ def test_negative_control_bumps_the_lowest_read_row_even_at_zero(tmp_path):
     # class 1 is read at t³ with value 0: it is still the row of lowest D.beta in
     # the window, so the control plants its mismatch there and nowhere else
     zero_pair = tmp_path / "p2_zero.ini"
-    zero_pair.write_text(BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 0\n"
-        "    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
+    zero_pair.write_text(p2_table(
+        "    x_point 1 1 pt 0\n    x_point 2 4 pt 1/8\n    x_point 3 7 pt 1/216"))
     argv = ("verify", "--geometry", str(zero_pair), "--order", "9", "--format", "json")
 
     def period_rows(*flags):
@@ -716,7 +726,7 @@ def test_table_flag_reads_a_file(tmp_path):
 @pytest.mark.parametrize("row", ["x_point 1 1 pt 5", "x_point 1 0 pt 5"])
 @pytest.mark.parametrize("command", ["quantum-period", "verify"])
 def test_table_flag_refuses_rows_against_the_closed_form(tmp_path, capsys, row, command):
-    # p2_cubic computes ⟨[pt] ψ^{D·β−2}⟩ = 1/(d!)^3 in closed form and 0 at any
+    # p2_cubic computes ⟨[pt] ψ^{D·β−2}⟩ = 1/(d!)^3 by Givental's rule and 0 at any
     # other ψ power; a table row saying otherwise must not be silently ignored.
     table = tmp_path / "points.tsv"
     table.write_text(row + "\n")
@@ -966,11 +976,14 @@ P2_CUBIC = BUILTIN_CONFIGS["p2_cubic"]
         ("order = 8\n", "order = eight\n", "truncation"),
         ("[algebra.ambient]\n", "[DEFAULT]\nname = sneaky\n[algebra.ambient]\n", "DEFAULT"),
         ("[algebra.ambient]\n", "[DEFAULT]\n[algebra.ambient]\n", "DEFAULT"),
-        # keys and sections that nothing reads
-        ("[truncation]\n", "[toric]\ndenominators = H; H\nbundles = 2*H\n[truncation]\n", "toric"),
+        # keys and sections that nothing reads: [toric] under an invariant table
+        pytest.param("j_source = toric_hypergeometric\n",
+                     "j_source = invariant_table\ninvariants = x_point 1 1 pt 1\n", "toric",
+                     id="toric_under_invariant_table"),
         ("picard = H\n", "picard = H\nbogus = 1\n", "pair"),
-        # a source that the rest of the config cannot feed
-        ("j_source = closed_form_projective\n", "j_source = toric_hypergeometric\n", "pair"),
+        # a source that the rest of the config cannot feed: toric with no [toric]
+        pytest.param("[toric]\ndenominators = H; H; H\n\n", "", "pair",
+                     id="toric_source_without_toric"),
         ("tau_d_source = zero\n", "tau_d_source = table\n", "pair"),
         # more keys and sections that nothing reads
         ("tau_d_source = zero\n", "tau_d_source = zero\n[extra]\n", "extra"),
@@ -1033,14 +1046,12 @@ def _replaced(text, *swaps):
 
 
 # a ring whose pairing is degenerate in each section, the rest a pair that loads:
-# P^2's ring without H·H = H2, so H pairs to 0 with every class, under the toric
+# P^2's ring without H·H = H2, so H pairs to 0 with every class, under its toric
 # template 1/(H + kz)^3 · (3H + kz); and a divisor ring with a class q that pairs
 # to 0 with every class
 DEGENERATE_RINGS = {
     "algebra.ambient": _replaced(
-        P2_CUBIC, ("products =\n    H H H2 1\n", ""), ("    H p 3\n", ""),
-        ("j_source = closed_form_projective\n", "j_source = toric_hypergeometric\n"),
-        ("[truncation]\n", "[toric]\ndenominators = H; H; H\nbundles = 3*H\n\n[truncation]\n")),
+        P2_CUBIC, ("products =\n    H H H2 1\n", ""), ("    H p 3\n", "")),
     "algebra.divisor": _replaced(
         P2_CUBIC, ("basis = one p\ndegrees = 0 1\n", "basis = one p q\ndegrees = 0 1 1\n")),
 }
@@ -1070,25 +1081,20 @@ def test_non_anticanonical_projective_pair_is_refused(tmp_path, capsys, command)
     assert err.startswith("error: ") and "[pair]" in err and "anticanonical" in err
 
 
-@pytest.mark.parametrize("old, new", [
-    # P^2 blown up at a point: a second degree-1 class a with a^2 = -H2
-    ("basis = one H H2\ndegrees = 0 1 2\nunit = one\npoint = H2\nproducts =\n    H H H2 1\n",
-     "basis = one H a H2\ndegrees = 0 1 1 2\nunit = one\npoint = H2\nproducts =\n"
-     "    H H H2 1\n    a a H2 -1\n"),
-    # Q[H]/H^3 with the integral of H^2 equal to 2
-    ("    H H H2 1\n", "    H H H2 2\n"),
-], ids=["blown_up_plane", "integral_two"])
-def test_closed_form_needs_the_ring_of_projective_space(tmp_path, capsys, old, new):
-    # D = 3H is anticanonical on the one picard class H, but P^2's closed form
-    # would print 1, 6, 90 for a ring that is not Q[H]/H^3 with the integral of H^2 = 1
-    text = P2_CUBIC.replace(old, new)
-    assert text != P2_CUBIC
+def test_a_retired_closed_form_source_is_refused(tmp_path, capsys):
+    # a config written for the retired projective source gets one line that names
+    # the key and the toric source that replaces it
+    text = _replaced(P2_CUBIC, ("j_source = toric_hypergeometric\n",
+                                "j_source = closed_form_projective\n"),
+                     ("[toric]\ndenominators = H; H; H\n\n", ""))
     cfg = tmp_path / "pair.ini"
     cfg.write_text(text)
-    code = run(["classical-period", "--geometry", str(cfg), "--order", "6"], stream=io.StringIO())
+    code = run(["classical-period", "--geometry", str(cfg)], stream=io.StringIO())
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "[pair] j_source = closed_form_projective" in err
+    assert err.startswith(f"error: {cfg}: [pair] j_source = closed_form_projective ")
+    assert err.count("\n") == 1 and "j_source = toric_hypergeometric" in err
+    assert "[toric]" in err
 
 
 @pytest.mark.parametrize("command", ["mirror-map", "proper-potential", "classical-period",
@@ -1097,10 +1103,7 @@ def test_content_above_z1_is_refused_on_every_route(tmp_path, capsys, command):
     """A row at psi^0 for a class of D.beta = 6 puts its template at z^4: the floored
     pipeline refuses it as the whole series does, naming the class."""
     cfg = tmp_path / "pair.ini"
-    cfg.write_text(P2_CUBIC.replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 1 pt 1\n    x_point 2 0 pt 1",
-    ))
+    cfg.write_text(p2_table("    x_point 1 1 pt 1\n    x_point 2 0 pt 1"))
     code = run([command, "--geometry", str(cfg), "--order", "6"], stream=io.StringIO())
     assert code == 2
     err = capsys.readouterr().err
@@ -1110,10 +1113,7 @@ def test_content_above_z1_is_refused_on_every_route(tmp_path, capsys, command):
 def test_table_geometry_records_do_not_depend_on_the_order(tmp_path):
     # a high psi power puts class 1 far below z^0; every term of it prints at any order
     cfg = tmp_path / "pair.ini"
-    cfg.write_text(P2_CUBIC.replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n    x_point 1 12 pt 1",
-    ))
+    cfg.write_text(p2_table("    x_point 1 12 pt 1"))
 
     def class_one(order):
         code, text = _run("i-function", "--geometry", str(cfg), "--order", order,

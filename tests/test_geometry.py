@@ -24,6 +24,7 @@ from mirrorpair import (
     format_invariants,
     ingest_invariants,
     load_geometry,
+    require_quantum_source,
     tabulate_one_point_invariants,
 )
 
@@ -238,8 +239,8 @@ def test_derived_pair_keys_are_refused_as_unknown(tmp_path, capsys, line):
     assert err.startswith(f"error: {cfg}: [pair] unknown key '{key}'")
 
 
-# per builtin: the m-vector (the divisor class on the picard classes), the
-# closed form's n (None off the closed form) and the reason τ_D = 0
+# per builtin: the m-vector (the divisor class on the picard classes), n for
+# X = P^n (None for a pair Givental's rule does not read) and the reason τ_D = 0
 DERIVED = {
     "p2_cubic": ((3,), 2, "elliptic_curve"),
     "p3_quartic": ((4,), 3, "k3"),
@@ -254,7 +255,8 @@ def test_builtins_derive_the_pair_data(name):
     assert geom.m_vector == m
     assert geom.tau_d_reason == reason
     if n is None:
-        assert geom.j_source != "closed_form_projective"
+        with pytest.raises(MissingDataError, match="supply an x_point table"):
+            require_quantum_source(geom)
     else:
         # ⟨[pt] ψ^{2m−2}⟩ at curve degree 2 is 1/(2!)^{n+1}
         closed = tabulate_one_point_invariants(geom, 2 * m[0]).as_dict()
@@ -291,8 +293,10 @@ def test_loader_derives_the_i_function_factors(name):
     [
         ("bundles = 4*H + h\n", "bundles = 5*H; h - H\n",
          r"toric class -1\*H \+ h pairs negatively with an effective curve class"),
-        ("bundles = 4*H + h\n", "bundles = 3*H + h\n",
-         r"toric data violates the log Calabi-Yau condition: sum\(denominators\) != sum\(bundles\)"),
+        pytest.param("bundles = 4*H + h\n", "bundles = 3*H + h\n",
+                     r"\[pair\] divisor_class -1\*H \+ h is not anticanonical: the "
+                     r"\[toric\] denominators less the bundles sum to h$",
+                     id="not_anticanonical"),
     ],
 )
 def test_toric_refusals_run_once_at_load(old, new, message):

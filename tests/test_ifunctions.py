@@ -29,6 +29,7 @@ from conftest import (
     good_exp_composed,
     is_canonical_row,
     normal_bundle_divisor_map,
+    p2_table,
     series_product,
     state_product,
 )
@@ -234,12 +235,9 @@ P2_TABLE_ROWS = (((1,), 12, Fraction(1)), ((1,), 1, Fraction(1)), ((2,), 4, Frac
 
 
 def _p2_from_table():
-    """p2_cubic with its absolute input read from x_point rows instead of the closed form."""
+    """p2_cubic with its absolute input read from x_point rows instead of its toric data."""
     rows = "".join(f"    x_point {b[0]} {a} pt {v}\n" for b, a, v in P2_TABLE_ROWS)
-    return load_geometry(BUILTIN_CONFIGS["p2_cubic"].replace(
-        "j_source = closed_form_projective",
-        "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n"),
-    ))
+    return load_geometry(p2_table(rows))
 
 
 def _row_element(alg, row):
@@ -297,17 +295,19 @@ def _literal_toric_piece(bundles, denominators):
 
 
 def _blp3_toric_lists(geom):
-    """H, h and blp3_k3's [toric] denominators H; H; H; H; h as (class, pairing) pairs."""
+    """H, h and blp3_k3's [toric] denominators H; H; H; H; h as (class, pairing) pairs.
+    Its last denominator h − H is D's own ray, whose links cancel D's chain link by
+    link, so both are left out."""
     H, h = geom.ambient.named("H"), geom.ambient.named("h")
     return H, h, [(H, (1, 0))] * 4 + [(h, (0, 1))]
 
 
 def _literal_relative_piece(geom, beta):
     """The absolute part, Π_{k≤d} 1/(H + kz)^{n+1} with n = m − 1 one link at a
-    time for the closed form or Σ v·z^{−a−2} over the test's own rows for the table copy,
-    times Π_{0<a<D·β}(D + az); None for a class with no rows."""
+    time for P^n with no table or Σ v·z^{−a−2} over the test's own rows for the table
+    copy, times Π_{0<a<D·β}(D + az); None for a class with no rows."""
     amb = geom.ambient
-    if geom.j_source == "closed_form_projective":
+    if geom.table is None:
         term = ZLaurentElement.one(amb)
         for k in range(1, beta[0] + 1):
             for _ in range(geom.m_vector[0]):
@@ -381,14 +381,12 @@ def test_closed_form_pieces_are_literal_link_products(monkeypatch, name):
         # D = H gives n = m − 1 = 0: 1/(H + kz) and D's chain merge into one
         # class of net exponent 0, so the pair has no net factor.  The loader
         # refuses D = H on P^2 as not anticanonical, so the pair loads as a
-        # table pair and takes the closed form, and its factors, past it.
+        # table pair and takes the toric source, and its factors, past it.
         geom = geometry_with(load_geometry(
-            BUILTIN_CONFIGS["p2_cubic"]
+            p2_table("    x_point 1 0 pt 1")
             .replace("divisor_class = 3*H", "divisor_class = H")
             .replace("H p 3", "H p 1")
-            .replace("j_source = closed_form_projective",
-                     "j_source = invariant_table\ninvariants = x_point 1 0 pt 1")
-        ), j_source="closed_form_projective", table=None, factors=())
+        ), j_source="toric_hypergeometric", table=None, factors=())
     else:
         geom = builtin_geometry(name)
     _check_pieces(monkeypatch, geom, range(2, 13), _literal_relative_piece)
@@ -476,9 +474,9 @@ def test_a_non_nef_mirror_map_multiplies_no_elements(monkeypatch, order):
     assert (codes, count) == ([0], 0)
 
 
-def test_toric_i_function_needs_a_toric_pair(p2):
+def test_toric_i_function_needs_a_toric_pair():
     with pytest.raises(MissingDataError, match="p2_cubic: no toric data"):
-        toric_i_function(p2)
+        toric_i_function(_p2_from_table())
 
 
 # ---------------------------------------------------------------------------
@@ -975,10 +973,11 @@ def test_toric_class_in_both_lists_cancels(blp3):
     from mirrorpair import BUILTIN_CONFIGS
 
     text = BUILTIN_CONFIGS["blp3_k3"]
-    assert text.count("denominators = H; H; H; H; h\n") == 1
+    assert text.count("denominators = H; H; H; H; h; h - H\n") == 1
     assert text.count("bundles = 4*H + h\n") == 1
     padded = load_geometry(
-        text.replace("denominators = H; H; H; H; h\n", "denominators = h; H; H; H; H; h\n")
+        text.replace("denominators = H; H; H; H; h; h - H\n",
+                     "denominators = h; H; H; H; H; h; h - H\n")
         .replace("bundles = 4*H + h\n", "bundles = h; 4*H + h\n")
     )
     want = relative_i_function(blp3)

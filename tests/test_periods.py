@@ -6,7 +6,10 @@ no shared code with the package), and the theta constant terms against
 explicit multinomial sums.
 """
 
+import io
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,11 +28,13 @@ from mirrorpair import (
     classical_period,
     compare_periods,
     euler_scaling_check,
+    load_geometry,
     proper_potential,
     quantum_period,
     regularize,
     roundtrip_for_geometry,
 )
+from mirrorpair.cli import run
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +85,104 @@ def test_period_coefficient_past_order(p2):
 def test_blowup_quantum_period_needs_data(blp3):
     with pytest.raises(MissingDataError):
         quantum_period(blp3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Givental's rule on a toric pair with two Novikov variables, with no table
+#
+# P^1 x P^1 with D in |2A + 2B|, an elliptic curve: X is toric with four rays
+# A, A, B, B, so ⟨[pt] ψ^{2a+2b−2}⟩_(a,b) = 1/(a!²·b!²) (Givental 1998), and the
+# classical period of x + 1/x + y + 1/y has θ_(a,b) = (2a+2b)!/(a!²·b!²).
+
+P1XP1 = """
+[algebra.ambient]
+name = p1_times_p1
+basis = one A B AB
+degrees = 0 1 1 2
+unit = one
+point = AB
+products =
+    A B AB 1
+
+[algebra.divisor]
+name = elliptic_curve
+basis = one p
+degrees = 0 1
+unit = one
+point = p
+
+[restriction]
+map =
+    one one 1
+    A p 2
+    B p 2
+
+[pair]
+name = p1xp1_elliptic
+divisor_class = 2*A + 2*B
+picard = A B
+novikov = y1 y2
+j_source = toric_hypergeometric
+tau_d_source = zero
+
+[toric]
+denominators = A; A; B; B
+
+[truncation]
+order = 6
+weights = 1 1
+"""
+
+
+def _p1xp1_classes(t_order):
+    return [(a, b) for a in range(t_order) for b in range(t_order)
+            if 1 <= a + b and 2 * (a + b) <= t_order]
+
+
+def test_givental_rule_gives_a_two_variable_quantum_side():
+    geom = load_geometry(P1XP1)
+    classes = _p1xp1_classes(12)
+    square = {(a, b): (math.factorial(a) * math.factorial(b)) ** 2 for a, b in classes}
+    quantum = {(a, b): (2 * (a + b), Fraction(1, square[a, b])) for a, b in classes}
+    classical = {(a, b): (2 * (a + b), Fraction(math.factorial(2 * (a + b)), square[a, b]))
+                 for a, b in classes}
+    assert classical[1, 2][1] == 180 and classical[2, 2][1] == 2520
+    assert {b: (d, v) for b, d, v in quantum_period(geom, 12).terms} == quantum
+    assert {b: (d, v) for b, d, v in regularize(quantum_period(geom, 12)).terms} == classical
+    pot = proper_potential(geom, 12)
+    assert {b: (d, v) for b, d, v in classical_period(pot, 12).terms} == classical
+
+
+def test_givental_rule_passes_verify_with_no_table(tmp_path):
+    cfg = tmp_path / "p1xp1.ini"
+    cfg.write_text(P1XP1)
+    for flags, verdict in (((), "pass"), (("--negative-control",), "pass (mismatch caught at t^2)")):
+        out = io.StringIO()
+        code = run(["verify", "--geometry", str(cfg), "--order", "12", "--format", "json",
+                    *flags], stream=out)
+        doc = json.loads(out.getvalue())
+        theorem = next(r["value"] for r in doc["records"] if r["selector"] == "period_theorem")
+        assert (code, theorem, doc["metadata"]["result"]) == (0, verdict, "pass")
+
+
+def test_givental_rule_refuses_a_class_of_contact_one(tmp_path):
+    # fake toric data with D = A + 2B, the sum of the rays A, B, B: m = (1, 2), so the
+    # class (1, 0) has D.beta = 1 and the quantum period would need its e^{−ct} factor
+    text = (P1XP1.replace("divisor_class = 2*A + 2*B", "divisor_class = A + 2*B")
+            .replace("denominators = A; A; B; B", "denominators = A; B; B")
+            .replace("    B p 2\n", "    B p 1\n"))
+    geom = load_geometry(text)
+    assert geom.m_vector == (1, 2)
+    reason = "m = 1,2: a smaller m_i can make its e^(-ct) correction nonzero"
+    with pytest.raises(MissingDataError, match=re.escape(reason)):
+        quantum_period(geom, 6)
+    cfg = tmp_path / "contact_one.ini"
+    cfg.write_text(text)
+    out = io.StringIO()
+    code = run(["verify", "--geometry", str(cfg), "--format", "json"], stream=out)
+    theorem = next(r["value"] for r in json.loads(out.getvalue())["records"]
+                   if r["selector"] == "period_theorem")
+    assert code == 0 and theorem.startswith("skipped: ") and reason in theorem
 
 
 # ---------------------------------------------------------------------------
