@@ -408,6 +408,11 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     for p, nm in zip(picard, picard_names):
         if ambient.degrees[ambient.basis.index(nm)] != 1:
             raise ConfigError(f"picard class {nm} is not degree 1")
+    missing = [nm for nm, deg in zip(ambient.basis, ambient.degrees)
+               if deg == 1 and nm not in picard_names]
+    if missing:
+        raise ConfigError(f"[pair] picard leaves out the ambient degree-1 class {missing[0]}: "
+                          "the picard classes must be every degree-1 basis class")
     if len(picard) != len(novikov):
         raise ConfigError("picard / novikov arity mismatch")
     # the divisor class: homogeneous of degree 1 and integrally spanned by picard

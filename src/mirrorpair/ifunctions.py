@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, product as iproduct
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .algebra import (
     AlgebraError,
@@ -53,7 +53,9 @@ from .series import (
     PipelineInvariantError,
     TruncationPolicy,
     TruncationError,
+    _Packing,
     _accumulate,
+    _convolve,
     _mul,
 )
 
@@ -679,18 +681,17 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list, maps: dict) 
     if u * r != NovikovSeries.one(pol):
         raise PipelineInvariantError("normalized series does not have unit z^1 slice")
     # I₁⁻¹ by contact, as (weight, packed β, n, d) by rising weight; β is packed
-    # as Σ β_i·B^i, B = order + 1, so the class of a product is a sum
-    base = pol.max_total + 1
-    powers = [base ** i for i in range(geom.nvars)]
+    # (`_Packing`), so the class of a product is a sum
+    packing = _Packing(pol)
     inverse: dict = {}
     for beta, rho in sorted(r.terms.items(), key=lambda t: pol.weight(t[0])):
         inverse.setdefault(-geom.contact_weight(beta), []).append(
-            (pol.weight(beta), sum(map(mul, beta, powers)), rho.numerator, rho.denominator))
+            (pol.weight(beta), packing.pack(beta), rho.numerator, rho.denominator))
     parts: dict = {}
     for (beta1, c1, logpow), v in i0.terms.items():
         if any(logpow):
             continue
-        room, p1, images = pol.max_total - pol.weight(beta1), sum(map(mul, beta1, powers)), {}
+        room, p1, images = pol.max_total - pol.weight(beta1), packing.pack(beta1), {}
         for c2, sector in inverse.items():
             if sector[0][0] > room:
                 continue
@@ -709,7 +710,7 @@ def _divide_by_unit_slice(units: dict, i0: StateSeries, logs: list, maps: dict) 
         for packed, rows in filed.items():
             row = _rows(rows, alg.dim)
             if row:
-                j0[(tuple(packed // p % base for p in powers), c, zero)] = Element(alg, row)
+                j0[(packing.unpack(packed), c, zero)] = Element(alg, row)
     j0.update(((zero, 0, log), p) for log, p in zip(logs, geom.picard))
     return StateSeries._kernel_output(geom, j0)
 
@@ -830,21 +831,35 @@ def _power_walk(
     (β ↦ d = m·β), one dict per read (scale, lag) with s = scale(d).
 
     Q_k = f^k·kernel for k = 0, 1, … until Q_k = 0, one Q_k held at a time,
-    so f must have no constant term: exp's refusal is raised first.  Over
-    the step's k! a read weighs [Q_k]_β by the integer s^{k−lag}·k!/(k−lag)!,
-    so all reads of a class share one denominator, joined by its lcm as in
-    `_accumulate`, and each read gets one Fraction per class at the end; the
-    classes whose sum is zero are left out.
+    so f must have no constant term: exp's refusal is raised first.  f and
+    the kernel are packed once (`_Packing`) as integer numerators over one
+    denominator each, d_f and d_K, so Q_k is integer numerators over
+    d_K·d_f^k and each step Q_{k+1} = f·Q_k is one `_convolve` of integers
+    into levels by weight.  Over the step's k! a read weighs [Q_k]_β by the
+    integer s^{k−lag}·k!/(k−lag)!, so all reads of a class share one
+    denominator: the step's k!·d_K·d_f^k, which every later step's is a
+    multiple of, so a class's sums are rescaled to it by one exact division.
+    Keys stay packed until the reads end; each read then gets one Fraction
+    per class, and the classes whose sum is zero are left out.
     """
     f.exp(order=0)  # exp's zero-constant-term refusal: the walk ends only then
-    acc: dict = {}
-    q, k, fact = NovikovSeries(f.policy, dict(kernel)), 0, 1
-    while not q.is_zero():
+    pol = f.policy
+    top = pol.max_total
+    packing = _Packing(pol)
+    group = {packing.pack(beta): d for beta, d in group_of.items()}
+    step, d_f = _over_one_denominator(packing.terms(f.terms))
+    step.sort(key=itemgetter(1))
+    q, den = _over_one_denominator(packing.terms(dict(kernel)))
+    dens: list[int] = []  # dens[k] = k!·d_K·d_f^k, the denominator of step k's reads
+    acc: dict = {}  # packed class -> [k of its denominator, one numerator per read]
+    k = 0
+    while q:
+        dens.append(den)
         # perm(k, lag) = k!/(k − lag)!, and 0 while k < lag
         falls = [(scale, k - lag, math.perm(k, lag)) for scale, lag in reads]
         weights: dict = {}  # a group's, formed at its first class in Q_k
-        for beta, v in q.terms.items():
-            d = group_of.get(beta)
+        for p, _, n, _ in q:
+            d = group.get(p)
             if d is None:
                 continue
             ws = weights.get(d)
@@ -852,25 +867,29 @@ def _power_walk(
                 ws = weights[d] = [c and scale(d) ** e * c for scale, e, c in falls]
             if not any(ws):
                 continue
-            n, den = v.numerator, fact * v.denominator
-            slot = acc.get(beta)
+            slot = acc.get(p)
             if slot is None:
-                acc[beta] = [den, *(w * n for w in ws)]
-            elif slot[0] == den:
-                for i, w in enumerate(ws, 1):
-                    slot[i] += w * n
-            else:  # one lcm join for all the reads, as in `_accumulate`
-                join = math.lcm(slot[0], den)
-                a, n, slot[0] = join // slot[0], n * (join // den), join
+                acc[p] = [k, *(w * n for w in ws)]
+            else:
+                a, slot[0] = den // dens[slot[0]], k
                 for i, w in enumerate(ws, 1):
                     slot[i] = slot[i] * a + w * n
-        q, k = f * q, k + 1
-        fact *= k
+        levels: list[dict] = [{} for _ in range(top + 1)]
+        _convolve(levels, q, step, top)
+        q = [(p, w, n, 1) for w, level in enumerate(levels) for p, (n, _) in level.items() if n]
+        k += 1
+        den *= k * d_f
+    slots = [(beta, slot) for beta in group_of if (slot := acc.get(packing.pack(beta)))]
     return [
-        {beta: Fraction(slot[i], slot[0]) for beta in group_of
-         if (slot := acc.get(beta)) and slot[i]}
+        {beta: Fraction(slot[i], dens[slot[0]]) for beta, slot in slots if slot[i]}
         for i in range(1, len(reads) + 1)
     ]
+
+
+def _over_one_denominator(terms: list) -> tuple[list, int]:
+    """Packed terms (p, w, n, d) as (p, w, n', 1) over their lcm denominator L, and L."""
+    join = math.lcm(*(d for *_, d in terms))
+    return [(p, w, n * (join // d), 1) for p, w, n, d in terms], join
 
 
 class MirrorChange:

@@ -9,12 +9,16 @@ Three series shapes live here:
   weighted Euler identity E(e^f) = e^f·E(f), resp. f·(1/f) = 1) monomial by
   monomial in order of weight, at the cost of one product, O(N²) in the
   number N of stored terms; log is E(f)·(1/f) divided back by the weight.
-  Products and recurrences accumulate the way `algebra.sum_of_products`
-  does: each output monomial sums integer numerators over lcm-joined integer
-  denominators (`_accumulate`) and becomes one Fraction at the end.  The one
-  product kernel is `NovikovSeries.sum_of_products`, Σ a·b over any number of
-  pairs in one such pass: `__mul__` is its one-pair case, and the mirror
-  change's substitutions hand it all their pairs at once.  Kernel results,
+  Products, these recurrences and the power walk of `ifunctions` run on one
+  convolution, `_convolve`.  It keys each class by a packed integer
+  p = Σ β_i·(order+1)^i (`_Packing`), so a product's class is one integer
+  sum, and adds each n/d into an inline integer [num, den] slot whose
+  denominators are joined by their lcm, the way `algebra.sum_of_products`
+  does: no function is called and no tuple key is built per term.  Each
+  output monomial is unpacked and made one Fraction at the end.
+  `NovikovSeries.sum_of_products`, Σ a·b over any number of pairs, is the
+  product: `__mul__` is its one-pair case, and the mirror change's
+  substitutions hand it all their pairs at once.  Kernel results,
   and those of the linear operators (+, −, negation, `euler_derive`,
   `weighted_scaling`), skip the public constructor's key checks
   (`_kernel_output`): their keys come from series under the one policy.
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -218,27 +222,23 @@ class NovikovSeries:
     ) -> "NovikovSeries":
         """Σ a·b over the pairs (a, b) of term dicts, cut at the policy's weight.
 
-        The Novikov counterpart of `algebra.sum_of_products`: every pair adds
-        its products into the one integer accumulator of `_accumulate`, and
-        each output monomial becomes one Fraction at the end.  The keys must
-        be admissible under ``policy``; a right factor may be cut lower.
+        The Novikov counterpart of `algebra.sum_of_products`: every pair is
+        packed once (`_Packing.terms`, the right factor sorted by weight) and
+        convolved by `_convolve` into one accumulator keyed by packed class,
+        and each output monomial is unpacked and made one Fraction at the
+        end.  The keys must be admissible under ``policy``; a right factor
+        may be cut lower.
         """
         top = policy.max_total
-        weight = policy.weight
+        packing = _Packing(policy)
         acc: dict = {}
+        levels = [acc] * (top + 1)
         for left, right in pairs:
-            right = sorted(
-                ((k, weight(k), v.numerator, v.denominator) for k, v in right.items()),
-                key=lambda t: t[1],
-            )
-            for ka, va in left.items():
-                room = top - weight(ka)
-                na, da = va.numerator, va.denominator
-                for kb, wb, nb, db in right:
-                    if wb > room:
-                        break
-                    _accumulate(acc, tuple(map(add, ka, kb)), na * nb, da * db)
-        return cls._kernel_output(policy, {k: Fraction(n, d) for k, (n, d) in acc.items()})
+            _convolve(levels, packing.terms(left),
+                      sorted(packing.terms(right), key=itemgetter(1)), top)
+        unpack = packing.unpack
+        return cls._kernel_output(
+            policy, {unpack(p): Fraction(n, d) for p, (n, d) in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -344,8 +344,10 @@ class NovikovSeries:
 def _accumulate(acc: dict, key, n: int, d: int) -> None:
     """Add n/d to the running sum at ``key``, kept as an integer [num, den] pair.
 
-    Denominators are joined by their lcm, the rule of `algebra._rows`, so
-    no gcd is taken until the caller turns each pair into one Fraction.
+    Denominators are joined by their lcm, the rule of `algebra._rows` and of
+    `_convolve`'s slots, so no gcd is taken until the caller turns each pair
+    into one Fraction.  The one-sign reads of `ifunctions._grouped_exp` sum
+    through it.
     """
     slot = acc.get(key)
     if slot is None:
@@ -358,6 +360,67 @@ def _accumulate(acc: dict, key, n: int, d: int) -> None:
         slot[1] = m
 
 
+class _Packing:
+    """Packed class indices p = Σ β_i·B^i, B = order + 1, under one policy.
+
+    Every exponent of an admissible class is at most the order, and so is
+    every exponent of a sum of two classes whose weights sum to at most the
+    order: packed indices then add as their classes do, with no carry, and a
+    product's class is one integer sum.
+    """
+
+    __slots__ = ("base", "places", "weights")
+
+    def __init__(self, pol: TruncationPolicy):
+        self.base = pol.max_total + 1
+        self.places = [self.base ** i for i in range(pol.nvars)]
+        self.weights = pol.weights
+
+    def pack(self, beta: tuple[int, ...]) -> int:
+        return sum(map(mul, beta, self.places))
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        base = self.base
+        return tuple([p // q % base for q in self.places])
+
+    def terms(self, terms: Mapping) -> list[tuple[int, int, int, int]]:
+        """(packed class, weight, numerator, denominator) of each term, in the dict's order."""
+        places, weights = self.places, self.weights
+        return [(sum(map(mul, k, places)), sum(map(mul, k, weights)), v.numerator, v.denominator)
+                for k, v in terms.items()]
+
+
+def _convolve(levels: list[dict], left: Iterable, right: list, top: int) -> None:
+    """Add a·b into ``levels[wt a + wt b]`` for a in ``left``, b in ``right``, wt a + wt b ≤ top.
+
+    The one Novikov convolution: products, the exp and reciprocal
+    recurrences and the mixed-sign power walk all accumulate here.  Terms
+    are (packed class, weight, numerator, denominator) (`_Packing.terms`),
+    ``right`` sorted by weight, so each left term stops at the first right
+    term it has no room for.  A level is a dict from packed class to an
+    integer [num, den] slot whose denominators are joined by their lcm, as
+    in `_accumulate`, inline: no function is called and no tuple key is
+    built per term.  A caller that keeps no levels passes one dict at every
+    weight.
+    """
+    for pa, wa, na, da in left:
+        room = top - wa
+        for pb, wb, nb, db in right:
+            if wb > room:
+                break
+            acc = levels[wa + wb]
+            p, n, d = pa + pb, na * nb, da * db
+            slot = acc.get(p)
+            if slot is None:
+                acc[p] = [n, d]
+            elif slot[1] == d:
+                slot[0] += n
+            else:
+                m = lcm(slot[1], d)
+                slot[0] = slot[0] * (m // slot[1]) + n * (m // d)
+                slot[1] = m
+
+
 def _solve_by_weight(
     pol: TruncationPolicy,
     lead: Fraction,
@@ -368,28 +431,27 @@ def _solve_by_weight(
 
     s_β is wt(β) or 1.  Every step has positive weight, so h_β depends only
     on lighter monomials: they are finalized level by level in order of
-    weight, each made once as a Fraction and pushed forward to β + δ as
-    integers by `_accumulate`.  The cost is one product.  Steps heavier than
-    the policy's order are never read.
+    weight, each unpacked and made once as a Fraction, and a level's
+    monomials are pushed forward to β + δ as integers by one `_convolve`
+    into the heavier levels, on classes packed by `_Packing`.  The cost is
+    one product.  Steps heavier than the policy's order are never read.
     """
     top = pol.max_total
-    steps = sorted(steps, key=lambda s: s[1])
+    packing = _Packing(pol)
+    pack, unpack = packing.pack, packing.unpack
+    steps = sorted(((pack(k), w, n, d) for k, w, n, d in steps), key=itemgetter(1))
     levels: list[dict] = [{} for _ in range(top + 1)]
-    levels[0][(0,) * pol.nvars] = [lead.numerator, lead.denominator]
+    levels[0][0] = [lead.numerator, lead.denominator]
     out: dict[tuple[int, ...], Fraction] = {}
     for w in range(top + 1):
-        for k, (n, d) in levels[w].items():
-            if not n:
-                continue
-            h = Fraction(n, d * w if divide_by_weight and w else d)
-            out[k] = h
-            hn, hd = h.numerator, h.denominator
-            room = top - w
-            for dk, wd, cn, cd in steps:
-                if wd > room:
-                    break
-                _accumulate(levels[w + wd], tuple(map(add, k, dk)), cn * hn, cd * hd)
-        levels[w] = {}
+        done = []
+        for p, (n, d) in levels[w].items():
+            if n:
+                h = Fraction(n, d * w if divide_by_weight and w else d)
+                out[unpack(p)] = h
+                done.append((p, w, h.numerator, h.denominator))
+        if done and w < top:  # every step weighs at least 1: the top level pushes nothing
+            _convolve(levels, done, steps, top)
     return NovikovSeries._kernel_output(pol, out)
 
 

@@ -349,6 +349,24 @@ def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
     assert err.startswith(f"error: {cfg}: ") and re.search(message, err)
 
 
+def test_picard_must_list_every_degree_one_class(tmp_path, capsys):
+    """P² blown up at a point, its exceptional class a (a² = −H2) left out of
+    `picard`: read through H alone it would print P²'s periods 1, 6, 90, …"""
+    text = BUILTIN_CONFIGS["p2_cubic"]
+    for old, new in (("basis = one H H2\ndegrees = 0 1 2\n", "basis = one H a H2\ndegrees = 0 1 1 2\n"),
+                     ("    H H H2 1\n", "    H H H2 1\n    a a H2 -1\n")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    message = r"\[pair\] picard leaves out the ambient degree-1 class a"
+    with pytest.raises(ConfigError, match=message):
+        load_geometry(text)
+    cfg = tmp_path / "blpt.ini"
+    cfg.write_text(text)
+    assert run(["classical-period", "--geometry", str(cfg), "--order", "12"],
+               stream=io.StringIO()) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_pairing_refuses_a_class_off_the_span(blp3):
     with pytest.raises(ConfigError, match="H2 is not in the span of the picard classes"):
         _expand_in_picard(blp3.picard, blp3.ambient.named("H2"))

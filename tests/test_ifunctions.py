@@ -10,6 +10,7 @@ paper, and the blown-up series from the closed multinomial expression
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -60,6 +61,7 @@ from mirrorpair import (
     toric_i_function,
 )
 from mirrorpair import algebra, ifunctions
+from mirrorpair import series as series_module
 from mirrorpair.cli import run
 from mirrorpair.geometry import IFactor
 from mirrorpair.ifunctions import (
@@ -1307,6 +1309,59 @@ def test_the_blowup_change_reads_are_goods_formula(blp3, order):
     geom = _at_order(blp3, order)
     g = normalize_i(relative_i_function(geom, 0)).exponent.g
     _assert_reads_are_goods_formula(MirrorChange(geom.m_vector, g))
+
+
+# m of both signs at orders 0-2, where classes pack in bases 1-3, with weights up to 3
+@pytest.mark.parametrize("m", [(-1, 1), (2, -1), (1, -2, 3)])
+@pytest.mark.parametrize("order", range(3))
+@pytest.mark.parametrize("seed", range(4))
+def test_the_power_walk_reads_at_the_smallest_packing_bases(m, order, seed):
+    rng = random.Random(seed)
+    pol = TruncationPolicy.make(len(m), order, tuple(rng.randint(1, 3) for _ in m))
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        beta = tuple(rng.randint(0, 2) for _ in m)
+        if any(beta) and pol.admits(beta):
+            terms[beta] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    _assert_reads_are_goods_formula(MirrorChange(m, NovikovSeries(pol, terms)))
+
+
+def test_products_recurrences_and_the_walk_share_one_convolution(monkeypatch):
+    """`__mul__`, exp, reciprocal and the power walk's step all reach
+    `series._convolve`, and the walk of `mirror-map blp3_k3 --order 8` calls
+    no `NovikovSeries.__mul__`."""
+    callers, walk_products = [], []
+    real = series_module._convolve
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "_convolve", spy)
+    monkeypatch.setattr(ifunctions, "_convolve", spy)
+    pol = TruncationPolicy.make(2, 4)
+    f = NovikovSeries(pol, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 5), (1, 1): Fraction(7)})
+    for call, caller in ((lambda: f * f, "sum_of_products"), (f.exp, "_solve_by_weight"),
+                         ((f + NovikovSeries.one(pol)).reciprocal, "_solve_by_weight")):
+        callers.clear()
+        call()
+        assert callers and set(callers) == {caller}
+
+    real_mul = NovikovSeries.__mul__
+
+    def mul(self, other):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is ifunctions._power_walk.__code__:
+                walk_products.append(other)
+            frame = frame.f_back
+        return real_mul(self, other)
+
+    monkeypatch.setattr(NovikovSeries, "__mul__", mul)
+    callers.clear()
+    argv = ["mirror-map", "--geometry", "blp3_k3", "--order", "8", "--format", "json"]
+    assert run(argv, stream=io.StringIO()) == 0
+    assert "_power_walk" in callers and walk_products == []
 
 
 def test_a_non_nef_mirror_map_walks_once(monkeypatch):

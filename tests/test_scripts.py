@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The digest of the output grid: a change that alters any output byte on
 # purpose updates this pin and says so in CHANGES.md.
-OUTPUT_DIGEST = "bb0e55b4b1bf3f5e9500ac8d38e81e53100b804ccb3a1aeefa2ea3887d595d8f"
+OUTPUT_DIGEST = "b7de8a630365c1c58b687e151b5b86a504e0575102f6a15ccb98a0beb09155df"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ anywhere in this suite.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,38 @@ def test_sum_of_products_is_the_sum_of_literal_products(case):
 def test_sum_of_products_of_no_pairs_is_zero():
     assert NovikovSeries.sum_of_products(POL2, []).terms == {}
     assert NovikovSeries.sum_of_products(POL2, iter(())) == NovikovSeries.zero(POL2)
+
+
+@pytest.mark.parametrize("order", range(3))
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_kernels_at_the_smallest_packing_bases(order, seed):
+    """Orders 0-2 pack classes in bases 1-3, and weights up to 3 leave some
+    variables no admissible power: products with a right factor cut lower,
+    exp at every lower order and reciprocal against `series_product` sums."""
+    rng = random.Random(100 * order + seed)
+    nvars = rng.randint(1, 3)
+    weights = tuple(rng.randint(1, 3) for _ in range(nvars))
+    pol = TruncationPolicy.make(nvars, order, weights)
+
+    def draw(policy):
+        terms = {tuple(rng.randint(0, 2) for _ in range(nvars)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 6))}
+        return NovikovSeries(policy, {k: v for k, v in terms.items() if policy.admits(k)})
+
+    pairs = [(draw(pol), draw(pol.at_order(rng.randint(0, order)))) for _ in range(3)]
+    want = NovikovSeries.zero(pol)
+    for a, b in pairs:
+        want = want + series_product(a, NovikovSeries(pol, b.terms))
+    assert NovikovSeries.sum_of_products(pol, [(a.terms, b.terms) for a, b in pairs]) == want
+    f = draw(pol)
+    u = f - NovikovSeries.constant(pol, f.constant_term())
+    for k in range(order + 1):
+        low = pol.at_order(k)
+        want = _naive(NovikovSeries(low, u.terms) * 2, lambda j: Fraction(1, math.factorial(j)))
+        assert u.exp(2, k) == want
+    c = Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 4))
+    inv = _naive(u * (-1 / c), lambda j: 1) * (1 / c)
+    assert (u + NovikovSeries.constant(pol, c)).reciprocal() == inv
 
 
 @st.composite
