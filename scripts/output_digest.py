@@ -22,12 +22,12 @@ Runs `mirrorpair.cli.run` in this process, importing the package from the
   * tau-d and the refused i-function on blp3_k3 with tau_d_source = table
     and two d_point rows, and quantum-period and verify on blp3_k3 with a
     --table of two x_point rows, one value of each a fraction (12 runs);
-  * the refused i-function and mirror-map at --order 6 on p2_cubic with
-    j_source = invariant_table and a psi^0 row for a class of D.beta = 6,
-    which puts content at z^4 (6 runs);
-  * the eight geometry subcommands on p2_cubic with j_source =
-    invariant_table and its one-point invariants through t^9 as x_point
-    rows, at the default order and at --order 4, 8 and 12, and verify
+  * the refused i-function and mirror-map at --order 6 on p2_cubic as an
+    invariant_table pair (its [toric] section dropped) with a psi^0 row for a
+    class of D.beta = 6, which puts content at z^4 (6 runs);
+  * the eight geometry subcommands on p2_cubic as an invariant_table pair
+    with its one-point invariants through t^9 as x_point rows, at the
+    default order and at --order 4, 8 and 12, and verify
     --negative-control on it (99 runs);
   * verify --order 9, with and without --negative-control, on the same
     pair with a zero row at t^3, the lowest read row, which the control
@@ -83,8 +83,7 @@ def p2_table(rows: str) -> str:
     """p2_cubic as an invariant_table pair with these x_point rows, [toric] dropped."""
     return (
         BUILTIN_CONFIGS["p2_cubic"]
-        .replace("j_source = toric_hypergeometric",
-                 "j_source = invariant_table\ninvariants =\n" + rows)
+        .replace("novikov = y\n", "novikov = y\ninvariants =\n" + rows + "\n")
         .replace("[toric]\ndenominators = H; H; H\n\n", "")
     )
 

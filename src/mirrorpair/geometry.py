@@ -2,14 +2,16 @@
 
 A *pair geometry* bundles everything the pipeline needs about a log Calabi-Yau
 pair (X, D): the ambient cohomology ring, the divisor's ring, the restriction
-homomorphism between them, the divisor's class, the Novikov variables with
-their intersection numbers against D (the m-vector, read off the divisor
-class), truncation policy, and where the absolute-invariant input comes from
-(a toric hypergeometric template or an ingested table of one-point
+homomorphism between them, the divisor's class, the Novikov variables, one per
+degree-1 class of X (the picard classes), with their intersection numbers
+against D (the m-vector, read off the divisor class), truncation policy, and
+where the absolute-invariant input comes from (a toric hypergeometric template
+when the config has a [toric] section, else an ingested table of one-point
 invariants).
 
 Geometries are described by INI-style config text (see BUILTIN_CONFIGS for the
-three shipped pairs) so that external geometries can be supplied as files.
+three shipped pairs) so that external geometries can be supplied as files; a
+config declares only what the loader cannot derive.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import product as iproduct
 from operator import mul
 from typing import NamedTuple
 
@@ -44,11 +45,12 @@ class MissingDataError(ValueError):
     """An operation needs invariant data that was not supplied."""
 
 
+# PairGeometry.j_source, derived: the first with a [toric] section, the second without
 J_SOURCES = ("toric_hypergeometric", "invariant_table")
 TAU_D_SOURCES = ("zero", "table")
 TABLE_KINDS = ("x_point", "d_point")
 SECTIONS = ("algebra.ambient", "algebra.divisor", "restriction", "pair", "truncation", "toric")
-PAIR_KEYS = ("name", "divisor_class", "picard", "novikov", "j_source", "tau_d_source", "invariants")
+PAIR_KEYS = ("name", "divisor_class", "novikov", "tau_d_source", "invariants")
 # why τ_D = 0, by the divisor's dimension: a Calabi-Yau curve or surface
 ZERO_TAU_REASONS = {1: "elliptic_curve", 2: "k3"}
 
@@ -223,8 +225,8 @@ def _expand_in_picard(picard: tuple[Element, ...], cls: Element) -> tuple[int, .
     construction.  Raises when the class is not in their span or a coordinate
     is not an integer.
 
-    The loader makes each picard class one basis element and refuses a
-    repeated name, so the expansion is a plain coefficient read-off, and the
+    The loader takes the picard classes to be the degree-1 basis elements,
+    each once, so the expansion is a plain coefficient read-off, and the
     class is in their span when it has no coordinate off them."""
     coords = []
     on = set()
@@ -393,42 +395,26 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
     name = pair.get("name", default_name)
     try:
         divisor_class = _parse_class(ambient, pair["divisor_class"], "pair")
-        picard_names = pair["picard"].split()
         novikov = tuple(pair["novikov"].split())
-        j_source = pair["j_source"]
         tau_d_source = pair["tau_d_source"]
     except KeyError as exc:
         raise ConfigError(f"[pair] missing key: {exc}") from exc
-    for key, names in (("picard", picard_names), ("novikov", novikov)):
-        repeated = next((nm for k, nm in enumerate(names) if nm in names[:k]), None)
-        if repeated is not None:
-            raise ConfigError(f"[pair] {key} names {repeated!r} more than once")
-
-    picard = tuple(ambient.basis_element(_index(ambient, "pair", nm)) for nm in picard_names)
-    for p, nm in zip(picard, picard_names):
-        if ambient.degrees[ambient.basis.index(nm)] != 1:
-            raise ConfigError(f"picard class {nm} is not degree 1")
-    missing = [nm for nm, deg in zip(ambient.basis, ambient.degrees)
-               if deg == 1 and nm not in picard_names]
-    if missing:
-        raise ConfigError(f"[pair] picard leaves out the ambient degree-1 class {missing[0]}: "
-                          "the picard classes must be every degree-1 basis class")
-    if len(picard) != len(novikov):
-        raise ConfigError("picard / novikov arity mismatch")
+    repeated = next((nm for k, nm in enumerate(novikov) if nm in novikov[:k]), None)
+    if repeated is not None:
+        raise ConfigError(f"[pair] novikov names {repeated!r} more than once")
+    # the picard classes: every degree-1 basis class of X, in basis order
+    picard_names = tuple(nm for nm, deg in zip(ambient.basis, ambient.degrees) if deg == 1)
+    if len(novikov) != len(picard_names):
+        raise ConfigError(
+            f"[pair] novikov takes one variable per degree-1 class of {ambient.name} "
+            f"({_and(picard_names) if picard_names else 'none'}), and names {len(novikov)}")
+    picard = tuple(ambient.named(nm) for nm in picard_names)
     # the divisor class: homogeneous of degree 1 and integrally spanned by picard
     if any(ambient.degrees[i] != 1 for i, _, _ in divisor_class.support):
         raise ConfigError("divisor_class must be homogeneous of degree 1")
     m_vector = _expand_in_picard(picard, divisor_class)
-    if j_source == "closed_form_projective":
-        raise ConfigError("[pair] j_source = closed_form_projective is retired: write j_source "
-                          "= toric_hypergeometric and a [toric] section with denominators = "
-                          "H; ...; H, n + 1 times for P^n")
-    if j_source not in J_SOURCES:
-        raise ConfigError(f"j_source must be one of {J_SOURCES}")
     if tau_d_source not in TAU_D_SOURCES:
         raise ConfigError(f"tau_d_source must be one of {TAU_D_SOURCES}")
-    if "toric" in cp and j_source != "toric_hypergeometric":
-        raise ConfigError("[toric] is read only with j_source = toric_hypergeometric")
     if tau_d_source == "zero" and divisor.top_degree not in ZERO_TAU_REASONS:
         raise ConfigError(
             "[pair] tau_d_source = zero: zero-justification only applies to curve/surface "
@@ -471,9 +457,9 @@ def load_geometry(text: str, default_name: str = "geometry") -> PairGeometry:
 
     geom = PairGeometry(
         name=name, ambient=ambient, divisor=divisor, restriction=restriction,
-        divisor_class=divisor_class, picard=picard, novikov_names=novikov,
-        m_vector=m_vector, policy=policy, j_source=j_source, tau_d_source=tau_d_source,
-        factors=_i_factors(ambient, picard, divisor_class, j_source, toric),
+        divisor_class=divisor_class, picard=picard, novikov_names=novikov, m_vector=m_vector,
+        policy=policy, j_source=J_SOURCES[0] if toric else J_SOURCES[1],
+        tau_d_source=tau_d_source, factors=_i_factors(ambient, picard, divisor_class, toric),
         divisor_last=len(_powers(ambient, divisor_class)) - 1, table=table,
     )
     _validate_geometry(geom)
@@ -484,7 +470,6 @@ def _i_factors(
     ambient: GradedAlgebra,
     picard: tuple[Element, ...],
     divisor_class: Element,
-    j_source: str,
     toric: tuple[tuple[Element, ...], tuple[Element, ...]] | None,
 ) -> tuple[IFactor, ...]:
     """The net factors of the I-function, after the checks on the toric data.
@@ -496,9 +481,7 @@ def _i_factors(
     is read off the structure constants, with no Element product.
     """
     signed = []
-    if j_source == "toric_hypergeometric":
-        if toric is None:
-            raise ConfigError("[pair] j_source = toric_hypergeometric needs a [toric] section")
+    if toric is not None:
         dens, bundles = toric
         # D's own ray cancels, so only it may pair negatively
         for cls in [u for u in dens if u != divisor_class] + list(bundles):
@@ -631,9 +614,7 @@ map =
 [pair]
 name = p2_cubic
 divisor_class = 3*H
-picard = H
 novikov = y
-j_source = toric_hypergeometric
 tau_d_source = zero
 
 [toric]
@@ -672,9 +653,7 @@ map =
 [pair]
 name = p3_quartic
 divisor_class = 4*H
-picard = H
 novikov = y
-j_source = toric_hypergeometric
 tau_d_source = zero
 
 [toric]
@@ -727,9 +706,7 @@ map =
 [pair]
 name = blp3_k3
 divisor_class = h - H
-picard = H h
 novikov = q1 q0
-j_source = toric_hypergeometric
 tau_d_source = zero
 
 [toric]
@@ -768,12 +745,11 @@ def tabulate_one_point_invariants(geom: PairGeometry, t_order: int) -> Invariant
     if _givental_gap(geom) is not None:
         return InvariantTable(tuple(
             (("x_point", beta, a), v) for beta, a, v in geom.table.rows_for("x_point")))
-    m = geom.m_vector
-    classes = iproduct(*(range(t_order // mi + 1) for mi in m))
+    # Givental's rule reads only pairs with every m_i >= 2, so m serves as weights
+    classes = TruncationPolicy(geom.m_vector, t_order).classes()
     return InvariantTable(tuple(
         (("x_point", beta, a), _givental_value(geom, beta, a))
-        for beta in classes if divisor_degree(m, beta) <= t_order
-        and (a := geom.read_psi("x_point", beta)) is not None))
+        for beta in classes if (a := geom.read_psi("x_point", beta)) is not None))
 
 
 def _givental_gap(geom: PairGeometry) -> str | None:

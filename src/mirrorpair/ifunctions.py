@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import islice
 from operator import itemgetter, mul, sub
 
 from .algebra import (
@@ -434,15 +434,6 @@ def _assemble(
     return RelativeSeries(geom, terms, lowest_z)
 
 
-def _effective_classes(pol: TruncationPolicy):
-    """All admissible exponent tuples (including 0)."""
-    top = pol.max_total
-    ranges = [range(0, top // w + 1) for w in pol.weights]
-    for beta in iproduct(*ranges):
-        if pol.weight(beta) <= top:
-            yield beta
-
-
 def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> RelativeSeries:
     """The relative I-function of the pair, at divisor mirror map τ_D.
 
@@ -465,7 +456,7 @@ def relative_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Rela
     if geom.j_source == "toric_hypergeometric":
         return toric_i_function(geom, lowest_z)
     bases = {}
-    for beta in _effective_classes(geom.policy):
+    for beta in geom.policy.classes():
         row = absolute_core(geom, beta)
         if not row:
             continue
@@ -489,7 +480,7 @@ def toric_i_function(geom: PairGeometry, lowest_z: int | None = None) -> Relativ
     """
     if geom.j_source != "toric_hypergeometric":
         raise MissingDataError(f"{geom.name}: no toric data")
-    classes = _effective_classes(geom.policy)
+    classes = geom.policy.classes()
     return _hypergeometric(geom, dict.fromkeys(classes, {0: Fraction(1)}), lowest_z)
 
 
@@ -940,7 +931,7 @@ class MirrorChange:
         pol = self.policy
         offsets = sorted({1, *(-m for m in self.m_vector)})
         reads = [(lambda d, a=a: a - d, 0) for a in offsets] + [(lambda d: -d, 1)]
-        group_of = {beta: self.contact_weight(beta) for beta in _effective_classes(pol)}
+        group_of = {beta: self.contact_weight(beta) for beta in pol.classes()}
         *exps, log = _power_walk(self.g, group_of, self._jacobian(), reads)
         return NovikovSeries._kernel_output(pol, log), {
             a: NovikovSeries._kernel_output(pol, e) for a, e in zip(offsets, exps)
@@ -962,7 +953,7 @@ class MirrorChange:
         if mixed_signs(self.m_vector):
             return self._walk[1][1]
         pol = self.policy
-        classes = _effective_classes(pol)
+        classes = pol.classes()
         return NovikovSeries(
             pol, _grouped_exp(self.g, self.m_vector, lambda d: 1 - d, classes, self._jacobian()))
 
@@ -996,7 +987,7 @@ def class_constant_terms(
     so θ_β is the constant term of W^{m·β} on the class β.  Zeros are dropped.
     """
     pol = G.policy
-    classes = [b for b in _effective_classes(pol) if divisor_degree(m_vector, b) >= 1]
+    classes = [b for b in pol.classes() if divisor_degree(m_vector, b) >= 1]
     return _grouped_exp(G, m_vector, lambda d: d, classes, [((0,) * pol.nvars, Fraction(1))])
 
 

@@ -12,8 +12,9 @@ classical period's values are θ_β = [q^β] e^{(D·β)·G}, the constant term o
 W^{D·β} on β, which Good's formula makes (D·β)·g_β (checked from G by
 `inversion.potential_roundtrip`).
 `collapse_by_degree` is the one sum of classes into t-degrees, for the
-periods and W alike: when m has entries of both signs infinitely many classes
-share each t-degree, so it refuses rather than sum a truncated slice.
+periods and W alike: when m has a positive entry and a negative or zero one,
+infinitely many classes share each t-degree, so it refuses rather than sum a
+truncated slice.
 `compare_periods` checks the two t-series coefficient by coefficient in exact
 arithmetic, with an optional deliberately-perturbed run (`negative_control`)
 that must be caught at the first affected degree.
@@ -54,17 +55,17 @@ def collapse_by_degree(
 ) -> dict[int, Fraction]:
     """Σ_{D·β = d} v_β at each t-degree d of the per-class terms (β, d, v_β).
 
-    Refused with TruncationError when m has entries of both signs: then
-    infinitely many classes share each t-degree and a truncated sum changes
-    with the order.
+    Refused with TruncationError when m has a positive entry and a
+    non-positive one (of the other sign, or zero): then infinitely many
+    classes share each t-degree and a truncated sum changes with the order.
     """
     m = geom.m_vector
-    if mixed_signs(m):
+    if any(x > 0 for x in m) and any(x <= 0 for x in m):
+        why = "entries of both signs" if mixed_signs(m) else "a zero entry beside a positive one"
         raise TruncationError(
-            f"{geom.name}: m_vector {','.join(map(str, m))} has entries "
-            "of both signs, so infinitely many classes share each t-degree D.beta "
-            "and any truncated sum over one t-degree changes with the order; only the "
-            "per-class terms are exact"
+            f"{geom.name}: m_vector {','.join(map(str, m))} has {why}, so infinitely many "
+            "classes share each t-degree D.beta and any truncated sum over one t-degree "
+            "changes with the order; only the per-class terms are exact"
         )
     sums: dict[int, Fraction] = {}
     for _, d, v in terms:
@@ -185,7 +186,7 @@ class ProperPotential:
         """The single-variable view: every class lands at t^{D·β} x^{1-D·β}.
 
         The classes of one t-degree are summed by `collapse_by_degree`, so the
-        view is refused with TruncationError when m has entries of both signs.
+        view is refused with TruncationError where that refuses.
         """
         terms = [(b, self.change.contact_weight(b), c) for b, c in self.terms]
         sums = collapse_by_degree(self.geometry, terms)

@@ -39,9 +39,10 @@ Three series shapes live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
     AlgebraError,
@@ -140,6 +141,12 @@ class TruncationPolicy:
         if any(e < 0 for e in exps):
             raise ValueError("Novikov exponents must be nonnegative")
         return self.weight(exps) <= self.max_total
+
+    def classes(self) -> Iterator[tuple[int, ...]]:
+        """Every exponent tuple the policy admits, 0 included, in lexicographic order."""
+        for beta in iproduct(*(range(self.max_total // w + 1) for w in self.weights)):
+            if self.weight(beta) <= self.max_total:
+                yield beta
 
 
 class NovikovSeries:

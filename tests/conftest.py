@@ -96,9 +96,7 @@ map =
 [pair]
 name = synthetic_negative
 divisor_class = -2*H
-picard = H
 novikov = y
-j_source = invariant_table
 tau_d_source = table
 invariants =
     x_point 1 0 pt 1
@@ -116,15 +114,55 @@ SYNTHETIC_NEGATIVE_ZERO_TAU = SYNTHETIC_NEGATIVE.replace(
 ).replace("    d_point 1 0 pt 1\n", "")
 
 
+# P¹×P¹ as a table pair with D = 2B, a curve restricted by A ↦ 2p and B ↦ 0:
+# m = (0, 2), so every class β + k·(1, 0) shares the t-degree of β, and the
+# three read rows all sit at t².
+ZERO_M = """
+[algebra.ambient]
+name = p1_times_p1
+basis = one A B AB
+degrees = 0 1 1 2
+unit = one
+point = AB
+products =
+    A B AB 1
+
+[algebra.divisor]
+name = zero_m_curve
+basis = one p
+degrees = 0 1
+unit = one
+point = p
+
+[restriction]
+map =
+    one one 1
+    A p 2
+
+[pair]
+name = zero_m
+divisor_class = 2*B
+novikov = y1 y2
+tau_d_source = zero
+invariants =
+    x_point 0,1 0 pt 1
+    x_point 1,1 0 pt 1
+    x_point 2,1 0 pt 1
+
+[truncation]
+order = 4
+weights = 1 1
+"""
+
+
 def p2_table(rows):
     """p2_cubic's config as an invariant_table pair whose invariants key holds the
-    given row lines: its toric source and its [toric] section swapped out."""
+    given row lines: its [toric] section, which makes it a toric pair, swapped out."""
     from mirrorpair import BUILTIN_CONFIGS
 
     text = BUILTIN_CONFIGS["p2_cubic"]
     for old, new in (
-        ("j_source = toric_hypergeometric\n",
-         "j_source = invariant_table\ninvariants =\n" + rows.rstrip("\n") + "\n"),
+        ("novikov = y\n", "novikov = y\ninvariants =\n" + rows.rstrip("\n") + "\n"),
         ("[toric]\ndenominators = H; H; H\n\n", ""),
     ):
         assert text.count(old) == 1, old

@@ -223,13 +223,15 @@ def test_keys_nothing_reads_are_refused(name, old, new, message):
 
 @pytest.mark.parametrize(
     "line",
-    ["m_vector = 3", "hyperplane = H", "projective_dim = 2", "tau_d_reason = elliptic_curve"],
+    ["m_vector = 3", "hyperplane = H", "projective_dim = 2", "tau_d_reason = elliptic_curve",
+     "j_source = toric_hypergeometric", "picard = H"],
 )
 def test_derived_pair_keys_are_refused_as_unknown(tmp_path, capsys, line):
-    # the loader works these out from divisor_class and the two rings; a config
-    # that still declares one is refused, even where it agrees
+    # the loader works these out from divisor_class, the two rings and whether
+    # [toric] is present; a config that still declares one is refused, even
+    # where it agrees
     key = line.split()[0]
-    text = BUILTIN_CONFIGS["p2_cubic"].replace("picard = H\n", f"picard = H\n{line}\n")
+    text = BUILTIN_CONFIGS["p2_cubic"].replace("novikov = y\n", f"novikov = y\n{line}\n")
     with pytest.raises(ConfigError, match=rf"\[pair\] unknown key '{key}'"):
         load_geometry(text)
     cfg = tmp_path / "pair.ini"
@@ -239,19 +241,22 @@ def test_derived_pair_keys_are_refused_as_unknown(tmp_path, capsys, line):
     assert err.startswith(f"error: {cfg}: [pair] unknown key '{key}'")
 
 
-# per builtin: the m-vector (the divisor class on the picard classes), n for
-# X = P^n (None for a pair Givental's rule does not read) and the reason τ_D = 0
+# per builtin: the picard classes (every degree-1 class of X), the m-vector (the
+# divisor class on them), n for X = P^n (None for a pair Givental's rule does not
+# read) and the reason τ_D = 0; each has a [toric] section, so a toric source
 DERIVED = {
-    "p2_cubic": ((3,), 2, "elliptic_curve"),
-    "p3_quartic": ((4,), 3, "k3"),
-    "blp3_k3": ((-1, 1), None, "k3"),
+    "p2_cubic": (("H",), (3,), 2, "elliptic_curve"),
+    "p3_quartic": (("H",), (4,), 3, "k3"),
+    "blp3_k3": (("H", "h"), (-1, 1), None, "k3"),
 }
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_builtins_derive_the_pair_data(name):
-    m, n, reason = DERIVED[name]
+    picard, m, n, reason = DERIVED[name]
     geom = builtin_geometry(name)
+    assert geom.picard == tuple(map(geom.ambient.named, picard))
+    assert geom.j_source == "toric_hypergeometric"
     assert geom.m_vector == m
     assert geom.tau_d_reason == reason
     if n is None:
@@ -333,8 +338,6 @@ def test_zero_tau_needs_a_curve_or_surface_divisor():
     [
         # two selectors would both read q1:, so the output could not be told apart
         ("novikov = q1 q0\n", "novikov = q1 q1\n", r"\[pair\] novikov names 'q1' more than once"),
-        # H H spans one class, not two
-        ("picard = H h\n", "picard = H H\n", r"\[pair\] picard names 'H' more than once"),
     ],
 )
 def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
@@ -350,14 +353,17 @@ def test_repeated_pair_names_are_refused(tmp_path, capsys, old, new, message):
 
 
 def test_picard_must_list_every_degree_one_class(tmp_path, capsys):
-    """P² blown up at a point, its exceptional class a (a² = −H2) left out of
-    `picard`: read through H alone it would print P²'s periods 1, 6, 90, …"""
+    """P² blown up at a point, its exceptional class a (a² = −H2), with one
+    Novikov variable: read through H alone it would print P²'s periods
+    1, 6, 90, …  The picard classes are every degree-1 class, H and a, so
+    `novikov` must name two variables."""
     text = BUILTIN_CONFIGS["p2_cubic"]
     for old, new in (("basis = one H H2\ndegrees = 0 1 2\n", "basis = one H a H2\ndegrees = 0 1 1 2\n"),
                      ("    H H H2 1\n", "    H H H2 1\n    a a H2 -1\n")):
         assert text.count(old) == 1
         text = text.replace(old, new)
-    message = r"\[pair\] picard leaves out the ambient degree-1 class a"
+    message = (r"\[pair\] novikov takes one variable per degree-1 class of proj_plane "
+               r"\(H and a\), and names 1$")
     with pytest.raises(ConfigError, match=message):
         load_geometry(text)
     cfg = tmp_path / "blpt.ini"

@@ -344,11 +344,11 @@ def _check_pieces(monkeypatch, geom, orders, literal_piece):
     for order in orders:
         at_order = _at_order(geom, order)
         pieces = _relative_pieces(monkeypatch, at_order)
-        for beta in ifunctions._effective_classes(at_order.policy):
+        for beta in at_order.policy.classes():
             if beta not in literal:
                 literal[beta] = _printable_part(geom, beta, literal_piece(geom, beta))
         assert [beta for beta, _, _ in pieces] == [
-            b for b in ifunctions._effective_classes(at_order.policy) if literal[b] is not None]
+            b for b in at_order.policy.classes() if literal[b] is not None]
         for beta, contact, zl in pieces:
             assert contact == -geom.contact_weight(beta)
             assert ZLaurentElement(geom.ambient, zl) == literal[beta], beta

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import power_constant_terms, theta_coefficient
+from conftest import ZERO_M, power_constant_terms, theta_coefficient
 
 from mirrorpair import (
     InvariantTable,
@@ -35,6 +35,7 @@ from mirrorpair import (
     roundtrip_for_geometry,
 )
 from mirrorpair.cli import run
+from mirrorpair.periods import collapse_by_degree
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +121,7 @@ map =
 [pair]
 name = p1xp1_elliptic
 divisor_class = 2*A + 2*B
-picard = A B
 novikov = y1 y2
-j_source = toric_hypergeometric
 tau_d_source = zero
 
 [toric]
@@ -400,6 +399,31 @@ def test_every_t_collapse_refuses_a_mixed_sign_pair_alike(blp3):
             view()
         messages.add(str(caught.value))
     assert len(messages) == 1
+
+
+def test_every_t_collapse_refuses_a_zero_entry_beside_a_positive_one(synthetic_negative):
+    """m = (0, 2): the classes (k, 1) all sit at t², so their sum would grow with
+    the order (2 classes at order 2, 3 at order 3).  Every view refuses with one
+    reason of its own, and the per-class terms stay exact."""
+    geom = load_geometry(ZERO_M)
+    assert geom.m_vector == (0, 2)
+    for order in (2, 3):
+        pot = proper_potential(geom, order)
+        views = (
+            lambda: pot.collapse(order),
+            lambda: classical_period(pot, order).as_dict(),
+            lambda: quantum_period(geom, order).as_dict(),
+        )
+        messages = set()
+        for view in views:
+            with pytest.raises(TruncationError, match="zero entry beside a positive") as caught:
+                view()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        want = {(k, 1): (2, Fraction(2)) for k in range(order)}  # θ_(k,1) = 2·g_(k,1)
+        assert {b: (d, v) for b, d, v in classical_period(pot, order).terms} == want
+    # m = (−2) has no positive entry: each t-degree holds one class, nothing is refused
+    assert collapse_by_degree(synthetic_negative, [((1,), -2, Fraction(1))]) == {-2: 1}
 
 
 def test_classical_period_refuses_a_short_mirror_exponent(p2):
